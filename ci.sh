@@ -39,6 +39,18 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> serve daemon suite in release"
+# The debug pass above already ran it. A release build runs the engine
+# far faster, so a test whose timing only holds in a debug build fails
+# here instead of hiding.
+cargo test --release -q -p zeroconf-serve --test serve_daemon
+
+echo "==> perfbench build and tests (its own workspace)"
+# The benchmark builds against the engine, serve and client crates by
+# path; building and testing it here turns an API change that breaks it
+# into a CI failure rather than a failed benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> concurrency model tests (--cfg zeroconf_loom interleaving explorer)"
 # The vendored loom replacement (crates/serve/src/model_tests.rs):
 # exhaustive schedule enumeration over the FairBudget admission protocol

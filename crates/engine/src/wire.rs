@@ -42,7 +42,12 @@
 //! (`{"v":1,"id":"s1","cells":[{"n":1,"r":0.1,"mean_cost":…,"error_probability":…},…],
 //! "stats":{"wall_ns":…,"cache_hits":…,"cache_misses":…,"cells":…,"workers":…}}`);
 //! failures come back as `{"v":1,"id":…,"error":"…"}` without ending the
-//! session. Reply-time kinds on the wire: `deterministic` (mass, delay),
+//! session. Every float in a response is its shortest round-trip decimal,
+//! so it parses back to the identical bits. JSON cannot spell infinity
+//! or NaN, so a value that is not finite is written as `null` (a
+//! `probe_cost` near `f64::MAX` overflows the mean cost of two probes,
+//! for one).
+//! Reply-time kinds on the wire: `deterministic` (mass, delay),
 //! `exponential` (loss *or* mass, rate, delay), `uniform` (mass, lo, hi),
 //! `weibull` (mass, shape, scale, delay) and `mixture` (components of
 //! `{"weight":…,"dist":{…}}`). The library API accepts any
@@ -60,6 +65,7 @@
 //!   the same pipeline: one line in, one line out, in order.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::Arc;
 
 use zeroconf_cost::Scenario;
@@ -72,8 +78,8 @@ use crate::pipeline::{Completion, Pipeline, PipelineConfig, PipelineStats, Reque
 use crate::request::BatchStats;
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
-    FrontierRequest, FrontierResponse, GridSpec, Metric, ParamAxis, RescoreDelta, SweepRequest,
-    SweepResponse, WorkRequest, WorkResponse,
+    FrontierRequest, FrontierResponse, GridSpec, Landscape, Metric, ParamAxis, RescoreDelta,
+    SweepRequest, SweepResponse, WorkRequest, WorkResponse,
 };
 
 /// The wire-protocol version this build speaks. Requests without a `"v"`
@@ -162,11 +168,10 @@ impl Json {
 ///
 /// Returns a [`WireError`] describing the first syntax problem.
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(err(format!("trailing input at byte {pos}")));
     }
     Ok(value)
@@ -178,17 +183,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -206,31 +212,45 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("numeric bytes are ASCII");
-    text.parse::<f64>()
+    // Number bytes are ASCII, so the token ends on a char boundary.
+    let token = text.get(start..*pos).unwrap_or_default();
+    token
+        .parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| err(format!("invalid number `{text}` at byte {start}")))
+        .map_err(|_| err(format!("invalid number `{token}` at byte {start}")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, WireError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Take the run of plain characters up to the next quote or
+        // backslash in one step. Both delimiters are ASCII, so the run
+        // is a `str` slice: no per-character work, no UTF-8 recheck.
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        let run = text.get(start..*pos).unwrap_or_default();
         match bytes.get(*pos) {
             None => return Err(err("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
+                out.push_str(run);
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                out.push_str(run);
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -242,14 +262,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        if *pos + 5 > bytes.len() {
+                            return Err(err("truncated \\u escape"));
+                        }
+                        let hex = text
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| err("bad \\u escape"))?,
-                            16,
-                        )
-                        .map_err(|_| err("bad \\u escape"))?;
+                            .ok_or_else(|| err("bad \\u escape"))?;
+                        let code =
+                            u32::from_str_radix(hex, 16).map_err(|_| err("bad \\u escape"))?;
                         out.push(char::from_u32(code).ok_or_else(|| err("bad \\u code point"))?);
                         *pos += 4;
                     }
@@ -257,25 +277,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume the whole run of plain characters up to the
-                // next quote or backslash in one step, validating UTF-8
-                // once per run. (Per-character validation of the entire
-                // remaining input made string parsing quadratic — fatal
-                // on multi-megabyte response lines.)
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| err("invalid UTF-8 in string"))?;
-                out.push_str(run);
-            }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -284,7 +291,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -297,7 +304,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -310,13 +318,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err("expected string key in object"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(err("expected `:` after object key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -330,14 +338,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-/// Writes `x` so that parsing it back yields the identical float (Rust's
-/// shortest-roundtrip formatting; integral values get a `.0`).
-fn write_f64(x: f64) -> String {
-    format!("{x:?}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` as a JSON string literal, quotes included, escaping `"`,
+/// `\` and control characters.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -345,11 +349,29 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
+}
+
+/// An upper bound on the text [`push_f64`] writes for one value: the
+/// longest `{:?}` rendering of an `f64` is 24 bytes
+/// (`-2.2250738585072014e-308`), and `null` is shorter.
+const F64_TEXT_MAX: usize = 24;
+
+/// Writes `x` so that parsing it back yields the identical float (Rust's
+/// shortest round-trip `{:?}`; integral values get a `.0`), or `null`
+/// when `x` is infinite or NaN, which JSON cannot spell.
+fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x:?}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -713,10 +735,63 @@ pub fn parse_request_line(line: &str) -> Result<WireRequest, WireError> {
 /// Writes the per-request `"stats"` member shared by every verb's
 /// response line.
 fn push_stats(out: &mut String, s: &BatchStats) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "\"stats\":{{\"wall_ns\":{},\"cache_hits\":{},\"cache_misses\":{},\"cells\":{},\"workers\":{}}}",
         s.wall_nanos, s.cache_hits, s.cache_misses, s.cells, s.workers
-    ));
+    );
+}
+
+/// The keys of one landscape cell, shared by the writer and its size
+/// bound.
+const CELL_N: &str = "{\"n\":";
+const CELL_R: &str = ",\"r\":";
+const CELL_COST: &str = ",\"mean_cost\":";
+const CELL_ERROR: &str = ",\"error_probability\":";
+
+/// Writes the body of a sweep's `cells` array: one object per cell, in
+/// the landscape's `r`-major order. Each column shares one `r`, so its
+/// text is formatted once and copied into the column's `n_max` cells.
+fn push_cells(out: &mut String, landscape: &Landscape) {
+    let n_max = landscape.n_max() as usize;
+    let costs = landscape.costs();
+    let errors = landscape.errors();
+    let mut r_text = String::with_capacity(F64_TEXT_MAX);
+    for (column, &r) in landscape.r_values().iter().enumerate() {
+        r_text.clear();
+        push_f64(&mut r_text, r);
+        for row in 0..n_max {
+            let index = column * n_max + row;
+            if index > 0 {
+                out.push(',');
+            }
+            out.push_str(CELL_N);
+            let _ = write!(out, "{}", row + 1);
+            out.push_str(CELL_R);
+            out.push_str(&r_text);
+            if let Some(costs) = costs {
+                out.push_str(CELL_COST);
+                push_f64(out, costs[index]);
+            }
+            if let Some(errors) = errors {
+                out.push_str(CELL_ERROR);
+                push_f64(out, errors[index]);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// An upper bound on [`push_cells`]' text per cell of `landscape`.
+fn cell_text_max(landscape: &Landscape) -> usize {
+    let mut max = CELL_N.len() + 10 + CELL_R.len() + F64_TEXT_MAX + "},".len();
+    if landscape.costs().is_some() {
+        max += CELL_COST.len() + F64_TEXT_MAX;
+    }
+    if landscape.errors().is_some() {
+        max += CELL_ERROR.len() + F64_TEXT_MAX;
+    }
+    max
 }
 
 /// A typed response line: every line the protocol can emit, in one closed
@@ -811,112 +886,96 @@ impl WireResponse {
 
     /// Serializes this response as one JSON line (no trailing newline).
     /// The single writer of the response wire format.
+    ///
+    /// One pass writes every field straight into one `String`. A sweep's
+    /// line is sized up front to an upper bound of the line plus the
+    /// newline a transport appends, so it never regrows and can become a
+    /// socket write chunk as it is. Floats are written as their shortest
+    /// round-trip `{:?}` text, and infinities and NaN as `null`.
     #[must_use]
     pub fn to_line(&self) -> String {
+        let mut out = String::with_capacity(self.line_capacity());
+        if let WireResponse::Stats { .. } = self {
+            let _ = write!(out, "{{\"v\":{WIRE_VERSION}");
+        } else {
+            let _ = write!(out, "{{\"v\":{WIRE_VERSION},\"id\":");
+        }
         match self {
             WireResponse::Sweep { id, response } => {
-                // The wire keeps the per-cell object shape; `Cell`s are
-                // materialized lazily from the response's flat
-                // [`Landscape`](crate::Landscape) buffers right here, at
-                // the serialization boundary.
-                let mut out = String::with_capacity(64 + response.landscape.len() * 64);
-                out.push_str(&format!("{{\"v\":{WIRE_VERSION},\"id\":\""));
-                out.push_str(&escape(id));
-                out.push_str("\",\"cells\":[");
-                for (i, cell) in response.landscape.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{{\"n\":{},\"r\":{}", cell.n, write_f64(cell.r)));
-                    if let Some(c) = cell.mean_cost {
-                        out.push_str(&format!(",\"mean_cost\":{}", write_f64(c)));
-                    }
-                    if let Some(e) = cell.error_probability {
-                        out.push_str(&format!(",\"error_probability\":{}", write_f64(e)));
-                    }
-                    out.push('}');
-                }
+                push_json_str(&mut out, id);
+                out.push_str(",\"cells\":[");
+                push_cells(&mut out, &response.landscape);
                 out.push_str("],");
                 push_stats(&mut out, &response.stats);
-                out.push('}');
-                out
             }
             WireResponse::Calibrate { id, response } => {
-                let mut out = format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_CALIBRATE}\":{{\"error_cost\":{},\"n\":{},\"r\":{},\"mean_cost\":{},\"error_probability\":{}}},",
-                    escape(id),
-                    write_f64(response.error_cost),
-                    response.n,
-                    write_f64(response.r),
-                    write_f64(response.cost),
-                    write_f64(response.error_probability),
-                );
+                push_json_str(&mut out, id);
+                let _ = write!(out, ",\"{VERB_CALIBRATE}\":{{\"error_cost\":");
+                push_f64(&mut out, response.error_cost);
+                let _ = write!(out, ",\"n\":{},\"r\":", response.n);
+                push_f64(&mut out, response.r);
+                out.push_str(",\"mean_cost\":");
+                push_f64(&mut out, response.cost);
+                out.push_str(",\"error_probability\":");
+                push_f64(&mut out, response.error_probability);
+                out.push_str("},");
                 push_stats(&mut out, &response.stats);
-                out.push('}');
-                out
             }
             WireResponse::Frontier { id, response } => {
-                let mut out = String::with_capacity(96 + response.points.len() * 96);
-                out.push_str(&format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_FRONTIER}\":{{\"candidates\":{},\"points\":[",
-                    escape(id),
+                push_json_str(&mut out, id);
+                let _ = write!(
+                    out,
+                    ",\"{VERB_FRONTIER}\":{{\"candidates\":{},\"points\":[",
                     response.candidates
-                ));
+                );
                 for (i, p) in response.points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"x\":{},\"y\":{},\"n\":{},\"r\":{},\"mean_cost\":{},\"error_probability\":{}}}",
-                        write_f64(p.x),
-                        write_f64(p.y),
-                        p.n,
-                        write_f64(p.r),
-                        write_f64(p.cost),
-                        write_f64(p.error_probability),
-                    ));
+                    out.push_str(if i > 0 { ",{\"x\":" } else { "{\"x\":" });
+                    push_f64(&mut out, p.x);
+                    out.push_str(",\"y\":");
+                    push_f64(&mut out, p.y);
+                    let _ = write!(out, ",\"n\":{},\"r\":", p.n);
+                    push_f64(&mut out, p.r);
+                    out.push_str(",\"mean_cost\":");
+                    push_f64(&mut out, p.cost);
+                    out.push_str(",\"error_probability\":");
+                    push_f64(&mut out, p.error_probability);
+                    out.push('}');
                 }
                 out.push_str("]},");
                 push_stats(&mut out, &response.stats);
-                out.push('}');
-                out
             }
             WireResponse::Cancelled { id, of } => {
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cancelled\":\"{}\"}}",
-                    escape(id),
-                    escape(of)
-                )
+                push_json_str(&mut out, id);
+                out.push_str(",\"cancelled\":");
+                push_json_str(&mut out, of);
             }
             WireResponse::Error { id, message } => {
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"error\":\"{}\"}}",
-                    escape(id),
-                    escape(message)
-                )
+                push_json_str(&mut out, id);
+                out.push_str(",\"error\":");
+                push_json_str(&mut out, message);
             }
             WireResponse::Stats {
                 engine: s,
                 pipeline: p,
                 depth,
             } => {
-                let per_worker = s
-                    .cells_per_worker
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<String>>()
-                    .join(",");
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cells_per_worker\":[{}],\"wall_ns\":{},\
-                     \"kernel_backend\":\"{}\",\"dist_backend\":\"{}\",\
+                let _ = write!(
+                    out,
+                    ",\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cells_per_worker\":[",
+                    s.requests, s.cells, s.cache_hits, s.cache_misses, s.cache_len
+                );
+                for (i, cells) in s.cells_per_worker.iter().enumerate() {
+                    let _ = if i > 0 {
+                        write!(out, ",{cells}")
+                    } else {
+                        write!(out, "{cells}")
+                    };
+                }
+                let _ = write!(
+                    out,
+                    "],\"wall_ns\":{},\"kernel_backend\":\"{}\",\"dist_backend\":\"{}\",\
                      \"pipeline\":{{\"depth\":{},\"submitted\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
-                     \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}}}",
-                    s.requests,
-                    s.cells,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_len,
-                    per_worker,
+                     \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}",
                     s.wall_nanos,
                     s.kernel_backend,
                     s.dist_backend,
@@ -929,11 +988,33 @@ impl WireResponse {
                     p.queue_nanos_max,
                     p.service_nanos_total,
                     p.service_nanos_max,
-                )
+                );
             }
+        }
+        out.push('}');
+        out
+    }
+
+    /// The capacity [`WireResponse::to_line`] starts from. Only a sweep's
+    /// line is large enough for a regrow to cost anything, so only it is
+    /// sized from its contents: an upper bound per cell, plus the id
+    /// (escaping grows it at most sixfold, `\u001f`) and [`SHORT_LINE`]
+    /// for the rest. Every other line starts at [`SHORT_LINE`].
+    fn line_capacity(&self) -> usize {
+        match self {
+            WireResponse::Sweep { id, response } => {
+                let landscape = &response.landscape;
+                landscape.len() * cell_text_max(landscape) + 6 * id.len() + SHORT_LINE
+            }
+            _ => SHORT_LINE,
         }
     }
 }
+
+/// Room for a sweep line's head, stats member and newline (under 240
+/// bytes with the widest counters), and the starting capacity of every
+/// other response line.
+const SHORT_LINE: usize = 256;
 
 /// Shorthand for an [`WireResponse::Error`] line.
 fn error_line(id: &str, error: &EngineError) -> String {
@@ -1410,7 +1491,7 @@ impl Session {
 
 #[cfg(test)]
 mod tests {
-    use crate::EngineConfig;
+    use crate::{EngineConfig, FrontierPoint};
 
     use super::*;
 
@@ -1455,13 +1536,349 @@ mod tests {
 
     #[test]
     fn float_writer_roundtrips() {
-        for x in [1.0, 0.1, 1e35, 1e-15, 12.600000000000001, f64::MIN_POSITIVE] {
-            let text = write_f64(x);
+        for x in [
+            1.0,
+            0.1,
+            1e35,
+            1e-15,
+            12.600000000000001,
+            f64::MIN_POSITIVE,
+            -0.00012345678901234567,
+            -1234567890123456.8,
+            -1.7976931348623157e308,
+            -2.2250738585072014e-308,
+        ] {
+            let mut text = String::new();
+            push_f64(&mut text, x);
+            assert_eq!(text, format!("{x:?}"));
+            assert!(text.len() <= F64_TEXT_MAX, "{text}");
             let back: f64 = match parse_json(&text).unwrap() {
                 Json::Num(v) => v,
                 other => panic!("parsed {other:?}"),
             };
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
+        assert_eq!(
+            format!("{:?}", -2.2250738585072014e-308).len(),
+            F64_TEXT_MAX
+        );
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut text = String::new();
+            push_f64(&mut text, x);
+            assert_eq!(text, "null");
+        }
+    }
+
+    fn golden_stats(wall_nanos: u128) -> BatchStats {
+        BatchStats {
+            wall_nanos,
+            cache_hits: 3,
+            cache_misses: 1,
+            cells: 9,
+            workers: 2,
+        }
+    }
+
+    /// One response of every variant, with hand-picked values covering
+    /// the float shapes `{:?}` produces (plain, integral, exponent,
+    /// subnormal, negative zero) and ids that need escaping.
+    fn golden_fixtures() -> Vec<WireResponse> {
+        let both = Landscape::new(
+            3,
+            vec![0.1, 1.0, 12.600000000000001],
+            Some(vec![
+                2.0,
+                0.30000000000000004,
+                1e35,
+                1.5e-300,
+                5e-324,
+                123456789.125,
+                1e16,
+                9007199254740993.0,
+                0.0001,
+            ]),
+            Some(vec![
+                1e-5,
+                0.5,
+                1.0,
+                4.026e-22,
+                -0.0,
+                0.25,
+                1e-15,
+                7.0,
+                2.2250738585072014e-308,
+            ]),
+        );
+        let cost_only = Landscape::new(2, vec![0.5, 3.0], Some(vec![6.5, 1e20, 3.25, 17.0]), None);
+        let error_only = Landscape::new(
+            11,
+            vec![1e-7],
+            None,
+            Some(vec![
+                0.9,
+                0.81,
+                0.729,
+                0.6561,
+                0.59049,
+                0.531441,
+                0.4782969,
+                0.43046721,
+                0.387420489,
+                0.3486784401,
+                0.31381059609,
+            ]),
+        );
+        vec![
+            WireResponse::Sweep {
+                id: "s1".to_owned(),
+                response: SweepResponse {
+                    landscape: both,
+                    stats: golden_stats(1_234_567),
+                },
+            },
+            WireResponse::Sweep {
+                id: "cost-only".to_owned(),
+                response: SweepResponse {
+                    landscape: cost_only,
+                    stats: golden_stats(0),
+                },
+            },
+            WireResponse::Sweep {
+                id: "error-only".to_owned(),
+                response: SweepResponse {
+                    landscape: error_only,
+                    stats: golden_stats(u128::MAX),
+                },
+            },
+            WireResponse::Calibrate {
+                id: "k1".to_owned(),
+                response: CalibrateResponse {
+                    error_cost: 3.0517578125e-5,
+                    n: 4,
+                    r: 2.0,
+                    cost: 8.000000000000002,
+                    error_probability: 1.6e-19,
+                    stats: golden_stats(42),
+                },
+            },
+            WireResponse::Frontier {
+                id: "f1".to_owned(),
+                response: FrontierResponse {
+                    points: vec![
+                        FrontierPoint {
+                            x: 1e3,
+                            y: 0.5,
+                            n: 2,
+                            r: 1.7484,
+                            cost: 3.5,
+                            error_probability: 4.026e-22,
+                        },
+                        FrontierPoint {
+                            x: 1e20,
+                            y: 2.0,
+                            n: 12,
+                            r: 0.1,
+                            cost: 25.000000000000004,
+                            error_probability: 1e-300,
+                        },
+                    ],
+                    candidates: 256,
+                    stats: golden_stats(7),
+                },
+            },
+            WireResponse::Cancelled {
+                id: "c1".to_owned(),
+                of: "s\"2".to_owned(),
+            },
+            WireResponse::Error {
+                id: "a\"b\\c\u{1}".to_owned(),
+                message: "bad \"x\"\n\ttab\\ \r\u{8}\u{c}\u{1f}\u{7f} é".to_owned(),
+            },
+            WireResponse::Stats {
+                engine: EngineStats {
+                    requests: 7,
+                    cells: 84,
+                    cache_hits: 10,
+                    cache_misses: 2,
+                    cache_len: 2,
+                    cells_per_worker: vec![80, 4, 0],
+                    wall_nanos: 123_456_789,
+                    kernel_backend: "avx512",
+                    dist_backend: "scalar",
+                },
+                pipeline: PipelineStats {
+                    submitted: 9,
+                    completed: 6,
+                    cancelled: 2,
+                    failed: 1,
+                    queue_nanos_total: 1_000,
+                    queue_nanos_max: 600,
+                    service_nanos_total: 5_000_000,
+                    service_nanos_max: 4_000_000,
+                },
+                depth: 4,
+            },
+            WireResponse::Stats {
+                engine: EngineStats {
+                    requests: 0,
+                    cells: 0,
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    cache_len: 0,
+                    cells_per_worker: Vec::new(),
+                    wall_nanos: 0,
+                    kernel_backend: "scalar",
+                    dist_backend: "scalar",
+                },
+                pipeline: PipelineStats::default(),
+                depth: 1,
+            },
+        ]
+    }
+
+    /// The wire bytes of each [`golden_fixtures`] entry, recorded from the
+    /// per-value `format!` encoder the one-pass writer replaced.
+    const GOLDEN_LINES: [&str; 9] = [
+        r#"{"v":1,"id":"s1","cells":[{"n":1,"r":0.1,"mean_cost":2.0,"error_probability":1e-5},{"n":2,"r":0.1,"mean_cost":0.30000000000000004,"error_probability":0.5},{"n":3,"r":0.1,"mean_cost":1e35,"error_probability":1.0},{"n":1,"r":1.0,"mean_cost":1.5e-300,"error_probability":4.026e-22},{"n":2,"r":1.0,"mean_cost":5e-324,"error_probability":-0.0},{"n":3,"r":1.0,"mean_cost":123456789.125,"error_probability":0.25},{"n":1,"r":12.600000000000001,"mean_cost":1e16,"error_probability":1e-15},{"n":2,"r":12.600000000000001,"mean_cost":9007199254740992.0,"error_probability":7.0},{"n":3,"r":12.600000000000001,"mean_cost":0.0001,"error_probability":2.2250738585072014e-308}],"stats":{"wall_ns":1234567,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
+        r#"{"v":1,"id":"cost-only","cells":[{"n":1,"r":0.5,"mean_cost":6.5},{"n":2,"r":0.5,"mean_cost":1e20},{"n":1,"r":3.0,"mean_cost":3.25},{"n":2,"r":3.0,"mean_cost":17.0}],"stats":{"wall_ns":0,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
+        r#"{"v":1,"id":"error-only","cells":[{"n":1,"r":1e-7,"error_probability":0.9},{"n":2,"r":1e-7,"error_probability":0.81},{"n":3,"r":1e-7,"error_probability":0.729},{"n":4,"r":1e-7,"error_probability":0.6561},{"n":5,"r":1e-7,"error_probability":0.59049},{"n":6,"r":1e-7,"error_probability":0.531441},{"n":7,"r":1e-7,"error_probability":0.4782969},{"n":8,"r":1e-7,"error_probability":0.43046721},{"n":9,"r":1e-7,"error_probability":0.387420489},{"n":10,"r":1e-7,"error_probability":0.3486784401},{"n":11,"r":1e-7,"error_probability":0.31381059609}],"stats":{"wall_ns":340282366920938463463374607431768211455,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
+        r#"{"v":1,"id":"k1","calibrate":{"error_cost":3.0517578125e-5,"n":4,"r":2.0,"mean_cost":8.000000000000002,"error_probability":1.6e-19},"stats":{"wall_ns":42,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
+        r#"{"v":1,"id":"f1","frontier":{"candidates":256,"points":[{"x":1000.0,"y":0.5,"n":2,"r":1.7484,"mean_cost":3.5,"error_probability":4.026e-22},{"x":1e20,"y":2.0,"n":12,"r":0.1,"mean_cost":25.000000000000004,"error_probability":1e-300}]},"stats":{"wall_ns":7,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
+        r#"{"v":1,"id":"c1","cancelled":"s\"2"}"#,
+        "{\"v\":1,\"id\":\"a\\\"b\\\\c\\u0001\",\"error\":\"bad \\\"x\\\"\\n\\ttab\\\\ \\r\\u0008\\u000c\\u001f\u{7f} é\"}",
+        r#"{"v":1,"stats":{"requests":7,"cells":84,"cache_hits":10,"cache_misses":2,"cache_len":2,"cells_per_worker":[80,4,0],"wall_ns":123456789,"kernel_backend":"avx512","dist_backend":"scalar","pipeline":{"depth":4,"submitted":9,"completed":6,"cancelled":2,"failed":1,"queue_ns_total":1000,"queue_ns_max":600,"service_ns_total":5000000,"service_ns_max":4000000}}}"#,
+        r#"{"v":1,"stats":{"requests":0,"cells":0,"cache_hits":0,"cache_misses":0,"cache_len":0,"cells_per_worker":[],"wall_ns":0,"kernel_backend":"scalar","dist_backend":"scalar","pipeline":{"depth":1,"submitted":0,"completed":0,"cancelled":0,"failed":0,"queue_ns_total":0,"queue_ns_max":0,"service_ns_total":0,"service_ns_max":0}}}"#,
+    ];
+
+    #[test]
+    fn golden_lines_are_byte_identical() {
+        let fixtures = golden_fixtures();
+        assert_eq!(fixtures.len(), GOLDEN_LINES.len());
+        for (response, golden) in fixtures.iter().zip(GOLDEN_LINES) {
+            assert_eq!(response.to_line(), golden);
+        }
+    }
+
+    #[test]
+    fn sweep_line_capacity_holds_for_the_widest_values() {
+        // Every float at its longest text, every counter at its widest,
+        // and an id that escapes to six bytes per byte.
+        let wide = -2.2250738585072014e-308;
+        let stats = BatchStats {
+            wall_nanos: u128::MAX,
+            cache_hits: u64::MAX,
+            cache_misses: u64::MAX,
+            cells: u64::MAX,
+            workers: usize::MAX,
+        };
+        for (costs, errors) in [(true, true), (true, false), (false, true)] {
+            let cells = 3 * 12;
+            let response = WireResponse::Sweep {
+                id: "\u{1}\u{1f}".to_owned(),
+                response: SweepResponse {
+                    landscape: Landscape::new(
+                        12,
+                        vec![wide; 3],
+                        costs.then(|| vec![wide; cells]),
+                        errors.then(|| vec![wide; cells]),
+                    ),
+                    stats,
+                },
+            };
+            let line = response.to_line();
+            // Room is left for the newline a transport appends.
+            assert!(
+                line.len() < response.line_capacity(),
+                "{} bytes against a capacity of {}: {line}",
+                line.len(),
+                response.line_capacity()
+            );
+            parse_json(&line).unwrap();
+        }
+    }
+
+    /// Inputs and the `{:?}` of what `parse_json` made of them when it
+    /// decoded bytes and rechecked UTF-8 for every string run.
+    const DECODER_PARITY: [(&str, &str); 31] = [
+        (r#"0"#, r#"Ok(Num(0.0))"#),
+        (r#"7"#, r#"Ok(Num(7.0))"#),
+        (r#"007"#, r#"Ok(Num(7.0))"#),
+        (r#"-0"#, r#"Ok(Num(-0.0))"#),
+        (r#"-7"#, r#"Ok(Num(-7.0))"#),
+        (r#"7.0"#, r#"Ok(Num(7.0))"#),
+        (r#"7e0"#, r#"Ok(Num(7.0))"#),
+        (r#"+1"#, r#"Ok(Num(1.0))"#),
+        (r#"1e5"#, r#"Ok(Num(100000.0))"#),
+        (r#"123456789012345"#, r#"Ok(Num(123456789012345.0))"#),
+        (r#"999999999999999"#, r#"Ok(Num(999999999999999.0))"#),
+        (r#"1234567890123456"#, r#"Ok(Num(1234567890123456.0))"#),
+        (r#"9007199254740993"#, r#"Ok(Num(9007199254740992.0))"#),
+        (
+            r#"12345678901234567890"#,
+            r#"Ok(Num(1.2345678901234567e19))"#,
+        ),
+        (
+            r#"[0,7,007,-0,1e5]"#,
+            r#"Ok(Arr([Num(0.0), Num(7.0), Num(7.0), Num(-0.0), Num(100000.0)]))"#,
+        ),
+        (
+            r#"{"n":16,"r":0.5}"#,
+            r#"Ok(Obj([("n", Num(16.0)), ("r", Num(0.5))]))"#,
+        ),
+        (
+            r#"1-2"#,
+            r#"Err(WireError { message: "invalid number `1-2` at byte 0" })"#,
+        ),
+        (
+            r#"-"#,
+            r#"Err(WireError { message: "invalid number `-` at byte 0" })"#,
+        ),
+        (
+            r#"1e"#,
+            r#"Err(WireError { message: "invalid number `1e` at byte 0" })"#,
+        ),
+        (
+            r#"01.5.5"#,
+            r#"Err(WireError { message: "invalid number `01.5.5` at byte 0" })"#,
+        ),
+        (r#""""#, r#"Ok(Str(""))"#),
+        (r#""plain""#, r#"Ok(Str("plain"))"#),
+        (r#""é unicode ✓""#, r#"Ok(Str("é unicode ✓"))"#),
+        (
+            r#""a\"b\\c\/d\n\t\r\b\f\u00e9\u0001""#,
+            r#"Ok(Str("a\"b\\c/d\n\t\r\u{8}\u{c}é\u{1}"))"#,
+        ),
+        (r#""tail\\""#, r#"Ok(Str("tail\\"))"#),
+        (
+            r#""\u00""#,
+            r#"Err(WireError { message: "truncated \\u escape" })"#,
+        ),
+        (
+            r#""\ud800""#,
+            r#"Err(WireError { message: "bad \\u code point" })"#,
+        ),
+        (
+            r#""bad \x escape""#,
+            r#"Err(WireError { message: "bad escape sequence" })"#,
+        ),
+        (
+            r#""unterminated"#,
+            r#"Err(WireError { message: "unterminated string" })"#,
+        ),
+        (
+            r#""unterminated\"#,
+            r#"Err(WireError { message: "bad escape sequence" })"#,
+        ),
+        (
+            r#""\u00é""#,
+            r#"Err(WireError { message: "bad \\u escape" })"#,
+        ),
+    ];
+
+    #[test]
+    fn decoder_keeps_its_recorded_decodes() {
+        for (input, expected) in DECODER_PARITY {
+            assert_eq!(format!("{:?}", parse_json(input)), expected, "{input}");
         }
     }
 
@@ -1584,6 +2001,49 @@ mod tests {
         let direct = zeroconf_cost::cost::mean_cost(&request.scenario, 1, 0.5).unwrap();
         let wire = cells[0].get("mean_cost").and_then(Json::num).unwrap();
         assert_eq!(direct.to_bits(), wire.to_bits());
+    }
+
+    #[test]
+    fn non_finite_cells_round_trip_as_null() {
+        // A probe cost near f64::MAX overflows the mean cost of n >= 2
+        // probes; the answer must still parse, with `null` for those
+        // cells and the finite cells bit for bit.
+        let line = "{\"id\":\"big\",\"scenario\":{\"q\":0.5,\"probe_cost\":1.7e308,\
+                    \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\
+                    \"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\
+                    \"grid\":{\"n_max\":3,\"r\":[0.5,1.0,2.0]}}";
+        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let answer = handle(&mut session, line).unwrap();
+        let parsed = parse_json(&answer).unwrap_or_else(|e| panic!("{e}: {answer}"));
+        let Some(Json::Arr(cells)) = parsed.get("cells") else {
+            panic!("no cells in {answer}");
+        };
+        let WireRequest::Sweep { request, .. } = parse_request_line(line).unwrap() else {
+            panic!("expected sweep");
+        };
+        let direct = engine(1).evaluate(&request).unwrap();
+        assert_eq!(cells.len(), direct.landscape.len());
+        let (mut finite, mut null) = (0, 0);
+        for (cell, expected) in cells.iter().zip(direct.landscape.iter()) {
+            for (key, value) in [
+                ("mean_cost", expected.mean_cost),
+                ("error_probability", expected.error_probability),
+            ] {
+                let value = value.unwrap();
+                match cell.get(key) {
+                    Some(Json::Num(got)) if value.is_finite() => {
+                        assert_eq!(got.to_bits(), value.to_bits(), "{key} in {answer}");
+                        finite += 1;
+                    }
+                    Some(Json::Null) if !value.is_finite() => null += 1,
+                    other => panic!("{key} = {value} encoded as {other:?}: {answer}"),
+                }
+            }
+        }
+        assert!(
+            finite > 0 && null > 0,
+            "{finite} finite, {null} null: {answer}"
+        );
     }
 
     #[test]

@@ -119,7 +119,9 @@ impl ClientSocket {
 
 /// The coalescing output buffer: response lines queue as byte chunks
 /// and leave through `writev`-style vectored writes, so a burst of
-/// completions costs one syscall, not one per line.
+/// completions costs one syscall, not one per line. Each chunk is the
+/// response `String`'s own buffer with its newline appended: a line is
+/// never copied on its way to the socket.
 #[derive(Default)]
 struct OutBuf {
     chunks: VecDeque<Vec<u8>>,
@@ -134,12 +136,12 @@ struct OutBuf {
 const MAX_IOVECS: usize = 64;
 
 impl OutBuf {
-    fn push_line(&mut self, line: &str) {
-        let mut chunk = Vec::with_capacity(line.len() + 1);
-        chunk.extend_from_slice(line.as_bytes());
-        chunk.push(b'\n');
-        self.len += chunk.len();
-        self.chunks.push_back(chunk);
+    fn push_line(&mut self, mut line: String) {
+        // `WireResponse::to_line` leaves room for the newline on a
+        // sweep's line, the only one large enough for a regrow to cost.
+        line.push('\n');
+        self.len += line.len();
+        self.chunks.push_back(line.into_bytes());
     }
 
     fn len(&self) -> usize {
@@ -369,7 +371,7 @@ impl Connection {
         // therefore backpressures only itself, never the shared budget.
         self.sync_permits();
         if !self.gone {
-            for line in &ready {
+            for line in ready {
                 self.push_out(line);
             }
             self.admit_parked();
@@ -450,7 +452,7 @@ impl Connection {
                 self.count_request();
                 let id = str_member(value, "id").unwrap_or_default().to_owned();
                 let stats_line = stats_response_line(&id, &self.snapshot());
-                self.push_out(&stats_line);
+                self.push_out(stats_line);
                 return true;
             }
         }
@@ -473,7 +475,7 @@ impl Connection {
             self.permits += 1;
         }
         let immediate = self.session().submit_line(line);
-        for response in &immediate {
+        for response in immediate {
             self.push_out(response);
         }
         self.sync_permits();
@@ -484,7 +486,7 @@ impl Connection {
     /// polled completion would, without needing a live session.
     #[cfg(test)]
     pub(crate) fn test_push_out(&mut self, line: &str) {
-        self.push_out(line);
+        self.push_out(line.to_owned());
     }
 
     /// Counts one request as processed (exactly once per line, at the
@@ -533,7 +535,7 @@ impl Connection {
     }
 
     /// Queues one response line (counted here, written by the flush).
-    fn push_out(&mut self, line: &str) {
+    fn push_out(&mut self, line: String) {
         self.metrics.responses += 1;
         // ORDERING: server-wide statistics tally; readers only report it.
         self.shared
@@ -668,13 +670,29 @@ mod tests {
         // A socketpair via TcpStream would need a real fd; exercise the
         // chunk bookkeeping directly instead.
         let mut out = OutBuf::default();
-        out.push_line("hello");
-        out.push_line("world!");
+        out.push_line("hello".to_owned());
+        out.push_line("world!".to_owned());
         assert_eq!(out.len(), 13);
         assert!(!out.is_empty());
         out.clear();
         assert!(out.is_empty());
         assert_eq!(out.len(), 0);
+    }
+
+    #[test]
+    fn outbuf_queues_a_response_line_without_copying_it() {
+        let line = wire::WireResponse::Error {
+            id: "e1".to_owned(),
+            message: "boom".to_owned(),
+        }
+        .to_line();
+        let (bytes, len) = (line.as_ptr(), line.len());
+        let mut out = OutBuf::default();
+        out.push_line(line);
+        let chunk = &out.chunks[0];
+        assert_eq!(chunk.as_ptr(), bytes, "the chunk is the line's own buffer");
+        assert_eq!(chunk.len(), len + 1);
+        assert_eq!(chunk.last(), Some(&b'\n'));
     }
 
     #[cfg(unix)]
@@ -688,8 +706,8 @@ mod tests {
         let mut socket = ClientSocket::Tcp(server);
 
         let mut out = OutBuf::default();
-        out.push_line("alpha");
-        out.push_line("beta");
+        out.push_line("alpha".to_owned());
+        out.push_line("beta".to_owned());
         let written = out.write_to(&mut socket).unwrap();
         assert_eq!(written, 11);
         assert!(out.is_empty());
@@ -735,13 +753,12 @@ mod tests {
         assert_eq!(conn.interest(), Interest::READ);
 
         // Queued output adds write interest.
-        conn.push_out("pong");
+        conn.push_out("pong".to_owned());
         assert!(conn.interest().writable);
         assert!(conn.interest().readable);
 
         // Crossing the high-water mark gates reading.
-        let big = "x".repeat(OUT_HIGH_WATER);
-        conn.push_out(&big);
+        conn.push_out("x".repeat(OUT_HIGH_WATER));
         assert!(!conn.interest().readable, "reads gate above high water");
         assert!(conn.interest().writable);
         assert_eq!(conn.parked_len(), 0);

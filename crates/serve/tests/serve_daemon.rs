@@ -10,6 +10,7 @@
 //! `SIGTERM`. Request frames come from [`zeroconf_engine::testkit`] —
 //! the same builders the engine's own wire-error suite uses.
 
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use zeroconf_client::{Client, Json, Response};
@@ -142,15 +143,23 @@ fn mid_flight_disconnect_cancels_only_that_connection() {
     let server = TestServer::start(4, 16);
 
     // The victim pipelines a long sweep plus a rescore held back behind
-    // it, then vanishes without reading anything.
-    let mut victim = server.connect();
+    // it, then vanishes without reading anything. Both lines go out in
+    // one write and the socket shuts down right after it, so the daemon
+    // sees EOF within two syscalls of the lines: far sooner than the
+    // 64 × 8000 sweep can finish in any build profile, so both requests
+    // are still unanswered when the disconnect withdraws them.
+    let mut victim = std::net::TcpStream::connect(&server.addr).expect("connect victim");
+    let lines = format!(
+        "{}\n{}\n",
+        testkit::heavy_sweep_line("doomed", 64, 8000),
+        testkit::rescore_line("follow", "doomed", 1e9)
+    );
     victim
-        .send_raw(&testkit::heavy_sweep_line("doomed", 64, 8000))
-        .expect("send doomed sweep");
+        .write_all(lines.as_bytes())
+        .expect("send doomed sweep and follow rescore");
     victim
-        .send_raw(&testkit::rescore_line("follow", "doomed", 1e9))
-        .expect("send follow rescore");
-    std::thread::sleep(Duration::from_millis(300));
+        .shutdown(std::net::Shutdown::Both)
+        .expect("victim disconnects");
     drop(victim);
 
     // A survivor connected to the same engine still gets its answer.
