@@ -45,6 +45,12 @@ echo "==> serve daemon suite in release"
 # here instead of hiding.
 cargo test --release -q -p zeroconf-serve --test serve_daemon
 
+echo "==> engine pipeline suite in release"
+# Same reason: the completion-order tests race a long sweep against
+# short ones, and only a release build shows whether the long one is
+# long enough.
+cargo test --release -q -p zeroconf-engine --test pipeline
+
 echo "==> perfbench build and tests (its own workspace)"
 # The benchmark builds against the engine, serve and client crates by
 # path; building and testing it here turns an API change that breaks it

@@ -7,7 +7,8 @@
 //! count of a sweep at that `r`, *and* every re-evaluation of the same
 //! grid under changed economics. The cache keys tables on
 //! `(distribution fingerprint, r bit pattern)` and keeps at most
-//! `capacity` tables, evicting the least recently used.
+//! `capacity` tables, evicting the least recently used in amortized
+//! `O(1)`.
 //!
 //! With a spill directory configured, computed tables are additionally
 //! persisted as `(fingerprint, r_bits)`-named files so a later *process*
@@ -27,7 +28,7 @@
 //! inode survives until the last mapping drops) and a reader can hold a
 //! shorter mapped table across a concurrent longest-wins upgrade.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -96,21 +97,35 @@ struct Entry {
 
 /// A bounded, least-recently-used map from `(fingerprint, r)` to π-tables.
 ///
-/// Eviction scans for the minimal stamp, which is `O(len)`; with the
-/// default capacity of ~1024 tables that is far cheaper than computing
-/// even one table, so no auxiliary ordering structure is kept.
+/// Every lookup hit and insert gives its entry a fresh stamp from a
+/// monotone clock and appends `(key, stamp)` to `order`, so `order` is
+/// sorted by stamp. A pair is live while its entry still carries that
+/// stamp; a later touch of the same key leaves the older pair stale.
+/// The least recently used entry is therefore the first live pair:
+/// eviction pops stale pairs off the front until it reaches one. Each
+/// pair is pushed once and popped or compacted away once, so eviction is
+/// amortized `O(1)` — a cold sweep that evicts one table per miss does
+/// not pay a scan of the whole cache for each.
 pub(crate) struct PiCache {
     entries: HashMap<(u64, u64), Entry>,
+    /// `(key, stamp)` pairs in stamp order, live and stale. Compacted
+    /// to the live pairs once it holds more than twice `capacity`, which
+    /// bounds it under a long run of hits with no evictions.
+    order: VecDeque<((u64, u64), u64)>,
     capacity: usize,
     clock: u64,
+    /// Tables evicted over the cache's lifetime.
+    evictions: u64,
 }
 
 impl PiCache {
     pub(crate) fn new(capacity: usize) -> PiCache {
         PiCache {
             entries: HashMap::new(),
+            order: VecDeque::new(),
             capacity: capacity.max(1),
             clock: 0,
+            evictions: 0,
         }
     }
 
@@ -125,7 +140,20 @@ impl PiCache {
             return None;
         }
         entry.stamp = clock;
-        Some(entry.table.clone())
+        let table = entry.table.clone();
+        self.record(key, clock);
+        Some(table)
+    }
+
+    /// Appends `key`'s new stamp to the recency order, compacting the
+    /// order to its live pairs when stale ones have piled up.
+    fn record(&mut self, key: (u64, u64), stamp: u64) {
+        self.order.push_back((key, stamp));
+        if self.order.len() > 2 * self.capacity {
+            let entries = &self.entries;
+            self.order
+                .retain(|(key, stamp)| entries.get(key).is_some_and(|e| e.stamp == *stamp));
+        }
     }
 
     /// Like `lookup`, but without bumping recency or cloning — used by
@@ -151,19 +179,26 @@ impl PiCache {
         } else {
             self.entries.insert(key, Entry { table, stamp });
         }
+        self.record(key, stamp);
         while self.entries.len() > self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-                .expect("cache over capacity is non-empty");
-            self.entries.remove(&oldest);
+            // Every resident entry has its live pair in `order`, so the
+            // queue cannot run dry while the map is over capacity.
+            let Some((oldest, stamp)) = self.order.pop_front() else {
+                break;
+            };
+            if self.entries.get(&oldest).is_some_and(|e| e.stamp == stamp) {
+                self.entries.remove(&oldest);
+                self.evictions += 1;
+            }
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions
     }
 }
 
@@ -740,6 +775,10 @@ impl SharedCache {
     pub(crate) fn len(&self) -> usize {
         self.lock().len()
     }
+
+    pub(crate) fn evictions(&self) -> u64 {
+        self.lock().evictions()
+    }
 }
 
 #[cfg(test)]
@@ -831,10 +870,153 @@ mod tests {
         cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         cache.get_or_compute(3, 1.0, 2, || table(2)).unwrap();
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions(), 1);
         let (_, hit1) = cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         assert!(hit1, "recently used entry survived");
         let (_, hit2) = cache.get_or_compute(2, 1.0, 2, || table(2)).unwrap();
         assert!(!hit2, "LRU entry was evicted");
+        // Re-inserting key 2 evicted key 3; the hit on key 1 evicted nothing.
+        assert_eq!(cache.evictions(), 2);
+    }
+
+    /// The eviction the cache used before its recency queue: a scan for
+    /// the minimal stamp on every eviction, over `(table length, stamp)`
+    /// entries. Kept as the model the queue must match victim for victim.
+    struct ScanCache {
+        entries: HashMap<(u64, u64), (usize, u64)>,
+        capacity: usize,
+        clock: u64,
+        evictions: u64,
+    }
+
+    impl ScanCache {
+        fn new(capacity: usize) -> ScanCache {
+            ScanCache {
+                entries: HashMap::new(),
+                capacity: capacity.max(1),
+                clock: 0,
+                evictions: 0,
+            }
+        }
+
+        fn lookup(&mut self, key: (u64, u64), n_max: u32) -> Option<usize> {
+            self.clock += 1;
+            let clock = self.clock;
+            let entry = self.entries.get_mut(&key)?;
+            if entry.0 <= n_max as usize {
+                return None;
+            }
+            entry.1 = clock;
+            Some(entry.0)
+        }
+
+        fn peek(&self, key: (u64, u64), n_max: u32) -> bool {
+            self.entries
+                .get(&key)
+                .is_some_and(|entry| entry.0 > n_max as usize)
+        }
+
+        fn insert(&mut self, key: (u64, u64), len: usize) {
+            self.clock += 1;
+            let stamp = self.clock;
+            if let Some(existing) = self.entries.get_mut(&key) {
+                if len > existing.0 {
+                    existing.0 = len;
+                }
+                existing.1 = stamp;
+            } else {
+                self.entries.insert(key, (len, stamp));
+            }
+            while self.entries.len() > self.capacity {
+                let oldest = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| *k)
+                    .unwrap();
+                self.entries.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+
+        fn resident(&self) -> Vec<((u64, u64), usize)> {
+            let mut resident: Vec<_> = self.entries.iter().map(|(k, e)| (*k, e.0)).collect();
+            resident.sort_unstable();
+            resident
+        }
+    }
+
+    fn resident(cache: &PiCache) -> Vec<((u64, u64), usize)> {
+        let mut resident: Vec<_> = cache
+            .entries
+            .iter()
+            .map(|(k, e)| (*k, e.table.len()))
+            .collect();
+        resident.sort_unstable();
+        resident
+    }
+
+    #[test]
+    fn queue_eviction_matches_the_min_stamp_scan() {
+        use zeroconf_rng::rngs::StdRng;
+        use zeroconf_rng::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x00C0_FFEE);
+        for capacity in 1..=64usize {
+            let mut cache = PiCache::new(capacity);
+            let mut model = ScanCache::new(capacity);
+            // About twice as many keys as slots, over two fingerprints,
+            // so evictions and re-inserts of evicted keys both happen.
+            let keys = 2 * capacity as u64 + 2;
+            for step in 0..1_600 {
+                let k = rng.gen_range(0..keys);
+                let key = (k % 2, r_key(k as f64 * 0.25));
+                // Table lengths vary, so longest-wins fires and a
+                // resident but too-short table misses.
+                let n_max = rng.gen_range(1..8u32);
+                let what = format!("capacity {capacity}, step {step}, key {k}, n_max {n_max}");
+                match rng.gen_range(0..3u32) {
+                    0 => assert_eq!(
+                        cache.lookup(key, n_max).map(|t| t.len()),
+                        model.lookup(key, n_max),
+                        "lookup at {what}"
+                    ),
+                    1 => {
+                        let len = n_max as usize + 1;
+                        cache.insert(key, PiTableRef::from_vec(vec![0.0; len]));
+                        model.insert(key, len);
+                    }
+                    _ => assert_eq!(
+                        cache.peek(key, n_max),
+                        model.peek(key, n_max),
+                        "peek at {what}"
+                    ),
+                }
+                assert_eq!(resident(&cache), model.resident(), "residents at {what}");
+                assert_eq!(cache.evictions(), model.evictions, "evictions at {what}");
+                assert!(cache.order.len() <= 2 * capacity, "order at {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn recency_order_stays_bounded_under_hits_alone() {
+        // A fully warm workload: the cache fills once, then only hits.
+        let capacity = 16;
+        let mut cache = PiCache::new(capacity);
+        for k in 0..capacity as u64 {
+            cache.insert((1, k), PiTableRef::from_vec(vec![0.0; 3]));
+        }
+        for round in 0..10_000u64 {
+            let key = (1, round % capacity as u64);
+            assert!(cache.lookup(key, 2).is_some());
+            assert!(
+                cache.order.len() <= 2 * capacity,
+                "{} queued pairs after {round} hits",
+                cache.order.len()
+            );
+        }
+        assert_eq!((cache.len(), cache.evictions()), (capacity, 0));
     }
 
     #[test]

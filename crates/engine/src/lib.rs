@@ -581,6 +581,10 @@ impl Engine {
     /// and grid match (zero work), otherwise built through the pool — one
     /// π-table per `r` from the shared cache (zero *misses* when warm),
     /// one statistic pass, no cost/error arithmetic.
+    ///
+    /// A slot holding some other landscape is emptied before the build
+    /// starts, so a cold verb never keeps the stale statistic alive
+    /// beside the one it is building.
     fn param_landscape_cancellable(
         &self,
         scenario: &Scenario,
@@ -589,7 +593,7 @@ impl Engine {
     ) -> Result<(Arc<ParamLandscape>, BatchStats), EngineError> {
         let fingerprint = scenario.reply_time().fingerprint();
         {
-            let slot = self.landscape.lock().unwrap_or_else(|e| e.into_inner());
+            let mut slot = self.landscape.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(cached) = slot.as_ref() {
                 let same_grid = cached.fingerprint == fingerprint
                     && cached.landscape.n_max() == grid.n_max
@@ -610,6 +614,7 @@ impl Engine {
                     ));
                 }
             }
+            *slot = None;
         }
         // The statistic ignores the metric selection, so the synthetic
         // request carries none (the job allocates no metric slabs).
@@ -846,6 +851,7 @@ impl Engine {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_len: self.cache.len(),
+            cache_evictions: self.cache.evictions(),
             cells_per_worker: self
                 .cells_per_worker
                 .iter()
@@ -1001,6 +1007,7 @@ mod tests {
         assert_eq!(stats.cache_misses, 6);
         assert_eq!(stats.cache_hits, 6);
         assert_eq!(stats.cache_len, 6);
+        assert_eq!(stats.cache_evictions, 0);
         assert_eq!(stats.cells_per_worker.len(), 2);
         assert_eq!(stats.cells_per_worker.iter().sum::<u64>(), 36);
     }
@@ -1064,6 +1071,48 @@ mod tests {
             e.evaluate(&req),
             Err(EngineError::InvalidRequest { .. })
         ));
+    }
+
+    #[test]
+    fn a_rebuild_releases_the_stale_statistic_first() {
+        let e = engine(1);
+        let frontier = |loss: f64| FrontierRequest {
+            scenario: Scenario::builder()
+                .occupancy(0.5)
+                .probe_cost(2.0)
+                .error_cost(1e6)
+                .reply_time(Arc::new(
+                    DefectiveExponential::from_loss(loss, 10.0, 1.0).unwrap(),
+                ))
+                .build()
+                .unwrap(),
+            grid: GridSpec::linspace(4, 0.5, 3.0, 8),
+            x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e3, 1e6]),
+            y: AxisSpec::new(ParamAxis::ProbeCost, vec![0.5, 2.0]),
+        };
+        let slot_fingerprint = || {
+            e.landscape
+                .lock()
+                .unwrap()
+                .as_ref()
+                .map(|slot| slot.fingerprint)
+        };
+        let a = frontier(1e-6);
+        e.frontier(&a).unwrap();
+        assert_eq!(
+            slot_fingerprint(),
+            Some(a.scenario.reply_time().fingerprint())
+        );
+        // B's build never runs, so an empty slot afterwards shows that A
+        // was dropped before the build started, not replaced after it.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(
+            e.frontier_cancellable(&frontier(1e-3), &cancelled)
+                .unwrap_err(),
+            EngineError::Cancelled
+        );
+        assert_eq!(slot_fingerprint(), None);
     }
 
     #[test]

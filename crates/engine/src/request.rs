@@ -1011,6 +1011,9 @@ pub struct EngineStats {
     pub cache_misses: u64,
     /// π-tables currently resident in the cache.
     pub cache_len: usize,
+    /// π-tables evicted from the cache to make room. A count that grows
+    /// by about one per miss means the cache is thrashing.
+    pub cache_evictions: u64,
     /// Cells evaluated by each thread (index 0 is the calling thread,
     /// `1..` the pool workers) — the load-balance picture.
     pub cells_per_worker: Vec<u64>,

@@ -52,6 +52,10 @@
 //! `weibull` (mass, shape, scale, delay) and `mixture` (components of
 //! `{"weight":…,"dist":{…}}`). The library API accepts any
 //! [`ReplyTimeDistribution`]; the wire is limited to these constructors.
+//! The wire also bounds what one line may cost: a grid over
+//! [`MAX_GRID_N_MAX`], [`MAX_GRID_R_POINTS`] or [`MAX_GRID_CELLS`], or a
+//! frontier over [`MAX_FRONTIER_POINTS`], is refused with an error line
+//! when it is decoded, before anything sized by it is allocated.
 //!
 //! Two session front-ends speak the protocol:
 //!
@@ -526,9 +530,40 @@ fn decode_scenario(value: &Json) -> Result<Scenario, WireError> {
     builder.build().map_err(|e| err(e.to_string()))
 }
 
+/// The largest `n_max` a wire grid may ask for. Every π-table of the
+/// grid holds `n_max + 1` floats.
+pub const MAX_GRID_N_MAX: u32 = 4_096;
+
+/// The most listening periods a wire grid may carry, as `r_points` or
+/// as the length of an explicit `r` list: one π-table each.
+pub const MAX_GRID_R_POINTS: usize = 65_536;
+
+/// The most `(n, r)` cells a wire grid may span. A sweep answers with
+/// up to two floats per cell.
+pub const MAX_GRID_CELLS: usize = 1 << 20;
+
+/// The most parameter points (`|x| × |y|`) a wire frontier may span.
+/// Each point re-scores the whole statistic landscape.
+pub const MAX_FRONTIER_POINTS: usize = 1 << 16;
+
+/// Decodes a grid, rejecting one over the `MAX_GRID_*` limits before
+/// anything sized by it is allocated.
 fn decode_grid(value: &Json) -> Result<GridSpec, WireError> {
-    let n_max = field_f64(value, "n_max")? as u32;
+    let n_max = field_f64(value, "n_max")?;
+    if n_max.is_nan() || n_max > f64::from(MAX_GRID_N_MAX) {
+        return Err(err(format!(
+            "grid `n_max` {n_max:?} is over the limit of {MAX_GRID_N_MAX}"
+        )));
+    }
+    let n_max = n_max as u32;
     if let Some(Json::Arr(items)) = value.get("r") {
+        if items.len() > MAX_GRID_R_POINTS {
+            return Err(err(format!(
+                "grid `r` length {} is over the limit of {MAX_GRID_R_POINTS}",
+                items.len()
+            )));
+        }
+        check_grid_cells(n_max, items.len())?;
         let r_values = items
             .iter()
             .map(|v| v.num().ok_or_else(|| err("grid `r` must be numeric")))
@@ -537,8 +572,27 @@ fn decode_grid(value: &Json) -> Result<GridSpec, WireError> {
     }
     let lo = field_f64(value, "r_min")?;
     let hi = field_f64(value, "r_max")?;
-    let points = field_f64(value, "r_points")? as usize;
+    let points = field_f64(value, "r_points")?;
+    if points.is_nan() || points > MAX_GRID_R_POINTS as f64 {
+        return Err(err(format!(
+            "grid `r_points` {points:?} is over the limit of {MAX_GRID_R_POINTS}"
+        )));
+    }
+    let points = points as usize;
+    check_grid_cells(n_max, points)?;
     Ok(GridSpec::linspace(n_max, lo, hi, points))
+}
+
+/// Rejects a grid of more than [`MAX_GRID_CELLS`] cells. Both factors are
+/// already capped, so the product cannot overflow.
+fn check_grid_cells(n_max: u32, r_count: usize) -> Result<(), WireError> {
+    let cells = n_max as usize * r_count;
+    if cells > MAX_GRID_CELLS {
+        return Err(err(format!(
+            "grid cell count {cells} (n_max × r values) is over the limit of {MAX_GRID_CELLS}"
+        )));
+    }
+    Ok(())
 }
 
 fn decode_metrics(value: Option<&Json>) -> Result<Vec<Metric>, WireError> {
@@ -670,6 +724,13 @@ pub fn decode_request(value: &Json) -> Result<WireRequest, WireError> {
         let target = decode_target(value, frontier, VERB_FRONTIER)?;
         let x = decode_axis(frontier, "x")?;
         let y = decode_axis(frontier, "y")?;
+        let points = x.values.len().saturating_mul(y.values.len());
+        if points > MAX_FRONTIER_POINTS {
+            return Err(err(format!(
+                "frontier parameter point count {points} (|x| × |y|) is over the limit of \
+                 {MAX_FRONTIER_POINTS}"
+            )));
+        }
         return Ok(WireRequest::Frontier { id, target, x, y });
     }
     if value.get("scenario").is_none() {
@@ -961,8 +1022,13 @@ impl WireResponse {
             } => {
                 let _ = write!(
                     out,
-                    ",\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cells_per_worker\":[",
-                    s.requests, s.cells, s.cache_hits, s.cache_misses, s.cache_len
+                    ",\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cache_evictions\":{},\"cells_per_worker\":[",
+                    s.requests,
+                    s.cells,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.cache_len,
+                    s.cache_evictions
                 );
                 for (i, cells) in s.cells_per_worker.iter().enumerate() {
                     let _ = if i > 0 {
@@ -1701,6 +1767,7 @@ mod tests {
                     cache_hits: 10,
                     cache_misses: 2,
                     cache_len: 2,
+                    cache_evictions: 5,
                     cells_per_worker: vec![80, 4, 0],
                     wall_nanos: 123_456_789,
                     kernel_backend: "avx512",
@@ -1725,6 +1792,7 @@ mod tests {
                     cache_hits: 0,
                     cache_misses: 0,
                     cache_len: 0,
+                    cache_evictions: 0,
                     cells_per_worker: Vec::new(),
                     wall_nanos: 0,
                     kernel_backend: "scalar",
@@ -1737,7 +1805,8 @@ mod tests {
     }
 
     /// The wire bytes of each [`golden_fixtures`] entry, recorded from the
-    /// per-value `format!` encoder the one-pass writer replaced.
+    /// per-value `format!` encoder the one-pass writer replaced. The two
+    /// stats lines have since gained `cache_evictions` after `cache_len`.
     const GOLDEN_LINES: [&str; 9] = [
         r#"{"v":1,"id":"s1","cells":[{"n":1,"r":0.1,"mean_cost":2.0,"error_probability":1e-5},{"n":2,"r":0.1,"mean_cost":0.30000000000000004,"error_probability":0.5},{"n":3,"r":0.1,"mean_cost":1e35,"error_probability":1.0},{"n":1,"r":1.0,"mean_cost":1.5e-300,"error_probability":4.026e-22},{"n":2,"r":1.0,"mean_cost":5e-324,"error_probability":-0.0},{"n":3,"r":1.0,"mean_cost":123456789.125,"error_probability":0.25},{"n":1,"r":12.600000000000001,"mean_cost":1e16,"error_probability":1e-15},{"n":2,"r":12.600000000000001,"mean_cost":9007199254740992.0,"error_probability":7.0},{"n":3,"r":12.600000000000001,"mean_cost":0.0001,"error_probability":2.2250738585072014e-308}],"stats":{"wall_ns":1234567,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
         r#"{"v":1,"id":"cost-only","cells":[{"n":1,"r":0.5,"mean_cost":6.5},{"n":2,"r":0.5,"mean_cost":1e20},{"n":1,"r":3.0,"mean_cost":3.25},{"n":2,"r":3.0,"mean_cost":17.0}],"stats":{"wall_ns":0,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
@@ -1746,8 +1815,8 @@ mod tests {
         r#"{"v":1,"id":"f1","frontier":{"candidates":256,"points":[{"x":1000.0,"y":0.5,"n":2,"r":1.7484,"mean_cost":3.5,"error_probability":4.026e-22},{"x":1e20,"y":2.0,"n":12,"r":0.1,"mean_cost":25.000000000000004,"error_probability":1e-300}]},"stats":{"wall_ns":7,"cache_hits":3,"cache_misses":1,"cells":9,"workers":2}}"#,
         r#"{"v":1,"id":"c1","cancelled":"s\"2"}"#,
         "{\"v\":1,\"id\":\"a\\\"b\\\\c\\u0001\",\"error\":\"bad \\\"x\\\"\\n\\ttab\\\\ \\r\\u0008\\u000c\\u001f\u{7f} é\"}",
-        r#"{"v":1,"stats":{"requests":7,"cells":84,"cache_hits":10,"cache_misses":2,"cache_len":2,"cells_per_worker":[80,4,0],"wall_ns":123456789,"kernel_backend":"avx512","dist_backend":"scalar","pipeline":{"depth":4,"submitted":9,"completed":6,"cancelled":2,"failed":1,"queue_ns_total":1000,"queue_ns_max":600,"service_ns_total":5000000,"service_ns_max":4000000}}}"#,
-        r#"{"v":1,"stats":{"requests":0,"cells":0,"cache_hits":0,"cache_misses":0,"cache_len":0,"cells_per_worker":[],"wall_ns":0,"kernel_backend":"scalar","dist_backend":"scalar","pipeline":{"depth":1,"submitted":0,"completed":0,"cancelled":0,"failed":0,"queue_ns_total":0,"queue_ns_max":0,"service_ns_total":0,"service_ns_max":0}}}"#,
+        r#"{"v":1,"stats":{"requests":7,"cells":84,"cache_hits":10,"cache_misses":2,"cache_len":2,"cache_evictions":5,"cells_per_worker":[80,4,0],"wall_ns":123456789,"kernel_backend":"avx512","dist_backend":"scalar","pipeline":{"depth":4,"submitted":9,"completed":6,"cancelled":2,"failed":1,"queue_ns_total":1000,"queue_ns_max":600,"service_ns_total":5000000,"service_ns_max":4000000}}}"#,
+        r#"{"v":1,"stats":{"requests":0,"cells":0,"cache_hits":0,"cache_misses":0,"cache_len":0,"cache_evictions":0,"cells_per_worker":[],"wall_ns":0,"kernel_backend":"scalar","dist_backend":"scalar","pipeline":{"depth":1,"submitted":0,"completed":0,"cancelled":0,"failed":0,"queue_ns_total":0,"queue_ns_max":0,"service_ns_total":0,"service_ns_max":0}}}"#,
     ];
 
     #[test]
@@ -1909,6 +1978,64 @@ mod tests {
         // hosts uses the paper's q = hosts / 65024 parameterization.
         assert_eq!(request.scenario.occupancy(), 1000.0 / 65024.0);
         assert_eq!(request.metrics, vec![Metric::MeanCost]);
+    }
+
+    #[test]
+    fn oversized_grids_and_frontiers_are_refused_at_decode() {
+        let scenario = "\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+                        \"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}";
+        let sweep = |grid: &str| format!("{{\"id\":\"g\",{scenario},\"grid\":{grid}}}");
+        let long_r = format!(
+            "{{\"n_max\":2,\"r\":[{}]}}",
+            vec!["1.0"; MAX_GRID_R_POINTS + 1].join(",")
+        );
+        for (grid, expected) in [
+            (
+                "{\"n_max\":2,\"r_min\":0.1,\"r_max\":1.0,\"r_points\":1e300}".to_owned(),
+                "grid `r_points` 1e300 is over the limit of 65536",
+            ),
+            (
+                "{\"n_max\":4e9,\"r_min\":0.1,\"r_max\":1.0,\"r_points\":2}".to_owned(),
+                "grid `n_max` 4000000000.0 is over the limit of 4096",
+            ),
+            (
+                "{\"n_max\":1e999,\"r\":[1.0]}".to_owned(),
+                "grid `n_max` inf is over the limit of 4096",
+            ),
+            (long_r, "grid `r` length 65537 is over the limit of 65536"),
+            (
+                "{\"n_max\":4096,\"r_min\":0.1,\"r_max\":1.0,\"r_points\":257}".to_owned(),
+                "grid cell count 1052672 (n_max × r values) is over the limit of 1048576",
+            ),
+        ] {
+            let error = parse_request_line(&sweep(&grid)).unwrap_err();
+            assert_eq!(error.message, expected);
+        }
+        // The limits themselves are accepted.
+        let at_limit = sweep("{\"n_max\":4096,\"r_min\":0.1,\"r_max\":1.0,\"r_points\":256}");
+        let WireRequest::Sweep { request, .. } = parse_request_line(&at_limit).unwrap() else {
+            panic!("expected sweep");
+        };
+        assert_eq!(request.grid.r_values.len() * 4096, MAX_GRID_CELLS);
+
+        let axis = |n: usize| vec!["1.0"; n].join(",");
+        let frontier = |x: usize, y: usize| {
+            format!(
+                "{{\"id\":\"f\",{scenario},\"grid\":{{\"n_max\":2,\"r\":[0.5,1.0,2.0]}},\
+                 \"frontier\":{{\"x\":{{\"axis\":\"error_cost\",\"values\":[{}]}},\
+                 \"y\":{{\"axis\":\"probe_cost\",\"values\":[{}]}}}}}}",
+                axis(x),
+                axis(y)
+            )
+        };
+        assert_eq!(
+            parse_request_line(&frontier(257, 256)).unwrap_err().message,
+            "frontier parameter point count 65792 (|x| × |y|) is over the limit of 65536"
+        );
+        assert!(matches!(
+            parse_request_line(&frontier(256, 256)),
+            Ok(WireRequest::Frontier { .. })
+        ));
     }
 
     #[test]

@@ -37,9 +37,10 @@ fn engine(workers: usize) -> Arc<Engine> {
     }))
 }
 
-/// A deliberately expensive sweep: hundreds of fresh π-tables.
+/// A deliberately expensive sweep: 64 × 16,000 = 1,024,000 cells over
+/// 16,000 fresh π-tables, tens of milliseconds even in a release build.
 fn big_request() -> SweepRequest {
-    SweepRequest::new(scenario(), GridSpec::linspace(64, 0.01, 25.0, 1200))
+    SweepRequest::new(scenario(), GridSpec::linspace(64, 0.01, 25.0, 16_000))
 }
 
 /// A sweep that evaluates in microseconds.
@@ -168,8 +169,12 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
 fn short_sweeps_overtake_a_long_one() {
     // One huge sweep, then four trivial ones, with enough executors that
     // the tiny sweeps run beside the big one. All four tiny sweeps must
-    // finish first: completion order differs from submission order.
-    let mut pipeline = Pipeline::new(engine(2), PipelineConfig::with_depth(5));
+    // finish first: completion order differs from submission order. The
+    // engine has one worker, so the big sweep runs on its executor alone
+    // and can never hold every CPU of a two-CPU host while the tiny
+    // sweeps wait; and it runs for tens of milliseconds, many scheduler
+    // time slices, whatever the host's speed.
+    let mut pipeline = Pipeline::new(engine(1), PipelineConfig::with_depth(5));
     let big = pipeline.submit(big_request()).unwrap();
     let tiny: Vec<_> = (0..4)
         .map(|salt| pipeline.submit(tiny_request(salt)).unwrap())
@@ -181,7 +186,7 @@ fn short_sweeps_overtake_a_long_one() {
     assert_eq!(
         order.last(),
         Some(&big),
-        "the 32k-cell sweep must finish after four 1-cell sweeps \
+        "the 1,024,000-cell sweep must finish after four 1-cell sweeps \
          submitted behind it; got completion order {order:?}"
     );
     assert_ne!(
@@ -200,9 +205,13 @@ fn short_sweeps_overtake_a_long_one() {
 
 #[test]
 fn pipelined_session_emits_responses_in_completion_order() {
+    // As in `short_sweeps_overtake_a_long_one`: a one-worker engine and a
+    // long request that runs for tens of milliseconds in release. The
+    // long request is a frontier over a 64 × 16,000 grid, so its answer
+    // is one short line rather than a million cells of JSON.
     let mut session = PipelinedSession::new(
         Engine::new(EngineConfig {
-            workers: 2,
+            workers: 1,
             cache_tables: 4096,
             cache_dir: None,
             ..EngineConfig::default()
@@ -211,7 +220,9 @@ fn pipelined_session_emits_responses_in_completion_order() {
     );
     let huge = "{\"id\":\"huge\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
         \"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\
-        \"grid\":{\"n_max\":64,\"r_min\":0.01,\"r_max\":25.0,\"r_points\":1200}}";
+        \"grid\":{\"n_max\":64,\"r_min\":0.01,\"r_max\":25.0,\"r_points\":16000},\
+        \"frontier\":{\"x\":{\"axis\":\"error_cost\",\"values\":[1e6]},\
+        \"y\":{\"axis\":\"probe_cost\",\"values\":[2.0]}}}";
     let mut out = session.submit_line(huge);
     for k in 0..4 {
         let tiny = format!(
@@ -230,7 +241,7 @@ fn pipelined_session_emits_responses_in_completion_order() {
     };
     let order: Vec<String> = out.iter().map(|line| id_of(line)).collect();
     assert_eq!(order[4], "huge", "short sweeps overtake: {order:?}");
-    assert!(out[4].contains("\"cells\""));
+    assert!(out[4].contains("\"frontier\""));
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +287,7 @@ fn cancelling_a_queued_request_never_evaluates_it() {
 fn cancelling_a_running_sweep_aborts_it() {
     let mut pipeline = Pipeline::new(engine(2), PipelineConfig::with_depth(2));
     let id = pipeline.submit(big_request()).unwrap();
-    // The sweep computes ~1200 fresh π-tables; this cancel lands long
+    // The sweep computes 16,000 fresh π-tables; this cancel lands long
     // before that finishes.
     assert!(pipeline.cancel(id));
     let completions = pipeline.drain();

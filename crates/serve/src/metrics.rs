@@ -127,7 +127,7 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
          \"server\":{{\"connections_open\":{},\"connections_total\":{},\"connections_rejected\":{},\
          \"requests\":{},\"responses\":{},\"cancelled_on_disconnect\":{},\"inflight_budget\":{}}},\
          \"engine\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\
-         \"kernel_backend\":\"{}\",\"dist_backend\":\"{}\"}}}}}}",
+         \"cache_evictions\":{},\"kernel_backend\":\"{}\",\"dist_backend\":\"{}\"}}}}}}",
         escape(id),
         snapshot.conn_id,
         c.requests,
@@ -156,6 +156,7 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
         e.cache_hits,
         e.cache_misses,
         e.cache_len,
+        e.cache_evictions,
         e.kernel_backend,
         e.dist_backend,
     )
@@ -192,6 +193,7 @@ mod tests {
                 cache_hits: 10,
                 cache_misses: 2,
                 cache_len: 2,
+                cache_evictions: 3,
                 cells_per_worker: vec![84],
                 wall_nanos: 1,
                 kernel_backend: "scalar",
@@ -221,6 +223,10 @@ mod tests {
         assert_eq!(
             stats.get("engine").unwrap().get("cache_hits"),
             Some(&zeroconf_engine::wire::Json::Num(10.0))
+        );
+        assert!(
+            line.contains("\"cache_len\":2,\"cache_evictions\":3,"),
+            "{line}"
         );
     }
 

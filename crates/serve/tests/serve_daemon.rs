@@ -14,6 +14,7 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 use zeroconf_client::{Client, Json, Response};
+use zeroconf_engine::wire::{self, WIRE_VERSION};
 use zeroconf_engine::{testkit, EngineConfig};
 use zeroconf_serve::{Endpoint, ServeConfig, ServeError, Server, Shutdown};
 
@@ -251,6 +252,87 @@ fn wire_errors_and_capacity_refusals_over_a_real_socket() {
         number(&stats, &["stats", "server", "connections_rejected"]),
         1.0
     );
+
+    let summary = server.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+#[test]
+fn oversized_grids_get_one_error_each_and_the_daemon_serves_on() {
+    let server = TestServer::start(4, 16);
+    let mut client = server.connect();
+    let with_grid = |id: &str, grid: &str| {
+        format!(
+            "{{\"v\":{WIRE_VERSION},\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\
+             \"error_cost\":1e6,\"reply_time\":{{\"kind\":\"exponential\",\"loss\":1e-6,\
+             \"rate\":10.0,\"delay\":1.0}}}},\"grid\":{grid}}}"
+        )
+    };
+    // `r_points` of 1e300 once overflowed the linspace allocation and
+    // killed the reactor thread; an `n_max` past the cap asks for a
+    // π-table of that many floats per `r`.
+    client
+        .send_raw(&with_grid(
+            "big-r",
+            "{\"n_max\":2,\"r_min\":0.1,\"r_max\":1.0,\"r_points\":1e300}",
+        ))
+        .expect("send big-r");
+    client
+        .send_raw(&with_grid(
+            "big-n",
+            &format!("{{\"n_max\":{},\"r\":[0.5,1.0]}}", wire::MAX_GRID_N_MAX + 1),
+        ))
+        .expect("send big-n");
+    client
+        .send_raw(&testkit::sweep_line("ok1", 4, &[1.0, 2.0]))
+        .expect("send ok1");
+    let mut answered = Vec::new();
+    while answered.last().map(|r: &Response| r.id()) != Some("ok1") {
+        let response = client
+            .next_response(Instant::now() + DEADLINE)
+            .expect("read a response")
+            .expect("a response before EOF");
+        answered.push(response);
+    }
+    let ids: Vec<&str> = answered.iter().map(Response::id).collect();
+    assert_eq!(ids, ["big-r", "big-n", "ok1"], "one answer per line");
+    assert_eq!(
+        answered[0].error(),
+        Some(
+            format!(
+                "grid `r_points` 1e300 is over the limit of {}",
+                wire::MAX_GRID_R_POINTS
+            )
+            .as_str()
+        )
+    );
+    assert_eq!(
+        answered[1].error(),
+        Some(
+            format!(
+                "grid `n_max` {:?} is over the limit of {}",
+                f64::from(wire::MAX_GRID_N_MAX + 1),
+                wire::MAX_GRID_N_MAX
+            )
+            .as_str()
+        )
+    );
+    assert!(answered[2].has_cells(), "{}", answered[2].line);
+
+    // No stray line follows the errors, and a new connection is served.
+    client
+        .send_raw(&testkit::sweep_line("ok2", 4, &[1.0, 2.0]))
+        .expect("send ok2");
+    let next = client
+        .next_response(Instant::now() + DEADLINE)
+        .expect("read ok2")
+        .expect("ok2 before EOF");
+    assert_eq!(next.id(), "ok2", "{}", next.line);
+    let mut fresh = server.connect();
+    fresh
+        .send_raw(&testkit::sweep_line("ok3", 4, &[1.0, 2.0]))
+        .expect("send ok3");
+    assert!(fresh.wait("ok3").expect("ok3 response").has_cells());
 
     let summary = server.stop();
     assert!(summary.contains("drained cleanly"), "{summary}");
@@ -540,6 +622,7 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
         "cache_hits",
         "cache_misses",
         "cache_len",
+        "cache_evictions",
     ] {
         number(&stats, &["stats", "engine", field]);
     }
