@@ -8,6 +8,19 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> proptest-gated suites (the count may only shrink)"
+# A file that opens with #![cfg(zeroconf_proptest)] imports the external
+# `proptest` crate, which cannot be fetched offline, so it never runs.
+# Each suite ported to a seeded zeroconf-rng loop lowers this bound.
+PROPTEST_GATED_MAX=7
+mapfile -t PROPTEST_GATED < <(grep -rlx --include='*.rs' \
+  '#!\[cfg(zeroconf_proptest)\]' crates src tests examples | sort)
+printf 'ci: gated: %s\n' "${PROPTEST_GATED[@]}"
+if (( ${#PROPTEST_GATED[@]} > PROPTEST_GATED_MAX )); then
+  echo "ci: ${#PROPTEST_GATED[@]} proptest-gated suites; at most $PROPTEST_GATED_MAX may remain" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -258,7 +258,7 @@ fn session_requests() -> Vec<SweepRequest> {
 }
 
 /// Baseline session: the requests evaluated one at a time on a fresh
-/// engine — the old blocking `Session` dispatch pattern.
+/// engine — blocking, one request in flight.
 fn serial_session(threads: usize, samples: usize, requests: &[SweepRequest]) -> BenchRecord {
     measure(&schema::row_session_serial(threads), samples, || {
         let engine = Engine::new(config(threads));

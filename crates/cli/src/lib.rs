@@ -283,7 +283,7 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         push(session.drain(), &mut out);
     } else {
         // Depth 1, drained per line: in-order blocking, one response per
-        // request line — what the deprecated `Session` shim provided.
+        // request line.
         for line in input.lines() {
             push(session.submit_line(line), &mut out);
             push(session.drain(), &mut out);

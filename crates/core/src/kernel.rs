@@ -27,9 +27,13 @@
 //!   `q·E·π_n` is `(q·E)·π_n`, so factoring `(r+c)·q` and `q·E` out of
 //!   the loop changes no intermediate value.
 //!
-//! The golden tests (and the `zeroconf_proptest`-gated property suite)
-//! assert this with [`f64::to_bits`] comparisons across scenarios, grids
-//! including `r = 0` and subnormal-adjacent `r`, and `n_max` up to 256.
+//! The golden tests and the seeded property suite
+//! `crates/core/tests/param_properties.rs` (random scenarios of all six
+//! reply-time families, grids including `r = 0` and subnormal-adjacent
+//! `r`, `n_max` up to 96; part of every `cargo test`) assert this with
+//! [`f64::to_bits`] comparisons. `kernel_properties.rs` extends the same
+//! check to `n_max` up to 256, but it still needs the external
+//! `proptest` crate and only compiles under `--cfg zeroconf_proptest`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -31,12 +31,15 @@
 //! order — same hoisted [`ScenarioFactors`], same left-associated
 //! groupings, same division — so reconstruction from the statistic is
 //! bit-identical to a direct kernel sweep, not merely close. The golden
-//! and `zeroconf_proptest`-gated suites assert this with
-//! [`f64::to_bits`] across all six reply-time distributions.
+//! suites and the seeded property suite `tests/param_properties.rs`
+//! assert this with [`f64::to_bits`] across all six reply-time
+//! distributions; the same suite holds the grid-scan selection
+//! ([`ParamLandscape::min_cost_cell_near`]) to the scalar
+//! [`ParamLandscape::min_cost_cell`] oracle on every backend.
 //!
 //! [`ColumnKernel::evaluate`]: crate::kernel::ColumnKernel::evaluate
 
-use zeroconf_simd::{Backend, ColumnTerms, Mode};
+use zeroconf_simd::{Backend, BlockTerms, ColumnTerms, Mode};
 
 use crate::kernel::ScenarioFactors;
 use crate::{CostError, Scenario};
@@ -64,6 +67,9 @@ pub struct CellStatistic {
 pub struct ParamLandscape {
     n_max: u32,
     r_values: Vec<f64>,
+    /// `r_floor[j]`: the smallest `r` at or after column `j`, the column
+    /// stop of the selection scan (equal to `r_values` on a sorted grid).
+    r_floor: Vec<f64>,
     pi_prefix: Vec<f64>,
     pi_n: Vec<f64>,
 }
@@ -88,9 +94,14 @@ impl ParamLandscape {
         let cells = r_values.len() * n_max as usize;
         assert_eq!(pi_prefix.len(), cells, "π-prefix slab must hold every cell");
         assert_eq!(pi_n.len(), cells, "π_n slab must hold every cell");
+        let mut r_floor = r_values.clone();
+        for j in (1..r_floor.len()).rev() {
+            r_floor[j - 1] = r_floor[j - 1].min(r_floor[j]);
+        }
         ParamLandscape {
             n_max,
             r_values,
+            r_floor,
             pi_prefix,
             pi_n,
         }
@@ -321,49 +332,71 @@ impl ParamLandscape {
     }
 
     /// [`ParamLandscape::min_cost_cell`] with an explicit SIMD backend:
-    /// each column scan dispatches through `zeroconf_simd::min_cost_scan`,
-    /// whose vector pass only *filters* chunks against the incumbent and
-    /// replays candidates with the scalar program — so the selected cell,
-    /// cost, and error are identical to [`ParamLandscape::min_cost_cell`]
-    /// on every backend (there is no `fast` variant of selection).
+    /// [`ParamLandscape::min_cost_cell_near`] with no hint.
     #[must_use]
     pub fn min_cost_cell_with(
         &self,
         factors: &ScenarioFactors,
         backend: Backend,
     ) -> Option<(usize, u32, f64, f64)> {
-        let mut best: Option<(usize, u32)> = None;
-        let mut incumbent = f64::INFINITY;
+        self.min_cost_cell_near(factors, backend, None)
+    }
+
+    /// [`ParamLandscape::min_cost_cell`] with an explicit SIMD backend and
+    /// an optional warm-start `hint` cell `(r_index, n)`, typically the
+    /// winner of a neighbouring parameter point. The whole grid is one
+    /// `zeroconf_simd::min_cost_grid_scan` dispatch, whose vector pass
+    /// only *filters* cells against the incumbent and replays candidates
+    /// with the scalar program, and which stops at the first column whose
+    /// smallest remaining `r` cannot win.
+    ///
+    /// The hint only sets the scan's starting bound: `next_up` of the
+    /// hint cell's cost under `factors`, or `+∞` when that cost is not
+    /// finite. That bound lies strictly above the true minimum `m`, so
+    /// the strict-`<` scan still ends at the first cell attaining `m`,
+    /// as it does from `+∞`. The selected cell, cost and error are
+    /// therefore identical to [`ParamLandscape::min_cost_cell`] for any
+    /// hint and on every backend (there is no `fast` variant of
+    /// selection); a good hint just lets more cells and columns be ruled
+    /// out without a division.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the hint names a cell outside the grid.
+    #[must_use]
+    pub fn min_cost_cell_near(
+        &self,
+        factors: &ScenarioFactors,
+        backend: Backend,
+        hint: Option<(usize, u32)>,
+    ) -> Option<(usize, u32, f64, f64)> {
+        let bound = hint.map_or(f64::INFINITY, |(r_index, n)| {
+            let cost = self.cost_at(factors, r_index, n);
+            if cost.is_finite() {
+                cost.next_up()
+            } else {
+                f64::INFINITY
+            }
+        });
         let n_max = self.n_max as usize;
-        for (j, &r) in self.r_values.iter().enumerate() {
-            let r_plus_c = r + factors.probe_cost;
-            let r_plus_c_q = r_plus_c * factors.q;
-            let terms = ColumnTerms {
+        let (won, incumbent) = zeroconf_simd::min_cost_grid_scan(
+            backend,
+            BlockTerms {
                 q: factors.q,
                 one_minus_q: factors.one_minus_q,
                 q_error_cost: factors.q_error_cost,
-                r_plus_c,
-                r_plus_c_q,
-            };
-            let span = j * n_max..(j + 1) * n_max;
-            let (won, next_incumbent) = zeroconf_simd::min_cost_scan(
-                backend,
-                terms,
-                &self.pi_prefix[span.clone()],
-                &self.pi_n[span],
-                incumbent,
-            );
-            incumbent = next_incumbent;
-            if let Some(k) = won {
-                best = Some((j, (k + 1) as u32));
-            }
-        }
-        best.map(|(j, n)| {
-            let at = j * n_max + (n as usize - 1);
-            let pi_n = self.pi_n[at];
-            let denominator = 1.0 - factors.q * (1.0 - pi_n);
-            let error = factors.q * pi_n / denominator;
-            (j, n, incumbent, error)
+            },
+            factors.probe_cost,
+            &self.r_values,
+            &self.r_floor,
+            n_max,
+            &self.pi_prefix,
+            &self.pi_n,
+            bound,
+        );
+        won.map(|at| {
+            let (j, n) = (at / n_max, (at % n_max + 1) as u32);
+            (j, n, incumbent, reconstruct_error(factors, self.pi_n[at]))
         })
     }
 

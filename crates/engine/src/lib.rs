@@ -798,6 +798,10 @@ impl Engine {
         let (landscape, build) =
             self.param_landscape_cancellable(&request.scenario, &request.grid, cancel)?;
         let mut candidates = Vec::with_capacity(request.candidates());
+        // Neighbouring parameter points usually share their cheapest
+        // cell, so each scan starts from the last winner's cost (an exact
+        // warm start, see `min_cost_cell_near`).
+        let mut hint = None;
         for &xv in &request.x.values {
             if cancel.is_cancelled() {
                 return Err(EngineError::Cancelled);
@@ -810,8 +814,9 @@ impl Engine {
                 // overflow) yield no candidate; they still count toward
                 // `candidates` so the reduction ratio stays honest.
                 if let Some((r_index, n, cost, error_probability)) =
-                    landscape.min_cost_cell_with(&factors, self.backend)
+                    landscape.min_cost_cell_near(&factors, self.backend, hint)
                 {
+                    hint = Some((r_index, n));
                     candidates.push(FrontierPoint {
                         x: xv,
                         y: yv,

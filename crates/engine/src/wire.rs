@@ -57,16 +57,13 @@
 //! frontier over [`MAX_FRONTIER_POINTS`], is refused with an error line
 //! when it is decoded, before anything sized by it is allocated.
 //!
-//! Two session front-ends speak the protocol:
-//!
-//! - [`PipelinedSession`] — the real one: a thin codec over
-//!   [`Pipeline`](crate::Pipeline), keeping several requests in flight
-//!   and emitting responses in **completion order** (out of order with
-//!   respect to the input when a short sweep overtakes a long one).
-//!   Rescores of a still-in-flight base are held back and dispatched the
-//!   moment the base completes.
-//! - [`Session`] — the historical blocking API, now a depth-1 shim over
-//!   the same pipeline: one line in, one line out, in order.
+//! [`PipelinedSession`] speaks the protocol: a thin codec over
+//! [`Pipeline`](crate::Pipeline), keeping several requests in flight and
+//! emitting responses in **completion order** (out of order with respect
+//! to the input when a short sweep overtakes a long one). Rescores of a
+//! still-in-flight base are held back and dispatched the moment the base
+//! completes. A depth-1 session with `submit_line` + `drain` per line is
+//! the blocking form: one line in, one line out, in order.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
@@ -1503,58 +1500,6 @@ impl PipelinedSession {
     }
 }
 
-/// The historical blocking JSON-lines session, kept as a **depth-1 shim**
-/// over [`PipelinedSession`]: one request in flight at a time, one
-/// response line per input line, in input order. New code — even
-/// strictly sequential code — should hold a [`PipelinedSession`]
-/// (`submit_line` + `drain` per line gives the same blocking behavior)
-/// or a raw [`Pipeline`](crate::Pipeline) instead.
-#[deprecated(
-    since = "0.6.0",
-    note = "blocking depth-1 shim; use PipelinedSession (submit_line + drain) instead"
-)]
-pub struct Session {
-    inner: PipelinedSession,
-}
-
-#[allow(deprecated)]
-impl Session {
-    /// Starts a blocking session around `engine`.
-    #[must_use]
-    pub fn new(engine: Engine) -> Session {
-        Session {
-            inner: PipelinedSession::new(
-                engine,
-                PipelineConfig {
-                    depth: 1,
-                    executors: 1,
-                },
-            ),
-        }
-    }
-
-    /// Handles one input line, returning exactly one response line
-    /// (success or `error`). Blank lines return `None`.
-    pub fn handle_line(&mut self, line: &str) -> Option<String> {
-        let mut lines = self.inner.submit_line(line);
-        lines.extend(self.inner.drain());
-        debug_assert!(lines.len() <= 1, "depth-1 shim answers one line at a time");
-        lines.into_iter().next()
-    }
-
-    /// The engine's cumulative counters (for `--stats` reporting).
-    #[must_use]
-    pub fn stats(&self) -> crate::EngineStats {
-        self.inner.stats()
-    }
-
-    /// Renders the engine stats as one JSON line.
-    #[must_use]
-    pub fn stats_line(&self) -> String {
-        self.inner.stats_line()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{EngineConfig, FrontierPoint};
@@ -1578,8 +1523,8 @@ mod tests {
         })
     }
 
-    /// Blocking one-line-in/one-line-out over a pipelined session — what
-    /// the deprecated `Session` shim used to provide.
+    /// Blocking one-line-in/one-line-out over a pipelined session: with
+    /// depth 1, each line is answered before the next is read.
     fn handle(session: &mut PipelinedSession, line: &str) -> Option<String> {
         let mut lines = session.submit_line(line);
         lines.extend(session.drain());
@@ -2052,24 +1997,23 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn session_answers_sweep_then_miss_free_rescore() {
-        // Exercises the deprecated depth-1 shim on purpose: it must stay
-        // behaviorally identical to PipelinedSession until removal.
-        let mut session = Session::new(engine(2));
-        let first = session.handle_line(&sweep_line("s1")).unwrap();
+        let mut session = PipelinedSession::new(engine(2), PipelineConfig::with_depth(1));
+        let first = handle(&mut session, &sweep_line("s1")).unwrap();
         assert!(first.contains("\"id\":\"s1\""), "{first}");
         assert!(first.contains("\"cache_misses\":3"), "{first}");
         let rescore =
             "{\"id\":\"s2\",\"rescore\":{\"of\":\"s1\",\"error_cost\":1e9,\"probe_cost\":3.0}}";
-        let second = session.handle_line(rescore).unwrap();
+        let second = handle(&mut session, rescore).unwrap();
         assert!(second.contains("\"id\":\"s2\""), "{second}");
         assert!(second.contains("\"cache_misses\":0"), "{second}");
         assert!(second.contains("\"cache_hits\":3"), "{second}");
         // Chained rescore off the rescored request.
-        let third = session
-            .handle_line("{\"id\":\"s3\",\"rescore\":{\"of\":\"s2\",\"q\":0.25}}")
-            .unwrap();
+        let third = handle(
+            &mut session,
+            "{\"id\":\"s3\",\"rescore\":{\"of\":\"s2\",\"q\":0.25}}",
+        )
+        .unwrap();
         assert!(third.contains("\"cache_misses\":0"), "{third}");
         let stats = session.stats_line();
         assert!(stats.contains("\"requests\":3"), "{stats}");

@@ -5,12 +5,16 @@
 
 use std::sync::Arc;
 
-use zeroconf_cost::Scenario;
+use zeroconf_cost::kernel::ScenarioFactors;
+use zeroconf_cost::param::ParamLandscape;
+use zeroconf_cost::{tradeoff, Scenario};
 use zeroconf_dist::DefectiveExponential;
 use zeroconf_engine::{
-    CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis, Pipeline,
-    PipelineConfig, SweepRequest, WorkRequest, WorkResponse,
+    CalibrateRequest, Engine, EngineConfig, FrontierPoint, FrontierRequest, GridSpec, ParamAxis,
+    Pipeline, PipelineConfig, SweepRequest, WorkRequest, WorkResponse,
 };
+use zeroconf_rng::rngs::StdRng;
+use zeroconf_rng::{Rng, SeedableRng};
 
 fn scenario() -> Scenario {
     Scenario::builder()
@@ -92,6 +96,113 @@ fn warm_frontier_64x64_recomputes_no_pi_tables() {
     assert_eq!(again.stats.cache_hits, 0);
     assert_eq!(again.stats.cache_misses, 0);
     assert_eq!(again.points, response.points);
+}
+
+/// The frontier the engine must reproduce bit for bit: every parameter
+/// point re-scored by the scalar `min_cost_cell` oracle over a freshly
+/// built statistic, reduced through `tradeoff::frontier_indices`.
+fn oracle_frontier(request: &FrontierRequest) -> Vec<FrontierPoint> {
+    let grid = &request.grid;
+    let landscape = ParamLandscape::build(&request.scenario, grid.n_max, &grid.r_values).unwrap();
+    let mut candidates = Vec::new();
+    for &x in &request.x.values {
+        let on_x = request.x.axis.apply(&request.scenario, x).unwrap();
+        for &y in &request.y.values {
+            let varied = request.y.axis.apply(&on_x, y).unwrap();
+            let factors = ScenarioFactors::new(&varied);
+            if let Some((j, n, cost, error_probability)) = landscape.min_cost_cell(&factors) {
+                candidates.push(FrontierPoint {
+                    x,
+                    y,
+                    n,
+                    r: grid.r_values[j],
+                    cost,
+                    error_probability,
+                });
+            }
+        }
+    }
+    tradeoff::frontier_indices(&candidates, |p| p.cost, |p| p.error_probability)
+        .into_iter()
+        .map(|i| candidates[i])
+        .collect()
+}
+
+fn assert_same_points(context: &str, want: &[FrontierPoint], got: &[FrontierPoint]) {
+    let bits = |p: &FrontierPoint| {
+        (
+            p.x.to_bits(),
+            p.y.to_bits(),
+            p.n,
+            p.r.to_bits(),
+            p.cost.to_bits(),
+            p.error_probability.to_bits(),
+        )
+    };
+    let want: Vec<_> = want.iter().map(bits).collect();
+    let got: Vec<_> = got.iter().map(bits).collect();
+    assert_eq!(want, got, "{context}");
+}
+
+/// The engine's frontier scan (one grid dispatch per parameter point,
+/// column stop, warm start from the previous point's winner) against the
+/// per-point scalar oracle, on `param-cold`-shaped requests: a 64 × 400
+/// linspace grid and the same `r` values shuffled with duplicates, under
+/// a 16 × 16 `(E, c)` parameter grid.
+#[test]
+fn frontier_matches_the_per_point_scalar_oracle_bit_for_bit() {
+    let engine = engine(2);
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scenario = Scenario::builder()
+            .occupancy(10f64.powf(rng.gen_range(-4.0..-1.0)))
+            .probe_cost(rng.gen_range(0.5..4.0))
+            .error_cost(10f64.powf(rng.gen_range(3.0..18.0)))
+            .reply_time(Arc::new(
+                DefectiveExponential::from_loss(
+                    10f64.powf(rng.gen_range(-12.0..-3.0)),
+                    rng.gen_range(2.0..20.0),
+                    rng.gen_range(0.0..0.5),
+                )
+                .unwrap(),
+            ))
+            .build()
+            .unwrap();
+        let e0 = 10f64.powf(rng.gen_range(2.0..4.0));
+        let c0 = rng.gen_range(0.2..1.0);
+        let error_costs: Vec<f64> = (0..16).map(|k| e0 * 10f64.powf(0.75 * k as f64)).collect();
+        let probe_costs: Vec<f64> = (0..16).map(|k| c0 * (1.0 + 0.5 * k as f64)).collect();
+
+        let linspace = GridSpec::linspace(64, 0.02, 8.0, 400);
+        let mut shuffled = linspace.r_values.clone();
+        for _ in 0..8 {
+            let twin = shuffled[rng.gen_range(0..shuffled.len())];
+            shuffled.push(twin);
+        }
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        let explicit = GridSpec {
+            n_max: 64,
+            r_values: shuffled,
+        };
+        for (name, grid) in [("linspace", linspace), ("shuffled", explicit)] {
+            let request = FrontierRequest::builder()
+                .scenario(scenario.clone())
+                .grid(grid)
+                .x(ParamAxis::ErrorCost, error_costs.clone())
+                .y(ParamAxis::ProbeCost, probe_costs.clone())
+                .build()
+                .unwrap();
+            let response = engine.frontier(&request).unwrap();
+            assert!(!response.points.is_empty(), "seed {seed} {name}");
+            assert_same_points(
+                &format!("seed {seed} {name}"),
+                &oracle_frontier(&request),
+                &response.points,
+            );
+        }
+    }
 }
 
 #[test]

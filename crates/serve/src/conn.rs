@@ -55,6 +55,17 @@ use crate::ServerShared;
 /// coming before it can cause more to exist.
 const OUT_HIGH_WATER: usize = 256 * 1024;
 
+/// Input-line bound (bytes). A partial line that grows past it is
+/// answered with one id-less error line; the connection then stops
+/// reading, answers the lines it had already framed, flushes and closes.
+/// The bound is sized from the wire caps: the longest line the decoder
+/// can accept carries an explicit `r` list of `MAX_GRID_R_POINTS` values
+/// and frontier axes of up to `MAX_FRONTIER_POINTS + 1` values, at 32
+/// bytes per value (a shortest round-trip float is at most 24, plus its
+/// separator), plus 64 KiB for the scenario, keys and id.
+pub const MAX_LINE_BYTES: usize =
+    (wire::MAX_GRID_R_POINTS + wire::MAX_FRONTIER_POINTS + 1) * 32 + 64 * 1024;
+
 /// Parked-line bound with the same role on the input side: a client
 /// that floods requests faster than the budget admits them is left in
 /// the kernel socket buffer, not in server memory.
@@ -217,6 +228,8 @@ pub(crate) struct Connection {
     session: Option<PipelinedSession>,
     /// Bytes read but not yet framed into a line.
     inbuf: Vec<u8>,
+    /// Leading bytes of `inbuf` already searched for a newline.
+    inbuf_scanned: usize,
     /// Complete lines waiting for a budget permit (or behind one that
     /// is): admission order is arrival order, always.
     parked: VecDeque<String>,
@@ -245,6 +258,7 @@ impl Connection {
             wake,
             session: None,
             inbuf: Vec::new(),
+            inbuf_scanned: 0,
             parked: VecDeque::new(),
             out: OutBuf::default(),
             metrics: ConnMetrics::default(),
@@ -326,12 +340,16 @@ impl Connection {
                 Ok(n) => {
                     self.metrics.bytes_in += n as u64;
                     self.inbuf.extend_from_slice(&chunk[..n]);
-                    for line in take_lines(&mut self.inbuf) {
+                    for line in take_lines(&mut self.inbuf, &mut self.inbuf_scanned) {
                         // Once anything is parked, everything parks:
                         // responses must come back in request order.
                         if !self.parked.is_empty() || !self.try_process_line(&line) {
                             self.parked.push_back(line);
                         }
+                    }
+                    if self.inbuf.len() > MAX_LINE_BYTES {
+                        self.refuse_long_line();
+                        return;
                     }
                 }
                 Err(e)
@@ -348,6 +366,20 @@ impl Connection {
                 }
             }
         }
+    }
+
+    /// The partial line outgrew [`MAX_LINE_BYTES`]: one id-less error
+    /// line answers it, then the connection closes the way a drain does —
+    /// no more reading, everything already framed is answered and
+    /// flushed, then the loop reaps it.
+    fn refuse_long_line(&mut self) {
+        self.count_request();
+        let refusal = wire::WireResponse::Error {
+            id: String::new(),
+            message: format!("input line is over the limit of {MAX_LINE_BYTES} bytes"),
+        };
+        self.push_out(refusal.to_line());
+        self.begin_drain();
     }
 
     /// Hangup/error readiness: `EPOLLHUP`/`EPOLLERR` mean the peer is
@@ -398,6 +430,7 @@ impl Connection {
         }
         self.draining = true;
         self.inbuf.clear();
+        self.inbuf_scanned = 0;
         self.admit_parked();
     }
 
@@ -581,6 +614,7 @@ impl Connection {
         }
         self.sync_permits();
         self.inbuf.clear();
+        self.inbuf_scanned = 0;
         self.parked.clear();
         self.out.clear();
         self.shared.budget.leave(self.conn_id);
@@ -626,14 +660,22 @@ impl Connection {
 
 /// Splits complete `\n`-terminated lines off the front of `buf`,
 /// leaving any trailing partial line in place for the next read.
-fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
+/// `scanned` counts the leading bytes of `buf` already searched (they
+/// hold no newline): the search resumes there, so a long partial line
+/// costs time linear in its length across all its reads instead of a
+/// rescan per read, and the framed lines leave `buf` in one move.
+fn take_lines(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<String> {
     let mut lines = Vec::new();
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let rest = buf.split_off(pos + 1);
-        let mut line = std::mem::replace(buf, rest);
-        line.pop();
-        lines.push(String::from_utf8_lossy(&line).into_owned());
+    let mut start = 0;
+    let mut from = (*scanned).min(buf.len());
+    while let Some(offset) = buf[from..].iter().position(|&b| b == b'\n') {
+        let end = from + offset;
+        lines.push(String::from_utf8_lossy(&buf[start..end]).into_owned());
+        start = end + 1;
+        from = start;
     }
+    buf.drain(..start);
+    *scanned = buf.len();
     lines
 }
 
@@ -651,18 +693,30 @@ mod tests {
     #[test]
     fn take_lines_keeps_partial_tail() {
         let mut buf = b"one\ntwo\nthr".to_vec();
-        assert_eq!(take_lines(&mut buf), vec!["one", "two"]);
+        let mut scanned = 0;
+        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["one", "two"]);
         assert_eq!(buf, b"thr");
         buf.extend_from_slice(b"ee\n");
-        assert_eq!(take_lines(&mut buf), vec!["three"]);
+        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["three"]);
         assert!(buf.is_empty());
     }
 
     #[test]
     fn take_lines_handles_empty_and_blank_lines() {
         let mut buf = b"\n\nx\n".to_vec();
-        assert_eq!(take_lines(&mut buf), vec!["", "", "x"]);
+        assert_eq!(take_lines(&mut buf, &mut 0), vec!["", "", "x"]);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn take_lines_resumes_its_search_where_the_last_read_stopped() {
+        let mut buf = b"partial".to_vec();
+        let mut scanned = 0;
+        assert!(take_lines(&mut buf, &mut scanned).is_empty());
+        assert_eq!(scanned, buf.len(), "the partial line is searched once");
+        buf.extend_from_slice(b" line\nnext");
+        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["partial line"]);
+        assert_eq!((buf.as_slice(), scanned), (&b"next"[..], 4));
     }
 
     #[test]

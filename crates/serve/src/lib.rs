@@ -31,7 +31,9 @@
 //!   permits return the moment work finishes; a client that stops
 //!   *reading* instead has its own intake gated (reads and admissions
 //!   pause above the output high-water mark), so a slow reader can
-//!   never pin memory or a budget permit.
+//!   never pin memory or a budget permit. A partial input line is
+//!   bounded too: past [`MAX_LINE_BYTES`] it gets one error line and the
+//!   connection closes.
 //! - **Observability**: the serve-level `stats` wire verb
 //!   (`{"v":1,"id":"…","stats":true}`) answers with per-connection,
 //!   server-wide and shared-engine counters.
@@ -60,6 +62,7 @@ mod model_tests;
 mod reactor;
 
 pub use budget::FairBudget;
+pub use conn::MAX_LINE_BYTES;
 pub use listener::Endpoint;
 pub use metrics::{
     capacity_refusal_line, stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot,

@@ -339,6 +339,44 @@ fn oversized_grids_get_one_error_each_and_the_daemon_serves_on() {
 }
 
 #[test]
+fn an_overlong_line_gets_one_error_then_eof_and_the_daemon_serves_on() {
+    use std::io::BufRead;
+
+    let server = TestServer::start(4, 16);
+    // One byte past the cap, and no newline: the partial line alone
+    // crosses the bound, and every byte sent has been read when it does.
+    let mut raw = std::net::TcpStream::connect(&server.addr).expect("connect raw socket");
+    raw.set_read_timeout(Some(DEADLINE)).expect("read timeout");
+    raw.write_all(&vec![b'x'; zeroconf_serve::MAX_LINE_BYTES + 1])
+        .expect("send the overlong partial line");
+    let mut reader = std::io::BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the error line");
+    let value = wire::parse_json(line.trim_end()).expect("the error line is JSON");
+    assert_eq!(value.get("id"), Some(&Json::Str(String::new())), "{line}");
+    assert_eq!(
+        value.get("error"),
+        Some(&Json::Str(format!(
+            "input line is over the limit of {} bytes",
+            zeroconf_serve::MAX_LINE_BYTES
+        ))),
+        "{line}"
+    );
+    line.clear();
+    let read = reader.read_line(&mut line).expect("read to EOF");
+    assert_eq!(read, 0, "EOF follows the one error line, got {line:?}");
+
+    let mut fresh = server.connect();
+    fresh
+        .send_raw(&testkit::sweep_line("ok", 4, &[1.0, 2.0]))
+        .expect("send ok");
+    assert!(fresh.wait("ok").expect("ok response").has_cells());
+
+    let summary = server.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+#[test]
 fn programmatic_drain_answers_everything_in_flight() {
     // Budget of 2 permits under 4 pipelined sweeps: when the drain
     // lands, the tail of the pipeline is still *parked* waiting for a

@@ -30,6 +30,8 @@ use core::arch::x86_64::{
     _CMP_GE_OQ, _CMP_LT_OQ,
 };
 
+use crate::{ColumnTerms, Record};
+
 /// Widest lane count any backend uses; sizes the stack scratch buffers used
 /// for per-lane transcendentals.
 pub(crate) const MAX_LANES: usize = 8;
@@ -945,100 +947,88 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
     }
 }
 
-/// One column of `ParamLandscape::min_cost_cell`: scan `prefix`/`tail` for the
-/// cheapest cell under `incumbent`, returning the winning element index and
-/// the updated incumbent.
+/// The whole-grid body of `min_cost_grid_scan`: the column loop runs in
+/// this feature-enabled frame, so one parameter point costs one dispatch.
 ///
-/// The vector pass only *filters*: a chunk is skipped when no lane's
-/// numerator beats the incumbent as of the chunk start (the incumbent is
-/// monotonically non-increasing, so skipping is conservative); any chunk with
-/// a candidate lane is replayed by the exact scalar loop, preserving the
-/// scalar selection order bit-for-bit. The scalar early-exit
-/// (`free_probing >= incumbent`, valid because `free_probing` grows with `n`
-/// while every other numerator term is non-negative) is checked per chunk on
-/// lane 0 and inside every replay.
+/// Each column first meets the column stop (`lib.rs` gives the exactness
+/// argument), then the lane pass. The lane pass only *filters*: a chunk
+/// is skipped when no lane's numerator beats the incumbent as of the
+/// chunk start (the incumbent never increases, so skipping is
+/// conservative); any chunk with a candidate lane is replayed by the
+/// scalar [`Record::scan`], preserving the scalar selection order
+/// bit-for-bit. The free-probing early exit is checked per chunk on lane
+/// 0 and inside every replay; when it fires the scan moves on to the next
+/// column.
 ///
 /// # Safety
-/// Requires `V`'s ISA extension; `prefix.len() == tail.len()` and
+/// Requires `V`'s ISA extension; `r_floor.len() == r_values.len()`,
+/// `prefix` and `tail` hold `r_values.len() * n_max` elements, and
 /// `V::LANES <= MAX_LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn min_cost_scan_body<V: LaneVector>(
+unsafe fn min_cost_grid_scan_body<V: LaneVector>(
     q: f64,
     one_minus_q: f64,
     q_error_cost: f64,
-    r_plus_c: f64,
-    r_plus_c_q: f64,
+    probe_cost: f64,
+    r_values: &[f64],
+    r_floor: &[f64],
+    n_max: usize,
     prefix: &[f64],
     tail: &[f64],
-    mut incumbent: f64,
-) -> (Option<usize>, f64) {
-    let len = tail.len();
-    debug_assert_eq!(prefix.len(), len);
-    let mut best: Option<usize> = None;
+    record: &mut Record,
+) {
+    debug_assert_eq!(r_floor.len(), r_values.len());
     let mut lane_index = [0.0f64; MAX_LANES];
-    for (i, slot) in lane_index.iter_mut().enumerate() {
-        *slot = (i + 1) as f64;
-    }
-    let mut k = 0;
-    // SAFETY: V's extension is active per this function's contract; every
-    // load stays within the shared `len` bound checked by the loop condition,
-    // and lane_index holds MAX_LANES >= V::LANES elements.
+    // SAFETY: V's extension is active per this function's contract; each
+    // column's loads stay within its `n_max`-long slices by the loop
+    // condition, and lane_index holds MAX_LANES >= V::LANES elements.
     unsafe {
         let one_minus_q_v = V::splat(one_minus_q);
         let q_error_cost_v = V::splat(q_error_cost);
-        let r_plus_c_v = V::splat(r_plus_c);
-        let r_plus_c_q_v = V::splat(r_plus_c_q);
-        while k + V::LANES <= len {
-            let first_free_probing = r_plus_c * (k + 1) as f64 * one_minus_q;
-            if first_free_probing >= incumbent {
-                return (best, incumbent);
+        'columns: for (j, (&r, &floor)) in r_values.iter().zip(r_floor).enumerate() {
+            if (floor + probe_cost) * one_minus_q >= record.incumbent {
+                break;
             }
-            let free_v = r_plus_c_v.mul(V::load(&lane_index)).mul(one_minus_q_v);
-            let numerator_v = free_v
-                .add(r_plus_c_q_v.mul(V::load(&prefix[k..])))
-                .add(q_error_cost_v.mul(V::load(&tail[k..])));
-            if V::any_lt(numerator_v, V::splat(incumbent)) {
-                for at in k..k + V::LANES {
-                    let free_probing = r_plus_c * (at + 1) as f64 * one_minus_q;
-                    if free_probing >= incumbent {
-                        return (best, incumbent);
-                    }
-                    let pi_n = tail[at];
-                    let numerator = free_probing + r_plus_c_q * prefix[at] + q_error_cost * pi_n;
-                    if numerator < incumbent {
-                        let denominator = 1.0 - q * (1.0 - pi_n);
-                        let cost = numerator / denominator;
-                        if cost.is_finite() && cost < incumbent {
-                            incumbent = cost;
-                            best = Some(at);
-                        }
-                    }
+            let r_plus_c = r + probe_cost;
+            let terms = ColumnTerms {
+                q,
+                one_minus_q,
+                q_error_cost,
+                r_plus_c,
+                r_plus_c_q: r_plus_c * q,
+            };
+            let base = j * n_max;
+            let column_prefix = &prefix[base..base + n_max];
+            let column_tail = &tail[base..base + n_max];
+            let r_plus_c_v = V::splat(r_plus_c);
+            let r_plus_c_q_v = V::splat(terms.r_plus_c_q);
+            for (i, slot) in lane_index.iter_mut().enumerate() {
+                *slot = (i + 1) as f64;
+            }
+            let mut k = 0;
+            while k + V::LANES <= n_max {
+                let first_free_probing = r_plus_c * (k + 1) as f64 * one_minus_q;
+                if first_free_probing >= record.incumbent {
+                    continue 'columns;
                 }
+                let free_v = r_plus_c_v.mul(V::load(&lane_index)).mul(one_minus_q_v);
+                let numerator_v = free_v
+                    .add(r_plus_c_q_v.mul(V::load(&column_prefix[k..])))
+                    .add(q_error_cost_v.mul(V::load(&column_tail[k..])));
+                if V::any_lt(numerator_v, V::splat(record.incumbent))
+                    && !record.scan(&terms, column_prefix, column_tail, k..k + V::LANES, base)
+                {
+                    continue 'columns;
+                }
+                for slot in &mut lane_index[..V::LANES] {
+                    *slot += V::LANES as f64;
+                }
+                k += V::LANES;
             }
-            for slot in &mut lane_index[..V::LANES] {
-                *slot += V::LANES as f64;
-            }
-            k += V::LANES;
+            record.scan(&terms, column_prefix, column_tail, k..n_max, base);
         }
     }
-    for at in k..len {
-        let free_probing = r_plus_c * (at + 1) as f64 * one_minus_q;
-        if free_probing >= incumbent {
-            break;
-        }
-        let pi_n = tail[at];
-        let numerator = free_probing + r_plus_c_q * prefix[at] + q_error_cost * pi_n;
-        if numerator < incumbent {
-            let denominator = 1.0 - q * (1.0 - pi_n);
-            let cost = numerator / denominator;
-            if cost.is_finite() && cost < incumbent {
-                incumbent = cost;
-                best = Some(at);
-            }
-        }
-    }
-    (best, incumbent)
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,6 +1100,6 @@ instantiate!(cost_block_pass_avx2, cost_block_pass_avx512, cost_block_pass_body,
     (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: &'_ [f64], r_plus_c_q: &'_ [f64],
      n_max: usize, tables: &'_ [&'_ [f64]], costs: Option<&mut [f64]>, errors: Option<&mut [f64]>,
      pi_prefix: Option<&mut [f64]>, pi_n_out: Option<&mut [f64]>));
-instantiate!(min_cost_scan_avx2, min_cost_scan_avx512, min_cost_scan_body =>
-    (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: f64, r_plus_c_q: f64,
-     prefix: &[f64], tail: &[f64], incumbent: f64) -> (Option<usize>, f64));
+instantiate!(min_cost_grid_scan_avx2, min_cost_grid_scan_avx512, min_cost_grid_scan_body =>
+    (q: f64, one_minus_q: f64, q_error_cost: f64, probe_cost: f64, r_values: &[f64],
+     r_floor: &[f64], n_max: usize, prefix: &[f64], tail: &[f64], record: &mut Record));

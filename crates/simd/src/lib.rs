@@ -177,8 +177,8 @@ fn env_choice() -> Option<KernelChoice> {
     })
 }
 
-/// The per-column scenario constants consumed by [`cost_pass`] and
-/// [`min_cost_scan`]; mirrors `ScenarioFactors` plus the per-column
+/// The per-column scenario constants consumed by [`cost_pass`] and the
+/// selection scan; mirrors `ScenarioFactors` plus the per-column
 /// `r + probe_cost` hoists from `crates/core`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnTerms {
@@ -485,8 +485,9 @@ pub fn cost_pass(
 }
 
 /// The scenario-constant (broadcast) factors of the column-parallel
-/// blocked pass [`cost_block_pass`]; the per-column `r + c` terms travel
-/// as slices instead.
+/// blocked pass [`cost_block_pass`] and of [`min_cost_grid_scan`]; the
+/// per-column `r + c` terms travel as slices (or are formed per column)
+/// instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockTerms {
     /// Collision probability `q`.
@@ -668,94 +669,175 @@ fn cost_block_pass_scalar(
     }
 }
 
-/// One column of the `min_cost_cell` scan: find the cheapest element under
-/// `incumbent`. Returns the winning element index (probe count `n = k + 1`)
-/// if any cell improved on the incumbent, plus the updated incumbent.
+/// The strict-`<` record of a `min_cost_cell` scan: the cheapest finite
+/// cost met so far (or the caller's starting bound) and the flat index of
+/// the cell that set it.
+pub(crate) struct Record {
+    pub(crate) incumbent: f64,
+    pub(crate) best: Option<usize>,
+}
+
+impl Record {
+    /// The normative scalar selection program over elements `ks` of one
+    /// column (`prefix`/`tail` are the column's slices; element `k` is
+    /// probe count `n = k + 1`, flat index `base + k`). Every backend
+    /// replays exactly this program on the cells it cannot rule out.
+    ///
+    /// Returns `false` once the free-probing term reaches the incumbent:
+    /// it is a float lower bound on the numerator (the other addends are
+    /// non-negative) and weakly increasing in `n`, so no later element of
+    /// the column can win. A numerator at or above the incumbent loses
+    /// without the division, because the denominator `1 − q·(1 − π_n)`
+    /// never exceeds 1. NaN and `+∞` costs fail the `<` and never win.
+    #[inline(always)]
+    pub(crate) fn scan(
+        &mut self,
+        terms: &ColumnTerms,
+        prefix: &[f64],
+        tail: &[f64],
+        ks: std::ops::Range<usize>,
+        base: usize,
+    ) -> bool {
+        for at in ks {
+            let free_probing = terms.r_plus_c * (at + 1) as f64 * terms.one_minus_q;
+            if free_probing >= self.incumbent {
+                return false;
+            }
+            let pi_n = tail[at];
+            let numerator =
+                free_probing + terms.r_plus_c_q * prefix[at] + terms.q_error_cost * pi_n;
+            if numerator < self.incumbent {
+                let denominator = 1.0 - terms.q * (1.0 - pi_n);
+                let cost = numerator / denominator;
+                if cost.is_finite() && cost < self.incumbent {
+                    self.incumbent = cost;
+                    self.best = Some(base + at);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The `min_cost_cell` scan over a whole r-major statistic grid, in one
+/// dispatch: the column loop runs inside the scalar, AVX2 or AVX-512
+/// body. Column `j` listens for `r_values[j]` and holds elements
+/// `j·n_max .. (j+1)·n_max` of `prefix`/`tail` (element `k` of a column
+/// is probe count `n = k + 1`). Returns the flat index of the cheapest
+/// finite-cost cell strictly below `incumbent`, if any, plus the final
+/// incumbent; ties keep the first cell in storage order.
 ///
-/// Selection is `to_bits`-faithful to the scalar loop on every backend: the
-/// vector pass only skips chunks whose numerators all fail the incumbent
-/// test, and replays candidate chunks with the scalar program (see
-/// `lanes::min_cost_scan_body` for the monotonicity argument).
+/// Selection is `to_bits`-faithful to the scalar record scan on every
+/// backend: the vector pass only skips lane chunks whose numerators all
+/// fail the incumbent test, and replays the rest with the scalar program
+/// (see `lanes::min_cost_grid_scan_body`).
+///
+/// **Column stop.** `r_floor[j]` must be the smallest `r` at or after
+/// column `j`. The scan ends before column `j` once
+/// `(r_floor[j] + c)·(1 − q)` reaches the incumbent. `fl(r + c)` is
+/// monotone in `r`, and so is its product with `1 − q ≥ 0` (every
+/// occupancy `q ≤ 1`), so every later column's `n = 1` free-probing term
+/// `(r + c)·1·(1 − q)` is at least as large: each of those columns would
+/// exit at its first element without touching the incumbent. The stop is
+/// therefore exact for sorted and unsorted `r` alike; for a sorted grid
+/// `r_floor` is `r_values` itself.
+///
+/// Starting from a finite `incumbent` above the true minimum (a
+/// warm-start bound) selects the same cell as starting from `+∞`: the
+/// first cell attaining the minimum still beats every incumbent the scan
+/// can hold when it gets there.
 ///
 /// # Panics
-/// When `prefix` and `tail` differ in length.
-pub fn min_cost_scan(
+/// When `r_floor` and `r_values` differ in length, or `prefix`/`tail` do
+/// not hold `r_values.len() · n_max` elements each.
+#[allow(clippy::too_many_arguments)]
+pub fn min_cost_grid_scan(
     backend: Backend,
-    terms: ColumnTerms,
+    terms: BlockTerms,
+    probe_cost: f64,
+    r_values: &[f64],
+    r_floor: &[f64],
+    n_max: usize,
     prefix: &[f64],
     tail: &[f64],
     incumbent: f64,
 ) -> (Option<usize>, f64) {
     assert_eq!(
-        prefix.len(),
-        tail.len(),
-        "min_cost_scan statistics must share a length"
+        r_floor.len(),
+        r_values.len(),
+        "min_cost_grid_scan needs one r floor per column"
     );
-    let ColumnTerms {
+    let cells = r_values.len() * n_max;
+    assert_eq!(
+        prefix.len(),
+        cells,
+        "min_cost_grid_scan π-prefix slab must hold every cell"
+    );
+    assert_eq!(
+        tail.len(),
+        cells,
+        "min_cost_grid_scan π_n slab must hold every cell"
+    );
+    let BlockTerms {
         q,
         one_minus_q,
         q_error_cost,
-        r_plus_c,
-        r_plus_c_q,
     } = terms;
-    match backend.effective() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: `effective` only returns Avx2 after
-            // `is_x86_feature_detected!` confirmed AVX2 and FMA, which is
-            // exactly the instantiation's contract.
-            unsafe {
-                lanes::min_cost_scan_avx2(
-                    q,
-                    one_minus_q,
-                    q_error_cost,
-                    r_plus_c,
-                    r_plus_c_q,
-                    prefix,
-                    tail,
-                    incumbent,
-                )
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => {
-            // SAFETY: `effective` only returns Avx512 after
-            // `is_x86_feature_detected!` confirmed AVX-512F, which is exactly
-            // the instantiation's contract.
-            unsafe {
-                lanes::min_cost_scan_avx512(
-                    q,
-                    one_minus_q,
-                    q_error_cost,
-                    r_plus_c,
-                    r_plus_c_q,
-                    prefix,
-                    tail,
-                    incumbent,
-                )
-            }
-        }
-        _ => {
-            let mut incumbent = incumbent;
-            let mut best = None;
-            for (at, (&pi_n, &pi_prefix)) in tail.iter().zip(prefix).enumerate() {
-                let free_probing = r_plus_c * (at + 1) as f64 * one_minus_q;
-                if free_probing >= incumbent {
+    let mut record = Record {
+        incumbent,
+        best: None,
+    };
+    dispatch!(
+        backend,
+        min_cost_grid_scan_avx2(
+            q,
+            one_minus_q,
+            q_error_cost,
+            probe_cost,
+            r_values,
+            r_floor,
+            n_max,
+            prefix,
+            tail,
+            &mut record
+        ),
+        min_cost_grid_scan_avx512(
+            q,
+            one_minus_q,
+            q_error_cost,
+            probe_cost,
+            r_values,
+            r_floor,
+            n_max,
+            prefix,
+            tail,
+            &mut record
+        ),
+        {
+            for (j, (&r, &floor)) in r_values.iter().zip(r_floor).enumerate() {
+                if (floor + probe_cost) * one_minus_q >= record.incumbent {
                     break;
                 }
-                let numerator = free_probing + r_plus_c_q * pi_prefix + q_error_cost * pi_n;
-                if numerator < incumbent {
-                    let denominator = 1.0 - q * (1.0 - pi_n);
-                    let cost = numerator / denominator;
-                    if cost.is_finite() && cost < incumbent {
-                        incumbent = cost;
-                        best = Some(at);
-                    }
-                }
+                let r_plus_c = r + probe_cost;
+                let column = ColumnTerms {
+                    q,
+                    one_minus_q,
+                    q_error_cost,
+                    r_plus_c,
+                    r_plus_c_q: r_plus_c * q,
+                };
+                let span = j * n_max..(j + 1) * n_max;
+                record.scan(
+                    &column,
+                    &prefix[span.clone()],
+                    &tail[span],
+                    0..n_max,
+                    j * n_max,
+                );
             }
-            (best, incumbent)
         }
-    }
+    );
+    (record.best, record.incumbent)
 }
 
 #[cfg(test)]
