@@ -12,7 +12,7 @@ echo "==> proptest-gated suites (the count may only shrink)"
 # A file that opens with #![cfg(zeroconf_proptest)] imports the external
 # `proptest` crate, which cannot be fetched offline, so it never runs.
 # Each suite ported to a seeded zeroconf-rng loop lowers this bound.
-PROPTEST_GATED_MAX=7
+PROPTEST_GATED_MAX=6
 mapfile -t PROPTEST_GATED < <(grep -rlx --include='*.rs' \
   '#!\[cfg(zeroconf_proptest)\]' crates src tests examples | sort)
 printf 'ci: gated: %s\n' "${PROPTEST_GATED[@]}"
@@ -80,16 +80,27 @@ RUSTFLAGS="--cfg zeroconf_loom" cargo test -q -p zeroconf-serve --lib
 
 if [[ "${ZEROCONF_CI_SANITIZE:-}" == "thread" ]]; then
   # -Zsanitizer is nightly-only; the pinned offline toolchain is stable,
-  # so the lane is opt-in and degrades to an explicit notice rather than
-  # a silent skip.
-  if rustup toolchain list 2>/dev/null | grep -q nightly; then
-    echo "==> ThreadSanitizer lane (ZEROCONF_CI_SANITIZE=thread, nightly)"
-    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
-      -p zeroconf-serve -p zeroconf-engine --lib \
-      --target x86_64-unknown-linux-gnu
-  else
+  # so the lane is opt-in. An instrumented test binary must also link an
+  # instrumented std, which -Zbuild-std rebuilds from nightly's rust-src
+  # component; without it the build stops on an ABI-mismatch error. So
+  # the lane runs only when both are present, and otherwise prints an
+  # explicit notice naming what is missing instead of failing or
+  # skipping silently.
+  if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
     echo "ci: ZEROCONF_CI_SANITIZE=thread requested but no nightly toolchain is installed"
     echo "ci: skipping the ThreadSanitizer lane (-Zsanitizer=thread is nightly-only)"
+  else
+    NIGHTLY_STD_SRC="$(rustc +nightly --print sysroot)/lib/rustlib/src/rust/library"
+    if [[ -d "$NIGHTLY_STD_SRC" ]]; then
+      echo "==> ThreadSanitizer lane (ZEROCONF_CI_SANITIZE=thread, nightly, -Zbuild-std)"
+      RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q -Zbuild-std \
+        -p zeroconf-serve -p zeroconf-engine --lib \
+        --target x86_64-unknown-linux-gnu
+    else
+      echo "ci: ZEROCONF_CI_SANITIZE=thread requested but the nightly toolchain lacks the rust-src component"
+      echo "ci: ($NIGHTLY_STD_SRC is missing)"
+      echo "ci: skipping the ThreadSanitizer lane (-Zbuild-std needs rust-src to instrument std)"
+    fi
   fi
 else
   echo "ci: sanitizer lane off (opt in with ZEROCONF_CI_SANITIZE=thread)"

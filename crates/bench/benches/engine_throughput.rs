@@ -2,8 +2,9 @@
 //!
 //! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario four ways —
 //! single-threaded vs the full worker pool, cache-cold vs cache-warm — plus
-//! a kernel-vs-legacy column microbenchmark (the single-pass
-//! [`zeroconf_cost::kernel::ColumnKernel`] against the per-`n`
+//! a kernel-vs-legacy column microbenchmark (the single-pass column
+//! program, run one column at a time through a width-1
+//! [`zeroconf_cost::kernel::ColumnBlockKernel`], against the per-`n`
 //! `*_from_pis` closed forms over the same precomputed π-tables) and a
 //! 16-request session dispatched serially vs through the pipelined
 //! front-end. Measurements go to `BENCH_engine.json` at the repository
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 use zeroconf_bench::harness::{black_box, format_nanos, measure, BenchRecord};
 use zeroconf_bench::schema;
-use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, ColumnKernel, Mode};
+use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode};
 use zeroconf_cost::{cost, paper};
 use zeroconf_engine::{
     CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis, Pipeline,
@@ -166,9 +167,9 @@ fn block_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
     })
 }
 
-/// Blocked batch kernel on the widest SIMD tier the host supports, in
-/// exact mode (bit-identical results to [`block_columns`] — the parity
-/// suite proves it; this row measures what the identical bits cost).
+/// Blocked batch kernel on the widest SIMD tier the host supports
+/// (bit-identical results to [`block_columns`] — the parity suite proves
+/// it; this row measures what the identical bits cost).
 /// On a host without AVX2 the backend clamps to scalar and the row
 /// duplicates [`schema::ROW_KERNEL_BLOCK`], which the note records.
 fn block_simd(samples: usize, request: &SweepRequest) -> BenchRecord {
@@ -191,10 +192,11 @@ fn block_simd(samples: usize, request: &SweepRequest) -> BenchRecord {
     })
 }
 
-/// Single-pass column kernel over precomputed π-tables: the O(n_max) path
-/// the engine actually runs once tables are cached.
+/// Single-pass column program over precomputed π-tables, one column at a
+/// time through a scalar width-1 block: the O(n_max) arithmetic the
+/// engine runs once tables are cached, without the lane parallelism.
 fn kernel_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
-    let kernel = ColumnKernel::new(&request.scenario);
+    let kernel = ColumnBlockKernel::new(&request.scenario);
     let tables: Vec<Vec<f64>> = request
         .grid
         .r_values
@@ -206,7 +208,7 @@ fn kernel_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
     measure(schema::ROW_KERNEL_SINGLE_PASS, samples, move || {
         for (r, pis) in request.grid.r_values.iter().zip(&tables) {
             kernel
-                .evaluate(N_MAX, *r, pis, Some(&mut costs), Some(&mut errors))
+                .evaluate(N_MAX, &[*r], &[pis], Some(&mut costs), Some(&mut errors))
                 .expect("kernel evaluates");
         }
         black_box((costs.last().copied(), errors.last().copied()))

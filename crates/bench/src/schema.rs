@@ -21,12 +21,13 @@ use crate::harness::BenchRecord;
 /// Row label: the blocked batch kernel, cold (π-tables recomputed each
 /// iteration).
 pub const ROW_KERNEL_BLOCK: &str = "kernel/block/columns";
-/// Row label: the single-pass column kernel over precomputed π-tables.
+/// Row label: the single-pass column program over precomputed π-tables,
+/// one column at a time (a width-1 block).
 pub const ROW_KERNEL_SINGLE_PASS: &str = "kernel/single-pass/columns";
 /// Row label: the legacy per-`n` closed forms over the same π-tables.
 pub const ROW_KERNEL_LEGACY: &str = "kernel/legacy-per-n/columns";
 /// Row label: the blocked batch kernel on the widest detected SIMD tier
-/// (exact mode — bit-identical to [`ROW_KERNEL_BLOCK`]'s results).
+/// (bit-identical to [`ROW_KERNEL_BLOCK`]'s results).
 pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
 /// Row label: the warm sweep served entirely from mmap'd spill files.
 pub const ROW_ENGINE_WARM_MMAP: &str = "engine/warm-mmap/threads=1";

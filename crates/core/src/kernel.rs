@@ -1,24 +1,27 @@
-//! The single-pass column kernel behind landscape sweeps.
+//! The π-table → C/E/statistic column pass behind landscape sweeps.
 //!
 //! Every consumer of the closed forms evaluates them over *columns*: all
 //! probe counts `n = 1..=n_max` at one listening period `r`. Evaluated
-//! per cell through [`cost::mean_cost_from_pis`], each `n` re-sums the π
-//! prefix `Σ_{i<n} π_i(r)` from scratch — `O(n_max²)` floating-point
-//! additions per column. [`ColumnKernel`] walks the column once instead:
-//! it threads a *running* prefix sum down the column and hoists every
+//! per cell through [`crate::cost::mean_cost_from_pis`], each `n`
+//! re-sums the π prefix `Σ_{i<n} π_i(r)` from scratch — `O(n_max²)`
+//! floating-point additions per column. [`ColumnBlockKernel`] walks each column once
+//! instead. Its one scalar program, `zeroconf_simd::cost_block_pass_scalar`,
+//! threads a *running* prefix sum down the column and hoists every
 //! scenario-constant factor (`q`, `1 − q`, `q·E`, and the per-column
 //! `r + c`, `(r + c)·q`) out of the loop, emitting `C(n, r)` and
 //! `E(n, r)` for the whole column in `O(n_max)` — a ~`n_max/2`-fold
-//! arithmetic reduction (100× at the paper's `n_max = 200` grids).
+//! arithmetic reduction (100× at the paper's `n_max = 200` grids). The
+//! AVX2 and AVX-512 lane bodies run that same program on 4 or 8 columns
+//! in lockstep; a single column is simply a block of width 1.
 //!
 //! # Bit-identity
 //!
-//! The kernel is **bit-identical** to the per-`n` evaluators, not merely
+//! The pass is **bit-identical** to the per-`n` evaluators, not merely
 //! close, because it performs the *same float operations in the same
 //! order*:
 //!
 //! - `pis[..n].iter().sum::<f64>()` folds left-to-right from `0.0`:
-//!   `((0.0 + π_0) + π_1) + … + π_{n−1}`. The kernel's running sum starts
+//!   `((0.0 + π_0) + π_1) + … + π_{n−1}`. The pass's running sum starts
 //!   at `0.0` and adds `π_{n−1}` on the step that evaluates `n`, so after
 //!   that step it holds exactly the same chain of additions — IEEE-754
 //!   operations are deterministic, so the bits agree for every `n`.
@@ -27,29 +30,27 @@
 //!   `q·E·π_n` is `(q·E)·π_n`, so factoring `(r+c)·q` and `q·E` out of
 //!   the loop changes no intermediate value.
 //!
-//! The golden tests and the seeded property suite
-//! `crates/core/tests/param_properties.rs` (random scenarios of all six
-//! reply-time families, grids including `r = 0` and subnormal-adjacent
-//! `r`, `n_max` up to 96; part of every `cargo test`) assert this with
-//! [`f64::to_bits`] comparisons. `kernel_properties.rs` extends the same
-//! check to `n_max` up to 256, but it still needs the external
-//! `proptest` crate and only compiles under `--cfg zeroconf_proptest`.
+//! The golden tests and two seeded property suites assert this with
+//! [`f64::to_bits`] comparisons, on every backend the host has, in every
+//! `cargo test`: `crates/core/tests/kernel_properties.rs` (`n_max` up to
+//! 256, subnormal-adjacent `r`, oversized cached tables, blocks of width
+//! 1 to 17) and `param_properties.rs` (all six reply-time families).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use zeroconf_dist::noanswer;
-pub use zeroconf_simd::{Backend, Mode};
-use zeroconf_simd::{BlockTerms, ColumnTerms};
+pub use zeroconf_simd::Backend;
+use zeroconf_simd::BlockTerms;
 
-use crate::cost::{self, check_n, check_r};
+use crate::cost::{check_n, check_r};
 use crate::{CostError, Scenario};
 
 /// The scenario-constant factors of Eq. (3)/(4), hoisted once.
 ///
 /// Every evaluator of the closed forms needs the same four products of
 /// scenario parameters; this is the *single* place they are computed, so
-/// the column kernel, the legacy per-`n` `*_from_pis` evaluators and the
-/// reporting code share one hoist instead of three copies. Each field is
+/// the column pass, the parametric reconstruction and the reporting code
+/// share one hoist instead of three copies. Each field is
 /// exactly the expression the per-`n` arithmetic evaluates inline
 /// (`1 − q`, `q·E`), so routing through the struct changes no bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,23 +82,38 @@ impl ScenarioFactors {
     }
 }
 
-/// A reusable evaluator for one scenario's Eq. (3)/(4) columns.
+/// The rounding discipline of [`ColumnBlockKernel::with_backend`].
 ///
-/// Construction hoists the scenario-constant factors; [`ColumnKernel::evaluate`]
-/// then walks one `r` column in a single pass, writing results straight
-/// into caller-provided slices (no per-cell allocation).
+/// There is one: every backend performs the scalar program's operations
+/// in the scalar program's order, so results are `to_bits`-identical
+/// across backends. The parameter stays in `with_backend`'s signature for
+/// its existing callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Mode {
+    /// The scalar program's operation order on every backend.
+    #[default]
+    Exact,
+}
+
+/// A blocked evaluator for one scenario's Eq. (3)/(4) columns: B
+/// `r`-columns per pass.
+///
+/// Construction hoists the scenario-constant factors;
+/// [`ColumnBlockKernel::evaluate`] then runs the single-pass column
+/// program over a block of cached π-tables, writing results r-major
+/// straight into caller-provided slices (no per-cell allocation).
 ///
 /// ```
-/// use zeroconf_cost::{cost, kernel::ColumnKernel, paper};
+/// use zeroconf_cost::{cost, kernel::ColumnBlockKernel, paper};
 ///
 /// # fn main() -> Result<(), zeroconf_cost::CostError> {
 /// let scenario = paper::figure2_scenario()?;
-/// let kernel = ColumnKernel::new(&scenario);
+/// let kernel = ColumnBlockKernel::new(&scenario);
 /// let (n_max, r) = (8, 2.0);
 /// let pis = cost::pi_table(&scenario, n_max, r)?;
 /// let mut costs = vec![0.0; n_max as usize];
 /// let mut errors = vec![0.0; n_max as usize];
-/// kernel.evaluate(n_max, r, &pis, Some(&mut costs), Some(&mut errors))?;
+/// kernel.evaluate(n_max, &[r], &[&pis], Some(&mut costs), Some(&mut errors))?;
 /// // Bit-identical to the per-n closed forms:
 /// assert_eq!(
 ///     costs[3].to_bits(),
@@ -106,257 +122,15 @@ impl ScenarioFactors {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnKernel {
-    /// The shared scenario-constant hoist.
-    factors: ScenarioFactors,
-    /// SIMD tier for the cost/error pass (requests are clamped to the CPU's
-    /// actual capabilities at dispatch).
-    backend: Backend,
-    /// Rounding discipline for the cost/error pass.
-    mode: Mode,
-}
-
-impl ColumnKernel {
-    /// Hoists the scenario constants `q`, `1 − q`, `q·E` and `c` (via
-    /// the shared [`ScenarioFactors`]). Uses the scalar reference kernel;
-    /// see [`ColumnKernel::with_backend`] for the vectorized tiers.
-    #[must_use]
-    pub fn new(scenario: &Scenario) -> ColumnKernel {
-        Self::with_backend(scenario, Backend::Scalar, Mode::Exact)
-    }
-
-    /// [`ColumnKernel::new`] with an explicit SIMD backend and rounding
-    /// mode for the cost/error pass. [`Mode::Exact`] keeps every output
-    /// `to_bits`-identical to the scalar kernel on all backends;
-    /// [`Mode::Fast`] trades that for fused/reassociated arithmetic.
-    #[must_use]
-    pub fn with_backend(scenario: &Scenario, backend: Backend, mode: Mode) -> ColumnKernel {
-        ColumnKernel {
-            factors: ScenarioFactors::new(scenario),
-            backend,
-            mode,
-        }
-    }
-
-    /// The SIMD tier this kernel dispatches its cost/error pass to.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The rounding discipline of the cost/error pass.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Evaluates one `r` column in a single pass, writing `C(n, r)` into
-    /// `costs[n − 1]` and `E(n, r)` into `errors[n − 1]` for
-    /// `n = 1..=n_max`. Either output may be `None` when the metric is
-    /// not wanted; provided slices must have exactly `n_max` entries.
-    ///
-    /// `pis` is the π-table `[π_0(r), …]` from [`cost::pi_table`] (it may
-    /// be longer than `n_max + 1`, e.g. a cached table for a larger grid).
-    ///
-    /// # Errors
-    ///
-    /// - [`CostError::InvalidProbeCount`] when `n_max == 0`.
-    /// - [`CostError::InvalidListeningPeriod`] for negative/non-finite `r`.
-    /// - [`CostError::PiTableTooShort`] when `pis` has fewer than
-    ///   `n_max + 1` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a provided output slice is not exactly `n_max` long —
-    /// a caller-side sizing bug, not a data-dependent condition.
-    pub fn evaluate(
-        &self,
-        n_max: u32,
-        r: f64,
-        pis: &[f64],
-        costs: Option<&mut [f64]>,
-        errors: Option<&mut [f64]>,
-    ) -> Result<(), CostError> {
-        self.evaluate_with_statistic(n_max, r, pis, costs, errors, None, None)
-    }
-
-    /// [`ColumnKernel::evaluate`], additionally emitting the per-cell
-    /// sufficient statistic `(Σ_{i<n} π_i(r), π_n(r))` into `pi_prefix`
-    /// and `pi_n` — the inputs of the parametric reconstruction layer
-    /// ([`crate::param::ParamLandscape`]). The statistic is the kernel's
-    /// *own* running state, captured mid-loop, so reconstructing `C` and
-    /// `Err` from it replays bit-identical floats.
-    ///
-    /// All four outputs are optional; provided slices must have exactly
-    /// `n_max` entries.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ColumnKernel::evaluate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a provided output slice is not exactly `n_max` long —
-    /// a caller-side sizing bug, not a data-dependent condition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_with_statistic(
-        &self,
-        n_max: u32,
-        r: f64,
-        pis: &[f64],
-        mut costs: Option<&mut [f64]>,
-        mut errors: Option<&mut [f64]>,
-        mut pi_prefix: Option<&mut [f64]>,
-        mut pi_n_out: Option<&mut [f64]>,
-    ) -> Result<(), CostError> {
-        check_n(n_max)?;
-        check_r(r)?;
-        let n_max = n_max as usize;
-        if pis.len() < n_max + 1 {
-            return Err(CostError::PiTableTooShort {
-                needed: n_max + 1,
-                len: pis.len(),
-            });
-        }
-        for (slice, what) in [
-            (costs.as_deref(), "cost"),
-            (errors.as_deref(), "error"),
-            (pi_prefix.as_deref(), "π-prefix"),
-            (pi_n_out.as_deref(), "π_n"),
-        ] {
-            if let Some(slice) = slice {
-                assert_eq!(slice.len(), n_max, "{what} slice must hold one f64 per n");
-            }
-        }
-
-        // Per-column constants of Eq. (3): `r + c` and `(r + c)·q`,
-        // grouped exactly as the per-n path groups them.
-        let f = &self.factors;
-        let r_plus_c = r + f.probe_cost;
-        let r_plus_c_q = r_plus_c * f.q;
-        if self.backend != Backend::Scalar {
-            return self.evaluate_vectorized(
-                n_max, pis, r_plus_c, r_plus_c_q, costs, errors, pi_prefix, pi_n_out,
-            );
-        }
-        // Running Σ_{i<n} π_i(r); starts at 0.0 like `iter().sum()`.
-        let mut pi_prefix_sum = 0.0f64;
-        for n in 1..=n_max {
-            pi_prefix_sum += pis[n - 1];
-            let pi_n = pis[n];
-            let denominator = 1.0 - f.q * (1.0 - pi_n);
-            if let Some(costs) = costs.as_deref_mut() {
-                let free_address_probing = r_plus_c * n as f64 * f.one_minus_q;
-                let occupied_address_probing = r_plus_c_q * pi_prefix_sum;
-                let collision_penalty = f.q_error_cost * pi_n;
-                costs[n - 1] =
-                    (free_address_probing + occupied_address_probing + collision_penalty)
-                        / denominator;
-            }
-            if let Some(errors) = errors.as_deref_mut() {
-                errors[n - 1] = f.q * pi_n / denominator;
-            }
-            if let Some(prefix) = pi_prefix.as_deref_mut() {
-                prefix[n - 1] = pi_prefix_sum;
-            }
-            if let Some(tail) = pi_n_out.as_deref_mut() {
-                tail[n - 1] = pi_n;
-            }
-        }
-        Ok(())
-    }
-
-    /// The SIMD split of the column pass: a scalar prefix scan (serial by
-    /// nature, and the *same* left fold as the reference loop, so the
-    /// statistic keeps its bits) feeding the lane-dispatched cost/error
-    /// pass of `zeroconf_simd::cost_pass`. In [`Mode::Exact`] the lane
-    /// kernel keeps the scalar association, so this whole path stays
-    /// `to_bits`-identical to the reference loop.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_vectorized(
-        &self,
-        n_max: usize,
-        pis: &[f64],
-        r_plus_c: f64,
-        r_plus_c_q: f64,
-        costs: Option<&mut [f64]>,
-        errors: Option<&mut [f64]>,
-        pi_prefix: Option<&mut [f64]>,
-        pi_n_out: Option<&mut [f64]>,
-    ) -> Result<(), CostError> {
-        thread_local! {
-            // Prefix scratch for calls that don't request the statistic
-            // slab; reused across columns so the hot path never allocates.
-            static PREFIX_SCRATCH: std::cell::RefCell<Vec<f64>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let f = &self.factors;
-        // π_n for n = 1..=n_max is a contiguous view of the table.
-        let tail = &pis[1..=n_max];
-        if let Some(out) = pi_n_out {
-            out.copy_from_slice(tail);
-        }
-        let terms = ColumnTerms {
-            q: f.q,
-            one_minus_q: f.one_minus_q,
-            q_error_cost: f.q_error_cost,
-            r_plus_c,
-            r_plus_c_q,
-        };
-        let scan_and_pass = |prefix: &mut [f64]| {
-            // The same left fold as the reference loop: starts at 0.0 and
-            // adds π_{n−1} on the step that evaluates n.
-            let mut pi_prefix_sum = 0.0f64;
-            for (n, slot) in prefix.iter_mut().enumerate() {
-                pi_prefix_sum += pis[n];
-                *slot = pi_prefix_sum;
-            }
-            zeroconf_simd::cost_pass(self.backend, self.mode, terms, prefix, tail, costs, errors);
-        };
-        match pi_prefix {
-            Some(prefix) => scan_and_pass(prefix),
-            None => PREFIX_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                scratch.resize(n_max, 0.0);
-                scan_and_pass(&mut scratch[..n_max]);
-            }),
-        }
-        Ok(())
-    }
-}
-
-/// Convenience wrapper: computes the π-table for `(scenario, r)` and runs
-/// the kernel over it, allocating fresh output buffers. The engine's hot
-/// path uses [`ColumnKernel::evaluate`] against cached tables and
-/// preallocated buffers instead; this entry serves tests, benches and
-/// one-off column evaluations.
 ///
-/// # Errors
-///
-/// Same conditions as [`ColumnKernel::evaluate`].
-pub fn evaluate_column(
-    scenario: &Scenario,
-    n_max: u32,
-    r: f64,
-) -> Result<(Vec<f64>, Vec<f64>), CostError> {
-    let pis = cost::pi_table(scenario, n_max, r)?;
-    let mut costs = vec![0.0; n_max as usize];
-    let mut errors = vec![0.0; n_max as usize];
-    ColumnKernel::new(scenario).evaluate(n_max, r, &pis, Some(&mut costs), Some(&mut errors))?;
-    Ok((costs, errors))
-}
-
-/// A blocked evaluator: B `r`-columns per pass.
-///
-/// [`ColumnKernel`] removed the per-cell arithmetic; what remains of the
-/// cold path is building π-tables column by column — one virtual
-/// `survival` call per (round, column) cell plus the telescoped division
-/// and clamp. `ColumnBlockKernel` turns that inside out: it walks probe
-/// rounds `i = 1..=n_max` *across a whole block of columns*, calling
-/// [`noanswer::p_i_batch`] once per round so the reply-time distribution
-/// evaluates its closed form over the block with hoisted constants and a
-/// single virtual dispatch.
+/// The per-cell arithmetic is cheap; what remains of the cold path is
+/// building π-tables column by column — one virtual `survival` call per
+/// (round, column) cell plus the telescoped division and clamp. The block
+/// kernel turns that inside out: it walks probe rounds `i = 1..=n_max`
+/// *across a whole block of columns*, calling [`noanswer::p_i_batch`]
+/// once per round so the reply-time distribution evaluates its closed
+/// form over the block with hoisted constants and a single virtual
+/// dispatch.
 ///
 /// # The zero-tail cutoff
 ///
@@ -374,7 +148,11 @@ pub fn evaluate_column(
 #[derive(Debug)]
 pub struct ColumnBlockKernel {
     scenario: Scenario,
-    kernel: ColumnKernel,
+    /// The shared scenario-constant hoist.
+    factors: ScenarioFactors,
+    /// SIMD tier for π construction and the cost/error pass (requests are
+    /// clamped to the CPU's actual capabilities at dispatch).
+    backend: Backend,
     /// Weakest SIMD tier any distribution batch actually ran with
     /// (`Backend` discriminant, folded with `fetch_min`). Starts at the
     /// requested backend; a distribution without a vector override drags
@@ -386,7 +164,8 @@ impl Clone for ColumnBlockKernel {
     fn clone(&self) -> ColumnBlockKernel {
         ColumnBlockKernel {
             scenario: self.scenario.clone(),
-            kernel: self.kernel,
+            factors: self.factors,
+            backend: self.backend,
             // ORDERING: a diagnostic low-water mark; cloning observes
             // whatever tier happens to be recorded, no data hangs off it.
             dist_used: AtomicU8::new(self.dist_used.load(Ordering::Relaxed)),
@@ -452,28 +231,23 @@ impl ColumnBlockKernel {
         Self::with_backend(scenario, Backend::Scalar, Mode::Exact)
     }
 
-    /// [`ColumnBlockKernel::new`] with an explicit SIMD backend and
-    /// cost-pass rounding mode. π-table construction is always
-    /// bit-exact regardless of `mode` (tables are cached and shared, so
-    /// they must be backend-invariant); `mode` only affects the
-    /// cost/error pass.
+    /// [`ColumnBlockKernel::new`] with an explicit SIMD backend. Every
+    /// backend's output — π-tables, costs, errors and statistic — is
+    /// `to_bits`-identical to the scalar kernel's; [`Mode::Exact`] is the
+    /// only mode.
     #[must_use]
     pub fn with_backend(scenario: &Scenario, backend: Backend, mode: Mode) -> ColumnBlockKernel {
+        let Mode::Exact = mode;
         ColumnBlockKernel {
             scenario: scenario.clone(),
-            kernel: ColumnKernel::with_backend(scenario, backend, mode),
+            factors: ScenarioFactors::new(scenario),
+            backend,
             dist_used: AtomicU8::new(backend as u8),
         }
     }
 
-    /// The per-column kernel this block kernel evaluates with.
-    #[must_use]
-    pub fn kernel(&self) -> &ColumnKernel {
-        &self.kernel
-    }
-
     /// The weakest SIMD tier any distribution batch observed so far —
-    /// [`ColumnKernel::backend`] if every batch vectorized as requested,
+    /// the requested backend if every batch vectorized as requested,
     /// [`Backend::Scalar`] if any distribution fell back to the default
     /// scalar loop.
     #[must_use]
@@ -568,7 +342,7 @@ impl ColumnBlockKernel {
             let width = active.len();
             let used = noanswer::p_rounds_batch_with(
                 dist,
-                self.kernel.backend(),
+                self.backend,
                 &rs_active[..width],
                 i,
                 rounds,
@@ -611,18 +385,27 @@ impl ColumnBlockKernel {
 
     /// Evaluates a block of columns against their π-tables, writing
     /// r-major results: column `j` lands in `out[j·n_max .. (j+1)·n_max]`.
-    /// Each column is evaluated by [`ColumnKernel::evaluate`], so results
-    /// are bit-identical per column by construction. Either output may be
-    /// `None`; provided slices must hold exactly `rs.len()·n_max` values.
+    /// Either output may be `None`; provided slices must hold exactly
+    /// `rs.len()·n_max` values. A block of one column evaluates a single
+    /// column; `tables[j]` may be longer than `n_max + 1` (a table cached
+    /// for a larger grid), and only its first `n_max + 1` entries are read.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ColumnKernel::evaluate`], per column.
+    /// - [`CostError::InvalidProbeCount`] when `n_max == 0`.
+    /// - [`CostError::InvalidListeningPeriod`] for a negative or
+    ///   non-finite `r`.
+    /// - [`CostError::PiTableTooShort`] when a table has fewer than
+    ///   `n_max + 1` entries.
+    ///
+    /// Every column is validated before anything is written, so on error
+    /// every output slice is left untouched, on every backend.
     ///
     /// # Panics
     ///
     /// Panics when `tables` does not hold one π-table per column or a
-    /// provided output slice is not exactly `rs.len()·n_max` long.
+    /// provided output slice is not exactly `rs.len()·n_max` long —
+    /// caller-side sizing bugs, not data-dependent conditions.
     pub fn evaluate<T: AsRef<[f64]>>(
         &self,
         n_max: u32,
@@ -636,29 +419,34 @@ impl ColumnBlockKernel {
 
     /// [`ColumnBlockKernel::evaluate`], additionally emitting the r-major
     /// sufficient-statistic slabs `(Σ_{i<n} π_i, π_n)` — the storage the
-    /// parametric layer ([`crate::param::ParamLandscape`]) wraps. All
-    /// four outputs are optional; provided slices must hold exactly
+    /// parametric layer ([`crate::param::ParamLandscape`]) wraps. The
+    /// statistic is the pass's *own* running state, captured mid-loop, so
+    /// reconstructing `C` and `Err` from it replays bit-identical floats.
+    /// All four outputs are optional; provided slices must hold exactly
     /// `rs.len()·n_max` values, and column `j` lands in
     /// `out[j·n_max .. (j+1)·n_max]` in every slab.
     ///
+    /// The whole block is one [`zeroconf_simd::cost_block_pass`] call on
+    /// every backend, the scalar one included.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`ColumnKernel::evaluate`], per column.
+    /// Same conditions as [`ColumnBlockKernel::evaluate`], with the same
+    /// guarantee that an error writes nothing.
     ///
     /// # Panics
     ///
-    /// Panics when `tables` does not hold one π-table per column or a
-    /// provided output slice is not exactly `rs.len()·n_max` long.
+    /// Same conditions as [`ColumnBlockKernel::evaluate`].
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_with_statistic<T: AsRef<[f64]>>(
         &self,
         n_max: u32,
         rs: &[f64],
         tables: &[T],
-        mut costs: Option<&mut [f64]>,
-        mut errors: Option<&mut [f64]>,
-        mut pi_prefix: Option<&mut [f64]>,
-        mut pi_n: Option<&mut [f64]>,
+        costs: Option<&mut [f64]>,
+        errors: Option<&mut [f64]>,
+        pi_prefix: Option<&mut [f64]>,
+        pi_n: Option<&mut [f64]>,
     ) -> Result<(), CostError> {
         assert_eq!(
             rs.len(),
@@ -676,52 +464,13 @@ impl ColumnBlockKernel {
                 assert_eq!(slice.len(), cells, "{what} block must hold rs.len()*n_max");
             }
         }
-        let column = n_max as usize;
-        if self.kernel.backend() != Backend::Scalar {
-            return self
-                .evaluate_block_vectorized(n_max, rs, tables, costs, errors, pi_prefix, pi_n);
-        }
-        for (j, (&r, table)) in rs.iter().zip(tables).enumerate() {
-            let span = j * column..(j + 1) * column;
-            self.kernel.evaluate_with_statistic(
-                n_max,
-                r,
-                table.as_ref(),
-                costs.as_deref_mut().map(|c| &mut c[span.clone()]),
-                errors.as_deref_mut().map(|e| &mut e[span.clone()]),
-                pi_prefix.as_deref_mut().map(|p| &mut p[span.clone()]),
-                pi_n.as_deref_mut().map(|p| &mut p[span.clone()]),
-            )?;
-        }
-        Ok(())
-    }
-
-    /// The column-parallel SIMD path of the block pass: one
-    /// [`zeroconf_simd::cost_block_pass`] call over the whole block, with
-    /// `LANES` columns advancing in lockstep so their serially-dependent π
-    /// prefix folds retire concurrently. Each lane replays the scalar
-    /// per-column program exactly (same left fold, same association), so
-    /// exact mode stays `to_bits`-identical to the per-column loop above —
-    /// asserted by the cross-backend parity suite. Argument validation
-    /// mirrors [`ColumnKernel::evaluate_with_statistic`] per column.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_block_vectorized<T: AsRef<[f64]>>(
-        &self,
-        n_max: u32,
-        rs: &[f64],
-        tables: &[T],
-        costs: Option<&mut [f64]>,
-        errors: Option<&mut [f64]>,
-        pi_prefix: Option<&mut [f64]>,
-        pi_n: Option<&mut [f64]>,
-    ) -> Result<(), CostError> {
         check_n(n_max)?;
         let column = n_max as usize;
         let mut views: Vec<&[f64]> = Vec::with_capacity(rs.len());
         for (&r, table) in rs.iter().zip(tables) {
             check_r(r)?;
             let table = table.as_ref();
-            if table.len() < column + 1 {
+            if table.len() <= column {
                 return Err(CostError::PiTableTooShort {
                     needed: column + 1,
                     len: table.len(),
@@ -729,14 +478,13 @@ impl ColumnBlockKernel {
             }
             views.push(table);
         }
-        let f = &self.kernel.factors;
-        // The same per-column hoists as the scalar path, column-major:
-        // `r + c` and `(r + c)·q`, grouped exactly as the per-n arithmetic.
+        // Per-column constants of Eq. (3), `r + c` and `(r + c)·q`,
+        // grouped exactly as the per-n arithmetic groups them.
+        let f = &self.factors;
         let r_plus_c: Vec<f64> = rs.iter().map(|&r| r + f.probe_cost).collect();
         let r_plus_c_q: Vec<f64> = r_plus_c.iter().map(|&rc| rc * f.q).collect();
         zeroconf_simd::cost_block_pass(
-            self.kernel.backend(),
-            self.kernel.mode(),
+            self.backend,
             BlockTerms {
                 q: f.q,
                 one_minus_q: f.one_minus_q,
@@ -791,6 +539,27 @@ impl ColumnBlockKernel {
     }
 }
 
+/// One column's `(C, E)` through a width-1 block: the π-table for
+/// `(scenario, r)`, then the single-pass program over it.
+#[cfg(test)]
+pub(crate) fn single_column(
+    scenario: &Scenario,
+    n_max: u32,
+    r: f64,
+) -> Result<(Vec<f64>, Vec<f64>), CostError> {
+    let pis = crate::cost::pi_table(scenario, n_max, r)?;
+    let mut costs = vec![0.0; n_max as usize];
+    let mut errors = vec![0.0; n_max as usize];
+    ColumnBlockKernel::new(scenario).evaluate(
+        n_max,
+        &[r],
+        &[&pis],
+        Some(&mut costs),
+        Some(&mut errors),
+    )?;
+    Ok((costs, errors))
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -798,6 +567,7 @@ mod tests {
     use zeroconf_dist::DefectiveExponential;
 
     use super::*;
+    use crate::cost;
 
     fn figure2() -> Scenario {
         Scenario::builder()
@@ -817,7 +587,7 @@ mod tests {
         let s = figure2();
         let n_max = 40;
         for r in [0.0, 1e-12, 0.1, 2.0, 17.5, 500.0] {
-            let (costs, errors) = evaluate_column(&s, n_max, r).unwrap();
+            let (costs, errors) = single_column(&s, n_max, r).unwrap();
             for n in 1..=n_max {
                 let direct_cost = cost::mean_cost(&s, n, r).unwrap();
                 let direct_error = cost::error_probability(&s, n, r).unwrap();
@@ -844,8 +614,14 @@ mod tests {
         let n_max = 10;
         let mut costs = vec![0.0; n_max as usize];
         let mut errors = vec![0.0; n_max as usize];
-        ColumnKernel::new(&s)
-            .evaluate(n_max, 3.0, &table, Some(&mut costs), Some(&mut errors))
+        ColumnBlockKernel::new(&s)
+            .evaluate(
+                n_max,
+                &[3.0],
+                &[&table],
+                Some(&mut costs),
+                Some(&mut errors),
+            )
             .unwrap();
         for n in 1..=n_max {
             let via_table = cost::mean_cost_from_pis(&s, n, 3.0, &table).unwrap();
@@ -859,10 +635,10 @@ mod tests {
     fn single_metric_evaluation_leaves_the_other_buffer_untouched() {
         let s = figure2();
         let pis = cost::pi_table(&s, 4, 2.0).unwrap();
-        let kernel = ColumnKernel::new(&s);
+        let kernel = ColumnBlockKernel::new(&s);
         let mut costs = vec![-1.0; 4];
         kernel
-            .evaluate(4, 2.0, &pis, Some(&mut costs), None)
+            .evaluate(4, &[2.0], &[&pis], Some(&mut costs), None)
             .unwrap();
         assert_eq!(
             costs[3].to_bits(),
@@ -870,7 +646,7 @@ mod tests {
         );
         let mut errors = vec![-1.0; 4];
         kernel
-            .evaluate(4, 2.0, &pis, None, Some(&mut errors))
+            .evaluate(4, &[2.0], &[&pis], None, Some(&mut errors))
             .unwrap();
         assert_eq!(
             errors[3].to_bits(),
@@ -881,30 +657,30 @@ mod tests {
     #[test]
     fn invalid_arguments_are_rejected() {
         let s = figure2();
-        let kernel = ColumnKernel::new(&s);
+        let kernel = ColumnBlockKernel::new(&s);
         let pis = cost::pi_table(&s, 4, 1.0).unwrap();
         assert!(matches!(
-            kernel.evaluate(0, 1.0, &pis, None, None),
+            kernel.evaluate(0, &[1.0], &[&pis], None, None),
             Err(CostError::InvalidProbeCount { n: 0 })
         ));
         assert!(matches!(
-            kernel.evaluate(4, -1.0, &pis, None, None),
+            kernel.evaluate(4, &[-1.0], &[&pis], None, None),
             Err(CostError::InvalidListeningPeriod { .. })
         ));
         assert!(matches!(
-            kernel.evaluate(8, 1.0, &pis, None, None),
+            kernel.evaluate(8, &[1.0], &[&pis], None, None),
             Err(CostError::PiTableTooShort { needed: 9, len: 5 })
         ));
-        assert!(evaluate_column(&s, 3, f64::NAN).is_err());
+        assert!(single_column(&s, 3, f64::NAN).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "cost slice must hold one f64 per n")]
+    #[should_panic(expected = "cost block must hold rs.len()*n_max")]
     fn wrongly_sized_output_slice_panics() {
         let s = figure2();
         let pis = cost::pi_table(&s, 4, 1.0).unwrap();
         let mut costs = vec![0.0; 3];
-        let _ = ColumnKernel::new(&s).evaluate(4, 1.0, &pis, Some(&mut costs), None);
+        let _ = ColumnBlockKernel::new(&s).evaluate(4, &[1.0], &[&pis], Some(&mut costs), None);
     }
 
     /// The blocked π builder must replay `cost::pi_table` bit for bit on
@@ -964,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn block_evaluate_matches_the_column_kernel_r_major() {
+    fn block_evaluate_matches_width_one_columns_r_major() {
         let s = figure2();
         let n_max = 32u32;
         let rs = [0.0, 0.4, 2.0, 9.5];
@@ -977,7 +753,7 @@ mod tests {
             .evaluate(n_max, &rs, &tables, Some(&mut costs), Some(&mut errors))
             .unwrap();
         for (j, &r) in rs.iter().enumerate() {
-            let (column_costs, column_errors) = evaluate_column(&s, n_max, r).unwrap();
+            let (column_costs, column_errors) = single_column(&s, n_max, r).unwrap();
             let span = j * n_max as usize..(j + 1) * n_max as usize;
             for (a, b) in costs[span.clone()].iter().zip(&column_costs) {
                 assert_eq!(a.to_bits(), b.to_bits(), "C column at r = {r}");

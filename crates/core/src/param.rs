@@ -26,8 +26,10 @@
 //!
 //! # Bit-identity
 //!
-//! [`ParamLandscape::cost_at`] / [`ParamLandscape::error_at`] replay the
-//! *exact* float operations of [`ColumnKernel::evaluate`] in the exact
+//! [`reconstruct_cost`] / [`reconstruct_error`] — behind
+//! [`ParamLandscape::cost_at`], [`ParamLandscape::error_at`] and
+//! [`ParamLandscape::reconstruct`] — replay the *exact* float operations
+//! of the column pass ([`ColumnBlockKernel::evaluate`]) in the exact
 //! order — same hoisted [`ScenarioFactors`], same left-associated
 //! groupings, same division — so reconstruction from the statistic is
 //! bit-identical to a direct kernel sweep, not merely close. The golden
@@ -37,9 +39,9 @@
 //! ([`ParamLandscape::min_cost_cell_near`]) to the scalar
 //! [`ParamLandscape::min_cost_cell`] oracle on every backend.
 //!
-//! [`ColumnKernel::evaluate`]: crate::kernel::ColumnKernel::evaluate
+//! [`ColumnBlockKernel::evaluate`]: crate::kernel::ColumnBlockKernel::evaluate
 
-use zeroconf_simd::{Backend, BlockTerms, ColumnTerms, Mode};
+use zeroconf_simd::{Backend, BlockTerms};
 
 use crate::kernel::ScenarioFactors;
 use crate::{CostError, Scenario};
@@ -187,9 +189,10 @@ impl ParamLandscape {
     }
 
     /// Reconstructs whole metric slabs under the given economics, writing
-    /// r-major exactly like the kernel's block evaluation. Either output
-    /// may be `None`; provided slices must hold exactly [`len`](Self::len)
-    /// values.
+    /// r-major exactly like the kernel's block evaluation: cell by cell,
+    /// through [`reconstruct_cost`] and [`reconstruct_error`]. Either
+    /// output may be `None`; provided slices must hold exactly
+    /// [`len`](Self::len) values.
     ///
     /// # Panics
     ///
@@ -206,76 +209,17 @@ impl ParamLandscape {
         if let Some(errors) = errors.as_deref() {
             assert_eq!(errors.len(), self.len(), "error slab must hold every cell");
         }
-        let n_max = self.n_max as usize;
         for (j, &r) in self.r_values.iter().enumerate() {
-            // Per-column constants hoisted exactly as the kernel hoists
-            // them, so the replay keeps the kernel's bits.
-            let r_plus_c = r + factors.probe_cost;
-            let r_plus_c_q = r_plus_c * factors.q;
-            for n in 1..=n_max {
-                let at = j * n_max + (n - 1);
+            for n in 1..=self.n_max {
+                let at = self.flat_index(j, n);
                 let pi_n = self.pi_n[at];
-                let denominator = 1.0 - factors.q * (1.0 - pi_n);
                 if let Some(costs) = costs.as_deref_mut() {
-                    let free_address_probing = r_plus_c * n as f64 * factors.one_minus_q;
-                    let occupied_address_probing = r_plus_c_q * self.pi_prefix[at];
-                    let collision_penalty = factors.q_error_cost * pi_n;
-                    costs[at] =
-                        (free_address_probing + occupied_address_probing + collision_penalty)
-                            / denominator;
+                    costs[at] = reconstruct_cost(factors, r, n, self.pi_prefix[at], pi_n);
                 }
                 if let Some(errors) = errors.as_deref_mut() {
-                    errors[at] = factors.q * pi_n / denominator;
+                    errors[at] = reconstruct_error(factors, pi_n);
                 }
             }
-        }
-    }
-
-    /// [`ParamLandscape::reconstruct`] with an explicit SIMD backend and
-    /// rounding mode: each column's cost/error pass dispatches through
-    /// `zeroconf_simd::cost_pass`. With [`Mode::Exact`] the output is
-    /// `to_bits`-identical to [`ParamLandscape::reconstruct`] on every
-    /// backend; [`Mode::Fast`] fuses and reassociates (ULP-bounded, see
-    /// the golden tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a provided output slice is not exactly `len()` long.
-    pub fn reconstruct_with(
-        &self,
-        factors: &ScenarioFactors,
-        backend: Backend,
-        mode: Mode,
-        mut costs: Option<&mut [f64]>,
-        mut errors: Option<&mut [f64]>,
-    ) {
-        if let Some(costs) = costs.as_deref() {
-            assert_eq!(costs.len(), self.len(), "cost slab must hold every cell");
-        }
-        if let Some(errors) = errors.as_deref() {
-            assert_eq!(errors.len(), self.len(), "error slab must hold every cell");
-        }
-        let n_max = self.n_max as usize;
-        for (j, &r) in self.r_values.iter().enumerate() {
-            let r_plus_c = r + factors.probe_cost;
-            let r_plus_c_q = r_plus_c * factors.q;
-            let terms = ColumnTerms {
-                q: factors.q,
-                one_minus_q: factors.one_minus_q,
-                q_error_cost: factors.q_error_cost,
-                r_plus_c,
-                r_plus_c_q,
-            };
-            let span = j * n_max..(j + 1) * n_max;
-            zeroconf_simd::cost_pass(
-                backend,
-                mode,
-                terms,
-                &self.pi_prefix[span.clone()],
-                &self.pi_n[span.clone()],
-                costs.as_deref_mut().map(|c| &mut c[span.clone()]),
-                errors.as_deref_mut().map(|e| &mut e[span.clone()]),
-            );
         }
     }
 
@@ -356,9 +300,8 @@ impl ParamLandscape {
     /// the strict-`<` scan still ends at the first cell attaining `m`,
     /// as it does from `+∞`. The selected cell, cost and error are
     /// therefore identical to [`ParamLandscape::min_cost_cell`] for any
-    /// hint and on every backend (there is no `fast` variant of
-    /// selection); a good hint just lets more cells and columns be ruled
-    /// out without a division.
+    /// hint and on every backend; a good hint just lets more cells and
+    /// columns be ruled out without a division.
     ///
     /// # Panics
     ///
@@ -413,8 +356,9 @@ impl ParamLandscape {
     }
 }
 
-/// One-cell cost reconstruction: the exact Eq. (3) float sequence of
-/// [`ColumnKernel::evaluate`](crate::kernel::ColumnKernel::evaluate),
+/// One-cell cost reconstruction: the exact Eq. (3) float sequence of the
+/// column pass
+/// ([`ColumnBlockKernel::evaluate`](crate::kernel::ColumnBlockKernel::evaluate)),
 /// replayed from the sufficient statistic.
 #[must_use]
 pub fn reconstruct_cost(
@@ -445,7 +389,7 @@ mod tests {
 
     use zeroconf_dist::DefectiveExponential;
 
-    use crate::kernel::evaluate_column;
+    use crate::kernel::single_column;
     use crate::{cost, Scenario};
 
     use super::*;
@@ -471,7 +415,7 @@ mod tests {
         let landscape = ParamLandscape::build(&s, n_max, &rs).unwrap();
         let factors = ScenarioFactors::new(&s);
         for (j, &r) in rs.iter().enumerate() {
-            let (costs, errors) = evaluate_column(&s, n_max, r).unwrap();
+            let (costs, errors) = single_column(&s, n_max, r).unwrap();
             for n in 1..=n_max {
                 assert_eq!(
                     landscape.cost_at(&factors, j, n).to_bits(),

@@ -1,19 +1,18 @@
-//! Cross-backend parity for the column kernels and the parametric layer.
+//! Cross-backend parity for the column kernel and the parametric layer.
 //!
-//! The exact-mode contract: every SIMD tier the host supports computes
-//! `to_bits`-identical results to the scalar reference kernels —
-//! π-tables, the blocked cost/error pass, statistic capture, parametric
-//! reconstruction, and the `min_cost_cell` selection. Grid extents run
-//! `1..=17` (full 4- and 8-lane chunks plus every remainder), across all
-//! six reply-time families. Fast mode is covered by ULP-bounded goldens:
-//! fused/reassociated arithmetic may drift a few ULP from exact but no
-//! further, and π-tables stay bit-identical even in fast mode.
+//! The contract: every SIMD tier the host supports computes
+//! `to_bits`-identical results to the scalar reference program —
+//! π-tables, the blocked cost/error pass with statistic capture, and the
+//! `min_cost_cell` selection — and rejects bad input the same way,
+//! before writing anything. Grid extents run `1..=17` (full 4- and
+//! 8-lane chunks plus every remainder), across all six reply-time
+//! families.
 
 use std::sync::Arc;
 
-use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, ColumnKernel, Mode, ScenarioFactors};
+use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode, ScenarioFactors};
 use zeroconf_cost::param::ParamLandscape;
-use zeroconf_cost::{cost, Scenario};
+use zeroconf_cost::{CostError, Scenario};
 use zeroconf_dist::{
     DefectiveDeterministic, DefectiveExponential, DefectiveUniform, DefectiveWeibull, Empirical,
     Mixture, ReplyTimeDistribution,
@@ -100,37 +99,41 @@ fn assert_bits_eq(context: &str, expected: &[f64], got: &[f64]) {
     }
 }
 
-/// Distance in units-in-the-last-place between two finite f64s of the
-/// same sign (the monotone bit-pattern trick).
-fn ulp_distance(a: f64, b: f64) -> u64 {
-    let (ia, ib) = (a.to_bits() as i64, b.to_bits() as i64);
-    ia.abs_diff(ib)
+/// The block widths and probe counts of the parity sweep: lane
+/// remainders along *both* axes — probe counts (the per-column loop
+/// length) and columns (the lane dimension of the column-parallel block
+/// pass; widths up to 2·8+1 cover full 4- and 8-lane chunks plus every
+/// remainder) — and a single column (width 1, at `r = 1.3`) for every
+/// `n_max` in `1..=17`.
+fn parity_cases() -> Vec<(u32, Vec<f64>)> {
+    let blocks = [
+        (1u32, 5usize),
+        (3, 17),
+        (4, 9),
+        (5, 1),
+        (8, 8),
+        (9, 4),
+        (16, 17),
+        (17, 12),
+    ]
+    .into_iter()
+    .map(|(n_max, width)| (n_max, r_grid(width)));
+    let columns = (1..=17u32).map(|n_max| (n_max, vec![1.3]));
+    blocks.chain(columns).collect()
 }
 
 /// The full blocked kernel — π-table build plus the cost/error pass and
 /// the sufficient-statistic slabs — is bit-identical to the scalar
-/// construction on every backend, for every lane-remainder extent along
-/// *both* axes: probe counts (the per-column loop length) and columns
-/// (the lane dimension of the column-parallel block pass — widths up to
-/// 2·8+1 cover full 4- and 8-lane chunks plus every remainder).
+/// construction on every backend, at every extent of [`parity_cases`].
 #[test]
 fn blocked_kernel_exact_mode_is_bit_identical_across_backends() {
     for (name, scenario) in scenarios() {
         let scalar = ColumnBlockKernel::new(&scenario);
         for backend in backends() {
             let kernel = ColumnBlockKernel::with_backend(&scenario, backend, Mode::Exact);
-            for (n_max, width) in [
-                (1u32, 5usize),
-                (3, 17),
-                (4, 9),
-                (5, 1),
-                (8, 8),
-                (9, 4),
-                (16, 17),
-                (17, 12),
-            ] {
-                let rs = r_grid(width);
-                let cells = n_max as usize * rs.len();
+            for (n_max, rs) in parity_cases() {
+                let width = rs.len();
+                let cells = n_max as usize * width;
                 let tables = scalar.pi_tables(n_max, &rs).unwrap();
                 let simd_tables = kernel.pi_tables(n_max, &rs).unwrap();
                 for (j, (t, s)) in tables.iter().zip(&simd_tables).enumerate() {
@@ -192,76 +195,24 @@ struct BlockOutputs {
 
 impl BlockOutputs {
     fn new(cells: usize) -> BlockOutputs {
+        BlockOutputs::filled(cells, 0.0)
+    }
+
+    fn filled(cells: usize, value: f64) -> BlockOutputs {
         BlockOutputs {
-            costs: vec![0.0; cells],
-            errors: vec![0.0; cells],
-            pi_prefix: vec![0.0; cells],
-            pi_n: vec![0.0; cells],
+            costs: vec![value; cells],
+            errors: vec![value; cells],
+            pi_prefix: vec![value; cells],
+            pi_n: vec![value; cells],
         }
     }
 }
 
-/// The single-column kernel with statistic capture matches the scalar
-/// path bit for bit, statistic included, on every backend.
+/// The min-cost selection dispatch matches the scalar `min_cost_cell`
+/// oracle exactly on every backend, including under re-parameterized
+/// economics.
 #[test]
-fn column_kernel_statistic_capture_is_bit_identical_across_backends() {
-    for (name, scenario) in scenarios() {
-        let scalar = ColumnKernel::new(&scenario);
-        for backend in backends() {
-            let kernel = ColumnKernel::with_backend(&scenario, backend, Mode::Exact);
-            for n_max in 1..=17u32 {
-                let r = 1.3;
-                let pis = cost::pi_table(&scenario, n_max, r).unwrap();
-                let len = n_max as usize;
-                let mut want = (
-                    vec![0.0; len],
-                    vec![0.0; len],
-                    vec![0.0; len],
-                    vec![0.0; len],
-                );
-                scalar
-                    .evaluate_with_statistic(
-                        n_max,
-                        r,
-                        &pis,
-                        Some(&mut want.0),
-                        Some(&mut want.1),
-                        Some(&mut want.2),
-                        Some(&mut want.3),
-                    )
-                    .unwrap();
-                let mut got = (
-                    vec![0.0; len],
-                    vec![0.0; len],
-                    vec![0.0; len],
-                    vec![0.0; len],
-                );
-                kernel
-                    .evaluate_with_statistic(
-                        n_max,
-                        r,
-                        &pis,
-                        Some(&mut got.0),
-                        Some(&mut got.1),
-                        Some(&mut got.2),
-                        Some(&mut got.3),
-                    )
-                    .unwrap();
-                let context = format!("{name} {backend:?} n_max={n_max}");
-                assert_bits_eq(&format!("{context} costs"), &want.0, &got.0);
-                assert_bits_eq(&format!("{context} errors"), &want.1, &got.1);
-                assert_bits_eq(&format!("{context} π-prefix"), &want.2, &got.2);
-                assert_bits_eq(&format!("{context} π_n"), &want.3, &got.3);
-            }
-        }
-    }
-}
-
-/// Parametric reconstruction and the min-cost selection dispatch match
-/// their scalar twins exactly on every backend, including under
-/// re-parameterized economics.
-#[test]
-fn param_layer_reconstruction_and_selection_are_backend_invariant() {
+fn param_layer_selection_is_backend_invariant() {
     let economies = [
         (0.05f64, 3.5f64, 5e20f64),
         (0.4, 0.5, 1e35),
@@ -280,24 +231,9 @@ fn param_layer_reconstruction_and_selection_are_backend_invariant() {
                     .with_error_cost(e)
                     .unwrap();
                 let factors = ScenarioFactors::new(&varied);
-                let mut want_costs = vec![0.0f64; landscape.len()];
-                let mut want_errors = vec![0.0f64; landscape.len()];
-                landscape.reconstruct(&factors, Some(&mut want_costs), Some(&mut want_errors));
                 let want_cell = landscape.min_cost_cell(&factors);
                 for backend in backends() {
-                    let mut costs = vec![0.0f64; landscape.len()];
-                    let mut errors = vec![0.0f64; landscape.len()];
-                    landscape.reconstruct_with(
-                        &factors,
-                        backend,
-                        Mode::Exact,
-                        Some(&mut costs),
-                        Some(&mut errors),
-                    );
                     let context = format!("{name} {backend:?} n_max={n_max} q={q} c={c} E={e}");
-                    assert_bits_eq(&format!("{context} costs"), &want_costs, &costs);
-                    assert_bits_eq(&format!("{context} errors"), &want_errors, &errors);
-
                     let cell = landscape.min_cost_cell_with(&factors, backend);
                     match (want_cell, cell) {
                         (None, None) => {}
@@ -314,62 +250,85 @@ fn param_layer_reconstruction_and_selection_are_backend_invariant() {
     }
 }
 
-/// Fast mode trades bit identity for fused arithmetic; the divergence
-/// from exact must stay within a few ULP on finite cells, and π-tables
-/// must remain bit-identical (they are cached and shared, so they are
-/// never mode-dependent).
+/// Bad input is rejected the same way on every backend, and before
+/// anything is written: an empty block at `n_max = 0`, a negative `r` in
+/// the middle of a block, and a short table late in a block each return
+/// their error with every output slab still holding its sentinel bits.
 #[test]
-fn fast_mode_stays_within_ulp_bounds_of_exact() {
-    const MAX_ULP: u64 = 8;
-    for (name, scenario) in scenarios() {
-        for backend in backends() {
-            let exact = ColumnBlockKernel::with_backend(&scenario, backend, Mode::Exact);
-            let fast = ColumnBlockKernel::with_backend(&scenario, backend, Mode::Fast);
-            let n_max = 17u32;
-            let rs = r_grid(17);
-            let cells = n_max as usize * rs.len();
-            let tables = exact.pi_tables(n_max, &rs).unwrap();
-            let fast_tables = fast.pi_tables(n_max, &rs).unwrap();
-            for (j, (t, s)) in tables.iter().zip(&fast_tables).enumerate() {
-                assert_bits_eq(&format!("{name} {backend:?} fast π column {j}"), t, s);
-            }
-            let mut exact_costs = vec![0.0f64; cells];
-            let mut exact_errors = vec![0.0f64; cells];
-            exact
-                .evaluate(
-                    n_max,
-                    &rs,
-                    &tables,
-                    Some(&mut exact_costs),
-                    Some(&mut exact_errors),
-                )
-                .unwrap();
-            let mut fast_costs = vec![0.0f64; cells];
-            let mut fast_errors = vec![0.0f64; cells];
-            fast.evaluate(
-                n_max,
-                &rs,
-                &tables,
-                Some(&mut fast_costs),
-                Some(&mut fast_errors),
-            )
-            .unwrap();
-            for (k, (e, f)) in exact_costs.iter().zip(&fast_costs).enumerate() {
-                if e.is_finite() || f.is_finite() {
-                    assert!(
-                        ulp_distance(*e, *f) <= MAX_ULP,
-                        "{name} {backend:?} cost cell {k}: exact {e:?} vs fast {f:?}"
-                    );
-                }
-            }
-            for (k, (e, f)) in exact_errors.iter().zip(&fast_errors).enumerate() {
-                if e.is_finite() || f.is_finite() {
-                    assert!(
-                        ulp_distance(*e, *f) <= MAX_ULP,
-                        "{name} {backend:?} error cell {k}: exact {e:?} vs fast {f:?}"
-                    );
-                }
-            }
+fn block_validation_is_backend_independent_and_writes_nothing() {
+    let (_, scenario) = &scenarios()[0];
+    let n_max = 6u32;
+    let rs = r_grid(9);
+    let tables = ColumnBlockKernel::new(scenario)
+        .pi_tables(n_max, &rs)
+        .unwrap();
+    let mut negative_rs = rs.clone();
+    negative_rs[2] = -0.5;
+    let mut short_tables = tables.clone();
+    short_tables[8].truncate(n_max as usize);
+    for backend in backends() {
+        let kernel = ColumnBlockKernel::with_backend(scenario, backend, Mode::Exact);
+        assert_rejected_before_writing(
+            &format!("{backend:?} empty block at n_max = 0"),
+            &kernel,
+            0,
+            &[],
+            &tables[..0],
+            CostError::InvalidProbeCount { n: 0 },
+        );
+        assert_rejected_before_writing(
+            &format!("{backend:?} negative r in column 2"),
+            &kernel,
+            n_max,
+            &negative_rs,
+            &tables,
+            CostError::InvalidListeningPeriod { value: -0.5 },
+        );
+        assert_rejected_before_writing(
+            &format!("{backend:?} short table in column 8"),
+            &kernel,
+            n_max,
+            &rs,
+            &short_tables,
+            CostError::PiTableTooShort { needed: 7, len: 6 },
+        );
+    }
+}
+
+/// Evaluates a bad block into sentinel-filled slabs and checks that it
+/// returns `want` with every slab untouched.
+fn assert_rejected_before_writing(
+    context: &str,
+    kernel: &ColumnBlockKernel,
+    n_max: u32,
+    rs: &[f64],
+    tables: &[Vec<f64>],
+    want: CostError,
+) {
+    const SENTINEL: u64 = 0x7ff8_dead_beef_0001;
+    let mut out = BlockOutputs::filled(n_max as usize * rs.len(), f64::from_bits(SENTINEL));
+    let result = kernel.evaluate_with_statistic(
+        n_max,
+        rs,
+        tables,
+        Some(&mut out.costs),
+        Some(&mut out.errors),
+        Some(&mut out.pi_prefix),
+        Some(&mut out.pi_n),
+    );
+    assert_eq!(result, Err(want), "{context}");
+    for (slab, values) in [
+        ("costs", &out.costs),
+        ("errors", &out.errors),
+        ("π-prefix", &out.pi_prefix),
+        ("π_n", &out.pi_n),
+    ] {
+        for (k, value) in values.iter().enumerate() {
+            assert_eq!(
+                value.to_bits(),
+                SENTINEL,
+                "{context}: {slab} cell {k} was written before the error"
+            );
         }
     }
 }

@@ -11,9 +11,9 @@
 //!   cost bits and error bits as the scalar `min_cost_cell` oracle on
 //!   every backend the host has.
 //!
-//! Each property runs on `zeroconf-rng` seeds `0..CASES`; a failure
-//! prints the seed that produced it, and the case replays from that seed
-//! alone.
+//! Each property runs through `zeroconf_rng::for_each_seed` on seeds
+//! `0..CASES`; a failure prints the seed that produced it, and passing
+//! `seed..seed + 1` in place of `0..CASES` replays that case alone.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -26,22 +26,9 @@ use zeroconf_dist::{
     Mixture, ReplyTimeDistribution,
 };
 use zeroconf_rng::rngs::StdRng;
-use zeroconf_rng::{Rng, SeedableRng};
+use zeroconf_rng::{for_each_seed, Rng};
 
 const CASES: u64 = 128;
-
-/// Runs `property` once per seed in `0..CASES`, naming the failing seed.
-fn for_each_seed(property: impl Fn(&mut StdRng)) {
-    for seed in 0..CASES {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            property(&mut StdRng::seed_from_u64(seed));
-        }));
-        if let Err(cause) = outcome {
-            eprintln!("property failed at seed {seed}");
-            std::panic::resume_unwind(cause);
-        }
-    }
-}
 
 fn reply_time(rng: &mut StdRng) -> Arc<dyn ReplyTimeDistribution> {
     match rng.gen_range(0..6u32) {
@@ -157,7 +144,7 @@ fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
 
 #[test]
 fn reconstruction_matches_closed_forms_bitwise() {
-    for_each_seed(|rng| {
+    for_each_seed(0..CASES, |rng| {
         let scenario = scenario(rng);
         let n_max = rng.gen_range(1..97u32);
         let rs = listening_periods(rng, 1..8);
@@ -187,7 +174,7 @@ fn reconstruction_matches_closed_forms_bitwise() {
 
 #[test]
 fn reparameterization_matches_fresh_evaluation_bitwise() {
-    for_each_seed(|rng| {
+    for_each_seed(0..CASES, |rng| {
         let scenario = scenario(rng);
         let n_max = rng.gen_range(1..49u32);
         let rs = listening_periods(rng, 1..6);
@@ -308,7 +295,7 @@ fn selection_factors(rng: &mut StdRng, scenario: &Scenario) -> ScenarioFactors {
 
 #[test]
 fn grid_scan_selection_matches_the_scalar_oracle() {
-    for_each_seed(|rng| {
+    for_each_seed(0..CASES, |rng| {
         let scenario = scenario(rng);
         let n_max = rng.gen_range(1..41u32);
         let rs = selection_grid(rng);

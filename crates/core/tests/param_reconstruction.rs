@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use zeroconf_cost::kernel::{evaluate_column, ScenarioFactors};
+use zeroconf_cost::kernel::{ColumnBlockKernel, ScenarioFactors};
 use zeroconf_cost::param::ParamLandscape;
 use zeroconf_cost::{cost, Scenario};
 use zeroconf_dist::{
@@ -70,6 +70,17 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
     .collect()
 }
 
+/// One column's `(C, E)` through a width-1 block kernel.
+fn single_column(scenario: &Scenario, n_max: u32, r: f64) -> (Vec<f64>, Vec<f64>) {
+    let pis = cost::pi_table(scenario, n_max, r).unwrap();
+    let mut costs = vec![0.0; n_max as usize];
+    let mut errors = vec![0.0; n_max as usize];
+    ColumnBlockKernel::new(scenario)
+        .evaluate(n_max, &[r], &[&pis], Some(&mut costs), Some(&mut errors))
+        .unwrap();
+    (costs, errors)
+}
+
 #[test]
 fn reconstruction_is_bit_identical_across_all_six_distributions() {
     let n_max = 20u32;
@@ -78,7 +89,7 @@ fn reconstruction_is_bit_identical_across_all_six_distributions() {
         let landscape = ParamLandscape::build(&scenario, n_max, &rs).unwrap();
         let factors = ScenarioFactors::new(&scenario);
         for (j, &r) in rs.iter().enumerate() {
-            let (costs, errors) = evaluate_column(&scenario, n_max, r).unwrap();
+            let (costs, errors) = single_column(&scenario, n_max, r);
             for n in 1..=n_max {
                 assert_eq!(
                     landscape.cost_at(&factors, j, n).to_bits(),
@@ -142,7 +153,6 @@ fn reparameterized_reconstruction_matches_direct_evaluation_bitwise() {
 fn slab_reconstruction_matches_the_block_kernel_slabs_bitwise() {
     // The whole-landscape reconstruction must reproduce exactly what the
     // block kernel would have written for the same grid.
-    use zeroconf_cost::kernel::ColumnBlockKernel;
     let n_max = 16u32;
     let rs = [0.1, 0.7, 3.0, 9.0];
     for (name, scenario) in scenarios() {

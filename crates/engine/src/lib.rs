@@ -13,8 +13,8 @@
 //!   and the metrics wanted; [`Engine::evaluate`] answers with every cell
 //!   in deterministic `r`-major order, stored as flat structure-of-arrays
 //!   [`Landscape`] buffers (one `f64` slab per metric) that each worker
-//!   fills through a single-pass O(n_max) column kernel
-//!   ([`zeroconf_cost::kernel::ColumnKernel`]).
+//!   fills through the single-pass O(n_max) column program of
+//!   [`zeroconf_cost::kernel::ColumnBlockKernel`].
 //! - **Cached**: the only expensive part of a cell is the π-table of
 //!   Eq. (1), and that table depends *only* on the reply-time distribution
 //!   and `r`. The engine memoizes tables keyed on

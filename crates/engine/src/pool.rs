@@ -32,9 +32,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use zeroconf_cost::kernel::ColumnBlockKernel;
+use zeroconf_cost::kernel::{ColumnBlockKernel, Mode};
 use zeroconf_dist::ReplyTimeDistribution;
-use zeroconf_simd::{Backend, Mode};
+use zeroconf_simd::Backend;
 
 use crate::cache::SharedCache;
 use crate::request::{Metric, SweepRequest};

@@ -12,6 +12,10 @@
 //! - [`SeedableRng`] — `seed_from_u64` construction,
 //! - [`rngs::StdRng`] — the workspace's default generator.
 //!
+//! It also carries [`for_each_seed`], the seeded-case loop the
+//! workspace's property suites run on: one fresh generator per seed, and
+//! the failing seed named on stderr.
+//!
 //! Import paths deliberately mirror `rand` (`zeroconf_rng::rngs::StdRng`,
 //! `zeroconf_rng::SeedableRng`, …) so the simulation and test code reads
 //! identically to its original form. Sequences differ from `rand`'s
@@ -233,6 +237,35 @@ impl RngCore for Xoshiro256PlusPlus {
     }
 }
 
+/// Runs `property` once per seed in `seeds`, each time with a fresh
+/// [`rngs::StdRng`] seeded from that seed — the workspace's property-test
+/// loop, with no external crate.
+///
+/// When a case panics, `property failed at seed N` goes to stderr and the
+/// panic carries on, so the test fails with its own message. A case that
+/// draws all its inputs from the generator depends on nothing but its
+/// seed: to replay it alone, pass `N..N + 1`.
+///
+/// ```
+/// use zeroconf_rng::{for_each_seed, Rng};
+///
+/// for_each_seed(0..64, |rng| {
+///     let x = rng.gen_range(0.0..1.0);
+///     assert!((0.0..1.0).contains(&x));
+/// });
+/// ```
+pub fn for_each_seed(seeds: Range<u64>, mut property: impl FnMut(&mut rngs::StdRng)) {
+    for seed in seeds {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            property(&mut rngs::StdRng::seed_from_u64(seed));
+        }));
+        if let Err(cause) = outcome {
+            eprintln!("property failed at seed {seed}");
+            std::panic::resume_unwind(cause);
+        }
+    }
+}
+
 /// Named generators, mirroring `zeroconf_rng::rngs`.
 pub mod rngs {
     /// The workspace's standard generator (xoshiro256++).
@@ -340,6 +373,28 @@ mod tests {
         assert!((0.0..1.0).contains(&u));
         let k = Rng::gen_range(dyn_rng, 0..4usize);
         assert!(k < 4);
+    }
+
+    #[test]
+    fn for_each_seed_runs_each_seed_once_in_order_from_its_own_stream() {
+        let mut seen = Vec::new();
+        for_each_seed(3..6, |rng| {
+            seen.push(rng.next_u64());
+        });
+        let want: Vec<u64> = (3..6)
+            .map(|seed| StdRng::seed_from_u64(seed).next_u64())
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "case 4 fails")]
+    fn for_each_seed_carries_the_failing_case_panic_on() {
+        let mut seed = 0;
+        for_each_seed(0..8, |_| {
+            assert!(seed != 4, "case {seed} fails");
+            seed += 1;
+        });
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! `#[inline(always)]` so they inline into the feature-enabled wrapper frames
 //! and the intrinsics compile to the wide instructions they name.
 //!
-//! Bit-exactness contract (the `exact` mode): every lanewise add/sub/mul/div
-//! is IEEE-754 correctly rounded, so as long as a kernel body performs the
-//! *same operations in the same association* as the scalar reference loop,
-//! each lane computes the identical bit pattern. The bodies below keep the
-//! scalar association; only the `FAST` variants fuse and reassociate.
+//! Bit-exactness contract: every lanewise add/sub/mul/div is IEEE-754
+//! correctly rounded, so as long as a kernel body performs the *same
+//! operations in the same association* as the scalar reference loop, each
+//! lane computes the identical bit pattern. Every body below keeps the
+//! scalar association; none fuses or reassociates.
 //!
 //! NaN discipline: x86 `max/minpd` return the *second* operand when either
 //! input is NaN, so clamps place the constant first (`min(one, max(zero, x))`)
@@ -23,14 +23,13 @@
 
 use core::arch::x86_64::{
     __m256d, __m512d, _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd,
-    _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd,
-    _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
-    _mm512_cmp_pd_mask, _mm512_div_pd, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mask_blend_pd,
-    _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd,
-    _CMP_GE_OQ, _CMP_LT_OQ,
+    _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
+    _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd, _mm512_cmp_pd_mask,
+    _mm512_div_pd, _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_max_pd, _mm512_min_pd,
+    _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd, _CMP_GE_OQ, _CMP_LT_OQ,
 };
 
-use crate::{ColumnTerms, Record};
+use crate::{cost_block_pass_scalar, ColumnTerms, Record};
 
 /// Widest lane count any backend uses; sizes the stack scratch buffers used
 /// for per-lane transcendentals.
@@ -41,7 +40,7 @@ pub(crate) const MAX_LANES: usize = 8;
 /// # Safety
 ///
 /// Every method lowers to intrinsics of the implementing type's ISA extension
-/// (AVX/AVX2+FMA for [`F64x4`], AVX-512F for [`F64x8`]). Callers must only
+/// (AVX/AVX2 for [`F64x4`], AVX-512F for [`F64x8`]). Callers must only
 /// invoke them from a context where that extension is known to be available —
 /// in this crate, from inside the matching `#[target_feature]` wrapper after
 /// runtime detection. `load`/`store` additionally require `LANES` elements.
@@ -69,11 +68,6 @@ pub(crate) unsafe trait LaneVector: Copy {
     /// # Safety
     /// Requires the implementing ISA extension.
     unsafe fn div(self, other: Self) -> Self;
-    /// Fused `self * m + a` (used by the `fast` mode only).
-    ///
-    /// # Safety
-    /// Requires the implementing ISA extension (and FMA for [`F64x4`]).
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self;
     /// Lanewise max; returns `other` when either operand is NaN.
     ///
     /// # Safety
@@ -101,12 +95,12 @@ pub(crate) unsafe trait LaneVector: Copy {
     unsafe fn any_lt(a: Self, b: Self) -> bool;
 }
 
-/// Four f64 lanes over AVX (arithmetic), AVX2 detection gate, FMA for fusing.
+/// Four f64 lanes over AVX (arithmetic), behind the AVX2 detection gate.
 #[derive(Clone, Copy)]
 pub(crate) struct F64x4(__m256d);
 
-// SAFETY: every method lowers to an AVX/FMA intrinsic; the trait contract
-// obliges the caller to guarantee those features before invoking.
+// SAFETY: every method lowers to an AVX intrinsic; the trait contract
+// obliges the caller to guarantee the feature before invoking.
 unsafe impl LaneVector for F64x4 {
     const LANES: usize = 4;
 
@@ -171,14 +165,6 @@ unsafe impl LaneVector for F64x4 {
     }
 
     /// # Safety
-    /// See trait: requires FMA.
-    #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        // SAFETY: lanewise FMA, caller guarantees the feature.
-        Self(unsafe { _mm256_fmadd_pd(self.0, m.0, a.0) })
-    }
-
-    /// # Safety
     /// See trait: requires AVX.
     #[inline(always)]
     unsafe fn max_of(self, other: Self) -> Self {
@@ -224,7 +210,7 @@ unsafe impl LaneVector for F64x4 {
     }
 }
 
-/// Eight f64 lanes over AVX-512F (which includes fused multiply-add).
+/// Eight f64 lanes over AVX-512F.
 #[derive(Clone, Copy)]
 pub(crate) struct F64x8(__m512d);
 
@@ -296,15 +282,6 @@ unsafe impl LaneVector for F64x8 {
     /// # Safety
     /// See trait: requires AVX-512F.
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        // SAFETY: lanewise AVX-512F fused multiply-add, caller guarantees the
-        // feature.
-        Self(unsafe { _mm512_fmadd_pd(self.0, m.0, a.0) })
-    }
-
-    /// # Safety
-    /// See trait: requires AVX-512F.
-    #[inline(always)]
     unsafe fn max_of(self, other: Self) -> Self {
         // SAFETY: lanewise AVX-512F max (second operand wins on NaN), caller
         // guarantees the feature.
@@ -352,7 +329,7 @@ unsafe impl LaneVector for F64x8 {
 
 // ---------------------------------------------------------------------------
 // Generic kernel bodies. Each mirrors a scalar reference loop in `lib.rs`
-// operation-for-operation (same association), which is what makes the `exact`
+// operation-for-operation (same association), which is what makes every
 // dispatch `to_bits`-identical. Remainder elements always run the scalar
 // reference loop.
 // ---------------------------------------------------------------------------
@@ -638,104 +615,16 @@ unsafe fn survival_weibull_body<V: LaneVector>(
     }
 }
 
-/// The column cost/error pass shared by `ColumnKernel::evaluate_with_statistic`
-/// and `ParamLandscape::reconstruct`. Element `k` is probe count `n = k + 1`.
-///
-/// `FAST == false` keeps the scalar association exactly; `FAST == true` fuses
-/// the denominator (`fma(q, πn, 1-q)`, algebraically `1 - q(1-πn)`) and the
-/// numerator chain, trading bit identity for fewer roundings.
-///
-/// # Safety
-/// Requires `V`'s ISA extension (FMA too when `FAST`); `prefix`, `tail`, and
-/// any provided output slice must share one length, and `V::LANES <= MAX_LANES`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn cost_pass_body<V: LaneVector, const FAST: bool>(
-    q: f64,
-    one_minus_q: f64,
-    q_error_cost: f64,
-    r_plus_c: f64,
-    r_plus_c_q: f64,
-    prefix: &[f64],
-    tail: &[f64],
-    mut costs: Option<&mut [f64]>,
-    mut errors: Option<&mut [f64]>,
-) {
-    let len = tail.len();
-    debug_assert_eq!(prefix.len(), len);
-    let mut lane_index = [0.0f64; MAX_LANES];
-    for (i, slot) in lane_index.iter_mut().enumerate() {
-        *slot = (i + 1) as f64;
-    }
-    let mut k = 0;
-    // SAFETY: V's extension is active per this function's contract (FMA when
-    // FAST); every load/store stays within the shared `len` bound checked by
-    // the loop condition, and lane_index holds MAX_LANES >= V::LANES
-    // elements. `n` stays an exact small-integer f64 under repeated +LANES.
-    unsafe {
-        let q_v = V::splat(q);
-        let one_minus_q_v = V::splat(one_minus_q);
-        let q_error_cost_v = V::splat(q_error_cost);
-        let r_plus_c_v = V::splat(r_plus_c);
-        let r_plus_c_q_v = V::splat(r_plus_c_q);
-        let one = V::splat(1.0);
-        let step = V::splat(V::LANES as f64);
-        let mut n_v = V::load(&lane_index);
-        while k + V::LANES <= len {
-            let pi_n = V::load(&tail[k..]);
-            let denominator = if FAST {
-                q_v.mul_add(pi_n, one_minus_q_v)
-            } else {
-                one.sub(q_v.mul(one.sub(pi_n)))
-            };
-            if let Some(costs) = costs.as_deref_mut() {
-                let free_address_probing = r_plus_c_v.mul(n_v).mul(one_minus_q_v);
-                let numerator = if FAST {
-                    let pre = r_plus_c_q_v.mul_add(V::load(&prefix[k..]), free_address_probing);
-                    q_error_cost_v.mul_add(pi_n, pre)
-                } else {
-                    let occupied_address_probing = r_plus_c_q_v.mul(V::load(&prefix[k..]));
-                    let collision_penalty = q_error_cost_v.mul(pi_n);
-                    free_address_probing
-                        .add(occupied_address_probing)
-                        .add(collision_penalty)
-                };
-                numerator.div(denominator).store(&mut costs[k..]);
-            }
-            if let Some(errors) = errors.as_deref_mut() {
-                q_v.mul(pi_n).div(denominator).store(&mut errors[k..]);
-            }
-            n_v = n_v.add(step);
-            k += V::LANES;
-        }
-    }
-    for at in k..len {
-        let n = (at + 1) as f64;
-        let pi_n = tail[at];
-        let denominator = 1.0 - q * (1.0 - pi_n);
-        if let Some(costs) = costs.as_deref_mut() {
-            let free_address_probing = r_plus_c * n * one_minus_q;
-            let occupied_address_probing = r_plus_c_q * prefix[at];
-            let collision_penalty = q_error_cost * pi_n;
-            costs[at] =
-                (free_address_probing + occupied_address_probing + collision_penalty) / denominator;
-        }
-        if let Some(errors) = errors.as_deref_mut() {
-            errors[at] = q * pi_n / denominator;
-        }
-    }
-}
-
 /// The column-parallel blocked cost/error pass: `V::LANES` columns advance in
 /// lockstep, one probe round per step. Lane `l` performs exactly the scalar
 /// per-column program of `cost_block_pass_scalar` — the `0.0`-seeded left-fold
 /// prefix (`prefix += π_{i−1}` on the step that evaluates `i`) and the same
-/// left-associated numerator/denominator — so exact mode stays
-/// `to_bits`-identical per lane while the serially-dependent prefix chains of
-/// `LANES` columns retire concurrently. The probe-count coefficient starts at
-/// `1.0` and advances by `+1.0` per round, which reproduces `i as f64` exactly
+/// left-associated numerator/denominator — so every lane stays
+/// `to_bits`-identical while the serially-dependent prefix chains of `LANES`
+/// columns retire concurrently. The probe-count coefficient starts at `1.0`
+/// and advances by `+1.0` per round, which reproduces `i as f64` exactly
 /// (small integers are exact in f64). Remainder columns (fewer than `LANES`
-/// left) run the scalar program unchanged.
+/// left) are handed to `cost_block_pass_scalar` itself.
 ///
 /// Outputs are r-major (column `j` at `out[j*n_max ..]`), so row stores
 /// scatter lane by lane; gathers and scatters are scalar (no AVX2 gather —
@@ -743,13 +632,13 @@ unsafe fn cost_pass_body<V: LaneVector, const FAST: bool>(
 /// here anyway), only the arithmetic is wide.
 ///
 /// # Safety
-/// Requires `V`'s ISA extension (FMA too when `FAST`); every `tables[j]` must
-/// hold at least `n_max + 1` entries, `r_plus_c`/`r_plus_c_q` one entry per
+/// Requires `V`'s ISA extension; every `tables[j]` must hold at least
+/// `n_max + 1` entries, `r_plus_c`/`r_plus_c_q` one entry per
 /// column, every provided output slice exactly `tables.len() * n_max`, and
 /// `V::LANES <= MAX_LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
+unsafe fn cost_block_pass_body<V: LaneVector>(
     q: f64,
     one_minus_q: f64,
     q_error_cost: f64,
@@ -768,8 +657,8 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
     let mut row = [0.0f64; MAX_LANES];
     let mut out_row = [0.0f64; MAX_LANES];
     let mut c0 = 0;
-    // SAFETY: V's extension is active per this function's contract (FMA when
-    // FAST). Lane loads/stores touch the MAX_LANES >= V::LANES scratch rows;
+    // SAFETY: V's extension is active per this function's contract. Lane
+    // loads/stores touch the MAX_LANES >= V::LANES scratch rows;
     // per-column reads `tables[c0 + l][i]` stay within the caller-asserted
     // `n_max + 1` table length for `i <= n_max` and `c0 + l < n_cols` by the
     // chunk loop condition; output writes land at `(c0 + l) * n_max + i - 1 <
@@ -813,22 +702,13 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
                 // Lane l replays column (c0 + l)'s left fold exactly:
                 // prefix += π_{i−1}, where prev carries last round's π row.
                 prefix = prefix.add(prev);
-                let denominator = if FAST {
-                    q_v.mul_add(pi_n, one_minus_q_v)
-                } else {
-                    one.sub(q_v.mul(one.sub(pi_n)))
-                };
+                let denominator = one.sub(q_v.mul(one.sub(pi_n)));
                 let at = i - 1;
                 if let Some(costs) = costs.as_deref_mut() {
                     let free_address_probing = rpc.mul(n_v).mul(one_minus_q_v);
-                    let numerator = if FAST {
-                        let pre = rpcq.mul_add(prefix, free_address_probing);
-                        q_error_cost_v.mul_add(pi_n, pre)
-                    } else {
-                        free_address_probing
-                            .add(rpcq.mul(prefix))
-                            .add(q_error_cost_v.mul(pi_n))
-                    };
+                    let numerator = free_address_probing
+                        .add(rpcq.mul(prefix))
+                        .add(q_error_cost_v.mul(pi_n));
                     numerator.div(denominator).store(&mut out_row);
                     for (l, &value) in out_row[..V::LANES].iter().enumerate() {
                         // SAFETY: index < n_cols * n_max (caller assert).
@@ -868,9 +748,9 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
             //                 identity on the strictly positive numerator),
             //   error       = q·0 / (1 − q)   = +0.0 exactly,
             //   prefix      += 0              = prefix (frozen).
-            // FAST mode agrees: fma(x, 0, y) = y exactly. So the drain
-            // pays one division per round instead of two, no gathers, and
-            // no prefix fold — on cutoff-heavy grids that is most rounds.
+            // So the drain pays one division per round instead of two, no
+            // gathers, and no prefix fold — on cutoff-heavy grids that is
+            // most rounds.
             if drain_from <= n_max {
                 let denominator = one_minus_q_v;
                 let occupied = rpcq.mul(prefix);
@@ -883,12 +763,10 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
                     let at = i - 1;
                     if let Some(costs) = costs.as_deref_mut() {
                         let free_address_probing = rpc.mul(n_v).mul(one_minus_q_v);
-                        let numerator = if FAST {
-                            rpcq.mul_add(prefix, free_address_probing)
-                        } else {
-                            free_address_probing.add(occupied)
-                        };
-                        numerator.div(denominator).store(&mut out_row);
+                        free_address_probing
+                            .add(occupied)
+                            .div(denominator)
+                            .store(&mut out_row);
                         for (l, &value) in out_row[..V::LANES].iter().enumerate() {
                             // SAFETY: index < n_cols * n_max (caller assert).
                             *costs.get_unchecked_mut((c0 + l) * n_max + at) = value;
@@ -918,33 +796,22 @@ unsafe fn cost_block_pass_body<V: LaneVector, const FAST: bool>(
             c0 += V::LANES;
         }
     }
-    // Remainder columns: the scalar reference program, column by column.
-    for (j, table) in tables.iter().enumerate().skip(c0) {
-        let base = j * n_max;
-        let mut prefix_sum = 0.0f64;
-        for i in 1..=n_max {
-            prefix_sum += table[i - 1];
-            let pi_n = table[i];
-            let at = base + (i - 1);
-            let denominator = 1.0 - q * (1.0 - pi_n);
-            if let Some(costs) = costs.as_deref_mut() {
-                let free_address_probing = r_plus_c[j] * i as f64 * one_minus_q;
-                let occupied_address_probing = r_plus_c_q[j] * prefix_sum;
-                let collision_penalty = q_error_cost * pi_n;
-                costs[at] = (free_address_probing + occupied_address_probing + collision_penalty)
-                    / denominator;
-            }
-            if let Some(errors) = errors.as_deref_mut() {
-                errors[at] = q * pi_n / denominator;
-            }
-            if let Some(prefix) = pi_prefix.as_deref_mut() {
-                prefix[at] = prefix_sum;
-            }
-            if let Some(tail) = pi_n_out.as_deref_mut() {
-                tail[at] = pi_n;
-            }
-        }
-    }
+    // Remainder columns: the scalar reference program itself, on the
+    // r-major tail of every slab.
+    let offset = c0 * n_max;
+    cost_block_pass_scalar(
+        q,
+        one_minus_q,
+        q_error_cost,
+        &r_plus_c[c0..],
+        &r_plus_c_q[c0..],
+        n_max,
+        &tables[c0..],
+        costs.map(|out| &mut out[offset..]),
+        errors.map(|out| &mut out[offset..]),
+        pi_prefix.map(|out| &mut out[offset..]),
+        pi_n_out.map(|out| &mut out[offset..]),
+    );
 }
 
 /// The whole-grid body of `min_cost_grid_scan`: the column loop runs in
@@ -1034,45 +901,30 @@ unsafe fn min_cost_grid_scan_body<V: LaneVector>(
 // ---------------------------------------------------------------------------
 // Feature-gated instantiations. These are the only functions `lib.rs` calls;
 // each carries the runtime-detection obligation in its `# Safety` contract.
-// The AVX2 tier enables `avx2,fma` together (detection requires both), the
-// AVX-512 tier enables `avx512f` (which includes fused multiply-add).
+// The AVX2 tier enables `avx2`, the AVX-512 tier `avx512f`; no body uses
+// fused multiply-add, so neither tier needs `fma`.
 // ---------------------------------------------------------------------------
 
 macro_rules! instantiate {
-    ($avx2:ident, $avx512:ident, $body:ident $(,const $flag:ident)? =>
-        ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
+    ($avx2:ident, $avx512:ident, $body:ident => ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         /// # Safety
-        /// Caller must have runtime-verified AVX2 and FMA support.
-        #[target_feature(enable = "avx2,fma")]
+        /// Caller must have runtime-verified AVX2 support.
+        #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn $avx2($($flag: bool,)? $($arg: $ty),*) $(-> $ret)? {
-            // SAFETY: AVX2+FMA are available per this function's contract;
-            // the generic body only uses F64x4 lane ops.
-            unsafe {
-                instantiate!(@call $body, F64x4 $(,$flag)? => ($($arg),*))
-            }
+        pub(crate) unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
+            // SAFETY: AVX2 is available per this function's contract; the
+            // generic body only uses F64x4 lane ops.
+            unsafe { $body::<F64x4>($($arg),*) }
         }
 
         /// # Safety
         /// Caller must have runtime-verified AVX-512F support.
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        pub(crate) unsafe fn $avx512($($flag: bool,)? $($arg: $ty),*) $(-> $ret)? {
+        pub(crate) unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? {
             // SAFETY: AVX-512F is available per this function's contract; the
             // generic body only uses F64x8 lane ops.
-            unsafe {
-                instantiate!(@call $body, F64x8 $(,$flag)? => ($($arg),*))
-            }
-        }
-    };
-    (@call $body:ident, $vec:ident => ($($arg:ident),*)) => {
-        $body::<$vec>($($arg),*)
-    };
-    (@call $body:ident, $vec:ident, $flag:ident => ($($arg:ident),*)) => {
-        if $flag {
-            $body::<$vec, true>($($arg),*)
-        } else {
-            $body::<$vec, false>($($arg),*)
+            unsafe { $body::<F64x8>($($arg),*) }
         }
     };
 }
@@ -1093,10 +945,7 @@ instantiate!(survival_uniform_avx2, survival_uniform_avx512, survival_uniform_bo
     (lo: f64, hi: f64, mass: f64, survived: f64, width: f64, ts: &mut [f64]));
 instantiate!(survival_weibull_avx2, survival_weibull_avx512, survival_weibull_body =>
     (delay: f64, scale: f64, shape: f64, mass: f64, survived: f64, ts: &mut [f64]));
-instantiate!(cost_pass_avx2, cost_pass_avx512, cost_pass_body, const fast =>
-    (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: f64, r_plus_c_q: f64,
-     prefix: &[f64], tail: &[f64], costs: Option<&mut [f64]>, errors: Option<&mut [f64]>));
-instantiate!(cost_block_pass_avx2, cost_block_pass_avx512, cost_block_pass_body, const fast =>
+instantiate!(cost_block_pass_avx2, cost_block_pass_avx512, cost_block_pass_body =>
     (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: &'_ [f64], r_plus_c_q: &'_ [f64],
      n_max: usize, tables: &'_ [&'_ [f64]], costs: Option<&mut [f64]>, errors: Option<&mut [f64]>,
      pi_prefix: Option<&mut [f64]>, pi_n_out: Option<&mut [f64]>));

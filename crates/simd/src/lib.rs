@@ -8,15 +8,10 @@
 //! `is_x86_feature_detected!` probes) before entering an `unsafe`
 //! feature-gated instantiation, and degrades to the scalar reference loop
 //! otherwise. The scalar loops in this file are the normative programs — the
-//! vector bodies replicate their operation order so the `exact` mode stays
+//! vector bodies replicate their operation order, so every backend is
 //! `to_bits`-identical (proven by the parity suites in `crates/dist` and
-//! `crates/core`).
-//!
-//! Two dispatch modes exist for the cost/error pass: [`Mode::Exact`]
-//! (bit-identical) and [`Mode::Fast`] (fused multiply-adds, reassociated
-//! numerator; ULP-bounded against exact, documented in DESIGN.md). π-table
-//! construction is *always* exact: cached tables are shared across requests
-//! and spilled to disk, so they must be backend- and mode-invariant.
+//! `crates/core`). No body fuses or reassociates: each pass has one float
+//! program, whichever backend runs it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -34,7 +29,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable scalar reference loops.
     Scalar = 0,
-    /// 4-lane `__m256d` (requires AVX2 and FMA).
+    /// 4-lane `__m256d` (requires AVX2).
     Avx2 = 1,
     /// 8-lane `__m512d` (requires AVX-512F).
     Avx512 = 2,
@@ -42,10 +37,6 @@ pub enum Backend {
 
 impl Backend {
     /// Probe the CPU once and return the widest supported tier.
-    ///
-    /// The AVX2 tier also requires FMA (used by [`Mode::Fast`]); the two have
-    /// shipped together on every AVX2-capable x86-64 part, so gating on both
-    /// costs nothing and keeps fast-mode dispatch uniform.
     pub fn detect() -> Backend {
         static DETECTED: OnceLock<Backend> = OnceLock::new();
         *DETECTED.get_or_init(Self::probe)
@@ -55,9 +46,7 @@ impl Backend {
     fn probe() -> Backend {
         if std::arch::is_x86_feature_detected!("avx512f") {
             Backend::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
+        } else if std::arch::is_x86_feature_detected!("avx2") {
             Backend::Avx2
         } else {
             Backend::Scalar
@@ -103,18 +92,6 @@ impl Backend {
     fn effective(self) -> Backend {
         self.min(Self::detect())
     }
-}
-
-/// Rounding discipline for the cost/error pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Mode {
-    /// Operation order matches the scalar kernel; results are
-    /// `to_bits`-identical on every backend.
-    #[default]
-    Exact,
-    /// Fused multiply-adds and a reassociated numerator/denominator; faster,
-    /// bounded-ULP divergence from `Exact` (see the golden tests).
-    Fast,
 }
 
 /// A kernel-selection policy, as expressed on the command line
@@ -177,9 +154,9 @@ fn env_choice() -> Option<KernelChoice> {
     })
 }
 
-/// The per-column scenario constants consumed by [`cost_pass`] and the
-/// selection scan; mirrors `ScenarioFactors` plus the per-column
-/// `r + probe_cost` hoists from `crates/core`.
+/// The per-column scenario constants consumed by the selection scan;
+/// mirrors `ScenarioFactors` plus the per-column `r + probe_cost` hoists
+/// from `crates/core`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnTerms {
     /// Collision probability `q`.
@@ -200,8 +177,8 @@ macro_rules! dispatch {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 // SAFETY: `effective` only returns Avx2 after
-                // `is_x86_feature_detected!` confirmed AVX2 and FMA, which is
-                // exactly the instantiation's contract.
+                // `is_x86_feature_detected!` confirmed AVX2, which is exactly
+                // the instantiation's contract.
                 unsafe { lanes::$avx2($($a2),*) };
                 Backend::Avx2
             }
@@ -395,95 +372,6 @@ pub fn survival_weibull(
     )
 }
 
-/// The column cost/error pass over precomputed π sufficient statistics.
-/// Element `k` is probe count `n = k + 1`; writes any output slice provided.
-/// Returns the backend that ran.
-///
-/// # Panics
-/// When `prefix`, `tail`, or a provided output slice disagree on length.
-pub fn cost_pass(
-    backend: Backend,
-    mode: Mode,
-    terms: ColumnTerms,
-    prefix: &[f64],
-    tail: &[f64],
-    costs: Option<&mut [f64]>,
-    errors: Option<&mut [f64]>,
-) -> Backend {
-    assert_eq!(
-        prefix.len(),
-        tail.len(),
-        "cost_pass statistics must share a length"
-    );
-    if let Some(costs) = costs.as_deref() {
-        assert_eq!(
-            costs.len(),
-            tail.len(),
-            "cost_pass cost slice must share the length"
-        );
-    }
-    if let Some(errors) = errors.as_deref() {
-        assert_eq!(
-            errors.len(),
-            tail.len(),
-            "cost_pass error slice must share the length"
-        );
-    }
-    let fast = mode == Mode::Fast;
-    let ColumnTerms {
-        q,
-        one_minus_q,
-        q_error_cost,
-        r_plus_c,
-        r_plus_c_q,
-    } = terms;
-    dispatch!(
-        backend,
-        cost_pass_avx2(
-            fast,
-            q,
-            one_minus_q,
-            q_error_cost,
-            r_plus_c,
-            r_plus_c_q,
-            prefix,
-            tail,
-            costs,
-            errors
-        ),
-        cost_pass_avx512(
-            fast,
-            q,
-            one_minus_q,
-            q_error_cost,
-            r_plus_c,
-            r_plus_c_q,
-            prefix,
-            tail,
-            costs,
-            errors
-        ),
-        {
-            let mut costs = costs;
-            let mut errors = errors;
-            for (at, (&pi_n, &pi_prefix)) in tail.iter().zip(prefix).enumerate() {
-                let denominator = 1.0 - q * (1.0 - pi_n);
-                if let Some(costs) = costs.as_deref_mut() {
-                    let free_address_probing = r_plus_c * (at + 1) as f64 * one_minus_q;
-                    let occupied_address_probing = r_plus_c_q * pi_prefix;
-                    let collision_penalty = q_error_cost * pi_n;
-                    costs[at] =
-                        (free_address_probing + occupied_address_probing + collision_penalty)
-                            / denominator;
-                }
-                if let Some(errors) = errors.as_deref_mut() {
-                    errors[at] = q * pi_n / denominator;
-                }
-            }
-        }
-    )
-}
-
 /// The scenario-constant (broadcast) factors of the column-parallel
 /// blocked pass [`cost_block_pass`] and of [`min_cost_grid_scan`]; the
 /// per-column `r + c` terms travel as slices (or are formed per column)
@@ -500,12 +388,12 @@ pub struct BlockTerms {
 
 /// Column-parallel cost/error pass over a whole block of π-tables: `LANES`
 /// columns advance in lockstep, one probe round per step, with lane `j`
-/// running *exactly* the scalar per-column program — its own `0.0`-seeded
-/// left-fold π prefix and the same operation association — so exact mode
-/// stays `to_bits`-identical while the serially-dependent prefix chain is
-/// amortized across `LANES` independent columns. This is the structural
-/// win over [`cost_pass`], which pays the full prefix-add latency chain
-/// column by column.
+/// running *exactly* the scalar per-column program of
+/// `cost_block_pass_scalar` — its own `0.0`-seeded left-fold π prefix and
+/// the same operation association — so every backend stays
+/// `to_bits`-identical while the serially-dependent prefix chain is
+/// amortized across `LANES` independent columns. A block of one column is
+/// the single-column pass.
 ///
 /// Outputs are r-major: column `j` occupies `out[j*n_max .. (j+1)*n_max]`.
 /// Returns the backend that ran.
@@ -526,7 +414,6 @@ pub struct BlockTerms {
 #[allow(clippy::too_many_arguments)]
 pub fn cost_block_pass(
     backend: Backend,
-    mode: Mode,
     terms: BlockTerms,
     r_plus_c: &[f64],
     r_plus_c_q: &[f64],
@@ -570,7 +457,6 @@ pub fn cost_block_pass(
             "cost_block_pass outputs must hold n_cols * n_max entries"
         );
     }
-    let fast = mode == Mode::Fast;
     let BlockTerms {
         q,
         one_minus_q,
@@ -579,7 +465,6 @@ pub fn cost_block_pass(
     dispatch!(
         backend,
         cost_block_pass_avx2(
-            fast,
             q,
             one_minus_q,
             q_error_cost,
@@ -593,7 +478,6 @@ pub fn cost_block_pass(
             pi_n_out
         ),
         cost_block_pass_avx512(
-            fast,
             q,
             one_minus_q,
             q_error_cost,
@@ -624,11 +508,13 @@ pub fn cost_block_pass(
     )
 }
 
-/// The normative scalar program of [`cost_block_pass`]: the per-column
-/// single-pass loop of `ColumnKernel`, column by column, r-major. Every
-/// vector body replays exactly this association per lane.
+/// The normative scalar program of [`cost_block_pass`], and the only
+/// scalar copy of the Eq. (3)/(4) column pass: one single pass per column,
+/// threading a `0.0`-seeded running π prefix down the column, r-major.
+/// Every vector body replays exactly this association per lane and runs
+/// this function itself on the columns that do not fill a lane chunk.
 #[allow(clippy::too_many_arguments)]
-fn cost_block_pass_scalar(
+pub(crate) fn cost_block_pass_scalar(
     q: f64,
     one_minus_q: f64,
     q_error_cost: f64,
