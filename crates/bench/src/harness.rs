@@ -64,7 +64,7 @@ pub fn measure<T>(id: &str, samples: usize, mut f: impl FnMut() -> T) -> BenchRe
     for _ in 0..samples.max(1) {
         // One discarded warmup iteration per sample: the timed loop then
         // starts from warm caches and TLBs, so low-iteration rows (e.g.
-        // `engine/warm-mmap/populate`, where calibration picks a handful
+        // `engine/warm-mmap/threads=1`, where calibration picks a handful
         // of iterations) report steady-state throughput instead of
         // averaging a cold first iteration into every sample.
         black_box(f());

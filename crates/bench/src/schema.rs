@@ -31,9 +31,6 @@ pub const ROW_KERNEL_LEGACY: &str = "kernel/legacy-per-n/columns";
 pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
 /// Row label: the warm sweep served entirely from mmap'd spill files.
 pub const ROW_ENGINE_WARM_MMAP: &str = "engine/warm-mmap/threads=1";
-/// Row label: the warm mmap sweep with `MAP_POPULATE` pre-faulting and
-/// huge-page advice on the mappings.
-pub const ROW_ENGINE_WARM_MMAP_POPULATE: &str = "engine/warm-mmap/populate";
 /// Row label: a 64×64 `(E, c)` Pareto frontier against the warm
 /// sufficient-statistic cache (zero π recomputation).
 pub const ROW_FRONTIER_WARM: &str = "engine/frontier/warm";
@@ -208,7 +205,6 @@ mod tests {
         assert!(ROW_STEM_SERVE.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_SERVE_OVERLOAD.starts_with(ROW_STEM_SERVE));
         assert!(ROW_ENGINE_WARM_MMAP.starts_with(ROW_STEM_ENGINE));
-        assert!(ROW_ENGINE_WARM_MMAP_POPULATE.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_KERNEL_BLOCK_SIMD.starts_with("kernel/block/"));
         assert!(ROW_FRONTIER_WARM.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_FRONTIER_RECOMPUTE.starts_with(ROW_STEM_ENGINE));

@@ -11,7 +11,7 @@
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
 //! zeroconf engine    [--workers N] [--cache N] [--cache-dir PATH] [--inflight N]
-//!                    [--kernel scalar|simd|auto] [--populate] [--stats]
+//!                    [--kernel scalar|simd|auto] [--mmap] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
 //!                    # socket daemon: many clients, one shared engine
@@ -169,49 +169,42 @@ struct EngineOptions {
     cache_tables: usize,
     cache_dir: Option<std::path::PathBuf>,
     mmap_spills: bool,
-    populate: bool,
     kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
 }
 
+/// The `engine` subcommand's bare switches and value flags.
+const ENGINE_SWITCHES: [&str; 2] = ["stats", "mmap"];
+const ENGINE_VALUE_FLAGS: [&str; 5] = ["workers", "cache", "cache-dir", "inflight", "kernel"];
+
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
-    // `--stats`, `--mmap` and `--populate` are bare switches; strip them
-    // before the value-flag parser.
-    let mut emit_stats = false;
-    let mut mmap_spills = false;
-    let mut populate = false;
-    let positional: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--stats" => {
-                emit_stats = true;
-                false
+    // Unknown names are reported first: parsed as value flags, a stray
+    // `--name` would be blamed for a missing value or swallow the next
+    // flag as one.
+    let mut unknown = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.strip_prefix("--") {
+            Some(name) if ENGINE_VALUE_FLAGS.contains(&name) => {
+                iter.next();
             }
-            "--mmap" => {
-                mmap_spills = true;
-                false
-            }
-            "--populate" => {
-                populate = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
-    let flags = Flags::parse(&positional)?;
-    let unknown = flags.unknown_flags(&[
-        "workers",
-        "cache",
-        "cache-dir",
-        "inflight",
-        "mmap",
-        "kernel",
-    ]);
+            Some(name) if !ENGINE_SWITCHES.contains(&name) => unknown.push(arg.as_str()),
+            _ => {}
+        }
+    }
     if !unknown.is_empty() {
         return Err(err(format!("unknown flags: {}", unknown.join(", "))));
     }
+    // The switches take no value; strip them before the value-flag parser.
+    let emit_stats = args.iter().any(|a| a == "--stats");
+    let mmap_spills = args.iter().any(|a| a == "--mmap");
+    let positional: Vec<String> = args
+        .iter()
+        .filter(|a| !matches!(a.as_str(), "--stats" | "--mmap"))
+        .cloned()
+        .collect();
+    let flags = Flags::parse(&positional)?;
     let defaults = zeroconf_engine::EngineConfig::default();
     Ok(EngineOptions {
         workers: flags
@@ -222,7 +215,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
             .map_or(defaults.cache_tables, |c| c as usize),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
         mmap_spills,
-        populate,
         kernel: parse_kernel_flag(flags.get("kernel"))?,
         inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
         emit_stats,
@@ -260,7 +252,6 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         cache_tables: options.cache_tables.max(1),
         cache_dir: options.cache_dir.clone(),
         mmap_spills: options.mmap_spills,
-        populate: options.populate,
         kernel: options.kernel,
         ..zeroconf_engine::EngineConfig::default()
     });
@@ -383,9 +374,9 @@ pub fn usage() -> String {
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
      \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH] [--mmap]\n\
-     \u{20}          [--populate] [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
+     \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--cache-dir PATH] [--mmap] [--populate] [--kernel scalar|simd|auto]\n\
+     \u{20}         [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
      \u{20}         [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
@@ -776,6 +767,24 @@ mod tests {
     fn engine_rejects_unknown_flags() {
         let e = engine_process("", &args("--bogus 1")).unwrap_err();
         assert!(e.0.contains("--bogus"), "{}", e.0);
+    }
+
+    #[test]
+    fn engine_reports_unknown_flags_before_reading_values() {
+        for line in [
+            "--bogus",
+            "--bogus --workers 2",
+            "--workers 2 --bogus",
+            "--stats --bogus --mmap",
+        ] {
+            let e = engine_process("", &args(line)).unwrap_err();
+            assert_eq!(e.0, "unknown flags: --bogus", "{line}");
+        }
+        let e = engine_process("", &args("--bogus --workers 2 --junk")).unwrap_err();
+        assert_eq!(e.0, "unknown flags: --bogus, --junk");
+        // A known flag is still held to its value.
+        let e = engine_process("", &args("--workers")).unwrap_err();
+        assert!(e.0.contains("--workers requires a value"), "{}", e.0);
     }
 
     #[test]

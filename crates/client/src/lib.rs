@@ -34,9 +34,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
-#[cfg(unix)]
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -345,7 +343,6 @@ impl Response {
 /// side wrapped in a [`BufReader`]).
 enum Stream {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
@@ -353,7 +350,6 @@ impl Stream {
     fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(Some(timeout)),
-            #[cfg(unix)]
             Stream::Unix(s) => s.set_read_timeout(Some(timeout)),
         }
     }
@@ -361,7 +357,6 @@ impl Stream {
     fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            #[cfg(unix)]
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
         })
     }
@@ -369,7 +364,6 @@ impl Stream {
     fn shutdown_write(&self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-            #[cfg(unix)]
             Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
         }
     }
@@ -379,7 +373,6 @@ impl io::Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.read(buf),
         }
     }
@@ -389,7 +382,6 @@ impl io::Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
         }
     }
@@ -397,7 +389,6 @@ impl io::Write for Stream {
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
         }
     }
@@ -430,7 +421,6 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Io`] if the connection cannot be established.
-    #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> Result<Client> {
         let stream = UnixStream::connect(path)?;
         Client::from_stream(Stream::Unix(stream))
@@ -854,7 +844,6 @@ mod tests {
         assert_eq!(response.error(), None);
     }
 
-    #[cfg(unix)]
     #[test]
     fn waits_buffer_out_of_order_responses() {
         use std::os::unix::net::UnixListener;

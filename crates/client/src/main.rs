@@ -49,15 +49,9 @@ impl Target {
             Target::Tcp(addr) => {
                 Client::connect_tcp(addr).map_err(|e| format!("connect {addr}: {e}"))
             }
-            #[cfg(unix)]
             Target::Unix(path) => {
                 Client::connect_unix(path).map_err(|e| format!("connect {}: {e}", path.display()))
             }
-            #[cfg(not(unix))]
-            Target::Unix(path) => Err(format!(
-                "unix socket {} unsupported on this platform",
-                path.display()
-            )),
         }
     }
 }

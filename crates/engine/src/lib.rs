@@ -56,6 +56,17 @@
 // sit in its own block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+// The one platform guard of the workspace. The spill mappings serve the
+// on-disk little-endian f64 slab in place, and the serve reactor, the
+// signal hook and the mappings call the Linux ABI directly; every crate
+// that builds on the engine inherits this target.
+#[cfg(not(all(
+    target_os = "linux",
+    target_endian = "little",
+    target_pointer_width = "64"
+)))]
+compile_error!("zeroconf-engine builds for 64-bit little-endian Linux only");
+
 pub mod api;
 mod cache;
 pub mod pipeline;
@@ -115,9 +126,7 @@ pub struct EngineConfig {
     pub cache_dir: Option<PathBuf>,
     /// Serve warm spill hits from read-only memory mappings of the spill
     /// files (zero-copy) instead of reading them into owned buffers.
-    /// Only meaningful with `cache_dir` set; on platforms without the
-    /// mapping fast path (non-unix, big-endian, 32-bit) the engine
-    /// silently falls back to owned reads. Spill files themselves are
+    /// Only meaningful with `cache_dir` set. Spill files themselves are
     /// identical either way.
     pub mmap_spills: bool,
     /// Sweeps estimated below this many equivalent warm cells run on the
@@ -133,12 +142,6 @@ pub struct EngineConfig {
     /// environment variable. Results are bit-identical across choices;
     /// this is purely a speed/diagnostics knob.
     pub kernel: KernelChoice,
-    /// Pre-fault and huge-page-hint the warm memory path: spill-file
-    /// mappings are created with `MAP_POPULATE` and advised
-    /// `MADV_HUGEPAGE`, and the sufficient-statistic slabs behind
-    /// parametric verbs get the same huge-page advice. Off by default;
-    /// a silent no-op on platforms without those hints.
-    pub populate: bool,
 }
 
 impl Default for EngineConfig {
@@ -152,7 +155,6 @@ impl Default for EngineConfig {
             mmap_spills: false,
             small_sweep_cells: 65_536,
             kernel: KernelChoice::Auto,
-            populate: false,
         }
     }
 }
@@ -258,9 +260,6 @@ pub struct Engine {
     /// `backend` and can only go down (a distribution without a
     /// vectorized batch honestly reports scalar).
     dist_floor: AtomicU8,
-    /// Whether sufficient-statistic slabs get huge-page advice
-    /// ([`EngineConfig::populate`]).
-    populate: bool,
     /// Single-slot cache of the most recent sufficient-statistic
     /// landscape, keyed by distribution fingerprint (the grid is compared
     /// against the landscape itself). A warm parametric verb skips even
@@ -364,12 +363,10 @@ impl Engine {
                 config.cache_tables,
                 config.cache_dir,
                 config.mmap_spills,
-                config.populate,
             )),
             small_sweep_cells: config.small_sweep_cells.max(1),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
-            populate: config.populate,
             landscape: Mutex::new(None),
             ewma_cell_nanos: AtomicU64::new(0),
             ewma_pi_ratio: AtomicU64::new(0),
@@ -647,14 +644,6 @@ impl Engine {
             .pi_prefix
             .expect("statistic job fills the π-prefix slab");
         let pi_n = buffers.pi_n.expect("statistic job fills the π_n slab");
-        if self.populate {
-            // The statistic slabs are re-scanned by every parametric verb
-            // over their whole length; huge pages cut the TLB cost of
-            // those scans. Advice only — placement already happened at
-            // first touch.
-            cache::advise_huge_f64(&pi_prefix);
-            cache::advise_huge_f64(&pi_n);
-        }
         let landscape = Arc::new(ParamLandscape::from_parts(
             grid.n_max,
             grid.r_values.clone(),

@@ -78,8 +78,8 @@ impl PipelineConfig {
 
 /// A callback executor threads invoke right after a [`Completion`] lands
 /// in the channel. Readiness-driven consumers (the `zeroconf serve`
-/// reactor) register one to get woken — typically by writing to an
-/// eventfd or self-pipe — instead of polling the pipeline on a timer.
+/// reactor) register one to get woken — the reactor's writes to its
+/// eventfd — instead of polling the pipeline on a timer.
 /// The callback runs on an executor thread, so it must be cheap and
 /// must never block on the consumer side.
 pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;

@@ -346,123 +346,6 @@ impl Job {
     }
 }
 
-/// Best-effort NUMA awareness for the worker threads.
-///
-/// On multi-node Linux hosts each background worker is pinned to the CPUs
-/// of one node (round-robin over nodes, offset by one so the caller's node
-/// is not doubly loaded first). The result slabs are allocated zeroed
-/// ([`SoaBuffer::new`] uses `alloc_zeroed`, i.e. untouched kernel zero
-/// pages), so a chunk's pages are physically placed on first *write* —
-/// which, with pinning, is the node of the worker that claimed the chunk.
-/// That is first-touch placement without any allocator support. On
-/// single-node hosts (and non-Linux platforms) nothing is pinned and the
-/// whole module is a no-op.
-#[cfg(target_os = "linux")]
-mod affinity {
-    /// Bits for 1024 CPUs — the size glibc's `cpu_set_t` has used since
-    /// Linux 2.6; kernels with fewer CPUs accept any length ≥ their mask.
-    const MASK_WORDS: usize = 16;
-
-    extern "C" {
-        /// `sched_setaffinity(2)` via glibc; `pid == 0` targets the
-        /// calling thread.
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    /// The CPU lists of the online NUMA nodes, parsed from sysfs. An
-    /// empty vector (sysfs missing or unreadable) disables pinning.
-    pub(super) fn numa_nodes() -> Vec<Vec<usize>> {
-        let entries = match std::fs::read_dir("/sys/devices/system/node") {
-            Ok(entries) => entries,
-            Err(_) => return Vec::new(),
-        };
-        let mut nodes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(id) = name.strip_prefix("node").and_then(|n| n.parse().ok()) else {
-                continue;
-            };
-            let Ok(list) = std::fs::read_to_string(entry.path().join("cpulist")) else {
-                continue;
-            };
-            let cpus = parse_cpu_list(list.trim());
-            if !cpus.is_empty() {
-                nodes.push((id, cpus));
-            }
-        }
-        nodes.sort_by_key(|(id, _)| *id);
-        nodes.into_iter().map(|(_, cpus)| cpus).collect()
-    }
-
-    /// Parses the kernel's cpulist format (`"0-3,8,10-11"`).
-    fn parse_cpu_list(list: &str) -> Vec<usize> {
-        let mut cpus = Vec::new();
-        for part in list.split(',').filter(|p| !p.is_empty()) {
-            match part.split_once('-') {
-                Some((lo, hi)) => {
-                    if let (Ok(lo), Ok(hi)) =
-                        (lo.trim().parse::<usize>(), hi.trim().parse::<usize>())
-                    {
-                        cpus.extend(lo..=hi.min(lo + 4096));
-                    }
-                }
-                None => {
-                    if let Ok(cpu) = part.trim().parse() {
-                        cpus.push(cpu);
-                    }
-                }
-            }
-        }
-        cpus
-    }
-
-    /// Pins the calling thread to `cpus`, best effort: an empty or
-    /// out-of-range mask, or a kernel refusal (e.g. a cpuset that forbids
-    /// those CPUs), leaves the thread where it was.
-    pub(super) fn pin_current_thread(cpus: &[usize]) {
-        let mut mask = [0u64; MASK_WORDS];
-        let mut any = false;
-        for &cpu in cpus {
-            if cpu < MASK_WORDS * 64 {
-                mask[cpu / 64] |= 1 << (cpu % 64);
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
-        // SAFETY: `mask` is a live, properly aligned buffer of
-        // `MASK_WORDS` u64s for the whole call and `cpusetsize` states
-        // exactly its byte length, so the kernel reads only memory we
-        // own; pid 0 addresses the calling thread, and the call has no
-        // other memory effects. Failure is deliberately ignored.
-        let _ = unsafe { sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr()) };
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::parse_cpu_list;
-
-        #[test]
-        fn cpu_list_parsing_handles_ranges_and_singletons() {
-            assert_eq!(parse_cpu_list("0-3,8,10-11"), vec![0, 1, 2, 3, 8, 10, 11]);
-            assert_eq!(parse_cpu_list("7"), vec![7]);
-            assert_eq!(parse_cpu_list(""), Vec::<usize>::new());
-            assert_eq!(parse_cpu_list("junk,3-x"), Vec::<usize>::new());
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod affinity {
-    pub(super) fn numa_nodes() -> Vec<Vec<usize>> {
-        Vec::new()
-    }
-
-    pub(super) fn pin_current_thread(_cpus: &[usize]) {}
-}
-
 /// The persistent background threads. Jobs are broadcast as `Arc`s to
 /// every worker; idle workers find the cursor exhausted and go back to
 /// waiting, so broadcasting to more workers than the job needs is free.
@@ -472,28 +355,17 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `background` worker threads (may be zero). On hosts with
-    /// more than one NUMA node each worker is pinned to one node's CPUs
-    /// (see [`affinity`]); with zero or one node the spawn loop is
-    /// unchanged.
+    /// Spawns `background` worker threads (may be zero).
     pub(crate) fn new(background: usize) -> WorkerPool {
-        let nodes = affinity::numa_nodes();
         let mut senders = Vec::with_capacity(background);
         let mut handles = Vec::with_capacity(background);
         for worker in 0..background {
             let (tx, rx) = channel::<Arc<Job>>();
             senders.push(tx);
-            // Round-robin over nodes, starting at node 1: the caller
-            // (worker 0) already runs somewhere on node 0's default
-            // placement, so the first spawned worker takes the next node.
-            let node_cpus = (nodes.len() > 1).then(|| nodes[(worker + 1) % nodes.len()].clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("zeroconf-engine-{worker}"))
                     .spawn(move || {
-                        if let Some(cpus) = node_cpus {
-                            affinity::pin_current_thread(&cpus);
-                        }
                         // Worker ids start at 1; 0 is the calling thread.
                         while let Ok(job) = rx.recv() {
                             job.run(worker + 1);

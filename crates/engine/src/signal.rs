@@ -10,10 +10,9 @@
 //!
 //! The module is deliberately minimal and one-directional: handlers are
 //! installed once per process ([`install_termination_handler`] is
-//! idempotent) and never uninstalled, and the flag is never cleared. On
-//! non-unix targets installation reports `false` and the flag can only be
-//! raised from within the process via [`raise_termination`] (which is
-//! also how tests drive drain paths without delivering a real signal).
+//! idempotent) and never uninstalled, and the flag is never cleared.
+//! [`raise_termination`] raises the flag from within the process, which
+//! is how tests drive drain paths without delivering a real signal.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -41,12 +40,10 @@ pub fn raise_termination() {
     TERMINATION.store(true, Ordering::Relaxed);
 }
 
-#[cfg(unix)]
 mod sys {
     use std::ffi::c_int;
 
-    /// POSIX-mandated signal numbers (identical across the unix targets
-    /// this workspace builds on).
+    /// POSIX-mandated signal numbers.
     pub(super) const SIGINT: c_int = 2;
     pub(super) const SIGTERM: c_int = 15;
 
@@ -73,41 +70,31 @@ mod sys {
 }
 
 /// Installs `SIGTERM` and `SIGINT` handlers that raise the termination
-/// flag. Returns whether handlers are in place after the call: `true` on
-/// unix (including when a previous call already installed them), `false`
-/// on non-unix targets, where only [`raise_termination`] can raise the
-/// flag.
+/// flag. Returns whether handlers are in place after the call (`true`
+/// also when a previous call already installed them); `false` only if
+/// `signal(2)` refused.
 ///
 /// Installation is process-global and idempotent; there is no uninstall.
 pub fn install_termination_handler() -> bool {
-    #[cfg(unix)]
-    {
-        // ORDERING: SeqCst on the installation latch — installs are
-        // once-per-process and cold, so the strongest ordering costs
-        // nothing and makes the winner-installs reasoning trivial.
-        if INSTALLED.swap(true, Ordering::SeqCst) {
-            return true;
-        }
-        let handler = sys::on_termination as *const () as usize;
-        // SAFETY: `signal(2)` is called with a valid POSIX signal number
-        // and the address of an `extern "C" fn(c_int)` handler whose body
-        // is a single relaxed atomic store into a `'static` — an
-        // async-signal-safe action. The handler never unwinds (no panic
-        // paths) and stays valid for process lifetime (it is a static
-        // function). Replacing the previous disposition is the documented
-        // intent of this module.
-        let term = unsafe { sys::signal(sys::SIGTERM, handler) };
-        // SAFETY: same contract as the SIGTERM installation above, for
-        // SIGINT (interactive ^C gets the same graceful drain).
-        let int = unsafe { sys::signal(sys::SIGINT, handler) };
-        term != sys::sig_err() && int != sys::sig_err()
+    // ORDERING: SeqCst on the installation latch — installs are
+    // once-per-process and cold, so the strongest ordering costs
+    // nothing and makes the winner-installs reasoning trivial.
+    if INSTALLED.swap(true, Ordering::SeqCst) {
+        return true;
     }
-    #[cfg(not(unix))]
-    {
-        // ORDERING: same once-per-process latch as the unix arm.
-        let _ = INSTALLED.swap(true, Ordering::SeqCst);
-        false
-    }
+    let handler = sys::on_termination as *const () as usize;
+    // SAFETY: `signal(2)` is called with a valid POSIX signal number
+    // and the address of an `extern "C" fn(c_int)` handler whose body
+    // is a single relaxed atomic store into a `'static` — an
+    // async-signal-safe action. The handler never unwinds (no panic
+    // paths) and stays valid for process lifetime (it is a static
+    // function). Replacing the previous disposition is the documented
+    // intent of this module.
+    let term = unsafe { sys::signal(sys::SIGTERM, handler) };
+    // SAFETY: same contract as the SIGTERM installation above, for
+    // SIGINT (interactive ^C gets the same graceful drain).
+    let int = unsafe { sys::signal(sys::SIGINT, handler) };
+    term != sys::sig_err() && int != sys::sig_err()
 }
 
 #[cfg(test)]
@@ -125,7 +112,6 @@ mod tests {
         assert!(termination_requested(), "raising twice stays raised");
     }
 
-    #[cfg(unix)]
     #[test]
     fn installation_is_idempotent() {
         assert!(install_termination_handler());

@@ -9,24 +9,21 @@
 //! pipelines hundreds of sweeps cannot starve one that sends a single
 //! request, no matter how the permits are sized.
 //!
-//! The queue holds at most one entry per connection (each connection is
-//! served by exactly one handler thread, and [`FairBudget::acquire_for`]
-//! is synchronous), so "front of the queue" is well-defined per client.
-//! Waiting is bounded: `acquire_for` returns after a timeout *without
-//! giving up the queue position*, letting the handler poll its own
-//! completions — which is what releases permits — between attempts. This
-//! is also what makes the scheme deadlock-free: a connection whose own
-//! pending requests hold every permit keeps cycling between a timed-out
-//! acquire and a poll that frees slots.
+//! Admission never waits: the serve reactor runs every connection on one
+//! event-loop thread, so [`FairBudget::try_acquire`] answers at once. A
+//! refused connection keeps its queue position (the queue holds at most
+//! one entry per connection) and asks again on a later loop iteration.
+//! Permits are released by the same loop as it polls completions, so a
+//! retry follows promptly. This is also what makes the scheme
+//! deadlock-free: a connection whose own pending requests hold every
+//! permit keeps polling the completions that free them.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 /// The shared permit pool plus the connection admission queue.
 pub struct FairBudget {
     state: Mutex<State>,
-    changed: Condvar,
     capacity: usize,
 }
 
@@ -51,7 +48,6 @@ impl FairBudget {
                 available: capacity,
                 queue: VecDeque::new(),
             }),
-            changed: Condvar::new(),
             capacity,
         }
     }
@@ -68,49 +64,23 @@ impl FairBudget {
         lock(&self.state).available
     }
 
-    /// Tries to acquire one permit for `conn`, waiting at most `timeout`.
+    /// Tries to acquire one permit for `conn`, without waiting.
     ///
-    /// The connection is enqueued on first call and **stays enqueued
-    /// across timeouts**, keeping its position while the caller goes off
-    /// to poll completions; a later call resumes the same wait. Returns
-    /// `true` when a permit was granted (the connection leaves the
-    /// queue), `false` on timeout.
-    pub fn acquire_for(&self, conn: u64, timeout: Duration) -> bool {
+    /// Enqueues `conn` on first call and grants a permit only when `conn`
+    /// is at the queue front with a permit free; the connection then
+    /// leaves the queue. On `false` the connection **stays queued**,
+    /// keeping its round-robin position for the next attempt.
+    pub fn try_acquire(&self, conn: u64) -> bool {
         let mut state = lock(&self.state);
         if !state.queue.contains(&conn) {
             state.queue.push_back(conn);
         }
-        let mut remaining = timeout;
-        loop {
-            if state.queue.front() == Some(&conn) && state.available > 0 {
-                state.available -= 1;
-                state.queue.pop_front();
-                // The next queued connection may now be at the front.
-                self.changed.notify_all();
-                return true;
-            }
-            if remaining.is_zero() {
-                return false;
-            }
-            let wait = remaining.min(Duration::from_millis(20));
-            remaining = remaining.saturating_sub(wait);
-            state = self
-                .changed
-                .wait_timeout(state, wait)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+        if state.queue.front() != Some(&conn) || state.available == 0 {
+            return false;
         }
-    }
-
-    /// Non-blocking admission for readiness-driven callers: the serve
-    /// reactor runs every connection on one event-loop thread and must
-    /// never sleep on the budget. Enqueues `conn` on first call and
-    /// grants a permit only when `conn` is at the queue front with a
-    /// permit free; on `false` the connection **stays queued**, keeping
-    /// its round-robin position for the next loop iteration (permits are
-    /// released from the same loop, so a retry follows promptly).
-    pub fn try_acquire(&self, conn: u64) -> bool {
-        self.acquire_for(conn, Duration::ZERO)
+        state.available -= 1;
+        state.queue.pop_front();
+        true
     }
 
     /// Returns one permit to the pool.
@@ -127,15 +97,12 @@ impl FairBudget {
         }
         let mut state = lock(&self.state);
         state.available = (state.available + n).min(self.capacity);
-        self.changed.notify_all();
     }
 
     /// Removes `conn` from the admission queue (connection teardown, or
     /// stepping out while output backpressure gates admission). Idempotent.
     pub fn leave(&self, conn: u64) {
-        let mut state = lock(&self.state);
-        state.queue.retain(|&c| c != conn);
-        self.changed.notify_all();
+        lock(&self.state).queue.retain(|&c| c != conn);
     }
 }
 
@@ -143,16 +110,14 @@ impl FairBudget {
 mod tests {
     use super::*;
 
-    const TICK: Duration = Duration::from_millis(5);
-
     #[test]
     fn permits_are_granted_up_to_capacity() {
         let budget = FairBudget::new(2);
-        assert!(budget.acquire_for(1, TICK));
-        assert!(budget.acquire_for(1, TICK));
-        assert!(!budget.acquire_for(1, TICK), "third permit must time out");
+        assert!(budget.try_acquire(1));
+        assert!(budget.try_acquire(1));
+        assert!(!budget.try_acquire(1), "no third permit");
         budget.release();
-        assert!(budget.acquire_for(1, TICK));
+        assert!(budget.try_acquire(1));
         budget.release_many(2);
         assert_eq!(budget.available(), 2);
     }
@@ -160,34 +125,9 @@ mod tests {
     #[test]
     fn front_of_queue_goes_first() {
         let budget = FairBudget::new(1);
-        assert!(budget.acquire_for(1, TICK));
-        // Both wait; conn 2 queued first, so after a release conn 2 wins
-        // even when conn 3 retries first.
-        assert!(!budget.acquire_for(2, TICK));
-        assert!(!budget.acquire_for(3, TICK));
-        budget.release();
-        assert!(!budget.acquire_for(3, TICK), "conn 3 is behind conn 2");
-        assert!(budget.acquire_for(2, TICK));
-        budget.release();
-        assert!(budget.acquire_for(3, TICK));
-    }
-
-    #[test]
-    fn leaving_the_queue_unblocks_the_next_connection() {
-        let budget = FairBudget::new(1);
-        assert!(budget.acquire_for(1, TICK));
-        assert!(!budget.acquire_for(2, TICK));
-        assert!(!budget.acquire_for(3, TICK));
-        budget.leave(2);
-        budget.release();
-        assert!(budget.acquire_for(3, TICK), "conn 3 moves up when 2 leaves");
-    }
-
-    #[test]
-    fn try_acquire_never_blocks_and_keeps_queue_position() {
-        let budget = FairBudget::new(1);
         assert!(budget.try_acquire(1));
-        // Pool empty: both fail instantly but stay queued in ask order.
+        // Pool empty: both are refused but stay queued in ask order, so
+        // after a release conn 2 wins even when conn 3 retries first.
         assert!(!budget.try_acquire(2));
         assert!(!budget.try_acquire(3));
         budget.release();
@@ -198,20 +138,20 @@ mod tests {
     }
 
     #[test]
+    fn leaving_the_queue_unblocks_the_next_connection() {
+        let budget = FairBudget::new(1);
+        assert!(budget.try_acquire(1));
+        assert!(!budget.try_acquire(2));
+        assert!(!budget.try_acquire(3));
+        budget.leave(2);
+        budget.release();
+        assert!(budget.try_acquire(3), "conn 3 moves up when 2 leaves");
+    }
+
+    #[test]
     fn release_is_capped_at_capacity() {
         let budget = FairBudget::new(2);
         budget.release_many(10);
         assert_eq!(budget.available(), 2);
-    }
-
-    #[test]
-    fn cross_thread_handoff_wakes_a_waiter() {
-        let budget = std::sync::Arc::new(FairBudget::new(1));
-        assert!(budget.acquire_for(1, TICK));
-        let clone = std::sync::Arc::clone(&budget);
-        let waiter = std::thread::spawn(move || clone.acquire_for(2, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        budget.release();
-        assert!(waiter.join().unwrap(), "waiter granted after release");
     }
 }

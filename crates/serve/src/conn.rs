@@ -41,6 +41,8 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use zeroconf_engine::wire::{self, Json, PipelinedSession};
@@ -80,15 +82,13 @@ const MAX_READ_CHUNKS: usize = 16;
 /// `as_raw_fd`), not the old `ClientStream` trait object.
 pub(crate) enum ClientSocket {
     Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
+    Unix(UnixStream),
 }
 
 impl ClientSocket {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             ClientSocket::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s.read(buf),
         }
     }
@@ -96,7 +96,6 @@ impl ClientSocket {
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         match self {
             ClientSocket::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s.write_vectored(bufs),
         }
     }
@@ -109,7 +108,6 @@ impl ClientSocket {
                 .write_all(line.as_bytes())
                 .and_then(|()| s.write_all(b"\n"))
                 .and_then(|()| s.flush()),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s
                 .write_all(line.as_bytes())
                 .and_then(|()| s.write_all(b"\n"))
@@ -118,9 +116,16 @@ impl ClientSocket {
         let _ = result;
     }
 
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> crate::reactor::RawFd {
-        use std::os::unix::io::AsRawFd;
+    /// Switches an admitted socket to nonblocking mode: `accept(2)`
+    /// does not inherit the listener's flags.
+    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            ClientSocket::Tcp(s) => s.set_nonblocking(true),
+            ClientSocket::Unix(s) => s.set_nonblocking(true),
+        }
+    }
+
+    pub(crate) fn raw_fd(&self) -> RawFd {
         match self {
             ClientSocket::Tcp(s) => s.as_raw_fd(),
             ClientSocket::Unix(s) => s.as_raw_fd(),
@@ -302,8 +307,7 @@ impl Connection {
         self.socket.take()
     }
 
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> Option<crate::reactor::RawFd> {
+    pub(crate) fn raw_fd(&self) -> Option<RawFd> {
         self.socket.as_ref().map(ClientSocket::raw_fd)
     }
 
@@ -749,7 +753,6 @@ mod tests {
         assert_eq!(chunk.last(), Some(&b'\n'));
     }
 
-    #[cfg(unix)]
     #[test]
     fn outbuf_flushes_through_a_real_socket() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -773,6 +776,19 @@ mod tests {
         got.clear();
         std::io::BufRead::read_line(&mut reader, &mut got).unwrap();
         assert_eq!(got, "beta\n");
+    }
+
+    #[test]
+    fn set_nonblocking_makes_reads_return_would_block() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _client = std::net::TcpStream::connect(addr).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let mut socket = ClientSocket::Tcp(server);
+        socket.set_nonblocking().unwrap();
+        let mut buf = [0u8; 8];
+        let err = socket.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {

@@ -9,10 +9,11 @@
 //! - **Listeners**: any number of TCP and Unix-domain sockets
 //!   ([`Endpoint`]), each driven by one readiness event loop — a
 //!   reactor thread multiplexing the nonblocking listener and every
-//!   accepted connection through a minimal vendored `epoll(7)` shim
-//!   (`poll(2)` fallback off Linux; see the `reactor` module), with a
-//!   connection bound enforced at accept time (`--max-conns`; excess
-//!   connections receive one refusal line and are closed).
+//!   accepted connection through a minimal vendored `epoll(7)` shim (the
+//!   `reactor` module), with a connection bound enforced at accept time
+//!   (`--max-conns`; excess connections receive one refusal line and are
+//!   closed). A Unix socket path is only taken over when the socket on it
+//!   is stale; a live daemon's socket or any other file is refused.
 //! - **Sessions**: every connection gets its own
 //!   [`PipelinedSession`](zeroconf_engine::wire::PipelinedSession) over
 //!   the one shared [`Engine`](zeroconf_engine::Engine) `Arc` — π-tables
@@ -22,7 +23,7 @@
 //!   connections). Sessions are created lazily on the first request
 //!   line, so established-but-idle connections cost no executor
 //!   threads; engine completions wake the owning event loop through an
-//!   `eventfd`/self-pipe handle.
+//!   `eventfd` handle.
 //! - **Fairness and backpressure**: admission into the engine is
 //!   governed by a global in-flight budget ([`FairBudget`],
 //!   `--inflight`) granted round-robin across asking connections — a
@@ -47,8 +48,8 @@
 //! and the fairness/drain semantics in detail.
 
 // The `reactor` module is this crate's only unsafe surface (vendored
-// epoll/poll FFI); everything else stays panic-free safe Rust, enforced
-// by `zeroconf audit`.
+// epoll/eventfd FFI); everything else stays panic-free safe Rust,
+// enforced by `zeroconf audit`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod budget;
@@ -152,7 +153,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
     /// endpoints plus `--workers N`, `--cache TABLES`, `--cache-dir
-    /// PATH`, `--mmap`, `--populate`, `--kernel scalar|simd|auto`,
+    /// PATH`, `--mmap`, `--kernel scalar|simd|auto`,
     /// `--inflight N` and `--max-conns N`. The parsed config follows
     /// process signals (it is the daemon entry path).
     ///
@@ -188,7 +189,6 @@ impl ServeConfig {
                         Some(std::path::PathBuf::from(value_of("cache-dir")?));
                 }
                 "--mmap" => config.engine.mmap_spills = true,
-                "--populate" => config.engine.populate = true,
                 "--kernel" => {
                     let raw = value_of("kernel")?;
                     config.engine.kernel =
@@ -231,7 +231,7 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--cache-dir PATH] [--mmap] [--populate] [--kernel scalar|simd|auto]\n\
+     \u{20}      [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
      \u{20}      [--inflight N] [--max-conns N]"
         .to_owned()
 }
@@ -387,7 +387,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --mmap --populate --kernel scalar --inflight 6 --max-conns 9",
+             --mmap --kernel scalar --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -399,7 +399,6 @@ mod tests {
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
         assert!(config.engine.mmap_spills);
-        assert!(config.engine.populate);
         assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);

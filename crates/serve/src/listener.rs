@@ -1,7 +1,7 @@
 //! Listening endpoints and their readiness-driven event loops.
 //!
 //! One reactor thread per bound socket runs [`EndpointLoop::run`]: a
-//! single `epoll`/`poll` wait ([`crate::reactor`]) multiplexes the
+//! single `epoll` wait ([`crate::reactor`]) multiplexes the
 //! nonblocking listener, every accepted connection, and the completion
 //! wakeup handle, so a thousand established connections cost file
 //! descriptors and buffers — not threads. The loop's tick is bounded
@@ -21,13 +21,16 @@
 //! what makes SIGTERM lossless: the process only exits after every
 //! connection has flushed its in-flight responses.
 //!
-//! Unix-domain sockets are bound fresh: a stale socket file from a
-//! previous process is removed before binding, and the file is unlinked
-//! again when the loop ends.
+//! A Unix-domain socket path is only taken over when the socket on it is
+//! stale ([`claim_socket_path`]), and the file is unlinked again when the
+//! loop ends.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::fs::FileTypeExt;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,20 +75,20 @@ const MAX_WAIT_FAILURES: u32 = 64;
 pub enum Endpoint {
     /// A TCP address, e.g. `127.0.0.1:7373` (port `0` picks one).
     Tcp(String),
-    /// A Unix-domain socket path (unix targets only).
+    /// A Unix-domain socket path.
     Unix(PathBuf),
 }
 
 /// A bound, non-blocking listening socket.
 pub(crate) enum BoundListener {
     Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener, PathBuf),
+    Unix(UnixListener, PathBuf),
 }
 
 impl BoundListener {
     /// Binds `endpoint`, configuring the socket for non-blocking
-    /// accepts. Stale Unix socket files are replaced.
+    /// accepts. A Unix path must be free or hold a stale socket (see
+    /// [`claim_socket_path`]).
     pub(crate) fn bind(endpoint: &Endpoint) -> Result<BoundListener, ServeError> {
         match endpoint {
             Endpoint::Tcp(addr) => {
@@ -96,25 +99,15 @@ impl BoundListener {
                     .map_err(|e| ServeError(format!("configuring tcp {addr}: {e}")))?;
                 Ok(BoundListener::Tcp(listener))
             }
-            #[cfg(unix)]
             Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path).map_err(|e| {
-                        ServeError(format!("removing stale socket {}: {e}", path.display()))
-                    })?;
-                }
-                let listener = std::os::unix::net::UnixListener::bind(path)
+                claim_socket_path(path)?;
+                let listener = UnixListener::bind(path)
                     .map_err(|e| ServeError(format!("binding unix {}: {e}", path.display())))?;
                 listener
                     .set_nonblocking(true)
                     .map_err(|e| ServeError(format!("configuring unix {}: {e}", path.display())))?;
                 Ok(BoundListener::Unix(listener, path.clone()))
             }
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => Err(ServeError(format!(
-                "unix-domain sockets are not supported on this platform ({})",
-                path.display()
-            ))),
         }
     }
 
@@ -127,7 +120,6 @@ impl BoundListener {
                 Ok(addr) => format!("tcp:{addr}"),
                 Err(_) => "tcp:<unknown>".to_owned(),
             },
-            #[cfg(unix)]
             BoundListener::Unix(_, path) => format!("unix:{}", path.display()),
         }
     }
@@ -143,7 +135,6 @@ impl BoundListener {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
-            #[cfg(unix)]
             BoundListener::Unix(listener, _) => match listener.accept() {
                 Ok((stream, _)) => Ok(Some(ClientSocket::Unix(stream))),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
@@ -152,23 +143,46 @@ impl BoundListener {
         }
     }
 
-    #[cfg(unix)]
-    fn raw_fd(&self) -> crate::reactor::RawFd {
-        use std::os::unix::io::AsRawFd;
+    fn raw_fd(&self) -> RawFd {
         match self {
             BoundListener::Tcp(listener) => listener.as_raw_fd(),
-            #[cfg(unix)]
             BoundListener::Unix(listener, _) => listener.as_raw_fd(),
         }
     }
 
     /// Removes the socket file of a Unix listener (no-op for TCP).
     fn cleanup(&self) {
-        #[cfg(unix)]
         if let BoundListener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// Makes `path` free for a new Unix listener without destroying what is
+/// not ours to remove. A missing path is free. Anything but a socket is
+/// refused, and so is a socket a running server still accepts on — the
+/// probe connect shows up there as one closed connection. Only a stale
+/// socket, one that refuses the probe, is removed.
+fn claim_socket_path(path: &Path) -> Result<(), ServeError> {
+    let metadata = match std::fs::symlink_metadata(path) {
+        Ok(metadata) => metadata,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(ServeError(format!("inspecting {}: {e}", path.display()))),
+    };
+    if !metadata.file_type().is_socket() {
+        return Err(ServeError(format!(
+            "refusing to bind unix {}: the path exists and is not a socket",
+            path.display()
+        )));
+    }
+    if UnixStream::connect(path).is_ok() {
+        return Err(ServeError(format!(
+            "refusing to bind unix {}: the socket is in use by a running server",
+            path.display()
+        )));
+    }
+    std::fs::remove_file(path)
+        .map_err(|e| ServeError(format!("removing stale socket {}: {e}", path.display())))
 }
 
 /// The event loop for one listening socket: owns the poller, the wakeup
@@ -198,7 +212,6 @@ impl EndpointLoop {
     /// Builds the loop: poller created, listener and wakeup registered.
     /// Runs on the caller's thread of `Server::run` so a reactor that
     /// cannot start is a bind-time error, not a background panic.
-    #[cfg(unix)]
     pub(crate) fn new(
         listener: BoundListener,
         shared: Arc<ServerShared>,
@@ -228,19 +241,8 @@ impl EndpointLoop {
         })
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn new(
-        _listener: BoundListener,
-        _shared: Arc<ServerShared>,
-    ) -> Result<EndpointLoop, ServeError> {
-        Err(ServeError(
-            "the serve reactor requires a unix platform (epoll/poll readiness)".to_owned(),
-        ))
-    }
-
     /// Runs until the server drains and every connection has been
     /// reaped, then removes any Unix socket file.
-    #[cfg(unix)]
     pub(crate) fn run(mut self) {
         loop {
             if !self.drain_started && self.shared.shutdown.is_triggered() {
@@ -322,14 +324,10 @@ impl EndpointLoop {
         self.listener.cleanup();
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn run(self) {}
-
     /// Accepts until the listener would block. Connections over the
     /// `--max-conns` bound get one refusal line (written while the
     /// socket is still blocking and its send buffer empty, so the
     /// accept path never stalls) and are closed immediately.
-    #[cfg(unix)]
     fn accept_burst(&mut self) {
         if self.drain_started {
             return;
@@ -370,7 +368,7 @@ impl EndpointLoop {
                 continue;
             }
             let conn_id = self.shared.metrics.next_connection_id();
-            let admitted = crate::reactor::set_nonblocking(socket.raw_fd()).is_ok()
+            let admitted = socket.set_nonblocking().is_ok()
                 && self
                     .poller
                     .register(socket.raw_fd(), TOKEN_CONN_BASE + conn_id, Interest::READ)
@@ -397,7 +395,6 @@ impl EndpointLoop {
     /// polls (returning permits), parked admissions, flushes; then
     /// tears down gone sockets, reaps finished connections, and
     /// reconciles poller interest with what each connection now wants.
-    #[cfg(unix)]
     fn pump_all(&mut self) {
         let drain = self.drain_started;
         let ids: Vec<u64> = self.conns.keys().copied().collect();
@@ -449,7 +446,6 @@ impl EndpointLoop {
     /// connections are switched to drain mode by the next pump, and the
     /// whole drain gets a deadline so one unresponsive reader cannot
     /// hold shutdown hostage.
-    #[cfg(unix)]
     fn begin_drain(&mut self) {
         self.drain_started = true;
         self.drain_deadline = Some(Instant::now() + self.drain_timeout);
@@ -460,7 +456,6 @@ impl EndpointLoop {
     /// or a poller that can no longer wait): pending work is cancelled,
     /// buffered output is discarded, sockets close, and each
     /// connection's final accounting returns its permits to the budget.
-    #[cfg(unix)]
     fn force_close_all(&mut self) {
         for (id, mut conn) in self.conns.drain() {
             conn.on_hangup();
@@ -474,7 +469,7 @@ impl EndpointLoop {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -532,5 +527,61 @@ mod tests {
             .expect("drain must be bounded by the deadline, not the client");
         runner.join().unwrap();
         drop(client);
+    }
+
+    /// A fresh directory for one test's socket paths (short enough for
+    /// the 108-byte `sun_path` limit under the usual temp dirs).
+    fn scratch_dir(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("zc-listen-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Binds `path`, expecting a refusal, and returns its message.
+    fn refusal(path: &Path) -> String {
+        match BoundListener::bind(&Endpoint::Unix(path.to_path_buf())) {
+            Ok(_) => panic!("bound over {}", path.display()),
+            Err(e) => e.0,
+        }
+    }
+
+    #[test]
+    fn binding_over_a_regular_file_is_refused_and_leaves_it_intact() {
+        let dir = scratch_dir("file");
+        let path = dir.join("notes.txt");
+        std::fs::write(&path, b"not a socket").unwrap();
+        let message = refusal(&path);
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        assert!(message.contains("not a socket"), "{message}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"not a socket");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn binding_over_a_live_socket_is_refused() {
+        let dir = scratch_dir("live");
+        let path = dir.join("d.sock");
+        let live = BoundListener::bind(&Endpoint::Unix(path.clone())).unwrap();
+        let message = refusal(&path);
+        assert!(message.contains("in use by a running server"), "{message}");
+        // The running listener still owns its path.
+        assert!(UnixStream::connect(&path).is_ok());
+        live.cleanup();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_socket_is_replaced() {
+        let dir = scratch_dir("stale");
+        let path = dir.join("d.sock");
+        // Dropping a listener closes it but leaves its file behind, as a
+        // killed daemon would.
+        drop(BoundListener::bind(&Endpoint::Unix(path.clone())).unwrap());
+        assert!(path.exists());
+        let fresh = BoundListener::bind(&Endpoint::Unix(path.clone())).unwrap();
+        assert!(UnixStream::connect(&path).is_ok());
+        fresh.cleanup();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -241,14 +241,14 @@ mod budget_model {
 }
 
 /// The engine-pool → event-loop wakeup handshake under every schedule,
-/// against the real eventfd (or pipe) and a real completion channel.
+/// against the real eventfd and a real completion channel.
 ///
 /// Producer protocol: enqueue the completion, *then* `notify()`.
 /// Consumer protocol: `drain()` the handle, *then* poll the queue.
 /// The invariant that keeps the reactor from sleeping on pending work:
 /// at quiescence either every completion was consumed or the wake
 /// handle still polls readable.
-#[cfg(all(test, unix, zeroconf_loom))]
+#[cfg(all(test, zeroconf_loom))]
 mod wakeup_model {
     use super::explorer::schedules;
     use crate::reactor::{Event, Interest, Poller, WakeHandle};
@@ -314,7 +314,7 @@ mod wakeup_model {
             }
         }
 
-        /// What a blocked `epoll_wait`/`poll` would see right now.
+        /// What a blocked `epoll_wait` would see right now.
         fn readable(&mut self) -> bool {
             self.poller
                 .wait(&mut self.events, Duration::ZERO)

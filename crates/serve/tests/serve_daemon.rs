@@ -686,7 +686,6 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
 
 /// The real daemon under a real `SIGTERM`: spawned binary, Unix socket,
 /// two clients with work in flight, lossless drain, exit status 0.
-#[cfg(unix)]
 #[test]
 fn sigterm_drains_the_spawned_daemon_losslessly() {
     use std::io::{BufRead, BufReader, Read};
