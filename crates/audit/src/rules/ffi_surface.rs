@@ -6,7 +6,7 @@
 //! trusted assertion the compiler cannot check — a wrong parameter type
 //! or a misread error convention is silent UB or a silently swallowed
 //! errno. This rule keeps that surface enumerable: every `extern "C"`
-//! function — block declarations (`extern "C" { fn mmap(...); }`) and
+//! function — block declarations (`extern "C" { fn eventfd(...); }`) and
 //! definitions (`extern "C" fn on_termination(...)`) alike — must appear
 //! in [`MANIFEST_PATH`], one per line:
 //!

@@ -5,9 +5,8 @@
 //! 1. **Allowlist**: the `unsafe` keyword may appear only in the modules
 //!    whose invariants are documented in DESIGN.md ("Unsafe inventory &
 //!    invariants"): `engine/pool.rs` (disjoint shared-slab column
-//!    writes), `engine/cache.rs` (the mmap-served spill tier),
-//!    `engine/signal.rs` (the `signal(2)` handler the serve daemon's
-//!    SIGTERM drain polls), `serve/reactor.rs` (the serve daemon's
+//!    writes), `engine/signal.rs` (the `signal(2)` handler the serve
+//!    daemon's SIGTERM drain polls), `serve/reactor.rs` (the serve daemon's
 //!    vendored `epoll` readiness shim and `eventfd` wakeup), and the
 //!    `zeroconf-simd` crate's two modules
 //!    (`simd/lib.rs` dispatch into `target_feature` wrappers,
@@ -32,7 +31,6 @@ use crate::scan::{ScannedFile, TokenKind};
 /// The modules in which `unsafe` is permitted (workspace-relative paths).
 pub const UNSAFE_ALLOWED: &[&str] = &[
     "crates/engine/src/pool.rs",
-    "crates/engine/src/cache.rs",
     "crates/engine/src/signal.rs",
     "crates/serve/src/reactor.rs",
     "crates/simd/src/lib.rs",
@@ -199,14 +197,15 @@ mod tests {
 
     #[test]
     fn unsafe_outside_the_allowlist_is_denied() {
-        let files = vec![scanned(
-            "crates/sim/src/events.rs",
-            "fn f() { unsafe { fast_path() } }\n",
-        )];
-        let findings = check_sources(&files);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "unsafe-allowlist");
-        assert_eq!(findings[0].line, 1);
+        // The spill cache reads spills into owned memory, so it is not
+        // allowlisted either.
+        for path in ["crates/sim/src/events.rs", "crates/engine/src/cache.rs"] {
+            let files = vec![scanned(path, "fn f() { unsafe { fast_path() } }\n")];
+            let findings = check_sources(&files);
+            assert_eq!(findings.len(), 1, "{path}");
+            assert_eq!(findings[0].rule, "unsafe-allowlist");
+            assert_eq!(findings[0].line, 1);
+        }
     }
 
     #[test]
@@ -229,8 +228,8 @@ mod tests {
     #[test]
     fn safety_doc_section_counts_for_unsafe_fns() {
         let file = scanned(
-            "crates/engine/src/cache.rs",
-            "/// Maps the file.\n///\n/// # Safety\n///\n/// Caller must keep `fd` open.\nunsafe fn map_it() {}\n",
+            "crates/engine/src/pool.rs",
+            "/// Writes the column.\n///\n/// # Safety\n///\n/// Caller must own the range.\nunsafe fn write_it() {}\n",
         );
         assert!(check_sources(&[file]).is_empty());
     }

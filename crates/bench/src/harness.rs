@@ -44,7 +44,7 @@ pub struct BenchRecord {
     /// Iterations per sample after calibration.
     pub iters_per_sample: u64,
     /// Wall time of the very first (calibration) iteration. One-off
-    /// costs — first-touch page faults of a fresh mapping, cold branch
+    /// costs — first-touch page faults of fresh memory, cold branch
     /// predictors — land here instead of skewing the timed samples.
     pub first_iter_ns: f64,
 }
@@ -63,10 +63,10 @@ pub fn measure<T>(id: &str, samples: usize, mut f: impl FnMut() -> T) -> BenchRe
     let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples.max(1) {
         // One discarded warmup iteration per sample: the timed loop then
-        // starts from warm caches and TLBs, so low-iteration rows (e.g.
-        // `engine/warm-mmap/threads=1`, where calibration picks a handful
-        // of iterations) report steady-state throughput instead of
-        // averaging a cold first iteration into every sample.
+        // starts from warm caches and TLBs, so low-iteration rows (where
+        // calibration picks a handful of iterations) report steady-state
+        // throughput instead of averaging a cold first iteration into
+        // every sample.
         black_box(f());
         let start = Instant::now();
         for _ in 0..iters {

@@ -11,7 +11,7 @@
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
 //! zeroconf engine    [--workers N] [--cache N] [--cache-dir PATH] [--inflight N]
-//!                    [--kernel scalar|simd|auto] [--mmap] [--stats]
+//!                    [--kernel scalar|simd|auto] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
 //!                    # socket daemon: many clients, one shared engine
@@ -168,14 +168,13 @@ struct EngineOptions {
     workers: usize,
     cache_tables: usize,
     cache_dir: Option<std::path::PathBuf>,
-    mmap_spills: bool,
     kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
 }
 
 /// The `engine` subcommand's bare switches and value flags.
-const ENGINE_SWITCHES: [&str; 2] = ["stats", "mmap"];
+const ENGINE_SWITCHES: [&str; 1] = ["stats"];
 const ENGINE_VALUE_FLAGS: [&str; 5] = ["workers", "cache", "cache-dir", "inflight", "kernel"];
 
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
@@ -196,12 +195,11 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
     if !unknown.is_empty() {
         return Err(err(format!("unknown flags: {}", unknown.join(", "))));
     }
-    // The switches take no value; strip them before the value-flag parser.
+    // The switch takes no value; strip it before the value-flag parser.
     let emit_stats = args.iter().any(|a| a == "--stats");
-    let mmap_spills = args.iter().any(|a| a == "--mmap");
     let positional: Vec<String> = args
         .iter()
-        .filter(|a| !matches!(a.as_str(), "--stats" | "--mmap"))
+        .filter(|a| a.as_str() != "--stats")
         .cloned()
         .collect();
     let flags = Flags::parse(&positional)?;
@@ -214,7 +212,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
             .number("cache")?
             .map_or(defaults.cache_tables, |c| c as usize),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
-        mmap_spills,
         kernel: parse_kernel_flag(flags.get("kernel"))?,
         inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
         emit_stats,
@@ -251,9 +248,7 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         workers: options.workers.max(1),
         cache_tables: options.cache_tables.max(1),
         cache_dir: options.cache_dir.clone(),
-        mmap_spills: options.mmap_spills,
         kernel: options.kernel,
-        ..zeroconf_engine::EngineConfig::default()
     });
     let mut out = String::new();
     let push = |lines: Vec<String>, out: &mut String| {
@@ -373,10 +368,10 @@ pub fn usage() -> String {
      \u{20}  frontier: [--budget P] [--n-max N]\n\
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
-     \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH] [--mmap]\n\
+     \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH]\n\
      \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
+     \u{20}         [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
      \u{20}         [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
@@ -765,8 +760,11 @@ mod tests {
 
     #[test]
     fn engine_rejects_unknown_flags() {
-        let e = engine_process("", &args("--bogus 1")).unwrap_err();
-        assert!(e.0.contains("--bogus"), "{}", e.0);
+        // `--mmap` is not a flag: spills are always read into memory.
+        for flag in ["--bogus", "--mmap"] {
+            let e = engine_process("", &args(&format!("{flag} 1"))).unwrap_err();
+            assert!(e.0.contains(flag), "{}", e.0);
+        }
     }
 
     #[test]
@@ -775,7 +773,7 @@ mod tests {
             "--bogus",
             "--bogus --workers 2",
             "--workers 2 --bogus",
-            "--stats --bogus --mmap",
+            "--stats --bogus",
         ] {
             let e = engine_process("", &args(line)).unwrap_err();
             assert_eq!(e.0, "unknown flags: --bogus", "{line}");

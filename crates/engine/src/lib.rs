@@ -56,10 +56,9 @@
 // sit in its own block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-// The one platform guard of the workspace. The spill mappings serve the
-// on-disk little-endian f64 slab in place, and the serve reactor, the
-// signal hook and the mappings call the Linux ABI directly; every crate
-// that builds on the engine inherits this target.
+// The one platform guard of the workspace. The serve reactor and the
+// signal hook call the Linux ABI directly; every crate that builds on
+// the engine inherits this target.
 #[cfg(not(all(
     target_os = "linux",
     target_endian = "little",
@@ -67,7 +66,6 @@
 )))]
 compile_error!("zeroconf-engine builds for 64-bit little-endian Linux only");
 
-pub mod api;
 mod cache;
 pub mod pipeline;
 mod pool;
@@ -108,7 +106,7 @@ pub use request::{
 pub use wire::WireError;
 
 use cache::SharedCache;
-use pool::{Job, WorkerPool};
+use pool::{Job, JobBuffers, WorkerPool};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,18 +122,6 @@ pub struct EngineConfig {
     /// silently treated as misses, never as errors). `None` disables
     /// persistence.
     pub cache_dir: Option<PathBuf>,
-    /// Serve warm spill hits from read-only memory mappings of the spill
-    /// files (zero-copy) instead of reading them into owned buffers.
-    /// Only meaningful with `cache_dir` set. Spill files themselves are
-    /// identical either way.
-    pub mmap_spills: bool,
-    /// Sweeps estimated below this many equivalent warm cells run on the
-    /// calling thread alone: fan-out overhead (broadcast, cursor and
-    /// latch traffic, cache-line ping-pong) exceeds the parallel win for
-    /// small or fully-warm grids. Missing π-tables weigh extra via a
-    /// measured cost ratio, so a *cold* sweep of the same grid can still
-    /// fan out.
-    pub small_sweep_cells: usize,
     /// Which column-kernel backend the engine runs: forced scalar, forced
     /// SIMD (clamped to what the CPU actually supports), or `Auto` — the
     /// best detected tier, overridable via the `ZEROCONF_KERNEL`
@@ -152,8 +138,6 @@ impl Default for EngineConfig {
                 .unwrap_or(4),
             cache_tables: 1024,
             cache_dir: None,
-            mmap_spills: false,
-            small_sweep_cells: 65_536,
             kernel: KernelChoice::Auto,
         }
     }
@@ -163,9 +147,9 @@ impl Default for EngineConfig {
 ///
 /// This is the single error surface of the crate: wire-protocol failures
 /// ([`WireError`]) and cost-model failures ([`CostError`]) both convert
-/// into it, so [`wire::Session`], [`wire::PipelinedSession`] and
-/// [`Pipeline`] all return one type and the wire encoder stringifies an
-/// error exactly once.
+/// into it, so [`Engine`], [`wire::PipelinedSession`] and [`Pipeline`]
+/// all return one type and the wire encoder stringifies an error exactly
+/// once.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -252,7 +236,6 @@ impl CancelToken {
 pub struct Engine {
     pool: WorkerPool,
     cache: Arc<SharedCache>,
-    small_sweep_cells: usize,
     /// The resolved column-kernel backend every job runs with.
     backend: Backend,
     /// The weakest distribution-batch tier observed so far, as a
@@ -278,6 +261,13 @@ pub struct Engine {
     wall_nanos: Mutex<u128>,
     cells_per_worker: Vec<AtomicU64>,
 }
+
+/// Sweeps estimated below this many equivalent warm cells run on the
+/// calling thread alone: fan-out overhead (broadcast, cursor and latch
+/// traffic, cache-line ping-pong) exceeds the parallel win for small or
+/// fully-warm grids. Missing π-tables weigh extra via a measured cost
+/// ratio, so a *cold* sweep of the same grid can still fan out.
+const SMALL_SWEEP_CELLS: usize = 65_536;
 
 /// How many chunks each participant should get on average; more than one
 /// so uneven cells rebalance, not so many that cursor traffic dominates.
@@ -359,12 +349,7 @@ impl Engine {
         let backend = config.kernel.resolve();
         Engine {
             pool: WorkerPool::new(workers - 1),
-            cache: Arc::new(SharedCache::new(
-                config.cache_tables,
-                config.cache_dir,
-                config.mmap_spills,
-            )),
-            small_sweep_cells: config.small_sweep_cells.max(1),
+            cache: Arc::new(SharedCache::new(config.cache_tables, config.cache_dir)),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
             landscape: Mutex::new(None),
@@ -389,10 +374,10 @@ impl Engine {
     /// - The sweep's cost is estimated in *equivalent warm cells*:
     ///   `cells + missing_tables · n_max · π-ratio`, where residency
     ///   comes from a recency-neutral cache probe and the π-ratio from
-    ///   the EWMA. Below [`EngineConfig::small_sweep_cells`] the sweep
-    ///   stays on the calling thread — fan-out overhead would dominate
-    ///   (this is what keeps a warm re-sweep from running *slower* with
-    ///   two threads than with one).
+    ///   the EWMA. Below [`SMALL_SWEEP_CELLS`] the sweep stays on the
+    ///   calling thread — fan-out overhead would dominate (this is what
+    ///   keeps a warm re-sweep from running *slower* with two threads
+    ///   than with one).
     /// - The chunk size balances load (`CHUNKS_PER_WORKER` chunks per
     ///   participant) but never drops below the size whose estimated
     ///   runtime amortizes the per-chunk cursor/cache/latch traffic
@@ -411,7 +396,7 @@ impl Engine {
         );
         let missing = request.grid.r_values.len() - resident;
         let effective = cells as f64 + (missing * n_max) as f64 * pi_ratio;
-        let participants = if workers == 1 || effective < self.small_sweep_cells as f64 {
+        let participants = if workers == 1 || effective < SMALL_SWEEP_CELLS as f64 {
             1
         } else {
             workers
@@ -483,6 +468,28 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<SweepResponse, EngineError> {
         request.validate()?;
+        let (buffers, stats) = self.run_job(request, cancel, false)?;
+        let landscape = Landscape::new(
+            request.grid.n_max,
+            request.grid.r_values.clone(),
+            buffers.costs,
+            buffers.errors,
+        );
+        self.observe_request(&stats);
+        Ok(SweepResponse { landscape, stats })
+    }
+
+    /// Runs one pool job over `request`'s grid: plans it, fans it out
+    /// when the plan calls for more than one participant, waits for the
+    /// filled buffers, and folds the job's work into the scheduler's cost
+    /// model and the per-worker tallies. `statistic` selects the
+    /// sufficient-statistic slabs over the metric slabs (see [`Job::new`]).
+    fn run_job(
+        &self,
+        request: &SweepRequest,
+        cancel: &CancelToken,
+        statistic: bool,
+    ) -> Result<(JobBuffers, BatchStats), EngineError> {
         let plan = self.plan(request);
         let start = Instant::now();
         let job = Arc::new(Job::new(
@@ -492,7 +499,7 @@ impl Engine {
             plan.participants,
             plan.chunk,
             cancel.clone(),
-            false,
+            statistic,
         ));
         if plan.participants > 1 {
             self.pool.broadcast(&job);
@@ -503,50 +510,22 @@ impl Engine {
         // fetch_min's atomicity alone keeps it a true low-water mark.
         self.dist_floor
             .fetch_min(job.dist_backend_used() as u8, Ordering::Relaxed);
-        let landscape = Landscape::new(
-            request.grid.n_max,
-            request.grid.r_values.clone(),
-            buffers.costs,
-            buffers.errors,
-        );
-
-        let wall_nanos = start.elapsed().as_nanos();
         let by_worker = job.cells_per_worker();
-        // ORDERING: lifetime statistics counters (cells, hits, misses,
-        // requests); they are reported, never synchronized on, so relaxed
-        // tallies suffice throughout this block.
+        // ORDERING: statistics tallies; the job is already joined, so
+        // these relaxed reads and adds race with nothing.
         for (total, done) in self.cells_per_worker.iter().zip(&by_worker) {
             total.fetch_add(*done, Ordering::Relaxed);
         }
         let stats = BatchStats {
-            wall_nanos,
-            // ORDERING: same statistics block — the job is already joined,
-            // so these reads race with nothing.
+            wall_nanos: start.elapsed().as_nanos(),
+            // ORDERING: same statistics block, job already joined.
             cache_hits: job.hits.load(Ordering::Relaxed),
             cache_misses: job.misses.load(Ordering::Relaxed),
-            cells: landscape.len() as u64,
+            cells: request.grid.cells() as u64,
             workers: self.workers(),
         };
         self.observe_sweep(&stats, plan.participants, request.grid.n_max);
-        // ORDERING: statistics tallies, as above.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.cells.fetch_add(stats.cells, Ordering::Relaxed);
-        *self.wall_nanos.lock().unwrap_or_else(|e| e.into_inner()) += wall_nanos;
-        Ok(SweepResponse { landscape, stats })
-    }
-
-    /// Evaluates a batch of sweeps in order, sharing the cache across all
-    /// of them.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first failing request, same conditions as
-    /// [`Engine::evaluate`].
-    pub fn evaluate_batch(
-        &self,
-        requests: &[SweepRequest],
-    ) -> Result<Vec<SweepResponse>, EngineError> {
-        requests.iter().map(|r| self.evaluate(r)).collect()
+        Ok((buffers, stats))
     }
 
     /// Re-evaluates `base`'s grid under changed economic parameters.
@@ -620,26 +599,7 @@ impl Engine {
             grid: grid.clone(),
             metrics: Vec::new(),
         };
-        let plan = self.plan(&request);
-        let start = Instant::now();
-        let job = Arc::new(Job::new(
-            &request,
-            Arc::clone(&self.cache),
-            self.backend,
-            plan.participants,
-            plan.chunk,
-            cancel.clone(),
-            true,
-        ));
-        if plan.participants > 1 {
-            self.pool.broadcast(&job);
-        }
-        job.run(0);
-        let buffers = job.wait()?;
-        // ORDERING: monotonic min of a diagnostic SIMD-tier marker; the
-        // fetch_min's atomicity alone keeps it a true low-water mark.
-        self.dist_floor
-            .fetch_min(job.dist_backend_used() as u8, Ordering::Relaxed);
+        let (buffers, stats) = self.run_job(&request, cancel, true)?;
         let pi_prefix = buffers
             .pi_prefix
             .expect("statistic job fills the π-prefix slab");
@@ -650,21 +610,6 @@ impl Engine {
             pi_prefix,
             pi_n,
         ));
-        let by_worker = job.cells_per_worker();
-        // ORDERING: statistics tallies; the job is already joined, so
-        // these relaxed reads and adds race with nothing.
-        for (total, done) in self.cells_per_worker.iter().zip(&by_worker) {
-            total.fetch_add(*done, Ordering::Relaxed);
-        }
-        let stats = BatchStats {
-            wall_nanos: start.elapsed().as_nanos(),
-            // ORDERING: same statistics block, job already joined.
-            cache_hits: job.hits.load(Ordering::Relaxed),
-            cache_misses: job.misses.load(Ordering::Relaxed),
-            cells: landscape.len() as u64,
-            workers: self.workers(),
-        };
-        self.observe_sweep(&stats, plan.participants, grid.n_max);
         *self.landscape.lock().unwrap_or_else(|e| e.into_inner()) = Some(LandscapeSlot {
             fingerprint,
             landscape: Arc::clone(&landscape),
@@ -672,8 +617,8 @@ impl Engine {
         Ok((landscape, stats))
     }
 
-    /// Folds one parametric verb's work into the lifetime counters.
-    fn observe_verb(&self, stats: &BatchStats) {
+    /// Folds one answered request's work into the lifetime counters.
+    fn observe_request(&self, stats: &BatchStats) {
         // ORDERING: lifetime statistics tallies; reported, never
         // synchronized on.
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -742,7 +687,7 @@ impl Engine {
             wall_nanos: start.elapsed().as_nanos(),
             ..build
         };
-        self.observe_verb(&stats);
+        self.observe_request(&stats);
         Ok(CalibrateResponse {
             error_cost,
             n,
@@ -825,7 +770,7 @@ impl Engine {
             wall_nanos: start.elapsed().as_nanos(),
             ..build
         };
-        self.observe_verb(&stats);
+        self.observe_request(&stats);
         Ok(FrontierResponse {
             points,
             candidates: request.candidates(),
@@ -944,11 +889,17 @@ mod tests {
             .all(|c| c.mean_cost.is_some() && c.error_probability.is_none()));
     }
 
+    /// The grid is cold and above [`SMALL_SWEEP_CELLS`] (12,800 cells
+    /// plus 200 missing tables × 64 × the default π-ratio of 8 = 115,200
+    /// effective cells), so the 4-worker engine fans the sweep out and
+    /// several workers write its metric slabs.
     #[test]
     fn multi_thread_result_matches_single_thread() {
-        let req = SweepRequest::new(scenario(), GridSpec::linspace(8, 0.1, 20.0, 97));
+        let req = SweepRequest::new(scenario(), GridSpec::linspace(64, 0.1, 30.0, 200));
         let single = engine(1).evaluate(&req).unwrap();
-        let multi = engine(4).evaluate(&req).unwrap();
+        let pool = engine(4);
+        assert_eq!(pool.plan(&req).participants, 4, "the sweep must fan out");
+        let multi = pool.evaluate(&req).unwrap();
         assert_eq!(single.landscape.len(), multi.landscape.len());
         for (a, b) in single.landscape.iter().zip(multi.landscape.iter()) {
             assert_eq!(a.n, b.n);
@@ -1015,7 +966,6 @@ mod tests {
                 cache_tables: 64,
                 cache_dir: None,
                 kernel,
-                ..EngineConfig::default()
             })
         };
         let grid = GridSpec::linspace(3, 0.5, 2.0, 4);
@@ -1107,19 +1057,5 @@ mod tests {
             EngineError::Cancelled
         );
         assert_eq!(slot_fingerprint(), None);
-    }
-
-    #[test]
-    fn evaluate_batch_shares_the_cache() {
-        let e = engine(2);
-        let grid = GridSpec::linspace(4, 0.5, 3.0, 8);
-        let reqs = vec![
-            SweepRequest::new(scenario(), grid.clone()),
-            SweepRequest::new(scenario(), grid),
-        ];
-        let responses = e.evaluate_batch(&reqs).unwrap();
-        assert_eq!(responses.len(), 2);
-        assert_eq!(responses[0].stats.cache_misses, 8);
-        assert_eq!(responses[1].stats.cache_misses, 0, "same dist, same grid");
     }
 }

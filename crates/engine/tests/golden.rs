@@ -66,6 +66,11 @@ fn warm_cache_matches_direct_evaluation_bitwise() {
     assert_eq!(stats.cache_hits, 120);
 }
 
+/// A 64 × 200 cold grid rather than [`figure2_grid`]: the engine keeps a
+/// sweep on the calling thread below 65,536 equivalent warm cells, and
+/// 8 × 120 cold is only 8,640. This grid weighs 12,800 cells plus 200
+/// missing tables × 64 × the default π-ratio of 8 = 115,200, so the sweep
+/// fans out and several workers write its metric slabs.
 #[test]
 fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
     let scenario = paper::figure2_scenario().unwrap();
@@ -75,7 +80,7 @@ fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
         cache_dir: None,
         ..EngineConfig::default()
     });
-    let request = SweepRequest::new(scenario, figure2_grid());
+    let request = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 200));
     assert_bit_identical(&engine, &request);
 }
 

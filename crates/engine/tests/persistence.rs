@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use zeroconf_cost::paper;
-use zeroconf_engine::{Engine, EngineConfig, GridSpec, SweepRequest};
+use zeroconf_engine::{Engine, EngineConfig, GridSpec, Landscape, SweepRequest};
 
 fn scratch(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -23,14 +23,14 @@ fn engine(workers: usize, dir: &std::path::Path) -> Engine {
     })
 }
 
-fn mmap_engine(workers: usize, dir: &std::path::Path) -> Engine {
-    Engine::new(EngineConfig {
-        workers,
-        cache_tables: 256,
-        cache_dir: Some(dir.to_path_buf()),
-        mmap_spills: true,
-        ..EngineConfig::default()
-    })
+/// Every spill file the directory holds, in name order.
+fn spills(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut spills: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    spills.sort();
+    spills
 }
 
 #[test]
@@ -81,60 +81,24 @@ fn larger_sweep_upgrades_spills_for_later_engines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The mmap tier, cross-process (in spirit: separate engines with
-/// separate in-memory caches): a writer engine spills tables with the
-/// plain owned path, and an `mmap_spills` reader serves every one of
-/// them from mappings of the very same files — zero recomputation, with
-/// landscapes bit-identical to the writer's.
+/// Corrupt or truncated spill files are plain misses — recomputed, never
+/// an error or a crash.
 #[test]
-fn mmap_reader_serves_a_previous_engines_spills() {
-    let dir = scratch("mmap-roundtrip");
-    let _ = std::fs::remove_dir_all(&dir);
-    let scenario = paper::figure2_scenario().unwrap();
-    let request = SweepRequest::new(scenario, GridSpec::linspace(16, 0.1, 30.0, 48));
-
-    let cold = engine(2, &dir).evaluate(&request).unwrap();
-    let reader = mmap_engine(2, &dir);
-    let warm = reader.evaluate(&request).unwrap();
-    let stats = reader.stats();
-    assert_eq!(
-        stats.cache_misses, 0,
-        "every table must come from a mapping"
-    );
-    assert_eq!(stats.cache_hits, 48);
-    assert_eq!(cold.landscape, warm.landscape, "mapped tables bit-match");
-
-    // And the other direction: spills written by an mmap engine serve a
-    // plain reader identically (the on-disk format is the same).
-    let plain = engine(1, &dir);
-    let again = plain.evaluate(&request).unwrap();
-    assert_eq!(plain.stats().cache_misses, 0);
-    assert_eq!(cold.landscape, again.landscape);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Corrupt or truncated spill files must be plain misses for an mmap
-/// reader too — recomputed, never an error or a crash.
-#[test]
-fn mmap_reader_tolerates_corrupt_and_truncated_spills() {
-    let dir = scratch("mmap-garbage");
+fn reader_tolerates_corrupt_and_truncated_spills() {
+    let dir = scratch("corrupt-truncated");
     let _ = std::fs::remove_dir_all(&dir);
     let scenario = paper::figure2_scenario().unwrap();
     let request = SweepRequest::new(scenario, GridSpec::linspace(8, 0.5, 5.0, 6));
 
-    let a = mmap_engine(1, &dir).evaluate(&request).unwrap();
-    let mut spills: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    spills.sort();
+    let a = engine(1, &dir).evaluate(&request).unwrap();
+    let spills = spills(&dir);
     assert!(spills.len() >= 2, "one spill per r expected");
     // One corrupted in place, one truncated mid-slab.
     std::fs::write(&spills[0], b"not a pi table").unwrap();
     let bytes = std::fs::read(&spills[1]).unwrap();
     std::fs::write(&spills[1], &bytes[..bytes.len() / 2]).unwrap();
 
-    let second = mmap_engine(1, &dir);
+    let second = engine(1, &dir);
     let b = second.evaluate(&request).unwrap();
     assert_eq!(a.landscape, b.landscape);
     assert_eq!(
@@ -145,35 +109,45 @@ fn mmap_reader_tolerates_corrupt_and_truncated_spills() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Longest-wins upgrades and mmap interleave safely across engines: a
-/// reader holding mappings from the short generation keeps working while
-/// a grower upgrades the files, and a fresh reader sees the long tables.
+/// A loaded table is owned memory, not a view of its file: truncating
+/// every spill under a reader that has already loaded them (as a cleanup
+/// job or a disk-full writer in another process might) changes none of
+/// its answers and costs it no recomputation.
 #[test]
-fn mmap_reader_survives_a_concurrent_spill_upgrade() {
-    let dir = scratch("mmap-upgrade");
+fn a_spill_truncated_after_loading_leaves_resident_tables_intact() {
+    let dir = scratch("truncated-after-load");
     let _ = std::fs::remove_dir_all(&dir);
     let scenario = paper::figure2_scenario().unwrap();
-    let small = SweepRequest::new(scenario.clone(), GridSpec::linspace(8, 0.1, 30.0, 24));
-    let large = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 24));
+    let request = SweepRequest::new(scenario, GridSpec::linspace(8, 0.1, 30.0, 24));
 
-    engine(1, &dir).evaluate(&small).unwrap();
-    // The holder maps the short-generation files into memory...
-    let holder = mmap_engine(1, &dir);
-    let before = holder.evaluate(&small).unwrap();
-    assert_eq!(holder.stats().cache_misses, 0);
-    // ...while another engine upgrades every spill on disk.
-    let grower = mmap_engine(1, &dir);
-    grower.evaluate(&large).unwrap();
-    assert_eq!(grower.stats().cache_misses, 24, "short spills recompute");
-    // The holder's mapped tables are still live and still serve the
-    // small sweep bit-identically (its resident tables never shrank).
-    let after = holder.evaluate(&small).unwrap();
-    assert_eq!(holder.stats().cache_misses, 0);
-    assert_eq!(before.landscape, after.landscape);
-    // A fresh mmap reader maps the upgraded generation.
-    let reader = mmap_engine(1, &dir);
-    reader.evaluate(&large).unwrap();
-    assert_eq!(reader.stats().cache_misses, 0, "upgraded spills cover it");
+    let cold = engine(1, &dir).evaluate(&request).unwrap();
+    let reader = engine(1, &dir);
+    reader.evaluate(&request).unwrap();
+    assert_eq!(
+        reader.stats().cache_misses,
+        0,
+        "every table loads from disk"
+    );
+
+    let spills = spills(&dir);
+    assert_eq!(spills.len(), 24, "one spill per r");
+    for spill in &spills {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(spill)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+    }
+
+    let warm = reader.evaluate(&request).unwrap();
+    assert_eq!(reader.stats().cache_misses, 0, "resident tables serve it");
+    let bits = |landscape: &Landscape| -> Vec<u64> {
+        let costs = landscape.costs().unwrap();
+        let errors = landscape.errors().unwrap();
+        costs.iter().chain(errors).map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&cold.landscape), bits(&warm.landscape));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

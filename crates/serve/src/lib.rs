@@ -153,8 +153,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
     /// endpoints plus `--workers N`, `--cache TABLES`, `--cache-dir
-    /// PATH`, `--mmap`, `--kernel scalar|simd|auto`,
-    /// `--inflight N` and `--max-conns N`. The parsed config follows
+    /// PATH`, `--kernel scalar|simd|auto`, `--inflight N` and
+    /// `--max-conns N`. The parsed config follows
     /// process signals (it is the daemon entry path).
     ///
     /// # Errors
@@ -188,7 +188,6 @@ impl ServeConfig {
                     config.engine.cache_dir =
                         Some(std::path::PathBuf::from(value_of("cache-dir")?));
                 }
-                "--mmap" => config.engine.mmap_spills = true,
                 "--kernel" => {
                     let raw = value_of("kernel")?;
                     config.engine.kernel =
@@ -231,7 +230,7 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
+     \u{20}      [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
      \u{20}      [--inflight N] [--max-conns N]"
         .to_owned()
 }
@@ -387,7 +386,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --mmap --kernel scalar --inflight 6 --max-conns 9",
+             --cache-dir /tmp/z-spills --kernel scalar --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -398,7 +397,10 @@ mod tests {
         );
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
-        assert!(config.engine.mmap_spills);
+        assert_eq!(
+            config.engine.cache_dir,
+            Some(std::path::PathBuf::from("/tmp/z-spills"))
+        );
         assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);
@@ -411,8 +413,10 @@ mod tests {
         assert!(e.0.contains("--kernel must be"), "{e}");
         let e = ServeConfig::from_args(&args("--workers 2")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
-        let e = ServeConfig::from_args(&args("--bogus 1")).unwrap_err();
-        assert!(e.0.contains("unknown serve flag"), "{e}");
+        for junk in ["--bogus 1", "--tcp x --mmap"] {
+            let e = ServeConfig::from_args(&args(junk)).unwrap_err();
+            assert!(e.0.contains("unknown serve flag"), "{junk}: {e}");
+        }
         let e = ServeConfig::from_args(&args("--tcp")).unwrap_err();
         assert!(e.0.contains("requires a value"), "{e}");
         let e = ServeConfig::from_args(&args("--tcp x --inflight zero")).unwrap_err();

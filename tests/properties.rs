@@ -1,153 +1,183 @@
-// Property tests built on the external `proptest` crate, which is not
-// resolvable in the hermetic (offline) build. Compile them in with
-//     RUSTFLAGS="--cfg zeroconf_proptest" cargo test
-// after adding `proptest` to this package's dev-dependencies.
-#![cfg(zeroconf_proptest)]
-//! Cross-crate property tests: invariants of the cost model that must hold
-//! for *any* admissible scenario, not just the paper's parameter sets.
+//! Seeded cross-crate property tests: invariants of the cost model that
+//! must hold for *any* admissible scenario, not just the paper's
+//! parameter sets — a finite non-negative cost, a collision probability
+//! that falls with more probes and longer listening, costs monotone in
+//! both prices, the closed forms agreeing with the reward-model solve,
+//! and the `r → 0` and large-`r` limits.
+//!
+//! Each property runs through `zeroconf_rng::for_each_seed` on seeds
+//! `0..CASES`; a failure prints the seed that produced it, and passing
+//! `seed..seed + 1` in place of `0..CASES` replays that case alone.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use zeroconf_repro::cost::Scenario;
 use zeroconf_repro::dist::DefectiveExponential;
+use zeroconf_repro::rng::rngs::StdRng;
+use zeroconf_repro::rng::{for_each_seed, Rng};
 
-/// Strategy: an arbitrary admissible scenario with an exponential reply
-/// time (the paper's family), away from degenerate corners.
-fn scenario() -> impl Strategy<Value = Scenario> {
-    (
-        0.001f64..0.9, // q
-        0.0f64..10.0,  // c
-        0.0f64..1e12,  // E
-        0.0f64..0.999, // loss probability
-        0.2f64..50.0,  // rate λ
-        0.0f64..3.0,   // delay d
-    )
-        .prop_map(|(q, c, e, loss, rate, delay)| {
-            Scenario::builder()
-                .occupancy(q)
-                .probe_cost(c)
-                .error_cost(e)
-                .reply_time(Arc::new(
-                    DefectiveExponential::from_loss(loss, rate, delay).unwrap(),
-                ))
-                .build()
-                .unwrap()
-        })
+const CASES: u64 = 128;
+
+/// An arbitrary admissible scenario with an exponential reply time (the
+/// paper's family), away from degenerate corners.
+fn scenario(rng: &mut StdRng) -> Scenario {
+    let q = rng.gen_range(0.001..0.9);
+    let c = rng.gen_range(0.0..10.0);
+    let e = rng.gen_range(0.0..1e12);
+    let loss = rng.gen_range(0.0..0.999);
+    let rate = rng.gen_range(0.2..50.0);
+    let delay = rng.gen_range(0.0..3.0);
+    Scenario::builder()
+        .occupancy(q)
+        .probe_cost(c)
+        .error_cost(e)
+        .reply_time(Arc::new(
+            DefectiveExponential::from_loss(loss, rate, delay).unwrap(),
+        ))
+        .build()
+        .unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn cost_is_positive_and_finite(s in scenario(), n in 1u32..10, r in 0.0f64..30.0) {
+#[test]
+fn cost_is_positive_and_finite() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..10u32);
+        let r = rng.gen_range(0.0..30.0);
         let cost = s.mean_cost(n, r).unwrap();
-        prop_assert!(cost.is_finite());
-        prop_assert!(cost >= 0.0);
-    }
+        assert!(cost.is_finite(), "C({n}, {r}) = {cost}");
+        assert!(cost >= 0.0, "C({n}, {r}) = {cost}");
+    });
+}
 
-    #[test]
-    fn error_probability_is_a_probability(
-        s in scenario(),
-        n in 1u32..10,
-        r in 0.0f64..30.0,
-    ) {
+#[test]
+fn error_probability_is_a_probability() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..10u32);
+        let r = rng.gen_range(0.0..30.0);
         let p = s.error_probability(n, r).unwrap();
-        prop_assert!((0.0..=1.0).contains(&p));
+        assert!((0.0..=1.0).contains(&p), "E({n}, {r}) = {p}");
         // Eq. (4) is also bounded by q / (1 - q(1 - π)) <= q / (1-q)... and
         // by q itself at r = 0; in general it can never exceed q/(q + (1-q))
         // normalized — check the loose bound p <= q / (1 - q).
-        prop_assert!(p <= s.occupancy() / (1.0 - s.occupancy()) + 1e-12);
-    }
+        assert!(p <= s.occupancy() / (1.0 - s.occupancy()) + 1e-12);
+    });
+}
 
-    #[test]
-    fn error_probability_decreases_in_n_and_r(
-        s in scenario(),
-        n in 1u32..8,
-        r in 0.1f64..10.0,
-    ) {
+#[test]
+fn error_probability_decreases_in_n_and_r() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..8u32);
+        let r = rng.gen_range(0.1..10.0);
         let base = s.error_probability(n, r).unwrap();
         let more_probes = s.error_probability(n + 1, r).unwrap();
         let longer_listen = s.error_probability(n, r * 1.5).unwrap();
-        prop_assert!(more_probes <= base + 1e-15);
-        prop_assert!(longer_listen <= base + 1e-15);
-    }
+        assert!(more_probes <= base + 1e-15, "n = {n}, r = {r}");
+        assert!(longer_listen <= base + 1e-15, "n = {n}, r = {r}");
+    });
+}
 
-    #[test]
-    fn cost_is_monotone_in_error_cost(
-        s in scenario(),
-        n in 1u32..8,
-        r in 0.0f64..10.0,
-        factor in 1.1f64..100.0,
-    ) {
+#[test]
+fn cost_is_monotone_in_error_cost() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..8u32);
+        let r = rng.gen_range(0.0..10.0);
+        let factor = rng.gen_range(1.1..100.0);
         let cheap = s.mean_cost(n, r).unwrap();
         let pricey = s
             .with_error_cost(s.error_cost() * factor + 1.0)
             .unwrap()
             .mean_cost(n, r)
             .unwrap();
-        prop_assert!(pricey >= cheap - 1e-9 * cheap.abs());
-    }
+        assert!(pricey >= cheap - 1e-9 * cheap.abs(), "{pricey} < {cheap}");
+    });
+}
 
-    #[test]
-    fn cost_is_monotone_in_probe_cost(
-        s in scenario(),
-        n in 1u32..8,
-        r in 0.0f64..10.0,
-        extra in 0.1f64..10.0,
-    ) {
+#[test]
+fn cost_is_monotone_in_probe_cost() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..8u32);
+        let r = rng.gen_range(0.0..10.0);
+        let extra = rng.gen_range(0.1..10.0);
         let base = s.mean_cost(n, r).unwrap();
         let pricier = s
             .with_probe_cost(s.probe_cost() + extra)
             .unwrap()
             .mean_cost(n, r)
             .unwrap();
-        prop_assert!(pricier >= base);
-    }
+        assert!(pricier >= base, "{pricier} < {base}");
+    });
+}
 
-    #[test]
-    fn closed_form_matches_drm_for_random_scenarios(
-        s in scenario(),
-        n in 1u32..8,
-        r in 0.0f64..10.0,
-    ) {
+#[test]
+fn closed_form_matches_drm_for_random_scenarios() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..8u32);
+        let r = rng.gen_range(0.0..10.0);
         let closed = s.mean_cost(n, r).unwrap();
         let solved = s.mean_cost_via_drm(n, r).unwrap();
         let scale = closed.abs().max(1.0);
         // The linear-solve route loses a few digits when a huge error cost
         // multiplies a vanishing path probability; 1e-6 relative is still
         // far beyond plot-reading precision.
-        prop_assert!(
+        assert!(
             ((closed - solved) / scale).abs() < 1e-6,
             "closed {closed} vs solved {solved}"
         );
         let closed_p = s.error_probability(n, r).unwrap();
         let solved_p = s.error_probability_via_drm(n, r).unwrap();
-        prop_assert!((closed_p - solved_p).abs() < 1e-10);
-    }
+        assert!(
+            (closed_p - solved_p).abs() < 1e-10,
+            "closed {closed_p} vs solved {solved_p}"
+        );
+    });
+}
 
-    #[test]
-    fn asymptote_dominates_cost_from_below_at_large_r(s in scenario(), n in 1u32..6) {
+#[test]
+fn asymptote_dominates_cost_from_below_at_large_r() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..6u32);
         // For r far beyond the reply window the cost approaches A_n(r)
         // from above (the remaining collision term is nonnegative).
         let r = 200.0;
         let cost = s.mean_cost(n, r).unwrap();
         let asym = s.asymptote(n, r).unwrap();
-        prop_assert!(cost >= asym * (1.0 - 1e-9), "cost {cost} vs asymptote {asym}");
-    }
+        assert!(
+            cost >= asym * (1.0 - 1e-9),
+            "cost {cost} vs asymptote {asym}"
+        );
+    });
+}
 
-    #[test]
-    fn cost_at_zero_listening_collapses(s in scenario(), n in 1u32..10) {
+#[test]
+fn cost_at_zero_listening_collapses() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..10u32);
         let direct = s.mean_cost(n, 0.0).unwrap();
         let collapsed = s.probe_cost() * n as f64 + s.occupancy() * s.error_cost();
         let scale = collapsed.abs().max(1.0);
-        prop_assert!(((direct - collapsed) / scale).abs() < 1e-9);
-    }
+        assert!(
+            ((direct - collapsed) / scale).abs() < 1e-9,
+            "{direct} vs {collapsed}"
+        );
+    });
+}
 
-    #[test]
-    fn variance_is_nonnegative(s in scenario(), n in 1u32..6, r in 0.0f64..5.0) {
+#[test]
+fn variance_is_nonnegative() {
+    for_each_seed(0..CASES, |rng| {
+        let s = scenario(rng);
+        let n = rng.gen_range(1..6u32);
+        let r = rng.gen_range(0.0..5.0);
         let sd = s.cost_standard_deviation(n, r).unwrap();
-        prop_assert!(sd >= 0.0);
-        prop_assert!(sd.is_finite());
-    }
+        assert!(sd >= 0.0, "sd = {sd}");
+        assert!(sd.is_finite(), "sd = {sd}");
+    });
 }
