@@ -12,9 +12,15 @@
 //! - **Typed senders** ([`Client::sweep`], [`Client::rescore`],
 //!   [`Client::calibrate`], [`Client::frontier`], [`Client::cancel`],
 //!   [`Client::stats`]) assemble well-formed frames, interpolating
-//!   [`WIRE_VERSION`] so a protocol bump updates every caller at once.
+//!   [`WIRE_VERSION`] so a protocol bump updates every caller at once and
+//!   escaping ids with the wire's own string escaper.
 //!   [`Client::send_raw`] is the escape hatch for malformed-frame and
 //!   version-skew tests.
+//! - **Typed answers**: a sweep or rescore answer's `cells` are decoded
+//!   straight into the engine's [`Landscape`] ([`Response::landscape`]),
+//!   in the one pass that parses the rest of the line into a [`Json`]
+//!   tree, so a large answer costs no allocation per cell. A malformed
+//!   answer is a [`ClientError::Protocol`], never a panic.
 //! - **Pipelined waits**: [`Client::wait`] reads response lines until the
 //!   requested id appears, parking any other ids it passes in an
 //!   out-of-order buffer that later waits drain first. [`Client::wait_all`]
@@ -31,7 +37,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -39,7 +45,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 pub use zeroconf_engine::wire::{parse_json, Json, WIRE_VERSION};
-use zeroconf_engine::wire::{VERB_CALIBRATE, VERB_FRONTIER};
+use zeroconf_engine::wire::{parse_response_line, push_json_str, VERB_CALIBRATE, VERB_FRONTIER};
+pub use zeroconf_engine::Landscape;
 
 /// Default per-wait deadline: generous enough for a cold engine on a
 /// loaded CI box, short enough that a hung daemon fails the run.
@@ -276,15 +283,49 @@ impl Axis {
 }
 
 /// One decoded response line.
+///
+/// A sweep or rescore answer's `cells` array is decoded straight into a
+/// [`Landscape`] ([`Response::landscape`]) in the one pass that parses the
+/// rest of the line into [`Response::json`], so no `Json` value is built
+/// per cell. `json` therefore never holds `cells`; a caller that wants
+/// them as a tree calls [`parse_json`] on [`Response::line`].
 #[derive(Debug, Clone)]
 pub struct Response {
     /// The raw line as received (without the trailing newline).
     pub line: String,
-    /// The parsed document.
+    /// Every member of the line except `cells`.
     pub json: Json,
+    /// The decoded `cells`, when the line carries them.
+    landscape: Option<Landscape>,
 }
 
 impl Response {
+    /// Decodes one response line.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Protocol`] when the line is not a JSON object, or
+    /// when its `cells` are not a landscape as the daemon writes one: a
+    /// cell whose `n` is not its row, a ragged column, a metric missing
+    /// from one cell, an unknown key.
+    pub fn parse(line: String) -> Result<Response> {
+        let (json, landscape) = parse_response_line(&line)
+            .map_err(|e| ClientError::Protocol(format!("bad response line: {e}")))?;
+        Ok(Response {
+            line,
+            json,
+            landscape,
+        })
+    }
+
+    /// The answered landscape: `n_max`, one `r` per column and the
+    /// `r`-major `mean_cost` / `error_probability` slabs, with NaN where
+    /// the line has `null`.
+    #[must_use]
+    pub fn landscape(&self) -> Option<&Landscape> {
+        self.landscape.as_ref()
+    }
+
     /// The response id (`""` for id-less lines such as capacity refusals).
     #[must_use]
     pub fn id(&self) -> &str {
@@ -307,19 +348,17 @@ impl Response {
     /// or rescore).
     #[must_use]
     pub fn has_cells(&self) -> bool {
-        matches!(self.json.get("cells"), Some(Json::Arr(_)))
+        self.landscape.is_some()
     }
 
     /// Number of entries in the `cells` array (0 when absent).
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        match self.json.get("cells") {
-            Some(Json::Arr(items)) => items.len(),
-            _ => 0,
-        }
+        self.landscape.as_ref().map_or(0, Landscape::len)
     }
 
-    /// Walks `path` through nested objects and returns the value.
+    /// Walks `path` through nested objects of [`Response::json`] (which
+    /// holds no `cells`) and returns the value.
     #[must_use]
     pub fn member(&self, path: &[&str]) -> Option<&Json> {
         let mut node = &self.json;
@@ -461,9 +500,10 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the write fails.
     pub fn sweep(&mut self, id: &str, scenario: &Scenario, grid: &Grid) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"scenario\":{},\"grid\":{}}}",
-            escape(id),
+        let mut line = frame(id);
+        let _ = write!(
+            line,
+            ",\"scenario\":{},\"grid\":{}}}",
             scenario.to_wire(),
             grid.to_wire()
         );
@@ -477,11 +517,10 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the write fails.
     pub fn rescore(&mut self, id: &str, of: &str, error_cost: f64) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"rescore\":{{\"of\":\"{}\",\"error_cost\":{error_cost:?}}}}}",
-            escape(id),
-            escape(of)
-        );
+        let mut line = frame(id);
+        line.push_str(",\"rescore\":{\"of\":");
+        push_json_str(&mut line, of);
+        let _ = write!(line, ",\"error_cost\":{error_cost:?}}}}}");
         self.send_raw(&line)
     }
 
@@ -492,11 +531,10 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the write fails.
     pub fn calibrate(&mut self, id: &str, of: &str, n: u32, r: f64) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_CALIBRATE}\":{{\"of\":\"{}\",\"n\":{n},\"r\":{r:?}}}}}",
-            escape(id),
-            escape(of)
-        );
+        let mut line = frame(id);
+        let _ = write!(line, ",\"{VERB_CALIBRATE}\":{{\"of\":");
+        push_json_str(&mut line, of);
+        let _ = write!(line, ",\"n\":{n},\"r\":{r:?}}}}}");
         self.send_raw(&line)
     }
 
@@ -514,9 +552,10 @@ impl Client {
         n: u32,
         r: f64,
     ) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"scenario\":{},\"grid\":{},\"{VERB_CALIBRATE}\":{{\"n\":{n},\"r\":{r:?}}}}}",
-            escape(id),
+        let mut line = frame(id);
+        let _ = write!(
+            line,
+            ",\"scenario\":{},\"grid\":{},\"{VERB_CALIBRATE}\":{{\"n\":{n},\"r\":{r:?}}}}}",
             scenario.to_wire(),
             grid.to_wire()
         );
@@ -530,13 +569,10 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the write fails.
     pub fn frontier(&mut self, id: &str, of: &str, x: &Axis, y: &Axis) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_FRONTIER}\":{{\"of\":\"{}\",\"x\":{},\"y\":{}}}}}",
-            escape(id),
-            escape(of),
-            x.to_wire(),
-            y.to_wire()
-        );
+        let mut line = frame(id);
+        let _ = write!(line, ",\"{VERB_FRONTIER}\":{{\"of\":");
+        push_json_str(&mut line, of);
+        let _ = write!(line, ",\"x\":{},\"y\":{}}}}}", x.to_wire(), y.to_wire());
         self.send_raw(&line)
     }
 
@@ -546,11 +582,10 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the write fails.
     pub fn cancel(&mut self, id: &str, of: &str) -> Result<()> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cancel\":\"{}\"}}",
-            escape(id),
-            escape(of)
-        );
+        let mut line = frame(id);
+        line.push_str(",\"cancel\":");
+        push_json_str(&mut line, of);
+        line.push('}');
         self.send_raw(&line)
     }
 
@@ -561,10 +596,8 @@ impl Client {
     ///
     /// Any [`ClientError`]: write failure, timeout, undecodable response.
     pub fn stats(&mut self, id: &str) -> Result<Response> {
-        let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"stats\":true}}",
-            escape(id)
-        );
+        let mut line = frame(id);
+        line.push_str(",\"stats\":true}");
         self.send_raw(&line)?;
         self.wait(id)
     }
@@ -628,16 +661,12 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Timeout`] if `deadline` passes with no line,
-    /// [`ClientError::Protocol`] if a line fails to parse.
+    /// [`ClientError::Protocol`] if a line fails to decode
+    /// ([`Response::parse`]).
     pub fn next_response(&mut self, deadline: Instant) -> Result<Option<Response>> {
-        match self.next_line_until(deadline)? {
-            None => Ok(None),
-            Some(line) => {
-                let json = parse_json(&line)
-                    .map_err(|e| ClientError::Protocol(format!("bad response line: {e}")))?;
-                Ok(Some(Response { line, json }))
-            }
-        }
+        self.next_line_until(deadline)?
+            .map(Response::parse)
+            .transpose()
     }
 
     /// Reads one raw line within the client's default deadline, or
@@ -694,29 +723,27 @@ impl Client {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Starts a request frame: the version and the id, escaped by the wire's
+/// own [`push_json_str`]. Each sender appends its verb and the closing
+/// brace.
+fn frame(id: &str) -> String {
+    let mut line = format!("{{\"v\":{WIRE_VERSION},\"id\":");
+    push_json_str(&mut line, id);
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use zeroconf_engine::wire::{parse_request_line, WireRequest};
+
+    /// `s` as it stands between the quotes of a JSON string, from the
+    /// wire's escaper.
+    fn escape(s: &str) -> String {
+        let mut quoted = String::new();
+        push_json_str(&mut quoted, s);
+        quoted[1..quoted.len() - 1].to_owned()
+    }
 
     fn render_sweep(scenario: &Scenario, grid: &Grid) -> String {
         format!(
@@ -827,21 +854,75 @@ mod tests {
         );
     }
 
+    /// A two-column landscape as the daemon writes it, cost only, with
+    /// one `null` cell.
+    const CELLS: &str = "[{\"n\":1,\"r\":0.5,\"mean_cost\":2.0},{\"n\":2,\"r\":0.5,\"mean_cost\":3.5},\
+                         {\"n\":1,\"r\":1e-7,\"mean_cost\":-0.0},{\"n\":2,\"r\":1e-7,\"mean_cost\":null}]";
+
     #[test]
     fn responses_expose_members_by_path() {
         let line = format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"s1\",\"cells\":[1,2,3],\"stats\":{{\"engine\":{{\"requests\":7}}}}}}"
+            "{{\"v\":{WIRE_VERSION},\"id\":\"s1\",\"cells\":{CELLS},\"stats\":{{\"engine\":{{\"requests\":7}}}}}}"
         );
-        let response = Response {
-            json: parse_json(&line).unwrap(),
-            line,
-        };
+        let response = Response::parse(line).unwrap();
         assert_eq!(response.id(), "s1");
         assert!(response.has_cells());
-        assert_eq!(response.cell_count(), 3);
+        assert_eq!(response.cell_count(), 4);
+        let landscape = response.landscape().unwrap();
+        assert_eq!(landscape.n_max(), 2);
+        assert_eq!(landscape.r_values(), &[0.5, 1e-7]);
+        let costs: Vec<u64> = landscape
+            .costs()
+            .unwrap()
+            .iter()
+            .map(|c| c.to_bits())
+            .collect();
+        assert_eq!(
+            costs[..3],
+            [2.0f64.to_bits(), 3.5f64.to_bits(), (-0.0f64).to_bits()]
+        );
+        assert!(f64::from_bits(costs[3]).is_nan(), "null reads back as NaN");
+        assert_eq!(landscape.errors(), None);
+        // The cells left the tree; the line still has them.
+        assert_eq!(response.member(&["cells"]), None);
+        assert!(matches!(
+            parse_json(&response.line).unwrap().get("cells"),
+            Some(Json::Arr(cells)) if cells.len() == 4
+        ));
         assert_eq!(response.number(&["stats", "engine", "requests"]), Some(7.0));
         assert_eq!(response.number(&["stats", "engine", "absent"]), None);
         assert_eq!(response.error(), None);
+
+        let error = Response::parse(format!(
+            "{{\"v\":{WIRE_VERSION},\"id\":\"e\",\"error\":\"no\"}}"
+        ))
+        .unwrap();
+        assert_eq!(error.error(), Some("no"));
+        assert!(!error.has_cells() && error.cell_count() == 0 && error.landscape().is_none());
+    }
+
+    #[test]
+    fn malformed_cells_are_protocol_errors() {
+        // The wire's own tests pin each refusal's text; here every one
+        // must reach the caller as a protocol error.
+        for cells in [
+            // A wrong n.
+            "[{\"n\":1,\"r\":0.5,\"mean_cost\":1.0},{\"n\":3,\"r\":0.5,\"mean_cost\":1.0}]",
+            // A ragged column: two cells, then one.
+            "[{\"n\":1,\"r\":0.5,\"mean_cost\":1.0},{\"n\":2,\"r\":0.5,\"mean_cost\":1.0},\
+              {\"n\":1,\"r\":1.0,\"mean_cost\":1.0}]",
+            // A metric missing from one cell.
+            "[{\"n\":1,\"r\":0.5,\"mean_cost\":1.0,\"error_probability\":0.1},\
+              {\"n\":2,\"r\":0.5,\"mean_cost\":1.0}]",
+            // An unknown key.
+            "[{\"n\":1,\"r\":0.5,\"mean_cost\":1.0,\"median_cost\":1.0}]",
+        ] {
+            let line = format!("{{\"v\":{WIRE_VERSION},\"id\":\"s\",\"cells\":{cells}}}");
+            assert!(
+                matches!(Response::parse(line.clone()), Err(ClientError::Protocol(_))),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -863,8 +944,13 @@ mod tests {
             assert!(first.contains("\"id\":\"a\""), "{first}");
             assert!(second.contains("\"id\":\"b\""), "{second}");
             // Answer in reverse order to exercise the parking buffer.
-            writeln!(peer, "{{\"v\":{WIRE_VERSION},\"id\":\"b\",\"cells\":[2]}}").unwrap();
-            writeln!(peer, "{{\"v\":{WIRE_VERSION},\"id\":\"a\",\"cells\":[1]}}").unwrap();
+            let b = "[{\"n\":1,\"r\":2.0,\"error_probability\":0.25}]";
+            writeln!(peer, "{{\"v\":{WIRE_VERSION},\"id\":\"b\",\"cells\":{b}}}").unwrap();
+            writeln!(
+                peer,
+                "{{\"v\":{WIRE_VERSION},\"id\":\"a\",\"cells\":{CELLS}}}"
+            )
+            .unwrap();
         });
 
         let mut client = Client::connect_unix(&path).unwrap();
@@ -873,8 +959,12 @@ mod tests {
         client.cancel("b", "y").unwrap();
         let a = client.wait("a").unwrap();
         let b = client.wait("b").unwrap();
-        assert_eq!(a.cell_count(), 1);
+        assert_eq!(a.cell_count(), 4);
+        assert_eq!(a.landscape().unwrap().r_values(), &[0.5, 1e-7]);
         assert_eq!(b.cell_count(), 1);
+        let b = b.landscape().unwrap();
+        assert_eq!((b.n_max(), b.r_values()), (1, &[2.0][..]));
+        assert_eq!((b.costs(), b.errors()), (None, Some(&[0.25][..])));
         server.join().unwrap();
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

@@ -8,9 +8,12 @@
 //!   work and disconnects mid-flight; a survivor pipelines a sweep, a
 //!   rescore, a frontier and an inline calibration; the daemon is
 //!   SIGTERMed while those are in flight and every survivor request must
-//!   still be answered.
+//!   still be answered. Each landscape is checked against the grid it was
+//!   asked for and the model's invariants, and the rescore must keep the
+//!   sweep's E(n, r) bit for bit while its C(n, r) moves.
 //! - `flood` — the reactor scale scenario: many concurrent clients
-//!   pipeline sweeps at once, a fraction disconnect mid-flight, and (with
+//!   pipeline the same sweep at once, a fraction disconnect mid-flight,
+//!   and every answered landscape must equal the first bit for bit; (with
 //!   `--pid`) a straggler must still be answered across a SIGTERM drain.
 //!
 //! Exit status 0 when every assertion holds, 1 otherwise (with a
@@ -24,7 +27,7 @@ use std::process::Command;
 use std::thread;
 use std::time::Duration;
 
-use zeroconf_client::{Axis, Client, Grid, Response, Scenario};
+use zeroconf_client::{Axis, Client, Grid, Landscape, Response, Scenario};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -143,15 +146,83 @@ fn sigterm(pid: u32) -> Result<(), String> {
     }
 }
 
-fn require_cells(response: &Response, what: &str) -> Result<usize, String> {
+/// The landscape of a sweep or rescore answer, checked against the grid
+/// it asked for and the invariants of the model (Hölzl & Nipkow): the
+/// grid's `n_max` and column count, `r` ascending inside the grid's range
+/// (an explicit grid's list must ascend too), and every E(n, r) inside
+/// `[0, q]` and not rising with `n`.
+fn require_landscape<'a>(
+    response: &'a Response,
+    what: &str,
+    grid: &Grid,
+    q: f64,
+) -> Result<&'a Landscape, String> {
     if let Some(error) = response.error() {
         return Err(format!("{what} answered with an error: {error}"));
     }
-    let cells = response.cell_count();
-    if cells == 0 {
-        return Err(format!("{what} carried no cells: {}", response.line));
+    let landscape = response
+        .landscape()
+        .ok_or_else(|| format!("{what} carried no cells: {}", response.line))?;
+    let (n_max, columns, lo, hi) = match grid {
+        Grid::Linspace {
+            n_max,
+            r_min,
+            r_max,
+            r_points,
+        } => (*n_max, *r_points, *r_min, *r_max),
+        Grid::Explicit { n_max, r } => (
+            *n_max,
+            r.len(),
+            r.first().copied().unwrap_or(f64::NAN),
+            r.last().copied().unwrap_or(f64::NAN),
+        ),
+    };
+    let r = landscape.r_values();
+    if landscape.n_max() != n_max || r.len() != columns {
+        return Err(format!(
+            "{what} is {} × {} cells, its grid {n_max} × {columns}",
+            landscape.n_max(),
+            r.len()
+        ));
     }
-    Ok(cells)
+    if r.windows(2).any(|pair| pair[0] >= pair[1]) || r.iter().any(|r| !(lo..=hi).contains(r)) {
+        return Err(format!(
+            "{what}'s r values do not ascend inside [{lo}, {hi}]"
+        ));
+    }
+    let errors = landscape
+        .errors()
+        .ok_or_else(|| format!("{what} carried no error_probability"))?;
+    for (column, errors) in errors.chunks(n_max.max(1) as usize).enumerate() {
+        if errors.iter().any(|e| !(0.0..=q).contains(e)) {
+            return Err(format!(
+                "{what}: an E(n, r = {}) is outside [0, {q}]",
+                r[column]
+            ));
+        }
+        if errors.windows(2).any(|pair| pair[1] > pair[0]) {
+            return Err(format!("{what}: E(n, r = {}) rises with n", r[column]));
+        }
+    }
+    Ok(landscape)
+}
+
+/// Whether two optional slabs are both absent, or hold the same bits.
+fn same_bits(a: Option<&[f64]>, b: Option<&[f64]>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// Whether two landscapes hold the same grid and the same bits.
+fn same_landscape(a: &Landscape, b: &Landscape) -> bool {
+    a.n_max() == b.n_max()
+        && same_bits(Some(a.r_values()), Some(b.r_values()))
+        && same_bits(a.costs(), b.costs())
+        && same_bits(a.errors(), b.errors())
 }
 
 /// A deliberately expensive sweep: dense enough that responses are still
@@ -192,17 +263,14 @@ fn smoke(options: &Options) -> Result<String, String> {
     survivor
         .rescore("a2", "a1", 1e9)
         .map_err(fail("survivor rescore a2"))?;
+    let small_grid = Grid::Linspace {
+        n_max: 4,
+        r_min: 0.1,
+        r_max: 30.0,
+        r_points: 60,
+    };
     survivor
-        .sweep(
-            "a3",
-            &scenario,
-            &Grid::Linspace {
-                n_max: 4,
-                r_min: 0.1,
-                r_max: 30.0,
-                r_points: 60,
-            },
-        )
+        .sweep("a3", &scenario, &small_grid)
         .map_err(fail("survivor sweep a3"))?;
     survivor
         .frontier(
@@ -239,10 +307,19 @@ fn smoke(options: &Options) -> Result<String, String> {
     let responses = survivor
         .wait_all(&["a1", "a2", "a3", "a4", "a5"])
         .map_err(fail("survivor responses"))?;
-    let mut cells = 0usize;
-    for (response, what) in responses.iter().zip(["a1", "a2", "a3"]) {
-        cells += require_cells(response, what)?;
+    let q = scenario.q;
+    let swept = require_landscape(&responses[0], "a1", &heavy_grid(), q)?;
+    let rescored = require_landscape(&responses[1], "a2", &heavy_grid(), q)?;
+    let small = require_landscape(&responses[2], "a3", &small_grid, q)?;
+    // A rescore changes the collision cost only: E(n, r) keeps its bits
+    // and C(n, r) moves.
+    if !same_bits(rescored.errors(), swept.errors()) {
+        return Err("a2's error_probability differs from its base a1's".to_owned());
     }
+    if same_bits(rescored.costs(), swept.costs()) {
+        return Err("a2's mean_cost equals a1's under a new error_cost".to_owned());
+    }
+    let cells = swept.len() + rescored.len() + small.len();
     let frontier = &responses[3];
     let candidates = frontier
         .number(&["frontier", "candidates"])
@@ -269,8 +346,9 @@ fn smoke(options: &Options) -> Result<String, String> {
     }
 
     Ok(format!(
-        "smoke ok: 5 survivor responses ({cells} cells, {candidates} frontier candidates, \
-         calibrated error_cost {error_cost:.3e}) across a mid-flight disconnect{}",
+        "smoke ok: 5 survivor responses ({cells} cells checked against their grids, \
+         {candidates} frontier candidates, calibrated error_cost {error_cost:.3e}) across a \
+         mid-flight disconnect{}",
         if options.pid.is_some() {
             " and a SIGTERM drain"
         } else {
@@ -280,13 +358,14 @@ fn smoke(options: &Options) -> Result<String, String> {
 }
 
 /// One flood worker: pipeline `requests` sweeps, then either read every
-/// answer back or (for the deserter fraction) disconnect mid-flight.
+/// answer back, checked against the grid, or (for the deserter fraction)
+/// disconnect mid-flight with nothing read.
 fn flood_worker(
     target: &Target,
     index: usize,
     requests: usize,
     desert: bool,
-) -> Result<usize, String> {
+) -> Result<Vec<Landscape>, String> {
     let scenario = Scenario::fixture();
     let grid = Grid::Explicit {
         n_max: 8,
@@ -305,16 +384,19 @@ fn flood_worker(
             .sweep(&format!("c{index}-deserter"), &scenario, &heavy_grid())
             .map_err(|e| format!("client {index} deserter sweep: {e}"))?;
         drop(client);
-        return Ok(0);
+        return Ok(Vec::new());
     }
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let responses = client
         .wait_all(&id_refs)
         .map_err(|e| format!("client {index} responses: {e}"))?;
-    for (response, id) in responses.iter().zip(&ids) {
-        require_cells(response, &format!("client {index} {id}"))?;
-    }
-    Ok(responses.len())
+    responses
+        .iter()
+        .zip(&ids)
+        .map(|(response, id)| {
+            require_landscape(response, &format!("client {index} {id}"), &grid, scenario.q).cloned()
+        })
+        .collect()
 }
 
 /// The reactor scale smoke: `--clients` concurrent pipeliners, every
@@ -334,13 +416,13 @@ fn flood(options: &Options) -> Result<String, String> {
         }));
     }
 
-    let mut answered = 0usize;
+    let mut landscapes = Vec::new();
     let mut deserters = 0usize;
     let mut failures = Vec::new();
     for (index, handle) in handles.into_iter().enumerate() {
         match handle.join() {
-            Ok(Ok(0)) => deserters += 1,
-            Ok(Ok(n)) => answered += n,
+            Ok(Ok(answered)) if answered.is_empty() => deserters += 1,
+            Ok(Ok(answered)) => landscapes.extend(answered),
             Ok(Err(e)) => failures.push(e),
             Err(_) => failures.push(format!("client {index} panicked")),
         }
@@ -350,6 +432,15 @@ fn flood(options: &Options) -> Result<String, String> {
             "{} client(s) failed; first: {first}",
             failures.len()
         ));
+    }
+    // One scenario, one grid: every answer must be the first, bit for bit.
+    let answered = landscapes.len();
+    if let Some(first) = landscapes.first() {
+        if let Some(at) = landscapes.iter().position(|l| !same_landscape(l, first)) {
+            return Err(format!(
+                "flood answer {at} of {answered} differs from the first in some bit"
+            ));
+        }
     }
 
     // The server must have seen every connection and still be healthy.
@@ -378,13 +469,13 @@ fn flood(options: &Options) -> Result<String, String> {
         let response = inspector
             .wait("straggler")
             .map_err(|e| format!("straggler response after SIGTERM: {e}"))?;
-        require_cells(&response, "straggler")?;
+        require_landscape(&response, "straggler", &heavy_grid(), Scenario::fixture().q)?;
         drained = ", straggler answered across SIGTERM drain";
     }
 
     Ok(format!(
         "flood ok: {} clients ({} mid-flight disconnects), {answered} pipelined \
-         responses verified{drained}",
+         landscapes checked and bit-identical{drained}",
         options.clients, deserters
     ))
 }

@@ -474,7 +474,7 @@ impl Engine {
             request.grid.r_values.clone(),
             buffers.costs,
             buffers.errors,
-        );
+        )?;
         self.observe_request(&stats);
         Ok(SweepResponse { landscape, stats })
     }
@@ -1015,6 +1015,30 @@ mod tests {
             e.evaluate(&req),
             Err(EngineError::InvalidRequest { .. })
         ));
+    }
+
+    #[test]
+    fn grids_over_the_wire_caps_are_refused_before_evaluation() {
+        // 4,096 × 257 cells: one column over `MAX_GRID_CELLS`, which the
+        // wire refuses at decode and the library now refuses as well.
+        let e = engine(1);
+        let grid = GridSpec::linspace(wire::MAX_GRID_N_MAX, 0.5, 1.0, 257);
+        let sweep = SweepRequest::new(scenario(), grid.clone());
+        assert!(matches!(
+            e.evaluate(&sweep),
+            Err(EngineError::InvalidRequest { what }) if what.starts_with("grid cell count")
+        ));
+        let frontier = FrontierRequest {
+            scenario: scenario(),
+            grid,
+            x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e6]),
+            y: AxisSpec::new(ParamAxis::ProbeCost, vec![2.0]),
+        };
+        assert!(matches!(
+            e.frontier(&frontier),
+            Err(EngineError::InvalidRequest { .. })
+        ));
+        assert_eq!(e.stats().cache_misses, 0, "nothing was computed");
     }
 
     #[test]

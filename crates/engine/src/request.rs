@@ -218,8 +218,72 @@ impl SweepRequestBuilder {
     }
 }
 
+/// The largest `n_max` a grid may ask for. Every π-table of the grid holds
+/// `n_max + 1` floats.
+pub const MAX_GRID_N_MAX: u32 = 4_096;
+
+/// The most listening periods a grid may carry, as a wire grid's
+/// `r_points` or as the length of an `r` list: one π-table each.
+pub const MAX_GRID_R_POINTS: usize = 65_536;
+
+/// The most `(n, r)` cells a grid may span. A sweep answers with up to two
+/// floats per cell.
+pub const MAX_GRID_CELLS: usize = 1 << 20;
+
+/// The most parameter points (`|x| × |y|`) a frontier may span. Each point
+/// re-scores the whole statistic landscape.
+pub const MAX_FRONTIER_POINTS: usize = 1 << 16;
+
+/// A size of a request that has a cap, as the request states it.
+pub(crate) enum Extent {
+    /// `grid.n_max`. A float, because a wire grid's may be NaN, infinite
+    /// or fractional.
+    NMax(f64),
+    /// The length of an explicit `r` list.
+    RList(usize),
+    /// A wire linspace grid's `r_points`, again as a float.
+    RPoints(f64),
+    /// `n_max × r values`, once both factors have passed their caps, so
+    /// the product cannot overflow.
+    Cells(usize),
+    /// `|x| × |y|` of a frontier.
+    FrontierPoints(usize),
+}
+
+/// Refuses an extent over its cap, with the text the wire answers. The
+/// wire decoder checks each extent before it allocates anything sized by
+/// it; [`validate_grid`] and [`FrontierRequest::validate`] check built
+/// requests, so library callers meet the same caps.
+pub(crate) fn check_cap(extent: Extent) -> Result<(), String> {
+    let refusal = match extent {
+        Extent::NMax(n_max) if n_max.is_nan() || n_max > f64::from(MAX_GRID_N_MAX) => {
+            format!("grid `n_max` {n_max:?} is over the limit of {MAX_GRID_N_MAX}")
+        }
+        Extent::RList(len) if len > MAX_GRID_R_POINTS => {
+            format!("grid `r` length {len} is over the limit of {MAX_GRID_R_POINTS}")
+        }
+        Extent::RPoints(points) if points.is_nan() || points > MAX_GRID_R_POINTS as f64 => {
+            format!("grid `r_points` {points:?} is over the limit of {MAX_GRID_R_POINTS}")
+        }
+        Extent::Cells(cells) if cells > MAX_GRID_CELLS => format!(
+            "grid cell count {cells} (n_max × r values) is over the limit of {MAX_GRID_CELLS}"
+        ),
+        Extent::FrontierPoints(points) if points > MAX_FRONTIER_POINTS => format!(
+            "frontier parameter point count {points} (|x| × |y|) is over the limit of \
+             {MAX_FRONTIER_POINTS}"
+        ),
+        _ => return Ok(()),
+    };
+    Err(refusal)
+}
+
+fn invalid(what: String) -> EngineError {
+    EngineError::InvalidRequest { what }
+}
+
 /// Validates one `(n, r)` grid: `n_max >= 1`, a non-empty `r` list, every
-/// `r` finite and nonnegative. Shared by every grid-carrying request.
+/// `r` finite and nonnegative, and the `MAX_GRID_*` caps. Shared by every
+/// grid-carrying request.
 ///
 /// # Errors
 ///
@@ -240,7 +304,9 @@ pub(crate) fn validate_grid(grid: &GridSpec) -> Result<(), EngineError> {
             what: format!("r = {bad} must be nonnegative and finite"),
         });
     }
-    Ok(())
+    check_cap(Extent::NMax(f64::from(grid.n_max))).map_err(invalid)?;
+    check_cap(Extent::RList(grid.r_values.len())).map_err(invalid)?;
+    check_cap(Extent::Cells(grid.cells())).map_err(invalid)
 }
 
 /// A change to the economic scenario parameters — the inputs Eq. (3)/(4)
@@ -579,12 +645,15 @@ impl FrontierRequest {
     /// # Errors
     ///
     /// [`EngineError::InvalidRequest`] naming the first problem: a bad
-    /// grid, an empty or non-finite axis, or two axes varying the same
-    /// parameter.
+    /// grid, an empty or non-finite axis, more than
+    /// [`MAX_FRONTIER_POINTS`] parameter points, or two axes varying the
+    /// same parameter.
     pub fn validate(&self) -> Result<(), EngineError> {
         validate_grid(&self.grid)?;
         self.x.validate("x")?;
         self.y.validate("y")?;
+        let points = self.x.values.len().saturating_mul(self.y.values.len());
+        check_cap(Extent::FrontierPoints(points)).map_err(invalid)?;
         if self.x.axis == self.y.axis {
             return Err(EngineError::InvalidRequest {
                 what: format!(
@@ -828,31 +897,35 @@ pub struct Landscape {
 }
 
 impl Landscape {
-    /// Assembles a landscape from kernel-written buffers.
+    /// Assembles a landscape from `r`-major metric buffers, as the kernel
+    /// writes them and as the wire's response decoder reads them.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a provided buffer's length is not
-    /// `r_values.len() · n_max` — an engine-internal sizing bug.
-    pub(crate) fn new(
+    /// [`EngineError::InvalidRequest`] when a provided buffer's length is
+    /// not `r_values.len() · n_max`.
+    pub fn new(
         n_max: u32,
         r_values: Vec<f64>,
         costs: Option<Vec<f64>>,
         errors: Option<Vec<f64>>,
-    ) -> Landscape {
-        let cells = r_values.len() * n_max as usize;
-        if let Some(costs) = &costs {
-            assert_eq!(costs.len(), cells, "cost buffer covers the grid");
+    ) -> Result<Landscape, EngineError> {
+        let cells = r_values.len().checked_mul(n_max as usize);
+        for (metric, buffer) in [("cost", &costs), ("error", &errors)] {
+            if let Some(buffer) = buffer.as_ref().filter(|b| Some(b.len()) != cells) {
+                return Err(invalid(format!(
+                    "{metric} buffer of {} values does not cover the {n_max} × {} grid",
+                    buffer.len(),
+                    r_values.len()
+                )));
+            }
         }
-        if let Some(errors) = &errors {
-            assert_eq!(errors.len(), cells, "error buffer covers the grid");
-        }
-        Landscape {
+        Ok(Landscape {
             n_max,
             r_values,
             costs,
             errors,
-        }
+        })
     }
 
     /// Largest probe count; rows cover `n = 1..=n_max`.
@@ -1103,7 +1176,8 @@ mod tests {
             vec![0.5, 1.0, 1.5],
             Some(vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0]),
             None,
-        );
+        )
+        .unwrap();
         assert_eq!(landscape.len(), 6);
         assert!(!landscape.is_empty());
         assert_eq!(landscape.n_max(), 2);
@@ -1130,14 +1204,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the grid")]
     fn landscape_rejects_out_of_grid_lookup() {
-        let landscape = Landscape::new(2, vec![1.0], Some(vec![1.0, 2.0]), None);
+        let landscape = Landscape::new(2, vec![1.0], Some(vec![1.0, 2.0]), None).unwrap();
         let _ = landscape.cost_at(0, 3);
     }
 
     #[test]
-    #[should_panic(expected = "cost buffer covers the grid")]
     fn landscape_rejects_wrongly_sized_buffers() {
-        let _ = Landscape::new(2, vec![1.0], Some(vec![1.0]), None);
+        let short = Landscape::new(2, vec![1.0], Some(vec![1.0]), None);
+        assert!(
+            matches!(&short, Err(EngineError::InvalidRequest { what })
+                if what == "cost buffer of 1 values does not cover the 2 × 1 grid"),
+            "{short:?}"
+        );
+        let long = Landscape::new(1, vec![1.0], None, Some(vec![1.0, 2.0]));
+        assert!(matches!(long, Err(EngineError::InvalidRequest { .. })));
+    }
+
+    #[test]
+    fn library_requests_meet_the_wire_caps() {
+        // One column over the cell cap, at the largest n_max.
+        let over = GridSpec::linspace(
+            MAX_GRID_N_MAX,
+            0.1,
+            1.0,
+            MAX_GRID_CELLS / MAX_GRID_N_MAX as usize + 1,
+        );
+        let refused = SweepRequest::builder()
+            .scenario(scenario())
+            .grid(over.clone())
+            .build();
+        assert!(
+            matches!(&refused, Err(EngineError::InvalidRequest { what })
+                if what == "grid cell count 1052672 (n_max × r values) is over the limit of 1048576"),
+            "{refused:?}"
+        );
+        let mut at_cap = over;
+        at_cap.r_values.pop();
+        assert!(SweepRequest::new(scenario(), at_cap.clone())
+            .validate()
+            .is_ok());
+        let mut long_n = at_cap.clone();
+        long_n.n_max += 1;
+        assert!(SweepRequest::new(scenario(), long_n).validate().is_err());
+        let long_r = GridSpec {
+            n_max: 1,
+            r_values: vec![1.0; MAX_GRID_R_POINTS + 1],
+        };
+        assert!(SweepRequest::new(scenario(), long_r).validate().is_err());
+        let frontier = |x_points: usize| {
+            FrontierRequest::builder()
+                .scenario(scenario())
+                .linspace(2, 0.5, 2.0, 3)
+                .x(ParamAxis::ErrorCost, vec![1e6; x_points])
+                .y(ParamAxis::ProbeCost, vec![2.0; 256])
+                .build()
+        };
+        assert!(frontier(256).is_ok());
+        assert!(
+            matches!(&frontier(257), Err(EngineError::InvalidRequest { what })
+                if what.starts_with("frontier parameter point count 65792")),
+            "{:?}",
+            frontier(257)
+        );
     }
 
     #[test]

@@ -76,7 +76,8 @@ use zeroconf_dist::{
 };
 
 use crate::pipeline::{Completion, Pipeline, PipelineConfig, PipelineStats, RequestId};
-use crate::request::BatchStats;
+use crate::request::{check_cap, BatchStats, Extent};
+pub use crate::request::{MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS};
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
     FrontierRequest, FrontierResponse, GridSpec, Landscape, Metric, ParamAxis, RescoreDelta,
@@ -189,7 +190,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
-        Some(b'{') => parse_object(text, pos),
+        Some(b'{') => parse_object(text, pos, &mut claim_nothing),
         Some(b'[') => parse_array(text, pos),
         Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
@@ -205,8 +206,7 @@ fn parse_literal(
     word: &str,
     value: Json,
 ) -> Result<Json, WireError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
+    if eat(bytes, pos, word) {
         Ok(value)
     } else {
         Err(err(format!("expected `{word}` at byte {pos}", pos = *pos)))
@@ -214,6 +214,20 @@ fn parse_literal(
 }
 
 fn parse_number(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+    number(text, pos).map(Json::Num)
+}
+
+/// Consumes the run of number characters at `pos` and parses it.
+fn number(text: &str, pos: &mut usize) -> Result<f64, WireError> {
+    let start = *pos;
+    let token = number_token(text, pos);
+    token
+        .parse::<f64>()
+        .map_err(|_| err(format!("invalid number `{token}` at byte {start}")))
+}
+
+/// Consumes the run of number characters at `pos`.
+fn number_token<'a>(text: &'a str, pos: &mut usize) -> &'a str {
     let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
@@ -222,11 +236,7 @@ fn parse_number(text: &str, pos: &mut usize) -> Result<Json, WireError> {
         *pos += 1;
     }
     // Number bytes are ASCII, so the token ends on a char boundary.
-    let token = text.get(start..*pos).unwrap_or_default();
-    token
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(format!("invalid number `{token}` at byte {start}")))
+    text.get(start..*pos).unwrap_or_default()
 }
 
 fn parse_string(text: &str, pos: &mut usize) -> Result<String, WireError> {
@@ -305,7 +315,18 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+/// The member hook of a plain object parse: it claims no member.
+fn claim_nothing(_key: &str, _text: &str, _pos: &mut usize) -> Result<bool, WireError> {
+    Ok(false)
+}
+
+/// Parses an object. `claim` is shown each member's key with `pos` at
+/// its value; when it returns `true` it has consumed the value itself and
+/// the member stays out of the tree. Nested objects claim nothing.
+fn parse_object<C>(text: &str, pos: &mut usize, claim: &mut C) -> Result<Json, WireError>
+where
+    C: FnMut(&str, &str, &mut usize) -> Result<bool, WireError>,
+{
     let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut members = Vec::new();
@@ -325,8 +346,10 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Json, WireError> {
             return Err(err("expected `:` after object key"));
         }
         *pos += 1;
-        let value = parse_value(text, pos)?;
-        members.push((key, value));
+        if !claim(&key, text, pos)? {
+            let value = parse_value(text, pos)?;
+            members.push((key, value));
+        }
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -340,8 +363,9 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Json, WireError> {
 }
 
 /// Writes `s` as a JSON string literal, quotes included, escaping `"`,
-/// `\` and control characters.
-fn push_json_str(out: &mut String, s: &str) {
+/// `\` and control characters. The one string escaper of the protocol:
+/// responses and `zeroconf-client`'s request frames both go through it.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -527,40 +551,15 @@ fn decode_scenario(value: &Json) -> Result<Scenario, WireError> {
     builder.build().map_err(|e| err(e.to_string()))
 }
 
-/// The largest `n_max` a wire grid may ask for. Every π-table of the
-/// grid holds `n_max + 1` floats.
-pub const MAX_GRID_N_MAX: u32 = 4_096;
-
-/// The most listening periods a wire grid may carry, as `r_points` or
-/// as the length of an explicit `r` list: one π-table each.
-pub const MAX_GRID_R_POINTS: usize = 65_536;
-
-/// The most `(n, r)` cells a wire grid may span. A sweep answers with
-/// up to two floats per cell.
-pub const MAX_GRID_CELLS: usize = 1 << 20;
-
-/// The most parameter points (`|x| × |y|`) a wire frontier may span.
-/// Each point re-scores the whole statistic landscape.
-pub const MAX_FRONTIER_POINTS: usize = 1 << 16;
-
 /// Decodes a grid, rejecting one over the `MAX_GRID_*` limits before
 /// anything sized by it is allocated.
 fn decode_grid(value: &Json) -> Result<GridSpec, WireError> {
     let n_max = field_f64(value, "n_max")?;
-    if n_max.is_nan() || n_max > f64::from(MAX_GRID_N_MAX) {
-        return Err(err(format!(
-            "grid `n_max` {n_max:?} is over the limit of {MAX_GRID_N_MAX}"
-        )));
-    }
+    check_cap(Extent::NMax(n_max)).map_err(err)?;
     let n_max = n_max as u32;
     if let Some(Json::Arr(items)) = value.get("r") {
-        if items.len() > MAX_GRID_R_POINTS {
-            return Err(err(format!(
-                "grid `r` length {} is over the limit of {MAX_GRID_R_POINTS}",
-                items.len()
-            )));
-        }
-        check_grid_cells(n_max, items.len())?;
+        check_cap(Extent::RList(items.len())).map_err(err)?;
+        check_cap(Extent::Cells(n_max as usize * items.len())).map_err(err)?;
         let r_values = items
             .iter()
             .map(|v| v.num().ok_or_else(|| err("grid `r` must be numeric")))
@@ -570,26 +569,10 @@ fn decode_grid(value: &Json) -> Result<GridSpec, WireError> {
     let lo = field_f64(value, "r_min")?;
     let hi = field_f64(value, "r_max")?;
     let points = field_f64(value, "r_points")?;
-    if points.is_nan() || points > MAX_GRID_R_POINTS as f64 {
-        return Err(err(format!(
-            "grid `r_points` {points:?} is over the limit of {MAX_GRID_R_POINTS}"
-        )));
-    }
+    check_cap(Extent::RPoints(points)).map_err(err)?;
     let points = points as usize;
-    check_grid_cells(n_max, points)?;
+    check_cap(Extent::Cells(n_max as usize * points)).map_err(err)?;
     Ok(GridSpec::linspace(n_max, lo, hi, points))
-}
-
-/// Rejects a grid of more than [`MAX_GRID_CELLS`] cells. Both factors are
-/// already capped, so the product cannot overflow.
-fn check_grid_cells(n_max: u32, r_count: usize) -> Result<(), WireError> {
-    let cells = n_max as usize * r_count;
-    if cells > MAX_GRID_CELLS {
-        return Err(err(format!(
-            "grid cell count {cells} (n_max × r values) is over the limit of {MAX_GRID_CELLS}"
-        )));
-    }
-    Ok(())
 }
 
 fn decode_metrics(value: Option<&Json>) -> Result<Vec<Metric>, WireError> {
@@ -722,12 +705,7 @@ pub fn decode_request(value: &Json) -> Result<WireRequest, WireError> {
         let x = decode_axis(frontier, "x")?;
         let y = decode_axis(frontier, "y")?;
         let points = x.values.len().saturating_mul(y.values.len());
-        if points > MAX_FRONTIER_POINTS {
-            return Err(err(format!(
-                "frontier parameter point count {points} (|x| × |y|) is over the limit of \
-                 {MAX_FRONTIER_POINTS}"
-            )));
-        }
+        check_cap(Extent::FrontierPoints(points)).map_err(err)?;
         return Ok(WireRequest::Frontier { id, target, x, y });
     }
     if value.get("scenario").is_none() {
@@ -838,6 +816,173 @@ fn push_cells(out: &mut String, landscape: &Landscape) {
             out.push('}');
         }
     }
+}
+
+/// Decodes a `cells` array as [`push_cells`] writes it straight into a
+/// [`Landscape`], with no `Json` value per cell: its inverse, for clients.
+/// [`parse_response_line`] states what it accepts.
+fn decode_cells(text: &str, pos: &mut usize) -> Result<Landscape, WireError> {
+    let bytes = text.as_bytes();
+    skip_ws(bytes, pos);
+    if !eat(bytes, pos, "[") {
+        return Err(err(format!("`cells` at byte {} is not an array", *pos)));
+    }
+    let mut r_values = Vec::new();
+    let (mut costs, mut errors) = (Vec::new(), Vec::new());
+    // The first column's length once it has ended, this column's length
+    // so far, and this column's `r` text.
+    let (mut n_max, mut rows, mut r_text) = (0u32, 0u32, "");
+    loop {
+        let at = *pos;
+        if !eat(bytes, pos, CELL_N) {
+            return Err(err(format!("expected a cell at byte {at}")));
+        }
+        let token = number_token(text, pos);
+        let n = token.parse::<u32>().ok();
+        if n == Some(1) && rows > 0 {
+            end_column(&mut n_max, rows, at)?;
+            rows = 0;
+        }
+        rows += 1;
+        if n != Some(rows) {
+            return Err(err(format!(
+                "cell at byte {at} has n = {token} where its column needs {rows}"
+            )));
+        }
+        if !eat(bytes, pos, CELL_R) {
+            return Err(err(format!("cell at byte {at} has no `r` after `n`")));
+        }
+        if rows == 1 {
+            let start = *pos;
+            r_values.push(cell_value(text, pos)?);
+            r_text = text.get(start..*pos).unwrap_or_default();
+        } else if value_token(text, pos) != r_text {
+            return Err(err(format!(
+                "cell at byte {at} has an `r` other than its column's {r_text}"
+            )));
+        }
+        if eat(bytes, pos, CELL_COST) {
+            costs.push(cell_value(text, pos)?);
+        }
+        if eat(bytes, pos, CELL_ERROR) {
+            errors.push(cell_value(text, pos)?);
+        }
+        if !eat(bytes, pos, "}") {
+            return Err(err(format!(
+                "cell at byte {at} has a member other than n, r, mean_cost, error_probability"
+            )));
+        }
+        if eat(bytes, pos, "]") {
+            break;
+        }
+        if !eat(bytes, pos, ",") {
+            return Err(err(format!(
+                "expected `,` or `]` after the cell at byte {at}"
+            )));
+        }
+    }
+    end_column(&mut n_max, rows, *pos)?;
+    if costs.is_empty() && errors.is_empty() {
+        return Err(err("cells carry neither mean_cost nor error_probability"));
+    }
+    // A slab that is neither empty nor as long as the grid is a metric
+    // some cells lack, and `Landscape::new` refuses it.
+    let slab = |values: Vec<f64>| (!values.is_empty()).then_some(values);
+    Landscape::new(n_max, r_values, slab(costs), slab(errors))
+        .map_err(|_| err("a metric is missing from some cells"))
+}
+
+/// Ends a column of `rows` cells: the first column sets `n_max`, and every
+/// later one must match it.
+fn end_column(n_max: &mut u32, rows: u32, at: usize) -> Result<(), WireError> {
+    if *n_max == 0 {
+        *n_max = rows;
+    }
+    if rows != *n_max {
+        return Err(err(format!(
+            "the column ending at byte {at} has {rows} cells where the first has {n_max}",
+            n_max = *n_max
+        )));
+    }
+    Ok(())
+}
+
+/// One cell value: a number, or `null`, which [`push_f64`] writes for a
+/// value that is not finite, read back as NaN.
+fn cell_value(text: &str, pos: &mut usize) -> Result<f64, WireError> {
+    if eat(text.as_bytes(), pos, "null") {
+        return Ok(f64::NAN);
+    }
+    number(text, pos)
+}
+
+/// Consumes one cell value's text, unparsed: `null` or a run of number
+/// characters.
+fn value_token<'a>(text: &'a str, pos: &mut usize) -> &'a str {
+    if eat(text.as_bytes(), pos, "null") {
+        "null"
+    } else {
+        number_token(text, pos)
+    }
+}
+
+/// Consumes `expected` if the input holds it at `pos`.
+fn eat(bytes: &[u8], pos: &mut usize, expected: &str) -> bool {
+    let found = bytes
+        .get(*pos..)
+        .is_some_and(|rest| rest.starts_with(expected.as_bytes()));
+    if found {
+        *pos += expected.len();
+    }
+    found
+}
+
+/// Parses one response line in the single pass [`parse_json`] makes, but
+/// decodes a top-level `cells` member straight into a [`Landscape`]
+/// instead of a `Json` array, with no `Json` value per cell. Every other
+/// member lands in the returned object as [`parse_json`] would build it,
+/// so the object never holds `cells`.
+///
+/// The cells are read in the layout [`WireResponse::to_line`] writes and
+/// no other: `{"n":…,"r":…}` followed by `mean_cost` and then
+/// `error_probability`, with no whitespace. A column starts where `n`
+/// returns to 1, every `n` must equal its row in the column, and every
+/// column must be as long as the first. A column's `r` is parsed at its
+/// first cell; the other cells' `r` texts must be the same bytes. A
+/// metric must be in every cell or in none, and `null` reads back as NaN.
+///
+/// # Errors
+///
+/// A [`WireError`] for every line [`parse_json`] refuses, for a line that
+/// is not an object, for a second `cells` member, and for `cells` that are
+/// not a landscape as [`WireResponse::to_line`] writes one.
+pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), WireError> {
+    let bytes = line.as_bytes();
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        return Err(err("a response line must be a JSON object"));
+    }
+    let mut landscape = None;
+    let head = parse_object(
+        line,
+        &mut pos,
+        &mut |key: &str, text: &str, pos: &mut usize| {
+            if key != "cells" {
+                return Ok(false);
+            }
+            if landscape.is_some() {
+                return Err(err("a response line has one `cells` member"));
+            }
+            landscape = Some(decode_cells(text, pos)?);
+            Ok(true)
+        },
+    )?;
+    skip_ws(bytes, &mut pos);
+    if pos != line.len() {
+        return Err(err(format!("trailing input at byte {pos}")));
+    }
+    Ok((head, landscape))
 }
 
 /// An upper bound on [`push_cells`]' text per cell of `landscape`.
@@ -1619,8 +1764,10 @@ mod tests {
                 7.0,
                 2.2250738585072014e-308,
             ]),
-        );
-        let cost_only = Landscape::new(2, vec![0.5, 3.0], Some(vec![6.5, 1e20, 3.25, 17.0]), None);
+        )
+        .unwrap();
+        let cost_only =
+            Landscape::new(2, vec![0.5, 3.0], Some(vec![6.5, 1e20, 3.25, 17.0]), None).unwrap();
         let error_only = Landscape::new(
             11,
             vec![1e-7],
@@ -1638,7 +1785,8 @@ mod tests {
                 0.3486784401,
                 0.31381059609,
             ]),
-        );
+        )
+        .unwrap();
         vec![
             WireResponse::Sweep {
                 id: "s1".to_owned(),
@@ -1773,6 +1921,132 @@ mod tests {
         }
     }
 
+    /// Asserts that `got` holds `expected`'s grid and the same bits in
+    /// every value, where a value that is not finite must read back as
+    /// NaN (it travels as `null`).
+    fn assert_same_landscape(got: &Landscape, expected: &Landscape) {
+        fn same(got: Option<&[f64]>, expected: Option<&[f64]>) -> bool {
+            match (got, expected) {
+                (Some(got), Some(expected)) => {
+                    got.len() == expected.len()
+                        && got.iter().zip(expected).all(|(g, e)| {
+                            g.to_bits() == e.to_bits() || (!e.is_finite() && g.is_nan())
+                        })
+                }
+                (got, expected) => got.is_none() && expected.is_none(),
+            }
+        }
+        assert_eq!(got.n_max(), expected.n_max());
+        assert!(same(Some(got.r_values()), Some(expected.r_values())), "r");
+        assert!(same(got.costs(), expected.costs()), "mean_cost");
+        assert!(same(got.errors(), expected.errors()), "error_probability");
+    }
+
+    /// `parse_json` of `line` without its `cells` member.
+    fn head_of(line: &str) -> Json {
+        let Ok(Json::Obj(mut members)) = parse_json(line) else {
+            panic!("not an object: {line}");
+        };
+        members.retain(|(key, _)| key != "cells");
+        Json::Obj(members)
+    }
+
+    #[test]
+    fn golden_lines_decode_to_their_fixtures() {
+        for (response, golden) in golden_fixtures().iter().zip(GOLDEN_LINES) {
+            let (head, landscape) = parse_response_line(golden).unwrap();
+            assert_eq!(head, head_of(golden), "{golden}");
+            match (response, landscape) {
+                (WireResponse::Sweep { response, .. }, Some(landscape)) => {
+                    assert_same_landscape(&landscape, &response.landscape);
+                }
+                (WireResponse::Sweep { .. }, None) => panic!("no landscape from {golden}"),
+                (_, landscape) => assert!(landscape.is_none(), "{golden}"),
+            }
+        }
+    }
+
+    /// Response lines whose `cells` are not the writer's layout, each with
+    /// the reason the decoder gives.
+    const MALFORMED_CELLS: [(&str, &str); 13] = [
+        (
+            r#"[{"n":2,"r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 25 has n = 2 where its column needs 1",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0},{"n":3,"r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 57 has n = 3 where its column needs 2",
+        ),
+        (
+            r#"[{"n":1.0,"r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 25 has n = 1.0 where its column needs 1",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0},{"n":2,"r":0.5,"mean_cost":1.0},{"n":1,"r":1.0,"mean_cost":1.0}]"#,
+            "the column ending at byte 121 has 1 cells where the first has 2",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0},{"n":1,"r":1.0,"mean_cost":1.0},{"n":2,"r":1.0,"mean_cost":1.0}]"#,
+            "the column ending at byte 121 has 2 cells where the first has 1",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0},{"n":2,"r":0.50,"mean_cost":1.0}]"#,
+            "cell at byte 57 has an `r` other than its column's 0.5",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0,"error_probability":0.1},{"n":2,"r":0.5,"mean_cost":1.0}]"#,
+            "a metric is missing from some cells",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0},{"n":2,"r":0.5,"error_probability":0.1}]"#,
+            "a metric is missing from some cells",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":1.0,"median_cost":1.0}]"#,
+            "cell at byte 25 has a member other than n, r, mean_cost, error_probability",
+        ),
+        (
+            r#"[{"n":1, "r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 25 has no `r` after `n`",
+        ),
+        (
+            r#"[{"n":1,"r":0.5}]"#,
+            "cells carry neither mean_cost nor error_probability",
+        ),
+        (r#"[]"#, "expected a cell at byte 25"),
+        (r#"{"n":1}"#, "`cells` at byte 24 is not an array"),
+    ];
+
+    #[test]
+    fn malformed_cells_are_refused_with_their_reason() {
+        for (cells, reason) in MALFORMED_CELLS {
+            let line = format!("{{\"v\":1,\"id\":\"s\",\"cells\":{cells}}}");
+            assert!(parse_json(&line).is_ok(), "{line}");
+            assert_eq!(
+                parse_response_line(&line).map(|_| ()),
+                Err(err(reason)),
+                "{line}"
+            );
+        }
+        for (line, reason) in [
+            ("[1]", "a response line must be a JSON object"),
+            (
+                r#"{"cells":[{"n":1,"r":1.0,"mean_cost":1.0}],"cells":[{"n":1,"r":1.0,"mean_cost":1.0}]}"#,
+                "a response line has one `cells` member",
+            ),
+            (
+                r#"{"cells":[{"n":1,"r":1.0,"mean_cost":1.0}]} x"#,
+                "trailing input at byte 44",
+            ),
+        ] {
+            assert_eq!(
+                parse_response_line(line).map(|_| ()),
+                Err(err(reason)),
+                "{line}"
+            );
+        }
+    }
+
     #[test]
     fn sweep_line_capacity_holds_for_the_widest_values() {
         // Every float at its longest text, every counter at its widest,
@@ -1795,7 +2069,8 @@ mod tests {
                         vec![wide; 3],
                         costs.then(|| vec![wide; cells]),
                         errors.then(|| vec![wide; cells]),
-                    ),
+                    )
+                    .unwrap(),
                     stats,
                 },
             };
@@ -2072,6 +2347,12 @@ mod tests {
         let direct = zeroconf_cost::cost::mean_cost(&request.scenario, 1, 0.5).unwrap();
         let wire = cells[0].get("mean_cost").and_then(Json::num).unwrap();
         assert_eq!(direct.to_bits(), wire.to_bits());
+        // The typed decoder reads the same line into the engine's own
+        // landscape, bit for bit.
+        let (head, landscape) = parse_response_line(&line).unwrap();
+        assert_eq!(head, head_of(&line));
+        let evaluated = engine(1).evaluate(&request).unwrap();
+        assert_same_landscape(&landscape.unwrap(), &evaluated.landscape);
     }
 
     #[test]
@@ -2115,6 +2396,10 @@ mod tests {
             finite > 0 && null > 0,
             "{finite} finite, {null} null: {answer}"
         );
+        // The typed decoder reads the `null` cells back as NaN and the
+        // finite ones bit for bit.
+        let (_, landscape) = parse_response_line(&answer).unwrap();
+        assert_same_landscape(&landscape.unwrap(), &direct.landscape);
     }
 
     #[test]
