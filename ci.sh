@@ -8,16 +8,13 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> proptest-gated suites (the count may only shrink)"
-# A file that opens with #![cfg(zeroconf_proptest)] imports the external
-# `proptest` crate, which cannot be fetched offline, so it never runs.
-# Each suite ported to a seeded zeroconf-rng loop lowers this bound.
-PROPTEST_GATED_MAX=2
-mapfile -t PROPTEST_GATED < <(grep -rlx --include='*.rs' \
-  '#!\[cfg(zeroconf_proptest)\]' crates src tests examples | sort)
-printf 'ci: gated: %s\n' "${PROPTEST_GATED[@]}"
-if (( ${#PROPTEST_GATED[@]} > PROPTEST_GATED_MAX )); then
-  echo "ci: ${#PROPTEST_GATED[@]} proptest-gated suites; at most $PROPTEST_GATED_MAX may remain" >&2
+echo "==> no cfg-gated property suites"
+# Every property suite runs on zeroconf_rng::for_each_seed in plain
+# `cargo test`. A suite gated behind a cfg that names the external
+# `proptest` crate could not build offline, so it would never run; no
+# file may name that cfg.
+if grep -rl 'zeroconf_proptest' crates src tests examples Cargo.toml; then
+  echo "ci: the files above name the zeroconf_proptest cfg; port the suite to for_each_seed" >&2
   exit 1
 fi
 
@@ -219,10 +216,6 @@ SMOKE_BENCH="$PWD/target/BENCH_engine.smoke.json"
 ZEROCONF_BENCH_THREADS="${ZEROCONF_BENCH_THREADS:-2}" \
   cargo bench -q -p zeroconf-bench --bench engine_throughput -- \
   --samples 2 --out "$SMOKE_BENCH"
-# The serve bench merges its socket-measured rows into the same report
-# (engine_throughput rewrites the file, so it must run first).
-cargo bench -q -p zeroconf-bench --bench serve_throughput -- \
-  --samples 2 --out "$SMOKE_BENCH"
 # BENCH_engine.json (the full-sample report) is generated, not committed;
 # validate it too when a prior `cargo bench` left one behind.
 BENCH_REPORTS=("$SMOKE_BENCH")
@@ -241,10 +234,6 @@ for path in sys.argv[1:]:
         "engine/frontier/warm",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",
-        "engine/serve/conns=1",
-        "engine/serve/conns=4",
-        "engine/serve/conns=64",
-        "engine/serve/overload/max-conns",
     ):
         if needed not in ids:
             sys.exit(f"ci: {path} is missing the '{needed}' row")
@@ -296,7 +285,7 @@ print("ci: bench reports validated:", ", ".join(sys.argv[1:]))
 PY
 
 # --- serve gates: both drive the daemon with the zeroconf-client binary,
-# --- the same typed client the integration tests and serve benches use.
+# --- the same typed client the integration tests and perfbench use.
 cargo build --release -p zeroconf-client
 
 # Spawns the daemon on $SERVE_SOCK logging to $SERVE_LOG, waits for the

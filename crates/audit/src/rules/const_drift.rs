@@ -44,8 +44,6 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
     ("ROW_STEM_ENGINE", BENCH_SCHEMA),
     ("ROW_STEM_SESSION", BENCH_SCHEMA),
-    ("ROW_STEM_SERVE", BENCH_SCHEMA),
-    ("ROW_SERVE_OVERLOAD", BENCH_SCHEMA),
     ("FIELD_ID", BENCH_SCHEMA),
     ("FIELD_CACHE", BENCH_SCHEMA),
     ("FIELD_THREADS", BENCH_SCHEMA),
@@ -89,10 +87,6 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
         BENCH_SCHEMA,
     ),
     ("engine/calibrate/warm", "ROW_CALIBRATE_WARM", BENCH_SCHEMA),
-    // `engine/serve` itself is not pinnable: the stem is a substring of
-    // the overload label's definition, so a contains() scan would count
-    // the same schema line twice. The overload prefix is distinctive.
-    ("engine/serve/overload", "ROW_SERVE_OVERLOAD", BENCH_SCHEMA),
     ("cells_per_sec", "FIELD_CELLS_PER_SEC", BENCH_SCHEMA),
     ("iters_per_sample", "FIELD_ITERS_PER_SAMPLE", BENCH_SCHEMA),
     ("median_ns", "FIELD_MEDIAN_NS", BENCH_SCHEMA),
@@ -287,8 +281,6 @@ mod tests {
                  pub const ROW_KERNEL_BLOCK_SIMD: &str = \"kernel/block/simd\";\n\
                  pub const ROW_STEM_ENGINE: &str = \"engine\";\n\
                  pub const ROW_STEM_SESSION: &str = \"engine/session\";\n\
-                 pub const ROW_STEM_SERVE: &str = \"engine/serve\";\n\
-                 pub const ROW_SERVE_OVERLOAD: &str = \"engine/serve/overload/max-conns\";\n\
                  pub const FIELD_ID: &str = \"id\";\n\
                  pub const FIELD_CACHE: &str = \"cache\";\n\
                  pub const FIELD_THREADS: &str = \"threads\";\n\

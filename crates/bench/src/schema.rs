@@ -45,14 +45,6 @@ pub const ROW_STEM_ENGINE: &str = "engine";
 /// Stem of the parameterized session rows
 /// (`engine/session/<mode>/…/threads=<k>`).
 pub const ROW_STEM_SESSION: &str = "engine/session";
-/// Stem of the socket-measured serve rows (`engine/serve/conns=<k>`):
-/// warm sweeps round-tripped through the reactor daemon over a Unix
-/// socket by `k` concurrent `zeroconf-client` connections.
-pub const ROW_STEM_SERVE: &str = "engine/serve";
-/// Row label: admission throughput at the `--max-conns` ceiling — a
-/// full house of admitted connections answering one sweep each while
-/// the surplus is refused structurally.
-pub const ROW_SERVE_OVERLOAD: &str = "engine/serve/overload/max-conns";
 
 /// Field name: the row label itself.
 pub const FIELD_ID: &str = "id";
@@ -96,12 +88,6 @@ pub fn row_session_serial(threads: usize) -> String {
 #[must_use]
 pub fn row_session_pipelined(depth: usize, threads: usize) -> String {
     format!("{ROW_STEM_SESSION}/pipelined/depth={depth}/threads={threads}")
-}
-
-/// The serve row label for `conns` concurrent client connections.
-#[must_use]
-pub fn row_serve_conns(conns: usize) -> String {
-    format!("{ROW_STEM_SERVE}/conns={conns}")
 }
 
 /// One `BENCH_engine.json` row. `cells` is the number of `(n, r)`
@@ -199,9 +185,6 @@ mod tests {
             row_session_pipelined(4, 2),
             "engine/session/pipelined/depth=4/threads=2"
         );
-        assert_eq!(row_serve_conns(64), "engine/serve/conns=64");
-        assert!(ROW_STEM_SERVE.starts_with(ROW_STEM_ENGINE));
-        assert!(ROW_SERVE_OVERLOAD.starts_with(ROW_STEM_SERVE));
         assert!(ROW_KERNEL_BLOCK_SIMD.starts_with("kernel/block/"));
         assert!(ROW_FRONTIER_WARM.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_FRONTIER_RECOMPUTE.starts_with(ROW_STEM_ENGINE));

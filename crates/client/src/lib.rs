@@ -30,9 +30,9 @@
 //!   (default [`DEFAULT_DEADLINE`]) elapses, so a wedged daemon fails a
 //!   test instead of hanging it.
 //!
-//! The crate is used by the serve integration tests, the `serve_throughput`
-//! bench, and the `zeroconf-client` binary that `ci.sh` drives for its
-//! socket smoke tests — one wire codec, no duplicated frame readers.
+//! The crate is used by the serve integration tests, perfbench, and the
+//! `zeroconf-client` binary that `ci.sh` drives for its socket smoke
+//! tests — one wire codec, no duplicated frame readers.
 
 #![forbid(unsafe_code)]
 

@@ -124,8 +124,9 @@ pub trait ReplyTimeDistribution: fmt::Debug + Send + Sync {
     /// `self.survival(t).to_bits()`. Hoisting is therefore restricted to
     /// factors the scalar form computes identically per call (e.g.
     /// `1 − mass`, `−rate`); reassociating or strength-reducing the
-    /// arithmetic is not allowed. The `zeroconf_proptest`-gated property
-    /// suite asserts this contract for every vendored distribution.
+    /// arithmetic is not allowed. `tests/backend_parity.rs` and the seeded
+    /// `tests/properties.rs` assert this contract for every vendored
+    /// distribution.
     fn survival_batch(&self, ts: &mut [f64]) {
         for t in ts {
             *t = self.survival(*t);

@@ -764,6 +764,29 @@ pub fn parse_request_line(line: &str) -> Result<WireRequest, WireError> {
     decode_request(&value)
 }
 
+/// The id a request line's answer echoes: its `id` member when that is a
+/// string, else empty.
+#[must_use]
+pub fn line_id(value: &Json) -> &str {
+    value.get("id").and_then(Json::str).unwrap_or_default()
+}
+
+/// Decodes one parsed request line (version check, then schema decode).
+/// The decode every front end shares: [`PipelinedSession::submit_line`]
+/// runs it, and so does `zeroconf serve` after answering its own `stats`
+/// lines.
+///
+/// # Errors
+///
+/// Returns the line's error answer: without an id when the line did not
+/// parse, else echoing [`line_id`].
+pub fn decode_line(parsed: Result<Json, WireError>) -> Result<WireRequest, String> {
+    let value = parsed.map_err(|e| error_line("", &e.into()))?;
+    check_version(&value)
+        .and_then(|()| decode_request(&value))
+        .map_err(|e| error_line(line_id(&value), &e.into()))
+}
+
 // ---------------------------------------------------------------------------
 // Response encoding
 // ---------------------------------------------------------------------------
@@ -1001,8 +1024,10 @@ fn cell_text_max(landscape: &Landscape) -> usize {
 /// set, serialized by exactly one function ([`WireResponse::to_line`]).
 ///
 /// Sessions and servers construct values of this type and stringify them
-/// at the output boundary — there is no other JSON writer for responses,
-/// so the wire format cannot drift between call sites.
+/// at the output boundary, so the wire format cannot drift between call
+/// sites. The one other response writer is `zeroconf serve`'s answer to
+/// its serve-level `stats` verb, which carries server counters this
+/// crate does not know; it writes its id through [`push_json_str`].
 #[derive(Debug, Clone)]
 pub enum WireResponse {
     /// A completed sweep: `{"v":…,"id":…,"cells":[…],"stats":{…}}`.
@@ -1297,9 +1322,10 @@ impl PendingWork {
 /// [`Pipeline`](crate::Pipeline).
 ///
 /// [`PipelinedSession::submit_line`] decodes one input line and enqueues
-/// it (blocking only when the pipeline's depth bound is reached —
-/// backpressure); [`PipelinedSession::poll_responses`] encodes whatever
-/// has completed so far; [`PipelinedSession::drain`] blocks until every
+/// it, and [`PipelinedSession::submit_request`] enqueues a request that
+/// is already decoded (both block only when the pipeline's depth bound
+/// is reached — backpressure); [`PipelinedSession::poll_responses`]
+/// encodes whatever has completed so far; [`PipelinedSession::drain`] blocks until every
 /// in-flight request is answered. Responses therefore come back in
 /// **completion order**, keyed by the caller's `id` field, not in input
 /// order.
@@ -1394,38 +1420,33 @@ impl PipelinedSession {
         out
     }
 
-    /// Decodes and enqueues one input line. Returns the response lines
-    /// that are ready *immediately* — parse/validation errors and cancel
-    /// acknowledgements; sweep and rescore answers arrive later via
-    /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`].
-    /// Blank lines produce nothing. Blocks when the pipeline is at its
-    /// depth bound.
+    /// Decodes and enqueues one input line: [`parse_json`], then
+    /// [`decode_line`], then [`PipelinedSession::submit_request`]. A line
+    /// that fails to decode is answered with its error line. Blank lines
+    /// produce nothing.
     pub fn submit_line(&mut self, line: &str) -> Vec<String> {
         let line = line.trim();
         if line.is_empty() {
             return Vec::new();
         }
-        let value = match parse_json(line) {
-            Ok(value) => value,
-            Err(e) => return vec![error_line("", &e.into())],
-        };
-        let id = value
-            .get("id")
-            .and_then(Json::str)
-            .unwrap_or_default()
-            .to_owned();
-        if let Err(e) = check_version(&value) {
-            return vec![error_line(&id, &e.into())];
+        match decode_line(parse_json(line)) {
+            Ok(request) => self.submit_request(request),
+            Err(answer) => vec![answer],
         }
-        match decode_request(&value) {
-            Err(e) => vec![error_line(&id, &e.into())],
-            Ok(WireRequest::Sweep { id, request }) => {
-                self.submit_work(id, WorkRequest::Sweep(request))
-            }
-            Ok(WireRequest::Rescore { id, of, delta }) => {
+    }
+
+    /// Enqueues one decoded request. Returns the response lines that are
+    /// ready *immediately* — dispatch errors and cancel acknowledgements;
+    /// sweep, rescore, calibrate and frontier answers arrive later via
+    /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`].
+    /// Blocks when the pipeline is at its depth bound.
+    pub fn submit_request(&mut self, request: WireRequest) -> Vec<String> {
+        match request {
+            WireRequest::Sweep { id, request } => self.submit_work(id, WorkRequest::Sweep(request)),
+            WireRequest::Rescore { id, of, delta } => {
                 self.submit_dependent(id, &of, PendingWork::Rescore(delta))
             }
-            Ok(WireRequest::Calibrate { id, target, n, r }) => match target {
+            WireRequest::Calibrate { id, target, n, r } => match target {
                 WorkTarget::Base(of) => {
                     self.submit_dependent(id, &of, PendingWork::Calibrate { n, r })
                 }
@@ -1439,7 +1460,7 @@ impl PipelinedSession {
                     }),
                 ),
             },
-            Ok(WireRequest::Frontier { id, target, x, y }) => match target {
+            WireRequest::Frontier { id, target, x, y } => match target {
                 WorkTarget::Base(of) => {
                     self.submit_dependent(id, &of, PendingWork::Frontier { x, y })
                 }
@@ -1453,7 +1474,7 @@ impl PipelinedSession {
                     }),
                 ),
             },
-            Ok(WireRequest::Cancel { id, of }) => self.submit_cancel(&id, &of),
+            WireRequest::Cancel { id, of } => self.submit_cancel(&id, &of),
         }
     }
 

@@ -21,9 +21,9 @@
 //! reader can never pin a permit (PR 6's poll-time-release rule,
 //! extended to the reactor). What a slow reader *does* stall is its own
 //! intake: once the connection's output buffer crosses
-//! [`OUT_HIGH_WATER`] (or too many lines are parked waiting for
+//! [`OUT_HIGH_WATER`] (or too many requests are queued waiting for
 //! permits), the loop stops reading from that socket and stops admitting
-//! its parked lines — stepping out of the budget queue rather than
+//! its queued requests — stepping out of the budget queue rather than
 //! camping at its head — so buffered output stays bounded by the high
 //! water mark plus the responses already admitted, and kernel TCP
 //! backpressure propagates to the client.
@@ -34,9 +34,14 @@
 //! connection lingers as a socketless "zombie" only until the engine
 //! confirms those cancellations, at which point its permits are all
 //! home. Server drain is the opposite: stop reading, then answer
-//! everything already received — parked lines trickle through the
+//! everything already received — queued requests trickle through the
 //! fair budget as permits free, exactly as they would have without
 //! the drain — flush, close.
+//!
+//! **Intake** parses each request line once. The connection reads one
+//! key itself, `stats`, and answers it; [`wire::decode_line`] decodes
+//! everything else. A request that needs a permit when none is free is
+//! held decoded at the head of the queue, and only the budget is retried.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -45,7 +50,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-use zeroconf_engine::wire::{self, Json, PipelinedSession};
+use zeroconf_engine::wire::{self, PipelinedSession, WireRequest};
 use zeroconf_engine::PipelineConfig;
 
 use crate::metrics::{stats_response_line, ConnMetrics, StatsSnapshot};
@@ -68,9 +73,10 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 pub const MAX_LINE_BYTES: usize =
     (wire::MAX_GRID_R_POINTS + wire::MAX_FRONTIER_POINTS + 1) * 32 + 64 * 1024;
 
-/// Parked-line bound with the same role on the input side: a client
-/// that floods requests faster than the budget admits them is left in
-/// the kernel socket buffer, not in server memory.
+/// Queued-request bound (the held request plus parked lines) with the
+/// same role on the input side: a client that floods requests faster
+/// than the budget admits them is left in the kernel socket buffer, not
+/// in server memory.
 const MAX_PARKED: usize = 1024;
 
 /// Read chunk size, and (via [`MAX_READ_CHUNKS`]) the per-event read
@@ -235,8 +241,11 @@ pub(crate) struct Connection {
     inbuf: Vec<u8>,
     /// Leading bytes of `inbuf` already searched for a newline.
     inbuf_scanned: usize,
-    /// Complete lines waiting for a budget permit (or behind one that
-    /// is): admission order is arrival order, always.
+    /// The head of the queue: a decoded request waiting for a budget
+    /// permit. Only the budget is retried; the line is never parsed again.
+    held: Option<WireRequest>,
+    /// Complete lines queued behind the held request, still as text:
+    /// admission order is arrival order, always.
     parked: VecDeque<String>,
     out: OutBuf,
     metrics: ConnMetrics,
@@ -244,7 +253,7 @@ pub(crate) struct Connection {
     permits: usize,
     /// Client gone (EOF, read/write error, hangup): withdrawing.
     gone: bool,
-    /// Server drain: no more reading; parked and in-flight work is
+    /// Server drain: no more reading; queued and in-flight work is
     /// still answered, then the output is flushed and the conn closes.
     draining: bool,
 }
@@ -264,6 +273,7 @@ impl Connection {
             session: None,
             inbuf: Vec::new(),
             inbuf_scanned: 0,
+            held: None,
             parked: VecDeque::new(),
             out: OutBuf::default(),
             metrics: ConnMetrics::default(),
@@ -283,9 +293,15 @@ impl Connection {
     }
 
     /// Whether intake is paused by backpressure: the client has enough
-    /// output to drain (or enough lines parked) already.
+    /// output to drain (or enough requests queued) already.
     fn intake_gated(&self) -> bool {
-        self.out.len() >= OUT_HIGH_WATER || self.parked.len() >= MAX_PARKED
+        self.out.len() >= OUT_HIGH_WATER || self.queued() >= MAX_PARKED
+    }
+
+    /// Requests received but not yet admitted: the held one plus the
+    /// parked lines behind it.
+    fn queued(&self) -> usize {
+        usize::from(self.held.is_some()) + self.parked.len()
     }
 
     /// The connection has nothing left to do and can be reaped.
@@ -294,7 +310,7 @@ impl Connection {
         if self.gone {
             return pending == 0;
         }
-        self.draining && pending == 0 && self.parked.is_empty() && self.out.is_empty()
+        self.draining && pending == 0 && self.queued() == 0 && self.out.is_empty()
     }
 
     pub(crate) fn is_gone(&self) -> bool {
@@ -315,15 +331,8 @@ impl Connection {
         self.session.as_ref().map_or(0, PipelinedSession::pending)
     }
 
-    /// Requests withdrawn because the client vanished (for the server
-    /// gauge, already counted — exposed for loop-side assertions only).
-    #[cfg(test)]
-    fn parked_len(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Readable readiness: read until `WouldBlock` (bounded per event),
-    /// frame complete lines, process or park each in arrival order.
+    /// frame complete lines, process or queue each in arrival order.
     pub(crate) fn on_readable(&mut self) {
         if self.gone || self.draining {
             return;
@@ -345,10 +354,12 @@ impl Connection {
                     self.metrics.bytes_in += n as u64;
                     self.inbuf.extend_from_slice(&chunk[..n]);
                     for line in take_lines(&mut self.inbuf, &mut self.inbuf_scanned) {
-                        // Once anything is parked, everything parks:
+                        // Once anything is queued, everything queues:
                         // responses must come back in request order.
-                        if !self.parked.is_empty() || !self.try_process_line(&line) {
+                        if self.queued() > 0 {
                             self.parked.push_back(line);
+                        } else {
+                            self.try_process_line(&line);
                         }
                     }
                     if self.inbuf.len() > MAX_LINE_BYTES {
@@ -396,7 +407,7 @@ impl Connection {
     }
 
     /// The per-tick pump: poll completions (always — this is what frees
-    /// permits), retry parked admissions, flush output.
+    /// permits), retry queued admissions, flush output.
     pub(crate) fn pump(&mut self) {
         let ready = match &mut self.session {
             Some(session) => session.poll_responses(),
@@ -422,12 +433,13 @@ impl Connection {
     }
 
     /// Enters drain mode: discard unframed input and stop reading.
-    /// Everything already framed — parked lines included — is still
-    /// answered: the pump keeps retrying [`Connection::admit_parked`],
-    /// so parked work flows through the fair budget as permits free,
-    /// then the flush empties `out`. The pre-reactor daemon answered
-    /// five pipelined requests against `--inflight 4` across a SIGTERM;
-    /// losing the parked fifth would regress that invariant.
+    /// Everything already framed — the held request and parked lines
+    /// included — is still answered: the pump keeps retrying
+    /// [`Connection::admit_parked`], so queued work flows through the
+    /// fair budget as permits free, then the flush empties `out`. The
+    /// pre-reactor daemon answered five pipelined requests against
+    /// `--inflight 4` across a SIGTERM; losing the queued fifth would
+    /// regress that invariant.
     pub(crate) fn begin_drain(&mut self) {
         if self.draining || self.gone {
             return;
@@ -438,24 +450,25 @@ impl Connection {
         self.admit_parked();
     }
 
-    /// Admits parked lines in order until one must keep waiting. Under
-    /// backpressure the connection steps *out* of the budget queue —
-    /// holding the queue head while refusing to make progress would
-    /// starve every other connection.
+    /// Admits queued requests in order until one must keep waiting: the
+    /// held request first (a budget retry, no parse), then each parked
+    /// line as it reaches the head. Under backpressure the connection
+    /// steps *out* of the budget queue — holding the queue head while
+    /// refusing to make progress would starve every other connection.
     fn admit_parked(&mut self) {
-        loop {
-            if self.parked.is_empty() {
-                return;
-            }
+        while self.queued() > 0 {
             if self.intake_gated_for_admission() {
                 self.shared.budget.leave(self.conn_id);
                 return;
             }
-            let Some(line) = self.parked.pop_front() else {
+            let admitted = if let Some(request) = self.held.take() {
+                self.try_admit(request)
+            } else if let Some(line) = self.parked.pop_front() {
+                self.try_process_line(&line)
+            } else {
                 return;
             };
-            if !self.try_process_line(&line) {
-                self.parked.push_front(line);
+            if !admitted {
                 return;
             }
         }
@@ -463,55 +476,62 @@ impl Connection {
 
     /// Admission backpressure: the output-side half of
     /// [`Connection::intake_gated`]. Applies during drain too — a slow
-    /// reader's parked work admits only as it consumes its responses,
+    /// reader's queued work admits only as it consumes its responses,
     /// so even a draining connection never pins unbounded output.
     fn intake_gated_for_admission(&self) -> bool {
         self.out.len() >= OUT_HIGH_WATER
     }
 
-    /// Attempts one request line. Returns `false` when the line needs a
-    /// budget permit that is not available right now (the caller parks
-    /// it; nothing has been counted or submitted).
+    /// Attempts one request line: the line's one parse, then its one
+    /// decode. Returns `false` when the decoded request needs a budget
+    /// permit that is not available right now; it is then held at the
+    /// head of the queue, uncounted and unsubmitted.
     fn try_process_line(&mut self, line: &str) -> bool {
         let line = line.trim();
         if line.is_empty() {
             return true;
         }
-        let parsed = wire::parse_json(line).ok();
-        // Stats lines are answered *before* admission — the threaded
-        // handler's ordering. They submit no engine work, so they must
-        // never consume a permit: admitting first would leak one on a
-        // crafted line carrying both "stats" and a work verb (acquired
-        // here, but never counted in `self.permits`, so `sync_permits`
-        // could never bring it home).
-        if let Some(value) = &parsed {
-            if value.get("stats").is_some() {
+        #[cfg(test)]
+        tests::PARSES.with(|parses| parses.set(parses.get() + 1));
+        let request = match wire::parse_json(line) {
+            // Stats lines are answered *before* admission — the threaded
+            // handler's ordering. They submit no engine work, so they
+            // must never consume a permit, even on a crafted line that
+            // also carries a work verb.
+            Ok(value) if value.get("stats").is_some() => {
                 self.count_request();
-                let id = str_member(value, "id").unwrap_or_default().to_owned();
-                let stats_line = stats_response_line(&id, &self.snapshot());
+                let stats_line = stats_response_line(wire::line_id(&value), &self.snapshot());
                 self.push_out(stats_line);
                 return true;
             }
+            parsed => wire::decode_line(parsed),
+        };
+        match request {
+            Ok(request) => self.try_admit(request),
+            // A line that fails to decode is answered at once and never
+            // waits for a permit.
+            Err(answer) => {
+                self.count_request();
+                self.push_out(answer);
+                true
+            }
         }
-        let adds_work = parsed.as_ref().is_some_and(|v| {
-            v.get("scenario").is_some()
-                || v.get("rescore").is_some()
-                || v.get(wire::VERB_CALIBRATE).is_some()
-                || v.get(wire::VERB_FRONTIER).is_some()
-        });
-        if adds_work && !self.shared.budget.try_acquire(self.conn_id) {
+    }
+
+    /// Submits one decoded request, first taking a budget permit when it
+    /// carries engine work (every verb but `cancel`). Returns `false`,
+    /// holding the request, when no permit is free.
+    fn try_admit(&mut self, request: WireRequest) -> bool {
+        if let WireRequest::Cancel { .. } = request {
+            self.metrics.cancellations += 1;
+        } else if self.shared.budget.try_acquire(self.conn_id) {
+            self.permits += 1;
+        } else {
+            self.held = Some(request);
             return false;
         }
         self.count_request();
-        if let Some(value) = &parsed {
-            if value.get("cancel").is_some() {
-                self.metrics.cancellations += 1;
-            }
-        }
-        if adds_work {
-            self.permits += 1;
-        }
-        let immediate = self.session().submit_line(line);
+        let immediate = self.session().submit_request(request);
         for response in immediate {
             self.push_out(response);
         }
@@ -527,7 +547,7 @@ impl Connection {
     }
 
     /// Counts one request as processed (exactly once per line, at the
-    /// point where the line can no longer be parked or refused).
+    /// point where the line can no longer be held or refused).
     fn count_request(&mut self) {
         self.metrics.requests += 1;
         // ORDERING: server-wide statistics tally; readers only report it.
@@ -619,6 +639,7 @@ impl Connection {
         self.sync_permits();
         self.inbuf.clear();
         self.inbuf_scanned = 0;
+        self.held = None;
         self.parked.clear();
         self.out.clear();
         self.shared.budget.leave(self.conn_id);
@@ -683,16 +704,16 @@ fn take_lines(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<String> {
     lines
 }
 
-fn str_member<'j>(value: &'j Json, key: &str) -> Option<&'j str> {
-    match value.get(key) {
-        Some(Json::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// Request lines the intake has parsed on this thread.
+        pub(super) static PARSES: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn take_lines_keeps_partial_tail() {
@@ -791,6 +812,14 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 
+    impl Connection {
+        /// Requests waiting for admission: the held one and the parked
+        /// lines behind it.
+        fn parked_len(&self) -> usize {
+            self.queued()
+        }
+    }
+
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {
         Arc::new(crate::ServerShared {
             engine: Arc::new(zeroconf_engine::Engine::new(
@@ -807,12 +836,54 @@ mod tests {
     }
 
     fn test_conn(shared: Arc<crate::ServerShared>) -> Connection {
+        test_conn_and_client(shared).0
+    }
+
+    /// A connection on a nonblocking socket, as the loop runs it, and
+    /// the client end of that socket.
+    fn test_conn_and_client(
+        shared: Arc<crate::ServerShared>,
+    ) -> (Connection, std::io::BufReader<std::net::TcpStream>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let _client = std::net::TcpStream::connect(addr).unwrap();
+        let client = std::net::TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
         let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
         let wake = WakeHandle::new().unwrap();
-        Connection::new(ClientSocket::Tcp(server), 1, shared, wake)
+        let conn = Connection::new(ClientSocket::Tcp(server), 1, shared, wake);
+        (conn, std::io::BufReader::new(client))
+    }
+
+    /// Pumps `conn` until it has written `responses` lines and has
+    /// nothing pending.
+    fn pump_until_answered(conn: &mut Connection, responses: u64) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while conn.metrics.responses < responses || conn.pending() > 0 || !conn.out.is_empty() {
+            assert!(std::time::Instant::now() < deadline, "no answer in 30 s");
+            conn.pump();
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    fn read_answer(client: &mut std::io::BufReader<std::net::TcpStream>) -> wire::Json {
+        let mut line = String::new();
+        std::io::BufRead::read_line(client, &mut line).unwrap();
+        wire::parse_json(&line).unwrap()
+    }
+
+    /// Another connection takes every permit of the budget.
+    fn exhaust(budget: &crate::FairBudget) {
+        for _ in 0..budget.capacity() {
+            assert!(budget.try_acquire(u64::MAX));
+        }
+        assert_eq!(budget.available(), 0);
+    }
+
+    fn sweep_line(id: &str) -> String {
+        zeroconf_engine::testkit::sweep_line(id, 3, &[0.5, 1.0, 2.0])
     }
 
     #[test]
@@ -859,5 +930,113 @@ mod tests {
         );
         assert_eq!(conn.permits, 0);
         assert_eq!(conn.metrics.responses, 3, "each stats line is answered");
+    }
+
+    #[test]
+    fn a_line_waiting_for_a_permit_is_parsed_once() {
+        let shared = test_shared(1);
+        let (mut conn, mut client) = test_conn_and_client(Arc::clone(&shared));
+        exhaust(&shared.budget);
+        let parses = PARSES.with(Cell::get);
+
+        assert!(!conn.try_process_line(&sweep_line("w")), "no permit: held");
+        for _ in 0..50 {
+            conn.pump();
+        }
+        assert_eq!(
+            PARSES.with(Cell::get) - parses,
+            1,
+            "a held request is never parsed again"
+        );
+        assert_eq!(conn.metrics.responses, 0);
+        assert_eq!(conn.queued(), 1);
+
+        shared.budget.release();
+        pump_until_answered(&mut conn, 1);
+        assert_eq!(PARSES.with(Cell::get) - parses, 1);
+        assert_eq!(conn.metrics.responses, 1, "answered once");
+        assert_eq!(conn.metrics.requests, 1);
+        assert_eq!(conn.queued(), 0);
+        let answer = read_answer(&mut client);
+        assert_eq!(answer.get("id"), Some(&wire::Json::Str("w".to_owned())));
+        assert!(answer.get("cells").is_some(), "{answer:?}");
+        assert_eq!(conn.permits, 0);
+        assert_eq!(shared.budget.available(), shared.budget.capacity());
+    }
+
+    #[test]
+    fn a_line_that_fails_to_decode_is_answered_at_once_without_a_permit() {
+        let shared = test_shared(2);
+        let mut conn = test_conn(Arc::clone(&shared));
+        exhaust(&shared.budget);
+
+        let malformed = r#"{"v":1,"id":"x","scenario":{}}"#;
+        let mut engine_session = PipelinedSession::new(
+            zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig::default()),
+            PipelineConfig::with_depth(1),
+        );
+        let expected = engine_session.submit_line(malformed);
+        assert_eq!(expected.len(), 1, "`zeroconf engine` answers at once");
+
+        assert!(conn.try_process_line(malformed), "answered, not held");
+        assert_eq!(conn.queued(), 0);
+        assert_eq!(conn.permits, 0);
+        assert_eq!(shared.budget.available(), 0, "no permit taken");
+        let chunk = conn.out.chunks.pop_front().unwrap();
+        assert_eq!(chunk, format!("{}\n", expected[0]).into_bytes());
+
+        // A cancel that does not decode is not counted as a cancellation.
+        assert!(conn.try_process_line(r#"{"v":1,"id":"c","cancel":5}"#));
+        assert_eq!(conn.metrics.cancellations, 0);
+        assert_eq!(conn.metrics.responses, 2);
+        assert!(conn.session.is_none(), "no engine session was needed");
+    }
+
+    #[test]
+    fn lines_behind_a_held_request_wait_and_keep_their_order() {
+        let shared = test_shared(1);
+        let (mut conn, mut client) = test_conn_and_client(Arc::clone(&shared));
+        exhaust(&shared.budget);
+        let parses = PARSES.with(Cell::get);
+
+        let lines = format!(
+            "{}\n{}\n{}\n",
+            sweep_line("w"),
+            r#"{"v":1,"id":"k","stats":true}"#,
+            r#"{"v":1,"id":"m","scenario":{}}"#,
+        );
+        std::io::Write::write_all(client.get_mut(), lines.as_bytes()).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while conn.queued() < 3 {
+            assert!(std::time::Instant::now() < deadline, "lines never arrived");
+            conn.on_readable();
+        }
+        for _ in 0..10 {
+            conn.pump();
+        }
+        assert_eq!(
+            conn.metrics.responses, 0,
+            "nothing overtakes the held request"
+        );
+        assert_eq!(PARSES.with(Cell::get) - parses, 1, "queued lines stay text");
+
+        shared.budget.release();
+        pump_until_answered(&mut conn, 3);
+        assert_eq!(PARSES.with(Cell::get) - parses, 3);
+        let stats = read_answer(&mut client);
+        assert_eq!(stats.get("id"), Some(&wire::Json::Str("k".to_owned())));
+        let seen = stats.get("stats").and_then(|s| s.get("conn")).unwrap();
+        assert_eq!(
+            seen.get("pending"),
+            Some(&wire::Json::Num(1.0)),
+            "after admission"
+        );
+        let malformed = read_answer(&mut client);
+        assert_eq!(malformed.get("id"), Some(&wire::Json::Str("m".to_owned())));
+        assert!(malformed.get("error").is_some(), "{malformed:?}");
+        let sweep = read_answer(&mut client);
+        assert_eq!(sweep.get("id"), Some(&wire::Json::Str("w".to_owned())));
+        assert!(sweep.get("cells").is_some(), "{sweep:?}");
+        assert_eq!(shared.budget.available(), shared.budget.capacity());
     }
 }

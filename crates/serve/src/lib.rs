@@ -65,9 +65,7 @@ mod reactor;
 pub use budget::FairBudget;
 pub use conn::MAX_LINE_BYTES;
 pub use listener::Endpoint;
-pub use metrics::{
-    capacity_refusal_line, stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot,
-};
+pub use metrics::{stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -18,9 +18,10 @@
 //! engine; the engine block is what lets a client observe that another
 //! client's sweep warmed the π-table cache it now hits.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use zeroconf_engine::wire::WIRE_VERSION;
+use zeroconf_engine::wire::{push_json_str, WireResponse, WIRE_VERSION};
 use zeroconf_engine::{EngineStats, PipelineStats};
 
 /// Counters shared by the whole server process.
@@ -78,22 +79,6 @@ pub struct ConnMetrics {
     pub bytes_out: u64,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Everything a `stats` response snapshots, gathered by the handler.
 pub struct StatsSnapshot<'a> {
     /// The connection's id (the `conn` half of `conn_id:wire_id`).
@@ -119,8 +104,11 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
     let p = snapshot.pipeline;
     let s = snapshot.server;
     let e = &snapshot.engine;
-    format!(
-        "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"stats\":{{\
+    let mut out = format!("{{\"v\":{WIRE_VERSION},\"id\":");
+    push_json_str(&mut out, id);
+    let _ = write!(
+        out,
+        ",\"stats\":{{\
          \"conn\":{{\"id\":{},\"requests\":{},\"responses\":{},\"cancellations\":{},\
          \"bytes_in\":{},\"bytes_out\":{},\"pending\":{},\
          \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}},\
@@ -128,7 +116,6 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
          \"requests\":{},\"responses\":{},\"cancelled_on_disconnect\":{},\"inflight_budget\":{}}},\
          \"engine\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\
          \"cache_evictions\":{},\"kernel_backend\":\"{}\",\"dist_backend\":\"{}\"}}}}}}",
-        escape(id),
         snapshot.conn_id,
         c.requests,
         c.responses,
@@ -159,14 +146,19 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
         e.cache_evictions,
         e.kernel_backend,
         e.dist_backend,
-    )
+    );
+    out
 }
 
 /// The refusal line written to a connection accepted over the
 /// `--max-conns` bound, before it is closed.
 #[must_use]
-pub fn capacity_refusal_line() -> String {
-    format!("{{\"v\":{WIRE_VERSION},\"id\":\"\",\"error\":\"server at connection capacity\"}}")
+pub(crate) fn capacity_refusal_line() -> String {
+    WireResponse::Error {
+        id: String::new(),
+        message: "server at connection capacity".to_owned(),
+    }
+    .to_line()
 }
 
 #[cfg(test)]
