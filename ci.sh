@@ -290,10 +290,12 @@ cargo build --release -p zeroconf-client
 
 # Spawns the daemon on $SERVE_SOCK logging to $SERVE_LOG, waits for the
 # socket, and leaves the pid in $SERVE_PID.
+SERVE_WORKERS=2
+SERVE_INFLIGHT=4
 serve_spawn() {
   rm -f "$SERVE_SOCK" "$SERVE_LOG"
-  ./target/release/zeroconf serve --unix "$SERVE_SOCK" --workers 2 --inflight 4 \
-    >"$SERVE_LOG" 2>&1 &
+  ./target/release/zeroconf serve --unix "$SERVE_SOCK" --workers "$SERVE_WORKERS" \
+    --inflight "$SERVE_INFLIGHT" >"$SERVE_LOG" 2>&1 &
   SERVE_PID=$!
   for _ in $(seq 1 200); do
     [[ -S "$SERVE_SOCK" ]] && return 0
@@ -347,10 +349,22 @@ serve_reap "smoke"
 echo "==> zeroconf serve flood gate (64 pipelined clients, mid-flight disconnects, SIGTERM drain)"
 # The reactor scale gate: 64 concurrent clients pipeline 8 sweeps each on
 # one event-loop thread, every eighth disconnecting with work in flight;
-# a straggler must still be answered across the SIGTERM drain.
+# a straggler must still be answered across the SIGTERM drain. Connections
+# own no threads: the daemon runs main, one reactor, --workers - 1 pool
+# threads and up to --inflight executors (at most 7 here), so its peak
+# thread count while the clients run must stay within
+# --inflight + --workers + 3.
 serve_spawn
-./target/release/zeroconf-client flood --unix "$SERVE_SOCK" --pid "$SERVE_PID" \
-  --clients 64 --requests 8
+FLOOD_OUT="$(./target/release/zeroconf-client flood --unix "$SERVE_SOCK" --pid "$SERVE_PID" \
+  --clients 64 --requests 8)"
+echo "$FLOOD_OUT"
 serve_reap "flood"
+FLOOD_THREADS="$(sed -n 's/.*daemon threads peaked at \([0-9][0-9]*\).*/\1/p' <<<"$FLOOD_OUT")"
+FLOOD_THREAD_BOUND=$((SERVE_INFLIGHT + SERVE_WORKERS + 3))
+if [[ -z "$FLOOD_THREADS" ]] || (( FLOOD_THREADS > FLOOD_THREAD_BOUND )); then
+  echo "ci: serve daemon peaked at ${FLOOD_THREADS:-?} threads under the flood," \
+    "over --inflight + --workers + 3 = $FLOOD_THREAD_BOUND" >&2
+  exit 1
+fi
 
 echo "ci: all gates passed"

@@ -24,9 +24,10 @@
 //!
 //! Calls that leave the serve crate (the engine's `poll_completions`,
 //! `submit_work`, …) are out of this rule's scope; the cross-crate
-//! contract — completions are *polled*, admission is budget-gated so the
-//! pipeline gate never parks the reactor — is documented in DESIGN.md
-//! ("Concurrency invariants") and held by the engine's own audit rules.
+//! contract — completions are *polled*, admission is budget-gated so a
+//! session never reaches the depth bound at which `submit` would wait
+//! on its completion channel — is documented in DESIGN.md ("Concurrency
+//! invariants") and held by the engine's own audit rules.
 //!
 //! Allowlist format, one justified site per line:
 //!

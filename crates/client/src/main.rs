@@ -14,7 +14,9 @@
 //! - `flood` — the reactor scale scenario: many concurrent clients
 //!   pipeline the same sweep at once, a fraction disconnect mid-flight,
 //!   and every answered landscape must equal the first bit for bit; (with
-//!   `--pid`) a straggler must still be answered across a SIGTERM drain.
+//!   `--pid`) the daemon's peak thread count while the clients run is
+//!   reported, and a straggler must still be answered across a SIGTERM
+//!   drain.
 //!
 //! Exit status 0 when every assertion holds, 1 otherwise (with a
 //! diagnostic on stderr). The process never signals anything except the
@@ -24,6 +26,8 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -399,10 +403,33 @@ fn flood_worker(
         .collect()
 }
 
+/// Counts `/proc/<pid>/task` every millisecond until `stop` is set and
+/// returns the largest count seen.
+fn peak_threads(pid: u32, stop: &AtomicBool) -> Result<usize, String> {
+    let tasks = format!("/proc/{pid}/task");
+    let mut peak = 0;
+    // ORDERING: a standalone stop flag; the sampler only needs to see it
+    // eventually, and the count it returns travels through the join.
+    while !stop.load(Ordering::Relaxed) {
+        let threads = std::fs::read_dir(&tasks)
+            .map_err(|e| format!("listing {tasks}: {e}"))?
+            .count();
+        peak = peak.max(threads);
+        thread::sleep(Duration::from_millis(1));
+    }
+    Ok(peak)
+}
+
 /// The reactor scale smoke: `--clients` concurrent pipeliners, every
-/// eighth disconnecting mid-flight, with an optional straggler answered
-/// across a SIGTERM drain.
+/// eighth disconnecting mid-flight; with `--pid`, the daemon's peak
+/// thread count while they run, and a straggler answered across a
+/// SIGTERM drain.
 fn flood(options: &Options) -> Result<String, String> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = options.pid.map(|pid| {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || peak_threads(pid, &stop))
+    });
     let mut handles = Vec::with_capacity(options.clients);
     for index in 0..options.clients {
         let target = match &options.target {
@@ -427,6 +454,15 @@ fn flood(options: &Options) -> Result<String, String> {
             Err(_) => failures.push(format!("client {index} panicked")),
         }
     }
+    // ORDERING: see `peak_threads`.
+    stop.store(true, Ordering::Relaxed);
+    let threads = match sampler {
+        Some(sampler) => match sampler.join() {
+            Ok(peak) => format!(", daemon threads peaked at {}", peak?),
+            Err(_) => return Err("thread sampler panicked".to_owned()),
+        },
+        None => String::new(),
+    };
     if let Some(first) = failures.first() {
         return Err(format!(
             "{} client(s) failed; first: {first}",
@@ -475,7 +511,7 @@ fn flood(options: &Options) -> Result<String, String> {
 
     Ok(format!(
         "flood ok: {} clients ({} mid-flight disconnects), {answered} pipelined \
-         landscapes checked and bit-identical{drained}",
+         landscapes checked and bit-identical{threads}{drained}",
         options.clients, deserters
     ))
 }

@@ -105,6 +105,10 @@ impl ReplyTimeDistribution for Empirical {
             .finish()
     }
 
+    fn retained_bytes(&self) -> usize {
+        std::mem::size_of_val(self) + self.times.capacity() * std::mem::size_of::<f64>()
+    }
+
     fn cdf(&self, t: f64) -> f64 {
         // Count of arrivals <= t via binary search on the sorted times.
         let count = self.times.partition_point(|&x| x <= t);

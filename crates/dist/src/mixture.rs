@@ -94,6 +94,18 @@ impl ReplyTimeDistribution for Mixture {
             .finish()
     }
 
+    fn retained_bytes(&self) -> usize {
+        // Each component is a `(weight, Arc)` slot plus the `Arc`'s
+        // allocation: two reference counts and the component itself.
+        let slot = std::mem::size_of::<(f64, Arc<dyn ReplyTimeDistribution>)>();
+        let components: usize = self
+            .components
+            .iter()
+            .map(|(_, c)| 2 * std::mem::size_of::<usize>() + c.retained_bytes())
+            .sum();
+        std::mem::size_of_val(self) + self.components.capacity() * slot + components
+    }
+
     fn cdf(&self, t: f64) -> f64 {
         self.components.iter().map(|(w, c)| w * c.cdf(t)).sum()
     }
@@ -188,6 +200,22 @@ mod tests {
         let a = Arc::new(DefectiveDeterministic::new(1.0, 1.0).unwrap());
         let b = Arc::new(DefectiveDeterministic::new(1.0, 3.0).unwrap());
         Mixture::new(vec![(1.0, a), (3.0, b)]).unwrap()
+    }
+
+    #[test]
+    fn retained_bytes_count_every_component() {
+        let point = || -> Arc<dyn ReplyTimeDistribution> {
+            Arc::new(DefectiveDeterministic::new(1.0, 1.0).unwrap())
+        };
+        let mixture = |n: usize| Mixture::new((0..n).map(|_| (1.0, point())).collect()).unwrap();
+        let one = mixture(1).retained_bytes();
+        let per_component = mixture(2).retained_bytes() - one;
+        assert!(per_component > std::mem::size_of::<DefectiveDeterministic>());
+        assert!(mixture(1000).retained_bytes() >= one + 999 * per_component);
+        // A nested mixture is charged for what its components keep.
+        let inner: Arc<dyn ReplyTimeDistribution> = Arc::new(mixture(1000));
+        let nested = Mixture::new(vec![(1.0, inner)]).unwrap();
+        assert!(nested.retained_bytes() > mixture(1000).retained_bytes());
     }
 
     #[test]

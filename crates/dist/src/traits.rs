@@ -190,6 +190,14 @@ pub trait ReplyTimeDistribution: fmt::Debug + Send + Sync {
     /// that key derived quantities (π-tables) on the distribution alone,
     /// so it must cover every parameter that influences `cdf`/`survival`.
     fn fingerprint(&self) -> u64;
+
+    /// Bytes of memory the distribution keeps, its heap data included.
+    /// Whoever retains distributions budgets with it (a wire session's
+    /// bases). The default, the value's own size, is exact for every
+    /// distribution that owns no heap data.
+    fn retained_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+    }
 }
 
 impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for &T {
@@ -223,6 +231,9 @@ impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for &T {
     fn fingerprint(&self) -> u64 {
         (**self).fingerprint()
     }
+    fn retained_bytes(&self) -> usize {
+        (**self).retained_bytes()
+    }
 }
 
 impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for std::sync::Arc<T> {
@@ -255,6 +266,9 @@ impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for std::sync::Arc
     }
     fn fingerprint(&self) -> u64 {
         (**self).fingerprint()
+    }
+    fn retained_bytes(&self) -> usize {
+        (**self).retained_bytes()
     }
 }
 

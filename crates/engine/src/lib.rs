@@ -95,7 +95,8 @@ use zeroconf_simd::Backend;
 pub use zeroconf_simd::KernelChoice;
 
 pub use pipeline::{
-    Completion, CompletionNotifier, Pipeline, PipelineConfig, PipelineStats, RequestId,
+    Completion, CompletionNotifier, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats,
+    RequestId,
 };
 pub use request::{
     AxisSpec, BatchStats, CalibrateRequest, CalibrateRequestBuilder, CalibrateResponse, Cell,

@@ -1,43 +1,57 @@
-//! A pipelined session layer: a bounded queue of in-flight sweeps over
-//! one shared [`Engine`], completed **out of order** keyed by request id.
+//! Pipelined evaluation: one [`ExecutorTeam`] of threads draining a
+//! shared ticket queue over one [`Engine`], and thread-free [`Pipeline`]
+//! sessions whose requests complete **out of order**, keyed by request id.
 //!
 //! The blocking [`Engine::evaluate`] call answers one sweep at a time;
 //! serving many concurrent clients (the paper's multi-host regime, and
 //! the repeated re-evaluation workload of the incremental-verification
-//! literature) wants several sweeps in flight at once. A [`Pipeline`]
+//! literature) wants several sweeps in flight at once. This module
 //! provides exactly that without an async runtime:
 //!
+//! - An [`ExecutorTeam`] is a bounded set of threads taking tickets off
+//!   one queue and evaluating them on the shared engine — so the
+//!   engine's work-stealing pool and π-table cache are common to every
+//!   in-flight request, and a short sweep submitted after a long one
+//!   finishes *first*. `zeroconf serve` builds one team per daemon, sized
+//!   by `--inflight`, and every connection's pipeline submits to it;
+//!   [`Pipeline::new`] builds a private team sized by `depth`. The team
+//!   starts one executor, and another whenever a ticket finds all of them
+//!   busy, up to its size; the executor that went idle last takes the
+//!   next ticket, so a light load keeps running on one thread.
+//! - A [`Pipeline`] owns no thread. Each ticket it submits carries its
+//!   completion sender and notifier; its ids, cancel tokens, counters and
+//!   depth bound are plain fields of the one consumer thread.
 //! - [`Pipeline::submit`] enqueues a validated [`SweepRequest`] and
 //!   returns a [`RequestId`] immediately ([`Pipeline::submit_work`] does
 //!   the same for any [`WorkRequest`] verb — sweep, calibrate or
-//!   frontier). The queue depth is bounded: once `depth` requests are in
-//!   flight, `submit` **blocks** until one completes (backpressure, not
-//!   unbounded buffering).
-//! - A small team of executor threads pulls tickets off the queue and
-//!   evaluates them on the shared engine — so the engine's work-stealing
-//!   pool and π-table cache are common to every in-flight request, and a
-//!   short sweep submitted after a long one finishes *first*.
+//!   frontier). The depth bound is enforced on the consumer thread: once
+//!   `depth` requests are running or queued, `submit` **blocks** on the
+//!   pipeline's own completion channel until one completes, and keeps
+//!   what it receives for the next poll (backpressure, not unbounded
+//!   buffering).
 //! - [`Pipeline::poll_completions`] / [`Pipeline::next_completion`] hand
 //!   back [`Completion`]s in **finish order**, each tagged with its
 //!   [`RequestId`] and per-request latency counters (queue wait and
-//!   service time).
+//!   service time). A request's token is dropped, and the counters
+//!   updated, when its completion is received.
 //! - [`Pipeline::cancel`] flags one in-flight request; a queued ticket is
 //!   dropped before evaluation, a running one aborts at the next `r`
 //!   boundary (see [`CancelToken`]), and either way the request completes
 //!   with [`EngineError::Cancelled`] — no id is ever lost.
 //! - [`Pipeline::drain`] blocks until every in-flight request has
-//!   completed; dropping the pipeline joins the executors after they
-//!   finish the queue (graceful shutdown — queued work is never abandoned
-//!   mid-evaluation).
+//!   completed. Dropping the last handle on a team closes its queue and
+//!   joins its threads after they finish it (graceful shutdown — queued
+//!   work is never abandoned mid-evaluation).
 //!
-//! Everything is `std`: one `mpsc` channel in, one out, a mutex-condvar
-//! gate for the depth bound. The wire-protocol front-end in
-//! [`crate::wire`] is a thin codec over this type.
+//! Everything is `std`: one mutex around the team's queue, a channel to
+//! each idle executor, and one completion channel per pipeline. The
+//! wire-protocol front-end in [`crate::wire`] is a thin codec over this
+//! type.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -46,32 +60,25 @@ use crate::{CancelToken, Engine, EngineError, SweepRequest, WorkRequest, WorkRes
 /// Pipeline construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Maximum requests in flight (submitted but not yet completed).
-    /// Further `submit` calls block until a slot frees: backpressure.
+    /// Maximum requests in flight (submitted, completion not yet
+    /// received). Further `submit` calls block until one completes:
+    /// backpressure.
     pub depth: usize,
-    /// Executor threads evaluating requests concurrently. More executors
-    /// than `depth` is pointless; fewer serializes some of the queue.
-    pub executors: usize,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            depth: 4,
-            executors: 4,
-        }
+        PipelineConfig { depth: 4 }
     }
 }
 
 impl PipelineConfig {
-    /// A config with `depth` in-flight slots and one executor per slot —
-    /// the usual shape (`--inflight N` on the CLI).
+    /// A config with `depth` in-flight slots — the usual shape
+    /// (`--inflight N` on the CLI).
     #[must_use]
     pub fn with_depth(depth: usize) -> PipelineConfig {
-        let depth = depth.max(1);
         PipelineConfig {
-            depth,
-            executors: depth,
+            depth: depth.max(1),
         }
     }
 }
@@ -132,344 +139,153 @@ pub struct PipelineStats {
     pub service_nanos_max: u64,
 }
 
-/// One queued request.
+impl PipelineStats {
+    /// Counts one received completion.
+    fn record(&mut self, completion: &Completion) {
+        match completion.result {
+            Ok(_) => self.completed += 1,
+            Err(EngineError::Cancelled) => self.cancelled += 1,
+            Err(_) => self.failed += 1,
+        }
+        self.queue_nanos_total = self
+            .queue_nanos_total
+            .saturating_add(completion.queue_nanos);
+        self.queue_nanos_max = self.queue_nanos_max.max(completion.queue_nanos);
+        self.service_nanos_total = self
+            .service_nanos_total
+            .saturating_add(completion.service_nanos);
+        self.service_nanos_max = self.service_nanos_max.max(completion.service_nanos);
+    }
+}
+
+/// One queued request, with the way back to the pipeline that sent it.
 struct Ticket {
     id: RequestId,
     request: WorkRequest,
     token: CancelToken,
     submitted: Instant,
+    done: Sender<Completion>,
+    notify: Option<CompletionNotifier>,
 }
 
-/// The in-flight counter and its condvar: `acquire` blocks submitters at
-/// the depth bound, `release` (called by executors *after* the completion
-/// is in the channel) wakes them.
-struct Gate {
-    in_flight: Mutex<usize>,
-    freed: Condvar,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self, depth: usize) {
-        let mut n = lock(&self.in_flight);
-        while *n >= depth {
-            n = self.freed.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-        *n += 1;
-    }
-
-    fn release(&self) {
-        let mut n = lock(&self.in_flight);
-        *n -= 1;
-        self.freed.notify_all();
-    }
-}
-
-/// Executor-side counters (atomics; read via [`Pipeline::stats`]).
+/// The team's queue: tickets no executor has taken yet, a channel to
+/// each executor waiting for one, and the executors started so far.
 #[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    queue_total: AtomicU64,
-    queue_max: AtomicU64,
-    service_total: AtomicU64,
-    service_max: AtomicU64,
+struct Queue {
+    tickets: VecDeque<Ticket>,
+    /// Idle executors, the one that went idle last on top.
+    idle: Vec<Sender<Ticket>>,
+    /// Every executor started, at most the team's size.
+    threads: Vec<JoinHandle<()>>,
+    /// Set when the team drops: executors exit once `tickets` is empty.
+    closed: bool,
 }
 
-impl Counters {
-    fn record(&self, result: &Result<WorkResponse, EngineError>, queue_ns: u64, service_ns: u64) {
-        match result {
-            Ok(_) => &self.completed,
-            Err(EngineError::Cancelled) => &self.cancelled,
-            Err(_) => &self.failed,
-        }
-        // ORDERING: pipeline statistics tallies; each counter stands
-        // alone and is only ever reported, so relaxed add/max suffice.
-        .fetch_add(1, Ordering::Relaxed);
-        self.queue_total.fetch_add(queue_ns, Ordering::Relaxed);
-        self.queue_max.fetch_max(queue_ns, Ordering::Relaxed);
-        // ORDERING: same statistics block.
-        self.service_total.fetch_add(service_ns, Ordering::Relaxed);
-        self.service_max.fetch_max(service_ns, Ordering::Relaxed);
-    }
+fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The pipelined front-end over one shared [`Engine`]. See the module
-/// docs for the lifecycle; the one-line version:
-///
-/// ```
-/// use zeroconf_engine::{Engine, EngineConfig, GridSpec, Pipeline, PipelineConfig, SweepRequest};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let scenario = zeroconf_cost::paper::figure2_scenario()?;
-/// let engine = std::sync::Arc::new(Engine::new(EngineConfig::default()));
-/// let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(4));
-/// let a = pipeline.submit(SweepRequest::new(scenario.clone(), GridSpec::linspace(4, 0.5, 2.0, 8)))?;
-/// let b = pipeline.submit(SweepRequest::new(scenario, GridSpec::linspace(2, 0.5, 2.0, 4)))?;
-/// let done = pipeline.drain(); // completions in *finish* order
-/// assert_eq!(done.len(), 2);
-/// assert!(done.iter().any(|c| c.id == a) && done.iter().any(|c| c.id == b));
-/// # Ok(())
-/// # }
-/// ```
-pub struct Pipeline {
+/// A bounded team of executor threads draining one ticket queue over one
+/// shared [`Engine`]. Every [`Pipeline`] built on the team submits to
+/// that queue, so the threads serve whichever pipeline has work and a
+/// pipeline owns none of them. Dropping the team closes the queue and
+/// joins the threads after they finish everything already queued.
+pub struct ExecutorTeam {
     engine: Arc<Engine>,
-    depth: usize,
-    next_id: u64,
-    /// Submitted requests whose completion this side has not yet
-    /// received. Maintained entirely by the consumer thread, so checking
-    /// it against zero is race-free (unlike the gate, which executors
-    /// release asynchronously).
-    outstanding: usize,
-    queue: Option<Sender<Ticket>>,
-    completions: Receiver<Completion>,
-    gate: Arc<Gate>,
-    tokens: Arc<Mutex<HashMap<RequestId, CancelToken>>>,
-    counters: Arc<Counters>,
-    notifier: Arc<Mutex<Option<CompletionNotifier>>>,
-    executors: Vec<JoinHandle<()>>,
+    queue: Arc<Mutex<Queue>>,
+    /// The most executors the team starts.
+    size: usize,
 }
 
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("depth", &self.depth)
-            .field("executors", &self.executors.len())
-            .field("in_flight", &self.in_flight())
-            .finish()
-    }
-}
-
-impl Pipeline {
-    /// Builds a pipeline over `engine`, spawning `config.executors`
-    /// executor threads.
+impl ExecutorTeam {
+    /// A team of at most `threads` executor threads (at least one) over
+    /// `engine`. One executor starts now, and another each time a ticket
+    /// finds every executor busy, so a light load starts few threads.
     #[must_use]
-    pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Pipeline {
-        let depth = config.depth.max(1);
-        let executor_count = config.executors.clamp(1, depth);
-        let (queue_tx, queue_rx) = channel::<Ticket>();
-        let (done_tx, done_rx) = channel::<Completion>();
-        let queue_rx = Arc::new(Mutex::new(queue_rx));
-        let gate = Arc::new(Gate::new());
-        let tokens: Arc<Mutex<HashMap<RequestId, CancelToken>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let counters = Arc::new(Counters::default());
-        let notifier: Arc<Mutex<Option<CompletionNotifier>>> = Arc::new(Mutex::new(None));
-        let executors = (0..executor_count)
-            .map(|i| {
-                let queue_rx = Arc::clone(&queue_rx);
-                let engine = Arc::clone(&engine);
-                let done_tx = done_tx.clone();
-                let gate = Arc::clone(&gate);
-                let tokens = Arc::clone(&tokens);
-                let counters = Arc::clone(&counters);
-                let notifier = Arc::clone(&notifier);
-                std::thread::Builder::new()
-                    .name(format!("zeroconf-pipeline-{i}"))
-                    .spawn(move || {
-                        executor_loop(
-                            &queue_rx, &engine, &done_tx, &gate, &tokens, &counters, &notifier,
-                        );
-                    })
-                    .expect("spawning a pipeline executor thread")
-            })
-            .collect();
-        Pipeline {
+    pub fn new(engine: Arc<Engine>, threads: usize) -> ExecutorTeam {
+        let team = ExecutorTeam {
             engine,
-            depth,
-            next_id: 0,
-            outstanding: 0,
-            queue: Some(queue_tx),
-            completions: done_rx,
-            gate,
-            tokens,
-            counters,
-            notifier,
-            executors,
-        }
+            queue: Arc::default(),
+            size: threads.max(1),
+        };
+        team.start(&mut lock(&team.queue))
+            .expect("spawning a pipeline executor thread");
+        team
     }
 
-    /// Registers `notifier`, to be invoked by an executor thread each time
-    /// a completion becomes pollable (replacing any previous notifier).
-    /// See [`CompletionNotifier`] for the contract.
-    pub fn set_completion_notifier(&self, notifier: CompletionNotifier) {
-        *lock(&self.notifier) = Some(notifier);
+    /// Starts one more executor.
+    fn start(&self, queue: &mut Queue) -> std::io::Result<()> {
+        let (shared, engine) = (Arc::clone(&self.queue), Arc::clone(&self.engine));
+        let thread = std::thread::Builder::new()
+            .name(format!("zeroconf-executor-{}", queue.threads.len()))
+            .spawn(move || executor_loop(&shared, &engine))?;
+        queue.threads.push(thread);
+        Ok(())
     }
 
-    /// The engine shared by every request of this pipeline.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
+    /// The engine every ticket is evaluated on.
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// The configured depth bound.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Requests currently in flight: submitted, completion not yet
-    /// retrieved by [`Pipeline::poll_completions`] /
-    /// [`Pipeline::next_completion`].
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Validates and enqueues one sweep, returning its id immediately.
-    /// Blocks while `depth` requests are already in flight.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before consuming an in-flight slot.
-    pub fn submit(&mut self, request: SweepRequest) -> Result<RequestId, EngineError> {
-        self.submit_work(WorkRequest::Sweep(request))
-    }
-
-    /// Validates and enqueues any engine verb — sweep, calibrate or
-    /// frontier — returning its id immediately. Blocks while `depth`
-    /// requests are already in flight. The completion carries the
-    /// matching [`WorkResponse`] variant.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before consuming an in-flight slot.
-    pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
-        request.validate()?;
-        self.gate.acquire(self.depth);
-        self.outstanding += 1;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let token = CancelToken::new();
-        lock(&self.tokens).insert(id, token.clone());
-        // ORDERING: statistics tally; the ticket itself travels through
-        // the channel, which does the synchronizing.
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue
-            .as_ref()
-            .expect("queue sender lives until drop")
-            .send(Ticket {
-                id,
-                request,
-                token,
-                submitted: Instant::now(),
-            })
-            .expect("pipeline executors outlive the pipeline");
-        Ok(id)
-    }
-
-    /// Flags one in-flight request for cancellation. Returns `false` when
-    /// the id is unknown or already completed. The request still produces
-    /// a [`Completion`] (with [`EngineError::Cancelled`]), so consumers
-    /// never lose an id — unless evaluation already finished, in which
-    /// case the ordinary completion stands.
-    pub fn cancel(&self, id: RequestId) -> bool {
-        match lock(&self.tokens).get(&id) {
-            Some(token) => {
-                token.cancel();
-                true
+    /// Hands `ticket` to the executor that went idle last, or else queues
+    /// it. Reusing the warmest thread keeps a light load on one stack and
+    /// one malloc arena instead of rotating through all of them.
+    fn submit(&self, ticket: Ticket) {
+        let mut queue = lock(&self.queue);
+        match queue.idle.pop() {
+            Some(executor) => executor
+                .send(ticket)
+                .expect("pipeline executors outlive the pipeline"),
+            None => {
+                queue.tickets.push_back(ticket);
+                // A start that fails leaves the ticket to the running
+                // executors.
+                if queue.threads.len() < self.size {
+                    let _ = self.start(&mut queue);
+                }
             }
-            None => false,
-        }
-    }
-
-    /// Completions that are ready right now, in finish order, without
-    /// blocking.
-    pub fn poll_completions(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        while let Ok(completion) = self.completions.try_recv() {
-            self.outstanding -= 1;
-            out.push(completion);
-        }
-        out
-    }
-
-    /// Blocks for the next completion; `None` when nothing is in flight.
-    pub fn next_completion(&mut self) -> Option<Completion> {
-        if self.outstanding == 0 {
-            return None;
-        }
-        // Every outstanding request sends exactly one completion, so with
-        // `outstanding > 0` this receive always returns.
-        let completion = self
-            .completions
-            .recv()
-            .expect("pipeline executors outlive the pipeline");
-        self.outstanding -= 1;
-        Some(completion)
-    }
-
-    /// Blocks until every in-flight request has completed and returns the
-    /// completions in finish order.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        while let Some(completion) = self.next_completion() {
-            out.push(completion);
-        }
-        out
-    }
-
-    /// A snapshot of the pipeline-lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> PipelineStats {
-        let c = &self.counters;
-        PipelineStats {
-            // ORDERING: statistics snapshot; counters are independent and
-            // reporting tolerates a torn view across them.
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            // ORDERING: same snapshot.
-            queue_nanos_total: c.queue_total.load(Ordering::Relaxed),
-            queue_nanos_max: c.queue_max.load(Ordering::Relaxed),
-            service_nanos_total: c.service_total.load(Ordering::Relaxed),
-            service_nanos_max: c.service_max.load(Ordering::Relaxed),
         }
     }
 }
 
-impl Drop for Pipeline {
+impl Drop for ExecutorTeam {
     fn drop(&mut self) {
         // Closing the queue ends the executor loops *after* they finish
-        // everything already enqueued: graceful drain on shutdown.
-        self.queue = None;
-        for handle in self.executors.drain(..) {
+        // everything already enqueued: graceful drain on shutdown. Idle
+        // executors see their channel close; busy ones find the queue
+        // closed when they come back for more.
+        let mut queue = lock(&self.queue);
+        queue.closed = true;
+        queue.idle.clear();
+        let threads = std::mem::take(&mut queue.threads);
+        drop(queue);
+        for handle in threads {
             let _ = handle.join();
         }
     }
 }
 
-fn executor_loop(
-    queue: &Mutex<Receiver<Ticket>>,
-    engine: &Engine,
-    completions: &Sender<Completion>,
-    gate: &Gate,
-    tokens: &Mutex<HashMap<RequestId, CancelToken>>,
-    counters: &Counters,
-    notifier: &Mutex<Option<CompletionNotifier>>,
-) {
-    loop {
-        // Only the receive is serialized (std mpsc receivers are
-        // single-consumer); evaluation runs outside the lock, so
-        // executors overlap on the engine.
-        let ticket = match lock(queue).recv() {
-            Ok(ticket) => ticket,
-            Err(_) => return, // pipeline dropped and queue drained
-        };
+/// An executor's next ticket: the oldest queued one, or else the one
+/// handed to it after it waits idle. `None` once the team has dropped
+/// and nothing is left. The lock covers only taking a ticket or going
+/// idle, so executors overlap on the engine.
+fn next_ticket(queue: &Mutex<Queue>) -> Option<Ticket> {
+    let mut guard = lock(queue);
+    if let Some(ticket) = guard.tickets.pop_front() {
+        return Some(ticket);
+    }
+    if guard.closed {
+        return None;
+    }
+    let (wake, woken) = channel();
+    guard.idle.push(wake);
+    drop(guard);
+    woken.recv().ok()
+}
+
+fn executor_loop(queue: &Mutex<Queue>, engine: &Engine) {
+    while let Some(ticket) = next_ticket(queue) {
         let queue_nanos = u64::try_from(ticket.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Cancelled while queued: never touches the engine, and reports
         // zero service time.
@@ -491,9 +307,9 @@ fn executor_loop(
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             (result, nanos)
         };
-        counters.record(&result, queue_nanos, service_nanos);
-        lock(tokens).remove(&ticket.id);
-        let _ = completions.send(Completion {
+        // A pipeline dropped with work queued no longer listens; its
+        // completions are discarded.
+        let _ = ticket.done.send(Completion {
             id: ticket.id,
             result,
             queue_nanos,
@@ -501,12 +317,225 @@ fn executor_loop(
         });
         // Wake a readiness-driven consumer strictly after the send, so a
         // woken poller always finds the completion already in the channel.
-        if let Some(notify) = lock(notifier).as_ref() {
+        if let Some(notify) = &ticket.notify {
             notify();
         }
-        // Release strictly after the send, so a submitter unblocked by
-        // the freed slot can never observe a depth-exceeding channel.
-        gate.release();
+    }
+}
+
+/// The pipelined front-end over one shared [`ExecutorTeam`]. See the
+/// module docs for the lifecycle; the one-line version:
+///
+/// ```
+/// use zeroconf_engine::{Engine, EngineConfig, GridSpec, Pipeline, PipelineConfig, SweepRequest};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let scenario = zeroconf_cost::paper::figure2_scenario()?;
+/// let engine = std::sync::Arc::new(Engine::new(EngineConfig::default()));
+/// let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(4));
+/// let a = pipeline.submit(SweepRequest::new(scenario.clone(), GridSpec::linspace(4, 0.5, 2.0, 8)))?;
+/// let b = pipeline.submit(SweepRequest::new(scenario, GridSpec::linspace(2, 0.5, 2.0, 4)))?;
+/// let done = pipeline.drain(); // completions in *finish* order
+/// assert_eq!(done.len(), 2);
+/// assert!(done.iter().any(|c| c.id == a) && done.iter().any(|c| c.id == b));
+/// # Ok(())
+/// # }
+/// ```
+pub struct Pipeline {
+    team: Arc<ExecutorTeam>,
+    depth: usize,
+    next_id: u64,
+    /// Cancel tokens of submitted requests whose completion has not been
+    /// received yet: the requests running or queued in the team.
+    tokens: HashMap<RequestId, CancelToken>,
+    stats: PipelineStats,
+    /// Cloned into every ticket; holding it keeps `completions` open.
+    done: Sender<Completion>,
+    completions: Receiver<Completion>,
+    /// Completions `submit` received while it waited at the depth bound,
+    /// handed out before anything still in the channel.
+    received: VecDeque<Completion>,
+    /// Cloned into every ticket. A `Cell` so that registering one takes
+    /// `&self`; it is only ever touched by the consumer thread.
+    notifier: Cell<Option<CompletionNotifier>>,
+}
+
+impl std::fmt::Debug for Pipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pipeline")
+            .field("depth", &self.depth)
+            .field("in_flight", &self.in_flight())
+            .finish()
+    }
+}
+
+impl Pipeline {
+    /// Builds a pipeline over `engine` with a private team of up to
+    /// `config.depth` executor threads.
+    #[must_use]
+    pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Pipeline {
+        let team = ExecutorTeam::new(engine, config.depth);
+        Pipeline::with_team(Arc::new(team), config)
+    }
+
+    /// Builds a pipeline that submits to a shared `team`. It spawns
+    /// nothing: the team's threads evaluate its requests alongside every
+    /// other pipeline's.
+    #[must_use]
+    pub fn with_team(team: Arc<ExecutorTeam>, config: PipelineConfig) -> Pipeline {
+        let (done, completions) = channel();
+        Pipeline {
+            team,
+            depth: config.depth.max(1),
+            next_id: 0,
+            tokens: HashMap::new(),
+            stats: PipelineStats::default(),
+            done,
+            completions,
+            received: VecDeque::new(),
+            notifier: Cell::new(None),
+        }
+    }
+
+    /// Registers `notifier`, to be invoked by an executor thread each time
+    /// a completion of a request submitted from now on becomes pollable
+    /// (replacing any previous notifier). See [`CompletionNotifier`] for
+    /// the contract.
+    pub fn set_completion_notifier(&self, notifier: CompletionNotifier) {
+        self.notifier.set(Some(notifier));
+    }
+
+    /// The engine shared by every request of this pipeline.
+    #[must_use]
+    pub fn engine(&self) -> &Engine {
+        self.team.engine()
+    }
+
+    /// The configured depth bound.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Requests currently in flight: submitted, completion not yet
+    /// retrieved by [`Pipeline::poll_completions`] /
+    /// [`Pipeline::next_completion`].
+    #[must_use]
+    pub fn in_flight(&self) -> usize {
+        self.tokens.len() + self.received.len()
+    }
+
+    /// Validates and enqueues one sweep, returning its id immediately.
+    /// Blocks while `depth` requests are already running or queued.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
+    /// eagerly, before consuming an in-flight slot.
+    pub fn submit(&mut self, request: SweepRequest) -> Result<RequestId, EngineError> {
+        self.submit_work(WorkRequest::Sweep(request))
+    }
+
+    /// Validates and enqueues any engine verb — sweep, calibrate or
+    /// frontier — returning its id immediately. Blocks while `depth`
+    /// requests are already running or queued. The completion carries
+    /// the matching [`WorkResponse`] variant.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
+    /// eagerly, before consuming an in-flight slot.
+    pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
+        request.validate()?;
+        while self.tokens.len() >= self.depth {
+            // Each token's ticket sends exactly one completion, so this
+            // receive returns once the team finishes one of them.
+            let Some(completion) = self.receive() else {
+                break;
+            };
+            self.received.push_back(completion);
+        }
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        let token = CancelToken::new();
+        self.tokens.insert(id, token.clone());
+        self.stats.submitted += 1;
+        let notify = self.notifier.take();
+        self.notifier.set(notify.clone());
+        self.team.submit(Ticket {
+            id,
+            request,
+            token,
+            submitted: Instant::now(),
+            done: self.done.clone(),
+            notify,
+        });
+        Ok(id)
+    }
+
+    /// Flags one in-flight request for cancellation. Returns `false` when
+    /// the id is unknown or its completion was already received. The
+    /// request still produces a [`Completion`] (with
+    /// [`EngineError::Cancelled`]), so consumers never lose an id —
+    /// unless evaluation already finished, in which case the ordinary
+    /// completion stands.
+    pub fn cancel(&self, id: RequestId) -> bool {
+        match self.tokens.get(&id) {
+            Some(token) => {
+                token.cancel();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Completions that are ready right now, in finish order, without
+    /// blocking.
+    pub fn poll_completions(&mut self) -> Vec<Completion> {
+        let mut out: Vec<Completion> = self.received.drain(..).collect();
+        while let Ok(completion) = self.completions.try_recv() {
+            self.book(&completion);
+            out.push(completion);
+        }
+        out
+    }
+
+    /// Blocks for the next completion; `None` when nothing is in flight.
+    pub fn next_completion(&mut self) -> Option<Completion> {
+        self.received.pop_front().or_else(|| self.receive())
+    }
+
+    /// Blocks until every in-flight request has completed and returns the
+    /// completions in finish order.
+    pub fn drain(&mut self) -> Vec<Completion> {
+        let mut out = Vec::new();
+        while let Some(completion) = self.next_completion() {
+            out.push(completion);
+        }
+        out
+    }
+
+    /// A snapshot of the pipeline-lifetime counters.
+    #[must_use]
+    pub fn stats(&self) -> PipelineStats {
+        self.stats
+    }
+
+    /// Blocks for the next completion off the channel; `None` when no
+    /// request is running or queued.
+    fn receive(&mut self) -> Option<Completion> {
+        if self.tokens.is_empty() {
+            return None;
+        }
+        // This pipeline holds a sender, so the channel never closes.
+        let completion = self.completions.recv().ok()?;
+        self.book(&completion);
+        Some(completion)
+    }
+
+    /// Books one received completion: its token goes, the counters count it.
+    fn book(&mut self, completion: &Completion) {
+        self.tokens.remove(&completion.id);
+        self.stats.record(completion);
     }
 }
 
@@ -604,7 +633,7 @@ mod tests {
 
     #[test]
     fn completion_notifier_fires_once_per_completion() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let mut p = pipeline(2);
         let fired = Arc::new(AtomicUsize::new(0));
         let observer = Arc::clone(&fired);

@@ -234,6 +234,20 @@ pub const MAX_GRID_CELLS: usize = 1 << 20;
 /// re-scores the whole statistic landscape.
 pub const MAX_FRONTIER_POINTS: usize = 1 << 16;
 
+/// Bytes a wire session charges a retained base beyond its `r` list, its
+/// id and its reply-time distribution: the rest of the scenario, the grid
+/// header, the metrics and the map entry.
+pub(crate) const RETAINED_BASE_OVERHEAD: usize = 1024;
+
+/// The bytes of completed sweeps one wire session keeps as bases for
+/// later `rescore`, `calibrate` and `frontier` lines: room for two bases
+/// with a full [`MAX_GRID_R_POINTS`] `r` list. A base is charged 8 bytes
+/// per `r` value, the bytes of its id, what its reply-time distribution
+/// keeps (a mixture, every component) and a fixed 1 KiB; past the budget
+/// the least recently referenced base is evicted, and a base over the
+/// budget on its own is not kept at all.
+pub const MAX_RETAINED_BASE_BYTES: usize = 2 * (MAX_GRID_R_POINTS * 8 + RETAINED_BASE_OVERHEAD);
+
 /// A size of a request that has a cap, as the request states it.
 pub(crate) enum Extent {
     /// `grid.n_max`. A float, because a wire grid's may be NaN, infinite

@@ -62,11 +62,15 @@
 //! emitting responses in **completion order** (out of order with respect
 //! to the input when a short sweep overtakes a long one). Rescores of a
 //! still-in-flight base are held back and dispatched the moment the base
-//! completes. A depth-1 session with `submit_line` + `drain` per line is
+//! completes. A session keeps completed sweeps as bases within
+//! [`MAX_RETAINED_BASE_BYTES`], evicting the least recently referenced
+//! one past it. A depth-1 session with `submit_line` + `drain` per line is
 //! the blocking form: one line in, one line out, in order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use zeroconf_cost::Scenario;
@@ -75,9 +79,13 @@ use zeroconf_dist::{
     ReplyTimeDistribution,
 };
 
-use crate::pipeline::{Completion, Pipeline, PipelineConfig, PipelineStats, RequestId};
-use crate::request::{check_cap, BatchStats, Extent};
-pub use crate::request::{MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS};
+use crate::pipeline::{
+    Completion, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats, RequestId,
+};
+use crate::request::{check_cap, BatchStats, Extent, RETAINED_BASE_OVERHEAD};
+pub use crate::request::{
+    MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS, MAX_RETAINED_BASE_BYTES,
+};
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
     FrontierRequest, FrontierResponse, GridSpec, Landscape, Metric, ParamAxis, RescoreDelta,
@@ -1318,6 +1326,102 @@ impl PendingWork {
     }
 }
 
+/// Evicted ids a session remembers, as 8-byte hashes, so that a line
+/// naming one is told its base was evicted rather than never sent.
+const EVICTED_IDS_KEPT: usize = 4096;
+
+/// The completed sweeps a session keeps as bases, within
+/// [`MAX_RETAINED_BASE_BYTES`]: past the budget the least recently
+/// referenced base is evicted.
+#[derive(Default)]
+struct Bases {
+    by_id: HashMap<String, Base>,
+    /// The last reference tick handed out.
+    ticks: u64,
+    /// Bytes charged for the bases in `by_id`.
+    bytes: usize,
+    evictions: u64,
+    /// Hashes of the last [`EVICTED_IDS_KEPT`] evicted ids, oldest first.
+    evicted: VecDeque<u64>,
+    hasher: RandomState,
+}
+
+/// One retained base, its last-reference tick and its charge.
+struct Base {
+    sweep: SweepRequest,
+    tick: u64,
+    bytes: usize,
+}
+
+impl Bases {
+    /// Retains `sweep` under `id` (replacing any base with that id), then
+    /// evicts least recently referenced bases until the budget holds. A
+    /// base over the budget on its own is evicted on arrival, and no other
+    /// base makes room for it.
+    fn insert(&mut self, id: String, sweep: SweepRequest) {
+        if let Some(old) = self.by_id.remove(&id) {
+            self.bytes -= old.bytes;
+        }
+        let bytes = RETAINED_BASE_OVERHEAD
+            + id.len()
+            + 8 * sweep.grid.r_values.len()
+            + sweep.scenario.reply_time().retained_bytes();
+        if bytes > MAX_RETAINED_BASE_BYTES {
+            self.evict(&id);
+            return;
+        }
+        self.ticks += 1;
+        self.by_id.insert(
+            id,
+            Base {
+                sweep,
+                tick: self.ticks,
+                bytes,
+            },
+        );
+        self.bytes += bytes;
+        while self.bytes > MAX_RETAINED_BASE_BYTES {
+            // A linear scan: the per-base overhead keeps the map to about
+            // a thousand bases.
+            let Some(oldest) = self
+                .by_id
+                .iter()
+                .min_by_key(|(_, base)| base.tick)
+                .map(|(id, _)| id.clone())
+            else {
+                break;
+            };
+            self.evict(&oldest);
+        }
+    }
+
+    /// Drops the base retained under `id`, if any, and remembers `id` as
+    /// evicted.
+    fn evict(&mut self, id: &str) {
+        if let Some(base) = self.by_id.remove(id) {
+            self.bytes -= base.bytes;
+        }
+        self.evictions += 1;
+        if self.evicted.len() == EVICTED_IDS_KEPT {
+            self.evicted.pop_front();
+        }
+        self.evicted.push_back(self.hasher.hash_one(id));
+    }
+
+    /// The base retained under `id`, marked as just referenced.
+    fn get(&mut self, id: &str) -> Option<&SweepRequest> {
+        let base = self.by_id.get_mut(id)?;
+        self.ticks += 1;
+        base.tick = self.ticks;
+        Some(&base.sweep)
+    }
+
+    /// Whether `id` names one of the last [`EVICTED_IDS_KEPT`] evictions.
+    fn was_evicted(&self, id: &str) -> bool {
+        self.evicted.contains(&self.hasher.hash_one(id))
+    }
+}
+
 /// A pipelined JSON-lines session: a thin codec over
 /// [`Pipeline`](crate::Pipeline).
 ///
@@ -1340,40 +1444,46 @@ pub struct PipelinedSession {
     pipeline: Pipeline,
     /// Completed sweeps by wire id, referencable by later rescores,
     /// calibrations and frontiers.
-    sweeps: HashMap<String, SweepRequest>,
-    /// Requests inside the pipeline, keyed by pipeline id.
+    bases: Bases,
+    /// Requests inside the pipeline, keyed by pipeline id. A `cancel`
+    /// line finds its targets here by wire id: the pipeline's depth
+    /// bounds the scan.
     in_flight: HashMap<RequestId, InFlight>,
-    /// Live wire id → pipeline id (for `cancel` lines).
-    by_wire_id: HashMap<String, RequestId>,
     /// Dependent work waiting for its base to complete: base wire id →
     /// list of (dependent wire id, pending work).
     waiting: HashMap<String, Vec<(String, PendingWork)>>,
-    /// Wire ids submitted or waiting whose response has not been emitted.
+    /// Wire ids submitted or waiting whose response has not been emitted,
+    /// which routes a dependent: held back while its base's id is here. A
+    /// set of ids, not a count — [`PipelinedSession::pending`] counts
+    /// requests, and a client may reuse an id.
     pending_ids: HashSet<String>,
 }
 
 impl PipelinedSession {
     /// Starts a pipelined session around an engine owned by this session
-    /// alone. Multi-session fronts (one session per client connection of
-    /// `zeroconf serve`) share one engine via
-    /// [`PipelinedSession::with_engine`] instead.
+    /// alone, with a private team of up to `config.depth` executor
+    /// threads.
+    /// Multi-session fronts (one session per client connection of
+    /// `zeroconf serve`) share one team via
+    /// [`PipelinedSession::with_team`] instead.
     #[must_use]
     pub fn new(engine: Engine, config: PipelineConfig) -> PipelinedSession {
-        PipelinedSession::with_engine(Arc::new(engine), config)
+        let team = ExecutorTeam::new(Arc::new(engine), config.depth);
+        PipelinedSession::with_team(Arc::new(team), config)
     }
 
-    /// Starts a pipelined session over a *shared* engine: the session
-    /// owns its pipeline (in-flight bookkeeping, executors, rescore
-    /// hold-back state) but the engine — worker pool, π-table cache,
-    /// lifetime counters — is common to every session holding the `Arc`.
-    /// A sweep completed through one session warms the cache for all.
+    /// Starts a pipelined session on a *shared* executor team. The
+    /// session keeps only its bookkeeping (ids, bases, held-back
+    /// dependents, cancel tokens); the team's threads and its engine —
+    /// worker pool, π-table cache, lifetime counters — are common to
+    /// every session on the team, so a sweep completed through one
+    /// session warms the cache for all.
     #[must_use]
-    pub fn with_engine(engine: Arc<Engine>, config: PipelineConfig) -> PipelinedSession {
+    pub fn with_team(team: Arc<ExecutorTeam>, config: PipelineConfig) -> PipelinedSession {
         PipelinedSession {
-            pipeline: Pipeline::new(engine, config),
-            sweeps: HashMap::new(),
+            pipeline: Pipeline::with_team(team, config),
+            bases: Bases::default(),
             in_flight: HashMap::new(),
-            by_wire_id: HashMap::new(),
             waiting: HashMap::new(),
             pending_ids: HashSet::new(),
         }
@@ -1390,11 +1500,13 @@ impl PipelinedSession {
     }
 
     /// Unanswered requests: submitted or held back, response not yet
-    /// emitted. Connection handlers use this to bound per-connection
-    /// admission and to decide when a drain is complete.
+    /// emitted. Each request counts once, also when it reuses the id of
+    /// another one still unanswered. Connection handlers use this to
+    /// bound per-connection admission and to decide when a drain is
+    /// complete.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending_ids.len()
+        self.in_flight.len() + self.waiting.values().map(Vec::len).sum::<usize>()
     }
 
     /// Withdraws every unanswered request in the session: in-flight
@@ -1406,7 +1518,7 @@ impl PipelinedSession {
     /// This is the connection-drop path of `zeroconf serve`: a client
     /// that vanishes takes only its own requests down.
     pub fn cancel_all(&mut self) -> Vec<String> {
-        for pipeline_id in self.by_wire_id.values() {
+        for pipeline_id in self.in_flight.keys() {
             self.pipeline.cancel(*pipeline_id);
         }
         let waiting = std::mem::take(&mut self.waiting);
@@ -1502,6 +1614,13 @@ impl PipelinedSession {
         out
     }
 
+    /// Bases evicted from this session to keep it within
+    /// [`MAX_RETAINED_BASE_BYTES`].
+    #[must_use]
+    pub fn base_evictions(&self) -> u64 {
+        self.bases.evictions
+    }
+
     /// The engine's cumulative counters (for `--stats` reporting).
     #[must_use]
     pub fn stats(&self) -> crate::EngineStats {
@@ -1532,7 +1651,6 @@ impl PipelinedSession {
         match self.pipeline.submit_work(request.clone()) {
             Ok(pipeline_id) => {
                 self.pending_ids.insert(wire_id.clone());
-                self.by_wire_id.insert(wire_id.clone(), pipeline_id);
                 self.in_flight
                     .insert(pipeline_id, InFlight { wire_id, request });
                 Vec::new()
@@ -1549,18 +1667,9 @@ impl PipelinedSession {
     /// frontier): straight into the pipeline when the base sweep has
     /// completed, held back when the base is pending, an error otherwise.
     fn submit_dependent(&mut self, wire_id: String, of: &str, work: PendingWork) -> Vec<String> {
-        if let Some(base) = self.sweeps.get(of) {
-            return match work.into_request(base) {
-                Ok(request) => self.submit_work(wire_id, request),
-                Err(e) => {
-                    // Work that fails at dispatch time must still fail
-                    // everything chained on it, or held-back dependents
-                    // are stranded forever.
-                    let mut out = vec![error_line(&wire_id, &e)];
-                    out.extend(self.fail_dependents(&wire_id));
-                    out
-                }
-            };
+        if let Some(base) = self.bases.get(of) {
+            let built = work.into_request(base);
+            return self.dispatch(wire_id, built);
         }
         if self.pending_ids.contains(of) {
             self.pending_ids.insert(wire_id.clone());
@@ -1570,19 +1679,46 @@ impl PipelinedSession {
                 .push((wire_id, work));
             return Vec::new();
         }
-        vec![error_line(
-            &wire_id,
-            &invalid(format!("no sweep with id `{of}`")),
-        )]
+        let missing = if self.bases.was_evicted(of) {
+            format!(
+                "base sweep `{of}` was evicted: a session keeps at most \
+                 {MAX_RETAINED_BASE_BYTES} bytes of bases"
+            )
+        } else {
+            format!("no sweep with id `{of}`")
+        };
+        vec![error_line(&wire_id, &invalid(missing))]
     }
 
-    /// Handles one cancel line: flags an in-flight target, or withdraws a
-    /// held-back rescore outright.
+    /// Submits dependent work built against its base. Work that fails at
+    /// dispatch time must still fail everything chained on it, or
+    /// held-back dependents are stranded forever.
+    fn dispatch(
+        &mut self,
+        wire_id: String,
+        built: Result<WorkRequest, EngineError>,
+    ) -> Vec<String> {
+        match built {
+            Ok(request) => self.submit_work(wire_id, request),
+            Err(e) => {
+                let mut out = vec![error_line(&wire_id, &e)];
+                out.extend(self.fail_dependents(&wire_id));
+                out
+            }
+        }
+    }
+
+    /// Handles one cancel line: flags every request in the pipeline
+    /// under that id, or else withdraws every held-back one outright.
     fn submit_cancel(&mut self, wire_id: &str, of: &str) -> Vec<String> {
-        if let Some(pipeline_id) = self.by_wire_id.get(of) {
-            // In the pipeline: the cancelled completion arrives (and is
-            // encoded) through the normal completion path.
+        let mut in_pipeline = false;
+        for (pipeline_id, _) in self.in_flight.iter().filter(|(_, f)| f.wire_id == of) {
+            // The cancelled completion arrives (and is encoded) through
+            // the normal completion path.
             self.pipeline.cancel(*pipeline_id);
+            in_pipeline = true;
+        }
+        if in_pipeline {
             return vec![WireResponse::Cancelled {
                 id: wire_id.to_owned(),
                 of: of.to_owned(),
@@ -1591,24 +1727,21 @@ impl PipelinedSession {
         }
         // Held-back work never reached the pipeline; answer for it here
         // and fail anything chained on it.
-        let held = self
-            .waiting
-            .values_mut()
-            .any(|deps| deps.iter().any(|(id, _)| id == of));
-        if held {
-            for deps in self.waiting.values_mut() {
-                deps.retain(|(id, _)| id != of);
-            }
+        let mut withdrawn = 0;
+        for deps in self.waiting.values_mut() {
+            let held = deps.len();
+            deps.retain(|(id, _)| id != of);
+            withdrawn += held - deps.len();
+        }
+        if withdrawn > 0 {
             self.waiting.retain(|_, deps| !deps.is_empty());
             self.pending_ids.remove(of);
-            let mut out = vec![
-                WireResponse::Cancelled {
-                    id: wire_id.to_owned(),
-                    of: of.to_owned(),
-                }
-                .to_line(),
-                error_line(of, &EngineError::Cancelled),
-            ];
+            let mut out = vec![WireResponse::Cancelled {
+                id: wire_id.to_owned(),
+                of: of.to_owned(),
+            }
+            .to_line()];
+            out.extend((0..withdrawn).map(|_| error_line(of, &EngineError::Cancelled)));
             out.extend(self.fail_dependents(of));
             return out;
         }
@@ -1625,24 +1758,26 @@ impl PipelinedSession {
             debug_assert!(false, "completion for unknown pipeline id");
             return Vec::new();
         };
-        self.by_wire_id.remove(&wire_id);
         self.pending_ids.remove(&wire_id);
         let succeeded = completion.result.is_ok();
-        if succeeded {
-            // Only a sweep establishes a base that dependents (rescore,
-            // calibrate, frontier) can reference.
-            if let WorkRequest::Sweep(sweep) = request {
-                self.sweeps.insert(wire_id.clone(), sweep);
-            }
-        }
         let mut out = vec![WireResponse::from_result(&wire_id, completion.result).to_line()];
-        if succeeded {
-            for (dependent_id, work) in self.waiting.remove(&wire_id).unwrap_or_default() {
-                self.pending_ids.remove(&dependent_id);
-                out.extend(self.submit_dependent(dependent_id, &wire_id, work));
-            }
-        } else {
+        if !succeeded {
             out.extend(self.fail_dependents(&wire_id));
+            return out;
+        }
+        for (dependent_id, work) in self.waiting.remove(&wire_id).unwrap_or_default() {
+            self.pending_ids.remove(&dependent_id);
+            out.extend(match &request {
+                // Held-back work is built on the sweep in hand, so it is
+                // answered even when that sweep is too large to retain.
+                WorkRequest::Sweep(base) => self.dispatch(dependent_id, work.into_request(base)),
+                _ => self.submit_dependent(dependent_id, &wire_id, work),
+            });
+        }
+        // Only a sweep establishes a base that dependents (rescore,
+        // calibrate, frontier) can reference.
+        if let WorkRequest::Sweep(sweep) = request {
+            self.bases.insert(wire_id, sweep);
         }
         out
     }
@@ -2526,5 +2661,165 @@ mod tests {
         let lines = session.drain();
         let refused = lines.iter().find(|l| l.contains("\"id\":\"r1\"")).unwrap();
         assert!(refused.contains("no sweep with id `k1`"), "{refused}");
+    }
+
+    #[test]
+    fn bases_past_the_budget_are_evicted_least_recently_referenced_first() {
+        // Each base carries a quarter of the longest `r` list, so the
+        // budget holds a handful and 21 bases overflow it several times.
+        let r = vec!["1.0"; MAX_GRID_R_POINTS / 4].join(",");
+        let sweep = |id: &str| {
+            format!(
+                "{{\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+                 \"reply_time\":{{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}}},\
+                 \"grid\":{{\"n_max\":1,\"r\":[{r}]}},\"metrics\":[\"error_probability\"]}}"
+            )
+        };
+        let rescore = |id: &str, of: &str| {
+            format!("{{\"id\":\"{id}\",\"rescore\":{{\"of\":\"{of}\",\"error_cost\":1e9}}}}")
+        };
+        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let sent = 21;
+        for i in 0..sent {
+            let answer = handle(&mut session, &sweep(&format!("b{i:02}"))).unwrap();
+            assert!(answer.contains("\"cells\""), "b{i:02} answered");
+            assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+        }
+        let kept = session.bases.by_id.len();
+        assert!(
+            (2..=sent / 3).contains(&kept),
+            "{kept} of {sent} bases kept"
+        );
+        assert_eq!(session.base_evictions(), (sent - kept) as u64);
+
+        // The oldest base is gone, and the one error line says so.
+        let mut lines = session.submit_line(&rescore("x0", "b00"));
+        lines.extend(session.drain());
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(
+            lines[0].contains("base sweep `b00` was evicted"),
+            "{}",
+            lines[0]
+        );
+        let unknown = handle(&mut session, &rescore("x1", "ghost")).unwrap();
+        assert!(unknown.contains("no sweep with id `ghost`"), "{unknown}");
+        let newest = handle(&mut session, &rescore("x2", "b20")).unwrap();
+        assert!(newest.contains("\"cells\""), "the newest base is answered");
+
+        // The answered rescore became a base and evicted the oldest one
+        // left; referencing the next oldest now makes it the most recent,
+        // so the following eviction passes it over.
+        let oldest = format!("b{:02}", sent - kept + 1);
+        let passed_over = handle(&mut session, &rescore("x3", &oldest)).unwrap();
+        assert!(passed_over.contains("\"cells\""), "{oldest} answered");
+        let evicted = format!("b{:02}", sent - kept + 2);
+        let gone = handle(&mut session, &rescore("x4", &evicted)).unwrap();
+        assert!(
+            gone.contains(&format!("base sweep `{evicted}` was evicted")),
+            "{gone}"
+        );
+        let kept_on = handle(&mut session, &rescore("x5", &oldest)).unwrap();
+        assert!(kept_on.contains("\"cells\""), "{oldest} still retained");
+        assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+    }
+
+    #[test]
+    fn bases_are_charged_for_their_mixture_components() {
+        let sweep = |id: &str, components: usize| {
+            let component = "{\"weight\":1.0,\"dist\":{\"kind\":\"exponential\",\
+                             \"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}";
+            let components = vec![component; components].join(",");
+            format!(
+                "{{\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+                 \"reply_time\":{{\"kind\":\"mixture\",\"components\":[{components}]}}}},\
+                 \"grid\":{{\"n_max\":1,\"r\":[1.0]}}}}"
+            )
+        };
+        let rescore = |id: &str, of: &str| {
+            format!("{{\"id\":\"{id}\",\"rescore\":{{\"of\":\"{of}\",\"error_cost\":1e9}}}}")
+        };
+        // One `r` value each: the 5,000 components are nearly all of a
+        // base's charge, and a handful of bases fill the budget.
+        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let sent = 8;
+        for i in 0..sent {
+            let answer = handle(&mut session, &sweep(&format!("m{i}"), 5_000)).unwrap();
+            assert!(answer.contains("\"cells\""), "m{i} answered");
+            assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+        }
+        let kept = session.bases.by_id.len();
+        assert!((1..=3).contains(&kept), "{kept} of {sent} bases kept");
+        assert_eq!(session.base_evictions(), (sent - kept) as u64);
+        let gone = handle(&mut session, &rescore("x0", "m0")).unwrap();
+        assert!(gone.contains("base sweep `m0` was evicted"), "{gone}");
+
+        // A base over the budget on its own still serves the work held
+        // back behind it, is not kept, and evicts no other base.
+        let mut lines = session.submit_line(&sweep("huge", 20_000));
+        lines.extend(session.submit_line(&rescore("held", "huge")));
+        assert!(lines.is_empty(), "{lines:?}");
+        assert_eq!(session.pending(), 2);
+        let lines = session.drain();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines.iter().all(|l| l.contains("\"cells\"")), "{lines:?}");
+        assert_eq!(session.bases.by_id.len(), kept, "the other bases stay");
+        assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+        let late = handle(&mut session, &rescore("late", "huge")).unwrap();
+        assert!(late.contains("base sweep `huge` was evicted"), "{late}");
+        let newest = format!("m{}", sent - 1);
+        let kept_on = handle(&mut session, &rescore("x1", &newest)).unwrap();
+        assert!(kept_on.contains("\"cells\""), "{newest} still retained");
+    }
+
+    #[test]
+    fn a_reused_id_is_counted_and_cancelled_once_per_request() {
+        // One executor, busy with a cold sweep, so the requests behind it
+        // are still queued when they are cancelled.
+        let team = Arc::new(ExecutorTeam::new(Arc::new(engine(1)), 1));
+        let mut session = PipelinedSession::with_team(team, PipelineConfig::with_depth(8));
+        let heavy = |id: &str, r_points| crate::testkit::heavy_sweep_line(id, 32, r_points);
+        let rescore = |error_cost: f64| {
+            format!("{{\"id\":\"r\",\"rescore\":{{\"of\":\"dup\",\"error_cost\":{error_cost:?}}}}}")
+        };
+        for line in [
+            heavy("b1", 2000),
+            heavy("dup", 400),
+            heavy("dup", 400),
+            rescore(1e9),
+            rescore(1e8),
+        ] {
+            assert!(session.submit_line(&line).is_empty());
+        }
+        assert_eq!(session.pending(), 5, "three in the pipeline, two held back");
+
+        // Both held rescores under `r` are withdrawn, one answer each.
+        let cancelled = session.submit_line("{\"id\":\"c\",\"cancel\":\"r\"}");
+        assert_eq!(cancelled.len(), 3, "{cancelled:?}");
+        assert_eq!(session.pending(), 3);
+
+        // A cancel line flags both requests in the pipeline under `dup`,
+        // and hanging up flags both under `hup`.
+        let ack = session.submit_line("{\"id\":\"c\",\"cancel\":\"dup\"}");
+        assert_eq!(ack.len(), 1, "{ack:?}");
+        let mut lines = session.drain();
+        for line in [heavy("b2", 3000), heavy("hup", 400), heavy("hup", 400)] {
+            assert!(session.submit_line(&line).is_empty());
+        }
+        assert_eq!(session.pending(), 3);
+        assert!(session.cancel_all().is_empty());
+        lines.extend(session.drain());
+        assert_eq!(lines.len(), 6, "{lines:?}");
+        assert_eq!(session.pending(), 0);
+        for id in ["dup", "hup"] {
+            let answers: Vec<&String> = lines
+                .iter()
+                .filter(|l| l.contains(&format!("\"id\":\"{id}\"")))
+                .collect();
+            assert_eq!(answers.len(), 2, "{answers:?}");
+            assert!(
+                answers.iter().all(|l| l.contains("cancelled")),
+                "{answers:?}"
+            );
+        }
     }
 }

@@ -9,7 +9,8 @@ use zeroconf_cost::Scenario;
 use zeroconf_dist::DefectiveExponential;
 use zeroconf_engine::wire::{self, PipelinedSession};
 use zeroconf_engine::{
-    Engine, EngineConfig, EngineError, GridSpec, Pipeline, PipelineConfig, SweepRequest,
+    Engine, EngineConfig, EngineError, ExecutorTeam, GridSpec, Pipeline, PipelineConfig,
+    SweepRequest,
 };
 
 fn scenario() -> Scenario {
@@ -249,12 +250,9 @@ fn cancelling_a_queued_request_never_evaluates_it() {
     // One executor, so the second submission is still queued while the
     // first evaluates — cancelling it is deterministic.
     let shared = engine(1);
-    let mut pipeline = Pipeline::new(
-        Arc::clone(&shared),
-        PipelineConfig {
-            depth: 2,
-            executors: 1,
-        },
+    let mut pipeline = Pipeline::with_team(
+        Arc::new(ExecutorTeam::new(Arc::clone(&shared), 1)),
+        PipelineConfig::with_depth(2),
     );
     let running = pipeline.submit(big_request()).unwrap();
     let queued = pipeline.submit(tiny_request(0)).unwrap();
@@ -298,17 +296,9 @@ fn cancelling_a_running_sweep_aborts_it() {
 
 #[test]
 fn wire_cancel_withdraws_an_in_flight_request() {
-    let mut session = PipelinedSession::new(
-        Engine::new(EngineConfig {
-            workers: 1,
-            cache_tables: 4096,
-            cache_dir: None,
-            ..EngineConfig::default()
-        }),
-        PipelineConfig {
-            depth: 3,
-            executors: 1,
-        },
+    let mut session = PipelinedSession::with_team(
+        Arc::new(ExecutorTeam::new(engine(1), 1)),
+        PipelineConfig::with_depth(3),
     );
     let huge = "{\"id\":\"huge\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
         \"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\

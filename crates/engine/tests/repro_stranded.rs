@@ -1,22 +1,22 @@
 //! Review repro: a held-back rescore whose delta fails at dispatch time
 //! strands its own dependents.
 
+use std::sync::Arc;
+
 use zeroconf_engine::wire::PipelinedSession;
-use zeroconf_engine::{Engine, EngineConfig, PipelineConfig};
+use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam, PipelineConfig};
 
 #[test]
 fn chained_rescore_on_invalid_held_rescore_is_answered() {
-    let mut session = PipelinedSession::new(
-        Engine::new(EngineConfig {
-            workers: 1,
-            cache_tables: 4096,
-            cache_dir: None,
-            ..EngineConfig::default()
-        }),
-        PipelineConfig {
-            depth: 3,
-            executors: 1,
-        },
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        cache_tables: 4096,
+        cache_dir: None,
+        ..EngineConfig::default()
+    });
+    let mut session = PipelinedSession::with_team(
+        Arc::new(ExecutorTeam::new(Arc::new(engine), 1)),
+        PipelineConfig::with_depth(3),
     );
     // Big sweep keeps the single executor busy so the rescores are held.
     let huge = "{\"id\":\"s1\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\

@@ -8,10 +8,10 @@
 //! bytes and permits available right now or records what it is waiting
 //! for in its [`Interest`].
 //!
-//! The per-connection pipeline ([`PipelinedSession`] over the server's
-//! shared [`Engine`](zeroconf_engine::Engine) `Arc`) is created lazily
-//! on the first request line, so a thousand idle connections cost a
-//! socket and a few buffers each, not executor threads. Request-id
+//! Each connection's [`PipelinedSession`] submits to the daemon's one
+//! [`ExecutorTeam`](zeroconf_engine::ExecutorTeam) and owns no thread,
+//! so it is created with the connection: a thousand idle connections
+//! cost a socket, a few buffers and an empty session each. Request-id
 //! namespacing is unchanged from the threaded server: the server-side
 //! identity of a request is `conn_id:wire_id`.
 //!
@@ -232,11 +232,7 @@ pub(crate) struct Connection {
     socket: Option<ClientSocket>,
     conn_id: u64,
     shared: Arc<ServerShared>,
-    /// The loop's wakeup handle, cloned into the session's completion
-    /// notifier so engine executors can wake `epoll_wait`.
-    wake: WakeHandle,
-    /// Created on the first request line; idle connections stay cheap.
-    session: Option<PipelinedSession>,
+    session: PipelinedSession,
     /// Bytes read but not yet framed into a line.
     inbuf: Vec<u8>,
     /// Leading bytes of `inbuf` already searched for a newline.
@@ -259,18 +255,24 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
+    /// A connection on `socket` whose session's completions wake the
+    /// loop through `wake`.
     pub(crate) fn new(
         socket: ClientSocket,
         conn_id: u64,
         shared: Arc<ServerShared>,
         wake: WakeHandle,
     ) -> Connection {
+        let session = PipelinedSession::with_team(
+            Arc::clone(&shared.team),
+            PipelineConfig::with_depth(shared.budget.capacity()),
+        );
+        session.set_completion_notifier(Arc::new(move || wake.notify()));
         Connection {
             socket: Some(socket),
             conn_id,
             shared,
-            wake,
-            session: None,
+            session,
             inbuf: Vec::new(),
             inbuf_scanned: 0,
             held: None,
@@ -328,7 +330,7 @@ impl Connection {
     }
 
     fn pending(&self) -> usize {
-        self.session.as_ref().map_or(0, PipelinedSession::pending)
+        self.session.pending()
     }
 
     /// Readable readiness: read until `WouldBlock` (bounded per event),
@@ -409,10 +411,7 @@ impl Connection {
     /// The per-tick pump: poll completions (always — this is what frees
     /// permits), retry queued admissions, flush output.
     pub(crate) fn pump(&mut self) {
-        let ready = match &mut self.session {
-            Some(session) => session.poll_responses(),
-            None => Vec::new(),
-        };
+        let ready = self.session.poll_responses();
         // Permits return the moment completions are polled — before any
         // write, which can lag behind a slow reader. A slow reader
         // therefore backpressures only itself, never the shared budget.
@@ -531,7 +530,7 @@ impl Connection {
             return false;
         }
         self.count_request();
-        let immediate = self.session().submit_request(request);
+        let immediate = self.session.submit_request(request);
         for response in immediate {
             self.push_out(response);
         }
@@ -555,30 +554,6 @@ impl Connection {
             .metrics
             .requests
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The lazily created pipelined session. Creating it spawns the
-    /// executor pool, so purely idle connections never pay for one; the
-    /// completion notifier is wired to the loop's wakeup handle here.
-    fn session(&mut self) -> &mut PipelinedSession {
-        if self.session.is_none() {
-            let capacity = self.shared.budget.capacity();
-            let session = PipelinedSession::with_engine(
-                Arc::clone(&self.shared.engine),
-                PipelineConfig {
-                    depth: capacity,
-                    executors: capacity.min(4),
-                },
-            );
-            let wake = self.wake.clone();
-            session.set_completion_notifier(Arc::new(move || wake.notify()));
-            self.session = Some(session);
-        }
-        // The arm above just filled the slot; this cannot recurse.
-        match &mut self.session {
-            Some(session) => session,
-            None => unreachable!("session was just created"),
-        }
     }
 
     /// Releases permits for requests no longer pending, keeping
@@ -633,9 +608,7 @@ impl Connection {
             .metrics
             .cancelled_on_disconnect
             .fetch_add(abandoned, std::sync::atomic::Ordering::Relaxed);
-        if let Some(session) = &mut self.session {
-            let _ = session.cancel_all();
-        }
+        let _ = self.session.cancel_all();
         self.sync_permits();
         self.inbuf.clear();
         self.inbuf_scanned = 0;
@@ -664,21 +637,15 @@ impl Connection {
     }
 
     fn snapshot(&self) -> StatsSnapshot<'_> {
-        let (pipeline, engine) = match &self.session {
-            Some(session) => (session.pipeline_stats(), session.stats()),
-            None => (
-                zeroconf_engine::PipelineStats::default(),
-                self.shared.engine.stats(),
-            ),
-        };
         StatsSnapshot {
             conn_id: self.conn_id,
             conn: self.metrics,
             pending: self.pending(),
-            pipeline,
+            pipeline: self.session.pipeline_stats(),
+            base_evictions: self.session.base_evictions(),
             server: &self.shared.metrics,
             budget_capacity: self.shared.budget.capacity(),
-            engine,
+            engine: self.session.stats(),
         }
     }
 }
@@ -821,12 +788,14 @@ mod tests {
     }
 
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {
+        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
+            workers: 1,
+            ..zeroconf_engine::EngineConfig::default()
+        });
         Arc::new(crate::ServerShared {
-            engine: Arc::new(zeroconf_engine::Engine::new(
-                zeroconf_engine::EngineConfig {
-                    workers: 1,
-                    ..zeroconf_engine::EngineConfig::default()
-                },
+            team: Arc::new(zeroconf_engine::ExecutorTeam::new(
+                Arc::new(engine),
+                inflight,
             )),
             budget: crate::FairBudget::new(inflight),
             shutdown: crate::Shutdown::new(false),
@@ -989,7 +958,11 @@ mod tests {
         assert!(conn.try_process_line(r#"{"v":1,"id":"c","cancel":5}"#));
         assert_eq!(conn.metrics.cancellations, 0);
         assert_eq!(conn.metrics.responses, 2);
-        assert!(conn.session.is_none(), "no engine session was needed");
+        assert_eq!(
+            conn.session.pipeline_stats().submitted,
+            0,
+            "no engine work was submitted"
+        );
     }
 
     #[test]
@@ -1038,5 +1011,201 @@ mod tests {
         assert_eq!(sweep.get("id"), Some(&wire::Json::Str("w".to_owned())));
         assert!(sweep.get("cells").is_some(), "{sweep:?}");
         assert_eq!(shared.budget.available(), shared.budget.capacity());
+    }
+
+    /// A random request line for the model below: its text, and the id
+    /// its one answer carries (`None` for a blank line, which gets none).
+    /// One line in six reuses an earlier line's id.
+    fn model_line(
+        rng: &mut zeroconf_rng::rngs::StdRng,
+        k: usize,
+        ids: &[String],
+    ) -> (String, Option<String>) {
+        use zeroconf_engine::testkit;
+        use zeroconf_rng::Rng;
+        // A random earlier line's id (any verb), or `never` before the
+        // first one.
+        let earlier = |rng: &mut zeroconf_rng::rngs::StdRng| match ids.len() {
+            0 => "never".to_owned(),
+            n => ids[rng.gen_range(0..n)].clone(),
+        };
+        let id = if rng.gen_range(0..6_u32) == 0 {
+            earlier(rng)
+        } else {
+            format!("l{k}")
+        };
+        let line = match rng.gen_range(0..12_u32) {
+            0..=3 => testkit::sweep_line(&id, rng.gen_range(1..5), &[0.5, 1.0, 2.0]),
+            4 => testkit::heavy_sweep_line(&id, 16, 400),
+            5 | 6 => testkit::rescore_line(&id, &earlier(rng), 1e9),
+            7 => testkit::cancel_request_line(&id, &earlier(rng)),
+            8 => format!("{{\"v\":1,\"id\":\"{id}\",\"stats\":true}}"),
+            9 => return (" ".repeat(rng.gen_range(0..3)), None),
+            10 => format!("{{\"v\":1,\"id\":\"{id}\",\"scenario\":{{}}}}"),
+            // Unparseable: answered with an id-less error line.
+            _ => return (testkit::MALFORMED_FRAME.to_owned(), Some(String::new())),
+        };
+        (line, Some(id))
+    }
+
+    /// Moves whatever the connection has written so far into `into`
+    /// without blocking, so the model never waits on kernel buffers.
+    fn read_available(client: &mut std::net::TcpStream, into: &mut Vec<u8>) {
+        let mut chunk = [0_u8; 64 * 1024];
+        loop {
+            match std::io::Read::read(client, &mut chunk) {
+                Ok(0) => return,
+                Ok(n) => into.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) => panic!("reading answers: {e}"),
+            }
+        }
+    }
+
+    /// Tickets the connection's session has in the executor team:
+    /// submitted, completion not yet received.
+    fn tickets(conn: &Connection) -> u64 {
+        let stats = conn.session.pipeline_stats();
+        stats.submitted - stats.completed - stats.cancelled - stats.failed
+    }
+
+    /// Seeded model of one connection on a shared team: random line
+    /// arrivals (ids reused, some while the request under that id is
+    /// still in flight), permits taken and freed by a foreign connection,
+    /// pumps, hangup and drain, in any order. Permits always equal
+    /// pending requests, which count every ticket in the team, and the
+    /// budget is conserved; every non-blank line gets exactly one answer,
+    /// none is written after a hangup, no ticket outlives the reap, and
+    /// every permit comes home.
+    #[test]
+    fn a_seeded_model_of_a_connection_answers_every_line_once() {
+        use zeroconf_rng::Rng;
+        const FOREIGN: u64 = u64::MAX;
+        zeroconf_rng::for_each_seed(0..48, |rng| {
+            let capacity = rng.gen_range(1..4_usize);
+            let shared = test_shared(capacity);
+            let (mut conn, client) = test_conn_and_client(Arc::clone(&shared));
+            let mut client = client.into_inner();
+            client.set_nonblocking(true).unwrap();
+            let mut received = Vec::new();
+            let mut foreign = 0_usize;
+            let mut expected: Vec<String> = Vec::new();
+            let mut ids: Vec<String> = Vec::new();
+            let mut written = 0_u64;
+            let (mut draining, mut out_at_hangup) = (false, None);
+            let check = |conn: &Connection, foreign: usize| {
+                assert_eq!(conn.permits, conn.pending(), "permits == pending");
+                assert!(
+                    conn.pending() as u64 >= tickets(conn),
+                    "every ticket in the team is pending"
+                );
+                assert_eq!(
+                    shared.budget.available() + conn.permits + foreign,
+                    capacity,
+                    "the budget is conserved"
+                );
+            };
+            for k in 0..rng.gen_range(8..40_usize) {
+                match rng.gen_range(0..21_u32) {
+                    step @ (0..=8 | 20) if !draining && out_at_hangup.is_none() => {
+                        // Step 20 frames two sweeps under one id in one
+                        // write: the second arrives while the first is
+                        // still in flight whenever a permit is free.
+                        let lines = if step == 20 {
+                            let id = format!("l{k}");
+                            let line = zeroconf_engine::testkit::heavy_sweep_line(&id, 16, 400);
+                            vec![(line.clone(), Some(id.clone())), (line, Some(id))]
+                        } else {
+                            vec![model_line(rng, k, &ids)]
+                        };
+                        let framed: String =
+                            lines.iter().map(|(line, _)| format!("{line}\n")).collect();
+                        std::io::Write::write_all(&mut client, framed.as_bytes()).unwrap();
+                        written += framed.len() as u64;
+                        // As the loop would: output drains while the line
+                        // waits behind the high-water mark.
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(60);
+                        while conn.metrics.bytes_in < written {
+                            assert!(std::time::Instant::now() < deadline, "line never read");
+                            conn.on_writable();
+                            read_available(&mut client, &mut received);
+                            conn.on_readable();
+                        }
+                        for id in lines.into_iter().filter_map(|(_, id)| id) {
+                            if !id.is_empty() {
+                                ids.push(id.clone());
+                            }
+                            expected.push(id);
+                        }
+                    }
+                    9 | 10 => {
+                        if shared.budget.try_acquire(FOREIGN) {
+                            foreign += 1;
+                        }
+                        shared.budget.leave(FOREIGN);
+                    }
+                    11 | 12 if foreign > 0 => {
+                        shared.budget.release();
+                        foreign -= 1;
+                    }
+                    13 if out_at_hangup.is_none() => {
+                        conn.on_hangup();
+                        drop(conn.take_socket());
+                        out_at_hangup = Some(conn.metrics.bytes_out);
+                    }
+                    14 if !draining => {
+                        conn.begin_drain();
+                        draining = true;
+                    }
+                    _ => conn.pump(),
+                }
+                check(&conn, foreign);
+                read_available(&mut client, &mut received);
+            }
+
+            shared.budget.release_many(foreign);
+            conn.begin_drain();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while !conn.finished() {
+                assert!(std::time::Instant::now() < deadline, "never finished");
+                conn.pump();
+                check(&conn, 0);
+                read_available(&mut client, &mut received);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(tickets(&conn), 0, "no ticket outlives the reap");
+            drop(conn.take_socket());
+            conn.close();
+            assert_eq!(shared.budget.available(), capacity, "every permit is home");
+
+            client.set_nonblocking(false).unwrap();
+            std::io::Read::read_to_end(&mut client, &mut received).unwrap();
+            let mut answers: Vec<String> = String::from_utf8(received)
+                .unwrap()
+                .lines()
+                .map(|line| wire::line_id(&wire::parse_json(line).unwrap()).to_owned())
+                .collect();
+            match out_at_hangup {
+                Some(bytes) => {
+                    assert_eq!(
+                        conn.metrics.bytes_out, bytes,
+                        "nothing written after hangup"
+                    );
+                    for id in &answers {
+                        let count = |of: &[String]| of.iter().filter(|a| *a == id).count();
+                        assert!(
+                            count(&answers) <= count(&expected),
+                            "`{id}` answered at most once per line"
+                        );
+                    }
+                }
+                None => {
+                    expected.sort();
+                    answers.sort();
+                    assert_eq!(answers, expected, "one answer per non-blank line");
+                }
+            }
+        });
     }
 }

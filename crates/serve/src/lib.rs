@@ -15,15 +15,14 @@
 //!   closed). A Unix socket path is only taken over when the socket on it
 //!   is stale; a live daemon's socket or any other file is refused.
 //! - **Sessions**: every connection gets its own
-//!   [`PipelinedSession`](zeroconf_engine::wire::PipelinedSession) over
-//!   the one shared [`Engine`](zeroconf_engine::Engine) `Arc` — π-tables
-//!   computed for one client are warm for all, while request ids stay
-//!   session-scoped (the server-side identity of a request is
-//!   `conn_id:wire_id`, so client-chosen ids can never collide across
-//!   connections). Sessions are created lazily on the first request
-//!   line, so established-but-idle connections cost no executor
-//!   threads; engine completions wake the owning event loop through an
-//!   `eventfd` handle.
+//!   [`PipelinedSession`](zeroconf_engine::wire::PipelinedSession) on
+//!   the daemon's one [`ExecutorTeam`] (`--inflight` threads over the
+//!   one shared [`Engine`]) — π-tables computed for one
+//!   client are warm for all, while request ids stay session-scoped (the
+//!   server-side identity of a request is `conn_id:wire_id`, so
+//!   client-chosen ids can never collide across connections). A session
+//!   owns no thread, so it is created with its connection; engine
+//!   completions wake the owning event loop through an `eventfd` handle.
 //! - **Fairness and backpressure**: admission into the engine is
 //!   governed by a global in-flight budget ([`FairBudget`],
 //!   `--inflight`) granted round-robin across asking connections — a
@@ -70,7 +69,7 @@ pub use metrics::{stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use zeroconf_engine::{Engine, EngineConfig};
+use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam};
 
 /// A fatal serve error with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,7 +234,9 @@ pub fn serve_usage() -> String {
 
 /// State shared by every endpoint event loop and connection.
 pub(crate) struct ServerShared {
-    pub(crate) engine: Arc<Engine>,
+    /// The daemon's one executor team, up to `--inflight` threads over
+    /// the shared engine; every connection's session submits to it.
+    pub(crate) team: Arc<ExecutorTeam>,
     pub(crate) budget: FairBudget,
     pub(crate) shutdown: Shutdown,
     pub(crate) metrics: ServerMetrics,
@@ -250,7 +251,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds every configured endpoint and builds the shared engine.
+    /// Binds every configured endpoint and builds the shared engine and
+    /// its executor team.
     ///
     /// # Errors
     ///
@@ -264,8 +266,9 @@ impl Server {
         for endpoint in &config.endpoints {
             listeners.push(listener::BoundListener::bind(endpoint)?);
         }
+        let engine = Arc::new(Engine::new(config.engine));
         let shared = Arc::new(ServerShared {
-            engine: Arc::new(Engine::new(config.engine)),
+            team: Arc::new(ExecutorTeam::new(engine, config.inflight)),
             budget: FairBudget::new(config.inflight),
             shutdown: Shutdown::new(config.follow_process_signals),
             metrics: ServerMetrics::default(),

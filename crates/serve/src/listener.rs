@@ -474,13 +474,12 @@ mod tests {
     use super::*;
 
     fn test_shared() -> Arc<ServerShared> {
+        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
+            workers: 1,
+            ..zeroconf_engine::EngineConfig::default()
+        });
         Arc::new(ServerShared {
-            engine: Arc::new(zeroconf_engine::Engine::new(
-                zeroconf_engine::EngineConfig {
-                    workers: 1,
-                    ..zeroconf_engine::EngineConfig::default()
-                },
-            )),
+            team: Arc::new(zeroconf_engine::ExecutorTeam::new(Arc::new(engine), 2)),
             budget: crate::FairBudget::new(2),
             shutdown: crate::Shutdown::new(false),
             metrics: crate::ServerMetrics::default(),

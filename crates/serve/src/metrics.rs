@@ -89,6 +89,9 @@ pub struct StatsSnapshot<'a> {
     pub pending: usize,
     /// The connection's pipeline counters (queue/service latency).
     pub pipeline: PipelineStats,
+    /// Bases the connection's session evicted to stay within
+    /// [`MAX_RETAINED_BASE_BYTES`](zeroconf_engine::wire::MAX_RETAINED_BASE_BYTES).
+    pub base_evictions: u64,
     /// The server-wide counters.
     pub server: &'a ServerMetrics,
     /// The global in-flight budget size.
@@ -111,7 +114,8 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
         ",\"stats\":{{\
          \"conn\":{{\"id\":{},\"requests\":{},\"responses\":{},\"cancellations\":{},\
          \"bytes_in\":{},\"bytes_out\":{},\"pending\":{},\
-         \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}},\
+         \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{},\
+         \"base_evictions\":{}}},\
          \"server\":{{\"connections_open\":{},\"connections_total\":{},\"connections_rejected\":{},\
          \"requests\":{},\"responses\":{},\"cancelled_on_disconnect\":{},\"inflight_budget\":{}}},\
          \"engine\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\
@@ -127,6 +131,7 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
         p.queue_nanos_max,
         p.service_nanos_total,
         p.service_nanos_max,
+        snapshot.base_evictions,
         s.open_connections(),
         // ORDERING: statistics snapshot for the stats line; the counters
         // are independent and a torn view across them is acceptable.
@@ -177,6 +182,7 @@ mod tests {
             },
             pending: 1,
             pipeline: PipelineStats::default(),
+            base_evictions: 0,
             server,
             budget_capacity: 8,
             engine: EngineStats {

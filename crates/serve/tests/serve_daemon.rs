@@ -557,9 +557,8 @@ fn one_reactor_thread_holds_a_thousand_idle_conns_and_serves_64_pipeliners() {
 
     // The acceptance bar for the reactor rewrite: >=1000 concurrent
     // established connections on one event-loop thread while 64 clients
-    // actively pipeline. Idle connections must cost no executor threads
-    // (sessions spawn lazily on the first request line), so holding a
-    // thousand of them is cheap.
+    // actively pipeline. Connections own no threads (one executor team
+    // serves every session), so holding a thousand of them is cheap.
     const IDLE: usize = 1000;
     const ACTIVE: usize = 64;
     const PIPELINE: usize = 8;
@@ -640,6 +639,7 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
         "queue_ns_max",
         "service_ns_total",
         "service_ns_max",
+        "base_evictions",
     ] {
         number(&stats, &["stats", "conn", field]);
     }
@@ -682,6 +682,81 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
 
     let summary = server.stop();
     assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+/// The daemon's threads: one executor team sized by `--inflight`, none
+/// per connection. 64 connections that each completed a sweep leave the
+/// count at most at main, reactor, `--workers − 1` pool threads and
+/// `--inflight` executors, and reaping them joins nothing.
+#[test]
+fn connections_own_no_threads_in_the_spawned_daemon() {
+    let socket = std::env::temp_dir().join(format!(
+        "zeroconf-serve-threads-{}.sock",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&socket);
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_zeroconf-serve"))
+        .args([
+            "--unix",
+            &socket.display().to_string(),
+            "--workers",
+            "2",
+            "--inflight",
+            "4",
+            "--max-conns",
+            "128",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn zeroconf-serve");
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut reap = Reap(child);
+    let mut announce = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(reap.0.stdout.as_mut().expect("capture child stdout")),
+        &mut announce,
+    )
+    .expect("read listening line");
+    assert!(announce.starts_with("listening unix:"), "{announce}");
+    let tasks = format!("/proc/{}/task", reap.0.id());
+    let threads = || {
+        std::fs::read_dir(&tasks)
+            .expect("list daemon threads")
+            .count()
+    };
+
+    let mut clients: Vec<Client> = (0..64)
+        .map(|i| Client::connect_unix(&socket).unwrap_or_else(|e| panic!("client {i}: {e}")))
+        .collect();
+    for (i, client) in clients.iter_mut().enumerate() {
+        let id = format!("s{i}");
+        client
+            .send_raw(&testkit::sweep_line(&id, 4, &[0.5, 1.0, 2.0]))
+            .expect("send sweep");
+        assert!(client.wait(&id).expect("sweep answer").has_cells());
+    }
+    let busy = threads();
+    assert!(busy <= 9, "{busy} daemon threads with 64 sessions");
+
+    drop(clients);
+    let mut inspector = Client::connect_unix(&socket).expect("connect inspector");
+    let deadline = Instant::now() + DEADLINE;
+    while number(
+        &inspector.stats("open").expect("stats response"),
+        &["stats", "server", "connections_open"],
+    ) > 1.0
+    {
+        assert!(Instant::now() < deadline, "connections never reaped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(threads(), busy, "reaping the sessions changed the threads");
+    let _ = std::fs::remove_file(&socket);
 }
 
 /// The real daemon under a real `SIGTERM`: spawned binary, Unix socket,

@@ -57,11 +57,15 @@ fn error_probability_is_a_probability() {
         let n = rng.gen_range(1..10u32);
         let r = rng.gen_range(0.0..30.0);
         let p = s.error_probability(n, r).unwrap();
-        assert!((0.0..=1.0).contains(&p), "E({n}, {r}) = {p}");
-        // Eq. (4) is also bounded by q / (1 - q(1 - π)) <= q / (1-q)... and
-        // by q itself at r = 0; in general it can never exceed q/(q + (1-q))
-        // normalized — check the loose bound p <= q / (1 - q).
-        assert!(p <= s.occupancy() / (1.0 - s.occupancy()) + 1e-12);
+        // Eq. (4) is E = qπ / (1 − q(1 − π)) with π the probability that
+        // all n probes go unanswered, and E ≤ q ⇔ π ≤ 1: a collision can
+        // be no likelier than picking an occupied address. Equality holds
+        // at r = 0 (π = 1), so the bound is exact, with no slack.
+        assert!(
+            0.0 <= p && p <= s.occupancy(),
+            "E({n}, {r}) = {p}, q = {}",
+            s.occupancy()
+        );
     });
 }
 
