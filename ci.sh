@@ -179,33 +179,24 @@ for id in k f; do
   fi
 done
 
-echo "==> engine session smoke test (--cache-dir spill reuse)"
-# Same request twice against one spill directory: the second process
-# must answer identically while loading every π-table from the first
-# process's spill files.
-SPILL_DIR="$PWD/target/ci-spills"
-rm -rf "$SPILL_DIR"
-SPILL_REQ='{"v":1,"id":"m","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":8,"r":[0.5,1.0,2.0]}}'
-SPILL_COLD="$(printf '%s\n' "$SPILL_REQ" | ./target/release/zeroconf engine --cache-dir "$SPILL_DIR")"
-SPILL_WARM="$(printf '%s\n' "$SPILL_REQ" | ./target/release/zeroconf engine --cache-dir "$SPILL_DIR")"
-# The stats block (wall time, hit/miss counters) legitimately differs
-# between the runs; the landscape cells must not.
-strip_stats() { sed 's/,"stats":{[^}]*}//' <<<"$1"; }
-if [[ "$(strip_stats "$SPILL_COLD")" != "$(strip_stats "$SPILL_WARM")" ]]; then
-  echo "ci: --cache-dir warm run diverged from the cold run" >&2
-  printf 'cold: %s\nwarm: %s\n' "$SPILL_COLD" "$SPILL_WARM" >&2
+echo "==> engine smoke test (a line nested past MAX_JSON_DEPTH)"
+# One 1 MiB line of `[` and then a valid sweep. The deep line must get
+# one error answer, not overflow the parser's stack, and the sweep after
+# it must be answered: exit 0 with exactly two lines.
+DEEP_SWEEP='{"v":1,"id":"after","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":2,"r":[1.0]}}'
+if ! DEEP_OUT="$( { head -c 1048576 /dev/zero | tr '\0' '['; printf '\n%s\n' "$DEEP_SWEEP"; } \
+  | ./target/release/zeroconf engine)"; then
+  echo "ci: zeroconf engine failed on a deeply nested line" >&2
   exit 1
 fi
-grep -q '"cache_misses":0' <<<"$SPILL_WARM" || {
-  echo "ci: --cache-dir warm run recomputed tables instead of loading spills" >&2
-  echo "$SPILL_WARM" >&2
-  exit 1
-}
-if ! ls "$SPILL_DIR"/pi-*.tbl >/dev/null 2>&1; then
-  echo "ci: --cache-dir run left no spill files in $SPILL_DIR" >&2
+mapfile -t DEEP_LINES <<<"$DEEP_OUT"
+if (( ${#DEEP_LINES[@]} != 2 )) \
+  || [[ "${DEEP_LINES[0]}" != *'"error":"JSON nesting depth'* ]] \
+  || [[ "${DEEP_LINES[1]}" != *'"id":"after","cells"'* ]]; then
+  echo "ci: a deeply nested line must get one error line and leave the session serving" >&2
+  printf '%.300s\n' "${DEEP_LINES[@]}" >&2
   exit 1
 fi
-rm -rf "$SPILL_DIR"
 
 echo "==> engine throughput bench smoke (--samples 2)"
 # A 2-sample run keeps the gate fast; ZEROCONF_BENCH_THREADS pins the

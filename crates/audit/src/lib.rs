@@ -15,9 +15,9 @@
 //! - [`rules::no_panic`] — no `unwrap`/`expect`/`panic!`/`todo!` in
 //!   library code outside `#[cfg(test)]`, with a justification-carrying
 //!   allowlist for the genuinely infallible expects;
-//! - [`rules::const_drift`] — the wire version, the `ZCPITAB2` spill
-//!   magic/header width and the `BENCH_engine.json` row schema each have
-//!   exactly one definition, and no literal copies drift elsewhere;
+//! - [`rules::const_drift`] — the wire version and verbs and the
+//!   `BENCH_engine.json` row schema each have exactly one definition,
+//!   and no literal copies drift elsewhere;
 //! - [`rules::lockfile`] — `Cargo.lock` holds no duplicate versions and
 //!   no non-vendored sources, and its package set matches the reviewed
 //!   dependency manifest (`crates/audit/deps-manifest.txt`) — all parsed

@@ -1,28 +1,25 @@
 //! Rule 3 — cross-boundary constants have exactly one source of truth.
 //!
-//! Three formats cross process (and machine) boundaries: the JSON-lines
-//! protocol version (`"v":1`, [`zeroconf_engine::wire::WIRE_VERSION`]),
-//! the π-table spill header (`ZCPITAB2` magic + 32-byte header,
-//! `SPILL_MAGIC` / `SPILL_HEADER_LEN` in `engine/cache.rs`), and the
-//! `BENCH_engine.json` row schema (row labels and field names in
-//! `bench/schema.rs`, keyed on by trend tooling). A literal copy of any
-//! of these that drifts from the constant corrupts data silently — a
-//! reader accepts a header the writer never produced, a response claims
-//! a version the codec does not speak, a renamed bench row vanishes from
-//! a trend chart. This rule pins each constant to one definition site
-//! and bans literal copies elsewhere:
+//! Two formats cross process (and machine) boundaries: the JSON-lines
+//! protocol version (`"v":1`, [`zeroconf_engine::wire::WIRE_VERSION`])
+//! with its verb names, and the `BENCH_engine.json` row schema (row
+//! labels and field names in `bench/schema.rs`, keyed on by trend
+//! tooling). A literal copy of either that drifts from the constant
+//! corrupts data silently — a response claims a version the codec does
+//! not speak, a renamed bench row vanishes from a trend chart. This rule
+//! pins each constant to one definition site and bans literal copies
+//! elsewhere:
 //!
 //! - the named constants must each be defined exactly once, in their
 //!   designated file;
-//! - each pinned literal (the `ZCPITAB` magic, the fixed bench row
-//!   labels, the distinctive bench field names) may appear in exactly
-//!   one non-test string literal — its own definition;
+//! - each pinned literal (the fixed bench row labels, the distinctive
+//!   bench field names) may appear in exactly one non-test string
+//!   literal — its own definition;
 //! - no non-test string literal may hardcode a `"v":<digit>` version —
 //!   JSON templates must interpolate `WIRE_VERSION`.
 //!
 //! Test code is exempt: fixture literals that deliberately spell out the
-//! bytes are how drift *tests* work (see `crates/engine/tests/
-//! spill_format.rs`, this rule's runtime twin).
+//! bytes are how drift *tests* work.
 
 use crate::report::Finding;
 use crate::scan::{ScannedFile, TokenKind};
@@ -30,8 +27,6 @@ use crate::scan::{ScannedFile, TokenKind};
 /// The single-source-of-truth constants: `(name, defining file)`.
 pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("RULE_CODES", "crates/audit/src/rules/mod.rs"),
-    ("SPILL_MAGIC", "crates/engine/src/cache.rs"),
-    ("SPILL_HEADER_LEN", "crates/engine/src/cache.rs"),
     ("WIRE_VERSION", "crates/engine/src/wire.rs"),
     ("VERB_CALIBRATE", "crates/engine/src/wire.rs"),
     ("VERB_FRONTIER", "crates/engine/src/wire.rs"),
@@ -67,7 +62,6 @@ pub const BENCH_SCHEMA: &str = "crates/bench/src/schema.rs";
 /// here (`"id"` would match every wire template; `"cells_per_sec"`
 /// matches nothing else).
 pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
-    (MAGIC_PREFIX, "SPILL_MAGIC", "crates/engine/src/cache.rs"),
     ("kernel/block/columns", "ROW_KERNEL_BLOCK", BENCH_SCHEMA),
     (
         "kernel/single-pass/columns",
@@ -92,11 +86,8 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
     ("median_ns", "FIELD_MEDIAN_NS", BENCH_SCHEMA),
 ];
 
-/// The spill magic prefix that may appear in exactly one non-test literal.
-pub const MAGIC_PREFIX: &str = "ZCPITAB";
-
 /// The audit's own sources are exempt from the literal scans: the rule
-/// definitions (this file's [`MAGIC_PREFIX`] among them) necessarily
+/// definitions (this file's [`PINNED_LITERALS`] among them) necessarily
 /// name the bytes they hunt for.
 fn self_exempt(path: &str) -> bool {
     path.starts_with("crates/audit/")
@@ -259,11 +250,6 @@ mod tests {
                 "pub const RULE_CODES: &[&str] = &[\"no-panic\"];\n",
             ),
             ScannedFile::new(
-                "crates/engine/src/cache.rs",
-                "pub const SPILL_MAGIC: &[u8; 8] = b\"ZCPITAB2\";\n\
-                 pub const SPILL_HEADER_LEN: usize = 32;\n",
-            ),
-            ScannedFile::new(
                 "crates/engine/src/wire.rs",
                 "pub const WIRE_VERSION: u64 = 1;\n\
                  pub const VERB_CALIBRATE: &str = \"calibrate\";\n\
@@ -303,11 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn a_second_magic_literal_is_denied() {
+    fn a_second_pinned_literal_is_denied() {
         let mut files = healthy();
         files.push(ScannedFile::new(
             "crates/engine/src/pool.rs",
-            "fn sniff(h: &[u8]) -> bool { h.starts_with(b\"ZCPITAB2\") }\n",
+            "fn warm(row: &str) -> bool { row.starts_with(\"engine/frontier/warm\") }\n",
         ));
         let findings = check(&files);
         assert_eq!(findings.len(), 1);
@@ -316,11 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn magic_literals_in_test_modules_are_exempt() {
+    fn pinned_literals_in_test_modules_are_exempt() {
         let mut files = healthy();
         files.push(ScannedFile::new(
             "crates/engine/src/other.rs",
-            "fn live() {}\n#[cfg(test)]\nmod tests {\n    const M: &[u8] = b\"ZCPITAB2\";\n}\n",
+            "fn live() {}\n#[cfg(test)]\nmod tests {\n    const ROW: &str = \"engine/frontier/warm\";\n}\n",
         ));
         assert!(check(&files).is_empty());
     }
@@ -341,16 +327,17 @@ mod tests {
     #[test]
     fn a_missing_constant_is_denied() {
         let files = vec![ScannedFile::new(
-            "crates/engine/src/cache.rs",
-            "pub const SPILL_MAGIC: &[u8; 8] = b\"ZCPITAB2\";\n",
+            "crates/engine/src/wire.rs",
+            "pub const WIRE_VERSION: u64 = 1;\n",
         )];
         let findings = check(&files);
         assert!(findings
             .iter()
-            .any(|f| f.message.contains("SPILL_HEADER_LEN") && f.message.contains("missing")));
+            .any(|f| f.message.contains("VERB_FRONTIER") && f.message.contains("missing")));
         assert!(findings
             .iter()
-            .any(|f| f.message.contains("WIRE_VERSION") && f.message.contains("missing")));
+            .any(|f| f.message.contains("RULE_CODES") && f.message.contains("missing")));
+        assert!(!findings.iter().any(|f| f.message.contains("WIRE_VERSION")));
     }
 
     #[test]
@@ -417,7 +404,7 @@ mod tests {
         let mut files = healthy();
         files.push(ScannedFile::new(
             "crates/audit/src/rules/const_drift.rs",
-            "pub const MAGIC_PREFIX: &str = \"ZCPITAB\";\n",
+            "pub const NEEDLES: &[&str] = &[\"engine/frontier/warm\"];\n",
         ));
         assert!(check(&files).is_empty());
     }

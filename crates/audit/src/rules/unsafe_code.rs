@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn unsafe_outside_the_allowlist_is_denied() {
-        // The spill cache reads spills into owned memory, so it is not
+        // The π-table cache holds owned tables only, so it is not
         // allowlisted either.
         for path in ["crates/sim/src/events.rs", "crates/engine/src/cache.rs"] {
             let files = vec![scanned(path, "fn f() { unsafe { fast_path() } }\n")];

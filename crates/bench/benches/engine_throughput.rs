@@ -50,7 +50,6 @@ fn config(workers: usize) -> EngineConfig {
         workers,
         // Room for every r column, so the warm runs never evict.
         cache_tables: R_POINTS.next_power_of_two(),
-        cache_dir: None,
         ..EngineConfig::default()
     }
 }

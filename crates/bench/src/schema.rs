@@ -6,10 +6,9 @@
 //! failing any test. Every fixed row label and every field name is
 //! therefore a named constant defined here and nowhere else; the audit's
 //! `const-drift` rule pins each definition to this file and bans stray
-//! literal copies, exactly as it does for the wire version and the spill
-//! magic. Rows whose label embeds a runtime parameter (thread counts,
-//! pipeline depths) are built by the `row_*` helpers below from the same
-//! stems.
+//! literal copies, exactly as it does for the wire version. Rows whose
+//! label embeds a runtime parameter (thread counts, pipeline depths) are
+//! built by the `row_*` helpers below from the same stems.
 //!
 //! [`row_json`] is the one serializer: `cargo bench -p zeroconf-bench
 //! --bench engine_throughput` formats every row through it, so the field

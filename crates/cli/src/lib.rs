@@ -10,7 +10,7 @@
 //! zeroconf frontier  <scenario flags> [--budget 1e-40]
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
-//! zeroconf engine    [--workers N] [--cache N] [--cache-dir PATH] [--inflight N]
+//! zeroconf engine    [--workers N] [--cache N] [--inflight N]
 //!                    [--kernel scalar|simd|auto] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
@@ -167,7 +167,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 struct EngineOptions {
     workers: usize,
     cache_tables: usize,
-    cache_dir: Option<std::path::PathBuf>,
     kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
@@ -175,7 +174,7 @@ struct EngineOptions {
 
 /// The `engine` subcommand's bare switches and value flags.
 const ENGINE_SWITCHES: [&str; 1] = ["stats"];
-const ENGINE_VALUE_FLAGS: [&str; 5] = ["workers", "cache", "cache-dir", "inflight", "kernel"];
+const ENGINE_VALUE_FLAGS: [&str; 4] = ["workers", "cache", "inflight", "kernel"];
 
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
     // Unknown names are reported first: parsed as value flags, a stray
@@ -211,7 +210,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
         cache_tables: flags
             .number("cache")?
             .map_or(defaults.cache_tables, |c| c as usize),
-        cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
         kernel: parse_kernel_flag(flags.get("kernel"))?,
         inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
         emit_stats,
@@ -247,7 +245,6 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
     let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
         workers: options.workers.max(1),
         cache_tables: options.cache_tables.max(1),
-        cache_dir: options.cache_dir.clone(),
         kernel: options.kernel,
     });
     let mut out = String::new();
@@ -368,11 +365,10 @@ pub fn usage() -> String {
      \u{20}  frontier: [--budget P] [--n-max N]\n\
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
-     \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH]\n\
+     \u{20}  engine: [--workers N] [--cache TABLES]\n\
      \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
-     \u{20}         [--inflight N] [--max-conns N]\n\
+     \u{20}         [--kernel scalar|simd|auto] [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
      \u{20}  zeroconf optimize --hosts 1000 --probe-cost 2 --error-cost 1e35 \\\n\
@@ -727,32 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_cache_dir_persists_tables_across_processes() {
-        // Two separate engine sessions pointed at one spill directory:
-        // the second must serve every π-table from disk, so its sweep
-        // reports zero cache misses and byte-identical cell payloads.
-        let dir =
-            std::env::temp_dir().join(format!("zeroconf-cli-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let flags = args(&format!("--workers 1 --cache-dir {}", dir.display()));
-        let cold = engine_process(ENGINE_SWEEP, &flags).unwrap();
-        assert!(cold.contains("\"cache_misses\":3"), "{cold}");
-        let warm = engine_process(ENGINE_SWEEP, &flags).unwrap();
-        assert!(warm.contains("\"cache_misses\":0"), "{warm}");
-        assert!(warm.contains("\"cache_hits\":3"), "{warm}");
-        let body = |out: &str| {
-            let cells = out.split("\"cells\":").nth(1).expect("response has cells");
-            cells
-                .split("],\"stats\"")
-                .next()
-                .expect("cells precede stats")
-                .to_owned()
-        };
-        assert_eq!(body(&cold), body(&warm));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn engine_bad_lines_become_error_responses() {
         let out = engine_process("garbage\n", &[]).unwrap();
         assert!(out.contains("\"error\""), "{out}");
@@ -760,8 +730,9 @@ mod tests {
 
     #[test]
     fn engine_rejects_unknown_flags() {
-        // `--mmap` is not a flag: spills are always read into memory.
-        for flag in ["--bogus", "--mmap"] {
+        // `--mmap` and `--cache-dir` are not flags: π-tables live in the
+        // in-memory cache only.
+        for flag in ["--bogus", "--mmap", "--cache-dir"] {
             let e = engine_process("", &args(&format!("{flag} 1"))).unwrap_err();
             assert!(e.0.contains(flag), "{}", e.0);
         }

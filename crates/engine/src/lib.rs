@@ -74,14 +74,6 @@ pub mod signal;
 pub mod testkit;
 pub mod wire;
 
-/// The π-table spill-format constants and header codec, re-exported so
-/// format tests and tooling reference the single source of truth in
-/// `cache.rs` instead of respelling the bytes.
-pub mod spill {
-    pub use crate::cache::disk::{encode_header, parse_header, SPILL_HEADER_LEN, SPILL_MAGIC};
-}
-
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -117,12 +109,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Maximum number of π-tables kept resident.
     pub cache_tables: usize,
-    /// Directory for cross-process π-table persistence. When set, cache
-    /// misses first look for a spilled table file and computed tables are
-    /// spilled back (best effort — IO problems and corrupt files are
-    /// silently treated as misses, never as errors). `None` disables
-    /// persistence.
-    pub cache_dir: Option<PathBuf>,
     /// Which column-kernel backend the engine runs: forced scalar, forced
     /// SIMD (clamped to what the CPU actually supports), or `Auto` — the
     /// best detected tier, overridable via the `ZEROCONF_KERNEL`
@@ -138,7 +124,6 @@ impl Default for EngineConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),
             cache_tables: 1024,
-            cache_dir: None,
             kernel: KernelChoice::Auto,
         }
     }
@@ -350,7 +335,7 @@ impl Engine {
         let backend = config.kernel.resolve();
         Engine {
             pool: WorkerPool::new(workers - 1),
-            cache: Arc::new(SharedCache::new(config.cache_tables, config.cache_dir)),
+            cache: Arc::new(SharedCache::new(config.cache_tables)),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
             landscape: Mutex::new(None),
@@ -838,7 +823,6 @@ mod tests {
         Engine::new(EngineConfig {
             workers,
             cache_tables: 64,
-            cache_dir: None,
             ..EngineConfig::default()
         })
     }
@@ -965,7 +949,6 @@ mod tests {
             Engine::new(EngineConfig {
                 workers: 1,
                 cache_tables: 64,
-                cache_dir: None,
                 kernel,
             })
         };

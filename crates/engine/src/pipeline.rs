@@ -566,7 +566,6 @@ mod tests {
         let engine = Arc::new(Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 64,
-            cache_dir: None,
             ..EngineConfig::default()
         }));
         Pipeline::new(engine, PipelineConfig::with_depth(depth))

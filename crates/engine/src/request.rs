@@ -234,6 +234,26 @@ pub const MAX_GRID_CELLS: usize = 1 << 20;
 /// re-scores the whole statistic landscape.
 pub const MAX_FRONTIER_POINTS: usize = 1 << 16;
 
+/// The deepest nesting of arrays and objects a JSON line may carry. The
+/// parser descends one call per level, so without a bound a short line
+/// of `[`s overflows the parsing thread's stack. No answer the codec
+/// writes nests deeper than 4 levels (a frontier's points, a `stats`
+/// answer's blocks); a request nests 4 levels (a frontier's axis
+/// values) plus 3 for each level of mixture in its reply time. A level
+/// takes about 256 bytes of stack in a release build, so 64 levels use
+/// under 1% of a 2 MiB thread stack. The cap also bounds the recursion
+/// that decodes nested mixtures and drops a parsed value.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// The most reply-time mixture components one scenario may carry,
+/// counted at every level of nesting. A component multiplies the cost of
+/// every π-table the request builds. The shortest component the decoder
+/// accepts, `{"weight":1,"dist":{"kind":"uniform","mass":1,"lo":0,"hi":1}},`,
+/// takes 62 bytes, so at 64 bytes each a mixture at the cap fits in the
+/// 64 KiB that `zeroconf serve`'s line cap allows for the scenario, keys
+/// and id.
+pub const MAX_MIXTURE_COMPONENTS: usize = 64 * 1024 / 64;
+
 /// Bytes a wire session charges a retained base beyond its `r` list, its
 /// id and its reply-time distribution: the rest of the scenario, the grid
 /// header, the metrics and the map entry.
@@ -262,6 +282,10 @@ pub(crate) enum Extent {
     Cells(usize),
     /// `|x| × |y|` of a frontier.
     FrontierPoints(usize),
+    /// The nesting level of a JSON array or object.
+    JsonDepth(usize),
+    /// A scenario's mixture components, counted at every level.
+    MixtureComponents(usize),
 }
 
 /// Refuses an extent over its cap, with the text the wire answers. The
@@ -285,6 +309,13 @@ pub(crate) fn check_cap(extent: Extent) -> Result<(), String> {
         Extent::FrontierPoints(points) if points > MAX_FRONTIER_POINTS => format!(
             "frontier parameter point count {points} (|x| × |y|) is over the limit of \
              {MAX_FRONTIER_POINTS}"
+        ),
+        Extent::JsonDepth(depth) if depth > MAX_JSON_DEPTH => {
+            format!("JSON nesting depth {depth} is over the limit of {MAX_JSON_DEPTH}")
+        }
+        Extent::MixtureComponents(count) if count > MAX_MIXTURE_COMPONENTS => format!(
+            "reply_time mixture component count {count} is over the limit of \
+             {MAX_MIXTURE_COMPONENTS}"
         ),
         _ => return Ok(()),
     };

@@ -53,9 +53,11 @@
 //! `{"weight":…,"dist":{…}}`). The library API accepts any
 //! [`ReplyTimeDistribution`]; the wire is limited to these constructors.
 //! The wire also bounds what one line may cost: a grid over
-//! [`MAX_GRID_N_MAX`], [`MAX_GRID_R_POINTS`] or [`MAX_GRID_CELLS`], or a
-//! frontier over [`MAX_FRONTIER_POINTS`], is refused with an error line
-//! when it is decoded, before anything sized by it is allocated.
+//! [`MAX_GRID_N_MAX`], [`MAX_GRID_R_POINTS`] or [`MAX_GRID_CELLS`], a
+//! frontier over [`MAX_FRONTIER_POINTS`], or a reply time over
+//! [`MAX_MIXTURE_COMPONENTS`], is refused with an error line when it is
+//! decoded, before anything sized by it is allocated. A line nested
+//! deeper than [`MAX_JSON_DEPTH`] is refused while it is parsed.
 //!
 //! [`PipelinedSession`] speaks the protocol: a thin codec over
 //! [`Pipeline`](crate::Pipeline), keeping several requests in flight and
@@ -84,7 +86,8 @@ use crate::pipeline::{
 };
 use crate::request::{check_cap, BatchStats, Extent, RETAINED_BASE_OVERHEAD};
 pub use crate::request::{
-    MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS, MAX_RETAINED_BASE_BYTES,
+    MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS, MAX_JSON_DEPTH,
+    MAX_MIXTURE_COMPONENTS, MAX_RETAINED_BASE_BYTES,
 };
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
@@ -176,10 +179,11 @@ impl Json {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] describing the first syntax problem.
+/// Returns a [`WireError`] describing the first syntax problem, or the
+/// first array or object nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
     let mut pos = 0;
-    let value = parse_value(input, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(err(format!("trailing input at byte {pos}")));
@@ -193,13 +197,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+/// Parses the value at `pos`, which `depth` arrays and objects enclose.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
-        Some(b'{') => parse_object(text, pos, &mut claim_nothing),
-        Some(b'[') => parse_array(text, pos),
+        Some(b'{') => parse_object(text, pos, depth + 1, &mut claim_nothing),
+        Some(b'[') => parse_array(text, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -300,7 +305,9 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_array(text: &str, pos: &mut usize) -> Result<Json, WireError> {
+/// Parses the array at `pos`, which is nested `depth` levels deep.
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+    check_cap(Extent::JsonDepth(depth)).map_err(err)?;
     let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
@@ -310,7 +317,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<Json, WireError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -328,13 +335,20 @@ fn claim_nothing(_key: &str, _text: &str, _pos: &mut usize) -> Result<bool, Wire
     Ok(false)
 }
 
-/// Parses an object. `claim` is shown each member's key with `pos` at
-/// its value; when it returns `true` it has consumed the value itself and
-/// the member stays out of the tree. Nested objects claim nothing.
-fn parse_object<C>(text: &str, pos: &mut usize, claim: &mut C) -> Result<Json, WireError>
+/// Parses the object at `pos`, which is nested `depth` levels deep.
+/// `claim` is shown each member's key with `pos` at its value; when it
+/// returns `true` it has consumed the value itself and the member stays
+/// out of the tree. Nested objects claim nothing.
+fn parse_object<C>(
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+    claim: &mut C,
+) -> Result<Json, WireError>
 where
     C: FnMut(&str, &str, &mut usize) -> Result<bool, WireError>,
 {
+    check_cap(Extent::JsonDepth(depth)).map_err(err)?;
     let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut members = Vec::new();
@@ -355,7 +369,7 @@ where
         }
         *pos += 1;
         if !claim(&key, text, pos)? {
-            let value = parse_value(text, pos)?;
+            let value = parse_value(text, pos, depth)?;
             members.push((key, value));
         }
         skip_ws(bytes, pos);
@@ -484,7 +498,32 @@ fn field_f64(obj: &Json, key: &str) -> Result<f64, WireError> {
         .ok_or_else(|| err(format!("missing numeric field `{key}`")))
 }
 
+/// Decodes a scenario's reply time. A mixture over
+/// [`MAX_MIXTURE_COMPONENTS`] is refused before any component is built.
 fn decode_reply_time(value: &Json) -> Result<Arc<dyn ReplyTimeDistribution>, WireError> {
+    check_cap(Extent::MixtureComponents(mixture_components(value))).map_err(err)?;
+    build_reply_time(value)
+}
+
+/// The components of `value` when it is a mixture, counted at every
+/// level of nesting; 0 for any other reply time.
+fn mixture_components(value: &Json) -> usize {
+    match (value.get("kind"), value.get("components")) {
+        (Some(Json::Str(kind)), Some(Json::Arr(items))) if kind == "mixture" => {
+            let nested: usize = items
+                .iter()
+                .filter_map(|item| item.get("dist"))
+                .map(mixture_components)
+                .sum();
+            items.len() + nested
+        }
+        _ => 0,
+    }
+}
+
+/// Builds the reply time `value` describes, a mixture's components
+/// included.
+fn build_reply_time(value: &Json) -> Result<Arc<dyn ReplyTimeDistribution>, WireError> {
     let kind = value
         .get("kind")
         .and_then(Json::str)
@@ -531,7 +570,7 @@ fn decode_reply_time(value: &Json) -> Result<Arc<dyn ReplyTimeDistribution>, Wir
                 let dist = item
                     .get("dist")
                     .ok_or_else(|| err("mixture component needs `dist`"))?;
-                components.push((weight, decode_reply_time(dist)?));
+                components.push((weight, build_reply_time(dist)?));
             }
             Arc::new(Mixture::new(components).map_err(|e| err(e.to_string()))?)
         }
@@ -998,6 +1037,7 @@ pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), Wire
     let head = parse_object(
         line,
         &mut pos,
+        1,
         &mut |key: &str, text: &str, pos: &mut usize| {
             if key != "cells" {
                 return Ok(false);
@@ -1819,7 +1859,6 @@ mod tests {
         Engine::new(EngineConfig {
             workers,
             cache_tables: 64,
-            cache_dir: None,
             ..EngineConfig::default()
         })
     }
@@ -2725,50 +2764,75 @@ mod tests {
 
     #[test]
     fn bases_are_charged_for_their_mixture_components() {
-        let sweep = |id: &str, components: usize| {
-            let component = "{\"weight\":1.0,\"dist\":{\"kind\":\"exponential\",\
-                             \"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}";
-            let components = vec![component; components].join(",");
-            format!(
-                "{{\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
-                 \"reply_time\":{{\"kind\":\"mixture\",\"components\":[{components}]}}}},\
-                 \"grid\":{{\"n_max\":1,\"r\":[1.0]}}}}"
-            )
-        };
+        let sweep = |id: &str| crate::testkit::mixture_sweep_line(id, MAX_MIXTURE_COMPONENTS);
         let rescore = |id: &str, of: &str| {
             format!("{{\"id\":\"{id}\",\"rescore\":{{\"of\":\"{of}\",\"error_cost\":1e9}}}}")
         };
-        // One `r` value each: the 5,000 components are nearly all of a
-        // base's charge, and a handful of bases fill the budget.
+        // A frontier references its base without becoming one (a rescore
+        // is a sweep, so it would be retained too).
+        let frontier = |id: &str, of: &str| {
+            format!(
+                "{{\"id\":\"{id}\",\"frontier\":{{\"of\":\"{of}\",\
+                 \"x\":{{\"axis\":\"error_cost\",\"values\":[1e9]}},\
+                 \"y\":{{\"axis\":\"probe_cost\",\"values\":[2.0]}}}}}}"
+            )
+        };
+        let answers = |session: &mut PipelinedSession, line: &str, member: &str| {
+            let answer = handle(session, line).unwrap();
+            assert!(
+                answer.contains(member),
+                "{}",
+                &answer[..answer.len().min(200)]
+            );
+        };
+        // One `r` value each: a mixture at the component cap is nearly all
+        // of a base's charge, so a handful of bases fill the budget. Charged
+        // for their `r` list and id alone, about a thousand would fit.
         let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
-        let sent = 8;
-        for i in 0..sent {
-            let answer = handle(&mut session, &sweep(&format!("m{i}"), 5_000)).unwrap();
-            assert!(answer.contains("\"cells\""), "m{i} answered");
-            assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+        answers(&mut session, &sweep("m00"), "\"cells\"");
+        let charge = session.bases.bytes;
+        let fit = MAX_RETAINED_BASE_BYTES / charge;
+        assert!((2..64).contains(&fit), "{fit} bases of {charge} bytes fit");
+        for i in 1..fit {
+            answers(&mut session, &sweep(&format!("m{i:02}")), "\"cells\"");
         }
-        let kept = session.bases.by_id.len();
-        assert!((1..=3).contains(&kept), "{kept} of {sent} bases kept");
-        assert_eq!(session.base_evictions(), (sent - kept) as u64);
-        let gone = handle(&mut session, &rescore("x0", "m0")).unwrap();
-        assert!(gone.contains("base sweep `m0` was evicted"), "{gone}");
+        assert_eq!(session.base_evictions(), 0);
 
-        // A base over the budget on its own still serves the work held
-        // back behind it, is not kept, and evicts no other base.
-        let mut lines = session.submit_line(&sweep("huge", 20_000));
-        lines.extend(session.submit_line(&rescore("held", "huge")));
+        // Referencing `m00` leaves `m01` the least recently referenced, and
+        // one more base evicts it alone.
+        answers(&mut session, &frontier("f0", "m00"), "\"frontier\"");
+        answers(&mut session, &sweep(&format!("m{fit:02}")), "\"cells\"");
+        assert_eq!(session.base_evictions(), 1);
+        assert_eq!(session.bases.by_id.len(), fit);
+        assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
+        answers(
+            &mut session,
+            &rescore("x1", "m01"),
+            "base sweep `m01` was evicted",
+        );
+        answers(&mut session, &frontier("f1", "m00"), "\"frontier\"");
+
+        // A base over the budget on its own, here through its id, still
+        // serves the work held back behind it, is not kept, and evicts no
+        // other base.
+        let huge = "h".repeat(MAX_RETAINED_BASE_BYTES);
+        let mut lines = session.submit_line(&sweep(&huge));
+        lines.extend(session.submit_line(&frontier("held", &huge)));
         assert!(lines.is_empty(), "{lines:?}");
         assert_eq!(session.pending(), 2);
         let lines = session.drain();
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert!(lines.iter().all(|l| l.contains("\"cells\"")), "{lines:?}");
-        assert_eq!(session.bases.by_id.len(), kept, "the other bases stay");
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().any(|l| l.contains("\"cells\"")));
+        assert!(lines.iter().any(|l| l.contains("\"frontier\"")));
+        assert_eq!(session.bases.by_id.len(), fit, "the other bases stay");
+        assert_eq!(session.base_evictions(), 2);
         assert!(session.bases.bytes <= MAX_RETAINED_BASE_BYTES);
-        let late = handle(&mut session, &rescore("late", "huge")).unwrap();
-        assert!(late.contains("base sweep `huge` was evicted"), "{late}");
-        let newest = format!("m{}", sent - 1);
-        let kept_on = handle(&mut session, &rescore("x1", &newest)).unwrap();
-        assert!(kept_on.contains("\"cells\""), "{newest} still retained");
+        answers(&mut session, &rescore("late", &huge), "was evicted");
+        answers(
+            &mut session,
+            &frontier("f2", &format!("m{fit:02}")),
+            "\"frontier\"",
+        );
     }
 
     #[test]

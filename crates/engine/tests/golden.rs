@@ -38,7 +38,6 @@ fn cold_cache_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 1,
         cache_tables: 256,
-        cache_dir: None,
         ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
@@ -54,7 +53,6 @@ fn warm_cache_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_tables: 256,
-        cache_dir: None,
         ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
@@ -77,7 +75,6 @@ fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 4,
         cache_tables: 256,
-        cache_dir: None,
         ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 200));
@@ -90,7 +87,6 @@ fn rescore_is_bit_identical_and_recomputes_no_pi() {
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_tables: 256,
-        cache_dir: None,
         ..EngineConfig::default()
     });
     let base = SweepRequest::new(scenario, figure2_grid());
@@ -126,7 +122,6 @@ fn tiny_cache_still_gives_exact_results() {
     let engine = Engine::new(EngineConfig {
         workers: 3,
         cache_tables: 4,
-        cache_dir: None,
         ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());

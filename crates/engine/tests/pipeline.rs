@@ -29,7 +29,6 @@ fn engine(workers: usize) -> Arc<Engine> {
     Arc::new(Engine::new(EngineConfig {
         workers,
         cache_tables: 4096,
-        cache_dir: None,
         ..EngineConfig::default()
     }))
 }
@@ -137,7 +136,6 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
         Engine::new(EngineConfig {
             workers: 2,
             cache_tables: 64,
-            cache_dir: None,
             ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(3),
@@ -210,7 +208,6 @@ fn pipelined_session_emits_responses_in_completion_order() {
         Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 4096,
-            cache_dir: None,
             ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(5),
@@ -368,7 +365,6 @@ fn pipelined_session_drain_answers_every_wire_id() {
         Engine::new(EngineConfig {
             workers: 2,
             cache_tables: 4096,
-            cache_dir: None,
             ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(4),
@@ -432,7 +428,6 @@ fn blocking_session() -> PipelinedSession {
         Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 16,
-            cache_dir: None,
             ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(1),

@@ -1,11 +1,14 @@
 //! Wire error paths under pipelining: malformed frames mid-stream,
-//! unknown verbs, version skew, drain under load, and whole-session
-//! withdrawal. Driven through the same [`zeroconf_engine::testkit`]
+//! unknown verbs, version skew, lines past the nesting and mixture caps,
+//! drain under load, and whole-session withdrawal. Driven through the same [`zeroconf_engine::testkit`]
 //! builders the `zeroconf serve` socket harness uses, so the daemon and
 //! the in-process session exercise identical frames.
 
 use zeroconf_engine::testkit;
-use zeroconf_engine::wire::PipelinedSession;
+use zeroconf_engine::wire::{
+    parse_json, parse_request_line, parse_response_line, PipelinedSession, MAX_JSON_DEPTH,
+    MAX_MIXTURE_COMPONENTS,
+};
 use zeroconf_engine::{Engine, EngineConfig, PipelineConfig};
 
 fn session(depth: usize) -> PipelinedSession {
@@ -129,4 +132,124 @@ fn cancel_verb_for_an_in_flight_sweep_is_acknowledged() {
     assert_eq!(drained.len(), 1);
     assert!(drained[0].contains("\"id\":\"big\""), "{}", drained[0]);
     assert!(drained[0].contains("cancel"), "{}", drained[0]);
+}
+
+/// `depth` nested arrays around a number, or `depth` nested objects.
+fn nested(depth: usize, objects: bool) -> String {
+    if objects {
+        format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth))
+    } else {
+        format!("{}1{}", "[".repeat(depth), "]".repeat(depth))
+    }
+}
+
+#[test]
+fn lines_nested_past_the_depth_cap_get_one_error_line() {
+    let refusal = format!(
+        "JSON nesting depth {} is over the limit of {MAX_JSON_DEPTH}",
+        MAX_JSON_DEPTH + 1
+    );
+    let mut s = session(2);
+    for objects in [false, true] {
+        assert!(parse_json(&nested(MAX_JSON_DEPTH, objects)).is_ok());
+        let over = nested(MAX_JSON_DEPTH + 1, objects);
+        assert_eq!(parse_json(&over).unwrap_err().message, refusal);
+        assert_eq!(parse_request_line(&over).unwrap_err().message, refusal);
+        let answer = s.submit_line(&over);
+        assert_eq!(answer.len(), 1, "{answer:?}");
+        assert!(answer[0].contains(&refusal), "{}", answer[0]);
+        // Answers are held to the cap too, on the client's side.
+        let deep_answer = format!("{{\"v\":1,\"id\":\"x\",\"stats\":{over}}}");
+        assert_eq!(
+            parse_response_line(&deep_answer).unwrap_err().message,
+            refusal
+        );
+    }
+    // A line far past the cap costs one error line, not the stack.
+    let answer = s.submit_line(&"[".repeat(1 << 20));
+    assert_eq!(answer.len(), 1, "{answer:?}");
+    assert!(answer[0].contains(&refusal), "{}", answer[0]);
+    assert!(s.drain().is_empty());
+    assert!(s
+        .submit_line(&testkit::sweep_line("ok", 2, &[1.0]))
+        .is_empty());
+    let answers = s.drain();
+    assert!(
+        answers.len() == 1 && answers[0].contains("\"cells\""),
+        "{answers:?}"
+    );
+}
+
+/// A mixture of `outer` components that are each a mixture of `inner`
+/// exponential components.
+fn nested_mixture_sweep_line(id: &str, outer: usize, inner: usize) -> String {
+    let leaf = "{\"weight\":1.0,\"dist\":{\"kind\":\"exponential\",\
+                \"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}";
+    let mixture = |components: Vec<&str>| {
+        format!(
+            "{{\"kind\":\"mixture\",\"components\":[{}]}}",
+            components.join(",")
+        )
+    };
+    let branch = format!("{{\"weight\":1.0,\"dist\":{}}}", mixture(vec![leaf; inner]));
+    format!(
+        "{{\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+         \"reply_time\":{}}},\"grid\":{{\"n_max\":1,\"r\":[1.0]}}}}",
+        mixture(vec![branch.as_str(); outer])
+    )
+}
+
+#[test]
+fn mixtures_past_the_component_cap_get_one_error_line() {
+    let refusal = |count: usize| {
+        format!(
+            "reply_time mixture component count {count} is over the limit of \
+             {MAX_MIXTURE_COMPONENTS}"
+        )
+    };
+    let half = MAX_MIXTURE_COMPONENTS / 2;
+    let mut s = session(2);
+    // At the cap, counting the two branches of a nested mixture too.
+    for line in [
+        testkit::mixture_sweep_line("flat", MAX_MIXTURE_COMPONENTS),
+        nested_mixture_sweep_line("nested", 2, half - 1),
+    ] {
+        assert!(s.submit_line(&line).is_empty());
+        let answers = s.drain();
+        assert!(
+            answers.len() == 1 && answers[0].contains("\"cells\""),
+            "{answers:?}"
+        );
+    }
+    for (line, count) in [
+        (
+            testkit::mixture_sweep_line("flat", MAX_MIXTURE_COMPONENTS + 1),
+            MAX_MIXTURE_COMPONENTS + 1,
+        ),
+        (
+            nested_mixture_sweep_line("nested", 2, half),
+            MAX_MIXTURE_COMPONENTS + 2,
+        ),
+    ] {
+        let answer = s.submit_line(&line);
+        assert_eq!(answer.len(), 1, "{answer:?}");
+        assert!(answer[0].contains(&refusal(count)), "{}", answer[0]);
+    }
+    // The count is refused before any component is built: a component of
+    // an unknown kind would otherwise be the error.
+    let line = testkit::mixture_sweep_line("bad", MAX_MIXTURE_COMPONENTS + 1).replacen(
+        "\"exponential\"",
+        "\"lognormal\"",
+        1,
+    );
+    let answer = s.submit_line(&line);
+    assert!(
+        answer[0].contains(&refusal(MAX_MIXTURE_COMPONENTS + 1)),
+        "{}",
+        answer[0]
+    );
+    let under =
+        testkit::mixture_sweep_line("bad", 2).replacen("\"exponential\"", "\"lognormal\"", 1);
+    assert!(s.submit_line(&under)[0].contains("unknown reply_time kind"));
+    assert_eq!(s.pending(), 0);
 }

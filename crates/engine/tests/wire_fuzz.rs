@@ -1,12 +1,13 @@
 //! Seeded fuzzing of the wire decoder.
 //!
-//! The smallest valid frame of every verb is mutated by byte flips,
-//! truncations and duplicated bytes. `parse_json` and
-//! `parse_request_line` must never panic on a mutated line, and every
-//! non-blank line of it fed to a [`PipelinedSession`] must get exactly one
-//! answer line. A failure names the seed that reproduces it. The frames
-//! stay small so that a mutation which still decodes asks for little
-//! work.
+//! The smallest valid frame of every verb ([`testkit::fuzz_frames`]) is
+//! mutated by byte flips, truncations and duplicated bytes
+//! ([`testkit::mutate`]). `parse_json` and `parse_request_line` must
+//! never panic on a mutated line, and every non-blank line of it fed to
+//! a [`PipelinedSession`] must get exactly one answer line. A failure
+//! names the seed that reproduces it. `zeroconf serve`'s
+//! `mutated_frames_over_a_live_socket_get_one_answer_each` sends the
+//! same mutations to a spawned daemon.
 //!
 //! Random finite `f64` bit patterns, written as the encoder writes them,
 //! must also parse back to the identical bits.
@@ -22,7 +23,6 @@ use std::panic::catch_unwind;
 use zeroconf_engine::testkit;
 use zeroconf_engine::wire::{
     parse_json, parse_request_line, parse_response_line, Json, PipelinedSession, WireResponse,
-    VERB_CALIBRATE, VERB_FRONTIER, WIRE_VERSION,
 };
 use zeroconf_engine::{BatchStats, Engine, EngineConfig, Landscape, PipelineConfig, SweepResponse};
 use zeroconf_rng::rngs::StdRng;
@@ -31,47 +31,9 @@ use zeroconf_rng::{Rng, RngCore, SeedableRng};
 /// Mutated lines per frame: one per seed.
 const SEEDS: u64 = 200;
 
-/// One small valid frame per verb, plus the broken and skewed frames the
-/// error-path suites use.
-fn frames() -> Vec<String> {
-    vec![
-        testkit::sweep_line("s1", 2, &[0.5, 1.0]),
-        testkit::heavy_sweep_line("h1", 2, 3),
-        testkit::rescore_line("r1", "s1", 1e9),
-        testkit::cancel_request_line("c1", "s1"),
-        testkit::unknown_verb_line("u1"),
-        testkit::unsupported_version_line("v1"),
-        testkit::MALFORMED_FRAME.to_owned(),
-        format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"k1\",\
-             \"{VERB_CALIBRATE}\":{{\"of\":\"s1\",\"n\":2,\"r\":1.0}}}}"
-        ),
-        format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"f1\",\
-             \"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
-             \"reply_time\":{{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}}},\
-             \"grid\":{{\"n_max\":2,\"r\":[0.5,1.0]}},\
-             \"{VERB_FRONTIER}\":{{\"x\":{{\"axis\":\"error_cost\",\"values\":[1e3,1e6]}},\
-             \"y\":{{\"axis\":\"probe_cost\",\"values\":[1.0,2.0]}}}}}}"
-        ),
-    ]
-}
-
 /// One to three byte flips, truncations or duplicated bytes.
 fn mutate(frame: &str, rng: &mut StdRng) -> Vec<u8> {
-    let mut bytes = frame.as_bytes().to_vec();
-    for _ in 0..rng.gen_range(1..4u32) {
-        if bytes.is_empty() {
-            break;
-        }
-        let at = rng.gen_range(0..bytes.len());
-        match rng.gen_range(0..3u32) {
-            0 => bytes[at] ^= rng.gen_range(1..256u32) as u8,
-            1 => bytes.truncate(at),
-            _ => bytes.insert(at, bytes[at]),
-        }
-    }
-    bytes
+    testkit::mutate(frame, &mut |n| rng.gen_range(0..n))
 }
 
 fn session() -> PipelinedSession {
@@ -91,7 +53,7 @@ fn answers(session: &mut PipelinedSession, line: &str) -> Vec<String> {
 
 #[test]
 fn mutated_frames_never_panic_and_get_exactly_one_answer() {
-    let frames = frames();
+    let frames = testkit::fuzz_frames();
     let mut session = session();
     // A completed base, so mutated dependents are dispatched, not refused.
     assert_eq!(answers(&mut session, &frames[0]).len(), 1);

@@ -69,7 +69,8 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 /// can accept carries an explicit `r` list of `MAX_GRID_R_POINTS` values
 /// and frontier axes of up to `MAX_FRONTIER_POINTS + 1` values, at 32
 /// bytes per value (a shortest round-trip float is at most 24, plus its
-/// separator), plus 64 KiB for the scenario, keys and id.
+/// separator), plus 64 KiB for the scenario, keys and id: room for a
+/// reply time of `MAX_MIXTURE_COMPONENTS` components at 64 bytes each.
 pub const MAX_LINE_BYTES: usize =
     (wire::MAX_GRID_R_POINTS + wire::MAX_FRONTIER_POINTS + 1) * 32 + 64 * 1024;
 

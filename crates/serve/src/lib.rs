@@ -123,7 +123,7 @@ impl Shutdown {
 pub struct ServeConfig {
     /// Addresses to listen on (at least one).
     pub endpoints: Vec<Endpoint>,
-    /// The shared engine's configuration (workers, cache, spill dir).
+    /// The shared engine's configuration (workers, cache, kernel).
     pub engine: EngineConfig,
     /// The global in-flight budget shared fairly across connections.
     pub inflight: usize,
@@ -149,10 +149,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
-    /// endpoints plus `--workers N`, `--cache TABLES`, `--cache-dir
-    /// PATH`, `--kernel scalar|simd|auto`, `--inflight N` and
-    /// `--max-conns N`. The parsed config follows
-    /// process signals (it is the daemon entry path).
+    /// endpoints plus `--workers N`, `--cache TABLES`, `--kernel
+    /// scalar|simd|auto`, `--inflight N` and `--max-conns N`. The parsed
+    /// config follows process signals (it is the daemon entry path).
     ///
     /// # Errors
     ///
@@ -180,10 +179,6 @@ impl ServeConfig {
                 }
                 "--cache" => {
                     config.engine.cache_tables = parse_count("cache", &value_of("cache")?)?
-                }
-                "--cache-dir" => {
-                    config.engine.cache_dir =
-                        Some(std::path::PathBuf::from(value_of("cache-dir")?));
                 }
                 "--kernel" => {
                     let raw = value_of("kernel")?;
@@ -227,8 +222,7 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
-     \u{20}      [--inflight N] [--max-conns N]"
+     \u{20}      [--kernel scalar|simd|auto] [--inflight N] [--max-conns N]"
         .to_owned()
 }
 
@@ -387,7 +381,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --cache-dir /tmp/z-spills --kernel scalar --inflight 6 --max-conns 9",
+             --kernel scalar --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -398,10 +392,6 @@ mod tests {
         );
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
-        assert_eq!(
-            config.engine.cache_dir,
-            Some(std::path::PathBuf::from("/tmp/z-spills"))
-        );
         assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);
@@ -414,7 +404,7 @@ mod tests {
         assert!(e.0.contains("--kernel must be"), "{e}");
         let e = ServeConfig::from_args(&args("--workers 2")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
-        for junk in ["--bogus 1", "--tcp x --mmap"] {
+        for junk in ["--bogus 1", "--tcp x --mmap", "--tcp x --cache-dir /tmp/z"] {
             let e = ServeConfig::from_args(&args(junk)).unwrap_err();
             assert!(e.0.contains("unknown serve flag"), "{junk}: {e}");
         }

@@ -5,12 +5,17 @@
 //! The in-process tests bind a [`Server`] on an ephemeral TCP port and
 //! drive it with [`zeroconf_client::Client`] — the same typed blocking
 //! client `ci.sh` and the serve benches use, so there is exactly one
-//! frame reader in the workspace. The signal test spawns the actual
-//! `zeroconf-serve` binary on a Unix socket and delivers a real
-//! `SIGTERM`. Request frames come from [`zeroconf_engine::testkit`] —
-//! the same builders the engine's own wire-error suite uses.
+//! frame reader in the workspace. The tests that can kill or signal the
+//! process (a real `SIGTERM`, lines that once overflowed the reactor's
+//! stack, the socket fuzzer) spawn the actual `zeroconf-serve` binary
+//! on a Unix socket. Request frames come from
+//! [`zeroconf_engine::testkit`] — the same builders and fuzz mutations
+//! the engine's own wire suites use.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use zeroconf_client::{Client, Json, Response};
@@ -74,6 +79,62 @@ impl Drop for TestServer {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
+    }
+}
+
+/// A spawned `zeroconf-serve` on a Unix socket, killed and reaped on
+/// drop.
+struct Daemon {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    socket: PathBuf,
+}
+
+impl Daemon {
+    /// Spawns the daemon with `flags` and waits for its listening line.
+    fn spawn(label: &str, flags: &[&str]) -> Daemon {
+        let socket = std::env::temp_dir().join(format!(
+            "zeroconf-serve-{label}-{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&socket);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_zeroconf-serve"))
+            .arg("--unix")
+            .arg(&socket)
+            .args(flags)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn zeroconf-serve");
+        let stdout = BufReader::new(child.stdout.take().expect("capture child stdout"));
+        let mut daemon = Daemon {
+            child,
+            stdout,
+            socket,
+        };
+        let mut announce = String::new();
+        daemon
+            .stdout
+            .read_line(&mut announce)
+            .expect("read listening line");
+        assert!(announce.starts_with("listening unix:"), "{announce}");
+        daemon
+    }
+
+    fn connect(&self) -> Client {
+        Client::connect_unix(&self.socket).expect("connect to the daemon")
+    }
+
+    /// Whether the process is still running.
+    fn alive(&mut self) -> bool {
+        self.child.try_wait().expect("poll the daemon").is_none()
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.socket);
     }
 }
 
@@ -690,50 +751,18 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
 /// `--inflight` executors, and reaping them joins nothing.
 #[test]
 fn connections_own_no_threads_in_the_spawned_daemon() {
-    let socket = std::env::temp_dir().join(format!(
-        "zeroconf-serve-threads-{}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&socket);
-    let child = std::process::Command::new(env!("CARGO_BIN_EXE_zeroconf-serve"))
-        .args([
-            "--unix",
-            &socket.display().to_string(),
-            "--workers",
-            "2",
-            "--inflight",
-            "4",
-            "--max-conns",
-            "128",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn zeroconf-serve");
-    struct Reap(std::process::Child);
-    impl Drop for Reap {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-    let mut reap = Reap(child);
-    let mut announce = String::new();
-    std::io::BufRead::read_line(
-        &mut std::io::BufReader::new(reap.0.stdout.as_mut().expect("capture child stdout")),
-        &mut announce,
-    )
-    .expect("read listening line");
-    assert!(announce.starts_with("listening unix:"), "{announce}");
-    let tasks = format!("/proc/{}/task", reap.0.id());
+    let daemon = Daemon::spawn(
+        "threads",
+        &["--workers", "2", "--inflight", "4", "--max-conns", "128"],
+    );
+    let tasks = format!("/proc/{}/task", daemon.child.id());
     let threads = || {
         std::fs::read_dir(&tasks)
             .expect("list daemon threads")
             .count()
     };
 
-    let mut clients: Vec<Client> = (0..64)
-        .map(|i| Client::connect_unix(&socket).unwrap_or_else(|e| panic!("client {i}: {e}")))
-        .collect();
+    let mut clients: Vec<Client> = (0..64).map(|_| daemon.connect()).collect();
     for (i, client) in clients.iter_mut().enumerate() {
         let id = format!("s{i}");
         client
@@ -745,7 +774,7 @@ fn connections_own_no_threads_in_the_spawned_daemon() {
     assert!(busy <= 9, "{busy} daemon threads with 64 sessions");
 
     drop(clients);
-    let mut inspector = Client::connect_unix(&socket).expect("connect inspector");
+    let mut inspector = daemon.connect();
     let deadline = Instant::now() + DEADLINE;
     while number(
         &inspector.stats("open").expect("stats response"),
@@ -756,49 +785,15 @@ fn connections_own_no_threads_in_the_spawned_daemon() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(threads(), busy, "reaping the sessions changed the threads");
-    let _ = std::fs::remove_file(&socket);
 }
 
 /// The real daemon under a real `SIGTERM`: spawned binary, Unix socket,
 /// two clients with work in flight, lossless drain, exit status 0.
 #[test]
 fn sigterm_drains_the_spawned_daemon_losslessly() {
-    use std::io::{BufRead, BufReader, Read};
-
-    let socket =
-        std::env::temp_dir().join(format!("zeroconf-serve-test-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_zeroconf-serve"))
-        .args([
-            "--unix",
-            &socket.display().to_string(),
-            "--workers",
-            "2",
-            "--inflight",
-            "4",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn zeroconf-serve");
-
-    struct Reap(std::process::Child);
-    impl Drop for Reap {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-    let mut child_stdout = BufReader::new(child.stdout.take().expect("capture child stdout"));
-    let mut reap = Reap(child);
-
-    let mut announce = String::new();
-    child_stdout
-        .read_line(&mut announce)
-        .expect("read listening line");
-    assert!(announce.starts_with("listening unix:"), "{announce}");
-
-    let mut client_a = Client::connect_unix(&socket).expect("connect client a");
-    let mut client_b = Client::connect_unix(&socket).expect("connect client b");
+    let mut daemon = Daemon::spawn("sigterm", &["--workers", "2", "--inflight", "4"]);
+    let mut client_a = daemon.connect();
+    let mut client_b = daemon.connect();
     client_a
         .send_raw(&testkit::heavy_sweep_line("a1", 32, 2000))
         .expect("send a1");
@@ -813,8 +808,8 @@ fn sigterm_drains_the_spawned_daemon_losslessly() {
         .expect("send b2");
     std::thread::sleep(Duration::from_millis(200));
 
-    let status = std::process::Command::new("sh")
-        .args(["-c", &format!("kill -TERM {}", reap.0.id())])
+    let status = Command::new("sh")
+        .args(["-c", &format!("kill -TERM {}", daemon.child.id())])
         .status()
         .expect("deliver SIGTERM");
     assert!(status.success(), "kill -TERM failed");
@@ -829,15 +824,173 @@ fn sigterm_drains_the_spawned_daemon_losslessly() {
     drop(client_a);
     drop(client_b);
 
-    let status = reap.0.wait().expect("daemon exits");
+    let status = daemon.child.wait().expect("daemon exits");
     assert!(
         status.success(),
         "SIGTERM drain must exit 0, got {status:?}"
     );
     let mut rest = String::new();
-    child_stdout
+    daemon
+        .stdout
         .read_to_string(&mut rest)
         .expect("read daemon summary");
     assert!(rest.contains("drained cleanly"), "{rest}");
-    assert!(!socket.exists(), "socket file must be unlinked on drain");
+    assert!(
+        !daemon.socket.exists(),
+        "socket file must be unlinked on drain"
+    );
+}
+
+/// The message a line nested past `MAX_JSON_DEPTH` is refused with: the
+/// parser stops at the first level over the cap.
+fn depth_refusal() -> String {
+    format!(
+        "JSON nesting depth {} is over the limit of {}",
+        wire::MAX_JSON_DEPTH + 1,
+        wire::MAX_JSON_DEPTH
+    )
+}
+
+/// A 1 MiB line of `[` (or of `{"a":`) once overflowed the reactor
+/// thread's stack and aborted the daemon with every connection on it.
+/// Each now gets one error line, and the daemon serves on.
+#[test]
+fn deeply_nested_lines_get_one_error_each_in_the_spawned_daemon() {
+    let mut daemon = Daemon::spawn("nesting", &["--workers", "2", "--inflight", "4"]);
+    let mut client = daemon.connect();
+    for opener in ["[", "{\"a\":"] {
+        client
+            .send_raw(&opener.repeat((1 << 20) / opener.len()))
+            .expect("send the nested line");
+        let line = client
+            .next_line()
+            .expect("read the answer")
+            .expect("an answer before EOF");
+        let value = wire::parse_json(&line).expect("the answer is JSON");
+        assert_eq!(value.get("id"), Some(&Json::Str(String::new())), "{line}");
+        assert_eq!(
+            value.get("error"),
+            Some(&Json::Str(depth_refusal())),
+            "{line}"
+        );
+    }
+    client
+        .send_raw(&testkit::sweep_line("ok", 4, &[1.0, 2.0]))
+        .expect("send ok");
+    let next = client
+        .next_response(Instant::now() + DEADLINE)
+        .expect("read ok")
+        .expect("ok before EOF");
+    assert_eq!(next.id(), "ok", "one answer per nested line: {}", next.line);
+    assert!(next.has_cells(), "{}", next.line);
+    let stats = daemon.connect().stats("st").expect("stats response");
+    assert_eq!(number(&stats, &["stats", "conn", "requests"]), 1.0);
+    assert!(daemon.alive());
+}
+
+/// `frame` with one of its openers, chosen by `draw` as in
+/// [`testkit::mutate`], repeated `depth` times in place: a `[` as `[`s
+/// and a `{` as `{"a":`s, so the parser descends `depth` levels before
+/// it meets the rest of the frame.
+fn nest(frame: &str, depth: usize, draw: &mut impl FnMut(usize) -> usize) -> String {
+    let openers: Vec<usize> = frame.match_indices(['[', '{']).map(|(at, _)| at).collect();
+    let at = openers[draw(openers.len())];
+    let opener = if frame[at..].starts_with('{') {
+        "{\"a\":"
+    } else {
+        "["
+    };
+    format!("{}{}{}", &frame[..at], opener.repeat(depth), &frame[at..])
+}
+
+/// Seeds of the socket fuzzer: the same mutations, seed for seed, as the
+/// engine's in-process `wire_fuzz.rs`.
+const FUZZ_SEEDS: u64 = 200;
+
+/// A raw socket to the daemon: bytes out, answer lines in.
+struct RawConn {
+    writer: UnixStream,
+    reader: BufReader<UnixStream>,
+}
+
+impl RawConn {
+    fn open(daemon: &Daemon) -> RawConn {
+        let writer = UnixStream::connect(&daemon.socket).expect("connect raw socket");
+        writer
+            .set_read_timeout(Some(DEADLINE))
+            .expect("read timeout");
+        let reader = BufReader::new(writer.try_clone().expect("clone the socket"));
+        RawConn { writer, reader }
+    }
+
+    /// Sends `bytes` as one line followed by a small sweep with the id
+    /// `sentinel`, and returns every answer line before the sentinel's.
+    /// The daemon runs one request at a time (`--inflight 1`), so every
+    /// answer the line causes arrives before the sentinel's.
+    fn answers(&mut self, bytes: &[u8], sentinel: &str) -> Vec<String> {
+        let mut frame = bytes.to_vec();
+        frame.push(b'\n');
+        frame.extend_from_slice(testkit::sweep_line(sentinel, 1, &[1.0]).as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame).expect("send the fuzzed line");
+        let mut answers = Vec::new();
+        loop {
+            let mut line = String::new();
+            let read = self.reader.read_line(&mut line).expect("read an answer");
+            assert!(read > 0, "EOF after {answers:?}");
+            let value = wire::parse_json(line.trim_end())
+                .unwrap_or_else(|e| panic!("answer {line:?} does not parse: {e}"));
+            if wire::line_id(&value) == sentinel {
+                assert!(value.get("cells").is_some(), "{line}");
+                return answers;
+            }
+            answers.push(line);
+        }
+    }
+}
+
+/// The wire fuzzer over a live socket: every mutated frame, a frame with
+/// an opener repeated past `MAX_JSON_DEPTH`, and a mixture past
+/// `MAX_MIXTURE_COMPONENTS`. Each non-blank line gets exactly one answer,
+/// the daemon stays up, and a fresh connection is served afterwards.
+#[test]
+fn mutated_frames_over_a_live_socket_get_one_answer_each() {
+    use zeroconf_rng::rngs::StdRng;
+    use zeroconf_rng::{Rng, SeedableRng};
+
+    let mut daemon = Daemon::spawn("fuzz", &["--workers", "1", "--inflight", "1"]);
+    let mut conn = RawConn::open(&daemon);
+    let frames = testkit::fuzz_frames();
+    // A completed base, so mutated dependents are dispatched, not refused.
+    let base = conn.answers(frames[0].as_bytes(), "z");
+    assert!(base.len() == 1 && base[0].contains("\"cells\""), "{base:?}");
+    let mut nesting = StdRng::seed_from_u64(0x2e57);
+    for seed in 0..FUZZ_SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for frame in &frames {
+            let bytes = testkit::mutate(frame, &mut |n| rng.gen_range(0..n));
+            let lines = String::from_utf8_lossy(&bytes)
+                .split('\n')
+                .filter(|piece| !piece.trim().is_empty())
+                .count();
+            let got = conn.answers(&bytes, &format!("z{seed}"));
+            assert_eq!(got.len(), lines, "seed {seed}: {bytes:?} got {got:?}");
+        }
+        let frame = &frames[nesting.gen_range(0..frames.len())];
+        let depth = nesting.gen_range(wire::MAX_JSON_DEPTH + 1..16 * 1024);
+        let deep = nest(frame, depth, &mut |n| nesting.gen_range(0..n));
+        let got = conn.answers(deep.as_bytes(), &format!("z{seed}"));
+        assert_eq!(got.len(), 1, "seed {seed}, depth {depth}: {got:?}");
+        assert!(got[0].contains(&depth_refusal()), "{}", got[0]);
+    }
+    let mixture = testkit::mixture_sweep_line("mix", wire::MAX_MIXTURE_COMPONENTS + 1);
+    let got = conn.answers(mixture.as_bytes(), "z");
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert!(got[0].contains("\"id\":\"mix\",\"error\""), "{}", got[0]);
+    assert!(daemon.alive());
+    let mut fresh = daemon.connect();
+    fresh
+        .send_raw(&testkit::sweep_line("after", 2, &[1.0]))
+        .expect("send after");
+    assert!(fresh.wait("after").expect("after answer").has_cells());
 }
