@@ -75,6 +75,12 @@ echo "==> engine pipeline suite in release"
 # long enough.
 cargo test --release -q -p zeroconf-engine --test pipeline
 
+echo "==> engine unit tests in release"
+# Same reason: the fan-out and parity tests of the pool's jobs need pool
+# threads to claim chunks while the calling thread works, which only a
+# release build's chunk times show.
+cargo test --release -q -p zeroconf-engine --lib
+
 echo "==> perfbench build and tests (its own workspace)"
 # The benchmark builds against the engine, serve and client crates by
 # path; building and testing it here turns an API change that breaks it

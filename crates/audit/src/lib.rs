@@ -1,17 +1,17 @@
 //! `zeroconf-audit` — the workspace's static-analysis gate.
 //!
-//! The engine's hot path runs on `unsafe` code (disjoint shared-slab
-//! writes in `engine/pool.rs`), and the serve daemon calls the Linux ABI
-//! directly (`serve/reactor.rs`, `engine/signal.rs`), with correctness
-//! argued in prose. This crate is the machine-checked version of that
+//! The kernels dispatch into `unsafe` SIMD code (`simd/lib.rs`,
+//! `simd/lanes.rs`), and the serve daemon calls the Linux ABI directly
+//! (`serve/reactor.rs`, `engine/signal.rs`), with correctness argued in
+//! prose. This crate is the machine-checked version of that
 //! prose — the same move the model-checking literature makes for the
 //! protocol itself: encode the invariants once, re-check them on every
 //! change. Eight rules, each a module under [`rules`]:
 //!
-//! - [`rules::unsafe_code`] — `unsafe` only in the allowlisted engine
+//! - [`rules::unsafe_code`] — `unsafe` only in the allowlisted
 //!   modules, every occurrence justified by an adjacent `SAFETY` comment,
 //!   `#![forbid(unsafe_code)]` everywhere else and
-//!   `#![deny(unsafe_op_in_unsafe_fn)]` in the engine;
+//!   `#![deny(unsafe_op_in_unsafe_fn)]` in the unsafe-bearing crates;
 //! - [`rules::no_panic`] — no `unwrap`/`expect`/`panic!`/`todo!` in
 //!   library code outside `#[cfg(test)]`, with a justification-carrying
 //!   allowlist for the genuinely infallible expects;

@@ -30,8 +30,8 @@ use zeroconf_bench::schema;
 use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode};
 use zeroconf_cost::{cost, paper};
 use zeroconf_engine::{
-    CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis, Pipeline,
-    PipelineConfig, SweepRequest,
+    AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
+    Pipeline, PipelineConfig, SweepRequest,
 };
 
 /// Grid size: 200 probe counts × 200 listening periods = 40 000 cells.
@@ -277,13 +277,12 @@ fn frontier_axes() -> (Vec<f64>, Vec<f64>) {
 fn frontier_request() -> FrontierRequest {
     let scenario = paper::figure2_scenario().expect("paper scenario is valid");
     let (error_costs, probe_costs) = frontier_axes();
-    FrontierRequest::builder()
-        .scenario(scenario)
-        .grid(param_grid())
-        .x(ParamAxis::ErrorCost, error_costs)
-        .y(ParamAxis::ProbeCost, probe_costs)
-        .build()
-        .expect("frontier request is valid")
+    FrontierRequest {
+        scenario,
+        grid: param_grid(),
+        x: AxisSpec::new(ParamAxis::ErrorCost, error_costs),
+        y: AxisSpec::new(ParamAxis::ProbeCost, probe_costs),
+    }
 }
 
 /// Warm frontier: the first call builds the sufficient-statistic
@@ -348,12 +347,12 @@ fn calibrate_warm(samples: usize) -> BenchRecord {
     // at larger r the n-probe no-answer probability underflows to zero
     // and no finite collision cost can make the cell optimal.
     let target_r = grid.r_values[5];
-    let request = CalibrateRequest::builder()
-        .scenario(paper::figure2_scenario().expect("paper scenario is valid"))
-        .grid(grid)
-        .target(4, target_r)
-        .build()
-        .expect("calibrate request is valid");
+    let request = CalibrateRequest {
+        scenario: paper::figure2_scenario().expect("paper scenario is valid"),
+        grid,
+        target_n: 4,
+        target_r,
+    };
     engine
         .calibrate(&request)
         .expect("priming calibration evaluates");

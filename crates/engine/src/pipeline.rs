@@ -102,11 +102,15 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// One finished request: its id, outcome and latency split.
+/// One finished request: its id, the request itself, its outcome and its
+/// latency split.
 #[derive(Debug)]
 pub struct Completion {
     /// The id `submit` returned.
     pub id: RequestId,
+    /// The request as it was submitted, handed back so the submitter
+    /// need not keep a copy while it is in flight.
+    pub request: WorkRequest,
     /// The evaluated response — same [`WorkResponse`] variant as the
     /// submitted [`WorkRequest`] — or why there is none
     /// ([`EngineError::Cancelled`] for cancelled requests).
@@ -307,17 +311,25 @@ fn executor_loop(queue: &Mutex<Queue>, engine: &Engine) {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             (result, nanos)
         };
+        let Ticket {
+            id,
+            request,
+            done,
+            notify,
+            ..
+        } = ticket;
         // A pipeline dropped with work queued no longer listens; its
         // completions are discarded.
-        let _ = ticket.done.send(Completion {
-            id: ticket.id,
+        let _ = done.send(Completion {
+            id,
+            request,
             result,
             queue_nanos,
             service_nanos,
         });
         // Wake a readiness-driven consumer strictly after the send, so a
         // woken poller always finds the completion already in the channel.
-        if let Some(notify) = &ticket.notify {
+        if let Some(notify) = notify {
             notify();
         }
     }

@@ -14,20 +14,22 @@
 //! Each claimed chunk is evaluated *as a block*: one
 //! [`SharedCache::get_or_compute_block`] round-trip fetches (or batch
 //! computes, via [`ColumnBlockKernel::pi_tables`]) every π-table of the
-//! chunk, then one [`ColumnBlockKernel::evaluate`] pass writes the
-//! chunk's contiguous `r`-major span of the flat result buffers.
+//! chunk, then one [`ColumnBlockKernel::evaluate_with_statistic`] pass
+//! writes the chunk's contiguous `r`-major span of flat result slabs.
 //!
-//! Results land in preallocated flat structure-of-arrays buffers
-//! ([`SoaBuffer`], one `f64` slab per requested metric, `r`-major): each
-//! claimed chunk owns the disjoint span
-//! `[start·n_max, end·n_max)` of every buffer, the kernel writes it
-//! by slice index with no per-cell allocation, and the completion latch is
-//! decremented once per claimed chunk rather than once per `r` index.
+//! Every slab has one owner. The calling thread allocates the job's
+//! [`Slabs`] (one `f64` buffer per output, `r`-major) and writes each chunk
+//! it claims straight into its span `[start·n_max, end·n_max)`. A pool
+//! thread writes each chunk it claims into slabs of its own and hands them
+//! over under the job's one mutex, which also holds the latch count and
+//! the first failure; the caller copies those chunks in once the latch
+//! releases. A job that stays on the calling thread copies nothing. The
+//! latch is decremented once per claimed chunk, not once per `r` index.
 //! Cancellation is checked at chunk boundaries and between the π and
 //! kernel phases of a chunk.
 
-use std::mem::ManuallyDrop;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -40,136 +42,104 @@ use crate::cache::SharedCache;
 use crate::request::{Metric, SweepRequest};
 use crate::{CancelToken, EngineError};
 
-/// The filled `r`-major buffers a finished job hands back; each slab is
-/// `None` when it was not requested. Metric slabs come from ordinary
-/// sweeps; the statistic slabs come from parametric-landscape builds
-/// ([`Job::new`] with `statistic = true`).
-pub(crate) struct JobBuffers {
+/// The flat `r`-major buffers one job fills: element
+/// `r_index · n_max + (n − 1)` of each slab is cell `(n, r)`.
+pub(crate) trait Slabs: Send + Sized + 'static {
+    /// Zeroed slabs of `cells` values for what `request` asks.
+    fn zeroed(request: &SweepRequest, cells: usize) -> Self;
+
+    /// The spans `[from, from + len)` of the kernel's four outputs, in
+    /// [`ColumnBlockKernel::evaluate_with_statistic`] order (mean cost,
+    /// error probability, π-prefix, π_n); `None` for an output these
+    /// slabs do not hold.
+    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4];
+
+    /// Copies `chunk`, slabs of `span.len()` values, into `span` of `self`.
+    fn copy_in(&mut self, span: Range<usize>, chunk: &mut Self) {
+        let (from, len) = (span.start, span.len());
+        for (to, chunk) in self.spans(from, len).into_iter().zip(chunk.spans(0, len)) {
+            if let (Some(to), Some(chunk)) = (to, chunk) {
+                to.copy_from_slice(chunk);
+            }
+        }
+    }
+}
+
+/// A sweep's metric slabs; a slab is `None` when its metric was not
+/// requested.
+pub(crate) struct MetricSlabs {
     pub(crate) costs: Option<Vec<f64>>,
     pub(crate) errors: Option<Vec<f64>>,
-    pub(crate) pi_prefix: Option<Vec<f64>>,
-    pub(crate) pi_n: Option<Vec<f64>>,
 }
 
-/// A preallocated flat `f64` slab written concurrently through disjoint
-/// column slices, then taken back as a `Vec<f64>` when the job completes.
-///
-/// The backing `Vec` is leaked at construction (only its raw parts are
-/// kept), so handing out a `&mut [f64]` column never touches a Rust
-/// reference to the whole buffer — concurrent writers hold aliases-free
-/// slices derived straight from the base pointer. Synchronization is the
-/// job's claim cursor (each index claimed exactly once) plus the
-/// completion latch (all writes happen-before the caller's `take`).
-struct SoaBuffer {
-    base: *mut f64,
-    len: usize,
-    capacity: usize,
-    taken: AtomicBool,
-    /// Debug-build ledger of handed-out column ranges: `column` asserts
-    /// each new claim is disjoint from every earlier one, turning a
-    /// scheduler bug (double-claimed chunk) into a panic instead of a
-    /// silent aliased write.
-    #[cfg(debug_assertions)]
-    claimed: Mutex<Vec<(usize, usize)>>,
-}
-
-// SAFETY: the raw pointer is only dereferenced through `column` (disjoint
-// ranges, enforced by the job's claim cursor) and `take`/`Drop` (after the
-// latch), so cross-thread sharing never produces an aliased write.
-unsafe impl Send for SoaBuffer {}
-unsafe impl Sync for SoaBuffer {}
-
-impl SoaBuffer {
-    fn new(len: usize) -> SoaBuffer {
-        let mut slab = ManuallyDrop::new(vec![0.0f64; len]);
-        SoaBuffer {
-            base: slab.as_mut_ptr(),
-            len,
-            capacity: slab.capacity(),
-            taken: AtomicBool::new(false),
-            #[cfg(debug_assertions)]
-            claimed: Mutex::new(Vec::new()),
+impl Slabs for MetricSlabs {
+    fn zeroed(request: &SweepRequest, cells: usize) -> MetricSlabs {
+        MetricSlabs {
+            costs: request.wants(Metric::MeanCost).then(|| vec![0.0; cells]),
+            errors: request
+                .wants(Metric::ErrorProbability)
+                .then(|| vec![0.0; cells]),
         }
     }
 
-    /// The mutable column `[start, start + len)`.
-    ///
-    /// # Safety
-    ///
-    /// The range must be in bounds and claimed by exactly one live caller
-    /// — the job guarantees both by handing each `r` index to exactly one
-    /// worker via the atomic cursor.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn column(&self, start: usize, len: usize) -> &mut [f64] {
-        debug_assert!(start + len <= self.len, "column outside the buffer");
-        #[cfg(debug_assertions)]
-        {
-            let mut claimed = lock(&self.claimed);
-            for &(s, l) in claimed.iter() {
-                debug_assert!(
-                    start + len <= s || s + l <= start,
-                    "overlapping column claim: [{start}, {}) vs [{s}, {})",
-                    start + len,
-                    s + l
-                );
-            }
-            claimed.push((start, len));
-        }
-        // SAFETY: the caller upholds the contract above — in bounds and
-        // claimed by exactly one live caller — so this slice aliases no
-        // other reference to the slab.
-        unsafe { std::slice::from_raw_parts_mut(self.base.add(start), len) }
-    }
-
-    /// Reassembles the slab into an owned `Vec<f64>`. Must only be called
-    /// after the completion latch released (no writer can touch the slab
-    /// again), and at most once.
-    fn take(&self) -> Vec<f64> {
-        // ORDERING: AcqRel — this swap is the slab's hand-off point. The
-        // acquire half makes every worker's column writes visible to the
-        // taker; the release half publishes the claim so a second take
-        // trips the assert instead of racing (see sync-sites.txt).
-        let already = self.taken.swap(true, Ordering::AcqRel);
-        assert!(!already, "SoA buffer taken twice");
-        // SAFETY: parts came from a leaked Vec<f64>; `taken` ensures
-        // exactly one reassembly, and Drop skips freeing afterwards.
-        unsafe { Vec::from_raw_parts(self.base, self.len, self.capacity) }
+    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4] {
+        [
+            self.costs.as_deref_mut().map(|c| &mut c[from..from + len]),
+            self.errors.as_deref_mut().map(|e| &mut e[from..from + len]),
+            None,
+            None,
+        ]
     }
 }
 
-impl Drop for SoaBuffer {
-    fn drop(&mut self) {
-        if !*self.taken.get_mut() {
-            // SAFETY: never taken, so the leaked Vec is still ours to free.
-            drop(unsafe { Vec::from_raw_parts(self.base, self.len, self.capacity) });
+/// A statistic build's slabs, `Σ_{i<n} π_i` and `π_n`: the storage
+/// behind [`zeroconf_cost::param::ParamLandscape`]. The build ignores the
+/// request's metric selection.
+pub(crate) struct StatisticSlabs {
+    pub(crate) pi_prefix: Vec<f64>,
+    pub(crate) pi_n: Vec<f64>,
+}
+
+impl Slabs for StatisticSlabs {
+    fn zeroed(_request: &SweepRequest, cells: usize) -> StatisticSlabs {
+        StatisticSlabs {
+            pi_prefix: vec![0.0; cells],
+            pi_n: vec![0.0; cells],
         }
+    }
+
+    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4] {
+        [
+            None,
+            None,
+            Some(&mut self.pi_prefix[from..from + len]),
+            Some(&mut self.pi_n[from..from + len]),
+        ]
     }
 }
 
-/// One sweep's shared state: inputs, the claim cursor, the flat result
-/// buffers and the completion latch.
-pub(crate) struct Job {
+/// What the job's one mutex guards.
+struct Latch<S> {
+    /// `r` indices not yet finished; the caller waits for zero.
+    pending: usize,
+    /// First evaluation error, if any; the job still drains so the latch
+    /// always releases.
+    failure: Option<EngineError>,
+    /// Chunks pool threads finished, each with the span of the caller's
+    /// slabs it fills.
+    handed: Vec<(Range<usize>, S)>,
+}
+
+/// One sweep's shared state: inputs, the claim cursor, the latch and the
+/// chunks handed over by pool threads.
+pub(crate) struct Job<S> {
     block: ColumnBlockKernel,
     fingerprint: u64,
-    n_max: u32,
-    r_values: Vec<f64>,
+    request: SweepRequest,
     chunk: usize,
     cursor: AtomicUsize,
     cache: Arc<SharedCache>,
-    /// Flat `r`-major metric buffers; `None` when the metric was not
-    /// requested. Each claimed `r` index writes its own disjoint column.
-    costs: Option<SoaBuffer>,
-    errors: Option<SoaBuffer>,
-    /// Flat `r`-major sufficient-statistic slabs (`Σ_{i<n} π_i` and
-    /// `π_n`), present only for statistic jobs — the storage behind
-    /// [`zeroconf_cost::param::ParamLandscape`].
-    pi_prefix: Option<SoaBuffer>,
-    pi_n: Option<SoaBuffer>,
-    /// First evaluation error, if any; the sweep still drains so the
-    /// latch always releases.
-    failure: Mutex<Option<EngineError>>,
-    /// `r` indices not yet finished; the caller waits for zero.
-    pending: Mutex<usize>,
+    latch: Mutex<Latch<S>>,
     done: Condvar,
     /// Cooperative cancellation, checked at every chunk boundary and
     /// between a chunk's π and kernel phases. A cancelled job still
@@ -187,11 +157,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Job {
-    /// Builds one sweep job. With `statistic = false` the job fills one
-    /// metric slab per requested metric; with `statistic = true` it
-    /// ignores the metric selection and fills the two sufficient-statistic
-    /// slabs instead (same π pipeline, same chunking, same cache).
+impl<S: Slabs> Job<S> {
+    /// Builds one sweep job filling slabs of type `S` (same π pipeline,
+    /// same chunking, same cache for every kind of slab).
     pub(crate) fn new(
         request: &SweepRequest,
         cache: Arc<SharedCache>,
@@ -199,27 +167,22 @@ impl Job {
         participants: usize,
         chunk: usize,
         cancel: CancelToken,
-        statistic: bool,
-    ) -> Job {
+    ) -> Job<S> {
         let r_count = request.grid.r_values.len();
-        let cells = r_count * request.grid.n_max as usize;
         Job {
             // Always `Mode::Exact`: engine results (and the π-tables they
             // share through the cache) must be backend-invariant.
             block: ColumnBlockKernel::with_backend(&request.scenario, backend, Mode::Exact),
             fingerprint: request.scenario.reply_time().fingerprint(),
-            n_max: request.grid.n_max,
-            r_values: request.grid.r_values.clone(),
+            request: request.clone(),
             chunk: chunk.clamp(1, r_count.max(1)),
             cursor: AtomicUsize::new(0),
             cache,
-            costs: (!statistic && request.wants(Metric::MeanCost)).then(|| SoaBuffer::new(cells)),
-            errors: (!statistic && request.wants(Metric::ErrorProbability))
-                .then(|| SoaBuffer::new(cells)),
-            pi_prefix: statistic.then(|| SoaBuffer::new(cells)),
-            pi_n: statistic.then(|| SoaBuffer::new(cells)),
-            failure: Mutex::new(None),
-            pending: Mutex::new(r_count),
+            latch: Mutex::new(Latch {
+                pending: r_count,
+                failure: None,
+                handed: Vec::new(),
+            }),
             done: Condvar::new(),
             cancel,
             cells_by_worker: (0..participants).map(|_| AtomicU64::new(0)).collect(),
@@ -228,27 +191,63 @@ impl Job {
         }
     }
 
-    /// Claims and evaluates chunks until the work list is drained. Called
-    /// by every participant, including the engine's own thread.
-    pub(crate) fn run(&self, worker: usize) {
+    /// Runs the job on the calling thread as worker 0, into `out`, the
+    /// caller's slabs for the whole grid: claims chunks into them until
+    /// the work list is drained, waits for the pool threads' chunks, and
+    /// copies those in. Returns the first failure, if any.
+    pub(crate) fn run_here(&self, out: &mut S) -> Result<(), EngineError> {
+        self.claim(0, Some(out));
+        let mut latch = lock(&self.latch);
+        while latch.pending > 0 {
+            latch = self.done.wait(latch).unwrap_or_else(|e| e.into_inner());
+        }
+        if let Some(e) = latch.failure.take() {
+            return Err(e);
+        }
+        for (span, mut chunk) in latch.handed.drain(..) {
+            out.copy_in(span, &mut chunk);
+        }
+        Ok(())
+    }
+
+    /// Claims and evaluates chunks until the work list is drained: into
+    /// `out`, the job's slabs, on the calling thread ([`Job::run_here`]),
+    /// and on a pool thread (`out` is `None`) into one new set of slabs
+    /// per chunk that is handed over through the latch.
+    fn claim(&self, worker: usize, mut out: Option<&mut S>) {
+        let r_count = self.request.grid.r_values.len();
+        let n_max = self.request.grid.n_max as usize;
         loop {
             // ORDERING: the cursor only partitions indices; each chunk's
-            // data flows through disjoint slab columns, and completion is
-            // published by the latch, not the cursor.
+            // results reach the caller through its own slabs or the latch
+            // mutex, and completion is published by the latch, not the
+            // cursor.
             let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.r_values.len() {
+            if start >= r_count {
                 return;
             }
-            let end = (start + self.chunk).min(self.r_values.len());
-            if self.cancel.is_cancelled() {
-                lock(&self.failure).get_or_insert(EngineError::Cancelled);
-            } else if let Err(e) = self.evaluate_chunk(start, end, worker) {
-                lock(&self.failure).get_or_insert(e);
-            }
+            let end = (start + self.chunk).min(r_count);
+            let span = start * n_max..end * n_max;
+            let evaluated = if self.cancel.is_cancelled() {
+                Err(EngineError::Cancelled)
+            } else if let Some(out) = out.as_deref_mut() {
+                self.evaluate_chunk(start, end, worker, out, span.start)
+                    .map(|()| None)
+            } else {
+                let mut own = S::zeroed(&self.request, span.len());
+                self.evaluate_chunk(start, end, worker, &mut own, 0)
+                    .map(|()| Some((span, own)))
+            };
             // One latch update per claimed chunk, not per r index.
-            let mut pending = lock(&self.pending);
-            *pending -= end - start;
-            if *pending == 0 {
+            let mut latch = lock(&self.latch);
+            match evaluated {
+                Ok(handed) => latch.handed.extend(handed),
+                Err(e) => {
+                    latch.failure.get_or_insert(e);
+                }
+            }
+            latch.pending -= end - start;
+            if latch.pending == 0 {
                 self.done.notify_all();
             }
         }
@@ -257,16 +256,24 @@ impl Job {
     /// All cells of one claimed chunk `[start, end)` of `r` indices: one
     /// block cache round-trip (misses are batch-computed by
     /// [`ColumnBlockKernel::pi_tables`]), then a single
-    /// [`ColumnBlockKernel::evaluate`] pass writing the chunk's
-    /// contiguous span of the flat buffers — bit-identical to the
-    /// per-`n` `*_from_pis` arithmetic.
-    fn evaluate_chunk(&self, start: usize, end: usize, worker: usize) -> Result<(), EngineError> {
-        let rs = &self.r_values[start..end];
+    /// [`ColumnBlockKernel::evaluate_with_statistic`] pass writing the
+    /// chunk into `out` from `offset` on — bit-identical to the per-`n`
+    /// `*_from_pis` arithmetic.
+    fn evaluate_chunk(
+        &self,
+        start: usize,
+        end: usize,
+        worker: usize,
+        out: &mut S,
+        offset: usize,
+    ) -> Result<(), EngineError> {
+        let n_max = self.request.grid.n_max;
+        let rs = &self.request.grid.r_values[start..end];
         let (tables, hits, misses) =
             self.cache
-                .get_or_compute_block(self.fingerprint, rs, self.n_max, |missing| {
+                .get_or_compute_block(self.fingerprint, rs, n_max, |missing| {
                     self.block
-                        .pi_tables(self.n_max, missing)
+                        .pi_tables(n_max, missing)
                         .map_err(EngineError::Cost)
                 })?;
         // ORDERING: per-job statistics tallies, read only after the job
@@ -276,58 +283,13 @@ impl Job {
         if self.cancel.is_cancelled() {
             return Err(EngineError::Cancelled);
         }
-        let n_max = self.n_max as usize;
-        let offset = start * n_max;
-        let cells = (end - start) * n_max;
-        // SAFETY: the chunk `[start, end)` was claimed by exactly one
-        // worker via the atomic cursor, so this contiguous r-major span
-        // of the costs buffer is unaliased; the chunk is within the r
-        // grid, so it is in bounds.
-        let costs = self
-            .costs
-            .as_ref()
-            .map(|b| unsafe { b.column(offset, cells) });
-        // SAFETY: same claim — the errors buffer's span for this chunk is
-        // equally unaliased and in bounds.
-        let errors = self
-            .errors
-            .as_ref()
-            .map(|b| unsafe { b.column(offset, cells) });
-        // SAFETY: same claim, for each statistic slab.
-        let pi_prefix = self
-            .pi_prefix
-            .as_ref()
-            .map(|b| unsafe { b.column(offset, cells) });
-        // SAFETY: same claim.
-        let pi_n = self
-            .pi_n
-            .as_ref()
-            .map(|b| unsafe { b.column(offset, cells) });
+        let cells = (end - start) * n_max as usize;
+        let [costs, errors, pi_prefix, pi_n] = out.spans(offset, cells);
         self.block
-            .evaluate_with_statistic(self.n_max, rs, &tables, costs, errors, pi_prefix, pi_n)?;
+            .evaluate_with_statistic(n_max, rs, &tables, costs, errors, pi_prefix, pi_n)?;
         // ORDERING: per-worker statistics tally, read after join.
         self.cells_by_worker[worker].fetch_add(cells as u64, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Blocks until every `r` index is finished, then hands back the
-    /// filled buffers (`r`-major; `None` per unrequested slab) or the
-    /// first failure.
-    pub(crate) fn wait(&self) -> Result<JobBuffers, EngineError> {
-        let mut pending = lock(&self.pending);
-        while *pending > 0 {
-            pending = self.done.wait(pending).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(pending);
-        if let Some(e) = lock(&self.failure).take() {
-            return Err(e);
-        }
-        Ok(JobBuffers {
-            costs: self.costs.as_ref().map(SoaBuffer::take),
-            errors: self.errors.as_ref().map(SoaBuffer::take),
-            pi_prefix: self.pi_prefix.as_ref().map(SoaBuffer::take),
-            pi_n: self.pi_n.as_ref().map(SoaBuffer::take),
-        })
     }
 
     pub(crate) fn cells_per_worker(&self) -> Vec<u64> {
@@ -346,11 +308,14 @@ impl Job {
     }
 }
 
-/// The persistent background threads. Jobs are broadcast as `Arc`s to
-/// every worker; idle workers find the cursor exhausted and go back to
+/// A job's chunk loop as a pool thread runs it, given its worker id.
+type Task = Arc<dyn Fn(usize) + Send + Sync>;
+
+/// The persistent background threads. Jobs are broadcast to every
+/// worker; idle workers find the cursor exhausted and go back to
 /// waiting, so broadcasting to more workers than the job needs is free.
 pub(crate) struct WorkerPool {
-    senders: Vec<Sender<Arc<Job>>>,
+    senders: Vec<Sender<Task>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -360,15 +325,15 @@ impl WorkerPool {
         let mut senders = Vec::with_capacity(background);
         let mut handles = Vec::with_capacity(background);
         for worker in 0..background {
-            let (tx, rx) = channel::<Arc<Job>>();
+            let (tx, rx) = channel::<Task>();
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("zeroconf-engine-{worker}"))
                     .spawn(move || {
                         // Worker ids start at 1; 0 is the calling thread.
-                        while let Ok(job) = rx.recv() {
-                            job.run(worker + 1);
+                        while let Ok(task) = rx.recv() {
+                            task(worker + 1);
                         }
                     })
                     .expect("spawning an engine worker thread"),
@@ -378,11 +343,13 @@ impl WorkerPool {
     }
 
     /// Hands `job` to every background worker.
-    pub(crate) fn broadcast(&self, job: &Arc<Job>) {
+    pub(crate) fn broadcast<S: Slabs>(&self, job: &Arc<Job<S>>) {
+        let job = Arc::clone(job);
+        let task: Task = Arc::new(move |worker| job.claim(worker, None));
         for sender in &self.senders {
             // A worker can only be gone if its thread panicked; the job
             // still completes via the remaining participants.
-            let _ = sender.send(Arc::clone(job));
+            let _ = sender.send(Arc::clone(&task));
         }
     }
 
@@ -403,50 +370,82 @@ impl Drop for WorkerPool {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use zeroconf_cost::Scenario;
+    use zeroconf_dist::DefectiveExponential;
+
     use super::*;
+    use crate::GridSpec;
 
+    fn request() -> SweepRequest {
+        let scenario = Scenario::builder()
+            .occupancy(0.5)
+            .probe_cost(2.0)
+            .error_cost(1e6)
+            .reply_time(Arc::new(
+                DefectiveExponential::from_loss(1e-6, 10.0, 1.0).unwrap(),
+            ))
+            .build()
+            .unwrap();
+        SweepRequest::new(scenario, GridSpec::linspace(8, 0.1, 5.0, 40))
+    }
+
+    /// A two-participant job with chunks of 7 columns, so the last chunk
+    /// is short.
+    fn job<S: Slabs>(request: &SweepRequest) -> Job<S> {
+        let cache = Arc::new(SharedCache::new(64));
+        Job::new(request, cache, Backend::detect(), 2, 7, CancelToken::new())
+    }
+
+    /// `job`'s slabs, filled on this thread.
+    fn run<S: Slabs>(job: &Job<S>, request: &SweepRequest) -> Result<S, EngineError> {
+        let mut out = S::zeroed(request, request.grid.cells());
+        job.run_here(&mut out).map(|()| out)
+    }
+
+    fn bits(slab: &[f64]) -> Vec<u64> {
+        slab.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Chunks a pool thread evaluates into slabs of its own land in the
+    /// caller's slabs exactly where the caller would have written them.
+    /// `claim` on this thread, as worker 1, takes every chunk before
+    /// `run_here` starts, so every chunk is handed over and copied in.
     #[test]
-    fn soa_buffer_round_trips_column_writes() {
-        let buffer = SoaBuffer::new(6);
-        // SAFETY: disjoint, in-bounds columns on one thread.
-        unsafe {
-            buffer.column(0, 3).copy_from_slice(&[1.0, 2.0, 3.0]);
-            buffer.column(3, 3).copy_from_slice(&[4.0, 5.0, 6.0]);
+    fn handed_over_chunks_match_the_callers_own() {
+        let request = request();
+        let cells = request.grid.cells() as u64;
+
+        let own = run(&job::<MetricSlabs>(&request), &request).unwrap();
+        let helped = job::<MetricSlabs>(&request);
+        helped.claim(1, None);
+        assert_eq!(helped.cells_per_worker(), vec![0, cells]);
+        let handed = run(&helped, &request).unwrap();
+        for (own, handed) in [(&own.costs, &handed.costs), (&own.errors, &handed.errors)] {
+            assert_eq!(bits(own.as_ref().unwrap()), bits(handed.as_ref().unwrap()));
         }
-        assert_eq!(buffer.take(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+
+        let own = run(&job::<StatisticSlabs>(&request), &request).unwrap();
+        let helped = job::<StatisticSlabs>(&request);
+        helped.claim(1, None);
+        let handed = run(&helped, &request).unwrap();
+        assert_eq!(bits(&own.pi_prefix), bits(&handed.pi_prefix));
+        assert_eq!(bits(&own.pi_n), bits(&handed.pi_n));
     }
 
+    /// A chunk that fails hands nothing over, and the job reports the
+    /// failure once every chunk is done.
     #[test]
-    #[should_panic(expected = "taken twice")]
-    fn soa_buffer_rejects_double_take() {
-        let buffer = SoaBuffer::new(2);
-        let _first = buffer.take();
-        let _second = buffer.take();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "overlapping column claim")]
-    fn overlapping_column_claims_panic_in_debug_builds() {
-        let buffer = SoaBuffer::new(6);
-        // SAFETY: deliberately violates the disjointness contract; the
-        // debug ledger must catch the second claim before any aliased
-        // slice is created.
-        unsafe {
-            let _a = buffer.column(0, 4);
-            let _b = buffer.column(2, 4);
-        }
-    }
-
-    #[test]
-    fn dropping_an_untaken_buffer_frees_it() {
-        // Exercised for the error path; leak detectors (and miri) would
-        // flag a double free or leak here.
-        let buffer = SoaBuffer::new(128);
-        drop(buffer);
-        let buffer = SoaBuffer::new(128);
-        let owned = buffer.take();
-        drop(buffer);
-        assert_eq!(owned.len(), 128);
+    fn a_cancelled_job_hands_back_its_failure() {
+        let request = request();
+        let cancelled = job::<MetricSlabs>(&request);
+        cancelled.cancel.cancel();
+        cancelled.claim(1, None);
+        assert!(lock(&cancelled.latch).handed.is_empty());
+        assert_eq!(
+            run(&cancelled, &request).err(),
+            Some(EngineError::Cancelled)
+        );
     }
 }

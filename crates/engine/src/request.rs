@@ -64,13 +64,29 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// A sweep over `grid` computing both metrics.
+    /// A sweep over `grid` computing both metrics. A struct literal
+    /// selects the metrics.
     ///
-    /// This is a thin shim over [`SweepRequest::builder`] kept for
-    /// compatibility; it performs **no** validation (problems surface at
-    /// [`crate::Engine::evaluate`] time). Prefer the builder — and avoid
-    /// poking the public fields directly — so malformed grids are rejected
-    /// at construction.
+    /// Construction checks nothing, here or in a literal: every consumer
+    /// ([`crate::Engine::evaluate`], [`crate::Pipeline::submit_work`])
+    /// runs [`SweepRequest::validate`] on the request it is given.
+    ///
+    /// ```
+    /// use zeroconf_engine::{Engine, EngineConfig, GridSpec, Metric, SweepRequest};
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let scenario = zeroconf_cost::paper::figure2_scenario()?;
+    /// let request = SweepRequest {
+    ///     metrics: vec![Metric::MeanCost],
+    ///     ..SweepRequest::new(scenario, GridSpec::linspace(8, 0.1, 30.0, 60))
+    /// };
+    /// let engine = Engine::new(EngineConfig::default());
+    /// assert_eq!(engine.evaluate(&request)?.landscape.len(), 8 * 60);
+    /// let mut empty = request;
+    /// empty.grid.r_values.clear();
+    /// assert!(engine.evaluate(&empty).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
     pub fn new(scenario: Scenario, grid: GridSpec) -> SweepRequest {
         SweepRequest {
@@ -78,14 +94,6 @@ impl SweepRequest {
             grid,
             metrics: vec![Metric::MeanCost, Metric::ErrorProbability],
         }
-    }
-
-    /// Starts a [`SweepRequestBuilder`] — the recommended way to construct
-    /// a request. `build()` validates the grid bounds and metric
-    /// selection.
-    #[must_use]
-    pub fn builder() -> SweepRequestBuilder {
-        SweepRequestBuilder::new()
     }
 
     /// Validates grid shape and metric selection.
@@ -109,112 +117,6 @@ impl SweepRequest {
     #[must_use]
     pub fn wants(&self, metric: Metric) -> bool {
         self.metrics.contains(&metric)
-    }
-}
-
-/// Builder-first construction of a [`SweepRequest`].
-///
-/// Unlike field-poking a `SweepRequest` (discouraged) or
-/// [`SweepRequest::new`] (unvalidated shim), [`SweepRequestBuilder::build`]
-/// validates the grid bounds and metric selection, so a malformed request
-/// is rejected before it ever reaches an engine or a pipeline queue.
-///
-/// ```
-/// use zeroconf_engine::{Metric, SweepRequest};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let scenario = zeroconf_cost::paper::figure2_scenario()?;
-/// let request = SweepRequest::builder()
-///     .scenario(scenario)
-///     .linspace(8, 0.1, 30.0, 60)
-///     .metric(Metric::MeanCost)
-///     .build()?;
-/// assert_eq!(request.grid.cells(), 8 * 60);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SweepRequestBuilder {
-    scenario: Option<Scenario>,
-    grid: Option<GridSpec>,
-    metrics: Vec<Metric>,
-}
-
-impl SweepRequestBuilder {
-    /// An empty builder; [`SweepRequest::builder`] is the usual entry.
-    #[must_use]
-    pub fn new() -> SweepRequestBuilder {
-        SweepRequestBuilder::default()
-    }
-
-    /// Sets the scenario under evaluation (required).
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> SweepRequestBuilder {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Sets the `(n, r)` grid (required, unless [`Self::linspace`] is
-    /// used).
-    #[must_use]
-    pub fn grid(mut self, grid: GridSpec) -> SweepRequestBuilder {
-        self.grid = Some(grid);
-        self
-    }
-
-    /// Convenience for [`Self::grid`] with an evenly spaced `r` range —
-    /// `GridSpec::linspace(n_max, r_lo, r_hi, points)`.
-    #[must_use]
-    pub fn linspace(self, n_max: u32, r_lo: f64, r_hi: f64, points: usize) -> SweepRequestBuilder {
-        self.grid(GridSpec::linspace(n_max, r_lo, r_hi, points))
-    }
-
-    /// Adds one metric to evaluate per cell. Duplicates are ignored. When
-    /// no metric is named, `build()` defaults to both.
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> SweepRequestBuilder {
-        if !self.metrics.contains(&metric) {
-            self.metrics.push(metric);
-        }
-        self
-    }
-
-    /// Replaces the metric selection wholesale.
-    #[must_use]
-    pub fn metrics(mut self, metrics: impl IntoIterator<Item = Metric>) -> SweepRequestBuilder {
-        self.metrics = metrics.into_iter().collect();
-        self
-    }
-
-    /// Builds and validates the request.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] when the scenario or grid is
-    /// missing, or when [`SweepRequest::validate`] rejects the grid or
-    /// metric selection.
-    pub fn build(self) -> Result<SweepRequest, EngineError> {
-        let Some(scenario) = self.scenario else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a scenario".to_owned(),
-            });
-        };
-        let Some(grid) = self.grid else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a grid".to_owned(),
-            });
-        };
-        let metrics = if self.metrics.is_empty() {
-            vec![Metric::MeanCost, Metric::ErrorProbability]
-        } else {
-            self.metrics
-        };
-        let request = SweepRequest {
-            scenario,
-            grid,
-            metrics,
-        };
-        request.validate()?;
-        Ok(request)
     }
 }
 
@@ -254,6 +156,28 @@ pub const MAX_JSON_DEPTH: usize = 64;
 /// and id.
 pub const MAX_MIXTURE_COMPONENTS: usize = 64 * 1024 / 64;
 
+/// The most JSON values (numbers, strings, literals, arrays and objects,
+/// at every level) a request line may carry; the parser refuses the value
+/// past it, before the rest of the line's tree exists. It is the sum of
+/// what the largest line the decoder caps let through needs:
+///
+/// - an explicit `r` list of [`MAX_GRID_R_POINTS`] values;
+/// - frontier axes of [`MAX_FRONTIER_POINTS`]` + 1` values (`|x| + |y|`
+///   is largest when one axis has a single value);
+/// - [`MAX_MIXTURE_COMPONENTS`] components of the widest kind, 8 values
+///   each: `{"weight":…,"dist":{"kind":"weibull","mass":…,"shape":…,
+///   "scale":…,"delay":…}}` is the component and dist objects, the
+///   weight, the kind and four parameters;
+/// - 64 values for the envelope: the top-level object with `v` and `id`,
+///   the scenario and grid objects and their scalar members, the
+///   `metrics` list and the verb's own object and axis headers, which
+///   come to fewer than 50.
+///
+/// A line one value past any of those caps, with every other part at its
+/// own cap, still fits, so it is answered with that cap's error.
+pub const MAX_REQUEST_VALUES: usize =
+    MAX_GRID_R_POINTS + MAX_FRONTIER_POINTS + 1 + MAX_MIXTURE_COMPONENTS * 8 + 64;
+
 /// Bytes a wire session charges a retained base beyond its `r` list, its
 /// id and its reply-time distribution: the rest of the scenario, the grid
 /// header, the metrics and the map entry.
@@ -286,6 +210,8 @@ pub(crate) enum Extent {
     JsonDepth(usize),
     /// A scenario's mixture components, counted at every level.
     MixtureComponents(usize),
+    /// The JSON values a request line's parse has built so far.
+    RequestValues(usize),
 }
 
 /// Refuses an extent over its cap, with the text the wire answers. The
@@ -317,6 +243,9 @@ pub(crate) fn check_cap(extent: Extent) -> Result<(), String> {
             "reply_time mixture component count {count} is over the limit of \
              {MAX_MIXTURE_COMPONENTS}"
         ),
+        Extent::RequestValues(count) if count > MAX_REQUEST_VALUES => {
+            format!("request line JSON value count is over the limit of {MAX_REQUEST_VALUES}")
+        }
         _ => return Ok(()),
     };
     Err(refusal)
@@ -505,12 +434,6 @@ pub struct CalibrateRequest {
 }
 
 impl CalibrateRequest {
-    /// Starts a [`CalibrateRequestBuilder`].
-    #[must_use]
-    pub fn builder() -> CalibrateRequestBuilder {
-        CalibrateRequestBuilder::default()
-    }
-
     /// Index of `target_r` in the grid, when present (bit-exact match).
     #[must_use]
     pub fn target_index(&self) -> Option<usize> {
@@ -557,85 +480,6 @@ impl CalibrateRequest {
     }
 }
 
-/// Builder-first construction of a [`CalibrateRequest`], mirroring
-/// [`SweepRequestBuilder`]: `build()` validates, so a malformed request is
-/// rejected before it reaches an engine or pipeline queue.
-#[derive(Debug, Clone, Default)]
-pub struct CalibrateRequestBuilder {
-    scenario: Option<Scenario>,
-    grid: Option<GridSpec>,
-    target: Option<(u32, f64)>,
-}
-
-impl CalibrateRequestBuilder {
-    /// Sets the scenario under calibration (required).
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> CalibrateRequestBuilder {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Sets the `(n, r)` grid (required, unless [`Self::linspace`] is
-    /// used).
-    #[must_use]
-    pub fn grid(mut self, grid: GridSpec) -> CalibrateRequestBuilder {
-        self.grid = Some(grid);
-        self
-    }
-
-    /// Convenience for [`Self::grid`] with an evenly spaced `r` range.
-    #[must_use]
-    pub fn linspace(
-        self,
-        n_max: u32,
-        r_lo: f64,
-        r_hi: f64,
-        points: usize,
-    ) -> CalibrateRequestBuilder {
-        self.grid(GridSpec::linspace(n_max, r_lo, r_hi, points))
-    }
-
-    /// Sets the target configuration `(n, r)` the calibrated `E` must
-    /// make optimal (required).
-    #[must_use]
-    pub fn target(mut self, n: u32, r: f64) -> CalibrateRequestBuilder {
-        self.target = Some((n, r));
-        self
-    }
-
-    /// Builds and validates the request.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] when a required field is missing or
-    /// [`CalibrateRequest::validate`] rejects the combination.
-    pub fn build(self) -> Result<CalibrateRequest, EngineError> {
-        let Some(scenario) = self.scenario else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a scenario".to_owned(),
-            });
-        };
-        let Some(grid) = self.grid else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a grid".to_owned(),
-            });
-        };
-        let Some((target_n, target_r)) = self.target else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a target (n, r)".to_owned(),
-            });
-        };
-        let request = CalibrateRequest {
-            scenario,
-            grid,
-            target_n,
-            target_r,
-        };
-        request.validate()?;
-        Ok(request)
-    }
-}
-
 /// The answer to a [`CalibrateRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrateResponse {
@@ -673,12 +517,6 @@ pub struct FrontierRequest {
 }
 
 impl FrontierRequest {
-    /// Starts a [`FrontierRequestBuilder`].
-    #[must_use]
-    pub fn builder() -> FrontierRequestBuilder {
-        FrontierRequestBuilder::default()
-    }
-
     /// Number of parameter points on the 2-D grid.
     #[must_use]
     pub fn candidates(&self) -> usize {
@@ -708,96 +546,6 @@ impl FrontierRequest {
             });
         }
         Ok(())
-    }
-}
-
-/// Builder-first construction of a [`FrontierRequest`], mirroring
-/// [`SweepRequestBuilder`]: `build()` validates.
-#[derive(Debug, Clone, Default)]
-pub struct FrontierRequestBuilder {
-    scenario: Option<Scenario>,
-    grid: Option<GridSpec>,
-    x: Option<AxisSpec>,
-    y: Option<AxisSpec>,
-}
-
-impl FrontierRequestBuilder {
-    /// Sets the base scenario (required).
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> FrontierRequestBuilder {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Sets the `(n, r)` grid (required, unless [`Self::linspace`] is
-    /// used).
-    #[must_use]
-    pub fn grid(mut self, grid: GridSpec) -> FrontierRequestBuilder {
-        self.grid = Some(grid);
-        self
-    }
-
-    /// Convenience for [`Self::grid`] with an evenly spaced `r` range.
-    #[must_use]
-    pub fn linspace(
-        self,
-        n_max: u32,
-        r_lo: f64,
-        r_hi: f64,
-        points: usize,
-    ) -> FrontierRequestBuilder {
-        self.grid(GridSpec::linspace(n_max, r_lo, r_hi, points))
-    }
-
-    /// Sets the first varied parameter (required).
-    #[must_use]
-    pub fn x(mut self, axis: ParamAxis, values: Vec<f64>) -> FrontierRequestBuilder {
-        self.x = Some(AxisSpec::new(axis, values));
-        self
-    }
-
-    /// Sets the second varied parameter (required).
-    #[must_use]
-    pub fn y(mut self, axis: ParamAxis, values: Vec<f64>) -> FrontierRequestBuilder {
-        self.y = Some(AxisSpec::new(axis, values));
-        self
-    }
-
-    /// Builds and validates the request.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] when a required field is missing or
-    /// [`FrontierRequest::validate`] rejects the combination.
-    pub fn build(self) -> Result<FrontierRequest, EngineError> {
-        let Some(scenario) = self.scenario else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a scenario".to_owned(),
-            });
-        };
-        let Some(grid) = self.grid else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a grid".to_owned(),
-            });
-        };
-        let Some(x) = self.x else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs an x axis".to_owned(),
-            });
-        };
-        let Some(y) = self.y else {
-            return Err(EngineError::InvalidRequest {
-                what: "builder needs a y axis".to_owned(),
-            });
-        };
-        let request = FrontierRequest {
-            scenario,
-            grid,
-            x,
-            y,
-        };
-        request.validate()?;
-        Ok(request)
     }
 }
 
@@ -1274,10 +1022,7 @@ mod tests {
             1.0,
             MAX_GRID_CELLS / MAX_GRID_N_MAX as usize + 1,
         );
-        let refused = SweepRequest::builder()
-            .scenario(scenario())
-            .grid(over.clone())
-            .build();
+        let refused = SweepRequest::new(scenario(), over.clone()).validate();
         assert!(
             matches!(&refused, Err(EngineError::InvalidRequest { what })
                 if what == "grid cell count 1052672 (n_max × r values) is over the limit of 1048576"),
@@ -1297,12 +1042,13 @@ mod tests {
         };
         assert!(SweepRequest::new(scenario(), long_r).validate().is_err());
         let frontier = |x_points: usize| {
-            FrontierRequest::builder()
-                .scenario(scenario())
-                .linspace(2, 0.5, 2.0, 3)
-                .x(ParamAxis::ErrorCost, vec![1e6; x_points])
-                .y(ParamAxis::ProbeCost, vec![2.0; 256])
-                .build()
+            FrontierRequest {
+                scenario: scenario(),
+                grid: GridSpec::linspace(2, 0.5, 2.0, 3),
+                x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e6; x_points]),
+                y: AxisSpec::new(ParamAxis::ProbeCost, vec![2.0; 256]),
+            }
+            .validate()
         };
         assert!(frontier(256).is_ok());
         assert!(

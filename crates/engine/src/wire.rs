@@ -57,7 +57,8 @@
 //! frontier over [`MAX_FRONTIER_POINTS`], or a reply time over
 //! [`MAX_MIXTURE_COMPONENTS`], is refused with an error line when it is
 //! decoded, before anything sized by it is allocated. A line nested
-//! deeper than [`MAX_JSON_DEPTH`] is refused while it is parsed.
+//! deeper than [`MAX_JSON_DEPTH`], or a request line of more than
+//! [`MAX_REQUEST_VALUES`] values, is refused while it is parsed.
 //!
 //! [`PipelinedSession`] speaks the protocol: a thin codec over
 //! [`Pipeline`](crate::Pipeline), keeping several requests in flight and
@@ -87,7 +88,7 @@ use crate::pipeline::{
 use crate::request::{check_cap, BatchStats, Extent, RETAINED_BASE_OVERHEAD};
 pub use crate::request::{
     MAX_FRONTIER_POINTS, MAX_GRID_CELLS, MAX_GRID_N_MAX, MAX_GRID_R_POINTS, MAX_JSON_DEPTH,
-    MAX_MIXTURE_COMPONENTS, MAX_RETAINED_BASE_BYTES,
+    MAX_MIXTURE_COMPONENTS, MAX_REQUEST_VALUES, MAX_RETAINED_BASE_BYTES,
 };
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
@@ -182,8 +183,30 @@ impl Json {
 /// Returns a [`WireError`] describing the first syntax problem, or the
 /// first array or object nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
+    parse_document(input, &mut None)
+}
+
+/// Parses one request line as [`parse_json`] does, but stops at the first
+/// value past [`MAX_REQUEST_VALUES`]: a line that no decoder cap would
+/// let through is refused before its tree outgrows that of the largest
+/// line they do let through. Every request front end parses with it:
+/// [`parse_request_line`], [`PipelinedSession::submit_line`] and
+/// `zeroconf serve`.
+///
+/// # Errors
+///
+/// The [`parse_json`] conditions, and a line of more than
+/// [`MAX_REQUEST_VALUES`] values.
+pub fn parse_request_json(line: &str) -> Result<Json, WireError> {
+    parse_document(line, &mut Some(0))
+}
+
+/// Parses one document. `values` is `Some(values built so far)` when the
+/// parse counts them against [`MAX_REQUEST_VALUES`], `None` when it does
+/// not.
+fn parse_document(input: &str, values: &mut Option<usize>) -> Result<Json, WireError> {
     let mut pos = 0;
-    let value = parse_value(input, &mut pos, 0)?;
+    let value = parse_value(input, &mut pos, 0, values)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(err(format!("trailing input at byte {pos}")));
@@ -197,14 +220,24 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-/// Parses the value at `pos`, which `depth` arrays and objects enclose.
-fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+/// Parses the value at `pos`, which `depth` arrays and objects enclose,
+/// counting it in `values` (see [`parse_document`]).
+fn parse_value(
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+    values: &mut Option<usize>,
+) -> Result<Json, WireError> {
+    if let Some(count) = values {
+        *count += 1;
+        check_cap(Extent::RequestValues(*count)).map_err(err)?;
+    }
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
-        Some(b'{') => parse_object(text, pos, depth + 1, &mut claim_nothing),
-        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'{') => parse_object(text, pos, depth + 1, values, &mut claim_nothing),
+        Some(b'[') => parse_array(text, pos, depth + 1, values),
         Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -306,7 +339,12 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, WireError> {
 }
 
 /// Parses the array at `pos`, which is nested `depth` levels deep.
-fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_array(
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+    values: &mut Option<usize>,
+) -> Result<Json, WireError> {
     check_cap(Extent::JsonDepth(depth)).map_err(err)?;
     let bytes = text.as_bytes();
     *pos += 1; // consume '['
@@ -317,7 +355,7 @@ fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireEr
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(text, pos, depth)?);
+        items.push(parse_value(text, pos, depth, values)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -343,6 +381,7 @@ fn parse_object<C>(
     text: &str,
     pos: &mut usize,
     depth: usize,
+    values: &mut Option<usize>,
     claim: &mut C,
 ) -> Result<Json, WireError>
 where
@@ -369,7 +408,7 @@ where
         }
         *pos += 1;
         if !claim(&key, text, pos)? {
-            let value = parse_value(text, pos, depth)?;
+            let value = parse_value(text, pos, depth, values)?;
             members.push((key, value));
         }
         skip_ws(bytes, pos);
@@ -806,7 +845,7 @@ pub fn decode_request(value: &Json) -> Result<WireRequest, WireError> {
 ///
 /// Returns a [`WireError`] for syntax, version or schema problems.
 pub fn parse_request_line(line: &str) -> Result<WireRequest, WireError> {
-    let value = parse_json(line)?;
+    let value = parse_request_json(line)?;
     check_version(&value)?;
     decode_request(&value)
 }
@@ -1038,6 +1077,7 @@ pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), Wire
         line,
         &mut pos,
         1,
+        &mut None,
         &mut |key: &str, text: &str, pos: &mut usize| {
             if key != "cells" {
                 return Ok(false);
@@ -1310,12 +1350,6 @@ fn invalid(what: impl Into<String>) -> EngineError {
 // Sessions: JSON-lines codecs over the pipeline
 // ---------------------------------------------------------------------------
 
-/// One wire request currently inside the pipeline.
-struct InFlight {
-    wire_id: String,
-    request: WorkRequest,
-}
-
 /// Work held back because its base sweep is still in flight: everything
 /// needed to build the real [`WorkRequest`] once the base's scenario and
 /// grid become available.
@@ -1485,10 +1519,11 @@ pub struct PipelinedSession {
     /// Completed sweeps by wire id, referencable by later rescores,
     /// calibrations and frontiers.
     bases: Bases,
-    /// Requests inside the pipeline, keyed by pipeline id. A `cancel`
-    /// line finds its targets here by wire id: the pipeline's depth
-    /// bounds the scan.
-    in_flight: HashMap<RequestId, InFlight>,
+    /// The wire ids of requests inside the pipeline, keyed by pipeline
+    /// id. A `cancel` line finds its targets here by wire id: the
+    /// pipeline's depth bounds the scan. The requests themselves come
+    /// back with their completions.
+    in_flight: HashMap<RequestId, String>,
     /// Dependent work waiting for its base to complete: base wire id →
     /// list of (dependent wire id, pending work).
     waiting: HashMap<String, Vec<(String, PendingWork)>>,
@@ -1572,7 +1607,7 @@ impl PipelinedSession {
         out
     }
 
-    /// Decodes and enqueues one input line: [`parse_json`], then
+    /// Decodes and enqueues one input line: [`parse_request_json`], then
     /// [`decode_line`], then [`PipelinedSession::submit_request`]. A line
     /// that fails to decode is answered with its error line. Blank lines
     /// produce nothing.
@@ -1581,7 +1616,7 @@ impl PipelinedSession {
         if line.is_empty() {
             return Vec::new();
         }
-        match decode_line(parse_json(line)) {
+        match decode_line(parse_request_json(line)) {
             Ok(request) => self.submit_request(request),
             Err(answer) => vec![answer],
         }
@@ -1688,11 +1723,10 @@ impl PipelinedSession {
     /// Submits one decoded work request of any verb; an immediate error
     /// line when the pipeline rejects it.
     fn submit_work(&mut self, wire_id: String, request: WorkRequest) -> Vec<String> {
-        match self.pipeline.submit_work(request.clone()) {
+        match self.pipeline.submit_work(request) {
             Ok(pipeline_id) => {
                 self.pending_ids.insert(wire_id.clone());
-                self.in_flight
-                    .insert(pipeline_id, InFlight { wire_id, request });
+                self.in_flight.insert(pipeline_id, wire_id);
                 Vec::new()
             }
             Err(e) => {
@@ -1752,7 +1786,7 @@ impl PipelinedSession {
     /// under that id, or else withdraws every held-back one outright.
     fn submit_cancel(&mut self, wire_id: &str, of: &str) -> Vec<String> {
         let mut in_pipeline = false;
-        for (pipeline_id, _) in self.in_flight.iter().filter(|(_, f)| f.wire_id == of) {
+        for (pipeline_id, _) in self.in_flight.iter().filter(|(_, id)| *id == of) {
             // The cancelled completion arrives (and is encoded) through
             // the normal completion path.
             self.pipeline.cancel(*pipeline_id);
@@ -1794,10 +1828,11 @@ impl PipelinedSession {
     /// Encodes one completion and dispatches any dependent work that was
     /// waiting on it.
     fn finish(&mut self, completion: Completion) -> Vec<String> {
-        let Some(InFlight { wire_id, request }) = self.in_flight.remove(&completion.id) else {
+        let Some(wire_id) = self.in_flight.remove(&completion.id) else {
             debug_assert!(false, "completion for unknown pipeline id");
             return Vec::new();
         };
+        let request = completion.request;
         self.pending_ids.remove(&wire_id);
         let succeeded = completion.result.is_ok();
         let mut out = vec![WireResponse::from_result(&wire_id, completion.result).to_line()];
@@ -2838,7 +2873,10 @@ mod tests {
     #[test]
     fn a_reused_id_is_counted_and_cancelled_once_per_request() {
         // One executor, busy with a cold sweep, so the requests behind it
-        // are still queued when they are cancelled.
+        // are still queued when they are cancelled. The sweeps build
+        // 20,000 and 30,000 fresh π-tables, which outlast the submits and
+        // the cancel even in a release build with every other unit test
+        // running beside this one.
         let team = Arc::new(ExecutorTeam::new(Arc::new(engine(1)), 1));
         let mut session = PipelinedSession::with_team(team, PipelineConfig::with_depth(8));
         let heavy = |id: &str, r_points| crate::testkit::heavy_sweep_line(id, 32, r_points);
@@ -2846,7 +2884,7 @@ mod tests {
             format!("{{\"id\":\"r\",\"rescore\":{{\"of\":\"dup\",\"error_cost\":{error_cost:?}}}}}")
         };
         for line in [
-            heavy("b1", 2000),
+            heavy("b1", 20_000),
             heavy("dup", 400),
             heavy("dup", 400),
             rescore(1e9),
@@ -2866,7 +2904,7 @@ mod tests {
         let ack = session.submit_line("{\"id\":\"c\",\"cancel\":\"dup\"}");
         assert_eq!(ack.len(), 1, "{ack:?}");
         let mut lines = session.drain();
-        for line in [heavy("b2", 3000), heavy("hup", 400), heavy("hup", 400)] {
+        for line in [heavy("b2", 30_000), heavy("hup", 400), heavy("hup", 400)] {
             assert!(session.submit_line(&line).is_empty());
         }
         assert_eq!(session.pending(), 3);

@@ -289,6 +289,30 @@ fn cancelling_a_running_sweep_aborts_it() {
         completions[0].result
     );
     assert_eq!(pipeline.stats().cancelled, 1);
+
+    // The aborted job leaves nothing behind: the next sweep, cold and
+    // large enough to fan out to the pool thread, answers bit for bit
+    // what a fresh single-worker engine does, and its completion hands
+    // back the request that was submitted.
+    let next = SweepRequest::new(scenario(), GridSpec::linspace(64, 0.1, 30.0, 400));
+    pipeline.submit(next.clone()).unwrap();
+    let completion = pipeline.next_completion().unwrap();
+    match &completion.request {
+        zeroconf_engine::WorkRequest::Sweep(request) => {
+            assert_eq!(request.grid, next.grid);
+        }
+        other => panic!("a sweep completes with its sweep, got {other:?}"),
+    }
+    let got = completion.result.unwrap().into_sweep().unwrap().landscape;
+    let want = engine(1).evaluate(&next).unwrap().landscape;
+    let bits = |slab: Option<&[f64]>| {
+        slab.unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(got.costs()), bits(want.costs()));
+    assert_eq!(bits(got.errors()), bits(want.errors()));
 }
 
 #[test]

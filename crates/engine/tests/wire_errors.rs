@@ -1,15 +1,16 @@
 //! Wire error paths under pipelining: malformed frames mid-stream,
-//! unknown verbs, version skew, lines past the nesting and mixture caps,
-//! drain under load, and whole-session withdrawal. Driven through the same [`zeroconf_engine::testkit`]
+//! unknown verbs, version skew, lines past the nesting and mixture caps
+//! and the request value budget, drain under load, and whole-session withdrawal. Driven through the same [`zeroconf_engine::testkit`]
 //! builders the `zeroconf serve` socket harness uses, so the daemon and
 //! the in-process session exercise identical frames.
 
 use zeroconf_engine::testkit;
 use zeroconf_engine::wire::{
-    parse_json, parse_request_line, parse_response_line, PipelinedSession, MAX_JSON_DEPTH,
-    MAX_MIXTURE_COMPONENTS,
+    parse_json, parse_request_line, parse_response_line, PipelinedSession, WireRequest, WorkTarget,
+    MAX_FRONTIER_POINTS, MAX_GRID_R_POINTS, MAX_JSON_DEPTH, MAX_MIXTURE_COMPONENTS,
+    MAX_REQUEST_VALUES, VERB_FRONTIER, WIRE_VERSION,
 };
-use zeroconf_engine::{Engine, EngineConfig, PipelineConfig};
+use zeroconf_engine::{Engine, EngineConfig, FrontierRequest, PipelineConfig};
 
 fn session(depth: usize) -> PipelinedSession {
     let engine = Engine::new(EngineConfig {
@@ -251,5 +252,151 @@ fn mixtures_past_the_component_cap_get_one_error_line() {
     let under =
         testkit::mixture_sweep_line("bad", 2).replacen("\"exponential\"", "\"lognormal\"", 1);
     assert!(s.submit_line(&under)[0].contains("unknown reply_time kind"));
+    assert_eq!(s.pending(), 0);
+}
+
+#[test]
+fn request_lines_over_the_value_budget_get_one_error_line() {
+    let refusal =
+        format!("request line JSON value count is over the limit of {MAX_REQUEST_VALUES}");
+    // 50,000 components, 7 values each: about 4.1 MB, under `zeroconf
+    // serve`'s line cap. The parse stops at the budget, before the
+    // decoder's component cap could see the mixture.
+    let over = testkit::mixture_sweep_line("big", 50_000);
+    assert_eq!(parse_request_line(&over).unwrap_err().message, refusal);
+    let mut s = session(2);
+    let answer = s.submit_line(&over);
+    assert_eq!(answer.len(), 1, "{answer:?}");
+    assert!(
+        answer[0].starts_with("{\"v\":1,\"id\":\"\",\"error\"") && answer[0].contains(&refusal),
+        "{}",
+        answer[0]
+    );
+    assert_eq!(s.pending(), 0);
+    // Answers are parsed without the budget.
+    assert!(parse_json(&over).is_ok());
+}
+
+/// An inline frontier over an explicit `r` list of `r_points` values at
+/// `n_max`, an `x` axis of `x_points` collision costs, a one-value `y`
+/// axis and a reply time mixing `components` Weibull components.
+/// `wide_frontier_line(id, 16, MAX_GRID_R_POINTS, MAX_FRONTIER_POINTS,
+/// MAX_MIXTURE_COMPONENTS)` is the largest request the wire caps let
+/// through. Every reply arrives
+/// well within the shortest listening period, so each π-table is done
+/// after one round, and `q` is tiny, so each parameter point's scan stops
+/// after its first columns: answering it takes seconds, not hours.
+fn wide_frontier_line(
+    id: &str,
+    n_max: u32,
+    r_points: usize,
+    x_points: usize,
+    components: usize,
+) -> String {
+    let spaced = |points: usize| {
+        (0..points)
+            .map(|k| format!("{:?}", 1.0 + k as f64 / points as f64))
+            .collect::<Vec<String>>()
+            .join(",")
+    };
+    let component = "{\"weight\":1.0,\"dist\":{\"kind\":\"weibull\",\
+                     \"mass\":1.0,\"shape\":1.0,\"scale\":0.001,\"delay\":0.0}}";
+    let components = vec![component; components].join(",");
+    format!(
+        "{{\"v\":{WIRE_VERSION},\"id\":\"{id}\",\
+         \"scenario\":{{\"q\":1e-9,\"probe_cost\":1.0,\"error_cost\":1.0,\
+         \"reply_time\":{{\"kind\":\"mixture\",\"components\":[{components}]}}}},\
+         \"grid\":{{\"n_max\":{n_max},\"r\":[{}]}},\
+         \"{VERB_FRONTIER}\":{{\"x\":{{\"axis\":\"error_cost\",\"values\":[{}]}},\
+         \"y\":{{\"axis\":\"probe_cost\",\"values\":[1.0]}}}}}}",
+        spaced(r_points),
+        spaced(x_points)
+    )
+}
+
+#[test]
+fn the_largest_accepted_line_fits_the_value_budget() {
+    let wide = |n_max, r_points, x_points, components| {
+        wide_frontier_line("wide", n_max, r_points, x_points, components)
+    };
+    let line = wide(
+        16,
+        MAX_GRID_R_POINTS,
+        MAX_FRONTIER_POINTS,
+        MAX_MIXTURE_COMPONENTS,
+    );
+    let Ok(WireRequest::Frontier {
+        target: WorkTarget::Inline { scenario, grid },
+        x,
+        y,
+        ..
+    }) = parse_request_line(&line)
+    else {
+        panic!("the widest frontier decodes");
+    };
+    assert_eq!(grid.cells(), zeroconf_engine::wire::MAX_GRID_CELLS);
+    assert_eq!((x.values.len(), y.values.len()), (MAX_FRONTIER_POINTS, 1));
+    // It passes the checks every consumer runs before evaluating. Its
+    // answer is not awaited here: 65,536 π-tables of a 1,024-component
+    // mixture take seconds even in a release build.
+    let request = FrontierRequest {
+        scenario,
+        grid,
+        x,
+        y,
+    };
+    request.validate().unwrap();
+    let mut s = session(2);
+    // One past any cap, with every other part of the line at its own cap,
+    // still fits the budget, so that cap answers.
+    for (line, refusal) in [
+        (
+            wide(
+                16,
+                MAX_GRID_R_POINTS + 1,
+                MAX_FRONTIER_POINTS,
+                MAX_MIXTURE_COMPONENTS,
+            ),
+            format!("grid `r` length 65537 is over the limit of {MAX_GRID_R_POINTS}"),
+        ),
+        (
+            wide(
+                17,
+                MAX_GRID_R_POINTS,
+                MAX_FRONTIER_POINTS,
+                MAX_MIXTURE_COMPONENTS,
+            ),
+            "grid cell count 1114112 (n_max × r values) is over the limit of 1048576".to_owned(),
+        ),
+        (
+            wide(
+                16,
+                MAX_GRID_R_POINTS,
+                MAX_FRONTIER_POINTS + 1,
+                MAX_MIXTURE_COMPONENTS,
+            ),
+            format!(
+                "frontier parameter point count 65537 (|x| × |y|) is over the limit of \
+                 {MAX_FRONTIER_POINTS}"
+            ),
+        ),
+        (
+            wide(
+                16,
+                MAX_GRID_R_POINTS + 1,
+                MAX_FRONTIER_POINTS + 1,
+                MAX_MIXTURE_COMPONENTS + 1,
+            ),
+            format!(
+                "reply_time mixture component count 1025 is over the limit of \
+                 {MAX_MIXTURE_COMPONENTS}"
+            ),
+        ),
+    ] {
+        assert_eq!(parse_request_line(&line).unwrap_err().message, refusal);
+        let answer = s.submit_line(&line);
+        assert_eq!(answer.len(), 1, "{answer:?}");
+        assert!(answer[0].contains(&refusal), "{}", answer[0]);
+    }
     assert_eq!(s.pending(), 0);
 }

@@ -38,9 +38,11 @@
 //! fair budget as permits free, exactly as they would have without
 //! the drain — flush, close.
 //!
-//! **Intake** parses each request line once. The connection reads one
-//! key itself, `stats`, and answers it; [`wire::decode_line`] decodes
-//! everything else. A request that needs a permit when none is free is
+//! **Intake** parses each request line once, with
+//! [`wire::parse_request_json`], so a line over the request value budget
+//! is refused before its tree outgrows the largest one the decoder
+//! accepts. The connection reads one key itself, `stats`, and answers
+//! it; [`wire::decode_line`] decodes everything else. A request that needs a permit when none is free is
 //! held decoded at the head of the queue, and only the budget is retried.
 
 use std::collections::VecDeque;
@@ -493,7 +495,7 @@ impl Connection {
         }
         #[cfg(test)]
         tests::PARSES.with(|parses| parses.set(parses.get() + 1));
-        let request = match wire::parse_json(line) {
+        let request = match wire::parse_request_json(line) {
             // Stats lines are answered *before* admission — the threaded
             // handler's ordering. They submit no engine work, so they
             // must never consume a permit, even on a crafted line that

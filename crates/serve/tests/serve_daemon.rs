@@ -888,6 +888,45 @@ fn deeply_nested_lines_get_one_error_each_in_the_spawned_daemon() {
     assert!(daemon.alive());
 }
 
+/// A 4.1 MB sweep line whose mixture has 50,000 components once built
+/// its whole JSON tree, about ten bytes of heap per byte of line, before
+/// the decoder's component cap refused it. The parse now stops at
+/// `MAX_REQUEST_VALUES`, so each such line gets the budget's error.
+#[test]
+fn request_lines_over_the_value_budget_get_one_error_each_in_the_spawned_daemon() {
+    let mut daemon = Daemon::spawn("values", &["--workers", "2", "--inflight", "4"]);
+    let mut client = daemon.connect();
+    let refusal = format!(
+        "request line JSON value count is over the limit of {}",
+        wire::MAX_REQUEST_VALUES
+    );
+    let over = testkit::mixture_sweep_line("big", 50_000);
+    for _ in 0..2 {
+        client.send_raw(&over).expect("send the line");
+        let line = client
+            .next_line()
+            .expect("read the answer")
+            .expect("an answer before EOF");
+        let value = wire::parse_json(&line).expect("the answer is JSON");
+        assert_eq!(value.get("id"), Some(&Json::Str(String::new())), "{line}");
+        assert_eq!(
+            value.get("error"),
+            Some(&Json::Str(refusal.clone())),
+            "{line}"
+        );
+    }
+    client
+        .send_raw(&testkit::sweep_line("ok", 4, &[1.0, 2.0]))
+        .expect("send ok");
+    let next = client
+        .next_response(Instant::now() + DEADLINE)
+        .expect("read ok")
+        .expect("ok before EOF");
+    assert_eq!(next.id(), "ok", "one answer per line: {}", next.line);
+    assert!(next.has_cells(), "{}", next.line);
+    assert!(daemon.alive());
+}
+
 /// `frame` with one of its openers, chosen by `draw` as in
 /// [`testkit::mutate`], repeated `depth` times in place: a `[` as `[`s
 /// and a `{` as `{"a":`s, so the parser descends `depth` levels before

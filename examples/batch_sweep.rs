@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use zeroconf_repro::cost::paper;
 use zeroconf_repro::engine::{
-    CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis, Pipeline,
-    PipelineConfig, RescoreDelta, SweepRequest,
+    AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
+    Pipeline, PipelineConfig, RescoreDelta, SweepRequest,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,12 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::new(EngineConfig::default());
 
     // 12 probe counts x 240 listening periods = 2880 cells, one request.
-    // The builder validates the grid and metric set before the engine
-    // ever sees the request.
-    let request = SweepRequest::builder()
-        .scenario(scenario)
-        .linspace(12, 0.1, 30.0, 240)
-        .build()?;
+    // The engine validates the grid and metric set before it evaluates
+    // anything.
+    let request = SweepRequest::new(scenario, GridSpec::linspace(12, 0.1, 30.0, 240));
     let response = engine.evaluate(&request)?;
     println!(
         "swept {} cells on {} threads in {:.2} ms ({} pi-tables computed)",
@@ -97,10 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let scenario = paper::figure2_scenario()?;
     for n in 1..=8 {
-        let slice = SweepRequest::builder()
-            .scenario(scenario.clone())
-            .linspace(n, 0.1, 30.0, 240)
-            .build()?;
+        let slice = SweepRequest::new(scenario.clone(), GridSpec::linspace(n, 0.1, 30.0, 240));
         pipeline.submit(slice)?;
     }
     for done in pipeline.drain() {
@@ -130,11 +124,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // single pi recomputation.
     let grid = GridSpec::linspace(8, 0.1, 30.0, 240);
     let target_r = grid.r_values[60];
-    let calibrate = CalibrateRequest::builder()
-        .scenario(scenario.clone())
-        .grid(grid.clone())
-        .target(4, target_r)
-        .build()?;
+    let calibrate = CalibrateRequest {
+        scenario: scenario.clone(),
+        grid: grid.clone(),
+        target_n: 4,
+        target_r,
+    };
     let calibrated = pipeline.engine().calibrate(&calibrate)?;
     println!(
         "calibrate: E* = {:.3e} makes (n = 4, r = {:.3}) optimal \
@@ -146,12 +141,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| 10f64.powf(10.0 + 25.0 * i as f64 / 63.0))
         .collect();
     let probe_costs: Vec<f64> = (0..64).map(|i| 0.5 + 3.5 * i as f64 / 63.0).collect();
-    let frontier = FrontierRequest::builder()
-        .scenario(scenario)
-        .grid(grid)
-        .x(ParamAxis::ErrorCost, error_costs)
-        .y(ParamAxis::ProbeCost, probe_costs)
-        .build()?;
+    let frontier = FrontierRequest {
+        scenario,
+        grid,
+        x: AxisSpec::new(ParamAxis::ErrorCost, error_costs),
+        y: AxisSpec::new(ParamAxis::ProbeCost, probe_costs),
+    };
     let front = pipeline.engine().frontier(&frontier)?;
     println!(
         "frontier: {} Pareto points from {} (E, c) candidates \

@@ -7,14 +7,17 @@
 //!
 //! Each property runs through `zeroconf_rng::for_each_seed` on seeds
 //! `0..CASES`; a failure prints the seed that produced it, and passing
-//! `seed..seed + 1` in place of `0..CASES` replays that case alone.
+//! `seed..seed + 1` in place of `0..CASES` replays that case alone. The
+//! properties of one `(scenario, n, r)` point run [`recorded_case`]
+//! first.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use zeroconf_repro::cost::Scenario;
 use zeroconf_repro::dist::DefectiveExponential;
 use zeroconf_repro::rng::rngs::StdRng;
-use zeroconf_repro::rng::{for_each_seed, Rng};
+use zeroconf_repro::rng::{for_each_seed, Rng, SeedableRng};
 
 const CASES: u64 = 128;
 
@@ -38,12 +41,45 @@ fn scenario(rng: &mut StdRng) -> Scenario {
         .unwrap()
 }
 
-#[test]
-fn cost_is_positive_and_finite() {
+/// A point the seeded generator essentially never draws: an exponential
+/// reply time with no delay at all. It was recorded as a shrunk failure
+/// case when these properties ran on randomly generated inputs, and every
+/// property of one `(scenario, n, r)` point checks it before the seeded
+/// draws.
+fn recorded_case() -> (Scenario, u32, f64) {
+    let scenario = Scenario::builder()
+        .occupancy(0.6794283468963527)
+        .probe_cost(1.0958169542622196)
+        .error_cost(492455694234.7783)
+        .reply_time(Arc::new(
+            DefectiveExponential::from_loss(0.042595875685479706, 24.937640770828356, 0.0).unwrap(),
+        ))
+        .build()
+        .unwrap();
+    (scenario, 7, 3.080312825840064)
+}
+
+/// Checks `property` on [`recorded_case`], then on `CASES` seeded draws of
+/// a scenario, an `n` from `n_range` and an `r` from `r_range`, drawn in
+/// that order before anything the property draws itself.
+fn for_each_case(
+    n_range: Range<u32>,
+    r_range: Range<f64>,
+    mut property: impl FnMut(&Scenario, u32, f64, &mut StdRng),
+) {
+    let (s, n, r) = recorded_case();
+    property(&s, n, r, &mut StdRng::seed_from_u64(0));
     for_each_seed(0..CASES, |rng| {
         let s = scenario(rng);
-        let n = rng.gen_range(1..10u32);
-        let r = rng.gen_range(0.0..30.0);
+        let n = rng.gen_range(n_range.clone());
+        let r = rng.gen_range(r_range.clone());
+        property(&s, n, r, rng);
+    });
+}
+
+#[test]
+fn cost_is_positive_and_finite() {
+    for_each_case(1..10, 0.0..30.0, |s, n, r, _| {
         let cost = s.mean_cost(n, r).unwrap();
         assert!(cost.is_finite(), "C({n}, {r}) = {cost}");
         assert!(cost >= 0.0, "C({n}, {r}) = {cost}");
@@ -52,10 +88,7 @@ fn cost_is_positive_and_finite() {
 
 #[test]
 fn error_probability_is_a_probability() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..10u32);
-        let r = rng.gen_range(0.0..30.0);
+    for_each_case(1..10, 0.0..30.0, |s, n, r, _| {
         let p = s.error_probability(n, r).unwrap();
         // Eq. (4) is E = qπ / (1 − q(1 − π)) with π the probability that
         // all n probes go unanswered, and E ≤ q ⇔ π ≤ 1: a collision can
@@ -71,10 +104,7 @@ fn error_probability_is_a_probability() {
 
 #[test]
 fn error_probability_decreases_in_n_and_r() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..8u32);
-        let r = rng.gen_range(0.1..10.0);
+    for_each_case(1..8, 0.1..10.0, |s, n, r, _| {
         let base = s.error_probability(n, r).unwrap();
         let more_probes = s.error_probability(n + 1, r).unwrap();
         let longer_listen = s.error_probability(n, r * 1.5).unwrap();
@@ -85,10 +115,7 @@ fn error_probability_decreases_in_n_and_r() {
 
 #[test]
 fn cost_is_monotone_in_error_cost() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..8u32);
-        let r = rng.gen_range(0.0..10.0);
+    for_each_case(1..8, 0.0..10.0, |s, n, r, rng| {
         let factor = rng.gen_range(1.1..100.0);
         let cheap = s.mean_cost(n, r).unwrap();
         let pricey = s
@@ -102,10 +129,7 @@ fn cost_is_monotone_in_error_cost() {
 
 #[test]
 fn cost_is_monotone_in_probe_cost() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..8u32);
-        let r = rng.gen_range(0.0..10.0);
+    for_each_case(1..8, 0.0..10.0, |s, n, r, rng| {
         let extra = rng.gen_range(0.1..10.0);
         let base = s.mean_cost(n, r).unwrap();
         let pricier = s
@@ -119,10 +143,7 @@ fn cost_is_monotone_in_probe_cost() {
 
 #[test]
 fn closed_form_matches_drm_for_random_scenarios() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..8u32);
-        let r = rng.gen_range(0.0..10.0);
+    for_each_case(1..8, 0.0..10.0, |s, n, r, _| {
         let closed = s.mean_cost(n, r).unwrap();
         let solved = s.mean_cost_via_drm(n, r).unwrap();
         let scale = closed.abs().max(1.0);
@@ -176,10 +197,7 @@ fn cost_at_zero_listening_collapses() {
 
 #[test]
 fn variance_is_nonnegative() {
-    for_each_seed(0..CASES, |rng| {
-        let s = scenario(rng);
-        let n = rng.gen_range(1..6u32);
-        let r = rng.gen_range(0.0..5.0);
+    for_each_case(1..6, 0.0..5.0, |s, n, r, _| {
         let sd = s.cost_standard_deviation(n, r).unwrap();
         assert!(sd >= 0.0, "sd = {sd}");
         assert!(sd.is_finite(), "sd = {sd}");
