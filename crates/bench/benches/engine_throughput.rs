@@ -16,7 +16,8 @@
 //! Knobs:
 //!
 //! * `--samples N` — timed samples per benchmark (default 7). `--samples 2`
-//!   is the CI smoke setting.
+//!   is the CI smoke setting; the two `engine/warm/threads=*` rows take at
+//!   least the default either way, because `ci.sh` gates their ratio.
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_engine.json` at the repository root).
 //! * `ZEROCONF_BENCH_THREADS=K` — cap the "full pool" thread count instead
@@ -50,7 +51,6 @@ fn config(workers: usize) -> EngineConfig {
         workers,
         // Room for every r column, so the warm runs never evict.
         cache_tables: R_POINTS.next_power_of_two(),
-        ..EngineConfig::default()
     }
 }
 
@@ -71,7 +71,12 @@ fn cold(threads: usize, samples: usize, request: &SweepRequest) -> BenchRecord {
 /// calling thread whatever the pool size; the cold priming pass above
 /// the cutoff fans out. Asserted: no pool worker's cell count moves
 /// during the timed passes.
+///
+/// The row takes at least [`DEFAULT_SAMPLES`] samples: `ci.sh` compares
+/// the two warm rows, and the median of a 2-sample smoke is its slower
+/// sample.
 fn warm(threads: usize, samples: usize, request: &SweepRequest) -> BenchRecord {
+    let samples = samples.max(DEFAULT_SAMPLES);
     let engine = Engine::new(config(threads));
     engine.evaluate(request).expect("priming sweep evaluates");
     let primed = engine.stats().cells_per_worker;

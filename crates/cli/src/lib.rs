@@ -10,8 +10,7 @@
 //! zeroconf frontier  <scenario flags> [--budget 1e-40]
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
-//! zeroconf engine    [--workers N] [--cache N] [--inflight N]
-//!                    [--kernel scalar|simd|auto] [--stats]
+//! zeroconf engine    [--workers N] [--cache N] [--inflight N] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
 //!                    # socket daemon: many clients, one shared engine
@@ -167,14 +166,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 struct EngineOptions {
     workers: usize,
     cache_tables: usize,
-    kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
 }
 
 /// The `engine` subcommand's bare switches and value flags.
 const ENGINE_SWITCHES: [&str; 1] = ["stats"];
-const ENGINE_VALUE_FLAGS: [&str; 4] = ["workers", "cache", "inflight", "kernel"];
+const ENGINE_VALUE_FLAGS: [&str; 3] = ["workers", "cache", "inflight"];
 
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
     // Unknown names are reported first: parsed as value flags, a stray
@@ -203,29 +201,19 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
         .collect();
     let flags = Flags::parse(&positional)?;
     let defaults = zeroconf_engine::EngineConfig::default();
+    // The count flags are parsed as `zeroconf serve` parses them: a
+    // positive integer, or the flag is refused.
+    let count = |name: &str, default: usize| -> Result<usize, CliError> {
+        flags.get(name).map_or(Ok(default), |raw| {
+            zeroconf_serve::parse_count(name, raw).map_err(|e| err(e.0))
+        })
+    };
     Ok(EngineOptions {
-        workers: flags
-            .number("workers")?
-            .map_or(defaults.workers, |w| w as usize),
-        cache_tables: flags
-            .number("cache")?
-            .map_or(defaults.cache_tables, |c| c as usize),
-        kernel: parse_kernel_flag(flags.get("kernel"))?,
-        inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
+        workers: count("workers", defaults.workers)?,
+        cache_tables: count("cache", defaults.cache_tables)?,
+        inflight: count("inflight", 1)?,
         emit_stats,
     })
-}
-
-/// Parses `--kernel scalar|simd|auto` (default `auto`).
-fn parse_kernel_flag(value: Option<&str>) -> Result<zeroconf_engine::KernelChoice, CliError> {
-    match value {
-        None => Ok(zeroconf_engine::KernelChoice::default()),
-        Some(raw) => zeroconf_engine::KernelChoice::parse(raw).ok_or_else(|| {
-            err(format!(
-                "--kernel must be scalar, simd or auto (got '{raw}')"
-            ))
-        }),
-    }
 }
 
 /// Runs a JSON-lines engine session over `input`, one response line per
@@ -243,9 +231,8 @@ fn parse_kernel_flag(value: Option<&str>) -> Result<zeroconf_engine::KernelChoic
 pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> {
     let options = engine_options(args)?;
     let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
-        workers: options.workers.max(1),
-        cache_tables: options.cache_tables.max(1),
-        kernel: options.kernel,
+        workers: options.workers,
+        cache_tables: options.cache_tables,
     });
     let mut out = String::new();
     let push = |lines: Vec<String>, out: &mut String| {
@@ -256,7 +243,7 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
     };
     let mut session = zeroconf_engine::wire::PipelinedSession::new(
         engine,
-        zeroconf_engine::PipelineConfig::with_depth(options.inflight.max(1)),
+        zeroconf_engine::PipelineConfig::with_depth(options.inflight),
     );
     if options.inflight > 1 {
         for line in input.lines() {
@@ -365,10 +352,9 @@ pub fn usage() -> String {
      \u{20}  frontier: [--budget P] [--n-max N]\n\
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
-     \u{20}  engine: [--workers N] [--cache TABLES]\n\
-     \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
+     \u{20}  engine: [--workers N] [--cache TABLES] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--kernel scalar|simd|auto] [--inflight N] [--max-conns N]\n\
+     \u{20}         [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
      \u{20}  zeroconf optimize --hosts 1000 --probe-cost 2 --error-cost 1e35 \\\n\
@@ -731,10 +717,30 @@ mod tests {
     #[test]
     fn engine_rejects_unknown_flags() {
         // `--mmap` and `--cache-dir` are not flags: π-tables live in the
-        // in-memory cache only.
-        for flag in ["--bogus", "--mmap", "--cache-dir"] {
+        // in-memory cache only. Nor is `--kernel`: the engine runs the
+        // CPU's widest tier.
+        for flag in ["--bogus", "--mmap", "--cache-dir", "--kernel"] {
             let e = engine_process("", &args(&format!("{flag} 1"))).unwrap_err();
             assert!(e.0.contains(flag), "{}", e.0);
+        }
+    }
+
+    #[test]
+    fn engine_count_flags_take_positive_integers_only() {
+        // Parsed, never run: no engine is built for these values.
+        let options = engine_options(&args("--workers 3 --cache 64 --inflight 2")).unwrap();
+        assert_eq!(
+            (options.workers, options.cache_tables, options.inflight),
+            (3, 64, 2)
+        );
+        for name in ["workers", "cache", "inflight"] {
+            for raw in ["0", "-3", "nan", "2.5", "1e20"] {
+                let e = engine_options(&args(&format!("--{name} {raw}"))).unwrap_err();
+                assert_eq!(
+                    e.0,
+                    format!("--{name} expects a positive integer, got '{raw}'")
+                );
+            }
         }
     }
 

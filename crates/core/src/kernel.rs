@@ -127,10 +127,12 @@ pub enum Mode {
 /// building π-tables column by column — one virtual `survival` call per
 /// (round, column) cell plus the telescoped division and clamp. The block
 /// kernel turns that inside out: it walks probe rounds `i = 1..=n_max`
-/// *across a whole block of columns*, calling [`noanswer::p_i_batch`]
-/// once per round so the reply-time distribution evaluates its closed
-/// form over the block with hoisted constants and a single virtual
-/// dispatch.
+/// *across a whole block of columns*, calling
+/// [`noanswer::p_rounds_batch_with`] once per chunk of eight rounds so
+/// the reply-time distribution evaluates its closed form over the block
+/// with hoisted constants and a single virtual dispatch (its
+/// `survival_batch_with`, one `zeroconf_simd::survival_*` kernel per
+/// family).
 ///
 /// # The zero-tail cutoff
 ///

@@ -80,23 +80,14 @@ impl ReplyTimeDistribution for DefectiveDeterministic {
         }
     }
 
-    fn survival_batch(&self, ts: &mut [f64]) {
-        // `1 − mass` is the only arithmetic; hoisting it is trivially
-        // bit-identical to the scalar branch.
-        let delay = self.delay;
-        let survived = 1.0 - self.mass;
-        for t in ts {
-            *t = if *t >= delay { survived } else { 1.0 };
-        }
-    }
-
     fn survival_batch_with(
         &self,
         backend: zeroconf_simd::Backend,
         ts: &mut [f64],
     ) -> zeroconf_simd::Backend {
-        // The lane kernel's `select_ge` mirrors the `>=` branch (NaN picks
-        // the 1.0 arm), so every backend is bit-identical.
+        // `1 − mass` is the only arithmetic, hoisted as `survival` computes
+        // it; the lane kernel's `select_ge` mirrors the `>=` branch (NaN
+        // picks the 1.0 arm), so every backend is bit-identical.
         zeroconf_simd::survival_deterministic(backend, self.delay, 1.0 - self.mass, ts)
     }
 

@@ -134,33 +134,16 @@ impl ReplyTimeDistribution for DefectiveExponential {
         }
     }
 
-    fn survival_batch(&self, ts: &mut [f64]) {
-        // Loop-invariant hoists of exactly the factors `survival` computes
-        // per call: `1 − loss` and the negated rate (unary minus binds
-        // tighter than `*`, so the scalar form is `(−λ)·(t−d)` too). The
-        // per-element arithmetic and its association are unchanged, so
-        // every result is bit-identical to the scalar path.
-        let delay = self.delay;
-        let loss = self.loss;
-        let scale = 1.0 - self.loss;
-        let neg_rate = -self.rate;
-        for t in ts {
-            *t = if *t < delay {
-                1.0
-            } else {
-                loss + scale * (neg_rate * (*t - delay)).exp()
-            };
-        }
-    }
-
     fn survival_batch_with(
         &self,
         backend: zeroconf_simd::Backend,
         ts: &mut [f64],
     ) -> zeroconf_simd::Backend {
-        // Same hoists as `survival_batch`; the lane kernel keeps the scalar
-        // association (and evaluates `exp` scalar per lane), so every backend
-        // is bit-identical.
+        // Loop-invariant hoists of exactly the factors `survival` computes
+        // per call: `1 − loss` and the negated rate (unary minus binds
+        // tighter than `*`, so the scalar form is `(−λ)·(t−d)` too). The
+        // kernel keeps the per-element association (and evaluates `exp`
+        // scalar per lane), so every backend is bit-identical to `survival`.
         zeroconf_simd::survival_exponential(
             backend,
             self.delay,

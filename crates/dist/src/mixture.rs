@@ -114,32 +114,18 @@ impl ReplyTimeDistribution for Mixture {
         self.components.iter().map(|(w, c)| w * c.survival(t)).sum()
     }
 
-    fn survival_batch(&self, ts: &mut [f64]) {
-        // Replays the scalar weighted sum per element — `sum()` folds
-        // left from 0.0 in component order, and the accumulator below
-        // adds `w·sⱼ` in exactly that order — while letting every
-        // component batch its own survival evaluation.
-        let mut acc = vec![0.0f64; ts.len()];
-        let mut scratch = vec![0.0f64; ts.len()];
-        for (w, c) in &self.components {
-            scratch.copy_from_slice(ts);
-            c.survival_batch(&mut scratch);
-            for (a, s) in acc.iter_mut().zip(&scratch) {
-                *a += w * s;
-            }
-        }
-        ts.copy_from_slice(&acc);
-    }
-
     fn survival_batch_with(
         &self,
         backend: zeroconf_simd::Backend,
         ts: &mut [f64],
     ) -> zeroconf_simd::Backend {
-        // Same accumulation order as `survival_batch` with the inner loops
-        // vectorized. The reported backend is the *weakest* tier any
-        // component ran — a mixture is only as vectorized as its slowest
-        // member (e.g. one wrapping an `Empirical` stays scalar).
+        // Replays the scalar weighted sum per element — `sum()` folds
+        // left from 0.0 in component order, and the accumulator below
+        // adds `w·sⱼ` in exactly that order — while every component
+        // batches its own survival evaluation. The reported backend is the
+        // *weakest* tier any component ran — a mixture is only as
+        // vectorized as its slowest member (e.g. one wrapping an
+        // `Empirical` stays scalar).
         let mut acc = vec![0.0f64; ts.len()];
         let mut scratch = vec![0.0f64; ts.len()];
         let mut used = backend;

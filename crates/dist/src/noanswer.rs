@@ -142,136 +142,33 @@ pub fn pi_sequence<D: ReplyTimeDistribution + ?Sized>(
     Ok(out)
 }
 
-/// Batch form of [`no_answer_probability`]: `p_i(r)` for one probe round
-/// `i` across a whole block of listening periods, written into `out`.
+/// Batch form of [`no_answer_probability`]: `p_i(r)` for `rounds`
+/// consecutive probe rounds `first_round, first_round + 1, …` across one
+/// block of listening periods, written round-major into `out` (round `k`'s
+/// row occupies `out[k·w .. (k+1)·w]` for `w = rs.len()`), with the scaling
+/// fill, the batch survival and the clamp dispatched to the requested SIMD
+/// backend.
 ///
-/// `out` must have the same length as `rs`. Each element is **bit-identical**
-/// to `no_answer_probability(dist, i, rs[j])`: the same telescoped
-/// `survival(i·r) / survival(0)` is evaluated with the same association,
-/// via [`ReplyTimeDistribution::survival_batch`] so distributions hoist
-/// their loop-invariant constants and pay one virtual dispatch per block
-/// instead of one per element. When `survival(0) == 1.0` exactly (every
-/// vendored distribution with a positive delay), the division is skipped —
-/// `x / 1.0` is the identity on bits — but the clamp is kept, because a
-/// defective survival may round a hair above one.
-///
-/// This is the entry point the blocked column kernel
-/// (`zeroconf_cost::kernel::ColumnBlockKernel`) builds π-tables with.
-///
-/// # Errors
-///
-/// Returns [`DistError::InvalidQuery`] for any non-finite or negative `r`;
-/// `out` is unspecified (partially written) on error.
-///
-/// # Panics
-///
-/// Panics if `rs` and `out` differ in length.
-pub fn p_i_batch<D: ReplyTimeDistribution + ?Sized>(
-    dist: &D,
-    rs: &[f64],
-    i: usize,
-    out: &mut [f64],
-) -> Result<(), DistError> {
-    assert_eq!(
-        rs.len(),
-        out.len(),
-        "p_i_batch output must hold one f64 per listening period"
-    );
-    for &r in rs {
-        check_r(r)?;
-    }
-    if i == 0 {
-        out.fill(1.0);
-        return Ok(());
-    }
-    let base = dist.survival(0.0);
-    if base <= 0.0 {
-        out.fill(0.0);
-        return Ok(());
-    }
-    let round = i as f64;
-    for (t, &r) in out.iter_mut().zip(rs) {
-        *t = round * r;
-    }
-    dist.survival_batch(out);
-    if base == 1.0 {
-        for p in out.iter_mut() {
-            *p = clamp_probability(*p);
-        }
-    } else {
-        for p in out.iter_mut() {
-            *p = clamp_probability(*p / base);
-        }
-    }
-    Ok(())
-}
-
-/// Backend-aware [`p_i_batch`]: the same computation with the scaling fill,
-/// batch survival, and clamp pass dispatched to the requested SIMD backend.
+/// Every element is **bit-identical** to
+/// `no_answer_probability(dist, first_round + k, rs[j])` on every backend:
+/// the same telescoped `survival(i·r) / survival(0)` is evaluated with the
+/// same association, via
+/// [`survival_batch_with`](ReplyTimeDistribution::survival_batch_with), so
+/// a distribution hoists its loop-invariant constants and pays one virtual
+/// dispatch per chunk of rounds instead of one per element — which is what
+/// the blocked π builder (`zeroconf_cost::kernel::ColumnBlockKernel`)
+/// wants: its per-round batches shrink with the zero-tail cutoff until call
+/// overhead rivals the survival work itself. When `survival(0) == 1.0`
+/// exactly (every vendored distribution with a positive delay), the
+/// division is skipped — `x / 1.0` is the identity on bits — but the clamp
+/// is kept, because a defective survival may round a hair above one.
 ///
 /// Returns the backend that actually ran, which is the *minimum* over the
 /// constituent kernels — in practice the distribution's
-/// [`survival_batch_with`](ReplyTimeDistribution::survival_batch_with), since
-/// the fill and clamp always vectorize. A distribution without a vector
-/// override (e.g. [`Empirical`](crate::Empirical)) honestly reports
-/// [`Backend::Scalar`], and the engine surfaces that in its stats block.
-///
-/// Results are `to_bits`-identical to [`p_i_batch`] on every backend.
-///
-/// # Errors
-///
-/// Returns [`DistError::InvalidQuery`] for a non-finite or negative `r`
-/// (exactly as [`p_i_batch`] does).
-///
-/// # Panics
-///
-/// When `rs` and `out` differ in length.
-pub fn p_i_batch_with<D: ReplyTimeDistribution + ?Sized>(
-    dist: &D,
-    backend: Backend,
-    rs: &[f64],
-    i: usize,
-    out: &mut [f64],
-) -> Result<Backend, DistError> {
-    assert_eq!(
-        rs.len(),
-        out.len(),
-        "p_i_batch output must hold one f64 per listening period"
-    );
-    for &r in rs {
-        check_r(r)?;
-    }
-    if i == 0 {
-        out.fill(1.0);
-        return Ok(backend.min(zeroconf_simd::Backend::detect()));
-    }
-    let base = dist.survival(0.0);
-    if base <= 0.0 {
-        out.fill(0.0);
-        return Ok(backend.min(zeroconf_simd::Backend::detect()));
-    }
-    let mut used = zeroconf_simd::fill_scaled(backend, i as f64, rs, out);
-    used = used.min(dist.survival_batch_with(backend, out));
-    used = used.min(if base == 1.0 {
-        zeroconf_simd::clamp_unit(backend, out)
-    } else {
-        zeroconf_simd::div_clamp_unit(backend, base, out)
-    });
-    Ok(used)
-}
-
-/// Multi-round form of [`p_i_batch_with`]: `p_i(r)` for `rounds`
-/// consecutive probe rounds `first_round, first_round + 1, …` across one
-/// block of listening periods, written round-major into `out` (round `k`'s
-/// row occupies `out[k·w .. (k+1)·w]` for `w = rs.len()`).
-///
-/// Every element is **bit-identical** to
-/// `no_answer_probability(dist, first_round + k, rs[j])`: the scaling
-/// fill, the survival evaluation, and the clamp are the same elementwise
-/// operations [`p_i_batch_with`] performs — they are simply applied to
-/// `rounds` rows per virtual dispatch instead of one, which is what the
-/// blocked π builder wants: its per-round batches shrink with the
-/// zero-tail cutoff until call overhead rivals the survival work itself.
+/// `survival_batch_with`, since the fill and clamp always vectorize. A
+/// distribution without a vector override (e.g.
+/// [`Empirical`](crate::Empirical)) honestly reports [`Backend::Scalar`],
+/// and the engine surfaces that in its stats block.
 ///
 /// # Errors
 ///
@@ -282,7 +179,7 @@ pub fn p_i_batch_with<D: ReplyTimeDistribution + ?Sized>(
 ///
 /// Panics when `out.len() != rounds * rs.len()`, when `rounds` is zero,
 /// or when `first_round` is zero (round 0 is the `p_0 = 1` convention,
-/// which a multi-round batch has no business evaluating).
+/// which the π builder writes itself).
 pub fn p_rounds_batch_with<D: ReplyTimeDistribution + ?Sized>(
     dist: &D,
     backend: Backend,
@@ -505,12 +402,13 @@ mod tests {
         assert!(p > 0.0 && p < 1.0);
     }
 
-    /// `p_i_batch` must replay the scalar path bit for bit on every
-    /// vendored distribution family, including ones that keep the
-    /// default `survival_batch` (mixture, empirical) and ones whose
-    /// `survival(0)` is not exactly one (zero-delay exponential).
+    /// `p_rounds_batch_with` must replay the scalar path bit for bit on
+    /// every backend the host has, for every vendored distribution family,
+    /// including ones whose `survival(0)` is not exactly one (zero-delay
+    /// exponential: the `div_clamp_unit` branch), the mixture, and
+    /// `Empirical`, which has no vector override.
     #[test]
-    fn p_i_batch_is_bit_identical_to_scalar_for_every_family() {
+    fn p_rounds_batch_with_is_bit_identical_to_scalar_for_every_family() {
         use std::sync::Arc;
 
         use crate::{DefectiveUniform, DefectiveWeibull, Empirical, Mixture};
@@ -537,31 +435,39 @@ mod tests {
             Box::new(empirical),
         ];
         let rs = [0.0, 0.1, 0.5, 1.0, 1.25, 2.0, 7.5, 30.0];
-        let mut out = [0.0f64; 8];
+        let rounds = 6;
+        let mut out = [0.0f64; 6 * 8];
         for dist in &dists {
-            for i in 0..=6usize {
-                p_i_batch(dist.as_ref(), &rs, i, &mut out).unwrap();
-                for (j, &r) in rs.iter().enumerate() {
-                    let scalar = no_answer_probability(dist.as_ref(), i, r).unwrap();
-                    assert_eq!(
-                        out[j].to_bits(),
-                        scalar.to_bits(),
-                        "{dist:?}: i = {i}, r = {r}"
-                    );
+            for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512]
+                .into_iter()
+                .filter(|&b| b <= Backend::detect())
+            {
+                p_rounds_batch_with(dist.as_ref(), backend, &rs, 1, rounds, &mut out).unwrap();
+                for (k, row) in out.chunks_exact(rs.len()).enumerate() {
+                    let i = k + 1;
+                    for (&p, &r) in row.iter().zip(&rs) {
+                        let scalar = no_answer_probability(dist.as_ref(), i, r).unwrap();
+                        assert_eq!(
+                            p.to_bits(),
+                            scalar.to_bits(),
+                            "{dist:?} on {backend:?}: i = {i}, r = {r}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn p_i_batch_rejects_bad_r_and_mismatched_lengths() {
+    fn p_rounds_batch_with_rejects_bad_r_and_mismatched_lengths() {
         let fx = paper_fx();
         let mut out = [0.0f64; 2];
-        assert!(p_i_batch(&fx, &[1.0, -1.0], 1, &mut out).is_err());
-        assert!(p_i_batch(&fx, &[f64::NAN, 1.0], 1, &mut out).is_err());
+        let backend = Backend::detect();
+        assert!(p_rounds_batch_with(&fx, backend, &[1.0, -1.0], 1, 1, &mut out).is_err());
+        assert!(p_rounds_batch_with(&fx, backend, &[f64::NAN, 1.0], 1, 1, &mut out).is_err());
         let result = std::panic::catch_unwind(|| {
             let mut short = [0.0f64; 1];
-            let _ = p_i_batch(&paper_fx(), &[1.0, 2.0], 1, &mut short);
+            let _ = p_rounds_batch_with(&paper_fx(), backend, &[1.0, 2.0], 1, 1, &mut short);
         });
         assert!(result.is_err(), "length mismatch must panic");
     }

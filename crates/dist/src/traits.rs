@@ -108,54 +108,46 @@ pub trait ReplyTimeDistribution: fmt::Debug + Send + Sync {
     /// Survival `1 − cdf(t)`, computed without cancellation.
     fn survival(&self, t: f64) -> f64;
 
-    /// In-place batch survival: replaces every time `ts[j]` with
-    /// `survival(ts[j])`.
+    /// In-place batch survival on a SIMD [`Backend`]: replaces every time
+    /// `ts[j]` with `survival(ts[j])` and reports the backend that
+    /// *actually* ran.
     ///
-    /// This is the batch entry point behind `noanswer::p_i_batch` — the
-    /// engine's blocked column kernel evaluates one probe round `i`
+    /// This is the batch entry point behind `noanswer::p_rounds_batch_with`
+    /// — the engine's blocked π builder evaluates a chunk of probe rounds
     /// across a whole block of listening periods with a single virtual
-    /// call, and distributions override this method to hoist their
-    /// loop-invariant constants out of the per-element closed form.
+    /// call. Each vendored family overrides it with one
+    /// `zeroconf_simd::survival_*` kernel, whose scalar arm is the family's
+    /// only batch program.
+    ///
+    /// The default loops [`survival`] and honestly returns
+    /// [`Backend::Scalar`] — a distribution that does not override this
+    /// method (such as [`Empirical`](crate::Empirical)) cannot silently
+    /// masquerade as vectorized. The engine folds the returned values into
+    /// its stats block (`dist_backend`), so a scalar straggler in a SIMD run
+    /// is visible, and the parity suites assert that every vendored family
+    /// reports the backend it was asked for.
     ///
     /// # Contract
     ///
-    /// Overrides must be **bit-identical** to the scalar path: for every
-    /// element, `survival_batch` must produce exactly
+    /// Results must be **bit-identical** to the per-element path on every
+    /// backend: for every element, the batch must produce exactly
     /// `self.survival(t).to_bits()`. Hoisting is therefore restricted to
     /// factors the scalar form computes identically per call (e.g.
     /// `1 − mass`, `−rate`); reassociating or strength-reducing the
-    /// arithmetic is not allowed. `tests/backend_parity.rs` and the seeded
+    /// arithmetic is not allowed, and vector bodies keep the scalar
+    /// operation order (see `zeroconf_simd`'s lane kernels for the
+    /// arrangement rules). `tests/backend_parity.rs` and the seeded
     /// `tests/properties.rs` assert this contract for every vendored
-    /// distribution.
-    fn survival_batch(&self, ts: &mut [f64]) {
-        for t in ts {
-            *t = self.survival(*t);
-        }
-    }
-
-    /// Backend-aware batch survival: like [`survival_batch`], but the caller
-    /// names the SIMD [`Backend`] it wants and the distribution reports the
-    /// backend it *actually* ran.
+    /// distribution on every backend the host has.
     ///
-    /// The default falls back to [`survival_batch`] and honestly returns
-    /// [`Backend::Scalar`] — a distribution that forgets to override this
-    /// method cannot silently masquerade as vectorized. The engine folds the
-    /// returned values into its stats block (`dist_backend`), so a scalar
-    /// straggler in a SIMD run is visible, and the parity suites assert that
-    /// every vendored family reports the backend it was asked for.
-    ///
-    /// # Contract
-    ///
-    /// Results must be `to_bits`-identical to [`survival_batch`] on every
-    /// backend — vector overrides keep the scalar operation order (see
-    /// `zeroconf_simd`'s lane kernels for the arrangement rules).
-    ///
-    /// [`survival_batch`]: ReplyTimeDistribution::survival_batch
+    /// [`survival`]: ReplyTimeDistribution::survival
     /// [`Backend`]: zeroconf_simd::Backend
     /// [`Backend::Scalar`]: zeroconf_simd::Backend::Scalar
     fn survival_batch_with(&self, backend: Backend, ts: &mut [f64]) -> Backend {
         let _ = backend;
-        self.survival_batch(ts);
+        for t in ts {
+            *t = self.survival(*t);
+        }
         Backend::Scalar
     }
 
@@ -213,9 +205,6 @@ impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for &T {
     fn survival(&self, t: f64) -> f64 {
         (**self).survival(t)
     }
-    fn survival_batch(&self, ts: &mut [f64]) {
-        (**self).survival_batch(ts);
-    }
     fn survival_batch_with(&self, backend: Backend, ts: &mut [f64]) -> Backend {
         (**self).survival_batch_with(backend, ts)
     }
@@ -248,9 +237,6 @@ impl<T: ReplyTimeDistribution + ?Sized> ReplyTimeDistribution for std::sync::Arc
     }
     fn survival(&self, t: f64) -> f64 {
         (**self).survival(t)
-    }
-    fn survival_batch(&self, ts: &mut [f64]) {
-        (**self).survival_batch(ts);
     }
     fn survival_batch_with(&self, backend: Backend, ts: &mut [f64]) -> Backend {
         (**self).survival_batch_with(backend, ts)

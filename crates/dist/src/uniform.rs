@@ -93,33 +93,14 @@ impl ReplyTimeDistribution for DefectiveUniform {
         }
     }
 
-    fn survival_batch(&self, ts: &mut [f64]) {
-        // The hoists are the same expressions `survival` evaluates per
-        // call (`hi − lo`, `1 − mass`), so the per-element division and
-        // fused tail keep their exact association and bits.
-        let lo = self.lo;
-        let hi = self.hi;
-        let mass = self.mass;
-        let survived = 1.0 - self.mass;
-        let width = self.hi - self.lo;
-        for t in ts {
-            *t = if *t < lo {
-                1.0
-            } else if *t >= hi {
-                survived
-            } else {
-                let fraction_remaining = (hi - *t) / width;
-                survived + mass * fraction_remaining
-            };
-        }
-    }
-
     fn survival_batch_with(
         &self,
         backend: zeroconf_simd::Backend,
         ts: &mut [f64],
     ) -> zeroconf_simd::Backend {
-        // Same hoists as `survival_batch`; the lane kernel composes the
+        // The hoists are the same expressions `survival` evaluates per call
+        // (`hi − lo`, `1 − mass`), so the per-element division and fused
+        // tail keep their exact association; the lane kernel composes the
         // branch chain from quiet-ordered selects, so every backend is
         // bit-identical.
         zeroconf_simd::survival_uniform(

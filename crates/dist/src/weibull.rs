@@ -106,32 +106,15 @@ impl ReplyTimeDistribution for DefectiveWeibull {
         }
     }
 
-    fn survival_batch(&self, ts: &mut [f64]) {
-        // Hoists `1 − mass` and the field reads; the hazard exponent
-        // `((t − d)/s)^k` stays per-element with the scalar association,
-        // so results are bit-identical to `survival`.
-        let delay = self.delay;
-        let scale = self.scale;
-        let shape = self.shape;
-        let mass = self.mass;
-        let survived = 1.0 - self.mass;
-        for t in ts {
-            *t = if *t < delay {
-                1.0
-            } else {
-                let hazard = ((*t - delay) / scale).powf(shape);
-                survived + mass * (-hazard).exp()
-            };
-        }
-    }
-
     fn survival_batch_with(
         &self,
         backend: zeroconf_simd::Backend,
         ts: &mut [f64],
     ) -> zeroconf_simd::Backend {
-        // Same hoists as `survival_batch`; `powf`/`exp` run scalar per lane
-        // inside the kernel, so every backend is bit-identical.
+        // Hoists `1 − mass` and the field reads; the hazard exponent
+        // `((t − d)/s)^k` stays per-element with the scalar association,
+        // and `powf`/`exp` run scalar per lane inside the kernel, so every
+        // backend is bit-identical to `survival`.
         zeroconf_simd::survival_weibull(
             backend,
             self.delay,

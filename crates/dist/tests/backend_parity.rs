@@ -1,11 +1,12 @@
 //! Cross-backend parity for the batch survival and π entry points.
 //!
-//! Every vendored reply-time family must produce `to_bits`-identical
-//! results from `survival_batch_with` and `p_i_batch_with` on every
-//! backend the host supports, across lengths that exercise full lanes
-//! and every remainder (1..=2·8+1 covers both SIMD widths), and across
-//! boundary inputs: times below/at/above the delay knee, `NaN`, and
-//! `+inf`. The suite also asserts the honesty contract: a vectorized
+//! Every vendored reply-time family must produce, from
+//! `survival_batch_with` and `noanswer::p_rounds_batch_with` on every
+//! backend the host supports, results `to_bits`-identical to the
+//! per-element `survival` and `no_answer_probability` oracle, across
+//! lengths that exercise full lanes and every remainder (1..=2·8+1 covers
+//! both SIMD widths), and across boundary inputs: times below/at/above
+//! the delay knee, `NaN`, and `+inf`. The suite also asserts the honesty contract: a vectorized
 //! family reports the tier it was asked for (clamped to the CPU), while
 //! `Empirical` — which has no vector override — always reports
 //! `Backend::Scalar`, so a silent fallback cannot masquerade as SIMD.
@@ -109,37 +110,21 @@ fn survival_batch_with_matches_scalar_bit_for_bit_on_every_backend() {
     }
 }
 
+/// The multi-round batch must reproduce the scalar
+/// `no_answer_probability` bit for bit on every backend, for every row of
+/// every chunk shape: single-round chunks at rounds 1, 3 and 7, and
+/// multi-round chunks whose total element count spans sub-lane through
+/// multi-lane survival batches, at every width from empty to two full
+/// 8-lane steps plus a remainder.
 #[test]
-fn p_i_batch_with_matches_the_scalar_entry_point_bit_for_bit() {
+fn p_rounds_batch_with_matches_no_answer_probability_bit_for_bit() {
     for (family, dist, _) in families() {
         for backend in backends() {
-            for len in LENGTHS {
+            for width in LENGTHS {
                 // Listening periods must be finite and non-negative; keep
                 // a spread that lands π both near 1 and deep in the tail.
-                let rs: Vec<f64> = (0..len).map(|j| 0.05 + 0.21 * j as f64).collect();
-                for i in [0usize, 1, 3, 7] {
-                    let mut reference = vec![0.0f64; len];
-                    noanswer::p_i_batch(dist.as_ref(), &rs, i, &mut reference).unwrap();
-                    let mut batch = vec![0.0f64; len];
-                    noanswer::p_i_batch_with(dist.as_ref(), backend, &rs, i, &mut batch).unwrap();
-                    assert_bits_eq(family, backend, &reference, &batch);
-                }
-            }
-        }
-    }
-}
-
-/// The multi-round batch must reproduce the per-round entry point — and
-/// therefore the scalar `no_answer_probability` — bit for bit on every
-/// backend, for every row of every chunk shape (chunks whose total
-/// element count spans sub-lane through multi-lane survival batches).
-#[test]
-fn p_rounds_batch_with_matches_per_round_batches_bit_for_bit() {
-    for (family, dist, _) in families() {
-        for backend in backends() {
-            for width in [0usize, 1, 3, 5, 8] {
                 let rs: Vec<f64> = (0..width).map(|j| 0.05 + 0.21 * j as f64).collect();
-                for (first, rounds) in [(1usize, 1usize), (1, 4), (2, 8), (7, 3)] {
+                for (first, rounds) in [(1usize, 1usize), (3, 1), (7, 1), (1, 4), (2, 8), (7, 3)] {
                     let mut block = vec![0.0f64; rounds * width];
                     noanswer::p_rounds_batch_with(
                         dist.as_ref(),
@@ -151,8 +136,11 @@ fn p_rounds_batch_with_matches_per_round_batches_bit_for_bit() {
                     )
                     .unwrap();
                     for k in 0..rounds {
-                        let mut reference = vec![0.0f64; width];
-                        noanswer::p_i_batch(dist.as_ref(), &rs, first + k, &mut reference).unwrap();
+                        let reference: Vec<f64> = rs
+                            .iter()
+                            .map(|&r| noanswer::no_answer_probability(dist.as_ref(), first + k, r))
+                            .collect::<Result<_, _>>()
+                            .unwrap();
                         assert_bits_eq(
                             family,
                             backend,
@@ -181,7 +169,8 @@ fn vectorized_families_report_the_requested_tier_and_empirical_reports_scalar() 
 
             let rs: Vec<f64> = (0..13).map(|j| 0.1 + 0.2 * j as f64).collect();
             let mut out = vec![0.0f64; 13];
-            let used = noanswer::p_i_batch_with(dist.as_ref(), backend, &rs, 2, &mut out).unwrap();
+            let used =
+                noanswer::p_rounds_batch_with(dist.as_ref(), backend, &rs, 2, 1, &mut out).unwrap();
             assert_eq!(used, expected, "{family} π batch asked for {backend:?}");
         }
     }

@@ -6,7 +6,8 @@
 //! decreasing in the probe count, a product of survivals, bounded below
 //! by the defect power, the literal form matching the telescoped one),
 //! and the batched `p_i` the π-table cache is built from is checked bit
-//! for bit against the scalar form across all six families. Two sampling
+//! for bit against the scalar form across all six families, on every
+//! backend the host has. Two sampling
 //! properties tie the samplers to the closed forms.
 //!
 //! Each property runs through `zeroconf_rng::for_each_seed` on seeds
@@ -16,8 +17,8 @@
 use std::sync::Arc;
 
 use zeroconf_dist::{
-    noanswer, DefectiveDeterministic, DefectiveExponential, DefectiveUniform, DefectiveWeibull,
-    Empirical, Mixture, ReplyTimeDistribution,
+    noanswer, Backend, DefectiveDeterministic, DefectiveExponential, DefectiveUniform,
+    DefectiveWeibull, Empirical, Mixture, ReplyTimeDistribution,
 };
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::{for_each_seed, Rng, SeedableRng};
@@ -101,21 +102,29 @@ fn listening_periods(rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// `p_i_batch` must agree with the scalar `no_answer_probability` down to
-/// the last bit at every index of the batch — the blocked kernel's
-/// correctness rests on this.
+/// `p_rounds_batch_with` must agree with the scalar
+/// `no_answer_probability` down to the last bit at every index of the
+/// batch, on every backend the host has — the blocked π builder's
+/// correctness rests on this. Rounds 1..=7 run as one chunk; round 0 is
+/// the `p_0 = 1` convention the π builder writes itself.
 fn check_batch_bit_identity<D: ReplyTimeDistribution>(d: &D, rs: &[f64]) {
-    let mut batch = vec![0.0f64; rs.len()];
-    for i in 0..8usize {
-        noanswer::p_i_batch(d, rs, i, &mut batch).unwrap();
-        for (j, &r) in rs.iter().enumerate() {
-            let scalar = noanswer::no_answer_probability(d, i, r).unwrap();
-            assert_eq!(
-                batch[j].to_bits(),
-                scalar.to_bits(),
-                "i = {i}, r = {r}: batch {} vs scalar {scalar}",
-                batch[j]
-            );
+    const ROUNDS: usize = 7;
+    let mut batch = vec![0.0f64; ROUNDS * rs.len()];
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512]
+        .into_iter()
+        .filter(|&b| b <= Backend::detect())
+    {
+        noanswer::p_rounds_batch_with(d, backend, rs, 1, ROUNDS, &mut batch).unwrap();
+        for (k, row) in batch.chunks_exact(rs.len()).enumerate() {
+            let i = k + 1;
+            for (&p, &r) in row.iter().zip(rs) {
+                let scalar = noanswer::no_answer_probability(d, i, r).unwrap();
+                assert_eq!(
+                    p.to_bits(),
+                    scalar.to_bits(),
+                    "{backend:?}, i = {i}, r = {r}: batch {p} vs scalar {scalar}"
+                );
+            }
         }
     }
 }

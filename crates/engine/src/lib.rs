@@ -86,8 +86,6 @@ use zeroconf_cost::{tradeoff, CostError, Scenario};
 use zeroconf_dist::ReplyTimeDistribution;
 use zeroconf_simd::Backend;
 
-pub use zeroconf_simd::KernelChoice;
-
 pub use pipeline::{
     Completion, CompletionNotifier, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats,
     RequestId,
@@ -110,12 +108,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Maximum number of π-tables kept resident.
     pub cache_tables: usize,
-    /// Which column-kernel backend the engine runs: forced scalar, forced
-    /// SIMD (clamped to what the CPU actually supports), or `Auto` — the
-    /// best detected tier, overridable via the `ZEROCONF_KERNEL`
-    /// environment variable. Results are bit-identical across choices;
-    /// this is purely a speed/diagnostics knob.
-    pub kernel: KernelChoice,
 }
 
 impl Default for EngineConfig {
@@ -125,7 +117,6 @@ impl Default for EngineConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),
             cache_tables: 1024,
-            kernel: KernelChoice::Auto,
         }
     }
 }
@@ -223,7 +214,8 @@ impl CancelToken {
 pub struct Engine {
     pool: WorkerPool,
     cache: Arc<SharedCache>,
-    /// The resolved column-kernel backend every job runs with.
+    /// The column-kernel backend every job runs with: the widest tier the
+    /// CPU has ([`Backend::detect`]), or scalar in tests.
     backend: Backend,
     /// The weakest distribution-batch tier observed so far, as a
     /// [`Backend`] discriminant folded with `fetch_min` — starts at
@@ -330,10 +322,17 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Builds an engine, spawning `config.workers - 1` background threads.
+    /// It runs the widest SIMD tier the CPU has; every tier gives the same
+    /// bits.
     #[must_use]
     pub fn new(config: EngineConfig) -> Engine {
+        Self::with_backend(config, Backend::detect())
+    }
+
+    /// [`Engine::new`] on an explicit backend: how tests reach the scalar
+    /// tier on a host that has a wider one.
+    fn with_backend(config: EngineConfig, backend: Backend) -> Engine {
         let workers = config.workers.max(1);
-        let backend = config.kernel.resolve();
         Engine {
             pool: WorkerPool::new(workers - 1),
             cache: Arc::new(SharedCache::new(config.cache_tables)),
@@ -789,20 +788,19 @@ impl Engine {
             dist_backend: Backend::from_u8(self.dist_floor.load(Ordering::Relaxed)).name(),
         }
     }
-
-    /// The column-kernel backend this engine resolved at construction.
-    #[must_use]
-    pub fn kernel_backend(&self) -> &'static str {
-        self.backend.name()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use zeroconf_cost::Scenario;
-    use zeroconf_dist::{DefectiveExponential, Empirical};
+    use zeroconf_cost::{cost, Scenario};
+    use zeroconf_dist::{
+        DefectiveDeterministic, DefectiveExponential, DefectiveUniform, DefectiveWeibull,
+        Empirical, Mixture,
+    };
+    use zeroconf_rng::rngs::StdRng;
+    use zeroconf_rng::{for_each_seed, Rng};
 
     use super::*;
 
@@ -822,7 +820,6 @@ mod tests {
         Engine::new(EngineConfig {
             workers,
             cache_tables: 64,
-            ..EngineConfig::default()
         })
     }
 
@@ -955,17 +952,14 @@ mod tests {
     #[test]
     fn stats_report_the_kernel_tier_and_surface_scalar_dist_fallbacks() {
         let simd = Backend::detect();
-        let engine_with = |kernel| {
-            Engine::new(EngineConfig {
-                workers: 1,
-                cache_tables: 64,
-                kernel,
-            })
+        let config = EngineConfig {
+            workers: 1,
+            cache_tables: 64,
         };
         let grid = GridSpec::linspace(3, 0.5, 2.0, 4);
 
         // A vectorized family keeps the dist floor at the kernel tier.
-        let e = engine_with(KernelChoice::Simd);
+        let e = Engine::new(config.clone());
         assert_eq!(e.stats().kernel_backend, simd.name());
         e.evaluate(&SweepRequest::new(scenario(), grid.clone()))
             .unwrap();
@@ -983,18 +977,295 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let e = engine_with(KernelChoice::Simd);
+        let e = Engine::new(config.clone());
         e.evaluate(&SweepRequest::new(empirical, grid.clone()))
             .unwrap();
         let stats = e.stats();
         assert_eq!(stats.kernel_backend, simd.name());
         assert_eq!(stats.dist_backend, "scalar");
 
-        // Forcing scalar pins both fields to scalar.
-        let e = engine_with(KernelChoice::Scalar);
+        // The scalar engine reports scalar for both fields.
+        let e = Engine::with_backend(config, Backend::Scalar);
         e.evaluate(&SweepRequest::new(scenario(), grid)).unwrap();
         assert_eq!(e.stats().kernel_backend, "scalar");
         assert_eq!(e.stats().dist_backend, "scalar");
+    }
+
+    /// A mass in `[0, 1]`, each endpoint drawn outright one time in eight.
+    fn draw_mass(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.gen_range(0.0..1.0),
+        }
+    }
+
+    /// A delay that is exactly zero one time in four: `survival(0)` may
+    /// then round below one, and the π build divides by it.
+    fn draw_delay(rng: &mut StdRng) -> f64 {
+        if rng.gen_bool(0.25) {
+            0.0
+        } else {
+            rng.gen_range(0.0..3.0)
+        }
+    }
+
+    /// A reply time of every kind the wire decodes, or an `Empirical`; a
+    /// mixture nests up to `depth` more levels. The flag says whether an
+    /// `Empirical` sits anywhere in it.
+    fn draw_reply_time(rng: &mut StdRng, depth: u32) -> (Arc<dyn ReplyTimeDistribution>, bool) {
+        let kinds = if depth == 0 { 6u32 } else { 7 };
+        let dist: Arc<dyn ReplyTimeDistribution> = match rng.gen_range(0..kinds) {
+            0 => Arc::new(
+                DefectiveDeterministic::new(draw_mass(rng), rng.gen_range(0.0..4.0)).unwrap(),
+            ),
+            1 => Arc::new(
+                DefectiveExponential::from_loss(
+                    10f64.powf(-rng.gen_range(0.0..16.0)),
+                    rng.gen_range(0.1..50.0),
+                    draw_delay(rng),
+                )
+                .unwrap(),
+            ),
+            2 => Arc::new(
+                DefectiveExponential::new(
+                    draw_mass(rng),
+                    rng.gen_range(0.1..50.0),
+                    draw_delay(rng),
+                )
+                .unwrap(),
+            ),
+            3 => {
+                let lo = rng.gen_range(0.0..3.0);
+                Arc::new(
+                    DefectiveUniform::new(draw_mass(rng), lo, lo + rng.gen_range(0.01..4.0))
+                        .unwrap(),
+                )
+            }
+            4 => Arc::new(
+                DefectiveWeibull::new(
+                    draw_mass(rng),
+                    rng.gen_range(0.3..4.0),
+                    rng.gen_range(0.05..5.0),
+                    draw_delay(rng),
+                )
+                .unwrap(),
+            ),
+            5 => {
+                let observations = (0..rng.gen_range(1..20usize))
+                    .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(0.0..6.0)))
+                    .collect();
+                return (
+                    Arc::new(Empirical::from_observations(observations).unwrap()),
+                    true,
+                );
+            }
+            _ => {
+                let mut empirical = false;
+                let components = (0..rng.gen_range(2..4usize))
+                    .map(|_| {
+                        let (dist, nested) = draw_reply_time(rng, depth - 1);
+                        empirical |= nested;
+                        (rng.gen_range(0.05..1.0), dist)
+                    })
+                    .collect();
+                return (Arc::new(Mixture::new(components).unwrap()), empirical);
+            }
+        };
+        (dist, false)
+    }
+
+    /// `n_max` ≤ 48 and 1–24 listening periods, shuffled: each is zero, a
+    /// subnormal, a repeat of an earlier one, or uniform in `[0.001, 20)`.
+    fn draw_grid(rng: &mut StdRng) -> GridSpec {
+        let len = rng.gen_range(1..25usize);
+        let mut r_values: Vec<f64> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let r = match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                2 if !r_values.is_empty() => r_values[rng.gen_range(0..r_values.len())],
+                _ => rng.gen_range(0.001..20.0),
+            };
+            r_values.push(r);
+        }
+        for i in (1..len).rev() {
+            r_values.swap(i, rng.gen_range(0..i + 1));
+        }
+        GridSpec {
+            n_max: rng.gen_range(1..49u32),
+            r_values,
+        }
+    }
+
+    /// An error cost from 1 to 1e40, log-uniform.
+    fn draw_error_cost(rng: &mut StdRng) -> f64 {
+        10f64.powf(rng.gen_range(0.0..40.0))
+    }
+
+    /// Every value of a sweep landscape, and its shape, as bits.
+    fn landscape_bits(landscape: &Landscape) -> Vec<u64> {
+        let metrics = landscape.costs().into_iter().chain(landscape.errors());
+        std::iter::once(u64::from(landscape.n_max()))
+            .chain(
+                landscape
+                    .r_values()
+                    .iter()
+                    .chain(metrics.flatten())
+                    .map(|x| x.to_bits()),
+            )
+            .collect()
+    }
+
+    /// Every sweep cell must be the closed forms' `to_bits`, and the
+    /// collision probability must lie in `[0, q]` and not increase in `n`
+    /// (with the slack of the root property suite).
+    fn check_against_closed_forms(request: &SweepRequest, landscape: &Landscape) {
+        let scenario = &request.scenario;
+        let (costs, errors) = (landscape.costs().unwrap(), landscape.errors().unwrap());
+        let n_max = request.grid.n_max as usize;
+        for (k, &r) in request.grid.r_values.iter().enumerate() {
+            let mut previous = f64::INFINITY;
+            for n in 1..=request.grid.n_max {
+                let at = k * n_max + n as usize - 1;
+                let expected_cost = cost::mean_cost(scenario, n, r).unwrap();
+                let expected_error = cost::error_probability(scenario, n, r).unwrap();
+                assert_eq!(
+                    costs[at].to_bits(),
+                    expected_cost.to_bits(),
+                    "C({n}, {r:e}) = {} vs {expected_cost}",
+                    costs[at]
+                );
+                assert_eq!(
+                    errors[at].to_bits(),
+                    expected_error.to_bits(),
+                    "E({n}, {r:e}) = {} vs {expected_error}",
+                    errors[at]
+                );
+                let error = errors[at];
+                assert!(
+                    0.0 <= error && error <= scenario.occupancy(),
+                    "E({n}, {r:e}) = {error}, q = {}",
+                    scenario.occupancy()
+                );
+                assert!(
+                    error <= previous + 1e-15,
+                    "E({n}, {r:e}) = {error} > {previous}"
+                );
+                previous = error;
+            }
+        }
+    }
+
+    /// A seeded backend differential oracle at the engine level. Each seed
+    /// draws a scenario and a grid, and a scalar engine and `Engine::new`
+    /// (the CPU's widest tier) each answer a sweep, a rescore, a calibrate
+    /// of an interior grid member and a small frontier over them: the two
+    /// engines' answers must be equal `to_bits`, errors included, and
+    /// every sweep cell must be the closed forms' bits. The stats block
+    /// names each engine's tier, and `Engine::new`'s `dist_backend` drops
+    /// to scalar exactly when an `Empirical` was evaluated.
+    #[test]
+    fn scalar_and_detected_engines_answer_every_verb_with_the_same_bits() {
+        let detected = Backend::detect();
+        for_each_seed(0..128, |rng| {
+            let (reply_time, empirical) = draw_reply_time(rng, 2);
+            let scenario = Scenario::builder()
+                .occupancy(rng.gen_range(0.001..0.999))
+                .probe_cost(rng.gen_range(0.0..10.0))
+                .error_cost(draw_error_cost(rng))
+                .reply_time(reply_time)
+                .build()
+                .unwrap();
+            let grid = draw_grid(rng);
+            let sweep = SweepRequest::new(scenario.clone(), grid.clone());
+            let delta = RescoreDelta {
+                occupancy: rng.gen_bool(0.5).then(|| rng.gen_range(0.001..0.999)),
+                probe_cost: rng.gen_bool(0.5).then(|| rng.gen_range(0.0..10.0)),
+                error_cost: rng.gen_bool(0.5).then(|| draw_error_cost(rng)),
+            };
+            let len = grid.r_values.len();
+            let calibrate = (len >= 3).then(|| CalibrateRequest {
+                scenario: scenario.clone(),
+                grid: grid.clone(),
+                target_n: rng.gen_range(1..grid.n_max + 1),
+                target_r: grid.r_values[rng.gen_range(1..len - 1)],
+            });
+            let y_axis = if rng.gen_bool(0.5) {
+                ParamAxis::ProbeCost
+            } else {
+                ParamAxis::Occupancy
+            };
+            let frontier = FrontierRequest {
+                scenario,
+                grid,
+                x: AxisSpec::new(
+                    ParamAxis::ErrorCost,
+                    (0..rng.gen_range(1..4usize))
+                        .map(|_| draw_error_cost(rng))
+                        .collect(),
+                ),
+                y: AxisSpec::new(
+                    y_axis,
+                    (0..rng.gen_range(1..4usize))
+                        .map(|_| rng.gen_range(0.001..0.999))
+                        .collect(),
+                ),
+            };
+
+            let config = EngineConfig {
+                workers: 1,
+                cache_tables: 64,
+            };
+            let engines = [
+                Engine::with_backend(config.clone(), Backend::Scalar),
+                Engine::new(config),
+            ];
+            let answers = engines.each_ref().map(|engine| {
+                let swept = engine.evaluate(&sweep).unwrap();
+                check_against_closed_forms(&sweep, &swept.landscape);
+                let (rescored, rescore) = engine.rescore(&sweep, &delta).unwrap();
+                check_against_closed_forms(&rescored, &rescore.landscape);
+                let mut bits = vec![
+                    Ok(landscape_bits(&swept.landscape)),
+                    Ok(landscape_bits(&rescore.landscape)),
+                ];
+                bits.extend(calibrate.iter().map(|request| {
+                    engine.calibrate(request).map(|answer| {
+                        vec![
+                            answer.error_cost.to_bits(),
+                            u64::from(answer.n),
+                            answer.r.to_bits(),
+                            answer.cost.to_bits(),
+                            answer.error_probability.to_bits(),
+                        ]
+                    })
+                }));
+                bits.push(engine.frontier(&frontier).map(|answer| {
+                    let mut bits = vec![answer.candidates as u64];
+                    for point in &answer.points {
+                        bits.extend([
+                            point.x.to_bits(),
+                            point.y.to_bits(),
+                            u64::from(point.n),
+                            point.r.to_bits(),
+                            point.cost.to_bits(),
+                            point.error_probability.to_bits(),
+                        ]);
+                    }
+                    bits
+                }));
+                bits
+            });
+            assert_eq!(answers[0], answers[1]);
+
+            let [scalar, widest] = engines.each_ref().map(Engine::stats);
+            assert_eq!(scalar.kernel_backend, "scalar");
+            assert_eq!(scalar.dist_backend, "scalar");
+            assert_eq!(widest.kernel_backend, detected.name());
+            let dist_tier = if empirical { "scalar" } else { detected.name() };
+            assert_eq!(widest.dist_backend, dist_tier);
+        });
     }
 
     #[test]

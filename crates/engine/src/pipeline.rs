@@ -578,7 +578,6 @@ mod tests {
         let engine = Arc::new(Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 64,
-            ..EngineConfig::default()
         }));
         Pipeline::new(engine, PipelineConfig::with_depth(depth))
     }

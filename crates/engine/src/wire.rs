@@ -1894,7 +1894,6 @@ mod tests {
         Engine::new(EngineConfig {
             workers,
             cache_tables: 64,
-            ..EngineConfig::default()
         })
     }
 

@@ -38,7 +38,6 @@ fn cold_cache_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 1,
         cache_tables: 256,
-        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     assert_bit_identical(&engine, &request);
@@ -53,7 +52,6 @@ fn warm_cache_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_tables: 256,
-        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     // First pass fills the cache; the second serves entirely from it.
@@ -75,7 +73,6 @@ fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
     let engine = Engine::new(EngineConfig {
         workers: 4,
         cache_tables: 256,
-        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 200));
     assert_bit_identical(&engine, &request);
@@ -87,7 +84,6 @@ fn rescore_is_bit_identical_and_recomputes_no_pi() {
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_tables: 256,
-        ..EngineConfig::default()
     });
     let base = SweepRequest::new(scenario, figure2_grid());
     engine.evaluate(&base).unwrap();
@@ -122,7 +118,6 @@ fn tiny_cache_still_gives_exact_results() {
     let engine = Engine::new(EngineConfig {
         workers: 3,
         cache_tables: 4,
-        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     assert_bit_identical(&engine, &request);

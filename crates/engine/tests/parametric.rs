@@ -32,7 +32,6 @@ fn engine(workers: usize) -> Engine {
     Engine::new(EngineConfig {
         workers,
         cache_tables: 4096,
-        ..EngineConfig::default()
     })
 }
 

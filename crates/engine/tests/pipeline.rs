@@ -29,7 +29,6 @@ fn engine(workers: usize) -> Arc<Engine> {
     Arc::new(Engine::new(EngineConfig {
         workers,
         cache_tables: 4096,
-        ..EngineConfig::default()
     }))
 }
 
@@ -136,7 +135,6 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
         Engine::new(EngineConfig {
             workers: 2,
             cache_tables: 64,
-            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(3),
     );
@@ -208,7 +206,6 @@ fn pipelined_session_emits_responses_in_completion_order() {
         Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 4096,
-            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(5),
     );
@@ -389,7 +386,6 @@ fn pipelined_session_drain_answers_every_wire_id() {
         Engine::new(EngineConfig {
             workers: 2,
             cache_tables: 4096,
-            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(4),
     );
@@ -452,7 +448,6 @@ fn blocking_session() -> PipelinedSession {
         Engine::new(EngineConfig {
             workers: 1,
             cache_tables: 16,
-            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(1),
     )

@@ -123,7 +123,7 @@ impl Shutdown {
 pub struct ServeConfig {
     /// Addresses to listen on (at least one).
     pub endpoints: Vec<Endpoint>,
-    /// The shared engine's configuration (workers, cache, kernel).
+    /// The shared engine's configuration (workers, cache).
     pub engine: EngineConfig,
     /// The global in-flight budget shared fairly across connections.
     pub inflight: usize,
@@ -149,9 +149,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
-    /// endpoints plus `--workers N`, `--cache TABLES`, `--kernel
-    /// scalar|simd|auto`, `--inflight N` and `--max-conns N`. The parsed
-    /// config follows process signals (it is the daemon entry path).
+    /// endpoints plus `--workers N`, `--cache TABLES`, `--inflight N` and
+    /// `--max-conns N`. The parsed config follows process signals (it is
+    /// the daemon entry path).
     ///
     /// # Errors
     ///
@@ -180,15 +180,6 @@ impl ServeConfig {
                 "--cache" => {
                     config.engine.cache_tables = parse_count("cache", &value_of("cache")?)?
                 }
-                "--kernel" => {
-                    let raw = value_of("kernel")?;
-                    config.engine.kernel =
-                        zeroconf_engine::KernelChoice::parse(&raw).ok_or_else(|| {
-                            ServeError(format!(
-                                "--kernel must be scalar, simd or auto (got '{raw}')"
-                            ))
-                        })?;
-                }
                 "--inflight" => config.inflight = parse_count("inflight", &value_of("inflight")?)?,
                 "--max-conns" => {
                     config.max_connections = parse_count("max-conns", &value_of("max-conns")?)?;
@@ -211,7 +202,16 @@ impl ServeConfig {
     }
 }
 
-fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
+/// Parses the value of a count flag (`--workers`, `--cache`, `--inflight`,
+/// `--max-conns`): a positive decimal integer. `zeroconf engine` parses
+/// its count flags with this function too.
+///
+/// # Errors
+///
+/// [`ServeError`] naming the flag for zero and for anything
+/// `str::parse::<usize>` refuses: a minus sign, a fraction, an exponent,
+/// `nan`, or a value past `usize::MAX`.
+pub fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
     raw.parse::<usize>()
         .ok()
         .filter(|n| *n > 0)
@@ -222,7 +222,7 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--kernel scalar|simd|auto] [--inflight N] [--max-conns N]"
+     \u{20}      [--inflight N] [--max-conns N]"
         .to_owned()
 }
 
@@ -381,7 +381,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --kernel scalar --inflight 6 --max-conns 9",
+             --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -392,7 +392,6 @@ mod tests {
         );
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
-        assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);
         assert!(config.follow_process_signals);
@@ -400,20 +399,37 @@ mod tests {
 
     #[test]
     fn from_args_requires_an_endpoint_and_rejects_junk() {
-        let e = ServeConfig::from_args(&args("--tcp x --kernel turbo")).unwrap_err();
-        assert!(e.0.contains("--kernel must be"), "{e}");
         let e = ServeConfig::from_args(&args("--workers 2")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
-        for junk in ["--bogus 1", "--tcp x --mmap", "--tcp x --cache-dir /tmp/z"] {
+        // The kernel tier is the CPU's: like `--mmap` and `--cache-dir`,
+        // `--kernel` is not a flag.
+        for junk in [
+            "--bogus 1",
+            "--tcp x --mmap",
+            "--tcp x --cache-dir /tmp/z",
+            "--tcp x --kernel scalar",
+        ] {
             let e = ServeConfig::from_args(&args(junk)).unwrap_err();
             assert!(e.0.contains("unknown serve flag"), "{junk}: {e}");
         }
         let e = ServeConfig::from_args(&args("--tcp")).unwrap_err();
         assert!(e.0.contains("requires a value"), "{e}");
-        let e = ServeConfig::from_args(&args("--tcp x --inflight zero")).unwrap_err();
-        assert!(e.0.contains("positive integer"), "{e}");
-        let e = ServeConfig::from_args(&args("--tcp x --inflight 0")).unwrap_err();
-        assert!(e.0.contains("positive integer"), "{e}");
+        for raw in [
+            "zero",
+            "0",
+            "-3",
+            "nan",
+            "2.5",
+            "1e20",
+            "18446744073709551616",
+        ] {
+            let e =
+                ServeConfig::from_args(&args(&format!("--tcp x --inflight {raw}"))).unwrap_err();
+            assert_eq!(
+                e.0,
+                format!("--inflight expects a positive integer, got '{raw}'")
+            );
+        }
     }
 
     #[test]

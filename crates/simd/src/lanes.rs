@@ -334,7 +334,8 @@ unsafe impl LaneVector for F64x8 {
 // reference loop.
 // ---------------------------------------------------------------------------
 
-/// `out[k] = scale * rs[k]` — the π-round scaling fill in `p_i_batch`.
+/// `out[k] = scale * rs[k]` — the π-round scaling fill in
+/// `noanswer::p_rounds_batch_with`.
 ///
 /// # Safety
 /// Requires `V`'s ISA extension; `rs.len() == out.len()`.
@@ -384,7 +385,7 @@ unsafe fn clamp_unit_body<V: LaneVector>(xs: &mut [f64]) {
 }
 
 /// `xs[k] = (xs[k] / base).clamp(0.0, 1.0)` — conditioning on a defective
-/// round-0 survival in `p_i_batch`.
+/// round-0 survival in `noanswer::p_rounds_batch_with`.
 ///
 /// # Safety
 /// Requires `V`'s ISA extension.

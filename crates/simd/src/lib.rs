@@ -58,15 +58,6 @@ impl Backend {
         Backend::Scalar
     }
 
-    /// Number of f64 lanes a kernel processes per step on this tier.
-    pub fn lanes(self) -> usize {
-        match self {
-            Backend::Scalar => 1,
-            Backend::Avx2 => 4,
-            Backend::Avx512 => 8,
-        }
-    }
-
     /// Stable lowercase label used in stats blocks and bench rows.
     pub fn name(self) -> &'static str {
         match self {
@@ -94,64 +85,22 @@ impl Backend {
     }
 }
 
-/// A kernel-selection policy, as expressed on the command line
-/// (`--kernel scalar|simd|auto`) or via the `ZEROCONF_KERNEL` variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The kernel-selection policy: the engine runs the widest tier the CPU
+/// has, and `perfbench`'s replay resolves its backend through this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// Force the scalar reference loops.
-    Scalar,
-    /// Force SIMD: the widest detected tier (still scalar on hosts with
-    /// neither AVX2 nor AVX-512).
-    Simd,
-    /// Honor `ZEROCONF_KERNEL` if set, otherwise behave like `Simd`.
-    #[default]
+    /// The widest detected tier (scalar on hosts with neither AVX2 nor
+    /// AVX-512).
     Auto,
 }
 
 impl KernelChoice {
-    /// Parse a CLI/env spelling. Accepts `scalar`, `simd`, and `auto`.
-    pub fn parse(value: &str) -> Option<KernelChoice> {
-        match value {
-            "scalar" => Some(KernelChoice::Scalar),
-            "simd" => Some(KernelChoice::Simd),
-            "auto" => Some(KernelChoice::Auto),
-            _ => None,
-        }
-    }
-
-    /// Spelling accepted by [`KernelChoice::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Simd => "simd",
-            KernelChoice::Auto => "auto",
-        }
-    }
-
-    /// Resolve the policy to a concrete backend.
-    ///
-    /// Only `Auto` consults the `ZEROCONF_KERNEL` environment variable (an
-    /// unrecognized value is ignored); explicit choices win over it, which is
-    /// what lets ci.sh force both backends through an unmodified binary.
+    /// Resolve the policy to a concrete backend: [`Backend::detect`].
     pub fn resolve(self) -> Backend {
         match self {
-            KernelChoice::Scalar => Backend::Scalar,
-            KernelChoice::Simd => Backend::detect(),
-            KernelChoice::Auto => match env_choice() {
-                Some(KernelChoice::Scalar) => Backend::Scalar,
-                _ => Backend::detect(),
-            },
+            KernelChoice::Auto => Backend::detect(),
         }
     }
-}
-
-fn env_choice() -> Option<KernelChoice> {
-    static ENV: OnceLock<Option<KernelChoice>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("ZEROCONF_KERNEL")
-            .ok()
-            .and_then(|v| KernelChoice::parse(v.trim()))
-    })
 }
 
 /// The per-column scenario constants consumed by the selection scan;
@@ -751,22 +700,14 @@ mod tests {
     fn backend_ordering_reflects_capability_tiers() {
         assert!(Backend::Scalar < Backend::Avx2);
         assert!(Backend::Avx2 < Backend::Avx512);
-        assert_eq!(Backend::Scalar.lanes(), 1);
-        assert_eq!(Backend::Avx2.lanes(), 4);
-        assert_eq!(Backend::Avx512.lanes(), 8);
         for tier in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             assert_eq!(Backend::from_u8(tier as u8), tier);
         }
     }
 
     #[test]
-    fn kernel_choice_parsing_round_trips() {
-        for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
-            assert_eq!(KernelChoice::parse(choice.name()), Some(choice));
-        }
-        assert_eq!(KernelChoice::parse("sse9"), None);
-        assert_eq!(KernelChoice::Scalar.resolve(), Backend::Scalar);
-        assert_eq!(KernelChoice::Simd.resolve(), Backend::detect());
+    fn kernel_choice_resolves_to_the_detected_tier() {
+        assert_eq!(KernelChoice::Auto.resolve(), Backend::detect());
     }
 
     #[test]
