@@ -78,8 +78,14 @@ cargo test --release -q -p zeroconf-engine --test pipeline
 echo "==> engine unit tests in release"
 # Same reason: the fan-out and parity tests of the pool's jobs need pool
 # threads to claim chunks while the calling thread works, which only a
-# release build's chunk times show.
+# release build's chunk times show. The lane also runs the float writer's
+# byte comparison with `{:?}` over 10^8 seeded random floats (a debug
+# build runs a prefix of the same stream); its wall time, build excluded,
+# is printed.
+cargo test --release -q -p zeroconf-engine --lib --no-run
+ENGINE_T0=$(date +%s%3N)
 cargo test --release -q -p zeroconf-engine --lib
+echo "ci: engine unit tests in release ran in $(( $(date +%s%3N) - ENGINE_T0 ))ms"
 
 echo "==> perfbench build and tests (its own workspace)"
 # The benchmark builds against the engine, serve and client crates by

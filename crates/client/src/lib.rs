@@ -45,7 +45,9 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 pub use zeroconf_engine::wire::{parse_json, Json, WIRE_VERSION};
-use zeroconf_engine::wire::{parse_response_line, push_json_str, VERB_CALIBRATE, VERB_FRONTIER};
+use zeroconf_engine::wire::{
+    parse_response_line, push_f64, push_json_str, VERB_CALIBRATE, VERB_FRONTIER,
+};
 pub use zeroconf_engine::Landscape;
 
 /// Default per-wait deadline: generous enough for a cold engine on a
@@ -130,19 +132,26 @@ pub enum ReplyTime {
 }
 
 impl ReplyTime {
-    fn to_wire(&self) -> String {
-        match self {
-            ReplyTime::Exponential { loss, rate, delay } => format!(
-                "{{\"kind\":\"exponential\",\"loss\":{loss:?},\"rate\":{rate:?},\"delay\":{delay:?}}}"
+    fn push_wire(&self, line: &mut String) {
+        let (kind, members): (&str, &[(&str, f64)]) = match self {
+            ReplyTime::Exponential { loss, rate, delay } => (
+                "exponential",
+                &[("loss", *loss), ("rate", *rate), ("delay", *delay)],
             ),
             ReplyTime::Deterministic { mass, delay } => {
-                format!("{{\"kind\":\"deterministic\",\"mass\":{mass:?},\"delay\":{delay:?}}}")
+                ("deterministic", &[("mass", *mass), ("delay", *delay)])
             }
             ReplyTime::Uniform { mass, lo, hi } => {
-                format!("{{\"kind\":\"uniform\",\"mass\":{mass:?},\"lo\":{lo:?},\"hi\":{hi:?}}}")
+                ("uniform", &[("mass", *mass), ("lo", *lo), ("hi", *hi)])
             }
-            ReplyTime::Raw(json) => json.clone(),
-        }
+            ReplyTime::Raw(json) => {
+                line.push_str(json);
+                return;
+            }
+        };
+        let _ = write!(line, "{{\"kind\":\"{kind}\",");
+        push_numbers(line, members);
+        line.push('}');
     }
 }
 
@@ -177,14 +186,19 @@ impl Scenario {
         }
     }
 
-    fn to_wire(&self) -> String {
-        format!(
-            "{{\"q\":{:?},\"probe_cost\":{:?},\"error_cost\":{:?},\"reply_time\":{}}}",
-            self.q,
-            self.probe_cost,
-            self.error_cost,
-            self.reply_time.to_wire()
-        )
+    fn push_wire(&self, line: &mut String) {
+        line.push('{');
+        push_numbers(
+            line,
+            &[
+                ("q", self.q),
+                ("probe_cost", self.probe_cost),
+                ("error_cost", self.error_cost),
+            ],
+        );
+        line.push_str(",\"reply_time\":");
+        self.reply_time.push_wire(line);
+        line.push('}');
     }
 }
 
@@ -212,24 +226,23 @@ pub enum Grid {
 }
 
 impl Grid {
-    fn to_wire(&self) -> String {
+    fn push_wire(&self, line: &mut String) {
         match self {
             Grid::Explicit { n_max, r } => {
-                let r_list = r
-                    .iter()
-                    .map(|v| format!("{v:?}"))
-                    .collect::<Vec<String>>()
-                    .join(",");
-                format!("{{\"n_max\":{n_max},\"r\":[{r_list}]}}")
+                let _ = write!(line, "{{\"n_max\":{n_max},\"r\":[");
+                push_list(line, r);
+                line.push_str("]}");
             }
             Grid::Linspace {
                 n_max,
                 r_min,
                 r_max,
                 r_points,
-            } => format!(
-                "{{\"n_max\":{n_max},\"r_min\":{r_min:?},\"r_max\":{r_max:?},\"r_points\":{r_points}}}"
-            ),
+            } => {
+                let _ = write!(line, "{{\"n_max\":{n_max},");
+                push_numbers(line, &[("r_min", *r_min), ("r_max", *r_max)]);
+                let _ = write!(line, ",\"r_points\":{r_points}}}");
+            }
         }
     }
 }
@@ -271,14 +284,33 @@ impl Axis {
         }
     }
 
-    fn to_wire(&self) -> String {
-        let values = self
-            .values
-            .iter()
-            .map(|v| format!("{v:?}"))
-            .collect::<Vec<String>>()
-            .join(",");
-        format!("{{\"axis\":\"{}\",\"values\":[{values}]}}", self.axis)
+    fn push_wire(&self, line: &mut String) {
+        let _ = write!(line, "{{\"axis\":\"{}\",\"values\":[", self.axis);
+        push_list(line, &self.values);
+        line.push_str("]}");
+    }
+}
+
+/// Appends `"key":value` members, comma-separated. Each value goes through
+/// the wire's own float writer, so a value that is not finite travels as
+/// `null` and is refused by the daemon with an error line.
+fn push_numbers(line: &mut String, members: &[(&str, f64)]) {
+    for (i, (key, value)) in members.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "\"{key}\":");
+        push_f64(line, *value);
+    }
+}
+
+/// Appends `values` as the body of a JSON array.
+fn push_list(line: &mut String, values: &[f64]) {
+    for (i, &value) in values.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_f64(line, value);
     }
 }
 
@@ -501,12 +533,8 @@ impl Client {
     /// [`ClientError::Io`] if the write fails.
     pub fn sweep(&mut self, id: &str, scenario: &Scenario, grid: &Grid) -> Result<()> {
         let mut line = frame(id);
-        let _ = write!(
-            line,
-            ",\"scenario\":{},\"grid\":{}}}",
-            scenario.to_wire(),
-            grid.to_wire()
-        );
+        push_inline(&mut line, scenario, grid);
+        line.push('}');
         self.send_raw(&line)
     }
 
@@ -520,7 +548,9 @@ impl Client {
         let mut line = frame(id);
         line.push_str(",\"rescore\":{\"of\":");
         push_json_str(&mut line, of);
-        let _ = write!(line, ",\"error_cost\":{error_cost:?}}}}}");
+        line.push_str(",\"error_cost\":");
+        push_f64(&mut line, error_cost);
+        line.push_str("}}");
         self.send_raw(&line)
     }
 
@@ -534,7 +564,9 @@ impl Client {
         let mut line = frame(id);
         let _ = write!(line, ",\"{VERB_CALIBRATE}\":{{\"of\":");
         push_json_str(&mut line, of);
-        let _ = write!(line, ",\"n\":{n},\"r\":{r:?}}}}}");
+        let _ = write!(line, ",\"n\":{n},\"r\":");
+        push_f64(&mut line, r);
+        line.push_str("}}");
         self.send_raw(&line)
     }
 
@@ -553,12 +585,10 @@ impl Client {
         r: f64,
     ) -> Result<()> {
         let mut line = frame(id);
-        let _ = write!(
-            line,
-            ",\"scenario\":{},\"grid\":{},\"{VERB_CALIBRATE}\":{{\"n\":{n},\"r\":{r:?}}}}}",
-            scenario.to_wire(),
-            grid.to_wire()
-        );
+        push_inline(&mut line, scenario, grid);
+        let _ = write!(line, ",\"{VERB_CALIBRATE}\":{{\"n\":{n},\"r\":");
+        push_f64(&mut line, r);
+        line.push_str("}}");
         self.send_raw(&line)
     }
 
@@ -572,7 +602,11 @@ impl Client {
         let mut line = frame(id);
         let _ = write!(line, ",\"{VERB_FRONTIER}\":{{\"of\":");
         push_json_str(&mut line, of);
-        let _ = write!(line, ",\"x\":{},\"y\":{}}}}}", x.to_wire(), y.to_wire());
+        line.push_str(",\"x\":");
+        x.push_wire(&mut line);
+        line.push_str(",\"y\":");
+        y.push_wire(&mut line);
+        line.push_str("}}");
         self.send_raw(&line)
     }
 
@@ -732,6 +766,14 @@ fn frame(id: &str) -> String {
     line
 }
 
+/// Appends the `scenario` and `grid` members of an inline request.
+fn push_inline(line: &mut String, scenario: &Scenario, grid: &Grid) {
+    line.push_str(",\"scenario\":");
+    scenario.push_wire(line);
+    line.push_str(",\"grid\":");
+    grid.push_wire(line);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,11 +788,16 @@ mod tests {
     }
 
     fn render_sweep(scenario: &Scenario, grid: &Grid) -> String {
-        format!(
-            "{{\"v\":{WIRE_VERSION},\"id\":\"t\",\"scenario\":{},\"grid\":{}}}",
-            scenario.to_wire(),
-            grid.to_wire()
-        )
+        let mut line = frame("t");
+        push_inline(&mut line, scenario, grid);
+        line.push('}');
+        line
+    }
+
+    fn render_axis(axis: &Axis) -> String {
+        let mut text = String::new();
+        axis.push_wire(&mut text);
+        text
     }
 
     #[test]
@@ -830,8 +877,8 @@ mod tests {
 
         let frontier = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"f\",\"{VERB_FRONTIER}\":{{\"of\":\"s1\",\"x\":{},\"y\":{}}}}}",
-            Axis::error_cost(&[1e3, 1e6]).to_wire(),
-            Axis::probe_cost(&[1.0, 2.0]).to_wire()
+            render_axis(&Axis::error_cost(&[1e3, 1e6])),
+            render_axis(&Axis::probe_cost(&[1.0, 2.0]))
         );
         assert!(
             matches!(

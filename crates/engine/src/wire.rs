@@ -96,6 +96,11 @@ use crate::{
     SweepRequest, SweepResponse, WorkRequest, WorkResponse,
 };
 
+mod float;
+
+pub use float::push_f64;
+use float::{push_u64, F64_TEXT_MAX};
+
 /// The wire-protocol version this build speaks. Requests without a `"v"`
 /// field are treated as this version; any other value is rejected with a
 /// structured error line.
@@ -444,22 +449,6 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// An upper bound on the text [`push_f64`] writes for one value: the
-/// longest `{:?}` rendering of an `f64` is 24 bytes
-/// (`-2.2250738585072014e-308`), and `null` is shorter.
-const F64_TEXT_MAX: usize = 24;
-
-/// Writes `x` so that parsing it back yields the identical float (Rust's
-/// shortest round-trip `{:?}`; integral values get a `.0`), or `null`
-/// when `x` is infinite or NaN, which JSON cannot spell.
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Request decoding
 // ---------------------------------------------------------------------------
@@ -535,6 +524,19 @@ fn field_f64(obj: &Json, key: &str) -> Result<f64, WireError> {
     obj.get(key)
         .and_then(Json::num)
         .ok_or_else(|| err(format!("missing numeric field `{key}`")))
+}
+
+/// A member that may be left out, but is a number when it is given: a
+/// `null` (what a client writes for a value that is not finite) or a
+/// string is refused, not read as absent.
+fn optional_f64(obj: &Json, key: &str) -> Result<Option<f64>, WireError> {
+    obj.get(key)
+        .map(|value| {
+            value
+                .num()
+                .ok_or_else(|| err(format!("numeric field `{key}` is not a number")))
+        })
+        .transpose()
 }
 
 /// Decodes a scenario's reply time. A mixture over
@@ -774,9 +776,9 @@ pub fn decode_request(value: &Json) -> Result<WireRequest, WireError> {
             .ok_or_else(|| err("rescore needs the base sweep's id in `of`"))?
             .to_owned();
         let delta = RescoreDelta {
-            occupancy: rescore.get("q").and_then(Json::num),
-            probe_cost: rescore.get("probe_cost").and_then(Json::num),
-            error_cost: rescore.get("error_cost").and_then(Json::num),
+            occupancy: optional_f64(rescore, "q")?,
+            probe_cost: optional_f64(rescore, "probe_cost")?,
+            error_cost: optional_f64(rescore, "error_cost")?,
         };
         return Ok(WireRequest::Rescore { id, of, delta });
     }
@@ -897,6 +899,8 @@ const CELL_ERROR: &str = ",\"error_probability\":";
 /// Writes the body of a sweep's `cells` array: one object per cell, in
 /// the landscape's `r`-major order. Each column shares one `r`, so its
 /// text is formatted once and copied into the column's `n_max` cells.
+/// Every number goes through the `float` module's digit writers, so no
+/// cell reaches `core::fmt`.
 fn push_cells(out: &mut String, landscape: &Landscape) {
     let n_max = landscape.n_max() as usize;
     let costs = landscape.costs();
@@ -911,7 +915,7 @@ fn push_cells(out: &mut String, landscape: &Landscape) {
                 out.push(',');
             }
             out.push_str(CELL_N);
-            let _ = write!(out, "{}", row + 1);
+            push_u64(out, row as u64 + 1);
             out.push_str(CELL_R);
             out.push_str(&r_text);
             if let Some(costs) = costs {
@@ -1017,7 +1021,9 @@ fn end_column(n_max: &mut u32, rows: u32, at: usize) -> Result<(), WireError> {
 }
 
 /// One cell value: a number, or `null`, which [`push_f64`] writes for a
-/// value that is not finite, read back as NaN.
+/// value that is not finite, read back as NaN. A number is any JSON
+/// number, not only the `{:?}` bytes [`push_f64`] writes, and parses to
+/// the float it names, so a written cell reads back to its own bits.
 fn cell_value(text: &str, pos: &mut usize) -> Result<f64, WireError> {
     if eat(text.as_bytes(), pos, "null") {
         return Ok(f64::NAN);
@@ -1206,8 +1212,10 @@ impl WireResponse {
     /// One pass writes every field straight into one `String`. A sweep's
     /// line is sized up front to an upper bound of the line plus the
     /// newline a transport appends, so it never regrows and can become a
-    /// socket write chunk as it is. Floats are written as their shortest
-    /// round-trip `{:?}` text, and infinities and NaN as `null`.
+    /// socket write chunk as it is. Floats are written by [`push_f64`]:
+    /// Ryū's shortest round-trip digits in the bytes of `{:?}`, and
+    /// infinities and NaN as `null`. A sweep's cells, the bulk of any
+    /// large line, are written with no `core::fmt` call.
     #[must_use]
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(self.line_capacity());

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use zeroconf_client::{Client, Json, Response};
+use zeroconf_client::{Axis, Client, Grid, Json, Response, Scenario};
 use zeroconf_engine::wire::{self, WIRE_VERSION};
 use zeroconf_engine::{testkit, EngineConfig};
 use zeroconf_serve::{Endpoint, ServeConfig, ServeError, Server, Shutdown};
@@ -313,6 +313,82 @@ fn wire_errors_and_capacity_refusals_over_a_real_socket() {
         number(&stats, &["stats", "server", "connections_rejected"]),
         1.0
     );
+
+    let summary = server.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+#[test]
+fn request_values_that_are_not_finite_get_one_error_each_and_the_connection_serves_on() {
+    let server = TestServer::start(4, 16);
+    let mut client = server.connect();
+    let grid = |r: Vec<f64>| Grid::Explicit { n_max: 4, r };
+    client
+        .sweep("base", &Scenario::fixture(), &grid(vec![1.0, 2.0]))
+        .expect("send base");
+    assert!(client.wait("base").expect("base response").has_cells());
+
+    // The typed client writes a value that is not finite as `null`, so
+    // each line is valid JSON and its decoder answers it, by id, once.
+    let unbounded = Scenario {
+        error_cost: f64::INFINITY,
+        ..Scenario::fixture()
+    };
+    let refused = |client: &mut Client, id: &str, refusal: &str| {
+        let answer = client
+            .next_response(Instant::now() + DEADLINE)
+            .expect("read the answer")
+            .expect("an answer before EOF");
+        assert_eq!(answer.id(), id, "{}", answer.line);
+        assert!(
+            answer.error().is_some_and(|e| e.contains(refusal)),
+            "{}",
+            answer.line
+        );
+    };
+    client
+        .sweep("inf", &unbounded, &grid(vec![1.0]))
+        .expect("send inf");
+    refused(&mut client, "inf", "missing numeric field `error_cost`");
+    client
+        .sweep("nan", &Scenario::fixture(), &grid(vec![1.0, f64::NAN]))
+        .expect("send nan");
+    refused(&mut client, "nan", "grid `r` must be numeric");
+    client
+        .rescore("rescore", "base", f64::NEG_INFINITY)
+        .expect("send rescore");
+    refused(
+        &mut client,
+        "rescore",
+        "numeric field `error_cost` is not a number",
+    );
+    client
+        .calibrate("calibrate", "base", 2, f64::NAN)
+        .expect("send calibrate");
+    refused(&mut client, "calibrate", "missing numeric field `r`");
+    client
+        .frontier(
+            "frontier",
+            "base",
+            &Axis::error_cost(&[1e3, f64::INFINITY]),
+            &Axis::probe_cost(&[1.0, 2.0]),
+        )
+        .expect("send frontier");
+    refused(
+        &mut client,
+        "frontier",
+        "frontier `x` values must be numeric",
+    );
+
+    // The next line read answers the next request: no refused line got a
+    // second answer, and the connection still serves.
+    client.rescore("ok", "base", 1e9).expect("send ok");
+    let ok = client
+        .next_response(Instant::now() + DEADLINE)
+        .expect("read ok")
+        .expect("ok before EOF");
+    assert_eq!(ok.id(), "ok", "{}", ok.line);
+    assert!(ok.has_cells(), "{}", ok.line);
 
     let summary = server.stop();
     assert!(summary.contains("drained cleanly"), "{summary}");

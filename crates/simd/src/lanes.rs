@@ -29,7 +29,11 @@ use core::arch::x86_64::{
     _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd, _CMP_GE_OQ, _CMP_LT_OQ,
 };
 
-use crate::{cost_block_pass_scalar, ColumnTerms, Record};
+use crate::{
+    clamp_unit_scalar, cost_block_pass_scalar, div_clamp_unit_scalar, fill_scaled_scalar,
+    survival_deterministic_scalar, survival_exponential_scalar, survival_uniform_scalar,
+    survival_weibull_scalar, weighted_accumulate_scalar, ColumnTerms, Record,
+};
 
 /// Widest lane count any backend uses; sizes the stack scratch buffers used
 /// for per-lane transcendentals.
@@ -330,8 +334,8 @@ unsafe impl LaneVector for F64x8 {
 // ---------------------------------------------------------------------------
 // Generic kernel bodies. Each mirrors a scalar reference loop in `lib.rs`
 // operation-for-operation (same association), which is what makes every
-// dispatch `to_bits`-identical. Remainder elements always run the scalar
-// reference loop.
+// dispatch `to_bits`-identical. Remainder elements run that scalar
+// function itself, so each kernel has one scalar program.
 // ---------------------------------------------------------------------------
 
 /// `out[k] = scale * rs[k]` — the π-round scaling fill in
@@ -353,9 +357,7 @@ unsafe fn fill_scaled_body<V: LaneVector>(scale: f64, rs: &[f64], out: &mut [f64
             k += V::LANES;
         }
     }
-    for (t, &r) in out[k..].iter_mut().zip(&rs[k..]) {
-        *t = scale * r;
-    }
+    fill_scaled_scalar(scale, &rs[k..], &mut out[k..]);
 }
 
 /// `xs[k] = xs[k].clamp(0.0, 1.0)` with scalar-`clamp` NaN propagation.
@@ -379,9 +381,7 @@ unsafe fn clamp_unit_body<V: LaneVector>(xs: &mut [f64]) {
             k += V::LANES;
         }
     }
-    for x in &mut xs[k..] {
-        *x = x.clamp(0.0, 1.0);
-    }
+    clamp_unit_scalar(&mut xs[k..]);
 }
 
 /// `xs[k] = (xs[k] / base).clamp(0.0, 1.0)` — conditioning on a defective
@@ -405,9 +405,7 @@ unsafe fn div_clamp_unit_body<V: LaneVector>(base: f64, xs: &mut [f64]) {
             k += V::LANES;
         }
     }
-    for x in &mut xs[k..] {
-        *x = (*x / base).clamp(0.0, 1.0);
-    }
+    div_clamp_unit_scalar(base, &mut xs[k..]);
 }
 
 /// `acc[k] += weight * src[k]` — mixture-component accumulation.
@@ -431,9 +429,7 @@ unsafe fn weighted_accumulate_body<V: LaneVector>(weight: f64, src: &[f64], acc:
             k += V::LANES;
         }
     }
-    for (a, &s) in acc[k..].iter_mut().zip(&src[k..]) {
-        *a += weight * s;
-    }
+    weighted_accumulate_scalar(weight, &src[k..], &mut acc[k..]);
 }
 
 /// Defective-exponential survival: `1.0` before `delay`, else
@@ -478,13 +474,7 @@ unsafe fn survival_exponential_body<V: LaneVector>(
             k += V::LANES;
         }
     }
-    for t in &mut ts[k..] {
-        *t = if *t < delay {
-            1.0
-        } else {
-            loss + scale * (neg_rate * (*t - delay)).exp()
-        };
-    }
+    survival_exponential_scalar(delay, loss, scale, neg_rate, &mut ts[k..]);
 }
 
 /// Deterministic (point-mass) survival: `survived` once `t >= delay`.
@@ -510,9 +500,7 @@ unsafe fn survival_deterministic_body<V: LaneVector>(delay: f64, survived: f64, 
             k += V::LANES;
         }
     }
-    for t in &mut ts[k..] {
-        *t = if *t >= delay { survived } else { 1.0 };
-    }
+    survival_deterministic_scalar(delay, survived, &mut ts[k..]);
 }
 
 /// Uniform survival: `1.0` below `lo`, `survived` at/above `hi`, linear
@@ -553,16 +541,7 @@ unsafe fn survival_uniform_body<V: LaneVector>(
             k += V::LANES;
         }
     }
-    for t in &mut ts[k..] {
-        *t = if *t < lo {
-            1.0
-        } else if *t >= hi {
-            survived
-        } else {
-            let fraction_remaining = (hi - *t) / width;
-            survived + mass * fraction_remaining
-        };
-    }
+    survival_uniform_scalar(lo, hi, mass, survived, width, &mut ts[k..]);
 }
 
 /// Defective-Weibull survival: `1.0` before `delay`, else
@@ -606,14 +585,7 @@ unsafe fn survival_weibull_body<V: LaneVector>(
             k += V::LANES;
         }
     }
-    for t in &mut ts[k..] {
-        *t = if *t < delay {
-            1.0
-        } else {
-            let hazard = ((*t - delay) / scale).powf(shape);
-            survived + mass * (-hazard).exp()
-        };
-    }
+    survival_weibull_scalar(delay, scale, shape, mass, survived, &mut ts[k..]);
 }
 
 /// The column-parallel blocked cost/error pass: `V::LANES` columns advance in

@@ -161,22 +161,32 @@ pub fn fill_scaled(backend: Backend, scale: f64, rs: &[f64], out: &mut [f64]) ->
         backend,
         fill_scaled_avx2(scale, rs, out),
         fill_scaled_avx512(scale, rs, out),
-        {
-            for (t, &r) in out.iter_mut().zip(rs) {
-                *t = scale * r;
-            }
-        }
+        { fill_scaled_scalar(scale, rs, out) }
     )
+}
+
+/// The scalar program of [`fill_scaled`]; the vector bodies run it on
+/// the elements that do not fill a lane chunk.
+pub(crate) fn fill_scaled_scalar(scale: f64, rs: &[f64], out: &mut [f64]) {
+    for (t, &r) in out.iter_mut().zip(rs) {
+        *t = scale * r;
+    }
 }
 
 /// `xs[k] = xs[k].clamp(0.0, 1.0)` (NaN propagates, as with `f64::clamp`).
 /// Returns the backend that ran.
 pub fn clamp_unit(backend: Backend, xs: &mut [f64]) -> Backend {
     dispatch!(backend, clamp_unit_avx2(xs), clamp_unit_avx512(xs), {
-        for x in xs.iter_mut() {
-            *x = x.clamp(0.0, 1.0);
-        }
+        clamp_unit_scalar(xs)
     })
+}
+
+/// The scalar program of [`clamp_unit`]; the vector bodies run it on the
+/// elements that do not fill a lane chunk.
+pub(crate) fn clamp_unit_scalar(xs: &mut [f64]) {
+    for x in xs.iter_mut() {
+        *x = x.clamp(0.0, 1.0);
+    }
 }
 
 /// `xs[k] = (xs[k] / base).clamp(0.0, 1.0)`. Returns the backend that ran.
@@ -185,12 +195,16 @@ pub fn div_clamp_unit(backend: Backend, base: f64, xs: &mut [f64]) -> Backend {
         backend,
         div_clamp_unit_avx2(base, xs),
         div_clamp_unit_avx512(base, xs),
-        {
-            for x in xs.iter_mut() {
-                *x = (*x / base).clamp(0.0, 1.0);
-            }
-        }
+        { div_clamp_unit_scalar(base, xs) }
     )
+}
+
+/// The scalar program of [`div_clamp_unit`]; the vector bodies run it on
+/// the elements that do not fill a lane chunk.
+pub(crate) fn div_clamp_unit_scalar(base: f64, xs: &mut [f64]) {
+    for x in xs.iter_mut() {
+        *x = (*x / base).clamp(0.0, 1.0);
+    }
 }
 
 /// `acc[k] += weight * src[k]`. Returns the backend that ran.
@@ -207,12 +221,16 @@ pub fn weighted_accumulate(backend: Backend, weight: f64, src: &[f64], acc: &mut
         backend,
         weighted_accumulate_avx2(weight, src, acc),
         weighted_accumulate_avx512(weight, src, acc),
-        {
-            for (a, &s) in acc.iter_mut().zip(src) {
-                *a += weight * s;
-            }
-        }
+        { weighted_accumulate_scalar(weight, src, acc) }
     )
+}
+
+/// The scalar program of [`weighted_accumulate`]; the vector bodies run it
+/// on the elements that do not fill a lane chunk.
+pub(crate) fn weighted_accumulate_scalar(weight: f64, src: &[f64], acc: &mut [f64]) {
+    for (a, &s) in acc.iter_mut().zip(src) {
+        *a += weight * s;
+    }
 }
 
 /// Defective-exponential survival over `ts` in place:
@@ -230,16 +248,26 @@ pub fn survival_exponential(
         backend,
         survival_exponential_avx2(delay, loss, scale, neg_rate, ts),
         survival_exponential_avx512(delay, loss, scale, neg_rate, ts),
-        {
-            for t in ts.iter_mut() {
-                *t = if *t < delay {
-                    1.0
-                } else {
-                    loss + scale * (neg_rate * (*t - delay)).exp()
-                };
-            }
-        }
+        { survival_exponential_scalar(delay, loss, scale, neg_rate, ts) }
     )
+}
+
+/// The scalar program of [`survival_exponential`]; the vector bodies run
+/// it on the elements that do not fill a lane chunk.
+pub(crate) fn survival_exponential_scalar(
+    delay: f64,
+    loss: f64,
+    scale: f64,
+    neg_rate: f64,
+    ts: &mut [f64],
+) {
+    for t in ts.iter_mut() {
+        *t = if *t < delay {
+            1.0
+        } else {
+            loss + scale * (neg_rate * (*t - delay)).exp()
+        };
+    }
 }
 
 /// Deterministic (point-mass) survival over `ts` in place:
@@ -254,12 +282,16 @@ pub fn survival_deterministic(
         backend,
         survival_deterministic_avx2(delay, survived, ts),
         survival_deterministic_avx512(delay, survived, ts),
-        {
-            for t in ts.iter_mut() {
-                *t = if *t >= delay { survived } else { 1.0 };
-            }
-        }
+        { survival_deterministic_scalar(delay, survived, ts) }
     )
+}
+
+/// The scalar program of [`survival_deterministic`]; the vector bodies run
+/// it on the elements that do not fill a lane chunk.
+pub(crate) fn survival_deterministic_scalar(delay: f64, survived: f64, ts: &mut [f64]) {
+    for t in ts.iter_mut() {
+        *t = if *t >= delay { survived } else { 1.0 };
+    }
 }
 
 /// Uniform survival over `ts` in place: `1.0` below `lo`, `survived` at/above
@@ -277,19 +309,30 @@ pub fn survival_uniform(
         backend,
         survival_uniform_avx2(lo, hi, mass, survived, width, ts),
         survival_uniform_avx512(lo, hi, mass, survived, width, ts),
-        {
-            for t in ts.iter_mut() {
-                *t = if *t < lo {
-                    1.0
-                } else if *t >= hi {
-                    survived
-                } else {
-                    let fraction_remaining = (hi - *t) / width;
-                    survived + mass * fraction_remaining
-                };
-            }
-        }
+        { survival_uniform_scalar(lo, hi, mass, survived, width, ts) }
     )
+}
+
+/// The scalar program of [`survival_uniform`]; the vector bodies run it on
+/// the elements that do not fill a lane chunk.
+pub(crate) fn survival_uniform_scalar(
+    lo: f64,
+    hi: f64,
+    mass: f64,
+    survived: f64,
+    width: f64,
+    ts: &mut [f64],
+) {
+    for t in ts.iter_mut() {
+        *t = if *t < lo {
+            1.0
+        } else if *t >= hi {
+            survived
+        } else {
+            let fraction_remaining = (hi - *t) / width;
+            survived + mass * fraction_remaining
+        };
+    }
 }
 
 /// Defective-Weibull survival over `ts` in place: `1.0` before `delay`, else
@@ -308,17 +351,28 @@ pub fn survival_weibull(
         backend,
         survival_weibull_avx2(delay, scale, shape, mass, survived, ts),
         survival_weibull_avx512(delay, scale, shape, mass, survived, ts),
-        {
-            for t in ts.iter_mut() {
-                *t = if *t < delay {
-                    1.0
-                } else {
-                    let hazard = ((*t - delay) / scale).powf(shape);
-                    survived + mass * (-hazard).exp()
-                };
-            }
-        }
+        { survival_weibull_scalar(delay, scale, shape, mass, survived, ts) }
     )
+}
+
+/// The scalar program of [`survival_weibull`]; the vector bodies run it on
+/// the elements that do not fill a lane chunk.
+pub(crate) fn survival_weibull_scalar(
+    delay: f64,
+    scale: f64,
+    shape: f64,
+    mass: f64,
+    survived: f64,
+    ts: &mut [f64],
+) {
+    for t in ts.iter_mut() {
+        *t = if *t < delay {
+            1.0
+        } else {
+            let hazard = ((*t - delay) / scale).powf(shape);
+            survived + mass * (-hazard).exp()
+        };
+    }
 }
 
 /// The scenario-constant (broadcast) factors of the column-parallel
