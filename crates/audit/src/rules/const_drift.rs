@@ -27,9 +27,9 @@ use crate::scan::{ScannedFile, TokenKind};
 /// The single-source-of-truth constants: `(name, defining file)`.
 pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("RULE_CODES", "crates/audit/src/rules/mod.rs"),
-    ("WIRE_VERSION", "crates/engine/src/wire.rs"),
-    ("VERB_CALIBRATE", "crates/engine/src/wire.rs"),
-    ("VERB_FRONTIER", "crates/engine/src/wire.rs"),
+    ("WIRE_VERSION", "crates/engine/src/wire/decode.rs"),
+    ("VERB_CALIBRATE", "crates/engine/src/wire/decode.rs"),
+    ("VERB_FRONTIER", "crates/engine/src/wire/decode.rs"),
     ("ROW_KERNEL_BLOCK", BENCH_SCHEMA),
     ("ROW_KERNEL_SINGLE_PASS", BENCH_SCHEMA),
     ("ROW_KERNEL_LEGACY", BENCH_SCHEMA),
@@ -250,7 +250,7 @@ mod tests {
                 "pub const RULE_CODES: &[&str] = &[\"no-panic\"];\n",
             ),
             ScannedFile::new(
-                "crates/engine/src/wire.rs",
+                "crates/engine/src/wire/decode.rs",
                 "pub const WIRE_VERSION: u64 = 1;\n\
                  pub const VERB_CALIBRATE: &str = \"calibrate\";\n\
                  pub const VERB_FRONTIER: &str = \"frontier\";\n\
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn a_missing_constant_is_denied() {
         let files = vec![ScannedFile::new(
-            "crates/engine/src/wire.rs",
+            "crates/engine/src/wire/decode.rs",
             "pub const WIRE_VERSION: u64 = 1;\n",
         )];
         let findings = check(&files);

@@ -104,7 +104,7 @@ fn random_float_bit_patterns_parse_back_exactly() {
     }
 }
 
-/// Answer lines copied from `GOLDEN_LINES` in `wire.rs`, which pins their
+/// Answer lines copied from `GOLDEN_LINES` in `wire/encode.rs`, which pins their
 /// bytes: sweeps with both metrics, cost only and error only, then the
 /// calibrate, frontier, error and stats answers.
 const GOLDEN_ANSWERS: [&str; 7] = [
