@@ -80,8 +80,9 @@ echo "==> engine unit tests in release"
 # threads to claim chunks while the calling thread works, which only a
 # release build's chunk times show. The lane also runs the float writer's
 # byte comparison with `{:?}` over 10^8 seeded random floats (a debug
-# build runs a prefix of the same stream); its wall time, build excluded,
-# is printed.
+# build runs a prefix of the same stream), reading each text back through
+# the wire's number reader and `str::parse`; its wall time, build
+# excluded, is printed.
 cargo test --release -q -p zeroconf-engine --lib --no-run
 ENGINE_T0=$(date +%s%3N)
 cargo test --release -q -p zeroconf-engine --lib

@@ -400,3 +400,140 @@ fn the_largest_accepted_line_fits_the_value_budget() {
     }
     assert_eq!(s.pending(), 0);
 }
+
+/// A sweep line whose scenario carries `population` (`"q":…` or
+/// `"hosts":…`), whose reply time carries `arrival` and whose grid is
+/// `grid`.
+fn sweep_with(population: &str, arrival: &str, grid: &str) -> String {
+    format!(
+        "{{\"v\":{WIRE_VERSION},\"id\":\"s\",\"scenario\":{{{population},\"probe_cost\":2.0,\
+         \"error_cost\":1e6,\"reply_time\":{{\"kind\":\"exponential\",{arrival},\
+         \"rate\":10.0,\"delay\":1.0}}}},\"grid\":{grid}}}"
+    )
+}
+
+/// Checks that `line` is refused with `refusal`, decoded alone and as one
+/// error line by id in a session.
+fn assert_refused(s: &mut PipelinedSession, line: &str, refusal: &str) {
+    assert_eq!(
+        parse_request_line(line).unwrap_err().message,
+        refusal,
+        "{line}"
+    );
+    let answer = s.submit_line(line);
+    assert_eq!(answer.len(), 1, "{answer:?}");
+    assert!(
+        answer[0].contains("\"id\":\"s\"") && answer[0].contains(refusal),
+        "{}",
+        answer[0]
+    );
+}
+
+#[test]
+fn counts_that_are_not_whole_numbers_are_refused_as_sent() {
+    let (q, loss) = ("\"q\":0.5", "\"loss\":1e-6");
+    let grid = "{\"n_max\":3,\"r\":[1.0]}";
+    let whole = |what: &str, value: &str| {
+        format!("{what} {value} is not a whole number from 0 to 4294967295")
+    };
+    let mut s = session(2);
+    for (line, refusal) in [
+        (
+            sweep_with("\"hosts\":1000.7", loss, grid),
+            whole("scenario `hosts`", "1000.7"),
+        ),
+        (
+            sweep_with("\"hosts\":-5", loss, grid),
+            whole("scenario `hosts`", "-5.0"),
+        ),
+        (
+            sweep_with("\"hosts\":1e10", loss, grid),
+            whole("scenario `hosts`", "10000000000.0"),
+        ),
+        (
+            sweep_with(q, loss, "{\"n_max\":2.9,\"r\":[1.0]}"),
+            whole("grid `n_max`", "2.9"),
+        ),
+        (
+            sweep_with(q, loss, "{\"n_max\":-1,\"r\":[1.0]}"),
+            whole("grid `n_max`", "-1.0"),
+        ),
+        (
+            sweep_with(q, loss, "{\"n_max\":-1e999,\"r\":[1.0]}"),
+            whole("grid `n_max`", "-inf"),
+        ),
+        (
+            sweep_with(
+                q,
+                loss,
+                "{\"n_max\":3,\"r_min\":0.5,\"r_max\":2.0,\"r_points\":2.5}",
+            ),
+            whole("grid `r_points`", "2.5"),
+        ),
+        (
+            sweep_with(
+                q,
+                loss,
+                "{\"n_max\":3,\"r_min\":0.5,\"r_max\":2.0,\"r_points\":-3}",
+            ),
+            whole("grid `r_points`", "-3.0"),
+        ),
+        (
+            format!(
+                "{{\"id\":\"s\",\"calibrate\":{{\"n\":2.7,\"r\":1.0}},\"scenario\":{{{q},\
+                 \"probe_cost\":2.0,\"error_cost\":1e6,\"reply_time\":{{\"kind\":\"exponential\",\
+                 {loss},\"rate\":10.0,\"delay\":1.0}}}},\"grid\":{grid}}}"
+            ),
+            whole("calibrate `n`", "2.7"),
+        ),
+        (
+            "{\"id\":\"s\",\"calibrate\":{\"of\":\"base\",\"n\":-3,\"r\":1.0}}".to_owned(),
+            whole("calibrate `n`", "-3.0"),
+        ),
+    ] {
+        assert_refused(&mut s, &line, &refusal);
+    }
+    // Over-cap counts keep their caps' refusals, and whole counts decode.
+    assert_refused(
+        &mut s,
+        &sweep_with(q, loss, "{\"n_max\":4096.5,\"r\":[1.0]}"),
+        "grid `n_max` 4096.5 is over the limit of 4096",
+    );
+    let Ok(WireRequest::Sweep { request, .. }) = parse_request_line(&sweep_with(
+        "\"hosts\":1000",
+        loss,
+        "{\"n_max\":3.0,\"r\":[1.0]}",
+    )) else {
+        panic!("whole counts decode");
+    };
+    assert_eq!(request.grid.n_max, 3);
+    assert_eq!(request.scenario.occupancy(), 1000.0 / 65024.0);
+    assert_eq!(s.pending(), 0);
+}
+
+#[test]
+fn optional_members_present_but_not_numbers_are_refused() {
+    let grid = "{\"n_max\":3,\"r\":[1.0]}";
+    let mut s = session(2);
+    for (line, refusal) in [
+        (
+            sweep_with("\"hosts\":\"1000\",\"q\":0.5", "\"loss\":1e-6", grid),
+            "numeric field `hosts` is not a number",
+        ),
+        (
+            sweep_with("\"hosts\":null,\"q\":0.5", "\"loss\":1e-6", grid),
+            "numeric field `hosts` is not a number",
+        ),
+        (
+            sweep_with("\"q\":0.5", "\"loss\":null,\"mass\":0.9", grid),
+            "numeric field `loss` is not a number",
+        ),
+        (
+            sweep_with("\"q\":0.5", "\"loss\":\"1e-6\",\"mass\":0.9", grid),
+            "numeric field `loss` is not a number",
+        ),
+    ] {
+        assert_refused(&mut s, &line, refusal);
+    }
+    assert_eq!(s.pending(), 0);
+}
