@@ -94,6 +94,25 @@ echo "==> perfbench build and tests (its own workspace)"
 # into a CI failure rather than a failed benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench workloads, one short run each"
+# Each workload once for one second, untraced (about 2 s for all three on
+# a 2-vCPU host): the streamed answer path gets the benchmark's oracle
+# (sampled answers bit for bit against an in-process engine), its drain
+# summary and its byte counts on every CI run. The timings are not gated
+# here; the last stdout line must say the run was correct with no failed
+# op.
+for WORKLOAD in landscape-warm param-cold rescore-session; do
+  PERF_OUT="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0)"
+  PERF_LAST="$(tail -n 1 <<<"$PERF_OUT")"
+  if [[ "$PERF_LAST" != *'"correct": true'* ]] || [[ "$PERF_LAST" != *'"failed": 0,'* ]]; then
+    echo "ci: perfbench $WORKLOAD was not correct with 0 failed ops" >&2
+    echo "$PERF_OUT" >&2
+    exit 1
+  fi
+  echo "ci: perfbench $WORKLOAD: $PERF_LAST"
+done
+
 echo "==> concurrency model tests (--cfg zeroconf_loom interleaving explorer)"
 # The vendored loom replacement (crates/serve/src/model_tests.rs):
 # exhaustive schedule enumeration over the FairBudget admission protocol

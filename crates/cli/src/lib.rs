@@ -32,6 +32,7 @@ use zeroconf_cost::optimize::{self, OptimizeConfig};
 use zeroconf_cost::tradeoff::{self, TradeoffConfig};
 use zeroconf_cost::Scenario;
 use zeroconf_dist::DefectiveExponential;
+use zeroconf_engine::wire::WireResponse;
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::SeedableRng;
 use zeroconf_sim::protocol::{self, ProtocolConfig};
@@ -248,7 +249,8 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
     if options.inflight > 1 {
         for line in input.lines() {
             push(session.submit_line(line), &mut out);
-            push(session.poll_responses(), &mut out);
+            let ready = session.poll_responses();
+            push(ready.iter().map(WireResponse::to_line).collect(), &mut out);
         }
         push(session.drain(), &mut out);
     } else {

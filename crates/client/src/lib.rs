@@ -19,12 +19,16 @@
 //! - **Typed answers**: a sweep or rescore answer's `cells` are decoded
 //!   straight into the engine's [`Landscape`] ([`Response::landscape`]),
 //!   in the one pass that parses the rest of the line into a [`Json`]
-//!   tree, so a large answer costs no allocation per cell. A malformed
-//!   answer is a [`ClientError::Protocol`], never a panic.
+//!   tree, so a large answer costs no allocation per cell. The client
+//!   reads into its own buffer and hands each read to the wire's
+//!   [`ResponseDecoder`], so a cell is decoded as soon as its bytes have
+//!   arrived: the daemon writes a large answer in slices, and the client
+//!   decodes one while the next is encoded. A malformed answer is a
+//!   [`ClientError::Protocol`], never a panic.
 //! - **Pipelined waits**: [`Client::wait`] reads response lines until the
-//!   requested id appears, parking any other ids it passes in an
-//!   out-of-order buffer that later waits drain first. [`Client::wait_all`]
-//!   collects a whole batch.
+//!   requested id appears, parking any other answers it passes, in
+//!   arrival order per id, in an out-of-order buffer that later waits
+//!   drain first. [`Client::wait_all`] collects a whole batch.
 //! - **Deadlines**: every read is bounded. The socket runs with a short
 //!   read timeout and the client loops until its per-call deadline
 //!   (default [`DEFAULT_DEADLINE`]) elapses, so a wedged daemon fails a
@@ -36,9 +40,9 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -46,7 +50,8 @@ use std::time::{Duration, Instant};
 
 pub use zeroconf_engine::wire::{parse_json, Json, WIRE_VERSION};
 use zeroconf_engine::wire::{
-    parse_response_line, push_f64, push_json_str, VERB_CALIBRATE, VERB_FRONTIER,
+    parse_response_line, push_f64, push_json_str, ResponseDecoder, WireError, VERB_CALIBRATE,
+    VERB_FRONTIER,
 };
 pub use zeroconf_engine::Landscape;
 
@@ -58,9 +63,9 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 /// re-check its overall deadline between reads.
 const READ_TICK: Duration = Duration::from_millis(50);
 
-/// Read buffer size. A dense sweep answers with one line of ~100 bytes
-/// per cell, so a 16 × 100 landscape (~165 KB) arrives in three reads
-/// instead of the twenty-one an 8 KiB default would take.
+/// Read size. A dense sweep answers with one line of ~100 bytes per cell,
+/// so a 16 × 100 landscape (~165 KB) arrives in three reads instead of
+/// the twenty-one an 8 KiB buffer would take.
 const READ_BUFFER: usize = 64 * 1024;
 
 /// A client-side failure: socket error, undecodable response, elapsed
@@ -341,8 +346,14 @@ impl Response {
     /// cell whose `n` is not its row, a ragged column, a metric missing
     /// from one cell, an unknown key.
     pub fn parse(line: String) -> Result<Response> {
-        let (json, landscape) = parse_response_line(&line)
-            .map_err(|e| ClientError::Protocol(format!("bad response line: {e}")))?;
+        let decoded = parse_response_line(&line);
+        Response::decoded(line, decoded)
+    }
+
+    /// The response of `line` from its decode.
+    fn decoded(line: String, decoded: WireDecode) -> Result<Response> {
+        let (json, landscape) =
+            decoded.map_err(|e| ClientError::Protocol(format!("bad response line: {e}")))?;
         Ok(Response {
             line,
             json,
@@ -410,8 +421,12 @@ impl Response {
     }
 }
 
+/// A response line's decode: the members other than `cells`, and the
+/// cells.
+type WireDecode = std::result::Result<(Json, Option<Landscape>), WireError>;
+
 /// One half-duplex view of the connection (the write side, or the read
-/// side wrapped in a [`BufReader`]).
+/// side).
 enum Stream {
     Tcp(TcpStream),
     Unix(UnixStream),
@@ -468,9 +483,16 @@ impl io::Write for Stream {
 /// A blocking connection to a serve daemon.
 pub struct Client {
     writer: Stream,
-    reader: BufReader<Stream>,
-    /// Responses read past while waiting for a different id, keyed by id.
-    parked: HashMap<String, Response>,
+    reader: Stream,
+    /// Bytes read, `buf[start..end]` not yet handed to `decoder`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The line being received.
+    decoder: ResponseDecoder,
+    /// Responses read past while waiting for a different id: per id, in
+    /// arrival order.
+    parked: HashMap<String, VecDeque<Response>>,
     /// Per-wait deadline.
     deadline: Duration,
 }
@@ -499,10 +521,13 @@ impl Client {
 
     fn from_stream(stream: Stream) -> Result<Client> {
         stream.set_read_timeout(READ_TICK)?;
-        let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
         Ok(Client {
+            reader: stream.try_clone()?,
             writer: stream,
-            reader,
+            buf: vec![0; READ_BUFFER],
+            start: 0,
+            end: 0,
+            decoder: ResponseDecoder::default(),
             parked: HashMap::new(),
             deadline: DEFAULT_DEADLINE,
         })
@@ -648,7 +673,8 @@ impl Client {
     }
 
     /// Waits for the response with `id`, parking any other responses read
-    /// past (later waits find them without touching the socket).
+    /// past (later waits find them without touching the socket). Answers
+    /// to one id, which a client may reuse, come back in arrival order.
     ///
     /// # Errors
     ///
@@ -656,15 +682,24 @@ impl Client {
     /// [`ClientError::Disconnected`] on EOF before the id arrives,
     /// [`ClientError::Protocol`] on an undecodable line.
     pub fn wait(&mut self, id: &str) -> Result<Response> {
-        if let Some(found) = self.parked.remove(id) {
-            return Ok(found);
+        if let Some(parked) = self.parked.get_mut(id) {
+            let found = parked.pop_front();
+            if parked.is_empty() {
+                self.parked.remove(id);
+            }
+            if let Some(found) = found {
+                return Ok(found);
+            }
         }
         let deadline = Instant::now() + self.deadline;
         loop {
             match self.next_response(deadline)? {
                 Some(response) if response.id() == id => return Ok(response),
                 Some(response) => {
-                    self.parked.insert(response.id().to_owned(), response);
+                    self.parked
+                        .entry(response.id().to_owned())
+                        .or_default()
+                        .push_back(response);
                 }
                 None => {
                     return Err(ClientError::Disconnected(format!(
@@ -690,17 +725,20 @@ impl Client {
     }
 
     /// Reads the next response line from the socket (skipping the parked
-    /// buffer), or `Ok(None)` on EOF.
+    /// buffer), or `Ok(None)` on EOF. Its cells are decoded as its bytes
+    /// arrive, so once its last byte is in, only the last read's cells are
+    /// left to decode.
     ///
     /// # Errors
     ///
     /// [`ClientError::Timeout`] if `deadline` passes with no line,
-    /// [`ClientError::Protocol`] if a line fails to decode
-    /// ([`Response::parse`]).
+    /// [`ClientError::Protocol`] if a line fails to decode (as
+    /// [`Response::parse`] would) or is not UTF-8.
     pub fn next_response(&mut self, deadline: Instant) -> Result<Option<Response>> {
-        self.next_line_until(deadline)?
-            .map(Response::parse)
-            .transpose()
+        let Some((line, decoded)) = self.next_line_with(deadline, ResponseDecoder::finish)? else {
+            return Ok(None);
+        };
+        Response::decoded(line, decoded).map(Some)
     }
 
     /// Reads one raw line within the client's default deadline, or
@@ -709,38 +747,50 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Timeout`] if the deadline passes with no line.
+    /// [`ClientError::Timeout`] if the deadline passes with no line,
+    /// [`ClientError::Protocol`] for a line that is not UTF-8.
     pub fn next_line(&mut self) -> Result<Option<String>> {
         let deadline = Instant::now() + self.deadline;
-        self.next_line_until(deadline)
+        self.next_line_with(deadline, ResponseDecoder::into_line)
     }
 
-    fn next_line_until(&mut self, deadline: Instant) -> Result<Option<String>> {
-        // `read_line` appends to `line`; when the socket's read timeout
-        // fires mid-line it returns `WouldBlock` with the partial line
-        // already accumulated, so the buffer must survive retries —
-        // clearing it would silently drop bytes and break the framing.
-        let mut line = String::new();
+    /// Reads until a line has ended and hands `end` its decoder, which has
+    /// decoded every cell it could as the bytes arrived, and the line's
+    /// last text, which the decoder has not seen. At EOF a leftover
+    /// partial line is a truncated frame: it is handed over as it is, and
+    /// its decode will say so.
+    fn next_line_with<T>(
+        &mut self,
+        deadline: Instant,
+        mut end: impl FnMut(ResponseDecoder, &str) -> T,
+    ) -> Result<Option<T>> {
         loop {
-            match self.reader.read_line(&mut line) {
+            if let Some(ended) = self.feed(&mut end)? {
+                return Ok(Some(ended));
+            }
+            if self.start == self.end {
+                (self.start, self.end) = (0, 0);
+            } else if self.end == self.buf.len() {
+                // What is left unfed is at most a split character or an
+                // invalid run waiting for its line's end.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if self.end == self.buf.len() {
+                    self.buf.resize(2 * self.buf.len(), 0);
+                }
+            }
+            match self.reader.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    // EOF. A leftover partial line is a truncated frame:
-                    // hand it to the caller, whose parse will say so.
-                    return if line.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(line))
-                    };
-                }
-                Ok(_) if line.ends_with('\n') => {
-                    while line.ends_with('\n') || line.ends_with('\r') {
-                        line.pop();
+                    if self.start < self.end {
+                        return Err(ClientError::Protocol(
+                            "the connection closed inside a character that is not UTF-8".to_owned(),
+                        ));
                     }
-                    return Ok(Some(line));
+                    let decoder = std::mem::take(&mut self.decoder);
+                    return Ok((!decoder.line().is_empty()).then(|| end(decoder, "")));
                 }
-                // Ok(_) without a newline: EOF cut the line short; the
-                // next read observes Ok(0) and returns the fragment.
-                Ok(_) => {}
+                Ok(n) => self.end += n,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -751,9 +801,50 @@ impl Client {
                         ));
                     }
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
+    }
+
+    /// Hands the decoder the unfed bytes, in whole UTF-8 characters, up
+    /// to the next newline, and once the newline is there (it is
+    /// consumed) ends the line with `end`. The text of a line that ends in
+    /// this read goes to `end`, not through the decoder's `push`, so a
+    /// line that arrives in one read is parsed once. A character split
+    /// across reads waits for its other bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Protocol`] once a line that is not UTF-8 has ended;
+    /// its bytes are dropped, and the next line is read afresh.
+    fn feed<T>(&mut self, end: &mut impl FnMut(ResponseDecoder, &str) -> T) -> Result<Option<T>> {
+        let unfed = &self.buf[self.start..self.end];
+        let (text, invalid) = match std::str::from_utf8(unfed) {
+            Ok(text) => (text, false),
+            Err(e) => (
+                std::str::from_utf8(&unfed[..e.valid_up_to()]).unwrap_or_default(),
+                e.error_len().is_some(),
+            ),
+        };
+        if let Some(newline) = text.find('\n') {
+            let ended = end(std::mem::take(&mut self.decoder), &text[..newline]);
+            self.start += newline + 1;
+            return Ok(Some(ended));
+        }
+        self.decoder.push(text);
+        self.start += text.len();
+        if invalid {
+            let unfed = &self.buf[self.start..self.end];
+            if let Some(newline) = unfed.iter().position(|&byte| byte == b'\n') {
+                self.start += newline + 1;
+                self.decoder = ResponseDecoder::default();
+                return Err(ClientError::Protocol(
+                    "a response line is not UTF-8".to_owned(),
+                ));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -979,41 +1070,136 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("zeroconf-client-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ooo.sock");
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).unwrap();
+        let b = |error: f64| format!("[{{\"n\":1,\"r\":2.0,\"error_probability\":{error:?}}}]");
+        for answers in [
+            // Answers in reverse order, to exercise the parking buffer.
+            vec![("b", b(0.25)), ("a", CELLS.to_owned())],
+            // Two answers for one id ahead of the awaited one: both are
+            // kept, and come back in arrival order.
+            vec![("b", b(0.25)), ("b", b(0.75)), ("a", CELLS.to_owned())],
+        ] {
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path).unwrap();
+            let parked = answers.len() - 1;
+            let server = std::thread::spawn(move || {
+                let (mut peer, _) = listener.accept().unwrap();
+                use std::io::{BufRead, BufReader, Write};
+                let mut lines = BufReader::new(peer.try_clone().unwrap()).lines();
+                let first = lines.next().unwrap().unwrap();
+                let second = lines.next().unwrap().unwrap();
+                assert!(first.contains("\"id\":\"a\""), "{first}");
+                assert!(second.contains("\"id\":\"b\""), "{second}");
+                for (id, cells) in answers {
+                    writeln!(
+                        peer,
+                        "{{\"v\":{WIRE_VERSION},\"id\":\"{id}\",\"cells\":{cells}}}"
+                    )
+                    .unwrap();
+                }
+            });
 
-        let server = std::thread::spawn(move || {
-            let (mut peer, _) = listener.accept().unwrap();
-            use std::io::{BufRead, BufReader, Write};
-            let mut lines = BufReader::new(peer.try_clone().unwrap()).lines();
-            let first = lines.next().unwrap().unwrap();
-            let second = lines.next().unwrap().unwrap();
-            assert!(first.contains("\"id\":\"a\""), "{first}");
-            assert!(second.contains("\"id\":\"b\""), "{second}");
-            // Answer in reverse order to exercise the parking buffer.
-            let b = "[{\"n\":1,\"r\":2.0,\"error_probability\":0.25}]";
-            writeln!(peer, "{{\"v\":{WIRE_VERSION},\"id\":\"b\",\"cells\":{b}}}").unwrap();
-            writeln!(
-                peer,
-                "{{\"v\":{WIRE_VERSION},\"id\":\"a\",\"cells\":{CELLS}}}"
-            )
-            .unwrap();
-        });
-
-        let mut client = Client::connect_unix(&path).unwrap();
-        client.set_deadline(Duration::from_secs(10));
-        client.cancel("a", "x").unwrap();
-        client.cancel("b", "y").unwrap();
-        let a = client.wait("a").unwrap();
-        let b = client.wait("b").unwrap();
-        assert_eq!(a.cell_count(), 4);
-        assert_eq!(a.landscape().unwrap().r_values(), &[0.5, 1e-7]);
-        assert_eq!(b.cell_count(), 1);
-        let b = b.landscape().unwrap();
-        assert_eq!((b.n_max(), b.r_values()), (1, &[2.0][..]));
-        assert_eq!((b.costs(), b.errors()), (None, Some(&[0.25][..])));
-        server.join().unwrap();
+            let mut client = Client::connect_unix(&path).unwrap();
+            client.set_deadline(Duration::from_secs(10));
+            client.cancel("a", "x").unwrap();
+            client.cancel("b", "y").unwrap();
+            let a = client.wait("a").unwrap();
+            assert_eq!(a.cell_count(), 4);
+            assert_eq!(a.landscape().unwrap().r_values(), &[0.5, 1e-7]);
+            for error in [0.25, 0.75].into_iter().take(parked) {
+                let b = client.wait("b").unwrap();
+                assert_eq!(b.cell_count(), 1);
+                let b = b.landscape().unwrap();
+                assert_eq!((b.n_max(), b.r_values()), (1, &[2.0][..]));
+                assert_eq!((b.costs(), b.errors()), (None, Some(&[error][..])));
+            }
+            assert!(client.parked.is_empty());
+            server.join().unwrap();
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A daemon's answers as one byte stream: sweeps of every shape, with
+    /// a 2-byte and a 3-byte character in ids.
+    fn answer_stream() -> (Vec<String>, Vec<u8>) {
+        let lines: Vec<String> = (0..6)
+            .map(|k| {
+                let cells: Vec<String> = (0..40 * (k + 1))
+                    .map(|i| {
+                        let column = i / 4;
+                        format!(
+                            "{{\"n\":{},\"r\":{:?},\"mean_cost\":{:?}}}",
+                            i % 4 + 1,
+                            0.5 + column as f64,
+                            1.0 / (i as f64 + 1.0)
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{{\"v\":{WIRE_VERSION},\"id\":\"é✓{k}\",\"cells\":[{}],\"stats\":{{\"cells\":{}}}}}",
+                    cells.join(","),
+                    cells.len()
+                )
+            })
+            .collect();
+        let stream = lines
+            .iter()
+            .map(|line| format!("{line}\n"))
+            .collect::<String>();
+        (lines, stream.into_bytes())
+    }
+
+    #[test]
+    fn answers_split_anywhere_decode_as_whole_lines() {
+        use std::os::unix::net::UnixStream;
+
+        let (lines, stream) = answer_stream();
+        // Reads that end inside characters, cells and newlines.
+        for chunk in [1, 2, 3, 7, 64, 1000, 4093, stream.len()] {
+            let (ours, mut peer) = UnixStream::pair().unwrap();
+            let mut client = Client::from_stream(Stream::Unix(ours)).unwrap();
+            let bytes = stream.clone();
+            let writer = std::thread::spawn(move || {
+                for piece in bytes.chunks(chunk) {
+                    peer.write_all(piece).unwrap();
+                    peer.flush().unwrap();
+                }
+            });
+            for line in &lines {
+                let response = client
+                    .next_response(Instant::now() + Duration::from_secs(10))
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(&response.line, line, "chunks of {chunk}");
+                let whole = Response::parse(line.clone()).unwrap();
+                assert_eq!(response.json, whole.json);
+                assert_eq!(response.landscape(), whole.landscape());
+            }
+            writer.join().unwrap();
+            assert!(
+                client.next_line().unwrap().is_none(),
+                "EOF after the stream"
+            );
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_protocol_error_and_the_next_is_read() {
+        use std::os::unix::net::UnixStream;
+
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let mut client = Client::from_stream(Stream::Unix(ours)).unwrap();
+        let good = format!("{{\"v\":{WIRE_VERSION},\"id\":\"e\",\"error\":\"no\"}}");
+        peer.write_all(b"{\"id\":\"\xff\xfe\"}\n").unwrap();
+        peer.write_all(good.as_bytes()).unwrap();
+        peer.write_all(b"\n").unwrap();
+        drop(peer);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        assert!(matches!(
+            client.next_response(deadline),
+            Err(ClientError::Protocol(_))
+        ));
+        assert_eq!(client.next_response(deadline).unwrap().unwrap().line, good);
+        assert!(client.next_response(deadline).unwrap().is_none());
     }
 }

@@ -84,7 +84,7 @@ pub use decode::{
     check_version, decode_line, decode_request, line_id, parse_request_line, WireRequest,
     WorkTarget, VERB_CALIBRATE, VERB_FRONTIER, WIRE_VERSION,
 };
-pub use encode::{parse_response_line, WireResponse};
+pub use encode::{parse_response_line, LineCursor, ResponseDecoder, WireResponse};
 pub use float::push_f64;
 pub use json::{parse_json, parse_request_json, push_json_str, Json, WireError};
 pub use session::PipelinedSession;

@@ -1,4 +1,5 @@
 use std::fmt::Write;
+use std::ops::Range;
 
 use super::decode::{VERB_CALIBRATE, VERB_FRONTIER, WIRE_VERSION};
 use super::float::{
@@ -33,26 +34,29 @@ const CELL_R: &str = ",\"r\":";
 const CELL_COST: &str = ",\"mean_cost\":";
 const CELL_ERROR: &str = ",\"error_probability\":";
 
-/// Writes the body of a sweep's `cells` array: one object per cell, in
-/// the landscape's `r`-major order. Each column shares one `r`, so its
-/// text is formatted once and copied into the column's `n_max` cells.
-/// Every number goes through the `float` module's digit writers, so no
-/// cell reaches `core::fmt`.
-fn push_cells(out: &mut String, landscape: &Landscape) {
+/// Writes the cells `cells` of a sweep's `cells` array: one object per
+/// cell, in the landscape's `r`-major order, each after a comma but the
+/// grid's first. Each column shares one `r`, so its text is formatted once
+/// per column (and once more where a range starts mid-column) and copied
+/// into the column's cells. Every number goes through the `float`
+/// module's digit writers, so no cell reaches `core::fmt`.
+fn push_cells(out: &mut String, landscape: &Landscape, cells: Range<usize>) {
     let n_max = landscape.n_max() as usize;
     let costs = landscape.costs();
     let errors = landscape.errors();
     let mut r_text = String::with_capacity(F64_TEXT_MAX);
-    for (column, &r) in landscape.r_values().iter().enumerate() {
+    let mut column_start = cells.start;
+    while column_start < cells.end {
+        let column = column_start / n_max;
         r_text.clear();
-        push_f64(&mut r_text, r);
-        for row in 0..n_max {
-            let index = column * n_max + row;
+        push_f64(&mut r_text, landscape.r_values()[column]);
+        let column_end = cells.end.min((column + 1) * n_max);
+        for index in column_start..column_end {
             if index > 0 {
                 out.push(',');
             }
             out.push_str(CELL_N);
-            push_u64(out, row as u64 + 1);
+            push_u64(out, (index - column * n_max) as u64 + 1);
             out.push_str(CELL_R);
             out.push_str(&r_text);
             if let Some(costs) = costs {
@@ -65,30 +69,83 @@ fn push_cells(out: &mut String, landscape: &Landscape) {
             }
             out.push('}');
         }
+        column_start = column_end;
     }
 }
 
-/// Decodes a `cells` array as [`push_cells`] writes it straight into a
-/// [`Landscape`], with no `Json` value per cell: its inverse, for clients.
-/// [`parse_response_line`] states what it accepts.
-fn decode_cells(text: &str, pos: &mut usize) -> Result<Landscape, WireError> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    if !eat(bytes, pos, "[") {
-        return Err(err(format!("`cells` at byte {} is not an array", *pos)));
+/// A line's `cells` array decoded as far as its text has arrived: the
+/// inverse of [`push_cells`].
+#[derive(Debug)]
+struct CellsDecoder {
+    /// The byte where the member's value starts.
+    start: usize,
+    /// The byte where the next cell starts, once the `[` is read.
+    at: Option<usize>,
+    /// Whether the `]` has been read.
+    ended: bool,
+    r_values: Vec<f64>,
+    costs: Vec<f64>,
+    errors: Vec<f64>,
+    /// The first column's length once it has ended, and this column's
+    /// length so far.
+    n_max: u32,
+    rows: u32,
+    /// Where this column's `r` text lies in the line.
+    r_text: Range<usize>,
+}
+
+impl CellsDecoder {
+    fn new(start: usize) -> CellsDecoder {
+        CellsDecoder {
+            start,
+            at: None,
+            ended: false,
+            r_values: Vec::new(),
+            costs: Vec::new(),
+            errors: Vec::new(),
+            n_max: 0,
+            rows: 0,
+            r_text: 0..0,
+        }
     }
-    let mut r_values = Vec::new();
-    let (mut costs, mut errors) = (Vec::new(), Vec::new());
-    // The first column's length once it has ended, this column's length
-    // so far, and this column's `r` text.
-    let (mut n_max, mut rows, mut r_text) = (0u32, 0u32, "");
-    loop {
+
+    /// Decodes every cell `text` holds from where decoding stands, up to
+    /// the end of the array or the first cell that fails.
+    fn advance(&mut self, text: &str) -> Result<(), WireError> {
+        let bytes = text.as_bytes();
+        let mut pos = match self.at {
+            Some(at) => at,
+            None => {
+                let mut pos = self.start;
+                skip_ws(bytes, &mut pos);
+                if !eat(bytes, &mut pos, "[") {
+                    return Err(err(format!("`cells` at byte {pos} is not an array")));
+                }
+                pos
+            }
+        };
+        self.at = Some(pos);
+        while !self.ended {
+            self.ended = self.cell(text, &mut pos)?;
+            self.at = Some(pos);
+        }
+        Ok(())
+    }
+
+    /// Decodes the cell at `pos` and the `,` or `]` after it, leaving `pos`
+    /// past them, and returns whether that ended the array. A cell that
+    /// fails changes nothing but `pos`: it is committed only once its last
+    /// byte has been read, so a cell cut short by the end of the bytes
+    /// received so far can be decoded again once more have arrived.
+    fn cell(&mut self, text: &str, pos: &mut usize) -> Result<bool, WireError> {
+        let bytes = text.as_bytes();
         let at = *pos;
         if !eat(bytes, pos, CELL_N) {
             return Err(err(format!("expected a cell at byte {at}")));
         }
         let n_at = *pos;
         let n = cell_n(text, pos);
+        let (mut n_max, mut rows) = (self.n_max, self.rows);
         if n == Some(1) && rows > 0 {
             end_column(&mut n_max, rows, at)?;
             rows = 0;
@@ -103,44 +160,69 @@ fn decode_cells(text: &str, pos: &mut usize) -> Result<Landscape, WireError> {
         if !eat(bytes, pos, CELL_R) {
             return Err(err(format!("cell at byte {at} has no `r` after `n`")));
         }
-        if rows == 1 {
+        let r = if rows == 1 {
             let start = *pos;
-            r_values.push(cell_value(text, pos)?);
-            r_text = text.get(start..*pos).unwrap_or_default();
-        } else if !eat_value(bytes, pos, r_text) {
-            return Err(err(format!(
-                "cell at byte {at} has an `r` other than its column's {r_text}"
-            )));
-        }
-        if eat(bytes, pos, CELL_COST) {
-            costs.push(cell_value(text, pos)?);
-        }
-        if eat(bytes, pos, CELL_ERROR) {
-            errors.push(cell_value(text, pos)?);
-        }
+            Some((cell_value(text, pos)?, start..*pos))
+        } else {
+            let r_text = text.get(self.r_text.clone()).unwrap_or_default();
+            if !eat_value(bytes, pos, r_text) {
+                return Err(err(format!(
+                    "cell at byte {at} has an `r` other than its column's {r_text}"
+                )));
+            }
+            None
+        };
+        let cost = if eat(bytes, pos, CELL_COST) {
+            Some(cell_value(text, pos)?)
+        } else {
+            None
+        };
+        let error = if eat(bytes, pos, CELL_ERROR) {
+            Some(cell_value(text, pos)?)
+        } else {
+            None
+        };
         if !eat(bytes, pos, "}") {
             return Err(err(format!(
                 "cell at byte {at} has a member other than n, r, mean_cost, error_probability"
             )));
         }
-        if eat(bytes, pos, "]") {
-            break;
-        }
-        if !eat(bytes, pos, ",") {
+        let last = eat(bytes, pos, "]");
+        if !last && !eat(bytes, pos, ",") {
             return Err(err(format!(
                 "expected `,` or `]` after the cell at byte {at}"
             )));
         }
+        (self.n_max, self.rows) = (n_max, rows);
+        if let Some((r, r_text)) = r {
+            self.r_values.push(r);
+            self.r_text = r_text;
+        }
+        self.costs.extend(cost);
+        self.errors.extend(error);
+        Ok(last)
     }
-    end_column(&mut n_max, rows, *pos)?;
-    if costs.is_empty() && errors.is_empty() {
-        return Err(err("cells carry neither mean_cost nor error_probability"));
-    }
-    // A slab that is neither empty nor as long as the grid is a metric
-    // some cells lack, and `Landscape::new` refuses it.
-    let slab = |values: Vec<f64>| (!values.is_empty()).then_some(values);
-    Landscape::new(n_max, r_values, slab(costs), slab(errors))
+
+    /// Decodes the rest of the array in `text`, the whole line, leaving
+    /// `pos` after it, and builds the landscape.
+    fn finish(mut self, text: &str, pos: &mut usize) -> Result<Landscape, WireError> {
+        self.advance(text)?;
+        *pos = self.at.unwrap_or(self.start);
+        end_column(&mut self.n_max, self.rows, *pos)?;
+        if self.costs.is_empty() && self.errors.is_empty() {
+            return Err(err("cells carry neither mean_cost nor error_probability"));
+        }
+        // A slab that is neither empty nor as long as the grid is a metric
+        // some cells lack, and `Landscape::new` refuses it.
+        let slab = |values: Vec<f64>| (!values.is_empty()).then_some(values);
+        Landscape::new(
+            self.n_max,
+            self.r_values,
+            slab(self.costs),
+            slab(self.errors),
+        )
         .map_err(|_| err("a metric is missing from some cells"))
+    }
 }
 
 /// Ends a column of `rows` cells: the first column sets `n_max`, and every
@@ -158,24 +240,23 @@ fn end_column(n_max: &mut u32, rows: u32, at: usize) -> Result<(), WireError> {
     Ok(())
 }
 
-/// A cell's `n`, leaving `pos` after its number token: a run of at most
-/// nine digits read in place, or else the token as `u32::from_str` reads
-/// it (`+1`, say), `None` when that refuses it.
+/// A cell's `n`, leaving `pos` after its number token: one to nine digits
+/// without a leading zero, read in place, or `None` for any other token
+/// (`+1`, `01`, `1.0`), whose text the caller quotes.
 fn cell_n(text: &str, pos: &mut usize) -> Option<u32> {
+    let bytes = text.as_bytes();
     let start = *pos;
     let mut n = 0;
-    let digits = read_digits(text.as_bytes(), pos, &mut n);
+    let digits = read_digits(bytes, pos, &mut n);
     if (1..=9).contains(&digits)
-        && !text
-            .as_bytes()
-            .get(*pos)
-            .copied()
-            .is_some_and(is_number_byte)
+        && bytes[start] != b'0'
+        && !bytes.get(*pos).copied().is_some_and(is_number_byte)
     {
         return u32::try_from(n).ok();
     }
     *pos = start;
-    number_token(text, pos).parse::<u32>().ok()
+    number_token(text, pos);
+    None
 }
 
 /// One cell value: a number, or `null`, which [`push_f64`] writes for a
@@ -201,15 +282,17 @@ fn eat_value(bytes: &[u8], pos: &mut usize, value: &str) -> bool {
 /// decodes a top-level `cells` member straight into a [`Landscape`]
 /// instead of a `Json` array, with no `Json` value per cell. Every other
 /// member lands in the returned object as [`parse_json`] would build it,
-/// so the object never holds `cells`.
+/// so the object never holds `cells`. It is [`ResponseDecoder`] run on the
+/// whole line at once.
 ///
 /// The cells are read in the layout [`WireResponse::to_line`] writes and
 /// no other: `{"n":…,"r":…}` followed by `mean_cost` and then
 /// `error_probability`, with no whitespace. A column starts where `n`
-/// returns to 1, every `n` must equal its row in the column, and every
-/// column must be as long as the first. A column's `r` is parsed at its
-/// first cell; the other cells' `r` texts must be the same bytes. A
-/// metric must be in every cell or in none, and `null` reads back as NaN.
+/// returns to 1, every `n` must be its row in the column, written as
+/// digits with no leading zero, and every column must be as long as the
+/// first. A column's `r` is parsed at its first cell; the other cells' `r`
+/// texts must be the same bytes. A metric must be in every cell or in
+/// none, and `null` reads back as NaN.
 ///
 /// # Errors
 ///
@@ -217,6 +300,15 @@ fn eat_value(bytes: &[u8], pos: &mut usize, value: &str) -> bool {
 /// is not an object, for a second `cells` member, and for `cells` that are
 /// not a landscape as [`WireResponse::to_line`] writes one.
 pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), WireError> {
+    decode_response(line, None)
+}
+
+/// Decodes the whole `line`, resuming its `cells` from `started` when
+/// that decoder was run on a prefix of it.
+fn decode_response(
+    line: &str,
+    mut started: Option<CellsDecoder>,
+) -> Result<(Json, Option<Landscape>), WireError> {
     let bytes = line.as_bytes();
     let mut pos = 0;
     skip_ws(bytes, &mut pos);
@@ -236,7 +328,11 @@ pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), Wire
             if landscape.is_some() {
                 return Err(err("a response line has one `cells` member"));
             }
-            landscape = Some(decode_cells(text, pos)?);
+            let cells = match started.take() {
+                Some(cells) if cells.start == *pos => cells,
+                _ => CellsDecoder::new(*pos),
+            };
+            landscape = Some(cells.finish(text, pos)?);
             Ok(true)
         },
     )?;
@@ -245,6 +341,101 @@ pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), Wire
         return Err(err(format!("trailing input at byte {pos}")));
     }
     Ok((head, landscape))
+}
+
+/// The byte where the top-level `cells` member's value starts, if the
+/// object's members up to it are all in `text` (a prefix of a line).
+fn find_cells(text: &str) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        return None;
+    }
+    let mut found = None;
+    // The hook stops the parse at `cells`; its error only ends the walk.
+    let _ = parse_object(
+        text,
+        &mut pos,
+        1,
+        &mut None,
+        &mut |key: &str, _: &str, pos: &mut usize| {
+            if key != "cells" {
+                return Ok(false);
+            }
+            found = Some(*pos);
+            Err(err("found"))
+        },
+    );
+    found
+}
+
+/// Decodes one response line as its text arrives, so a large answer is
+/// decoded while the rest of it is still on its way: each cell is decoded
+/// as soon as its last byte has been pushed. [`parse_response_line`] is
+/// this decoder run on a whole line; [`ResponseDecoder::finish`] gives its
+/// result for the same line, error texts included.
+///
+/// Pushed text is kept as the line. The head is parsed up to `cells` once
+/// it has arrived, and then every complete cell is decoded; whatever is
+/// left, the head's other members included, is decoded by `finish`. A
+/// failure before the line has ended is not reported: the text may be cut
+/// short, and `finish` decodes that cell again on the whole line.
+#[derive(Debug, Default)]
+pub struct ResponseDecoder {
+    line: String,
+    cells: Option<CellsDecoder>,
+    /// The line length at which to look for `cells` again: doubled at each
+    /// miss, so a long line without `cells` is parsed a bounded number of
+    /// times before it ends.
+    find_at: usize,
+}
+
+impl ResponseDecoder {
+    /// Appends `text` to the line and decodes every cell it completes.
+    pub fn push(&mut self, text: &str) {
+        self.line.push_str(text);
+        if self.cells.is_none() {
+            if self.line.len() < self.find_at {
+                return;
+            }
+            match find_cells(&self.line) {
+                Some(start) => self.cells = Some(CellsDecoder::new(start)),
+                None => {
+                    self.find_at = 2 * self.line.len();
+                    return;
+                }
+            }
+        }
+        if let Some(cells) = &mut self.cells {
+            // A cell cut short by the end of the text so far fails here
+            // and is decoded again when more arrives.
+            let _ = cells.advance(&self.line);
+        }
+    }
+
+    /// The line pushed so far.
+    #[must_use]
+    pub fn line(&self) -> &str {
+        &self.line
+    }
+
+    /// Ends the line with `rest`, its last text: the whole line and its
+    /// decode, which is [`parse_response_line`]'s, a [`WireError`]
+    /// included. `rest` is not looked at before the line is whole, so a
+    /// line that arrives in one piece is parsed once.
+    pub fn finish(mut self, rest: &str) -> (String, Result<(Json, Option<Landscape>), WireError>) {
+        self.line.push_str(rest);
+        let decoded = decode_response(&self.line, self.cells);
+        (self.line, decoded)
+    }
+
+    /// Ends the line with `rest`, its last text, without decoding it.
+    #[must_use]
+    pub fn into_line(mut self, rest: &str) -> String {
+        self.line.push_str(rest);
+        self.line
+    }
 }
 
 /// An upper bound on [`push_cells`]' text per cell of `landscape`.
@@ -351,47 +542,58 @@ impl WireResponse {
         }
     }
 
-    /// Serializes this response as one JSON line (no trailing newline).
-    /// The single writer of the response wire format.
+    /// Serializes this response as one JSON line (no trailing newline):
+    /// [`WireResponse::write_slice`] run to the end of the line in one
+    /// slice, so a line written whole and one written in slices are the
+    /// same bytes. The single writer of the response wire format.
     ///
-    /// One pass writes every field straight into one `String`. A sweep's
-    /// line is sized up front to an upper bound of the line plus the
-    /// newline a transport appends, so it never regrows and can become a
-    /// socket write chunk as it is. Floats are written by [`push_f64`]:
+    /// A sweep's line is sized up front to an upper bound of the line plus
+    /// the newline a transport appends, so it never regrows and can become
+    /// a socket write chunk as it is. Floats are written by [`push_f64`]:
     /// Ryū's shortest round-trip digits in the bytes of `{:?}`, and
     /// infinities and NaN as `null`. A sweep's cells, the bulk of any
     /// large line, are written with no `core::fmt` call.
     #[must_use]
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(self.line_capacity());
-        if let WireResponse::Stats { .. } = self {
-            let _ = write!(out, "{{\"v\":{WIRE_VERSION}");
-        } else {
-            let _ = write!(out, "{{\"v\":{WIRE_VERSION},\"id\":");
-        }
-        match self {
-            WireResponse::Sweep { id, response } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"cells\":[");
-                push_cells(&mut out, &response.landscape);
-                out.push_str("],");
-                push_stats(&mut out, &response.stats);
+        self.write_slice(&mut LineCursor::default(), &mut out, usize::MAX);
+        out
+    }
+
+    /// Appends the next slice of this response's line to `out`, from where
+    /// `cursor` stands, moves `cursor` past it and returns whether the line
+    /// is complete.
+    ///
+    /// A slice grows `out` by at most `budget` bytes. A sweep's line is
+    /// written in pieces: its head (through `"cells":[`), each cell and its
+    /// tail (`]` and the stats member), and the slice stops before the
+    /// first piece whose upper bound no longer fits; every other line is
+    /// one piece. A slice holds at least one piece, so the line always
+    /// moves on, also when that piece alone is over `budget` (a head with
+    /// a long id). A cursor at the end of the line writes nothing.
+    pub fn write_slice(&self, cursor: &mut LineCursor, out: &mut String, budget: usize) -> bool {
+        let done = match (self, cursor.0) {
+            (_, Stage::Done) => true,
+            (WireResponse::Sweep { id, response }, _) => {
+                write_sweep_slice(id, response, &mut cursor.0, out, budget)
             }
-            WireResponse::Calibrate { id, response } => {
-                push_json_str(&mut out, id);
+            (WireResponse::Calibrate { id, response }, _) => {
+                push_open(out, Some(id));
                 let _ = write!(out, ",\"{VERB_CALIBRATE}\":{{\"error_cost\":");
-                push_f64(&mut out, response.error_cost);
+                push_f64(out, response.error_cost);
                 let _ = write!(out, ",\"n\":{},\"r\":", response.n);
-                push_f64(&mut out, response.r);
+                push_f64(out, response.r);
                 out.push_str(",\"mean_cost\":");
-                push_f64(&mut out, response.cost);
+                push_f64(out, response.cost);
                 out.push_str(",\"error_probability\":");
-                push_f64(&mut out, response.error_probability);
+                push_f64(out, response.error_probability);
                 out.push_str("},");
-                push_stats(&mut out, &response.stats);
+                push_stats(out, &response.stats);
+                out.push('}');
+                true
             }
-            WireResponse::Frontier { id, response } => {
-                push_json_str(&mut out, id);
+            (WireResponse::Frontier { id, response }, _) => {
+                push_open(out, Some(id));
                 let _ = write!(
                     out,
                     ",\"{VERB_FRONTIER}\":{{\"candidates\":{},\"points\":[",
@@ -399,35 +601,45 @@ impl WireResponse {
                 );
                 for (i, p) in response.points.iter().enumerate() {
                     out.push_str(if i > 0 { ",{\"x\":" } else { "{\"x\":" });
-                    push_f64(&mut out, p.x);
+                    push_f64(out, p.x);
                     out.push_str(",\"y\":");
-                    push_f64(&mut out, p.y);
+                    push_f64(out, p.y);
                     let _ = write!(out, ",\"n\":{},\"r\":", p.n);
-                    push_f64(&mut out, p.r);
+                    push_f64(out, p.r);
                     out.push_str(",\"mean_cost\":");
-                    push_f64(&mut out, p.cost);
+                    push_f64(out, p.cost);
                     out.push_str(",\"error_probability\":");
-                    push_f64(&mut out, p.error_probability);
+                    push_f64(out, p.error_probability);
                     out.push('}');
                 }
                 out.push_str("]},");
-                push_stats(&mut out, &response.stats);
+                push_stats(out, &response.stats);
+                out.push('}');
+                true
             }
-            WireResponse::Cancelled { id, of } => {
-                push_json_str(&mut out, id);
+            (WireResponse::Cancelled { id, of }, _) => {
+                push_open(out, Some(id));
                 out.push_str(",\"cancelled\":");
-                push_json_str(&mut out, of);
+                push_json_str(out, of);
+                out.push('}');
+                true
             }
-            WireResponse::Error { id, message } => {
-                push_json_str(&mut out, id);
+            (WireResponse::Error { id, message }, _) => {
+                push_open(out, Some(id));
                 out.push_str(",\"error\":");
-                push_json_str(&mut out, message);
+                push_json_str(out, message);
+                out.push('}');
+                true
             }
-            WireResponse::Stats {
-                engine: s,
-                pipeline: p,
-                depth,
-            } => {
+            (
+                WireResponse::Stats {
+                    engine: s,
+                    pipeline: p,
+                    depth,
+                },
+                _,
+            ) => {
+                push_open(out, None);
                 let _ = write!(
                     out,
                     ",\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cache_evictions\":{},\"cells_per_worker\":[",
@@ -449,7 +661,7 @@ impl WireResponse {
                     out,
                     "],\"wall_ns\":{},\"kernel_backend\":\"{}\",\"dist_backend\":\"{}\",\
                      \"pipeline\":{{\"depth\":{},\"submitted\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
-                     \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}",
+                     \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}}}",
                     s.wall_nanos,
                     s.kernel_backend,
                     s.dist_backend,
@@ -463,26 +675,115 @@ impl WireResponse {
                     p.service_nanos_total,
                     p.service_nanos_max,
                 );
+                true
             }
+        };
+        if done {
+            cursor.0 = Stage::Done;
         }
-        out.push('}');
-        out
+        done
     }
 
-    /// The capacity [`WireResponse::to_line`] starts from. Only a sweep's
-    /// line is large enough for a regrow to cost anything, so only it is
-    /// sized from its contents: an upper bound per cell, plus the id
-    /// (escaping grows it at most sixfold, `\u001f`) and [`SHORT_LINE`]
-    /// for the rest. Every other line starts at [`SHORT_LINE`].
-    fn line_capacity(&self) -> usize {
-        match self {
-            WireResponse::Sweep { id, response } => {
-                let landscape = &response.landscape;
-                landscape.len() * cell_text_max(landscape) + 6 * id.len() + SHORT_LINE
-            }
-            _ => SHORT_LINE,
-        }
+    /// An upper bound on the bytes of this response's line not yet written
+    /// at `cursor`, and the newline a transport appends: `Some` for a
+    /// sweep's line, the one line large enough to write in slices, and
+    /// `None` for every other line. A sweep's bound is the one
+    /// [`WireResponse::to_line`] sizes its line from: an upper bound per
+    /// cell, six bytes per byte of the id (escaping grows it at most
+    /// sixfold, `\u001f`) and [`SHORT_LINE`] for the rest.
+    #[must_use]
+    pub fn unwritten_bound(&self, cursor: &LineCursor) -> Option<usize> {
+        let WireResponse::Sweep { id, response } = self else {
+            return None;
+        };
+        let landscape = &response.landscape;
+        let (cells, head) = match cursor.0 {
+            Stage::Start => (landscape.len(), 6 * id.len()),
+            Stage::Cells(next) => (landscape.len() - next, 0),
+            Stage::Done => return Some(0),
+        };
+        Some(cells * cell_text_max(landscape) + head + SHORT_LINE)
     }
+
+    /// The capacity [`WireResponse::to_line`] starts from: a sweep's
+    /// [`WireResponse::unwritten_bound`] from the start of its line, and
+    /// [`SHORT_LINE`] for every other line. Only a sweep's line is large
+    /// enough for a regrow to cost anything.
+    fn line_capacity(&self) -> usize {
+        self.unwritten_bound(&LineCursor::default())
+            .unwrap_or(SHORT_LINE)
+    }
+}
+
+/// Where [`WireResponse::write_slice`] stands in a response's line. A
+/// fresh cursor stands at the start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCursor(Stage);
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Stage {
+    /// Nothing written.
+    #[default]
+    Start,
+    /// A sweep's head and this many of its cells are written.
+    Cells(usize),
+    /// The whole line is written.
+    Done,
+}
+
+/// Writes `{"v":…`, and `,"id":…` when the line has an id.
+fn push_open(out: &mut String, id: Option<&str>) {
+    let _ = write!(out, "{{\"v\":{WIRE_VERSION}");
+    if let Some(id) = id {
+        out.push_str(",\"id\":");
+        push_json_str(out, id);
+    }
+}
+
+/// One slice of a sweep's line (see [`WireResponse::write_slice`]): cells
+/// go in runs of as many as their upper bound lets fit in the room left,
+/// so a slice checks its budget once per run, not once per cell.
+fn write_sweep_slice(
+    id: &str,
+    response: &SweepResponse,
+    stage: &mut Stage,
+    out: &mut String,
+    budget: usize,
+) -> bool {
+    let start = out.len();
+    let room = |out: &String| budget.saturating_sub(out.len() - start);
+    let landscape = &response.landscape;
+    let mut next = match *stage {
+        Stage::Start => {
+            push_open(out, Some(id));
+            out.push_str(",\"cells\":[");
+            0
+        }
+        Stage::Cells(next) => next,
+        Stage::Done => return true,
+    };
+    let cell_max = cell_text_max(landscape);
+    while next < landscape.len() {
+        let fit = match room(out) / cell_max {
+            0 if out.len() == start => 1,
+            fit => fit,
+        };
+        if fit == 0 {
+            *stage = Stage::Cells(next);
+            return false;
+        }
+        let end = landscape.len().min(next.saturating_add(fit));
+        push_cells(out, landscape, next..end);
+        next = end;
+    }
+    if room(out) < SHORT_LINE && out.len() > start {
+        *stage = Stage::Cells(next);
+        return false;
+    }
+    out.push_str("],");
+    push_stats(out, &response.stats);
+    out.push('}');
+    true
 }
 
 /// Room for a sweep line's head, stats member and newline (under 240
@@ -501,6 +802,8 @@ pub(super) fn invalid(what: impl Into<String>) -> EngineError {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use zeroconf_rng::{rngs::StdRng, RngCore, SeedableRng};
+
     use super::*;
     use crate::wire::parse_json;
     use crate::FrontierPoint;
@@ -859,6 +1162,178 @@ pub(crate) mod tests {
                 Err(err(reason)),
                 "{line}"
             );
+        }
+    }
+
+    /// Writes `response` in slices of at most `budget` bytes and returns
+    /// them, checking that each moves the line on, keeps to `budget`
+    /// unless it is one piece over it, and stays under the bound of what
+    /// was left to write; for a sweep, that a slice ends early only where
+    /// one more cell or the tail might not fit.
+    fn slices(response: &WireResponse, budget: usize) -> Vec<String> {
+        let (largest_piece, cell_max) = match response {
+            WireResponse::Sweep { id, response } => {
+                let cell_max = cell_text_max(&response.landscape);
+                (SHORT_LINE + 6 * id.len() + cell_max, cell_max)
+            }
+            other => (other.to_line().len(), 0),
+        };
+        let mut cursor = LineCursor::default();
+        let mut slices = Vec::new();
+        loop {
+            let bound = response.unwritten_bound(&cursor);
+            let mut slice = String::new();
+            let done = response.write_slice(&mut cursor, &mut slice, budget);
+            assert!(!slice.is_empty(), "a slice moves the line on");
+            assert!(slice.len() <= budget.max(largest_piece), "{}", slice.len());
+            assert!(bound.is_none_or(|bound| slice.len() < bound));
+            if !done && budget >= largest_piece {
+                assert!(slice.len() + cell_max.max(SHORT_LINE) > budget);
+            }
+            slices.push(slice);
+            if done {
+                break;
+            }
+        }
+        assert_eq!(response.unwritten_bound(&cursor).unwrap_or(0), 0);
+        let mut at_end = String::new();
+        assert!(response.write_slice(&mut cursor, &mut at_end, budget));
+        assert!(at_end.is_empty(), "a finished line writes nothing");
+        slices
+    }
+
+    #[test]
+    fn every_slice_budget_writes_the_bytes_of_to_line() {
+        for response in golden_fixtures() {
+            let line = response.to_line();
+            assert_eq!(slices(&response, usize::MAX), std::slice::from_ref(&line));
+            for budget in 1..=line.len() + 1 {
+                assert_eq!(slices(&response, budget).concat(), line, "budget {budget}");
+            }
+        }
+        // Answers the size of `landscape-warm`'s, at the daemon's slice size.
+        let mut rng = StdRng::seed_from_u64(27);
+        for case in 0..8 {
+            let response = random_sweep(&mut rng, &format!("w{case}"));
+            let pieces = slices(&response, 64 * 1024);
+            assert!(pieces.len() > 1);
+            assert_eq!(pieces.concat(), response.to_line());
+        }
+    }
+
+    /// A seeded `landscape-warm`-sized answer: 16 × 100 cells of random
+    /// bits (some not finite), one metric or both.
+    fn random_sweep(rng: &mut StdRng, id: &str) -> WireResponse {
+        let metrics = rng.next_u64() % 3;
+        let wall_nanos = u128::from(rng.next_u64());
+        let mut value = || match rng.next_u64() % 16 {
+            0 => f64::INFINITY,
+            1 => f64::NAN,
+            _ => f64::from_bits(rng.next_u64()),
+        };
+        let r_values: Vec<f64> = (0..100).map(|_| value()).collect();
+        let mut slab = || Some((0..1600).map(|_| value()).collect::<Vec<f64>>());
+        let (costs, errors) = match metrics {
+            0 => (slab(), None),
+            1 => (None, slab()),
+            _ => (slab(), slab()),
+        };
+        WireResponse::Sweep {
+            id: id.to_owned(),
+            response: SweepResponse {
+                landscape: Landscape::new(16, r_values, costs, errors).unwrap(),
+                stats: golden_stats(wall_nanos),
+            },
+        }
+    }
+
+    /// Decodes `line` pushed as its text up to each char boundary and then
+    /// the rest, expecting [`parse_response_line`]'s result every time.
+    fn assert_every_split_decodes_as_whole(line: &str) {
+        let whole = decoded(parse_response_line(line));
+        for split in (0..=line.len()).filter(|&k| line.is_char_boundary(k)) {
+            let mut decoder = ResponseDecoder::default();
+            decoder.push(&line[..split]);
+            let (text, result) = decoder.finish(&line[split..]);
+            assert_eq!(text, line);
+            assert_eq!(decoded(result), whole, "split at {split}: {line}");
+        }
+    }
+
+    /// A decode's head, and its landscape's `n_max` and values as bits.
+    type Bits = Result<(Json, Option<Vec<Vec<u64>>>), WireError>;
+
+    /// A decode in a comparable form: the head, and every landscape value
+    /// as bits.
+    fn decoded(result: Result<(Json, Option<Landscape>), WireError>) -> Bits {
+        result.map(|(head, landscape)| {
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+            let landscape = landscape.map(|l| {
+                vec![
+                    vec![u64::from(l.n_max())],
+                    bits(l.r_values()),
+                    l.costs().map_or_else(Vec::new, bits),
+                    l.errors().map_or_else(Vec::new, bits),
+                ]
+            });
+            (head, landscape)
+        })
+    }
+
+    #[test]
+    fn every_split_of_a_line_decodes_as_the_whole_line() {
+        for golden in GOLDEN_LINES {
+            assert_every_split_decodes_as_whole(golden);
+        }
+        for (cells, _) in MALFORMED_CELLS {
+            assert_every_split_decodes_as_whole(&format!(
+                "{{\"v\":1,\"id\":\"s\",\"cells\":{cells}}}"
+            ));
+        }
+        for line in [
+            "[1]",
+            r#"{"cells":[{"n":1,"r":1.0,"mean_cost":1.0}],"cells":[{"n":1,"r":1.0,"mean_cost":1.0}]}"#,
+            r#"{"cells":[{"n":1,"r":1.0,"mean_cost":1.0}]} x"#,
+            r#"{"cells":[{"n":+1,"r":1.0,"mean_cost":1.0}]}"#,
+            r#" {"v":1 , "cells" : [{"n":1,"r":2.5,"mean_cost":1.0},{"n":2,"r":2.5,"mean_cost":1.25}] }"#,
+        ] {
+            assert_every_split_decodes_as_whole(line);
+        }
+    }
+
+    #[test]
+    fn answers_in_random_chunks_decode_as_whole_lines() {
+        let mut rng = StdRng::seed_from_u64(27_027);
+        for _ in 0..4 {
+            let lines: Vec<String> = (0..4)
+                .map(|k| random_sweep(&mut rng, &format!("a{k}")).to_line())
+                .chain(GOLDEN_LINES.iter().map(|line| (*line).to_owned()))
+                .collect();
+            let stream: String = lines.iter().map(|line| format!("{line}\n")).collect();
+            // Frame the stream as a client does: push each chunk up to a
+            // newline, finish the line there, and start the next.
+            let mut decoder = ResponseDecoder::default();
+            let mut got = Vec::new();
+            let mut at = 0;
+            while at < stream.len() {
+                let mut end = (at + 1 + (rng.next_u64() % 70_000) as usize).min(stream.len());
+                while !stream.is_char_boundary(end) {
+                    end += 1;
+                }
+                let mut chunk = &stream[at..end];
+                while let Some(newline) = chunk.find('\n') {
+                    got.push(std::mem::take(&mut decoder).finish(&chunk[..newline]));
+                    chunk = &chunk[newline + 1..];
+                }
+                decoder.push(chunk);
+                at = end;
+            }
+            assert!(decoder.line().is_empty());
+            assert_eq!(got.len(), lines.len());
+            for ((text, result), line) in got.into_iter().zip(&lines) {
+                assert_eq!(&text, line);
+                assert_eq!(decoded(result), decoded(parse_response_line(line)));
+            }
         }
     }
 

@@ -34,13 +34,15 @@
 //! values of every layout rule. The power-of-five tables are committed,
 //! and a test regenerates every entry with a test-only bigint.
 //!
-//! The reader ([`read_f64`]) takes the token `str::parse::<f64>` would be
-//! handed and gives its bits: Clinger's exact path where it applies,
+//! The reader ([`read_f64`]) takes a JSON number token and gives the bits
+//! `str::parse::<f64>` gives it: Clinger's exact path where it applies,
 //! Eisel–Lemire (Lemire, "Number Parsing at a Gigabyte per Second", 2021)
 //! over a third committed table for the rest of the fast grammar, and
-//! `str::parse` itself for every other token. `str::parse` is its test
-//! oracle: the writer's random floats are read back through both, and a
-//! seeded differential test feeds both every kind of token.
+//! `str::parse` itself for the JSON numbers outside it. A token outside
+//! the JSON number grammar is refused. `str::parse`, gated by that
+//! grammar, is its test oracle: the writer's random floats are read back
+//! through both, and a seeded differential test feeds both every kind of
+//! token.
 
 use std::str;
 
@@ -355,22 +357,23 @@ const EXACT_POWERS_OF_TEN: [f64; 23] = [
 
 /// Reads the JSON number at `pos` and leaves `pos` after it: the run of
 /// number characters that [`number_token`] takes, valued as
-/// `str::parse::<f64>` values it. The protocol's one number reader:
+/// `str::parse::<f64>` values it when it is a JSON number (RFC 8259:
+/// `-?(0|[1-9]d*)(.d+)?([eE][+-]?d+)?`). The protocol's one number reader:
 /// request lines, `parse_json` and response lines all go through it.
 ///
-/// A token in the fast grammar `-?d+(.d+)?([eE][+-]?d+)?` with at most 19
-/// significant digits is valued in the one pass that finds its end:
-/// Clinger's exact path when its digits are at most 2^53 and its exponent
-/// within ±22, Eisel–Lemire otherwise. Every other token goes to
-/// `str::parse::<f64>` (a leading `+` or `.`, a trailing `.`, a lone `-`,
-/// `1e`, `1-2`, more than 19 significant digits), and so does the rare
-/// product Eisel–Lemire cannot round, so every accepted value, refusal and
-/// error text is std's.
+/// A token in the fast grammar, JSON's with at most 19 significant
+/// digits, is valued in the one pass that finds its end: Clinger's exact
+/// path when its digits are at most 2^53 and its exponent within ±22,
+/// Eisel–Lemire otherwise. A JSON number past 19 significant digits goes
+/// to `str::parse::<f64>`, and so does the rare product Eisel–Lemire
+/// cannot round, so every accepted value is std's. Every other token is
+/// refused, also where `str::parse` would read it: a leading `+` or `.`,
+/// a trailing `.`, a leading zero (`007`), a lone `-`, `1e`, `1-2`.
 ///
 /// # Errors
 ///
-/// ``invalid number `…` at byte …`` for a token `str::parse::<f64>`
-/// refuses.
+/// ``invalid number `…` at byte …`` for a token that is not a JSON
+/// number.
 pub(super) fn read_f64(text: &str, pos: &mut usize) -> Result<f64, WireError> {
     let start = *pos;
     if let Some(x) = read_fast(text.as_bytes(), pos) {
@@ -378,9 +381,43 @@ pub(super) fn read_f64(text: &str, pos: &mut usize) -> Result<f64, WireError> {
     }
     *pos = start;
     let token = number_token(text, pos);
-    token
-        .parse::<f64>()
-        .map_err(|_| err(format!("invalid number `{token}` at byte {start}")))
+    match token.parse::<f64>() {
+        Ok(x) if is_json_number(token.as_bytes()) => Ok(x),
+        _ => Err(err(format!("invalid number `{token}` at byte {start}"))),
+    }
+}
+
+/// Whether `token` is a number in JSON's grammar: an optional `-`, an
+/// integer part that is `0` or starts with a nonzero digit, an optional
+/// fraction of at least one digit, and an optional exponent of at least
+/// one digit after `e` or `E` and an optional sign.
+fn is_json_number(token: &[u8]) -> bool {
+    let digits = |at: &mut usize| {
+        let start = *at;
+        while token.get(*at).is_some_and(u8::is_ascii_digit) {
+            *at += 1;
+        }
+        *at - start
+    };
+    let mut at = usize::from(token.first() == Some(&b'-'));
+    let integer = digits(&mut at);
+    if integer == 0 || (integer > 1 && token[at - integer] == b'0') {
+        return false;
+    }
+    if token.get(at) == Some(&b'.') {
+        at += 1;
+        if digits(&mut at) == 0 {
+            return false;
+        }
+    }
+    if matches!(token.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        at += usize::from(matches!(token.get(at), Some(b'+' | b'-')));
+        if digits(&mut at) == 0 {
+            return false;
+        }
+    }
+    at == token.len()
 }
 
 /// Consumes the run of number characters at `pos`.
@@ -452,8 +489,8 @@ fn eight_digits(chunk: u64) -> Option<u64> {
 
 /// The fast path of [`read_f64`]: the value of the token at `pos`, with
 /// `pos` left after it, or `None` (and `pos` anywhere) for a token outside
-/// the fast grammar or past 19 significant digits, or one Eisel–Lemire
-/// cannot round.
+/// the fast grammar (JSON's) or past 19 significant digits, or one
+/// Eisel–Lemire cannot round.
 fn read_fast(bytes: &[u8], pos: &mut usize) -> Option<f64> {
     let negative = bytes.get(*pos) == Some(&b'-');
     let digits_start = *pos + usize::from(negative);
@@ -461,7 +498,8 @@ fn read_fast(bytes: &[u8], pos: &mut usize) -> Option<f64> {
     // The value is w · 10^exponent, w every digit read as one integer.
     let mut w = 0;
     let mut digits = read_digits(bytes, &mut at, &mut w);
-    if digits == 0 {
+    // JSON spells no integer part with a leading zero but `0` itself.
+    if digits == 0 || (digits > 1 && bytes[digits_start] == b'0') {
         return None;
     }
     let mut exponent = 0;
@@ -2255,17 +2293,49 @@ mod tests {
         }
     }
 
+    /// Whether `token` is a JSON number (RFC 8259, section 6), spelled out
+    /// apart from the reader's own check: `-? int frac? exp?`.
+    fn json_grammar(token: &str) -> bool {
+        fn digits(text: &str) -> (&str, &str) {
+            text.split_at(
+                text.find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(text.len()),
+            )
+        }
+        let (int, rest) = digits(token.strip_prefix('-').unwrap_or(token));
+        if int.is_empty() || (int.len() > 1 && int.starts_with('0')) {
+            return false;
+        }
+        let rest = match rest.strip_prefix('.') {
+            Some(fraction) => match digits(fraction) {
+                ("", _) => return false,
+                (_, rest) => rest,
+            },
+            None => rest,
+        };
+        match rest.strip_prefix(['e', 'E']) {
+            Some(exponent) => {
+                let (power, rest) = digits(exponent.strip_prefix(['+', '-']).unwrap_or(exponent));
+                !power.is_empty() && rest.is_empty()
+            }
+            None => rest.is_empty(),
+        }
+    }
+
     /// Checks [`read_f64`] on the number token at byte 1 of `text` against
-    /// [`number_token`] and `str::parse::<f64>`: the same token consumed,
-    /// and the same bits or the same refusal.
+    /// [`number_token`] and `str::parse::<f64>` gated by [`json_grammar`]:
+    /// the same token consumed, and std's bits for a JSON number or the
+    /// refusal for any other token.
     fn assert_reads_as_std(text: &str) {
         let (mut pos, mut end) = (1, 1);
         let token = number_token(text, &mut end);
         let read = read_f64(text, &mut pos);
         assert_eq!(pos, end, "{text:?}");
         match token.parse::<f64>() {
-            Ok(x) => assert_eq!(read.map(f64::to_bits), Ok(x.to_bits()), "{text:?}"),
-            Err(_) => assert_eq!(
+            Ok(x) if json_grammar(token) => {
+                assert_eq!(read.map(f64::to_bits), Ok(x.to_bits()), "{text:?}");
+            }
+            _ => assert_eq!(
                 read,
                 Err(err(format!("invalid number `{token}` at byte 1"))),
                 "{text:?}"
@@ -2441,16 +2511,31 @@ mod tests {
             // More than 19 significant digits.
             ("12345678901234567890", false),
             ("0.000000000000000000001234567890123456789", true),
-            // Outside the fast grammar: std reads some and refuses others.
+            // JSON numbers with a zero integer part.
+            ("0", true),
+            ("-0", true),
+            ("0.5e-3", true),
+            ("0E+2", true),
+            // Not JSON numbers: std reads some, and the reader refuses all.
             ("+1", false),
+            ("+2.5", false),
             (".5", false),
             ("1.", false),
+            ("007", false),
+            ("-01.5", false),
+            ("00", false),
             ("-", false),
             ("1e", false),
             ("1-2", false),
         ] {
             assert_eq!(read_fast(text.as_bytes(), &mut 0).is_some(), fast, "{text}");
             assert_reads_as_std(&format!("[{text}"));
+        }
+        for refused in ["+2.5", ".5", "1.", "007"] {
+            assert_eq!(
+                read_f64(refused, &mut 0),
+                Err(err(format!("invalid number `{refused}` at byte 0")))
+            );
         }
     }
 }

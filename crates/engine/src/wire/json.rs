@@ -344,16 +344,25 @@ mod tests {
     }
 
     /// Inputs and the `{:?}` of what `parse_json` made of them when it
-    /// decoded bytes and rechecked UTF-8 for every string run.
+    /// decoded bytes and rechecked UTF-8 for every string run. The rows
+    /// for `007`, `+1` and the array holding `007` recorded `str::parse`
+    /// reading them; the reader now refuses every token outside JSON's
+    /// number grammar, and they record that refusal.
     const DECODER_PARITY: [(&str, &str); 31] = [
         (r#"0"#, r#"Ok(Num(0.0))"#),
         (r#"7"#, r#"Ok(Num(7.0))"#),
-        (r#"007"#, r#"Ok(Num(7.0))"#),
+        (
+            r#"007"#,
+            r#"Err(WireError { message: "invalid number `007` at byte 0" })"#,
+        ),
         (r#"-0"#, r#"Ok(Num(-0.0))"#),
         (r#"-7"#, r#"Ok(Num(-7.0))"#),
         (r#"7.0"#, r#"Ok(Num(7.0))"#),
         (r#"7e0"#, r#"Ok(Num(7.0))"#),
-        (r#"+1"#, r#"Ok(Num(1.0))"#),
+        (
+            r#"+1"#,
+            r#"Err(WireError { message: "invalid number `+1` at byte 0" })"#,
+        ),
         (r#"1e5"#, r#"Ok(Num(100000.0))"#),
         (r#"123456789012345"#, r#"Ok(Num(123456789012345.0))"#),
         (r#"999999999999999"#, r#"Ok(Num(999999999999999.0))"#),
@@ -365,7 +374,7 @@ mod tests {
         ),
         (
             r#"[0,7,007,-0,1e5]"#,
-            r#"Ok(Arr([Num(0.0), Num(7.0), Num(7.0), Num(-0.0), Num(100000.0)]))"#,
+            r#"Err(WireError { message: "invalid number `007` at byte 5" })"#,
         ),
         (
             r#"{"n":16,"r":0.5}"#,

@@ -173,7 +173,7 @@ impl Bases {
 /// it, and [`PipelinedSession::submit_request`] enqueues a request that
 /// is already decoded (both block only when the pipeline's depth bound
 /// is reached — backpressure); [`PipelinedSession::poll_responses`]
-/// encodes whatever has completed so far; [`PipelinedSession::drain`] blocks until every
+/// answers whatever has completed so far; [`PipelinedSession::drain`] blocks until every
 /// in-flight request is answered. Responses therefore come back in
 /// **completion order**, keyed by the caller's `id` field, not in input
 /// order.
@@ -287,17 +287,17 @@ impl PipelinedSession {
             return Vec::new();
         }
         match decode_line(parse_request_json(line)) {
-            Ok(request) => self.submit_request(request),
+            Ok(request) => lines(self.submit_request(request)),
             Err(answer) => vec![answer],
         }
     }
 
-    /// Enqueues one decoded request. Returns the response lines that are
-    /// ready *immediately* — dispatch errors and cancel acknowledgements;
+    /// Enqueues one decoded request. Returns the responses that are ready
+    /// *immediately* — dispatch errors and cancel acknowledgements;
     /// sweep, rescore, calibrate and frontier answers arrive later via
     /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`].
     /// Blocks when the pipeline is at its depth bound.
-    pub fn submit_request(&mut self, request: WireRequest) -> Vec<String> {
+    pub fn submit_request(&mut self, request: WireRequest) -> Vec<WireResponse> {
         match request {
             WireRequest::Sweep { id, request } => self.submit_work(id, WorkRequest::Sweep(request)),
             WireRequest::Rescore { id, of, delta } => {
@@ -335,10 +335,12 @@ impl PipelinedSession {
         }
     }
 
-    /// Encodes every completion that is ready right now, without
-    /// blocking. May also dispatch rescores that were waiting on a newly
-    /// completed base.
-    pub fn poll_responses(&mut self) -> Vec<String> {
+    /// Answers every completion that is ready right now, without
+    /// blocking, as typed responses: a front end that writes them in
+    /// slices ([`WireResponse::write_slice`]) keeps a sweep's landscape
+    /// until its text is due. May also dispatch rescores that were waiting
+    /// on a newly completed base.
+    pub fn poll_responses(&mut self) -> Vec<WireResponse> {
         let completions = self.pipeline.poll_completions();
         let mut out = Vec::new();
         for completion in completions {
@@ -356,7 +358,7 @@ impl PipelinedSession {
         }
         debug_assert!(self.waiting.is_empty(), "no rescore left behind");
         debug_assert!(self.pending_ids.is_empty(), "every id answered");
-        out
+        lines(out)
     }
 
     /// Bases evicted from this session to keep it within
@@ -392,7 +394,7 @@ impl PipelinedSession {
 
     /// Submits one decoded work request of any verb; an immediate error
     /// line when the pipeline rejects it.
-    fn submit_work(&mut self, wire_id: String, request: WorkRequest) -> Vec<String> {
+    fn submit_work(&mut self, wire_id: String, request: WorkRequest) -> Vec<WireResponse> {
         match self.pipeline.submit_work(request) {
             Ok(pipeline_id) => {
                 self.pending_ids.insert(wire_id.clone());
@@ -400,7 +402,7 @@ impl PipelinedSession {
                 Vec::new()
             }
             Err(e) => {
-                let mut out = vec![error_line(&wire_id, &e)];
+                let mut out = vec![WireResponse::error(&wire_id, &e)];
                 out.extend(self.fail_dependents(&wire_id));
                 out
             }
@@ -410,7 +412,12 @@ impl PipelinedSession {
     /// Routes one base-referencing request (rescore, calibrate or
     /// frontier): straight into the pipeline when the base sweep has
     /// completed, held back when the base is pending, an error otherwise.
-    fn submit_dependent(&mut self, wire_id: String, of: &str, work: PendingWork) -> Vec<String> {
+    fn submit_dependent(
+        &mut self,
+        wire_id: String,
+        of: &str,
+        work: PendingWork,
+    ) -> Vec<WireResponse> {
         if let Some(base) = self.bases.get(of) {
             let built = work.into_request(base);
             return self.dispatch(wire_id, built);
@@ -431,7 +438,7 @@ impl PipelinedSession {
         } else {
             format!("no sweep with id `{of}`")
         };
-        vec![error_line(&wire_id, &invalid(missing))]
+        vec![WireResponse::error(&wire_id, &invalid(missing))]
     }
 
     /// Submits dependent work built against its base. Work that fails at
@@ -441,11 +448,11 @@ impl PipelinedSession {
         &mut self,
         wire_id: String,
         built: Result<WorkRequest, EngineError>,
-    ) -> Vec<String> {
+    ) -> Vec<WireResponse> {
         match built {
             Ok(request) => self.submit_work(wire_id, request),
             Err(e) => {
-                let mut out = vec![error_line(&wire_id, &e)];
+                let mut out = vec![WireResponse::error(&wire_id, &e)];
                 out.extend(self.fail_dependents(&wire_id));
                 out
             }
@@ -454,7 +461,7 @@ impl PipelinedSession {
 
     /// Handles one cancel line: flags every request in the pipeline
     /// under that id, or else withdraws every held-back one outright.
-    fn submit_cancel(&mut self, wire_id: &str, of: &str) -> Vec<String> {
+    fn submit_cancel(&mut self, wire_id: &str, of: &str) -> Vec<WireResponse> {
         let mut in_pipeline = false;
         for (pipeline_id, _) in self.in_flight.iter().filter(|(_, id)| *id == of) {
             // The cancelled completion arrives (and is encoded) through
@@ -466,8 +473,7 @@ impl PipelinedSession {
             return vec![WireResponse::Cancelled {
                 id: wire_id.to_owned(),
                 of: of.to_owned(),
-            }
-            .to_line()];
+            }];
         }
         // Held-back work never reached the pipeline; answer for it here
         // and fail anything chained on it.
@@ -483,13 +489,12 @@ impl PipelinedSession {
             let mut out = vec![WireResponse::Cancelled {
                 id: wire_id.to_owned(),
                 of: of.to_owned(),
-            }
-            .to_line()];
-            out.extend((0..withdrawn).map(|_| error_line(of, &EngineError::Cancelled)));
+            }];
+            out.extend((0..withdrawn).map(|_| WireResponse::error(of, &EngineError::Cancelled)));
             out.extend(self.fail_dependents(of));
             return out;
         }
-        vec![error_line(
+        vec![WireResponse::error(
             wire_id,
             &invalid(format!("no in-flight request with id `{of}`")),
         )]
@@ -497,7 +502,7 @@ impl PipelinedSession {
 
     /// Encodes one completion and dispatches any dependent work that was
     /// waiting on it.
-    fn finish(&mut self, completion: Completion) -> Vec<String> {
+    fn finish(&mut self, completion: Completion) -> Vec<WireResponse> {
         let Some(wire_id) = self.in_flight.remove(&completion.id) else {
             debug_assert!(false, "completion for unknown pipeline id");
             return Vec::new();
@@ -505,7 +510,7 @@ impl PipelinedSession {
         let request = completion.request;
         self.pending_ids.remove(&wire_id);
         let succeeded = completion.result.is_ok();
-        let mut out = vec![WireResponse::from_result(&wire_id, completion.result).to_line()];
+        let mut out = vec![WireResponse::from_result(&wire_id, completion.result)];
         if !succeeded {
             out.extend(self.fail_dependents(&wire_id));
             return out;
@@ -529,13 +534,13 @@ impl PipelinedSession {
 
     /// Answers (with an error) every dependent waiting on `base`, and
     /// transitively everything waiting on those.
-    fn fail_dependents(&mut self, base: &str) -> Vec<String> {
+    fn fail_dependents(&mut self, base: &str) -> Vec<WireResponse> {
         let mut out = Vec::new();
         let mut stack = vec![base.to_owned()];
         while let Some(failed) = stack.pop() {
             for (dependent_id, _) in self.waiting.remove(&failed).unwrap_or_default() {
                 self.pending_ids.remove(&dependent_id);
-                out.push(error_line(
+                out.push(WireResponse::error(
                     &dependent_id,
                     &invalid(format!("base sweep `{failed}` did not complete")),
                 ));
@@ -544,6 +549,11 @@ impl PipelinedSession {
         }
         out
     }
+}
+
+/// Each response as its line.
+fn lines(responses: Vec<WireResponse>) -> Vec<String> {
+    responses.iter().map(WireResponse::to_line).collect()
 }
 
 #[cfg(test)]

@@ -537,3 +537,61 @@ fn optional_members_present_but_not_numbers_are_refused() {
     }
     assert_eq!(s.pending(), 0);
 }
+
+#[test]
+fn numbers_outside_the_json_grammar_are_refused() {
+    let (q, loss) = ("\"q\":0.5", "\"loss\":1e-6");
+    let mut s = session(2);
+    // Each token once read as `str::parse` reads it: `+2.5` as 2.5, `.5`
+    // as 0.5, `1.` as 1.0 and `007` as 7.0.
+    for token in ["+2.5", ".5", "1.", "007", "-01", "+1e3"] {
+        let line = sweep_with(q, loss, &format!("{{\"n_max\":3,\"r\":[{token}]}}"));
+        let at = line.find(&format!("[{token}]")).unwrap() + 1;
+        let refusal = format!("invalid number `{token}` at byte {at}");
+        assert_eq!(parse_request_line(&line).unwrap_err().message, refusal);
+        // The line does not parse, so its answer has no id.
+        assert_eq!(
+            s.submit_line(&line),
+            [format!(
+                "{{\"v\":{WIRE_VERSION},\"id\":\"\",\"error\":\"{refusal}\"}}"
+            )]
+        );
+        assert_eq!(
+            parse_json(token).unwrap_err().message,
+            format!("invalid number `{token}` at byte 0")
+        );
+    }
+    // JSON numbers with a zero integer part still decode.
+    for token in ["0", "-0", "0.5", "0e0", "0.25E+1"] {
+        let line = sweep_with(q, loss, &format!("{{\"n_max\":3,\"r\":[{token}]}}"));
+        assert!(parse_request_line(&line).is_ok(), "{line}");
+    }
+    assert_eq!(s.pending(), 0);
+
+    // An answer's cell `n` is digits only, and its values JSON numbers.
+    for (cells, refusal) in [
+        (
+            r#"[{"n":+1,"r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 25 has n = +1 where its column needs 1",
+        ),
+        (
+            r#"[{"n":01,"r":0.5,"mean_cost":1.0}]"#,
+            "cell at byte 25 has n = 01 where its column needs 1",
+        ),
+        (
+            r#"[{"n":1,"r":0.5,"mean_cost":+2.5}]"#,
+            "invalid number `+2.5` at byte 52",
+        ),
+        (
+            r#"[{"n":1,"r":.5,"mean_cost":1.0}]"#,
+            "invalid number `.5` at byte 36",
+        ),
+    ] {
+        let line = format!("{{\"v\":{WIRE_VERSION},\"id\":\"s\",\"cells\":{cells}}}");
+        assert_eq!(
+            parse_response_line(&line).unwrap_err().message,
+            refusal,
+            "{line}"
+        );
+    }
+}

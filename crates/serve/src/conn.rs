@@ -26,7 +26,12 @@
 //! its queued requests — stepping out of the budget queue rather than
 //! camping at its head — so buffered output stays bounded by the high
 //! water mark plus the responses already admitted, and kernel TCP
-//! backpressure propagates to the client.
+//! backpressure propagates to the client. A sweep's answer waits as its
+//! typed landscape, counted at the upper bound of its text, and is
+//! encoded one slice of at most [`SLICE_BYTES`] at a time as the socket
+//! takes it: the reactor spends at most one slice of encoding on a
+//! connection per flush before it serves the others, and a reader that
+//! stops pins 8 bytes per cell per metric, not the answer's text.
 //!
 //! End-of-stream semantics are those of the threaded server: **EOF (or
 //! any read/write failure) means the client is gone** — the socket is
@@ -52,7 +57,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-use zeroconf_engine::wire::{self, PipelinedSession, WireRequest};
+use zeroconf_engine::wire::{self, LineCursor, PipelinedSession, WireRequest, WireResponse};
 use zeroconf_engine::PipelineConfig;
 
 use crate::metrics::{stats_response_line, ConnMetrics, StatsSnapshot};
@@ -142,31 +147,65 @@ impl ClientSocket {
     }
 }
 
-/// The coalescing output buffer: response lines queue as byte chunks
-/// and leave through `writev`-style vectored writes, so a burst of
-/// completions costs one syscall, not one per line. Each chunk is the
-/// response `String`'s own buffer with its newline appended: a line is
-/// never copied on its way to the socket.
+/// The coalescing output buffer: answers queue in order and leave
+/// through `writev`-style vectored writes, so a burst of completions
+/// costs one syscall, not one per line.
+///
+/// A sweep's answer queues as its typed response, the landscape's 8 bytes
+/// per cell per metric, and is encoded by [`WireResponse::write_slice`]
+/// only when everything ahead of it has been written, one slice of at
+/// most [`SLICE_BYTES`] per [`OutBuf::write_to`]. Every other answer is
+/// encoded when it is queued: its line becomes a chunk as it is, the
+/// response `String`'s own buffer with its newline appended.
 #[derive(Default)]
 struct OutBuf {
-    chunks: VecDeque<Vec<u8>>,
+    queue: VecDeque<Out>,
     /// Bytes of the front chunk already written.
     head: usize,
-    /// Total unwritten bytes across all chunks.
+    /// Unwritten bytes: the chunks' text, and each typed answer's upper
+    /// bound on the text it has still to encode.
     len: usize,
 }
+
+/// One answer, or part of one, in the output queue.
+enum Out {
+    /// Encoded text: a line and its newline, or a slice of a sweep's line.
+    Text(Vec<u8>),
+    /// A sweep's answer and how far its line is encoded.
+    Typed(Box<(WireResponse, LineCursor)>),
+}
+
+/// The most text one slice of a sweep's line holds: the reactor encodes at
+/// most this much for one connection before it serves the others, and a
+/// client can decode one slice while the next is encoded. A 16 × 100
+/// answer (≈166 kB) leaves in three slices.
+const SLICE_BYTES: usize = 64 * 1024;
 
 /// At most this many `IoSlice`s per vectored write (the kernel caps at
 /// `IOV_MAX` anyway; 64 keeps the stack array small).
 const MAX_IOVECS: usize = 64;
 
 impl OutBuf {
+    /// Queues one answer: a sweep's typed, counted at its line's upper
+    /// bound, and any other as its line.
+    fn push(&mut self, response: WireResponse) {
+        let cursor = LineCursor::default();
+        match response.unwritten_bound(&cursor) {
+            Some(bound) => {
+                self.len += bound;
+                self.queue
+                    .push_back(Out::Typed(Box::new((response, cursor))));
+            }
+            None => self.push_line(response.to_line()),
+        }
+    }
+
     fn push_line(&mut self, mut line: String) {
-        // `WireResponse::to_line` leaves room for the newline on a
-        // sweep's line, the only one large enough for a regrow to cost.
+        // The newline goes into the line's own buffer, which becomes the
+        // chunk: a line is never copied on its way to the socket.
         line.push('\n');
         self.len += line.len();
-        self.chunks.push_back(line.into_bytes());
+        self.queue.push_back(Out::Text(line.into_bytes()));
     }
 
     fn len(&self) -> usize {
@@ -174,25 +213,60 @@ impl OutBuf {
     }
 
     fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
     fn clear(&mut self) {
-        self.chunks.clear();
+        self.queue.clear();
         self.head = 0;
         self.len = 0;
     }
 
-    /// Writes as much as the socket will take. Returns the bytes moved;
-    /// `WouldBlock` is progress-so-far, any other error propagates.
+    /// Encodes the next slice of the typed answer at the front of the
+    /// queue into a chunk ahead of it; the chunk replaces the answer once
+    /// its line is complete.
+    fn encode_slice(&mut self) {
+        let Some(Out::Typed(typed)) = self.queue.front_mut() else {
+            return;
+        };
+        let (response, cursor) = &mut **typed;
+        let before = response.unwritten_bound(cursor).unwrap_or(0);
+        let mut slice = String::with_capacity(SLICE_BYTES + 1);
+        let done = response.write_slice(cursor, &mut slice, SLICE_BYTES);
+        let after = response.unwritten_bound(cursor).unwrap_or(0);
+        if done {
+            slice.push('\n');
+        }
+        self.len = self.len + after + slice.len() - before;
+        let chunk = Out::Text(slice.into_bytes());
+        match self.queue.front_mut() {
+            Some(front) if done => *front = chunk,
+            _ => self.queue.push_front(chunk),
+        }
+    }
+
+    /// Writes as much as the socket will take, encoding at most one slice
+    /// of a typed answer when everything ahead of it is written. Returns
+    /// the bytes moved; `WouldBlock` is progress-so-far, any other error
+    /// propagates.
     fn write_to(&mut self, socket: &mut ClientSocket) -> io::Result<usize> {
         let mut written_total = 0;
-        while !self.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(MAX_IOVECS.min(self.chunks.len()));
-            for (i, chunk) in self.chunks.iter().take(MAX_IOVECS).enumerate() {
+        let mut sliced = false;
+        loop {
+            if !sliced && matches!(self.queue.front(), Some(Out::Typed(_))) {
+                self.encode_slice();
+                sliced = true;
+            }
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOVECS.min(self.queue.len()));
+            for (i, out) in self.queue.iter().take(MAX_IOVECS).enumerate() {
+                let Out::Text(chunk) = out else {
+                    break;
+                };
                 let start = if i == 0 { self.head } else { 0 };
                 slices.push(IoSlice::new(&chunk[start..]));
+            }
+            if slices.is_empty() {
+                break;
             }
             match socket.write_vectored(&slices) {
                 Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
@@ -200,14 +274,14 @@ impl OutBuf {
                     written_total += n;
                     self.len -= n;
                     while n > 0 {
-                        let Some(front) = self.chunks.front() else {
+                        let Some(Out::Text(front)) = self.queue.front() else {
                             break;
                         };
                         let remaining = front.len() - self.head;
                         if n >= remaining {
                             n -= remaining;
                             self.head = 0;
-                            self.chunks.pop_front();
+                            self.queue.pop_front();
                         } else {
                             self.head += n;
                             n = 0;
@@ -394,11 +468,10 @@ impl Connection {
     /// flushed, then the loop reaps it.
     fn refuse_long_line(&mut self) {
         self.count_request();
-        let refusal = wire::WireResponse::Error {
+        self.push_answer(WireResponse::Error {
             id: String::new(),
             message: format!("input line is over the limit of {MAX_LINE_BYTES} bytes"),
-        };
-        self.push_out(refusal.to_line());
+        });
         self.begin_drain();
     }
 
@@ -420,8 +493,8 @@ impl Connection {
         // therefore backpressures only itself, never the shared budget.
         self.sync_permits();
         if !self.gone {
-            for line in ready {
-                self.push_out(line);
+            for response in ready {
+                self.push_answer(response);
             }
             self.admit_parked();
             self.flush();
@@ -535,7 +608,7 @@ impl Connection {
         self.count_request();
         let immediate = self.session.submit_request(request);
         for response in immediate {
-            self.push_out(response);
+            self.push_answer(response);
         }
         self.sync_permits();
         true
@@ -571,13 +644,24 @@ impl Connection {
 
     /// Queues one response line (counted here, written by the flush).
     fn push_out(&mut self, line: String) {
+        self.count_response();
+        self.out.push_line(line);
+    }
+
+    /// Queues one typed answer (counted here, encoded and written by the
+    /// flush).
+    fn push_answer(&mut self, response: WireResponse) {
+        self.count_response();
+        self.out.push(response);
+    }
+
+    fn count_response(&mut self) {
         self.metrics.responses += 1;
         // ORDERING: server-wide statistics tally; readers only report it.
         self.shared
             .metrics
             .responses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.out.push_line(line);
     }
 
     /// Moves buffered output into the socket until it would block.
@@ -738,7 +822,9 @@ mod tests {
         let (bytes, len) = (line.as_ptr(), line.len());
         let mut out = OutBuf::default();
         out.push_line(line);
-        let chunk = &out.chunks[0];
+        let Some(Out::Text(chunk)) = out.queue.front() else {
+            panic!("an error line queues as text");
+        };
         assert_eq!(chunk.as_ptr(), bytes, "the chunk is the line's own buffer");
         assert_eq!(chunk.len(), len + 1);
         assert_eq!(chunk.last(), Some(&b'\n'));
@@ -767,6 +853,59 @@ mod tests {
         got.clear();
         std::io::BufRead::read_line(&mut reader, &mut got).unwrap();
         assert_eq!(got, "beta\n");
+    }
+
+    #[test]
+    fn a_sweep_answer_waits_typed_and_leaves_one_slice_per_flush() {
+        let cells = 16 * 400;
+        let landscape = zeroconf_engine::Landscape::new(
+            16,
+            (0..400).map(|r| 0.1 * f64::from(r + 1)).collect(),
+            Some((0..cells).map(|i| 1.0 / (i as f64 + 3.0)).collect()),
+            Some((0..cells).map(|i| (i as f64).sqrt() * 1e-9).collect()),
+        )
+        .unwrap();
+        let response = WireResponse::Sweep {
+            id: "big".to_owned(),
+            response: zeroconf_engine::SweepResponse {
+                landscape,
+                stats: zeroconf_engine::BatchStats::default(),
+            },
+        };
+        let line = response.to_line();
+        let bound = response.unwritten_bound(&LineCursor::default()).unwrap();
+
+        let mut out = OutBuf::default();
+        out.push(response);
+        assert!(matches!(out.queue.front(), Some(Out::Typed(_))));
+        assert_eq!(out.len(), bound, "counted at its bound until encoded");
+        assert!(
+            out.len() >= OUT_HIGH_WATER,
+            "so it gates intake as its line did"
+        );
+        out.push_line("after".to_owned());
+
+        let (server, mut client) = std::os::unix::net::UnixStream::pair().unwrap();
+        server.set_nonblocking(true).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let mut socket = ClientSocket::Unix(server);
+        let mut received = Vec::new();
+        let mut flushes = 0;
+        while !out.is_empty() {
+            let written = out.write_to(&mut socket).unwrap();
+            assert!(written <= SLICE_BYTES + 1 + "after\n".len(), "{written}");
+            flushes += 1;
+            let mut chunk = [0_u8; 64 * 1024];
+            loop {
+                match std::io::Read::read(&mut client, &mut chunk) {
+                    Ok(n) if n > 0 => received.extend_from_slice(&chunk[..n]),
+                    _ => break,
+                }
+            }
+        }
+        assert_eq!(out.len(), 0);
+        assert_eq!(received, format!("{line}\nafter\n").into_bytes());
+        assert!(flushes > line.len() / SLICE_BYTES, "{flushes} flushes");
     }
 
     #[test]
@@ -954,7 +1093,9 @@ mod tests {
         assert_eq!(conn.queued(), 0);
         assert_eq!(conn.permits, 0);
         assert_eq!(shared.budget.available(), 0, "no permit taken");
-        let chunk = conn.out.chunks.pop_front().unwrap();
+        let Some(Out::Text(chunk)) = conn.out.queue.pop_front() else {
+            panic!("an error answer queues as text");
+        };
         assert_eq!(chunk, format!("{}\n", expected[0]).into_bytes());
 
         // A cancel that does not decode is not counted as a cancellation.
@@ -1184,6 +1325,15 @@ mod tests {
 
             client.set_nonblocking(false).unwrap();
             std::io::Read::read_to_end(&mut client, &mut received).unwrap();
+            if out_at_hangup.is_some() {
+                // A hangup drops the rest of a line whose first slices
+                // were written: only whole lines are answers.
+                let whole = received
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |n| n + 1);
+                received.truncate(whole);
+            }
             let mut answers: Vec<String> = String::from_utf8(received)
                 .unwrap()
                 .lines()

@@ -127,11 +127,17 @@ impl BoundListener {
     /// One non-blocking accept: `Ok(Some(socket))` for a new client
     /// (still in whatever blocking mode `accept(2)` hands out — the
     /// loop makes it nonblocking once it is admitted), `Ok(None)` when
-    /// nothing is pending.
+    /// nothing is pending. A TCP socket gets `TCP_NODELAY`: an answer
+    /// leaves in slices, and Nagle would hold each slice's last partial
+    /// segment back until the client acknowledged the one before.
     fn accept_socket(&self) -> std::io::Result<Option<ClientSocket>> {
         match self {
             BoundListener::Tcp(listener) => match listener.accept() {
-                Ok((stream, _)) => Ok(Some(ClientSocket::Tcp(stream))),
+                Ok((stream, _)) => {
+                    // A socket without it still works, only slower.
+                    let _ = stream.set_nodelay(true);
+                    Ok(Some(ClientSocket::Tcp(stream)))
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
@@ -526,6 +532,26 @@ mod tests {
             .expect("drain must be bounded by the deadline, not the client");
         runner.join().unwrap();
         drop(client);
+    }
+
+    #[test]
+    fn accepted_tcp_sockets_have_nodelay() {
+        let bound = BoundListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = bound.description();
+        let client = std::net::TcpStream::connect(addr.strip_prefix("tcp:").unwrap()).unwrap();
+        assert!(!client.nodelay().unwrap(), "a fresh socket has Nagle on");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let accepted = loop {
+            if let Some(socket) = bound.accept_socket().unwrap() {
+                break socket;
+            }
+            assert!(Instant::now() < deadline, "the connection never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let ClientSocket::Tcp(stream) = accepted else {
+            panic!("a TCP listener accepted a Unix socket");
+        };
+        assert!(stream.nodelay().unwrap());
     }
 
     /// A fresh directory for one test's socket paths (short enough for

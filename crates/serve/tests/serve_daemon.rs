@@ -1109,3 +1109,121 @@ fn mutated_frames_over_a_live_socket_get_one_answer_each() {
         .expect("send after");
     assert!(fresh.wait("after").expect("after answer").has_cells());
 }
+
+/// The daemon's peak resident set (`VmHWM`), in MiB.
+fn peak_rss_mib(pid: u32) -> f64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/PID/status");
+    kib / 1024.0
+}
+
+/// A client that pipelines the largest sweeps the caps admit and never
+/// reads pins neither the reactor nor the daemon's memory. Its answers
+/// (1,048,576 cells each, ≈100 MB of text) stay typed in its output
+/// queue, 16 bytes per cell, and are encoded only as its socket takes
+/// them, so other connections' `stats` lines and small sweeps keep being
+/// answered while they complete. Encoding each answer whole on the
+/// reactor held round trips for over a second and took the daemon past
+/// 700 MiB.
+#[test]
+fn a_client_that_never_reads_max_size_answers_stalls_no_one() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const GREEDY: u64 = 8;
+    let daemon = Daemon::spawn("unread", &["--workers", "2"]);
+    let mut greedy = daemon.connect();
+    let r_points = wire::MAX_GRID_CELLS / wire::MAX_GRID_N_MAX as usize;
+    for i in 0..GREEDY {
+        greedy
+            .send_raw(&testkit::heavy_sweep_line(
+                &format!("g{i}"),
+                wire::MAX_GRID_N_MAX,
+                r_points,
+            ))
+            .expect("send a max-size sweep");
+    }
+    // One connection sends `stats` lines back to back, another small
+    // sweeps, each until `stop`; each returns its longest round trip.
+    let evaluated = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut stats_client = daemon.connect();
+    let stats = {
+        let (evaluated, stop) = (Arc::clone(&evaluated), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut longest = Duration::ZERO;
+            for k in 0.. {
+                let begin = Instant::now();
+                let answer = stats_client.stats(&format!("k{k}")).expect("stats answer");
+                longest = longest.max(begin.elapsed());
+                let cells = number(&answer, &["stats", "engine", "cells"]);
+                if cells >= (GREEDY * wire::MAX_GRID_CELLS as u64) as f64 {
+                    // ORDERING: a flag with no data behind it.
+                    evaluated.store(true, Ordering::Relaxed);
+                }
+                // ORDERING: a flag with no data behind it.
+                if stop.load(Ordering::Relaxed) {
+                    return (k + 1, longest);
+                }
+            }
+            unreachable!()
+        })
+    };
+    let mut sweep_client = daemon.connect();
+    let sweeps = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut longest = Duration::ZERO;
+            for k in 0.. {
+                let id = format!("s{k}");
+                let begin = Instant::now();
+                sweep_client
+                    .send_raw(&testkit::sweep_line(&id, 4, &[1.0, 2.0]))
+                    .expect("send a small sweep");
+                let answer = sweep_client.wait(&id).expect("small sweep answer");
+                assert!(answer.has_cells(), "{}", answer.line);
+                longest = longest.max(begin.elapsed());
+                // ORDERING: a flag with no data behind it.
+                if stop.load(Ordering::Relaxed) {
+                    return (k + 1, longest);
+                }
+            }
+            unreachable!()
+        })
+    };
+    let deadline = Instant::now() + DEADLINE;
+    // ORDERING: a flag with no data behind it.
+    while !evaluated.load(Ordering::Relaxed) {
+        assert!(
+            Instant::now() < deadline,
+            "the max-size sweeps never completed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Long enough for whole-line encodes of every answer to show.
+    std::thread::sleep(Duration::from_secs(1));
+    // ORDERING: a flag with no data behind it.
+    stop.store(true, Ordering::Relaxed);
+    let (stats_lines, stats_longest) = stats.join().expect("stats connection");
+    let (sweeps_done, sweep_longest) = sweeps.join().expect("sweep connection");
+    let peak = peak_rss_mib(daemon.child.id());
+    let report = format!(
+        "{stats_lines} stats lines, longest round trip {:.1} ms; {sweeps_done} small sweeps, \
+         longest {:.1} ms; daemon VmHWM {peak:.1} MiB",
+        stats_longest.as_secs_f64() * 1e3,
+        sweep_longest.as_secs_f64() * 1e3,
+    );
+    eprintln!("{report}");
+    // Whole-line encodes gave 814–1204 ms, 1020–1418 ms and 729 MiB in
+    // release; streamed answers 10–16 ms, 90–318 ms (debug is the larger)
+    // and 145 MiB, in release and debug. A small sweep waits for a permit
+    // the max-size sweeps hold while they compute.
+    assert!(stats_longest < Duration::from_millis(250), "{report}");
+    assert!(sweep_longest < Duration::from_millis(700), "{report}");
+    assert!(peak < 320.0, "{report}");
+    drop(greedy);
+}
