@@ -216,13 +216,11 @@ if (( ${#DEEP_LINES[@]} != 2 )) \
 fi
 
 echo "==> engine throughput bench smoke (--samples 2)"
-# A 2-sample run keeps the gate fast; ZEROCONF_BENCH_THREADS pins the
-# pool so the smoke is deterministic across hosts. The smoke writes to
-# its own path — the committed BENCH_engine.json stays untouched.
+# A 2-sample run keeps the gate fast. The smoke writes to its own path —
+# the committed BENCH_engine.json stays untouched.
 # Absolute path: cargo runs the bench with the package dir as cwd.
 SMOKE_BENCH="$PWD/target/BENCH_engine.smoke.json"
-ZEROCONF_BENCH_THREADS="${ZEROCONF_BENCH_THREADS:-2}" \
-  cargo bench -q -p zeroconf-bench --bench engine_throughput -- \
+cargo bench -q -p zeroconf-bench --bench engine_throughput -- \
   --samples 2 --out "$SMOKE_BENCH"
 # BENCH_engine.json (the full-sample report) is generated, not committed;
 # validate it too when a prior `cargo bench` left one behind.
@@ -235,6 +233,8 @@ for path in sys.argv[1:]:
         rows = json.load(f)
     ids = {row["id"] for row in rows}
     for needed in (
+        "engine/cold",
+        "engine/warm",
         "kernel/single-pass/columns",
         "kernel/legacy-per-n/columns",
         "kernel/block/columns",
@@ -253,43 +253,15 @@ for path in sys.argv[1:]:
     # parameter point by >= 20x in parameter-cell throughput (both rows
     # normalize cells to candidates x grid cells). Measured headroom is
     # ~10x above this gate, so smoke noise cannot trip it.
-    by_id2 = {row["id"]: row for row in rows}
-    warm_frontier = by_id2["engine/frontier/warm"]
-    recompute = by_id2["engine/frontier/per-point-recompute"]
+    by_id = {row["id"]: row for row in rows}
+    warm_frontier = by_id["engine/frontier/warm"]
+    recompute = by_id["engine/frontier/per-point-recompute"]
     ratio = warm_frontier["cells_per_sec"] / recompute["cells_per_sec"]
     if ratio < 20.0:
         sys.exit(
             f"ci: {path} warm frontier is only {ratio:.1f}x the per-point "
             "recompute baseline (acceptance floor is 20x)"
         )
-    # Warm-sweep parity: the warm 200 x 200 sweep (40,000 cells) is under
-    # the engine's small-sweep cutoff, so the pool-sized engine runs it
-    # on the calling thread exactly as the 1-thread engine does; the bench
-    # asserts that no pool worker moved. This compares the two rows'
-    # throughput, so a pool engine whose idle workers slow the caller
-    # shows up. Both warm rows take at least the bench's default 7
-    # samples even under --samples 2 (a 2-sample median is the slower
-    # sample); the gate stays loose (>= 0.75x) and applies only when both
-    # rows are present (ZEROCONF_BENCH_THREADS=1 emits no pool row).
-    by_id = {}
-    for row in rows:
-        by_id.setdefault(row["id"], row)
-    warm1 = by_id.get("engine/warm/threads=1")
-    warm_pool = next(
-        (
-            row
-            for row_id, row in by_id.items()
-            if row_id.startswith("engine/warm/threads=") and row is not warm1
-        ),
-        None,
-    )
-    if warm1 and warm_pool:
-        ratio = warm_pool["cells_per_sec"] / warm1["cells_per_sec"]
-        if ratio < 0.75:
-            sys.exit(
-                f"ci: {path} warm pool throughput regressed to {ratio:.2f}x "
-                "of single-threaded (idle pool slowing the caller?)"
-            )
 print("ci: bench reports validated:", ", ".join(sys.argv[1:]))
 PY
 
@@ -299,12 +271,11 @@ cargo build --release -p zeroconf-client
 
 # Spawns the daemon on $SERVE_SOCK logging to $SERVE_LOG, waits for the
 # socket, and leaves the pid in $SERVE_PID.
-SERVE_WORKERS=2
 SERVE_INFLIGHT=4
 serve_spawn() {
   rm -f "$SERVE_SOCK" "$SERVE_LOG"
-  ./target/release/zeroconf serve --unix "$SERVE_SOCK" --workers "$SERVE_WORKERS" \
-    --inflight "$SERVE_INFLIGHT" >"$SERVE_LOG" 2>&1 &
+  ./target/release/zeroconf serve --unix "$SERVE_SOCK" --inflight "$SERVE_INFLIGHT" \
+    >"$SERVE_LOG" 2>&1 &
   SERVE_PID=$!
   for _ in $(seq 1 200); do
     [[ -S "$SERVE_SOCK" ]] && return 0
@@ -359,20 +330,19 @@ echo "==> zeroconf serve flood gate (64 pipelined clients, mid-flight disconnect
 # The reactor scale gate: 64 concurrent clients pipeline 8 sweeps each on
 # one event-loop thread, every eighth disconnecting with work in flight;
 # a straggler must still be answered across the SIGTERM drain. Connections
-# own no threads: the daemon runs main, one reactor, --workers - 1 pool
-# threads and up to --inflight executors (at most 7 here), so its peak
-# thread count while the clients run must stay within
-# --inflight + --workers + 3.
+# and sweeps own no threads: the daemon runs main, one reactor and up to
+# --inflight executors (at most 6 here), so its peak thread count while
+# the clients run must stay within --inflight + 4.
 serve_spawn
 FLOOD_OUT="$(./target/release/zeroconf-client flood --unix "$SERVE_SOCK" --pid "$SERVE_PID" \
   --clients 64 --requests 8)"
 echo "$FLOOD_OUT"
 serve_reap "flood"
 FLOOD_THREADS="$(sed -n 's/.*daemon threads peaked at \([0-9][0-9]*\).*/\1/p' <<<"$FLOOD_OUT")"
-FLOOD_THREAD_BOUND=$((SERVE_INFLIGHT + SERVE_WORKERS + 3))
+FLOOD_THREAD_BOUND=$((SERVE_INFLIGHT + 4))
 if [[ -z "$FLOOD_THREADS" ]] || (( FLOOD_THREADS > FLOOD_THREAD_BOUND )); then
   echo "ci: serve daemon peaked at ${FLOOD_THREADS:-?} threads under the flood," \
-    "over --inflight + --workers + 3 = $FLOOD_THREAD_BOUND" >&2
+    "over --inflight + 4 = $FLOOD_THREAD_BOUND" >&2
   exit 1
 fi
 

@@ -189,7 +189,7 @@ mod tests {
     use super::*;
 
     fn lib(src: &str) -> Vec<ScannedFile> {
-        vec![ScannedFile::new("crates/engine/src/pool.rs", src)]
+        vec![ScannedFile::new("crates/engine/src/sweep.rs", src)]
     }
 
     #[test]
@@ -237,7 +237,7 @@ fn f(c: &A) { c.load(Ordering::SeqCst); }\n";
     #[test]
     fn relaxed_on_a_manifest_handoff_site_is_denied_even_with_a_comment() {
         let (manifest, parse_findings) = parse_manifest(
-            "crates/engine/src/pool.rs | taken | publishes the filled buffer to the taker\n",
+            "crates/engine/src/sweep.rs | taken | publishes the filled buffer to the taker\n",
         );
         assert!(parse_findings.is_empty());
         let src = "\
@@ -253,7 +253,7 @@ fn f(b: &B) {\n\
     #[test]
     fn acqrel_on_a_manifest_site_passes_and_marks_the_entry_used() {
         let (manifest, _) =
-            parse_manifest("crates/engine/src/pool.rs | taken | publishes the buffer\n");
+            parse_manifest("crates/engine/src/sweep.rs | taken | publishes the buffer\n");
         let src = "\
 fn f(b: &B) {\n\
     // ORDERING: AcqRel — the swap publishes writes to the taker.\n\
@@ -264,7 +264,7 @@ fn f(b: &B) {\n\
 
     #[test]
     fn unused_manifest_entries_warn() {
-        let (manifest, _) = parse_manifest("crates/engine/src/pool.rs | gone | was a latch\n");
+        let (manifest, _) = parse_manifest("crates/engine/src/sweep.rs | gone | was a latch\n");
         let findings = check(&lib("fn f() {}\n"), &manifest);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, crate::report::Severity::Warn);

@@ -37,11 +37,12 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("ROW_FRONTIER_RECOMPUTE", BENCH_SCHEMA),
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
-    ("ROW_STEM_ENGINE", BENCH_SCHEMA),
-    ("ROW_STEM_SESSION", BENCH_SCHEMA),
+    ("ROW_ENGINE_COLD", BENCH_SCHEMA),
+    ("ROW_ENGINE_WARM", BENCH_SCHEMA),
+    ("ROW_SESSION_SERIAL", BENCH_SCHEMA),
+    ("ROW_STEM_SESSION_PIPELINED", BENCH_SCHEMA),
     ("FIELD_ID", BENCH_SCHEMA),
     ("FIELD_CACHE", BENCH_SCHEMA),
-    ("FIELD_THREADS", BENCH_SCHEMA),
     ("FIELD_N_MAX", BENCH_SCHEMA),
     ("FIELD_R_POINTS", BENCH_SCHEMA),
     ("FIELD_MEDIAN_NS", BENCH_SCHEMA),
@@ -81,6 +82,7 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
         BENCH_SCHEMA,
     ),
     ("engine/calibrate/warm", "ROW_CALIBRATE_WARM", BENCH_SCHEMA),
+    ("engine/session/serial", "ROW_SESSION_SERIAL", BENCH_SCHEMA),
     ("cells_per_sec", "FIELD_CELLS_PER_SEC", BENCH_SCHEMA),
     ("iters_per_sample", "FIELD_ITERS_PER_SAMPLE", BENCH_SCHEMA),
     ("median_ns", "FIELD_MEDIAN_NS", BENCH_SCHEMA),
@@ -265,11 +267,12 @@ mod tests {
                  pub const ROW_KERNEL_SINGLE_PASS: &str = \"kernel/single-pass/columns\";\n\
                  pub const ROW_KERNEL_LEGACY: &str = \"kernel/legacy-per-n/columns\";\n\
                  pub const ROW_KERNEL_BLOCK_SIMD: &str = \"kernel/block/simd\";\n\
-                 pub const ROW_STEM_ENGINE: &str = \"engine\";\n\
-                 pub const ROW_STEM_SESSION: &str = \"engine/session\";\n\
+                 pub const ROW_ENGINE_COLD: &str = \"engine/cold\";\n\
+                 pub const ROW_ENGINE_WARM: &str = \"engine/warm\";\n\
+                 pub const ROW_SESSION_SERIAL: &str = \"engine/session/serial\";\n\
+                 pub const ROW_STEM_SESSION_PIPELINED: &str = \"engine/session/pipelined\";\n\
                  pub const FIELD_ID: &str = \"id\";\n\
                  pub const FIELD_CACHE: &str = \"cache\";\n\
-                 pub const FIELD_THREADS: &str = \"threads\";\n\
                  pub const FIELD_N_MAX: &str = \"n_max\";\n\
                  pub const FIELD_R_POINTS: &str = \"r_points\";\n\
                  pub const FIELD_MEDIAN_NS: &str = \"median_ns\";\n\
@@ -292,12 +295,12 @@ mod tests {
     fn a_second_pinned_literal_is_denied() {
         let mut files = healthy();
         files.push(ScannedFile::new(
-            "crates/engine/src/pool.rs",
+            "crates/engine/src/sweep.rs",
             "fn warm(row: &str) -> bool { row.starts_with(\"engine/frontier/warm\") }\n",
         ));
         let findings = check(&files);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].path, "crates/engine/src/pool.rs");
+        assert_eq!(findings[0].path, "crates/engine/src/sweep.rs");
         assert!(findings[0].message.contains("duplicate"));
     }
 

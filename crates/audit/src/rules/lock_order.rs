@@ -407,7 +407,7 @@ mod tests {
     use super::*;
 
     fn lib(src: &str) -> Vec<ScannedFile> {
-        vec![ScannedFile::new("crates/engine/src/pool.rs", src)]
+        vec![ScannedFile::new("crates/engine/src/sweep.rs", src)]
     }
 
     fn allow(text: &str) -> Vec<AllowedEdge> {
@@ -435,8 +435,8 @@ fn f(&self) {\n\
 }\n";
         let findings = check(&lib(src), &[]);
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("engine/pool.pending"));
-        assert!(findings[0].message.contains("engine/pool.failure"));
+        assert!(findings[0].message.contains("engine/sweep.pending"));
+        assert!(findings[0].message.contains("engine/sweep.failure"));
         assert_eq!(findings[0].line, 3);
     }
 
@@ -448,7 +448,7 @@ fn f(&self) {\n\
     let b = lock(&self.pending);\n\
 }\n";
         let manifest =
-            allow("engine/pool.failure -> engine/pool.pending | failure is only written here\n");
+            allow("engine/sweep.failure -> engine/sweep.pending | failure is only written here\n");
         assert!(check(&lib(src), &manifest).is_empty());
     }
 
@@ -464,8 +464,8 @@ fn g(&self) {\n\
     let a = lock(&self.failure);\n\
 }\n";
         let manifest = allow(
-            "engine/pool.failure -> engine/pool.pending | one way\n\
-             engine/pool.pending -> engine/pool.failure | the other way\n",
+            "engine/sweep.failure -> engine/sweep.pending | one way\n\
+             engine/sweep.pending -> engine/sweep.failure | the other way\n",
         );
         let findings = check(&lib(src), &manifest);
         assert_eq!(findings.len(), 1, "{findings:?}");
@@ -481,7 +481,7 @@ fn f(&self) {\n\
 }\n";
         let findings = check(&lib(src), &[]);
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("engine/pool.landscape"));
+        assert!(findings[0].message.contains("engine/sweep.landscape"));
     }
 
     #[test]
@@ -536,7 +536,7 @@ fn f(&self) {\n\
 }\n";
         let findings = check(&lib(src), &[]);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("engine/pool.pending"));
+        assert!(findings[0].message.contains("engine/sweep.pending"));
     }
 
     #[test]
@@ -564,7 +564,7 @@ mod tests {\n\
 
     #[test]
     fn unused_manifest_entries_warn() {
-        let manifest = allow("engine/pool.gone -> engine/pool.also_gone | was real once\n");
+        let manifest = allow("engine/sweep.gone -> engine/sweep.also_gone | was real once\n");
         let findings = check(&lib("fn f() {}\n"), &manifest);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, crate::report::Severity::Warn);

@@ -195,12 +195,12 @@ mod tests {
 
     #[test]
     fn unsafe_outside_the_allowlist_is_denied() {
-        // The π-table cache holds owned tables and the worker pool owned
-        // slabs, so neither is allowlisted.
+        // The π-table cache holds owned tables and a sweep owned slabs,
+        // so neither is allowlisted.
         for path in [
             "crates/sim/src/events.rs",
             "crates/engine/src/cache.rs",
-            "crates/engine/src/pool.rs",
+            "crates/engine/src/sweep.rs",
         ] {
             let files = vec![scanned(path, "fn f() { unsafe { fast_path() } }\n")];
             let findings = check_sources(&files);

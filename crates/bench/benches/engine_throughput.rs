@@ -1,8 +1,7 @@
 //! Throughput of the batched landscape-evaluation engine.
 //!
-//! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario four ways —
-//! single-threaded vs the full worker pool, cache-cold vs cache-warm — plus
-//! a kernel-vs-legacy column microbenchmark (the single-pass column
+//! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario cache-cold
+//! and cache-warm, plus a kernel-vs-legacy column microbenchmark (the single-pass column
 //! program, run one column at a time through a width-1
 //! [`zeroconf_cost::kernel::ColumnBlockKernel`], against the per-`n`
 //! `*_from_pis` closed forms over the same precomputed π-tables) and a
@@ -16,12 +15,9 @@
 //! Knobs:
 //!
 //! * `--samples N` — timed samples per benchmark (default 7). `--samples 2`
-//!   is the CI smoke setting; the two `engine/warm/threads=*` rows take at
-//!   least the default either way, because `ci.sh` gates their ratio.
+//!   is the CI smoke setting.
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_engine.json` at the repository root).
-//! * `ZEROCONF_BENCH_THREADS=K` — cap the "full pool" thread count instead
-//!   of taking `available_parallelism`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -46,57 +42,38 @@ fn sweep() -> SweepRequest {
     SweepRequest::new(scenario, GridSpec::linspace(N_MAX, 0.1, 30.0, R_POINTS))
 }
 
-fn config(workers: usize) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
-        workers,
         // Room for every r column, so the warm runs never evict.
         cache_tables: R_POINTS.next_power_of_two(),
+        ..EngineConfig::default()
     }
 }
 
 /// Cache-cold sweep: a fresh engine per iteration, so every π-table is
-/// computed. Pool spawn cost is included — it is part of the cold path.
-fn cold(threads: usize, samples: usize, request: &SweepRequest) -> BenchRecord {
-    measure(&schema::row_engine("cold", threads), samples, || {
-        let engine = Engine::new(config(threads));
+/// computed.
+fn cold(samples: usize, request: &SweepRequest) -> BenchRecord {
+    measure(schema::ROW_ENGINE_COLD, samples, || {
+        let engine = Engine::new(config());
         engine.evaluate(request).expect("sweep evaluates")
     })
 }
 
 /// Cache-warm sweep: one long-lived engine, primed once, so every π-table
 /// is served from the cache and only Eq. (3)/(4) arithmetic remains.
-///
-/// A warm 200 × 200 sweep weighs 40,000 equivalent cells, under the
-/// engine's small-sweep cutoff, so the timed passes must stay on the
-/// calling thread whatever the pool size; the cold priming pass above
-/// the cutoff fans out. Asserted: no pool worker's cell count moves
-/// during the timed passes.
-///
-/// The row takes at least [`DEFAULT_SAMPLES`] samples: `ci.sh` compares
-/// the two warm rows, and the median of a 2-sample smoke is its slower
-/// sample.
-fn warm(threads: usize, samples: usize, request: &SweepRequest) -> BenchRecord {
-    let samples = samples.max(DEFAULT_SAMPLES);
-    let engine = Engine::new(config(threads));
+fn warm(samples: usize, request: &SweepRequest) -> BenchRecord {
+    let engine = Engine::new(config());
     engine.evaluate(request).expect("priming sweep evaluates");
-    let primed = engine.stats().cells_per_worker;
-    let record = measure(&schema::row_engine("warm", threads), samples, || {
+    measure(schema::ROW_ENGINE_WARM, samples, || {
         engine.evaluate(request).expect("sweep evaluates")
-    });
-    let timed = engine.stats().cells_per_worker;
-    assert_eq!(
-        timed[1..],
-        primed[1..],
-        "a warm sweep under the small-sweep cutoff fanned out to the pool"
-    );
-    record
+    })
 }
 
 /// Blocked batch kernel, cold: each iteration batch-computes every
 /// π-table ([`ColumnBlockKernel::pi_table_block`], with the zero-tail
 /// cutoff, into one flat slab) and then evaluates the whole grid in one
-/// r-major block pass. This is the engine's cold path without pool or
-/// cache overhead.
+/// r-major block pass. This is the engine's cold path without chunking
+/// or cache overhead.
 fn block_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
     let block = ColumnBlockKernel::new(&request.scenario);
     let rs = request.grid.r_values.clone();
@@ -211,9 +188,9 @@ fn session_requests() -> Vec<SweepRequest> {
 
 /// Baseline session: the requests evaluated one at a time on a fresh
 /// engine — blocking, one request in flight.
-fn serial_session(threads: usize, samples: usize, requests: &[SweepRequest]) -> BenchRecord {
-    measure(&schema::row_session_serial(threads), samples, || {
-        let engine = Engine::new(config(threads));
+fn serial_session(samples: usize, requests: &[SweepRequest]) -> BenchRecord {
+    measure(schema::ROW_SESSION_SERIAL, samples, || {
+        let engine = Engine::new(config());
         requests
             .iter()
             .map(|request| {
@@ -231,24 +208,15 @@ fn serial_session(threads: usize, samples: usize, requests: &[SweepRequest]) -> 
 /// flight, drained at the end. On a multi-core host the overlap wins; on
 /// a single-CPU host this measures pure pipelining overhead, and is
 /// expected to come out *slower* than the serial dispatch.
-fn pipelined_session(
-    threads: usize,
-    depth: usize,
-    samples: usize,
-    requests: &[SweepRequest],
-) -> BenchRecord {
-    measure(
-        &schema::row_session_pipelined(depth, threads),
-        samples,
-        || {
-            let engine = Arc::new(Engine::new(config(threads)));
-            let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(depth));
-            for request in requests {
-                pipeline.submit(request.clone()).expect("sweep submits");
-            }
-            pipeline.drain().len()
-        },
-    )
+fn pipelined_session(depth: usize, samples: usize, requests: &[SweepRequest]) -> BenchRecord {
+    measure(&schema::row_session_pipelined(depth), samples, || {
+        let engine = Arc::new(Engine::new(config()));
+        let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(depth));
+        for request in requests {
+            pipeline.submit(request.clone()).expect("sweep submits");
+        }
+        pipeline.drain().len()
+    })
 }
 
 /// Parametric-verb shape: a 32 × 40 scenario grid swept by a 64 × 64
@@ -295,7 +263,7 @@ fn frontier_request() -> FrontierRequest {
 /// full 64 × 64 parameter grid from the cached statistic with zero π
 /// work, as asserted each iteration.
 fn frontier_warm(samples: usize) -> BenchRecord {
-    let engine = Engine::new(config(1));
+    let engine = Engine::new(config());
     let request = frontier_request();
     let primed = engine
         .frontier(&request)
@@ -312,8 +280,8 @@ fn frontier_warm(samples: usize) -> BenchRecord {
 }
 
 /// The naive baseline the frontier verb replaces: per parameter point, a
-/// cold engine (pool spawn included, as in the cold row) recomputes every
-/// π-table, sweeps the grid, and scans for the cheapest cell.
+/// cold engine (as in the cold row) recomputes every π-table, sweeps the
+/// grid, and scans for the cheapest cell.
 fn frontier_recompute(samples: usize) -> BenchRecord {
     let scenario = paper::figure2_scenario().expect("paper scenario is valid");
     let (error_costs, probe_costs) = frontier_axes();
@@ -326,7 +294,7 @@ fn frontier_recompute(samples: usize) -> BenchRecord {
                     .apply(&scenario, error_cost)
                     .and_then(|s| ParamAxis::ProbeCost.apply(&s, probe_cost))
                     .expect("axis values are valid");
-                let engine = Engine::new(config(1));
+                let engine = Engine::new(config());
                 let response = engine
                     .evaluate(&SweepRequest::new(point, grid.clone()))
                     .expect("sweep evaluates");
@@ -346,7 +314,7 @@ fn frontier_recompute(samples: usize) -> BenchRecord {
 /// priming call the engine's landscape slot answers without touching a
 /// single π-table.
 fn calibrate_warm(samples: usize) -> BenchRecord {
-    let engine = Engine::new(config(1));
+    let engine = Engine::new(config());
     let grid = param_grid();
     // An interior target in the regime where π_n is still representable:
     // at larger r the n-probe no-answer probability underflows to zero
@@ -393,48 +361,31 @@ fn parse_options() -> Options {
     Options { samples, out }
 }
 
-fn pool_threads() -> usize {
-    if let Ok(value) = std::env::var("ZEROCONF_BENCH_THREADS") {
-        if let Ok(parsed) = value.parse::<usize>() {
-            return parsed.max(1);
-        }
-        eprintln!("ignoring non-numeric ZEROCONF_BENCH_THREADS={value:?}");
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(2)
-}
-
 fn main() {
     let options = parse_options();
     let samples = options.samples;
     let request = sweep();
-    let pool = pool_threads();
     let single_cpu = std::thread::available_parallelism().map_or(true, |p| p.get() < 2);
     println!(
         "engine throughput on a {N_MAX} x {R_POINTS} grid ({} cells, {samples} samples):",
         request.grid.cells()
     );
     let grid_runs = [
-        (cold(1, samples, &request), 1, "cold"),
-        (cold(pool, samples, &request), pool, "cold"),
-        (warm(1, samples, &request), 1, "warm"),
-        (warm(pool, samples, &request), pool, "warm"),
+        (cold(samples, &request), "cold"),
+        (warm(samples, &request), "warm"),
     ];
     // The SIMD row's note pins the dispatched backend, so a scalar-clamped
     // run on a host without AVX2 is visible in the artifact.
     let simd_note = format!("backend={}", Backend::detect().name());
     let kernel_runs = [
-        (block_columns(samples, &request), 1, "cold", None),
+        (block_columns(samples, &request), "cold", None),
         (
             block_simd(samples, &request),
-            1,
             "cold",
             Some(simd_note.as_str()),
         ),
-        (kernel_columns(samples, &request), 1, "warm", None),
-        (legacy_columns(samples, &request), 1, "warm", None),
+        (kernel_columns(samples, &request), "warm", None),
+        (legacy_columns(samples, &request), "warm", None),
     ];
     // Parametric verbs: one candidate costs `grid cells` reconstruction
     // work, so rows are normalized to parameter-cell evaluations and
@@ -478,15 +429,14 @@ fn main() {
         None
     };
     let session_runs = [
-        (serial_session(1, samples, &requests), 1, "cold", None),
+        (serial_session(samples, &requests), "cold", None),
         (
-            pipelined_session(1, depth, samples, &requests),
-            1,
+            pipelined_session(depth, samples, &requests),
             "cold",
             pipelined_note,
         ),
     ];
-    for (record, _, _) in &grid_runs {
+    for (record, _) in &grid_runs {
         println!(
             "  {:<36} median {:>10}/run (min {}, {} samples)",
             record.id,
@@ -495,7 +445,7 @@ fn main() {
             record.samples
         );
     }
-    for (record, _, _, _) in &kernel_runs {
+    for (record, _, _) in &kernel_runs {
         println!(
             "  {:<36} median {:>10}/run (min {}, {} samples)",
             record.id,
@@ -513,7 +463,7 @@ fn main() {
             record.samples
         );
     }
-    for (record, _, _, _) in &session_runs {
+    for (record, _, _) in &session_runs {
         println!(
             "  {:<36} median {:>10}/run (min {}, {} samples)",
             record.id,
@@ -524,9 +474,8 @@ fn main() {
     }
     let speedup = |single: &BenchRecord, multi: &BenchRecord| single.median_ns / multi.median_ns;
     println!(
-        "  cold speedup at {pool} threads: {:.2}x, warm: {:.2}x",
-        speedup(&grid_runs[0].0, &grid_runs[1].0),
-        speedup(&grid_runs[2].0, &grid_runs[3].0)
+        "  warm vs cold engine: {:.2}x",
+        speedup(&grid_runs[0].0, &grid_runs[1].0)
     );
     println!(
         "  block kernel (incl. pi) vs cold engine (1 thread): {:.2}x",
@@ -555,27 +504,24 @@ fn main() {
     );
     if single_cpu {
         println!(
-            "  note: host exposes a single CPU, so the {pool}-thread and pipelined \
-             runs can only measure dispatch overhead, not speedup"
+            "  note: host exposes a single CPU, so the pipelined run can only \
+             measure dispatch overhead, not speedup"
         );
     }
 
     let mut lines: Vec<String> = grid_runs
         .iter()
-        .map(|(record, threads, cache)| {
-            schema::row_json(record, *threads, cache, N_MAX, R_POINTS, GRID_CELLS, None)
-        })
+        .map(|(record, cache)| schema::row_json(record, cache, N_MAX, R_POINTS, GRID_CELLS, None))
         .collect();
-    lines.extend(kernel_runs.iter().map(|(record, threads, cache, note)| {
-        schema::row_json(record, *threads, cache, N_MAX, R_POINTS, GRID_CELLS, *note)
+    lines.extend(kernel_runs.iter().map(|(record, cache, note)| {
+        schema::row_json(record, cache, N_MAX, R_POINTS, GRID_CELLS, *note)
     }));
     lines.extend(param_runs.iter().map(|(record, cache, cells, note)| {
-        schema::row_json(record, 1, cache, PARAM_N_MAX, PARAM_R_POINTS, *cells, *note)
+        schema::row_json(record, cache, PARAM_N_MAX, PARAM_R_POINTS, *cells, *note)
     }));
-    lines.extend(session_runs.iter().map(|(record, threads, cache, note)| {
+    lines.extend(session_runs.iter().map(|(record, cache, note)| {
         schema::row_json(
             record,
-            *threads,
             cache,
             SESSION_N_MAX,
             SESSION_R_POINTS,

@@ -44,11 +44,8 @@ fn cells_for_n(
 /// One observability row summarizing what the engine did for a figure.
 fn engine_row(response: &SweepResponse) -> String {
     format!(
-        "engine: {} cells on {} threads, {} π-tables computed, {} served from cache",
-        response.stats.cells,
-        response.stats.workers,
-        response.stats.cache_misses,
-        response.stats.cache_hits
+        "engine: {} cells, {} π-tables computed, {} served from cache",
+        response.stats.cells, response.stats.cache_misses, response.stats.cache_hits
     )
 }
 

@@ -56,8 +56,8 @@ pub fn tradeoff() -> Result<ExperimentOutput, HarnessError> {
         frontier.len()
     )];
     rows.push(format!(
-        "engine: {} candidate cells on {} threads, {} π-tables computed",
-        response.stats.cells, response.stats.workers, response.stats.cache_misses
+        "engine: {} candidate cells, {} π-tables computed",
+        response.stats.cells, response.stats.cache_misses
     ));
     rows.push(format!(
         "{:>10} {:>4} {:>9} {:>14}",

@@ -6,9 +6,9 @@
 //! failing any test. Every fixed row label and every field name is
 //! therefore a named constant defined here and nowhere else; the audit's
 //! `const-drift` rule pins each definition to this file and bans stray
-//! literal copies, exactly as it does for the wire version. Rows whose
-//! label embeds a runtime parameter (thread counts, pipeline depths) are
-//! built by the `row_*` helpers below from the same stems.
+//! literal copies, exactly as it does for the wire version. The one row
+//! whose label embeds a runtime parameter (the pipeline depth) is built
+//! by [`row_session_pipelined`] from its pinned stem.
 //!
 //! [`row_json`] is the one serializer: `cargo bench -p zeroconf-bench
 //! --bench engine_throughput` formats every row through it, so the field
@@ -37,20 +37,21 @@ pub const ROW_FRONTIER_RECOMPUTE: &str = "engine/frontier/per-point-recompute";
 /// Row label: closed-form `E*` calibration against the warm
 /// sufficient-statistic cache.
 pub const ROW_CALIBRATE_WARM: &str = "engine/calibrate/warm";
-
-/// Stem of the parameterized cold/warm engine rows
-/// (`engine/<cache>/threads=<k>`).
-pub const ROW_STEM_ENGINE: &str = "engine";
-/// Stem of the parameterized session rows
-/// (`engine/session/<mode>/…/threads=<k>`).
-pub const ROW_STEM_SESSION: &str = "engine/session";
+/// Row label: the full engine over a 200 × 200 sweep, cache-cold (a fresh
+/// engine per iteration, every π-table computed).
+pub const ROW_ENGINE_COLD: &str = "engine/cold";
+/// Row label: the same sweep on a long-lived engine whose π-table cache
+/// is hot.
+pub const ROW_ENGINE_WARM: &str = "engine/warm";
+/// Row label: a 16-request session evaluated one request at a time.
+pub const ROW_SESSION_SERIAL: &str = "engine/session/serial";
+/// Stem of the pipelined session rows (`engine/session/pipelined/depth=<k>`).
+pub const ROW_STEM_SESSION_PIPELINED: &str = "engine/session/pipelined";
 
 /// Field name: the row label itself.
 pub const FIELD_ID: &str = "id";
 /// Field name: cache regime (`cold`, `warm`).
 pub const FIELD_CACHE: &str = "cache";
-/// Field name: worker threads used by the run.
-pub const FIELD_THREADS: &str = "threads";
 /// Field name: probe-count grid extent.
 pub const FIELD_N_MAX: &str = "n_max";
 /// Field name: listening-period grid extent.
@@ -70,23 +71,10 @@ pub const FIELD_ITERS_PER_SAMPLE: &str = "iters_per_sample";
 /// Field name: optional free-text caveat (single-CPU hosts etc.).
 pub const FIELD_NOTE: &str = "note";
 
-/// The engine cold/warm row label for `threads` workers.
+/// The pipelined-session row label for `depth` requests in flight.
 #[must_use]
-pub fn row_engine(cache: &str, threads: usize) -> String {
-    format!("{ROW_STEM_ENGINE}/{cache}/threads={threads}")
-}
-
-/// The serial-session row label for `threads` workers.
-#[must_use]
-pub fn row_session_serial(threads: usize) -> String {
-    format!("{ROW_STEM_SESSION}/serial/threads={threads}")
-}
-
-/// The pipelined-session row label for `depth` in flight on `threads`
-/// workers.
-#[must_use]
-pub fn row_session_pipelined(depth: usize, threads: usize) -> String {
-    format!("{ROW_STEM_SESSION}/pipelined/depth={depth}/threads={threads}")
+pub fn row_session_pipelined(depth: usize) -> String {
+    format!("{ROW_STEM_SESSION_PIPELINED}/depth={depth}")
 }
 
 /// One `BENCH_engine.json` row. `cells` is the number of `(n, r)`
@@ -95,7 +83,6 @@ pub fn row_session_pipelined(depth: usize, threads: usize) -> String {
 #[must_use]
 pub fn row_json(
     record: &BenchRecord,
-    threads: usize,
     cache: &str,
     n_max: u32,
     r_points: usize,
@@ -108,13 +95,12 @@ pub fn row_json(
         None => String::new(),
     };
     format!(
-        "{{\"{FIELD_ID}\":{:?},\"{FIELD_CACHE}\":{:?},\"{FIELD_THREADS}\":{},\
+        "{{\"{FIELD_ID}\":{:?},\"{FIELD_CACHE}\":{:?},\
          \"{FIELD_N_MAX}\":{},\"{FIELD_R_POINTS}\":{},\"{FIELD_MEDIAN_NS}\":{},\
          \"{FIELD_MIN_NS}\":{},\"{FIELD_MEAN_NS}\":{},\"{FIELD_CELLS_PER_SEC}\":{:.1},\
          \"{FIELD_SAMPLES}\":{},\"{FIELD_ITERS_PER_SAMPLE}\":{}{}}}",
         record.id,
         cache,
-        threads,
         n_max,
         r_points,
         record.median_ns,
@@ -145,11 +131,10 @@ mod tests {
 
     #[test]
     fn row_json_spells_every_field_once() {
-        let row = row_json(&record(), 2, "cold", 200, 200, 40_000, None);
+        let row = row_json(&record(), "cold", 200, 200, 40_000, None);
         for field in [
             FIELD_ID,
             FIELD_CACHE,
-            FIELD_THREADS,
             FIELD_N_MAX,
             FIELD_R_POINTS,
             FIELD_MEDIAN_NS,
@@ -172,21 +157,24 @@ mod tests {
 
     #[test]
     fn notes_are_escaped_json_strings() {
-        let row = row_json(&record(), 1, "warm", 32, 40, 1280, Some("quote \" here"));
+        let row = row_json(&record(), "warm", 32, 40, 1280, Some("quote \" here"));
         assert!(row.contains("\"note\":\"quote \\\" here\""), "{row}");
     }
 
     #[test]
     fn parameterized_rows_build_from_the_pinned_stems() {
-        assert_eq!(row_engine("cold", 4), "engine/cold/threads=4");
-        assert_eq!(row_session_serial(1), "engine/session/serial/threads=1");
-        assert_eq!(
-            row_session_pipelined(4, 2),
-            "engine/session/pipelined/depth=4/threads=2"
-        );
+        assert_eq!(row_session_pipelined(4), "engine/session/pipelined/depth=4");
         assert!(ROW_KERNEL_BLOCK_SIMD.starts_with("kernel/block/"));
-        assert!(ROW_FRONTIER_WARM.starts_with(ROW_STEM_ENGINE));
-        assert!(ROW_FRONTIER_RECOMPUTE.starts_with(ROW_STEM_ENGINE));
-        assert!(ROW_CALIBRATE_WARM.starts_with(ROW_STEM_ENGINE));
+        for row in [
+            ROW_ENGINE_COLD,
+            ROW_ENGINE_WARM,
+            ROW_FRONTIER_WARM,
+            ROW_FRONTIER_RECOMPUTE,
+            ROW_CALIBRATE_WARM,
+            ROW_SESSION_SERIAL,
+            ROW_STEM_SESSION_PIPELINED,
+        ] {
+            assert!(row.starts_with("engine/"), "{row}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! zeroconf frontier  <scenario flags> [--budget 1e-40]
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
-//! zeroconf engine    [--workers N] [--cache N] [--inflight N] [--stats]
+//! zeroconf engine    [--cache N] [--inflight N] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
 //!                    # socket daemon: many clients, one shared engine
@@ -165,7 +165,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 /// Options of the `engine` subcommand.
 #[derive(Debug, Clone)]
 struct EngineOptions {
-    workers: usize,
     cache_tables: usize,
     inflight: usize,
     emit_stats: bool,
@@ -173,7 +172,7 @@ struct EngineOptions {
 
 /// The `engine` subcommand's bare switches and value flags.
 const ENGINE_SWITCHES: [&str; 1] = ["stats"];
-const ENGINE_VALUE_FLAGS: [&str; 3] = ["workers", "cache", "inflight"];
+const ENGINE_VALUE_FLAGS: [&str; 2] = ["cache", "inflight"];
 
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
     // Unknown names are reported first: parsed as value flags, a stray
@@ -210,7 +209,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
         })
     };
     Ok(EngineOptions {
-        workers: count("workers", defaults.workers)?,
         cache_tables: count("cache", defaults.cache_tables)?,
         inflight: count("inflight", 1)?,
         emit_stats,
@@ -232,8 +230,8 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
 pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> {
     let options = engine_options(args)?;
     let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
-        workers: options.workers,
         cache_tables: options.cache_tables,
+        ..zeroconf_engine::EngineConfig::default()
     });
     let mut out = String::new();
     let push = |lines: Vec<String>, out: &mut String| {
@@ -354,9 +352,9 @@ pub fn usage() -> String {
      \u{20}  frontier: [--budget P] [--n-max N]\n\
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
-     \u{20}  engine: [--workers N] [--cache TABLES] [--inflight N] [--stats]\n\
-     \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--inflight N] [--max-conns N]\n\
+     \u{20}  engine: [--cache TABLES] [--inflight N] [--stats]\n\
+     \u{20}  serve: (--tcp ADDR | --unix PATH)... [--cache TABLES] [--inflight N]\n\
+     \u{20}         [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
      \u{20}  zeroconf optimize --hosts 1000 --probe-cost 2 --error-cost 1e35 \\\n\
@@ -651,7 +649,7 @@ mod tests {
         let input = format!(
             "{ENGINE_SWEEP}\n{{\"id\":\"s2\",\"rescore\":{{\"of\":\"s1\",\"error_cost\":1e30}}}}\n"
         );
-        let out = engine_process(&input, &args("--workers 2 --stats")).unwrap();
+        let out = engine_process(&input, &args("--stats")).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3, "{out}");
         assert!(lines[0].contains("\"id\":\"s1\""), "{}", lines[0]);
@@ -671,7 +669,7 @@ mod tests {
             ENGINE_SWEEP.replace("\"id\":\"s1\"", "\"id\":\"s2\""),
             ENGINE_SWEEP.replace("\"id\":\"s1\"", "\"id\":\"s3\""),
         );
-        let out = engine_process(&input, &args("--workers 2 --inflight 3 --stats")).unwrap();
+        let out = engine_process(&input, &args("--inflight 3 --stats")).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4, "{out}");
         for id in ["s1", "s2", "s3"] {
@@ -705,8 +703,8 @@ mod tests {
             }
             out
         }
-        let serial = engine_process(ENGINE_SWEEP, &args("--workers 1")).unwrap();
-        let pipelined = engine_process(ENGINE_SWEEP, &args("--workers 1 --inflight 4")).unwrap();
+        let serial = engine_process(ENGINE_SWEEP, &[]).unwrap();
+        let pipelined = engine_process(ENGINE_SWEEP, &args("--inflight 4")).unwrap();
         assert_eq!(blank_wall_ns(&serial), blank_wall_ns(&pipelined));
     }
 
@@ -720,8 +718,9 @@ mod tests {
     fn engine_rejects_unknown_flags() {
         // `--mmap` and `--cache-dir` are not flags: π-tables live in the
         // in-memory cache only. Nor is `--kernel`: the engine runs the
-        // CPU's widest tier.
-        for flag in ["--bogus", "--mmap", "--cache-dir", "--kernel"] {
+        // CPU's widest tier. Nor is `--workers`: a sweep runs on the
+        // thread that runs its request.
+        for flag in ["--bogus", "--mmap", "--cache-dir", "--kernel", "--workers"] {
             let e = engine_process("", &args(&format!("{flag} 1"))).unwrap_err();
             assert!(e.0.contains(flag), "{}", e.0);
         }
@@ -730,12 +729,9 @@ mod tests {
     #[test]
     fn engine_count_flags_take_positive_integers_only() {
         // Parsed, never run: no engine is built for these values.
-        let options = engine_options(&args("--workers 3 --cache 64 --inflight 2")).unwrap();
-        assert_eq!(
-            (options.workers, options.cache_tables, options.inflight),
-            (3, 64, 2)
-        );
-        for name in ["workers", "cache", "inflight"] {
+        let options = engine_options(&args("--cache 64 --inflight 2")).unwrap();
+        assert_eq!((options.cache_tables, options.inflight), (64, 2));
+        for name in ["cache", "inflight"] {
             for raw in ["0", "-3", "nan", "2.5", "1e20"] {
                 let e = engine_options(&args(&format!("--{name} {raw}"))).unwrap_err();
                 assert_eq!(
@@ -750,25 +746,25 @@ mod tests {
     fn engine_reports_unknown_flags_before_reading_values() {
         for line in [
             "--bogus",
-            "--bogus --workers 2",
-            "--workers 2 --bogus",
+            "--bogus --cache 2",
+            "--cache 2 --bogus",
             "--stats --bogus",
         ] {
             let e = engine_process("", &args(line)).unwrap_err();
             assert_eq!(e.0, "unknown flags: --bogus", "{line}");
         }
-        let e = engine_process("", &args("--bogus --workers 2 --junk")).unwrap_err();
+        let e = engine_process("", &args("--bogus --cache 2 --junk")).unwrap_err();
         assert_eq!(e.0, "unknown flags: --bogus, --junk");
         // A known flag is still held to its value.
-        let e = engine_process("", &args("--workers")).unwrap_err();
-        assert!(e.0.contains("--workers requires a value"), "{}", e.0);
+        let e = engine_process("", &args("--cache")).unwrap_err();
+        assert!(e.0.contains("--cache requires a value"), "{}", e.0);
     }
 
     #[test]
     fn engine_matches_cost_command_numbers() {
         // The wire mean_cost for (n = 4, r = 2) must round to the 16.06…
         // the `cost` command prints for the same paper scenario.
-        let out = engine_process(ENGINE_SWEEP, &args("--workers 1")).unwrap();
+        let out = engine_process(ENGINE_SWEEP, &[]).unwrap();
         let direct = run(&args(&format!("cost {SCENARIO} --probes 4 --listen 2"))).unwrap();
         assert!(direct.contains("16.06"), "{direct}");
         assert!(

@@ -51,7 +51,7 @@ fn optimize_command_succeeds() {
 #[test]
 fn engine_subcommand_serves_json_lines_end_to_end() {
     let mut child = zeroconf()
-        .args(["engine", "--workers", "2", "--stats"])
+        .args(["engine", "--stats"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -101,4 +101,182 @@ fn help_prints_usage() {
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("usage: zeroconf"));
+}
+
+/// A seeded corpus with every verb: a sweep over a shuffled `r` list with
+/// twins and both zeros, a rescore, a calibrate and a frontier of it, a
+/// 64 × 400 inline frontier, a mixture sweep, a malformed line, a repeat
+/// of the first sweep and a cancel of a finished request.
+fn seeded_corpus(seed: u64) -> String {
+    use zeroconf_rng::rngs::StdRng;
+    use zeroconf_rng::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rs: Vec<f64> = (0..40).map(|_| rng.gen_range(0.01..6.0)).collect();
+    for _ in 0..8 {
+        let twin = rs[rng.gen_range(0..rs.len())];
+        rs.push(twin);
+    }
+    rs.extend([-0.0, 0.0, 0.0]);
+    for i in (1..rs.len()).rev() {
+        rs.swap(i, rng.gen_range(0..i + 1));
+    }
+    let r_list = rs
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let exponential = |rng: &mut StdRng| {
+        format!(
+            "{{\"kind\":\"exponential\",\"loss\":{:?},\"rate\":{:?},\"delay\":{:?}}}",
+            10f64.powf(-rng.gen_range(3.0..15.0)),
+            rng.gen_range(2.0..20.0),
+            rng.gen_range(0.0..0.5)
+        )
+    };
+    let scenario = |rng: &mut StdRng, reply_time: &str| {
+        format!(
+            "{{\"q\":{:?},\"probe_cost\":{:?},\"error_cost\":{:?},\"reply_time\":{reply_time}}}",
+            10f64.powf(rng.gen_range(-4.0..-1.0)),
+            rng.gen_range(0.5..4.0),
+            10f64.powf(rng.gen_range(3.0..18.0))
+        )
+    };
+    let axes = |rng: &mut StdRng| {
+        let e0 = 10f64.powf(rng.gen_range(2.0..4.0));
+        let c0 = rng.gen_range(0.2..1.0);
+        let x: Vec<String> = (0..16)
+            .map(|k| format!("{:?}", e0 * 10f64.powf(0.75 * f64::from(k))))
+            .collect();
+        let y: Vec<String> = (0..16)
+            .map(|k| format!("{:?}", c0 * (1.0 + 0.5 * f64::from(k))))
+            .collect();
+        format!(
+            "\"x\":{{\"axis\":\"error_cost\",\"values\":[{}]}},\
+             \"y\":{{\"axis\":\"probe_cost\",\"values\":[{}]}}",
+            x.join(","),
+            y.join(",")
+        )
+    };
+    let reply_time = exponential(&mut rng);
+    let base = scenario(&mut rng, &reply_time);
+    let sweep = format!(
+        "{{\"v\":1,\"id\":\"s1\",\"scenario\":{base},\"grid\":{{\"n_max\":12,\"r\":[{r_list}]}}}}"
+    );
+    let inline_reply_time = exponential(&mut rng);
+    let inline = scenario(&mut rng, &inline_reply_time);
+    let mixture = format!(
+        "{{\"kind\":\"mixture\",\"components\":[{{\"weight\":0.7,\"dist\":{}}},\
+         {{\"weight\":0.3,\"dist\":{{\"kind\":\"weibull\",\"mass\":0.999,\"shape\":1.5,\
+         \"scale\":0.4,\"delay\":0.1}}}}]}}",
+        exponential(&mut rng)
+    );
+    let mixed = scenario(&mut rng, &mixture);
+    // A calibrate target needs a grid neighbor on each side: an interior
+    // `r` whose first occurrence is where it stands.
+    let target_r = (1..rs.len() - 1)
+        .map(|k| (k, rs[k]))
+        .find(|&(k, r)| r > 0.5 && rs.iter().position(|x| x.to_bits() == r.to_bits()) == Some(k))
+        .map_or(1.0, |(_, r)| r);
+    [
+        sweep.clone(),
+        format!(
+            "{{\"v\":1,\"id\":\"r1\",\"rescore\":{{\"of\":\"s1\",\"error_cost\":{:?}}}}}",
+            10f64.powf(rng.gen_range(3.0..18.0))
+        ),
+        format!("{{\"v\":1,\"id\":\"k1\",\"calibrate\":{{\"of\":\"s1\",\"n\":3,\"r\":{target_r:?}}}}}"),
+        format!("{{\"v\":1,\"id\":\"f1\",\"frontier\":{{\"of\":\"s1\",{}}}}}", axes(&mut rng)),
+        format!(
+            "{{\"v\":1,\"id\":\"f2\",\"scenario\":{inline},\
+             \"grid\":{{\"n_max\":64,\"r_min\":0.02,\"r_max\":8.0,\"r_points\":400}},\
+             \"frontier\":{{{}}}}}",
+            axes(&mut rng)
+        ),
+        format!(
+            "{{\"v\":1,\"id\":\"s2\",\"scenario\":{mixed},\"grid\":{{\"n_max\":6,\"r\":[{r_list}]}}}}"
+        ),
+        "{\"v\":1,\"id\":\"bad\",\"scenario\":{}}".to_owned(),
+        sweep.replace("\"id\":\"s1\"", "\"id\":\"s3\""),
+        "{\"v\":1,\"id\":\"c1\",\"cancel\":\"s2\"}".to_owned(),
+    ]
+    .join("\n")
+        + "\n"
+}
+
+/// `out` with every `"wall_ns"` and pipeline `*_ns_*` counter value
+/// replaced by `_`: the only bytes a timing can move.
+fn mask_timings(out: &str) -> String {
+    let mut masked = String::with_capacity(out.len());
+    let mut rest = out;
+    while let Some(at) = rest.find("_ns") {
+        let key_end = at + rest[at..].find("\":").map_or(rest.len() - at, |k| k + 2);
+        let key_start = rest[..at].rfind('"').map_or(0, |k| k + 1);
+        let key = &rest[key_start..key_end - 2];
+        masked.push_str(&rest[..key_end.min(rest.len())]);
+        rest = &rest[key_end.min(rest.len())..];
+        if key == "wall_ns" || key.contains("_ns_") {
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            masked.push('_');
+            rest = &rest[digits..];
+        }
+    }
+    masked.push_str(rest);
+    masked
+}
+
+/// One seeded corpus through `zeroconf engine --inflight 1 --stats`,
+/// twice: the answers must be the same bytes but for timings. The cache
+/// counters and `cells_per_worker` are compared as they stand — a sweep
+/// runs on one thread, in fixed chunks, and builds each distinct `r` of a
+/// chunk once, so none of them may vary from run to run.
+#[test]
+fn a_seeded_corpus_gets_the_same_bytes_on_every_run() {
+    let corpus = seeded_corpus(28);
+    let run = || {
+        let mut child = zeroconf()
+            .args(["engine", "--inflight", "1", "--stats"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(corpus.as_bytes())
+            .expect("write corpus");
+        let output = child.wait_with_output().expect("binary exits");
+        assert!(output.status.success(), "{output:?}");
+        String::from_utf8(output.stdout).expect("UTF-8 answers")
+    };
+    let first = run();
+    let lines: Vec<&str> = first.lines().collect();
+    assert_eq!(lines.len(), corpus.lines().count() + 1, "{first}");
+    for (line, id) in lines
+        .iter()
+        .zip(["s1", "r1", "k1", "f1", "f2", "s2", "bad", "s3", "c1"])
+    {
+        assert!(line.contains(&format!("\"id\":\"{id}\"")), "{line:.300}");
+    }
+    for line in ["s1", "f2", "s2", "s3"].map(|id| {
+        lines
+            .iter()
+            .find(|l| l.contains(&format!("\"id\":\"{id}\"")))
+            .unwrap()
+    }) {
+        assert!(line.contains("\"workers\":1}"), "{line:.300}");
+    }
+    let stats = lines.last().unwrap();
+    let cells = stats
+        .split("\"cells\":")
+        .nth(1)
+        .and_then(|s| s.split(',').next())
+        .expect("the stats line counts cells");
+    assert!(
+        stats.contains(&format!("\"cells_per_worker\":[{cells}]")),
+        "{stats}"
+    );
+    assert_eq!(mask_timings(&run()), mask_timings(&first));
 }

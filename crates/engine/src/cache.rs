@@ -9,6 +9,7 @@
 //! `capacity` tables, evicting the least recently used in amortized
 //! `O(1)`.
 
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -92,14 +93,6 @@ impl PiCache {
         }
     }
 
-    /// Like `lookup`, but without bumping recency or cloning — used by
-    /// the scheduler to estimate how much of a sweep is already warm.
-    fn peek(&self, key: (u64, u64), n_max: u32) -> bool {
-        self.entries
-            .get(&key)
-            .is_some_and(|entry| entry.table.len() > n_max as usize)
-    }
-
     fn insert(&mut self, key: (u64, u64), table: PiTable) {
         self.clock += 1;
         let stamp = self.clock;
@@ -162,19 +155,22 @@ impl SharedCache {
     }
 
     /// Block fetch: the tables for a whole slice of listening periods,
-    /// with one lock round-trip for the lookups and one `compute` call
-    /// for *all* misses together — this is what lets the engine
-    /// build missing π-tables with the blocked batch kernel.
+    /// with one lock round-trip for the lookups, one `compute` call for
+    /// *all* misses together — this is what lets the engine build missing
+    /// π-tables with the blocked batch kernel — and one lock round-trip
+    /// to insert what it computed.
     ///
-    /// `compute` receives the missing `r`s (in `rs` order) and must
-    /// return one table per entry. Returns the tables in `rs` order plus
-    /// the block's (hits, misses).
+    /// Each distinct key of the block is looked up, and if missing
+    /// computed, once: `compute` receives the missing keys' canonical
+    /// `r`s (`-0.0` as `0.0`) in first-seen order and must return one
+    /// table per entry. Every later `r` of the block with the same key is
+    /// served from that key's table and counted as a hit. Returns the
+    /// tables in `rs` order plus the block's (hits, misses).
     ///
     /// The compute runs *outside* the lock so a slow block never
-    /// serializes other workers; if two threads race on the same key the
+    /// serializes other requests; if two threads race on the same key the
     /// table is computed twice and inserted twice — wasteful but correct
-    /// (insert keeps the longer table), and impossible within one sweep
-    /// (each `r` belongs to one work chunk).
+    /// (insert keeps the longer table).
     pub(crate) fn get_or_compute_block<E>(
         &self,
         fingerprint: u64,
@@ -182,54 +178,53 @@ impl SharedCache {
         n_max: u32,
         compute: impl FnOnce(&[f64]) -> Result<Vec<Vec<f64>>, E>,
     ) -> Result<(Vec<PiTable>, u64, u64), E> {
-        let mut tables: Vec<Option<PiTable>> = vec![None; rs.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.lock();
-            for (j, &r) in rs.iter().enumerate() {
-                match cache.lookup((fingerprint, r_key(r)), n_max) {
-                    Some(table) => tables[j] = Some(table),
-                    None => missing.push(j),
+        // The block's distinct keys in first-seen order, and each `r`'s
+        // index among them.
+        let mut keys: Vec<u64> = Vec::with_capacity(rs.len());
+        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(rs.len());
+        let slots: Vec<usize> = rs
+            .iter()
+            .map(|&r| match index_of.entry(r_key(r)) {
+                Slot::Occupied(slot) => *slot.get(),
+                Slot::Vacant(slot) => {
+                    keys.push(*slot.key());
+                    *slot.insert(keys.len() - 1)
                 }
-            }
-        }
-        let hits = (rs.len() - missing.len()) as u64;
+            })
+            .collect();
+        let mut tables: Vec<Option<PiTable>> = {
+            let mut cache = self.lock();
+            keys.iter()
+                .map(|&key| cache.lookup((fingerprint, key), n_max))
+                .collect()
+        };
+        let missing: Vec<usize> = (0..keys.len()).filter(|&k| tables[k].is_none()).collect();
         let misses = missing.len() as u64;
+        let hits = rs.len() as u64 - misses;
         if !missing.is_empty() {
-            let missing_rs: Vec<f64> = missing.iter().map(|&j| rs[j]).collect();
+            let missing_rs: Vec<f64> = missing.iter().map(|&k| f64::from_bits(keys[k])).collect();
             let computed = compute(&missing_rs)?;
             assert_eq!(
                 computed.len(),
                 missing.len(),
                 "block compute must return one table per missing r"
             );
-            for (&j, table) in missing.iter().zip(computed) {
+            let mut cache = self.lock();
+            for (&k, table) in missing.iter().zip(computed) {
                 let table = PiTable::from(table);
-                self.lock()
-                    .insert((fingerprint, r_key(rs[j])), table.clone());
-                tables[j] = Some(table);
+                cache.insert((fingerprint, keys[k]), table.clone());
+                tables[k] = Some(table);
             }
         }
         // ORDERING: hit/miss tallies are monotonic statistics; readers
         // only report them, so no ordering with the table data is needed.
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
-        let tables = tables
+        let tables = slots
             .into_iter()
-            .map(|t| t.expect("every r resolved to a table"))
+            .map(|k| tables[k].clone().expect("every r resolved to a table"))
             .collect();
         Ok((tables, hits, misses))
-    }
-
-    /// How many of `rs` are already resident in memory (covering
-    /// `n_max`), without touching recency or the hit counters. The
-    /// scheduler uses this to cost a sweep before deciding whether to
-    /// fan it out.
-    pub(crate) fn count_resident(&self, fingerprint: u64, rs: &[f64], n_max: u32) -> usize {
-        let cache = self.lock();
-        rs.iter()
-            .filter(|&&r| cache.peek((fingerprint, r_key(r)), n_max))
-            .count()
     }
 
     pub(crate) fn hits(&self) -> u64 {
@@ -382,12 +377,6 @@ mod tests {
             Some(entry.0)
         }
 
-        fn peek(&self, key: (u64, u64), n_max: u32) -> bool {
-            self.entries
-                .get(&key)
-                .is_some_and(|entry| entry.0 > n_max as usize)
-        }
-
         fn insert(&mut self, key: (u64, u64), len: usize) {
             self.clock += 1;
             let stamp = self.clock;
@@ -447,22 +436,16 @@ mod tests {
                 // resident but too-short table misses.
                 let n_max = rng.gen_range(1..8u32);
                 let what = format!("capacity {capacity}, step {step}, key {k}, n_max {n_max}");
-                match rng.gen_range(0..3u32) {
-                    0 => assert_eq!(
+                if rng.gen_bool(0.5) {
+                    assert_eq!(
                         cache.lookup(key, n_max).map(|t| t.len()),
                         model.lookup(key, n_max),
                         "lookup at {what}"
-                    ),
-                    1 => {
-                        let len = n_max as usize + 1;
-                        cache.insert(key, PiTable::from(vec![0.0; len]));
-                        model.insert(key, len);
-                    }
-                    _ => assert_eq!(
-                        cache.peek(key, n_max),
-                        model.peek(key, n_max),
-                        "peek at {what}"
-                    ),
+                    );
+                } else {
+                    let len = n_max as usize + 1;
+                    cache.insert(key, PiTable::from(vec![0.0; len]));
+                    model.insert(key, len);
                 }
                 assert_eq!(resident(&cache), model.resident(), "residents at {what}");
                 assert_eq!(cache.evictions(), model.evictions, "evictions at {what}");
@@ -531,13 +514,28 @@ mod tests {
         assert_eq!((hits, misses), (3, 0));
     }
 
+    /// Twins within a block are looked up and built once and served from
+    /// that one table as hits; `-0.0` shares `0.0`'s key, and `compute`
+    /// sees the canonical `0.0`. The counters are the same on every run.
     #[test]
-    fn count_resident_does_not_disturb_recency_or_counters() {
-        let cache = SharedCache::new(8);
-        cache.get_or_compute(3, 1.0, 4, || table(4)).unwrap();
-        let (hits, misses) = (cache.hits(), cache.misses());
-        assert_eq!(cache.count_resident(3, &[1.0, 2.0], 4), 1);
-        assert_eq!(cache.count_resident(3, &[1.0], 9), 0, "table too short");
-        assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+    fn block_fetch_builds_each_distinct_r_once() {
+        let rs = [1.0, 2.0, 1.0, -0.0, 0.0];
+        for _ in 0..20 {
+            let cache = SharedCache::new(16);
+            let (tables, hits, misses) = cache
+                .get_or_compute_block(9, &rs, 4, |missing| {
+                    let bits: Vec<u64> = missing.iter().map(|r| r.to_bits()).collect();
+                    let want: Vec<u64> = [1.0f64, 2.0, 0.0].iter().map(|r| r.to_bits()).collect();
+                    assert_eq!(bits, want, "each distinct key once, canonical");
+                    Ok::<_, ()>(missing.iter().map(|&r| vec![r; 5]).collect())
+                })
+                .unwrap();
+            assert_eq!((hits, misses), (2, 3));
+            assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 3, 3));
+            assert!(Arc::ptr_eq(&tables[0], &tables[2]), "twins share a table");
+            assert!(Arc::ptr_eq(&tables[3], &tables[4]), "±0 share a table");
+            let firsts: Vec<f64> = tables.iter().map(|t| t[0]).collect();
+            assert_eq!(firsts, [1.0, 2.0, 1.0, 0.0, 0.0]);
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! A batched, cached, multi-threaded landscape-evaluation engine for the
-//! zeroconf cost model.
+//! A batched, cached landscape-evaluation engine for the zeroconf cost
+//! model.
 //!
 //! The closed forms of the paper — mean cost `C(n, r)` (Eq. 3) and
 //! collision probability `E(n, r)` (Eq. 4) — are cheap per cell, but every
@@ -21,9 +21,10 @@
 //!   `(distribution fingerprint, r)` in a bounded LRU cache, so all `n`
 //!   at one `r` share one table — and re-evaluations under changed `q`,
 //!   `E` or `c` ([`Engine::rescore`]) recompute *no* π at all.
-//! - **Multi-threaded**: the `r` grid is self-scheduled in chunks across a
-//!   persistent `std::thread` pool; the calling thread participates, so a
-//!   single-worker engine is just the plain loop with no thread traffic.
+//! - **One thread per sweep**: a sweep runs on the thread that calls the
+//!   engine, in chunks of consecutive `r` columns with a cancellation
+//!   check between them. Parallelism comes from requests in flight: the
+//!   [`ExecutorTeam`] runs one request per executor.
 //!
 //! Results are **bit-identical** to calling
 //! [`zeroconf_cost::cost::mean_cost`] /
@@ -70,9 +71,9 @@ compile_error!("zeroconf-engine builds for 64-bit little-endian Linux only");
 
 mod cache;
 pub mod pipeline;
-mod pool;
 mod request;
 pub mod signal;
+mod sweep;
 pub mod testkit;
 pub mod wire;
 
@@ -98,13 +99,14 @@ pub use request::{
 pub use wire::WireError;
 
 use cache::SharedCache;
-use pool::{Job, MetricSlabs, Slabs, StatisticSlabs, WorkerPool};
+use sweep::{MetricSlabs, Slabs, StatisticSlabs};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Total threads evaluating a sweep, including the calling thread;
-    /// `workers = 1` means fully synchronous in-caller evaluation.
+    /// Ignored: every sweep runs on the thread that calls the engine. The
+    /// field stays, at 1 by default, because perfbench's daemon still
+    /// sets and announces it.
     pub workers: usize,
     /// Maximum number of π-tables kept resident.
     pub cache_tables: usize,
@@ -113,9 +115,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: 1,
             cache_tables: 1024,
         }
     }
@@ -180,8 +180,9 @@ impl From<wire::WireError> for EngineError {
 /// A shareable cancellation flag for one in-flight request.
 ///
 /// Cloning shares the flag. [`CancelToken::cancel`] is sticky: once set,
-/// every participant evaluating the request bails out at the next `r`
-/// boundary and the request completes with [`EngineError::Cancelled`].
+/// the thread evaluating the request bails out at its next check (between
+/// `r` chunks, and between a chunk's π and kernel phases) and the request
+/// completes with [`EngineError::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -194,8 +195,8 @@ impl CancelToken {
 
     /// Requests cancellation. Idempotent.
     pub fn cancel(&self) {
-        // ORDERING: a standalone stop flag; workers poll it and only the
-        // flag itself matters, no other memory is published through it.
+        // ORDERING: a standalone stop flag; evaluators poll it and only
+        // the flag itself matters, no other memory is published through it.
         self.0.store(true, Ordering::Relaxed);
     }
 
@@ -208,14 +209,13 @@ impl CancelToken {
     }
 }
 
-/// The evaluation engine: a worker pool plus a shared π-table cache and
-/// lifetime counters. Cheap to share behind an `Arc`; all methods take
-/// `&self`.
+/// The evaluation engine: a shared π-table cache, the single-slot
+/// statistic cache and lifetime counters. Cheap to share behind an `Arc`;
+/// all methods take `&self`.
 pub struct Engine {
-    pool: WorkerPool,
-    cache: Arc<SharedCache>,
-    /// The column-kernel backend every job runs with: the widest tier the
-    /// CPU has ([`Backend::detect`]), or scalar in tests.
+    cache: SharedCache,
+    /// The column-kernel backend every sweep runs with: the widest tier
+    /// the CPU has ([`Backend::detect`]), or scalar in tests.
     backend: Backend,
     /// The weakest distribution-batch tier observed so far, as a
     /// [`Backend`] discriminant folded with `fetch_min` — starts at
@@ -228,46 +228,9 @@ pub struct Engine {
     /// the statistic pass; a cold one still recomputes no π when the
     /// π-table cache is warm.
     landscape: Mutex<Option<LandscapeSlot>>,
-    /// EWMA of warm per-cell kernel cost in nanoseconds, stored as f64
-    /// bits (0 = no measurement yet). Fed by fully-warm sweeps.
-    ewma_cell_nanos: AtomicU64,
-    /// EWMA of the cost of one π-table *cell* relative to one kernel
-    /// cell, stored as f64 bits (0 = no measurement yet). Fed by sweeps
-    /// with misses once a warm baseline exists.
-    ewma_pi_ratio: AtomicU64,
     requests: AtomicU64,
     cells: AtomicU64,
     wall_nanos: Mutex<u128>,
-    cells_per_worker: Vec<AtomicU64>,
-}
-
-/// Sweeps estimated below this many equivalent warm cells run on the
-/// calling thread alone: fan-out overhead (broadcast, cursor and latch
-/// traffic, cache-line ping-pong) exceeds the parallel win for small or
-/// fully-warm grids. Missing π-tables weigh extra via a measured cost
-/// ratio, so a *cold* sweep of the same grid can still fan out.
-const SMALL_SWEEP_CELLS: usize = 65_536;
-
-/// How many chunks each participant should get on average; more than one
-/// so uneven cells rebalance, not so many that cursor traffic dominates.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// A chunk should cost at least this long to evaluate, so the shared
-/// cursor fetch, cache lock round-trip and latch update stay amortized.
-const MIN_CHUNK_NANOS: f64 = 20_000.0;
-
-/// Scheduler priors used until the EWMAs have real measurements: a warm
-/// cell costs a few nanoseconds, and a π cell costs several times that
-/// (one `survival` evaluation per cell versus pure arithmetic).
-const DEFAULT_CELL_NANOS: f64 = 5.0;
-const DEFAULT_PI_RATIO: f64 = 8.0;
-
-/// How a sweep will be executed: how many threads participate and how
-/// many consecutive `r` columns one claimed chunk spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SweepPlan {
-    participants: usize,
-    chunk: usize,
 }
 
 /// The engine's cached sufficient-statistic landscape and its key.
@@ -276,54 +239,27 @@ struct LandscapeSlot {
     landscape: Arc<ParamLandscape>,
 }
 
-/// An EWMA cell stored as f64 bits in an `AtomicU64`; all-zero bits mean
-/// "no measurement yet" (the all-zero pattern is `+0.0`, which no clamp
-/// range below ever produces, so the sentinel is unambiguous).
-fn ewma_get(cell: &AtomicU64, default: f64) -> f64 {
-    // ORDERING: the EWMA cell is a self-contained planning hint; any
-    // recent value is acceptable, so no cross-cell ordering is needed.
-    let bits = cell.load(Ordering::Relaxed);
-    if bits == 0 {
-        default
-    } else {
-        f64::from_bits(bits)
-    }
-}
-
-fn ewma_update(cell: &AtomicU64, measured: f64, lo: f64, hi: f64) {
-    if !measured.is_finite() {
-        return;
-    }
-    let measured = measured.clamp(lo, hi);
-    // ORDERING: read-modify-write race on a planning hint is benign (see
-    // the store below); relaxed keeps the hot path uncontended.
-    let bits = cell.load(Ordering::Relaxed);
-    let next = if bits == 0 {
-        measured
-    } else {
-        // α = 0.25: reactive enough to track a machine warming up,
-        // damped enough that one noisy sweep cannot flip the plan.
-        let old = f64::from_bits(bits);
-        old + 0.25 * (measured - old)
-    };
-    // ORDERING: a racing store loses one sample; the estimate converges
-    // anyway, and nothing else is published through the cell.
-    cell.store(next.to_bits(), Ordering::Relaxed);
-}
+/// The counters of a request that evaluated nothing of its own: one
+/// thread, no cells, no cache traffic.
+const IDLE: BatchStats = BatchStats {
+    wall_nanos: 0,
+    cache_hits: 0,
+    cache_misses: 0,
+    cells: 0,
+    workers: 1,
+};
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl Engine {
-    /// Builds an engine, spawning `config.workers - 1` background threads.
-    /// It runs the widest SIMD tier the CPU has; every tier gives the same
-    /// bits.
+    /// Builds an engine. It runs the widest SIMD tier the CPU has; every
+    /// tier gives the same bits. `config.workers` is ignored.
     #[must_use]
     pub fn new(config: EngineConfig) -> Engine {
         Self::with_backend(config, Backend::detect())
@@ -332,99 +268,14 @@ impl Engine {
     /// [`Engine::new`] on an explicit backend: how tests reach the scalar
     /// tier on a host that has a wider one.
     fn with_backend(config: EngineConfig, backend: Backend) -> Engine {
-        let workers = config.workers.max(1);
         Engine {
-            pool: WorkerPool::new(workers - 1),
-            cache: Arc::new(SharedCache::new(config.cache_tables)),
+            cache: SharedCache::new(config.cache_tables),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
             landscape: Mutex::new(None),
-            ewma_cell_nanos: AtomicU64::new(0),
-            ewma_pi_ratio: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             cells: AtomicU64::new(0),
             wall_nanos: Mutex::new(0),
-            cells_per_worker: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Total threads (pool workers plus the caller) evaluating a sweep.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.pool.background_workers() + 1
-    }
-
-    /// Decides how a sweep will run, from measured costs rather than
-    /// fixed rules:
-    ///
-    /// - The sweep's cost is estimated in *equivalent warm cells*:
-    ///   `cells + missing_tables · n_max · π-ratio`, where residency
-    ///   comes from a recency-neutral cache probe and the π-ratio from
-    ///   the EWMA. Below [`SMALL_SWEEP_CELLS`] the sweep stays on the
-    ///   calling thread — fan-out overhead would dominate (this is what
-    ///   keeps a warm re-sweep from running *slower* with two threads
-    ///   than with one).
-    /// - The chunk size balances load (`CHUNKS_PER_WORKER` chunks per
-    ///   participant) but never drops below the size whose estimated
-    ///   runtime amortizes the per-chunk cursor/cache/latch traffic
-    ///   ([`MIN_CHUNK_NANOS`]).
-    fn plan(&self, request: &SweepRequest) -> SweepPlan {
-        let r_count = request.grid.r_values.len().max(1);
-        let n_max = request.grid.n_max.max(1) as usize;
-        let cells = r_count * n_max;
-        let workers = self.workers();
-        let cell_nanos = ewma_get(&self.ewma_cell_nanos, DEFAULT_CELL_NANOS);
-        let pi_ratio = ewma_get(&self.ewma_pi_ratio, DEFAULT_PI_RATIO);
-        let resident = self.cache.count_resident(
-            request.scenario.reply_time().fingerprint(),
-            &request.grid.r_values,
-            request.grid.n_max,
-        );
-        let missing = request.grid.r_values.len() - resident;
-        let effective = cells as f64 + (missing * n_max) as f64 * pi_ratio;
-        let participants = if workers == 1 || effective < SMALL_SWEEP_CELLS as f64 {
-            1
-        } else {
-            workers
-        };
-        let balance = (r_count / (participants * CHUNKS_PER_WORKER)).max(1);
-        let column_nanos =
-            cell_nanos * n_max as f64 * (1.0 + pi_ratio * missing as f64 / r_count as f64);
-        let min_chunk = (MIN_CHUNK_NANOS / column_nanos.max(1.0)).ceil() as usize;
-        SweepPlan {
-            participants,
-            chunk: balance.max(min_chunk).min(r_count),
-        }
-    }
-
-    /// Feeds a finished sweep back into the scheduler's cost model.
-    /// Fully-warm sweeps calibrate the per-cell nanoseconds; sweeps with
-    /// misses calibrate how much dearer a π cell is than a kernel cell.
-    /// Both are heuristics only — they steer scheduling, never results.
-    fn observe_sweep(&self, stats: &BatchStats, participants: usize, n_max: u32) {
-        if stats.cells == 0 || stats.wall_nanos == 0 {
-            return;
-        }
-        let cpu_nanos = stats.wall_nanos as f64 * participants as f64;
-        if stats.cache_misses == 0 {
-            ewma_update(
-                &self.ewma_cell_nanos,
-                cpu_nanos / stats.cells as f64,
-                0.05,
-                1e4,
-            );
-        } else {
-            let cell_nanos = ewma_get(&self.ewma_cell_nanos, DEFAULT_CELL_NANOS);
-            let pi_cells = (stats.cache_misses * u64::from(n_max.max(1))) as f64;
-            let surplus = cpu_nanos - stats.cells as f64 * cell_nanos;
-            if surplus > 0.0 {
-                ewma_update(
-                    &self.ewma_pi_ratio,
-                    surplus / (pi_cells * cell_nanos),
-                    1.0,
-                    64.0,
-                );
-            }
         }
     }
 
@@ -441,8 +292,9 @@ impl Engine {
     }
 
     /// Like [`Engine::evaluate`], but observing `cancel`: if the token is
-    /// cancelled before or during the sweep, evaluation stops at the next
-    /// `r` boundary and the call returns [`EngineError::Cancelled`]. The
+    /// cancelled before or during the sweep, evaluation stops at its next
+    /// check (between chunks of `r` columns, and between a chunk's π and
+    /// kernel phases) and the call returns [`EngineError::Cancelled`]. The
     /// [`Pipeline`] uses this to abort in-flight requests.
     ///
     /// # Errors
@@ -465,55 +317,27 @@ impl Engine {
         Ok(SweepResponse { landscape, stats })
     }
 
-    /// Runs one pool job over `request`'s grid into slabs of type `S`:
-    /// plans it, fans it out when the plan calls for more than one
-    /// participant, runs its share on this thread, and folds the job's
-    /// work into the scheduler's cost model and the per-worker tallies.
+    /// Runs one sweep over `request`'s grid into slabs of type `S` on
+    /// this thread, and folds its distribution tier into the engine's.
     fn run_job<S: Slabs>(
         &self,
         request: &SweepRequest,
         cancel: &CancelToken,
     ) -> Result<(S, BatchStats), EngineError> {
-        let plan = self.plan(request);
         let start = Instant::now();
-        // The slabs are allocated before the job, so the job's own small
-        // allocations sit above them: freeing a large answer's slabs then
-        // leaves no free block at the top of the heap for the allocator
-        // to trim and the next sweep to fault back in, which costs a warm
-        // 200 × 200 sweep 124 page faults and 3× its time.
-        let mut slabs = S::zeroed(request, request.grid.cells());
-        let job = Arc::new(Job::<S>::new(
-            request,
-            Arc::clone(&self.cache),
-            self.backend,
-            plan.participants,
-            plan.chunk,
-            cancel.clone(),
-        ));
-        if plan.participants > 1 {
-            self.pool.broadcast(&job);
-        }
-        job.run_here(&mut slabs)?;
+        let swept = sweep::run::<S>(request, &self.cache, self.backend, cancel)?;
         // ORDERING: monotonic min of a diagnostic SIMD-tier marker; the
         // fetch_min's atomicity alone keeps it a true low-water mark.
         self.dist_floor
-            .fetch_min(job.dist_backend_used() as u8, Ordering::Relaxed);
-        let by_worker = job.cells_per_worker();
-        // ORDERING: statistics tallies; the job is already joined, so
-        // these relaxed reads and adds race with nothing.
-        for (total, done) in self.cells_per_worker.iter().zip(&by_worker) {
-            total.fetch_add(*done, Ordering::Relaxed);
-        }
+            .fetch_min(swept.dist_backend as u8, Ordering::Relaxed);
         let stats = BatchStats {
             wall_nanos: start.elapsed().as_nanos(),
-            // ORDERING: same statistics block, job already joined.
-            cache_hits: job.hits.load(Ordering::Relaxed),
-            cache_misses: job.misses.load(Ordering::Relaxed),
+            cache_hits: swept.hits,
+            cache_misses: swept.misses,
             cells: request.grid.cells() as u64,
-            workers: self.workers(),
+            ..IDLE
         };
-        self.observe_sweep(&stats, plan.participants, request.grid.n_max);
-        Ok((slabs, stats))
+        Ok((swept.slabs, stats))
     }
 
     /// Re-evaluates `base`'s grid under changed economic parameters.
@@ -542,7 +366,7 @@ impl Engine {
 
     /// The sufficient-statistic landscape for `(scenario, grid)`: served
     /// from the engine's single-slot landscape cache when the fingerprint
-    /// and grid match (zero work), otherwise built through the pool — one
+    /// and grid match (zero work), otherwise built by one sweep — one
     /// π-table per `r` from the shared cache (zero *misses* when warm),
     /// one statistic pass, no cost/error arithmetic.
     ///
@@ -569,13 +393,7 @@ impl Engine {
                         .zip(&grid.r_values)
                         .all(|(a, b)| a.to_bits() == b.to_bits());
                 if same_grid {
-                    return Ok((
-                        Arc::clone(&cached.landscape),
-                        BatchStats {
-                            workers: self.workers(),
-                            ..BatchStats::default()
-                        },
-                    ));
+                    return Ok((Arc::clone(&cached.landscape), IDLE));
                 }
             }
             *slot = None;
@@ -775,13 +593,8 @@ impl Engine {
             cache_misses: self.cache.misses(),
             cache_len: self.cache.len(),
             cache_evictions: self.cache.evictions(),
-            cells_per_worker: self
-                .cells_per_worker
-                .iter()
-                // ORDERING: same snapshot — per-worker tallies, reporting
-                // only.
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            // ORDERING: same snapshot; one thread evaluates each request.
+            cells_per_worker: vec![self.cells.load(Ordering::Relaxed)],
             wall_nanos: *self.wall_nanos.lock().unwrap_or_else(|e| e.into_inner()),
             kernel_backend: self.backend.name(),
             // ORDERING: diagnostic low-water mark read, reporting only.
@@ -816,16 +629,16 @@ mod tests {
             .unwrap()
     }
 
-    fn engine(workers: usize) -> Engine {
+    fn engine() -> Engine {
         Engine::new(EngineConfig {
-            workers,
             cache_tables: 64,
+            ..EngineConfig::default()
         })
     }
 
     #[test]
     fn evaluate_returns_r_major_cells() {
-        let e = engine(1);
+        let e = engine();
         let req = SweepRequest::new(scenario(), GridSpec::linspace(3, 0.5, 2.0, 4));
         let resp = e.evaluate(&req).unwrap();
         assert_eq!(resp.landscape.len(), 12);
@@ -845,7 +658,7 @@ mod tests {
 
     #[test]
     fn one_table_per_r_and_warm_reuse() {
-        let e = engine(1);
+        let e = engine();
         let req = SweepRequest::new(scenario(), GridSpec::linspace(6, 0.5, 2.0, 5));
         let cold = e.evaluate(&req).unwrap();
         assert_eq!(cold.stats.cache_misses, 5, "one table per r");
@@ -858,7 +671,7 @@ mod tests {
 
     #[test]
     fn metric_selection_controls_cell_fields() {
-        let e = engine(1);
+        let e = engine();
         let mut req = SweepRequest::new(scenario(), GridSpec::linspace(2, 0.5, 1.0, 2));
         req.metrics = vec![Metric::MeanCost];
         let resp = e.evaluate(&req).unwrap();
@@ -870,46 +683,9 @@ mod tests {
             .all(|c| c.mean_cost.is_some() && c.error_probability.is_none()));
     }
 
-    /// The grid is cold and above [`SMALL_SWEEP_CELLS`] (12,800 cells
-    /// plus 200 missing tables × 64 × the default π-ratio of 8 = 115,200
-    /// effective cells), so the 4-worker engine fans the sweep out: pool
-    /// threads evaluate chunks into slabs of their own, which the caller
-    /// copies in. A pool thread that wakes after the caller has claimed
-    /// every chunk helps with nothing, so the sweep is repeated on fresh
-    /// engines until one has helped.
-    #[test]
-    fn multi_thread_result_matches_single_thread() {
-        let req = SweepRequest::new(scenario(), GridSpec::linspace(64, 0.1, 30.0, 200));
-        let single = engine(1).evaluate(&req).unwrap();
-        for attempt in 1.. {
-            let pool = engine(4);
-            assert_eq!(pool.plan(&req).participants, 4, "the sweep must fan out");
-            let multi = pool.evaluate(&req).unwrap();
-            assert_eq!(single.landscape.len(), multi.landscape.len());
-            for (a, b) in single.landscape.iter().zip(multi.landscape.iter()) {
-                assert_eq!(a.n, b.n);
-                assert_eq!(a.r.to_bits(), b.r.to_bits());
-                assert_eq!(
-                    a.mean_cost.unwrap().to_bits(),
-                    b.mean_cost.unwrap().to_bits()
-                );
-                assert_eq!(
-                    a.error_probability.unwrap().to_bits(),
-                    b.error_probability.unwrap().to_bits()
-                );
-            }
-            let by_worker = pool.stats().cells_per_worker;
-            assert_eq!(by_worker.iter().sum::<u64>(), req.grid.cells() as u64);
-            if by_worker[1..].iter().any(|&cells| cells > 0) {
-                break;
-            }
-            assert!(attempt < 100, "no pool thread evaluated a cell");
-        }
-    }
-
     #[test]
     fn rescore_is_miss_free_and_changes_costs() {
-        let e = engine(2);
+        let e = engine();
         let req = SweepRequest::new(scenario(), GridSpec::linspace(4, 0.5, 5.0, 20));
         let base = e.evaluate(&req).unwrap();
         assert_eq!(base.stats.cache_misses, 20);
@@ -934,7 +710,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_across_requests() {
-        let e = engine(2);
+        let e = engine();
         let req = SweepRequest::new(scenario(), GridSpec::linspace(3, 0.5, 2.0, 6));
         e.evaluate(&req).unwrap();
         e.evaluate(&req).unwrap();
@@ -945,16 +721,15 @@ mod tests {
         assert_eq!(stats.cache_hits, 6);
         assert_eq!(stats.cache_len, 6);
         assert_eq!(stats.cache_evictions, 0);
-        assert_eq!(stats.cells_per_worker.len(), 2);
-        assert_eq!(stats.cells_per_worker.iter().sum::<u64>(), 36);
+        assert_eq!(stats.cells_per_worker, vec![36]);
     }
 
     #[test]
     fn stats_report_the_kernel_tier_and_surface_scalar_dist_fallbacks() {
         let simd = Backend::detect();
         let config = EngineConfig {
-            workers: 1,
             cache_tables: 64,
+            ..EngineConfig::default()
         };
         let grid = GridSpec::linspace(3, 0.5, 2.0, 4);
 
@@ -1214,8 +989,8 @@ mod tests {
             };
 
             let config = EngineConfig {
-                workers: 1,
                 cache_tables: 64,
+                ..EngineConfig::default()
             };
             let engines = [
                 Engine::with_backend(config.clone(), Backend::Scalar),
@@ -1273,7 +1048,7 @@ mod tests {
         // A deterministic full-mass distribution with r past the delay
         // drives the denominator to 1 - q: fine. Instead force an error
         // with n = 0 via a doctored grid.
-        let e = engine(1);
+        let e = engine();
         let mut req = SweepRequest::new(scenario(), GridSpec::linspace(2, 0.5, 1.0, 2));
         req.grid.n_max = 0;
         assert!(matches!(
@@ -1286,7 +1061,7 @@ mod tests {
     fn grids_over_the_wire_caps_are_refused_before_evaluation() {
         // 4,096 × 257 cells: one column over `MAX_GRID_CELLS`, which the
         // wire refuses at decode and the library now refuses as well.
-        let e = engine(1);
+        let e = engine();
         let grid = GridSpec::linspace(wire::MAX_GRID_N_MAX, 0.5, 1.0, 257);
         let sweep = SweepRequest::new(scenario(), grid.clone());
         assert!(matches!(
@@ -1308,7 +1083,7 @@ mod tests {
 
     #[test]
     fn a_rebuild_releases_the_stale_statistic_first() {
-        let e = engine(1);
+        let e = engine();
         let frontier = |loss: f64| FrontierRequest {
             scenario: Scenario::builder()
                 .occupancy(0.5)

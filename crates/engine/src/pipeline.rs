@@ -576,8 +576,8 @@ mod tests {
 
     fn pipeline(depth: usize) -> Pipeline {
         let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
             cache_tables: 64,
+            ..EngineConfig::default()
         }));
         Pipeline::new(engine, PipelineConfig::with_depth(depth))
     }

@@ -566,10 +566,10 @@ mod tests {
     use crate::wire::{parse_json, parse_request_line, parse_response_line, Json};
     use crate::wire::{MAX_GRID_R_POINTS, MAX_MIXTURE_COMPONENTS};
 
-    fn engine(workers: usize) -> Engine {
+    fn engine() -> Engine {
         Engine::new(EngineConfig {
-            workers,
             cache_tables: 64,
+            ..EngineConfig::default()
         })
     }
 
@@ -583,7 +583,7 @@ mod tests {
 
     #[test]
     fn session_answers_sweep_then_miss_free_rescore() {
-        let mut session = PipelinedSession::new(engine(2), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         let first = handle(&mut session, &sweep_line("s1")).unwrap();
         assert!(first.contains("\"id\":\"s1\""), "{first}");
         assert!(first.contains("\"cache_misses\":3"), "{first}");
@@ -624,7 +624,7 @@ mod tests {
 
     #[test]
     fn session_reports_errors_without_dying() {
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         assert!(handle(&mut session, "   ").is_none());
         let bad = handle(&mut session, "not json").unwrap();
         assert!(bad.contains("\"error\""), "{bad}");
@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn response_line_parses_back_with_exact_floats() {
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         let line = handle(&mut session, &sweep_line("s1")).unwrap();
         let parsed = parse_json(&line).unwrap();
         let Some(Json::Arr(cells)) = parsed.get("cells") else {
@@ -661,7 +661,7 @@ mod tests {
         // landscape, bit for bit.
         let (head, landscape) = parse_response_line(&line).unwrap();
         assert_eq!(head, head_of(&line));
-        let evaluated = engine(1).evaluate(&request).unwrap();
+        let evaluated = engine().evaluate(&request).unwrap();
         assert_same_landscape(&landscape.unwrap(), &evaluated.landscape);
     }
 
@@ -674,7 +674,7 @@ mod tests {
                     \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\
                     \"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\
                     \"grid\":{\"n_max\":3,\"r\":[0.5,1.0,2.0]}}";
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         let answer = handle(&mut session, line).unwrap();
         let parsed = parse_json(&answer).unwrap_or_else(|e| panic!("{e}: {answer}"));
         let Some(Json::Arr(cells)) = parsed.get("cells") else {
@@ -683,7 +683,7 @@ mod tests {
         let WireRequest::Sweep { request, .. } = parse_request_line(line).unwrap() else {
             panic!("expected sweep");
         };
-        let direct = engine(1).evaluate(&request).unwrap();
+        let direct = engine().evaluate(&request).unwrap();
         assert_eq!(cells.len(), direct.landscape.len());
         let (mut finite, mut null) = (0, 0);
         for (cell, expected) in cells.iter().zip(direct.landscape.iter()) {
@@ -714,7 +714,7 @@ mod tests {
 
     #[test]
     fn pipelined_calibrate_of_pending_base_is_held_back_and_warm() {
-        let mut session = PipelinedSession::new(engine(2), PipelineConfig::with_depth(4));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(4));
         // Sweep and dependent calibrate/frontier streamed back-to-back,
         // before the base completes.
         let mut out = session.submit_line(&sweep_line("s1"));
@@ -748,7 +748,7 @@ mod tests {
 
     #[test]
     fn inline_calibrate_answers_without_a_base() {
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         let line = handle(
             &mut session,
             "{\"id\":\"k1\",\"calibrate\":{\"n\":2,\"r\":1.0},\
@@ -770,7 +770,7 @@ mod tests {
 
     #[test]
     fn dependents_of_a_non_sweep_base_are_refused() {
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(4));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(4));
         session.submit_line(&sweep_line("s1"));
         session.submit_line("{\"id\":\"k1\",\"calibrate\":{\"of\":\"s1\",\"n\":2,\"r\":1.0}}");
         // Chained on the *calibration*, which never becomes a sweep base.
@@ -795,7 +795,7 @@ mod tests {
         let rescore = |id: &str, of: &str| {
             format!("{{\"id\":\"{id}\",\"rescore\":{{\"of\":\"{of}\",\"error_cost\":1e9}}}}")
         };
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         let sent = 21;
         for i in 0..sent {
             let answer = handle(&mut session, &sweep(&format!("b{i:02}"))).unwrap();
@@ -866,7 +866,7 @@ mod tests {
         // One `r` value each: a mixture at the component cap is nearly all
         // of a base's charge, so a handful of bases fill the budget. Charged
         // for their `r` list and id alone, about a thousand would fit.
-        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
         answers(&mut session, &sweep("m00"), "\"cells\"");
         let charge = session.bases.bytes;
         let fit = MAX_RETAINED_BASE_BYTES / charge;
@@ -920,7 +920,7 @@ mod tests {
         // 20,000 and 30,000 fresh π-tables, which outlast the submits and
         // the cancel even in a release build with every other unit test
         // running beside this one.
-        let team = Arc::new(ExecutorTeam::new(Arc::new(engine(1)), 1));
+        let team = Arc::new(ExecutorTeam::new(Arc::new(engine()), 1));
         let mut session = PipelinedSession::with_team(team, PipelineConfig::with_depth(8));
         let heavy = |id: &str, r_points| crate::testkit::heavy_sweep_line(id, 32, r_points);
         let rescore = |error_cost: f64| {

@@ -1,6 +1,6 @@
 //! Golden equivalence: the engine must reproduce the direct closed-form
-//! evaluations bit for bit — cache-cold, cache-warm, single- and
-//! multi-threaded — on the paper's own Figure 2 scenario.
+//! evaluations bit for bit — cache-cold, cache-warm, in one chunk and in
+//! several — on the paper's own Figure 2 scenario.
 
 use zeroconf_cost::{cost, paper};
 use zeroconf_engine::{Engine, EngineConfig, GridSpec, RescoreDelta, SweepRequest};
@@ -36,8 +36,8 @@ fn assert_bit_identical(engine: &Engine, request: &SweepRequest) {
 fn cold_cache_matches_direct_evaluation_bitwise() {
     let scenario = paper::figure2_scenario().unwrap();
     let engine = Engine::new(EngineConfig {
-        workers: 1,
         cache_tables: 256,
+        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     assert_bit_identical(&engine, &request);
@@ -50,8 +50,8 @@ fn cold_cache_matches_direct_evaluation_bitwise() {
 fn warm_cache_matches_direct_evaluation_bitwise() {
     let scenario = paper::figure2_scenario().unwrap();
     let engine = Engine::new(EngineConfig {
-        workers: 2,
         cache_tables: 256,
+        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     // First pass fills the cache; the second serves entirely from it.
@@ -62,17 +62,15 @@ fn warm_cache_matches_direct_evaluation_bitwise() {
     assert_eq!(stats.cache_hits, 120);
 }
 
-/// A 64 × 200 cold grid rather than [`figure2_grid`]: the engine keeps a
-/// sweep on the calling thread below 65,536 equivalent warm cells, and
-/// 8 × 120 cold is only 8,640. This grid weighs 12,800 cells plus 200
-/// missing tables × 64 × the default π-ratio of 8 = 115,200, so the sweep
-/// fans out and several workers write its metric slabs.
+/// A 64 × 200 cold grid rather than [`figure2_grid`]: its 200 columns
+/// span several of the engine's chunks, the last one short, so the slabs
+/// are written chunk by chunk.
 #[test]
-fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
+fn multi_chunk_sweep_matches_direct_evaluation_bitwise() {
     let scenario = paper::figure2_scenario().unwrap();
     let engine = Engine::new(EngineConfig {
-        workers: 4,
         cache_tables: 256,
+        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 200));
     assert_bit_identical(&engine, &request);
@@ -82,8 +80,8 @@ fn multi_threaded_sweep_matches_direct_evaluation_bitwise() {
 fn rescore_is_bit_identical_and_recomputes_no_pi() {
     let scenario = paper::figure2_scenario().unwrap();
     let engine = Engine::new(EngineConfig {
-        workers: 2,
         cache_tables: 256,
+        ..EngineConfig::default()
     });
     let base = SweepRequest::new(scenario, figure2_grid());
     engine.evaluate(&base).unwrap();
@@ -116,8 +114,8 @@ fn tiny_cache_still_gives_exact_results() {
     // correctness and bit-identity must be unaffected.
     let scenario = paper::figure2_scenario().unwrap();
     let engine = Engine::new(EngineConfig {
-        workers: 3,
         cache_tables: 4,
+        ..EngineConfig::default()
     });
     let request = SweepRequest::new(scenario, figure2_grid());
     assert_bit_identical(&engine, &request);

@@ -25,10 +25,10 @@ fn scenario() -> Scenario {
         .unwrap()
 }
 
-fn engine(workers: usize) -> Arc<Engine> {
+fn engine() -> Arc<Engine> {
     Arc::new(Engine::new(EngineConfig {
-        workers,
         cache_tables: 4096,
+        ..EngineConfig::default()
     }))
 }
 
@@ -68,14 +68,14 @@ fn pipelined_payloads_are_bit_identical_to_direct_evaluation() {
         .collect();
 
     // Direct path: one engine, strictly sequential.
-    let direct_engine = engine(1);
+    let direct_engine = engine();
     let direct: Vec<_> = requests
         .iter()
         .map(|request| direct_engine.evaluate(request).unwrap())
         .collect();
 
     // Pipelined path: a different engine, four requests in flight.
-    let mut pipeline = Pipeline::new(engine(3), PipelineConfig::with_depth(4));
+    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(4));
     let ids: Vec<_> = requests
         .iter()
         .map(|request| pipeline.submit(request.clone()).unwrap())
@@ -124,7 +124,7 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
     // session equals the line encoded from a direct evaluation, cell for
     // cell (the stats object differs, so compare the cells payload).
     let request = SweepRequest::new(scenario(), GridSpec::linspace(4, 0.25, 8.0, 30));
-    let direct = engine(1).evaluate(&request).unwrap();
+    let direct = engine().evaluate(&request).unwrap();
     let direct_line = wire::WireResponse::Sweep {
         id: "g1".to_owned(),
         response: direct,
@@ -133,8 +133,8 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
 
     let mut session = PipelinedSession::new(
         Engine::new(EngineConfig {
-            workers: 2,
             cache_tables: 64,
+            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(3),
     );
@@ -167,7 +167,7 @@ fn short_sweeps_overtake_a_long_one() {
     // and can never hold every CPU of a two-CPU host while the tiny
     // sweeps wait; and it runs for tens of milliseconds, many scheduler
     // time slices, whatever the host's speed.
-    let mut pipeline = Pipeline::new(engine(1), PipelineConfig::with_depth(5));
+    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(5));
     let big = pipeline.submit(big_request()).unwrap();
     let tiny: Vec<_> = (0..4)
         .map(|salt| pipeline.submit(tiny_request(salt)).unwrap())
@@ -204,8 +204,8 @@ fn pipelined_session_emits_responses_in_completion_order() {
     // is one short line rather than a million cells of JSON.
     let mut session = PipelinedSession::new(
         Engine::new(EngineConfig {
-            workers: 1,
             cache_tables: 4096,
+            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(5),
     );
@@ -243,7 +243,7 @@ fn pipelined_session_emits_responses_in_completion_order() {
 fn cancelling_a_queued_request_never_evaluates_it() {
     // One executor, so the second submission is still queued while the
     // first evaluates — cancelling it is deterministic.
-    let shared = engine(1);
+    let shared = engine();
     let mut pipeline = Pipeline::with_team(
         Arc::new(ExecutorTeam::new(Arc::clone(&shared), 1)),
         PipelineConfig::with_depth(2),
@@ -273,7 +273,7 @@ fn cancelling_a_queued_request_never_evaluates_it() {
 
 #[test]
 fn cancelling_a_running_sweep_aborts_it() {
-    let mut pipeline = Pipeline::new(engine(2), PipelineConfig::with_depth(2));
+    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(2));
     let id = pipeline.submit(big_request()).unwrap();
     // The sweep computes 16,000 fresh π-tables; this cancel lands long
     // before that finishes.
@@ -301,7 +301,7 @@ fn cancelling_a_running_sweep_aborts_it() {
         other => panic!("a sweep completes with its sweep, got {other:?}"),
     }
     let got = completion.result.unwrap().into_sweep().unwrap().landscape;
-    let want = engine(1).evaluate(&next).unwrap().landscape;
+    let want = engine().evaluate(&next).unwrap().landscape;
     let bits = |slab: Option<&[f64]>| {
         slab.unwrap()
             .iter()
@@ -315,7 +315,7 @@ fn cancelling_a_running_sweep_aborts_it() {
 #[test]
 fn wire_cancel_withdraws_an_in_flight_request() {
     let mut session = PipelinedSession::with_team(
-        Arc::new(ExecutorTeam::new(engine(1), 1)),
+        Arc::new(ExecutorTeam::new(engine(), 1)),
         PipelineConfig::with_depth(3),
     );
     let huge = "{\"id\":\"huge\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
@@ -358,7 +358,7 @@ fn wire_cancel_withdraws_an_in_flight_request() {
 
 #[test]
 fn drain_answers_every_id_exactly_once() {
-    let mut pipeline = Pipeline::new(engine(2), PipelineConfig::with_depth(4));
+    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(4));
     let mut submitted = HashSet::new();
     let mut completions = Vec::new();
     for round in 0..24 {
@@ -384,8 +384,8 @@ fn drain_answers_every_id_exactly_once() {
 fn pipelined_session_drain_answers_every_wire_id() {
     let mut session = PipelinedSession::new(
         Engine::new(EngineConfig {
-            workers: 2,
             cache_tables: 4096,
+            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(4),
     );
@@ -446,8 +446,8 @@ fn handle_line(session: &mut PipelinedSession, line: &str) -> Option<String> {
 fn blocking_session() -> PipelinedSession {
     PipelinedSession::new(
         Engine::new(EngineConfig {
-            workers: 1,
             cache_tables: 16,
+            ..EngineConfig::default()
         }),
         PipelineConfig::with_depth(1),
     )

@@ -9,8 +9,8 @@ use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam, PipelineConfig};
 #[test]
 fn chained_rescore_on_invalid_held_rescore_is_answered() {
     let engine = Engine::new(EngineConfig {
-        workers: 1,
         cache_tables: 4096,
+        ..EngineConfig::default()
     });
     let mut session = PipelinedSession::with_team(
         Arc::new(ExecutorTeam::new(Arc::new(engine), 1)),

@@ -13,10 +13,7 @@ use zeroconf_engine::wire::{
 use zeroconf_engine::{Engine, EngineConfig, FrontierRequest, PipelineConfig};
 
 fn session(depth: usize) -> PipelinedSession {
-    let engine = Engine::new(EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new(EngineConfig::default());
     PipelinedSession::new(engine, PipelineConfig::with_depth(depth))
 }
 

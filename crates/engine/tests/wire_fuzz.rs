@@ -37,10 +37,7 @@ fn mutate(frame: &str, rng: &mut StdRng) -> Vec<u8> {
 }
 
 fn session() -> PipelinedSession {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new(EngineConfig::default());
     PipelinedSession::new(engine, PipelineConfig::with_depth(1))
 }
 

@@ -930,10 +930,7 @@ mod tests {
     }
 
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {
-        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
-            workers: 1,
-            ..zeroconf_engine::EngineConfig::default()
-        });
+        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig::default());
         Arc::new(crate::ServerShared {
             team: Arc::new(zeroconf_engine::ExecutorTeam::new(
                 Arc::new(engine),

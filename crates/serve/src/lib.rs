@@ -123,7 +123,7 @@ impl Shutdown {
 pub struct ServeConfig {
     /// Addresses to listen on (at least one).
     pub endpoints: Vec<Endpoint>,
-    /// The shared engine's configuration (workers, cache).
+    /// The shared engine's configuration (its π-table cache size).
     pub engine: EngineConfig,
     /// The global in-flight budget shared fairly across connections.
     pub inflight: usize,
@@ -149,9 +149,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
-    /// endpoints plus `--workers N`, `--cache TABLES`, `--inflight N` and
-    /// `--max-conns N`. The parsed config follows process signals (it is
-    /// the daemon entry path).
+    /// endpoints plus `--cache TABLES`, `--inflight N` and `--max-conns
+    /// N`. The parsed config follows process signals (it is the daemon
+    /// entry path).
     ///
     /// # Errors
     ///
@@ -174,9 +174,6 @@ impl ServeConfig {
                 "--unix" => config
                     .endpoints
                     .push(Endpoint::Unix(std::path::PathBuf::from(value_of("unix")?))),
-                "--workers" => {
-                    config.engine.workers = parse_count("workers", &value_of("workers")?)?
-                }
                 "--cache" => {
                     config.engine.cache_tables = parse_count("cache", &value_of("cache")?)?
                 }
@@ -202,7 +199,7 @@ impl ServeConfig {
     }
 }
 
-/// Parses the value of a count flag (`--workers`, `--cache`, `--inflight`,
+/// Parses the value of a count flag (`--cache`, `--inflight`,
 /// `--max-conns`): a positive decimal integer. `zeroconf engine` parses
 /// its count flags with this function too.
 ///
@@ -221,8 +218,8 @@ pub fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 /// The serve flag summary (shared by the bin and the `zeroconf` CLI).
 #[must_use]
 pub fn serve_usage() -> String {
-    "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--inflight N] [--max-conns N]"
+    "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--cache TABLES] [--inflight N]\n\
+     \u{20}      [--max-conns N]"
         .to_owned()
 }
 
@@ -380,8 +377,7 @@ mod tests {
     #[test]
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
-            "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --inflight 6 --max-conns 9",
+            "--tcp 127.0.0.1:0 --unix /tmp/z.sock --cache 64 --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -390,7 +386,6 @@ mod tests {
             config.endpoints[1],
             Endpoint::Unix(std::path::PathBuf::from("/tmp/z.sock"))
         );
-        assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);
@@ -399,15 +394,17 @@ mod tests {
 
     #[test]
     fn from_args_requires_an_endpoint_and_rejects_junk() {
-        let e = ServeConfig::from_args(&args("--workers 2")).unwrap_err();
+        let e = ServeConfig::from_args(&args("--cache 2")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
-        // The kernel tier is the CPU's: like `--mmap` and `--cache-dir`,
-        // `--kernel` is not a flag.
+        // The kernel tier is the CPU's and a sweep runs on its request's
+        // executor: like `--mmap` and `--cache-dir`, `--kernel` and
+        // `--workers` are not flags.
         for junk in [
             "--bogus 1",
             "--tcp x --mmap",
             "--tcp x --cache-dir /tmp/z",
             "--tcp x --kernel scalar",
+            "--tcp x --workers 2",
         ] {
             let e = ServeConfig::from_args(&args(junk)).unwrap_err();
             assert!(e.0.contains("unknown serve flag"), "{junk}: {e}");
@@ -444,10 +441,6 @@ mod tests {
     fn binding_port_zero_reports_the_real_port() {
         let server = Server::bind(ServeConfig {
             endpoints: vec![Endpoint::Tcp("127.0.0.1:0".into())],
-            engine: EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
             ..ServeConfig::default()
         })
         .unwrap();

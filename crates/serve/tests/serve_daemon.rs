@@ -36,10 +36,7 @@ impl TestServer {
     fn start(inflight: usize, max_connections: usize) -> TestServer {
         let server = Server::bind(ServeConfig {
             endpoints: vec![Endpoint::Tcp("127.0.0.1:0".into())],
-            engine: EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             inflight,
             max_connections,
             follow_process_signals: false,
@@ -822,15 +819,13 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
 }
 
 /// The daemon's threads: one executor team sized by `--inflight`, none
-/// per connection. 64 connections that each completed a sweep leave the
-/// count at most at main, reactor, `--workers − 1` pool threads and
-/// `--inflight` executors, and reaping them joins nothing.
+/// per connection and none per sweep. 64 connections that each completed
+/// a sweep leave the count at most at main, reactor and `--inflight`
+/// executors (6 here, bounded at `--inflight + 4` as in ci.sh's flood
+/// gate), and reaping them joins nothing.
 #[test]
 fn connections_own_no_threads_in_the_spawned_daemon() {
-    let daemon = Daemon::spawn(
-        "threads",
-        &["--workers", "2", "--inflight", "4", "--max-conns", "128"],
-    );
+    let daemon = Daemon::spawn("threads", &["--inflight", "4", "--max-conns", "128"]);
     let tasks = format!("/proc/{}/task", daemon.child.id());
     let threads = || {
         std::fs::read_dir(&tasks)
@@ -847,7 +842,7 @@ fn connections_own_no_threads_in_the_spawned_daemon() {
         assert!(client.wait(&id).expect("sweep answer").has_cells());
     }
     let busy = threads();
-    assert!(busy <= 9, "{busy} daemon threads with 64 sessions");
+    assert!(busy <= 8, "{busy} daemon threads with 64 sessions");
 
     drop(clients);
     let mut inspector = daemon.connect();
@@ -867,7 +862,7 @@ fn connections_own_no_threads_in_the_spawned_daemon() {
 /// two clients with work in flight, lossless drain, exit status 0.
 #[test]
 fn sigterm_drains_the_spawned_daemon_losslessly() {
-    let mut daemon = Daemon::spawn("sigterm", &["--workers", "2", "--inflight", "4"]);
+    let mut daemon = Daemon::spawn("sigterm", &["--inflight", "4"]);
     let mut client_a = daemon.connect();
     let mut client_b = daemon.connect();
     client_a
@@ -932,7 +927,7 @@ fn depth_refusal() -> String {
 /// Each now gets one error line, and the daemon serves on.
 #[test]
 fn deeply_nested_lines_get_one_error_each_in_the_spawned_daemon() {
-    let mut daemon = Daemon::spawn("nesting", &["--workers", "2", "--inflight", "4"]);
+    let mut daemon = Daemon::spawn("nesting", &["--inflight", "4"]);
     let mut client = daemon.connect();
     for opener in ["[", "{\"a\":"] {
         client
@@ -970,7 +965,7 @@ fn deeply_nested_lines_get_one_error_each_in_the_spawned_daemon() {
 /// `MAX_REQUEST_VALUES`, so each such line gets the budget's error.
 #[test]
 fn request_lines_over_the_value_budget_get_one_error_each_in_the_spawned_daemon() {
-    let mut daemon = Daemon::spawn("values", &["--workers", "2", "--inflight", "4"]);
+    let mut daemon = Daemon::spawn("values", &["--inflight", "4"]);
     let mut client = daemon.connect();
     let refusal = format!(
         "request line JSON value count is over the limit of {}",
@@ -1073,7 +1068,7 @@ fn mutated_frames_over_a_live_socket_get_one_answer_each() {
     use zeroconf_rng::rngs::StdRng;
     use zeroconf_rng::{Rng, SeedableRng};
 
-    let mut daemon = Daemon::spawn("fuzz", &["--workers", "1", "--inflight", "1"]);
+    let mut daemon = Daemon::spawn("fuzz", &["--inflight", "1"]);
     let mut conn = RawConn::open(&daemon);
     let frames = testkit::fuzz_frames();
     // A completed base, so mutated dependents are dispatched, not refused.
@@ -1135,7 +1130,7 @@ fn a_client_that_never_reads_max_size_answers_stalls_no_one() {
     use std::sync::Arc;
 
     const GREEDY: u64 = 8;
-    let daemon = Daemon::spawn("unread", &["--workers", "2"]);
+    let daemon = Daemon::spawn("unread", &[]);
     let mut greedy = daemon.connect();
     let r_points = wire::MAX_GRID_CELLS / wire::MAX_GRID_N_MAX as usize;
     for i in 0..GREEDY {

@@ -97,6 +97,11 @@ pub(crate) unsafe trait LaneVector: Copy {
     /// # Safety
     /// Requires the implementing ISA extension.
     unsafe fn any_lt(a: Self, b: Self) -> bool;
+    /// True when every lane satisfies `a < b` (NaN lanes compare false).
+    ///
+    /// # Safety
+    /// Requires the implementing ISA extension.
+    unsafe fn all_lt(a: Self, b: Self) -> bool;
 }
 
 /// Four f64 lanes over AVX (arithmetic), behind the AVX2 detection gate.
@@ -211,6 +216,15 @@ unsafe impl LaneVector for F64x4 {
         // SAFETY: lanewise AVX compare + sign-bit extraction, caller
         // guarantees the feature.
         unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a.0, b.0)) != 0 }
+    }
+
+    /// # Safety
+    /// See trait: requires AVX.
+    #[inline(always)]
+    unsafe fn all_lt(a: Self, b: Self) -> bool {
+        // SAFETY: lanewise AVX compare + sign-bit extraction, caller
+        // guarantees the feature.
+        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a.0, b.0)) == 0b1111 }
     }
 }
 
@@ -329,6 +343,15 @@ unsafe impl LaneVector for F64x8 {
         // guarantees the feature.
         unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a.0, b.0) != 0 }
     }
+
+    /// # Safety
+    /// See trait: requires AVX-512F.
+    #[inline(always)]
+    unsafe fn all_lt(a: Self, b: Self) -> bool {
+        // SAFETY: lanewise AVX-512F compare to mask register, caller
+        // guarantees the feature.
+        unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a.0, b.0) == 0xFF }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +462,10 @@ unsafe fn weighted_accumulate_body<V: LaneVector>(weight: f64, src: &[f64], acc:
 /// rounded vector exp), so lanes stay `to_bits`-identical to the scalar loop;
 /// the surrounding affine work and the select are vectorized. Lanes with
 /// `t < delay` still evaluate `exp` on garbage offsets — harmless (no traps,
-/// result discarded by the select).
+/// result discarded by the select). A chunk whose every exponent is below
+/// `cut` (see [`crate::saturation_cut`]) skips `exp` for the whole chunk:
+/// each of its lanes rounds to `loss`, as the scalar program's per-element
+/// skip gives.
 ///
 /// # Safety
 /// Requires `V`'s ISA extension and `V::LANES <= MAX_LANES`.
@@ -449,6 +475,7 @@ unsafe fn survival_exponential_body<V: LaneVector>(
     loss: f64,
     scale: f64,
     neg_rate: f64,
+    cut: f64,
     ts: &mut [f64],
 ) {
     let len = ts.len();
@@ -462,19 +489,25 @@ unsafe fn survival_exponential_body<V: LaneVector>(
         let loss_v = V::splat(loss);
         let scale_v = V::splat(scale);
         let neg_rate_v = V::splat(neg_rate);
+        let cut_v = V::splat(cut);
         let one = V::splat(1.0);
         while k + V::LANES <= len {
             let t = V::load(&ts[k..]);
-            neg_rate_v.mul(t.sub(delay_v)).store(&mut scratch);
-            for s in &mut scratch[..V::LANES] {
-                *s = s.exp();
-            }
-            let tail = loss_v.add(scale_v.mul(V::load(&scratch)));
+            let x = neg_rate_v.mul(t.sub(delay_v));
+            let tail = if V::all_lt(x, cut_v) {
+                loss_v
+            } else {
+                x.store(&mut scratch);
+                for s in &mut scratch[..V::LANES] {
+                    *s = s.exp();
+                }
+                loss_v.add(scale_v.mul(V::load(&scratch)))
+            };
             V::select_lt(t, delay_v, one, tail).store(&mut ts[k..]);
             k += V::LANES;
         }
     }
-    survival_exponential_scalar(delay, loss, scale, neg_rate, &mut ts[k..]);
+    survival_exponential_scalar(delay, loss, scale, neg_rate, cut, &mut ts[k..]);
 }
 
 /// Deterministic (point-mass) survival: `survived` once `t >= delay`.
@@ -549,7 +582,9 @@ unsafe fn survival_uniform_body<V: LaneVector>(
 ///
 /// Like the exponential body, `powf`/`exp` run scalar per lane for bit parity
 /// with the scalar loop; masked-off lanes may evaluate them on garbage
-/// offsets, which cannot trap and is discarded by the select.
+/// offsets, which cannot trap and is discarded by the select. A chunk whose
+/// every exponent `-hazard` is below `cut` skips `exp` (not `powf`) for the
+/// whole chunk, as the exponential body does.
 ///
 /// # Safety
 /// Requires `V`'s ISA extension and `V::LANES <= MAX_LANES`.
@@ -560,6 +595,7 @@ unsafe fn survival_weibull_body<V: LaneVector>(
     shape: f64,
     mass: f64,
     survived: f64,
+    cut: f64,
     ts: &mut [f64],
 ) {
     let len = ts.len();
@@ -573,19 +609,27 @@ unsafe fn survival_weibull_body<V: LaneVector>(
         let scale_v = V::splat(scale);
         let mass_v = V::splat(mass);
         let survived_v = V::splat(survived);
+        let cut_v = V::splat(cut);
         let one = V::splat(1.0);
         while k + V::LANES <= len {
             let t = V::load(&ts[k..]);
             t.sub(delay_v).div(scale_v).store(&mut scratch);
             for s in &mut scratch[..V::LANES] {
-                *s = (-s.powf(shape)).exp();
+                *s = -s.powf(shape);
             }
-            let tail = survived_v.add(mass_v.mul(V::load(&scratch)));
+            let tail = if V::all_lt(V::load(&scratch), cut_v) {
+                survived_v
+            } else {
+                for s in &mut scratch[..V::LANES] {
+                    *s = s.exp();
+                }
+                survived_v.add(mass_v.mul(V::load(&scratch)))
+            };
             V::select_lt(t, delay_v, one, tail).store(&mut ts[k..]);
             k += V::LANES;
         }
     }
-    survival_weibull_scalar(delay, scale, shape, mass, survived, &mut ts[k..]);
+    survival_weibull_scalar(delay, scale, shape, mass, survived, cut, &mut ts[k..]);
 }
 
 /// The column-parallel blocked cost/error pass: `V::LANES` columns advance in
@@ -911,13 +955,13 @@ instantiate!(div_clamp_unit_avx2, div_clamp_unit_avx512, div_clamp_unit_body =>
 instantiate!(weighted_accumulate_avx2, weighted_accumulate_avx512, weighted_accumulate_body =>
     (weight: f64, src: &[f64], acc: &mut [f64]));
 instantiate!(survival_exponential_avx2, survival_exponential_avx512, survival_exponential_body =>
-    (delay: f64, loss: f64, scale: f64, neg_rate: f64, ts: &mut [f64]));
+    (delay: f64, loss: f64, scale: f64, neg_rate: f64, cut: f64, ts: &mut [f64]));
 instantiate!(survival_deterministic_avx2, survival_deterministic_avx512, survival_deterministic_body =>
     (delay: f64, survived: f64, ts: &mut [f64]));
 instantiate!(survival_uniform_avx2, survival_uniform_avx512, survival_uniform_body =>
     (lo: f64, hi: f64, mass: f64, survived: f64, width: f64, ts: &mut [f64]));
 instantiate!(survival_weibull_avx2, survival_weibull_avx512, survival_weibull_body =>
-    (delay: f64, scale: f64, shape: f64, mass: f64, survived: f64, ts: &mut [f64]));
+    (delay: f64, scale: f64, shape: f64, mass: f64, survived: f64, cut: f64, ts: &mut [f64]));
 instantiate!(cost_block_pass_avx2, cost_block_pass_avx512, cost_block_pass_body =>
     (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: &'_ [f64], r_plus_c_q: &'_ [f64],
      n_max: usize, tables: &'_ [&'_ [f64]], costs: Option<&mut [f64]>, errors: Option<&mut [f64]>,

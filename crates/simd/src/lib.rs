@@ -233,9 +233,37 @@ pub(crate) fn weighted_accumulate_scalar(weight: f64, src: &[f64], acc: &mut [f6
     }
 }
 
+/// The saturation cut of `loss + scale * exp(x)`: for every `x` below it
+/// the sum rounds to `loss` exactly, so the survival kernels return `loss`
+/// there without calling `exp`.
+///
+/// The cut is `ln(ulp(loss) / (8·scale)) − 1`, where `ulp(loss)` is the
+/// gap from `loss` up to the next float. Below it `scale·e^x` is under
+/// `ulp(loss) / (8e)`, about a 22nd of an ulp, while the sum only leaves
+/// `loss` once the addend reaches half an ulp. So a skipped point keeps
+/// its bits unless libm's `exp` there and its `ln` of the cut's argument
+/// together overstate by a factor of about 10; both are accurate to a few
+/// ulps. The cut is only taken when `loss` is normal with
+/// `2^-1000 ≤ loss < 1` and `0 < scale ≤ 1`, which keeps the rounding of a
+/// subnormal addend (at most `2^-1075`) far below half an ulp of `loss`;
+/// otherwise it is `−∞` and nothing is skipped. A NaN exponent compares
+/// false and still runs `exp`.
+#[must_use]
+pub fn saturation_cut(loss: f64, scale: f64) -> f64 {
+    /// `2^-1000`, the smallest `loss` the cut is taken for.
+    const MIN_LOSS: f64 = f64::from_bits((1023 - 1000) << 52);
+    if !(loss.is_normal() && (MIN_LOSS..1.0).contains(&loss) && scale > 0.0 && scale <= 1.0) {
+        return f64::NEG_INFINITY;
+    }
+    // Exact: both are floats of one binade (or its upper edge).
+    let ulp = f64::from_bits(loss.to_bits() + 1) - loss;
+    (ulp / (8.0 * scale)).ln() - 1.0
+}
+
 /// Defective-exponential survival over `ts` in place:
-/// `1.0` before `delay`, else `loss + scale * exp(neg_rate * (t - delay))`.
-/// Returns the backend that ran.
+/// `1.0` before `delay`, else `loss + scale * exp(neg_rate * (t - delay))`,
+/// with `exp` skipped below [`saturation_cut`]`(loss, scale)`, where the
+/// sum is `loss` to the last bit. Returns the backend that ran.
 pub fn survival_exponential(
     backend: Backend,
     delay: f64,
@@ -244,11 +272,12 @@ pub fn survival_exponential(
     neg_rate: f64,
     ts: &mut [f64],
 ) -> Backend {
+    let cut = saturation_cut(loss, scale);
     dispatch!(
         backend,
-        survival_exponential_avx2(delay, loss, scale, neg_rate, ts),
-        survival_exponential_avx512(delay, loss, scale, neg_rate, ts),
-        { survival_exponential_scalar(delay, loss, scale, neg_rate, ts) }
+        survival_exponential_avx2(delay, loss, scale, neg_rate, cut, ts),
+        survival_exponential_avx512(delay, loss, scale, neg_rate, cut, ts),
+        { survival_exponential_scalar(delay, loss, scale, neg_rate, cut, ts) }
     )
 }
 
@@ -259,13 +288,19 @@ pub(crate) fn survival_exponential_scalar(
     loss: f64,
     scale: f64,
     neg_rate: f64,
+    cut: f64,
     ts: &mut [f64],
 ) {
     for t in ts.iter_mut() {
         *t = if *t < delay {
             1.0
         } else {
-            loss + scale * (neg_rate * (*t - delay)).exp()
+            let x = neg_rate * (*t - delay);
+            if x < cut {
+                loss
+            } else {
+                loss + scale * x.exp()
+            }
         };
     }
 }
@@ -336,8 +371,9 @@ pub(crate) fn survival_uniform_scalar(
 }
 
 /// Defective-Weibull survival over `ts` in place: `1.0` before `delay`, else
-/// `survived + mass * exp(-((t - delay) / scale).powf(shape))`. Returns the
-/// backend that ran.
+/// `survived + mass * exp(-((t - delay) / scale).powf(shape))`, with `exp`
+/// (not `powf`) skipped below [`saturation_cut`]`(survived, mass)`. Returns
+/// the backend that ran.
 pub fn survival_weibull(
     backend: Backend,
     delay: f64,
@@ -347,11 +383,12 @@ pub fn survival_weibull(
     survived: f64,
     ts: &mut [f64],
 ) -> Backend {
+    let cut = saturation_cut(survived, mass);
     dispatch!(
         backend,
-        survival_weibull_avx2(delay, scale, shape, mass, survived, ts),
-        survival_weibull_avx512(delay, scale, shape, mass, survived, ts),
-        { survival_weibull_scalar(delay, scale, shape, mass, survived, ts) }
+        survival_weibull_avx2(delay, scale, shape, mass, survived, cut, ts),
+        survival_weibull_avx512(delay, scale, shape, mass, survived, cut, ts),
+        { survival_weibull_scalar(delay, scale, shape, mass, survived, cut, ts) }
     )
 }
 
@@ -363,14 +400,19 @@ pub(crate) fn survival_weibull_scalar(
     shape: f64,
     mass: f64,
     survived: f64,
+    cut: f64,
     ts: &mut [f64],
 ) {
     for t in ts.iter_mut() {
         *t = if *t < delay {
             1.0
         } else {
-            let hazard = ((*t - delay) / scale).powf(shape);
-            survived + mass * (-hazard).exp()
+            let x = -((*t - delay) / scale).powf(shape);
+            if x < cut {
+                survived
+            } else {
+                survived + mass * x.exp()
+            }
         };
     }
 }

@@ -32,9 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let request = SweepRequest::new(scenario, GridSpec::linspace(12, 0.1, 30.0, 240));
     let response = engine.evaluate(&request)?;
     println!(
-        "swept {} cells on {} threads in {:.2} ms ({} pi-tables computed)",
+        "swept {} cells in {:.2} ms ({} pi-tables computed)",
         response.stats.cells,
-        response.stats.workers,
         response.stats.wall_nanos as f64 / 1e6,
         response.stats.cache_misses
     );
@@ -79,9 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = engine.stats();
     println!(
-        "engine lifetime: {} requests, {} cells, cache {} hits / {} misses, \
-         load per thread {:?}",
-        stats.requests, stats.cells, stats.cache_hits, stats.cache_misses, stats.cells_per_worker
+        "engine lifetime: {} requests, {} cells, cache {} hits / {} misses",
+        stats.requests, stats.cells, stats.cache_hits, stats.cache_misses
     );
 
     // Pipelined dispatch: one per-n slice of the landscape per request,
