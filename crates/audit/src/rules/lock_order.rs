@@ -1,7 +1,7 @@
 //! Rule 6 — lock acquisitions nest only in manifest-blessed order.
 //!
 //! The workspace's blocking primitives (`Mutex` + `Condvar` in the
-//! budget, pool, cache and pipeline) are all acquired through tiny
+//! budget, cache and pipeline) are all acquired through tiny
 //! poison-tolerant `lock` helpers, which makes acquisition sites
 //! recognizable at the token level. Deadlock needs two locks held in
 //! opposite orders on two threads; the defense is a static nesting graph

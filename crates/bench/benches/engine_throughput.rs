@@ -478,7 +478,7 @@ fn main() {
         speedup(&grid_runs[0].0, &grid_runs[1].0)
     );
     println!(
-        "  block kernel (incl. pi) vs cold engine (1 thread): {:.2}x",
+        "  block kernel (incl. pi) vs cold engine: {:.2}x",
         speedup(&grid_runs[0].0, &kernel_runs[0].0)
     );
     println!(

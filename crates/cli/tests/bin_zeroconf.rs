@@ -203,27 +203,27 @@ fn seeded_corpus(seed: u64) -> String {
         + "\n"
 }
 
-/// `out` with every `"wall_ns"` and pipeline `*_ns_*` counter value
-/// replaced by `_`: the only bytes a timing can move.
+/// `out` with the value of every `"wall_ns"` and pipeline `*_ns_*`
+/// counter replaced by `_`: the only bytes a timing can move.
 fn mask_timings(out: &str) -> String {
-    let mut masked = String::with_capacity(out.len());
-    let mut rest = out;
-    while let Some(at) = rest.find("_ns") {
-        let key_end = at + rest[at..].find("\":").map_or(rest.len() - at, |k| k + 2);
-        let key_start = rest[..at].rfind('"').map_or(0, |k| k + 1);
-        let key = &rest[key_start..key_end - 2];
-        masked.push_str(&rest[..key_end.min(rest.len())]);
-        rest = &rest[key_end.min(rest.len())..];
-        if key == "wall_ns" || key.contains("_ns_") {
-            let digits = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
+    let keys = [
+        "wall_ns",
+        "queue_ns_total",
+        "queue_ns_max",
+        "service_ns_total",
+        "service_ns_max",
+    ];
+    keys.iter().fold(out.to_owned(), |text, key| {
+        let needle = format!("\"{key}\":");
+        let mut parts = text.split(needle.as_str());
+        let mut masked = parts.next().unwrap_or_default().to_owned();
+        for part in parts {
+            masked.push_str(&needle);
             masked.push('_');
-            rest = &rest[digits..];
+            masked.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
         }
-    }
-    masked.push_str(rest);
-    masked
+        masked
+    })
 }
 
 /// One seeded corpus through `zeroconf engine --inflight 1 --stats`,

@@ -77,8 +77,8 @@ pub struct ParamLandscape {
 }
 
 impl ParamLandscape {
-    /// Assembles a landscape from its raw slabs (the engine pool writes
-    /// the slabs in disjoint column slices and hands them over whole).
+    /// Assembles a landscape from its raw slabs (the engine writes the
+    /// slabs chunk by chunk and hands them over whole).
     ///
     /// # Panics
     ///

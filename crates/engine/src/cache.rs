@@ -131,8 +131,8 @@ impl PiCache {
     }
 }
 
-/// The cache plus its lifetime hit/miss counters, shared between the
-/// engine front-end and the worker threads.
+/// The cache plus its lifetime hit/miss counters, shared by every thread
+/// that runs a request on the engine.
 pub(crate) struct SharedCache {
     inner: Mutex<PiCache>,
     hits: AtomicU64,

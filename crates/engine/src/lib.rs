@@ -12,8 +12,8 @@
 //! - **Batched**: a [`SweepRequest`] names a scenario, an `(n, r)` grid
 //!   and the metrics wanted; [`Engine::evaluate`] answers with every cell
 //!   in deterministic `r`-major order, stored as flat structure-of-arrays
-//!   [`Landscape`] buffers (one `f64` slab per metric) that each worker
-//!   fills through the single-pass O(n_max) column program of
+//!   [`Landscape`] buffers (one `f64` slab per metric), filled chunk by
+//!   chunk through the single-pass O(n_max) column program of
 //!   [`zeroconf_cost::kernel::ColumnBlockKernel`].
 //! - **Cached**: the only expensive part of a cell is the π-table of
 //!   Eq. (1), and that table depends *only* on the reply-time distribution
@@ -280,8 +280,7 @@ impl Engine {
     }
 
     /// Evaluates one sweep. Cells come back in deterministic `r`-major
-    /// order — for each `r` in request order, `n = 1..=n_max` — whatever
-    /// the thread scheduling did.
+    /// order — for each `r` in request order, `n = 1..=n_max`.
     ///
     /// # Errors
     ///

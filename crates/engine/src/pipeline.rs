@@ -10,8 +10,8 @@
 //!
 //! - An [`ExecutorTeam`] is a bounded set of threads taking tickets off
 //!   one queue and evaluating them on the shared engine — so the
-//!   engine's work-stealing pool and π-table cache are common to every
-//!   in-flight request, and a short sweep submitted after a long one
+//!   engine's π-table cache is common to every in-flight request, each
+//!   request runs on the executor that took it, and a short sweep submitted after a long one
 //!   finishes *first*. `zeroconf serve` builds one team per daemon, sized
 //!   by `--inflight`, and every connection's pipeline submits to it;
 //!   [`Pipeline::new`] builds a private team sized by `depth`. The team

@@ -838,7 +838,9 @@ pub struct BatchStats {
     pub cache_misses: u64,
     /// Cells evaluated.
     pub cells: u64,
-    /// Threads that participated (pool workers plus the caller).
+    /// Threads that evaluated the request: always 1, since a sweep runs
+    /// on the thread that runs its request (kept for the wire's
+    /// `"workers"` key).
     pub workers: usize,
 }
 
@@ -880,8 +882,9 @@ pub struct EngineStats {
     /// π-tables evicted from the cache to make room. A count that grows
     /// by about one per miss means the cache is thrashing.
     pub cache_evictions: u64,
-    /// Cells evaluated by each thread (index 0 is the calling thread,
-    /// `1..` the pool workers) — the load-balance picture.
+    /// Cells evaluated per thread: one entry, equal to `cells`, since the
+    /// engine has no thread pool (kept for the wire's `cells_per_worker`
+    /// key).
     pub cells_per_worker: Vec<u64>,
     /// Total wall-clock nanoseconds spent inside `evaluate`.
     pub wall_nanos: u128,

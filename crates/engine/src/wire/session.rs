@@ -220,7 +220,7 @@ impl PipelinedSession {
     /// Starts a pipelined session on a *shared* executor team. The
     /// session keeps only its bookkeeping (ids, bases, held-back
     /// dependents, cancel tokens); the team's threads and its engine —
-    /// worker pool, π-table cache, lifetime counters — are common to
+    /// π-table cache, lifetime counters — are common to
     /// every session on the team, so a sweep completed through one
     /// session warms the cache for all.
     #[must_use]

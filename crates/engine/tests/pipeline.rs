@@ -288,9 +288,8 @@ fn cancelling_a_running_sweep_aborts_it() {
     assert_eq!(pipeline.stats().cancelled, 1);
 
     // The aborted job leaves nothing behind: the next sweep, cold and
-    // large enough to fan out to the pool thread, answers bit for bit
-    // what a fresh single-worker engine does, and its completion hands
-    // back the request that was submitted.
+    // several chunks wide, answers bit for bit what a fresh engine does,
+    // and its completion hands back the request that was submitted.
     let next = SweepRequest::new(scenario(), GridSpec::linspace(64, 0.1, 30.0, 400));
     pipeline.submit(next.clone()).unwrap();
     let completion = pipeline.next_completion().unwrap();

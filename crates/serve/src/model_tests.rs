@@ -1,6 +1,6 @@
 //! Exhaustive-interleaving model tests for the crate's two concurrency
 //! protocols: [`FairBudget`](crate::budget::FairBudget) admission and
-//! the eventfd wakeup handshake between the engine pool and the event
+//! the eventfd wakeup handshake between the executor team and the event
 //! loop.
 //!
 //! The offline workspace has no `loom`, so this module vendors the part
@@ -240,7 +240,7 @@ mod budget_model {
     }
 }
 
-/// The engine-pool → event-loop wakeup handshake under every schedule,
+/// The executor → event-loop wakeup handshake under every schedule,
 /// against the real eventfd and a real completion channel.
 ///
 /// Producer protocol: enqueue the completion, *then* `notify()`.

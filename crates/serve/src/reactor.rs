@@ -213,7 +213,7 @@ impl Poller {
     }
 }
 
-/// The engine-pool → event-loop wakeup channel: an `eventfd`.
+/// The executor → event-loop wakeup channel: an `eventfd`.
 /// Cloneable (all clones share the counter); `notify` is safe to call
 /// from any thread, including the pipeline executors.
 #[derive(Clone)]
