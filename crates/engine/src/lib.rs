@@ -105,8 +105,8 @@ use sweep::{MetricSlabs, Slabs, StatisticSlabs};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Ignored: every sweep runs on the thread that calls the engine. The
-    /// field stays, at 1 by default, because perfbench's daemon still
-    /// sets and announces it.
+    /// field stays, at 1 by default, because perfbench still sets it and
+    /// its daemon announces it.
     pub workers: usize,
     /// Maximum number of π-tables kept resident.
     pub cache_tables: usize,
