@@ -1,8 +1,8 @@
 //! Throughput of the batched landscape-evaluation engine.
 //!
 //! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario cache-cold
-//! and cache-warm, plus a kernel-vs-legacy column microbenchmark (the single-pass column
-//! program, run one column at a time through a width-1
+//! and cache-warm, plus a kernel-vs-legacy column microbenchmark (the
+//! single-pass column program, run one column at a time through a width-1
 //! [`zeroconf_cost::kernel::ColumnBlockKernel`], against the per-`n`
 //! `*_from_pis` closed forms over the same precomputed π-tables) and a
 //! 16-request session dispatched serially vs through the pipelined
