@@ -76,13 +76,10 @@ echo "==> engine pipeline suite in release"
 cargo test --release -q -p zeroconf-engine --test pipeline
 
 echo "==> engine unit tests in release"
-# Same reason: the fan-out and parity tests of the pool's jobs need pool
-# threads to claim chunks while the calling thread works, which only a
-# release build's chunk times show. The lane also runs the float writer's
-# byte comparison with `{:?}` over 10^8 seeded random floats (a debug
-# build runs a prefix of the same stream), reading each text back through
-# the wire's number reader and `str::parse`; its wall time, build
-# excluded, is printed.
+# The float writer's byte comparison with `{:?}` runs over 10^8 seeded
+# random floats only in a release build (a debug build runs a prefix of
+# the same stream), reading each text back through the wire's number
+# reader and `str::parse`; its wall time, build excluded, is printed.
 cargo test --release -q -p zeroconf-engine --lib --no-run
 ENGINE_T0=$(date +%s%3N)
 cargo test --release -q -p zeroconf-engine --lib
@@ -91,8 +88,10 @@ echo "ci: engine unit tests in release ran in $(( $(date +%s%3N) - ENGINE_T0 ))m
 echo "==> perfbench build and tests (its own workspace)"
 # The benchmark builds against the engine, serve and client crates by
 # path; building and testing it here turns an API change that breaks it
-# into a CI failure rather than a failed benchmark run.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# into a CI failure rather than a failed benchmark run. `--locked` makes
+# a change to a dependency edge that perfbench/Cargo.lock records fail
+# here, instead of cargo rewriting the benchmark's lock at run time.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> perfbench workloads, one short run each"
 # Each workload once for one second, untraced (about 2 s for all three on
@@ -102,7 +101,7 @@ echo "==> perfbench workloads, one short run each"
 # here; the last stdout line must say the run was correct with no failed
 # op.
 for WORKLOAD in landscape-warm param-cold rescore-session; do
-  PERF_OUT="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  PERF_OUT="$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
     --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0)"
   PERF_LAST="$(tail -n 1 <<<"$PERF_OUT")"
   if [[ "$PERF_LAST" != *'"correct": true'* ]] || [[ "$PERF_LAST" != *'"failed": 0,'* ]]; then

@@ -1,5 +1,5 @@
-//! Ablation: optimizer choice for `r_opt` — golden section, Brent, and
-//! the grid-then-refine strategy the cost optimizer actually uses.
+//! Ablation: optimizer choice for `r_opt` — golden section against the
+//! grid-then-refine strategy the cost optimizer actually uses.
 //!
 //! The objective is the real `C_4(r)` of the Figure-2 scenario, so the
 //! numbers reflect the reproduction's actual workload (one such
@@ -7,7 +7,7 @@
 
 use zeroconf_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use zeroconf_cost::paper;
-use zeroconf_numopt::{brent_min, golden_section_min, grid_refine_min, Tolerance};
+use zeroconf_numopt::{golden_section_min, grid_refine_min, Tolerance};
 
 fn bench(c: &mut Criterion) {
     let scenario = paper::figure2_scenario().expect("paper scenario builds");
@@ -19,9 +19,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             golden_section_min(objective, black_box(0.0), black_box(60.0), tolerance).unwrap()
         })
-    });
-    group.bench_function("brent", |b| {
-        b.iter(|| brent_min(objective, black_box(0.0), black_box(60.0), tolerance).unwrap())
     });
     group.bench_function("grid_refine_100", |b| {
         b.iter(|| {

@@ -45,7 +45,11 @@ pub fn mean_cost(scenario: &Scenario, n: u32, r: f64) -> Result<f64, CostError> 
 /// # Errors
 ///
 /// Same conditions as [`mean_cost`].
-pub fn cost_components(scenario: &Scenario, n: u32, r: f64) -> Result<CostComponents, CostError> {
+pub(crate) fn cost_components(
+    scenario: &Scenario,
+    n: u32,
+    r: f64,
+) -> Result<CostComponents, CostError> {
     check_n(n)?;
     check_r(r)?;
     let pis = noanswer::pi_sequence(scenario.reply_time(), n as usize, r)?;
@@ -75,8 +79,8 @@ pub fn pi_table(scenario: &Scenario, n_max: u32, r: f64) -> Result<Vec<f64>, Cos
     )?)
 }
 
-/// [`cost_components`] evaluated against a caller-supplied π-table (from
-/// [`pi_table`], possibly cached and longer than `n + 1`).
+/// The full Eq. (3) breakdown evaluated against a caller-supplied π-table
+/// (from [`pi_table`], possibly cached and longer than `n + 1`).
 ///
 /// This is the *single* implementation of the Eq. (3) arithmetic — the
 /// direct entry points delegate here — so evaluating through a cache is

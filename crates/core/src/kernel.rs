@@ -513,7 +513,7 @@ impl ColumnBlockKernel {
     ///
     /// - [`CostError::InvalidProbeCount`] when `n_max == 0`.
     /// - Same conditions as [`ColumnBlockKernel::pi_tables`].
-    pub fn param_landscape(
+    pub(crate) fn param_landscape(
         &self,
         n_max: u32,
         rs: &[f64],

@@ -73,13 +73,3 @@ pub use scenario::{Scenario, ScenarioBuilder};
 /// Number of link-local IPv4 addresses IANA reserves for zeroconf
 /// (169.254.1.0 – 169.254.254.255; Section 1 of the paper).
 pub const ADDRESS_SPACE_SIZE: u32 = 65024;
-
-/// Probe count recommended by the Internet-Draft the paper analyses.
-pub const DRAFT_PROBE_COUNT: u32 = 4;
-
-/// Listening period (seconds) the draft recommends for unreliable
-/// (wireless) links.
-pub const DRAFT_LISTEN_UNRELIABLE: f64 = 2.0;
-
-/// Listening period (seconds) the draft recommends for reliable links.
-pub const DRAFT_LISTEN_RELIABLE: f64 = 0.2;

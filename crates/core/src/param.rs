@@ -26,9 +26,9 @@
 //!
 //! # Bit-identity
 //!
-//! [`reconstruct_cost`] / [`reconstruct_error`] — behind
-//! [`ParamLandscape::cost_at`], [`ParamLandscape::error_at`] and
-//! [`ParamLandscape::reconstruct`] — replay the *exact* float operations
+//! `reconstruct_cost` / `reconstruct_error` — behind
+//! [`ParamLandscape::cost_at`] and [`ParamLandscape::error_at`] — replay
+//! the *exact* float operations
 //! of the column pass ([`ColumnBlockKernel::evaluate`]) in the exact
 //! order — same hoisted [`ScenarioFactors`], same left-associated
 //! groupings, same division — so reconstruction from the statistic is
@@ -60,11 +60,11 @@ pub struct CellStatistic {
 /// slabs: cell `(n, r_values[j])` is at index `j·n_max + (n−1)`.
 ///
 /// Built by
-/// [`ColumnBlockKernel::param_landscape`](crate::kernel::ColumnBlockKernel::param_landscape)
+/// `ColumnBlockKernel::param_landscape`
 /// (or from engine-owned slabs via [`ParamLandscape::from_parts`]); once
 /// built, every re-evaluation under changed `(q, E, c)` is pure
 /// arithmetic via [`ParamLandscape::cost_at`] /
-/// [`ParamLandscape::error_at`] / [`ParamLandscape::reconstruct`].
+/// [`ParamLandscape::error_at`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamLandscape {
     n_max: u32,
@@ -186,41 +186,6 @@ impl ParamLandscape {
     pub fn error_at(&self, factors: &ScenarioFactors, r_index: usize, n: u32) -> f64 {
         let at = self.flat_index(r_index, n);
         reconstruct_error(factors, self.pi_n[at])
-    }
-
-    /// Reconstructs whole metric slabs under the given economics, writing
-    /// r-major exactly like the kernel's block evaluation: cell by cell,
-    /// through [`reconstruct_cost`] and [`reconstruct_error`]. Either
-    /// output may be `None`; provided slices must hold exactly
-    /// [`len`](Self::len) values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a provided output slice is not exactly `len()` long.
-    pub fn reconstruct(
-        &self,
-        factors: &ScenarioFactors,
-        mut costs: Option<&mut [f64]>,
-        mut errors: Option<&mut [f64]>,
-    ) {
-        if let Some(costs) = costs.as_deref() {
-            assert_eq!(costs.len(), self.len(), "cost slab must hold every cell");
-        }
-        if let Some(errors) = errors.as_deref() {
-            assert_eq!(errors.len(), self.len(), "error slab must hold every cell");
-        }
-        for (j, &r) in self.r_values.iter().enumerate() {
-            for n in 1..=self.n_max {
-                let at = self.flat_index(j, n);
-                let pi_n = self.pi_n[at];
-                if let Some(costs) = costs.as_deref_mut() {
-                    costs[at] = reconstruct_cost(factors, r, n, self.pi_prefix[at], pi_n);
-                }
-                if let Some(errors) = errors.as_deref_mut() {
-                    errors[at] = reconstruct_error(factors, pi_n);
-                }
-            }
-        }
     }
 
     /// The cheapest finite-cost cell under the given economics:
@@ -361,7 +326,7 @@ impl ParamLandscape {
 /// ([`ColumnBlockKernel::evaluate`](crate::kernel::ColumnBlockKernel::evaluate)),
 /// replayed from the sufficient statistic.
 #[must_use]
-pub fn reconstruct_cost(
+pub(crate) fn reconstruct_cost(
     factors: &ScenarioFactors,
     r: f64,
     n: u32,
@@ -379,7 +344,7 @@ pub fn reconstruct_cost(
 
 /// One-cell error reconstruction: the exact Eq. (4) float sequence.
 #[must_use]
-pub fn reconstruct_error(factors: &ScenarioFactors, pi_n: f64) -> f64 {
+pub(crate) fn reconstruct_error(factors: &ScenarioFactors, pi_n: f64) -> f64 {
     factors.q * pi_n / (1.0 - factors.q * (1.0 - pi_n))
 }
 
@@ -460,31 +425,6 @@ mod tests {
                     landscape.error_at(&factors, j, n).to_bits(),
                     direct_e.to_bits(),
                     "Err(n = {n}, r = {r})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn slab_reconstruction_matches_per_cell_reconstruction() {
-        let s = figure2();
-        let n_max = 12u32;
-        let rs = [0.2, 1.0, 4.0];
-        let landscape = ParamLandscape::build(&s, n_max, &rs).unwrap();
-        let factors = ScenarioFactors::new(&s);
-        let mut costs = vec![0.0; landscape.len()];
-        let mut errors = vec![0.0; landscape.len()];
-        landscape.reconstruct(&factors, Some(&mut costs), Some(&mut errors));
-        for (j, _) in rs.iter().enumerate() {
-            for n in 1..=n_max {
-                let at = landscape.flat_index(j, n);
-                assert_eq!(
-                    costs[at].to_bits(),
-                    landscape.cost_at(&factors, j, n).to_bits()
-                );
-                assert_eq!(
-                    errors[at].to_bits(),
-                    landscape.error_at(&factors, j, n).to_bits()
                 );
             }
         }

@@ -169,7 +169,7 @@ pub fn error_probability(scenario: &Scenario, schedule: &Schedule) -> Result<f64
 /// # Errors
 ///
 /// Propagates chain-construction failures (not expected for valid input).
-pub fn build_drm(scenario: &Scenario, schedule: &Schedule) -> Result<Drm, CostError> {
+fn build_drm(scenario: &Scenario, schedule: &Schedule) -> Result<Drm, CostError> {
     let q = scenario.occupancy();
     let c = scenario.probe_cost();
     let e = scenario.error_cost();

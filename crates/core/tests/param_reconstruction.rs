@@ -148,47 +148,3 @@ fn reparameterized_reconstruction_matches_direct_evaluation_bitwise() {
         }
     }
 }
-
-#[test]
-fn slab_reconstruction_matches_the_block_kernel_slabs_bitwise() {
-    // The whole-landscape reconstruction must reproduce exactly what the
-    // block kernel would have written for the same grid.
-    let n_max = 16u32;
-    let rs = [0.1, 0.7, 3.0, 9.0];
-    for (name, scenario) in scenarios() {
-        let block = ColumnBlockKernel::new(&scenario);
-        let tables = block.pi_tables(n_max, &rs).unwrap();
-        let cells = rs.len() * n_max as usize;
-        let mut kernel_costs = vec![0.0; cells];
-        let mut kernel_errors = vec![0.0; cells];
-        block
-            .evaluate(
-                n_max,
-                &rs,
-                &tables,
-                Some(&mut kernel_costs),
-                Some(&mut kernel_errors),
-            )
-            .unwrap();
-        let landscape = block.param_landscape(n_max, &rs).unwrap();
-        let mut costs = vec![0.0; cells];
-        let mut errors = vec![0.0; cells];
-        landscape.reconstruct(
-            &ScenarioFactors::new(&scenario),
-            Some(&mut costs),
-            Some(&mut errors),
-        );
-        for at in 0..cells {
-            assert_eq!(
-                costs[at].to_bits(),
-                kernel_costs[at].to_bits(),
-                "{name}: cost slab at {at}"
-            );
-            assert_eq!(
-                errors[at].to_bits(),
-                kernel_errors[at].to_bits(),
-                "{name}: error slab at {at}"
-            );
-        }
-    }
-}

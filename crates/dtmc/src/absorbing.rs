@@ -109,19 +109,9 @@ impl AbsorbingAnalysis {
         })
     }
 
-    /// The analysed chain.
-    pub fn chain(&self) -> &Dtmc {
-        &self.chain
-    }
-
     /// Transient states in index order.
     pub fn transient_states(&self) -> &[StateId] {
         &self.transient
-    }
-
-    /// Absorbing states in index order.
-    pub fn absorbing_states(&self) -> &[StateId] {
-        &self.absorbing
     }
 
     /// Probability of being absorbed in `target`, starting from `from`.
@@ -158,7 +148,7 @@ impl AbsorbingAnalysis {
     /// # Errors
     ///
     /// Same conditions as [`AbsorbingAnalysis::absorption_probability`].
-    pub fn absorption_vector(&self, target: StateId) -> Result<Vec<f64>, DtmcError> {
+    fn absorption_vector(&self, target: StateId) -> Result<Vec<f64>, DtmcError> {
         self.chain.check_state(target)?;
         if !self.absorbing.contains(&target) {
             return Err(DtmcError::StateNotTransient {
@@ -220,7 +210,7 @@ impl AbsorbingAnalysis {
     /// # Errors
     ///
     /// Same conditions as [`AbsorbingAnalysis::expected_total_reward`].
-    pub fn expected_total_rewards(&self) -> Result<Vec<f64>, DtmcError> {
+    fn expected_total_rewards(&self) -> Result<Vec<f64>, DtmcError> {
         self.check_absorbing_rewards()?;
         if self.transient.is_empty() {
             return Ok(Vec::new());
@@ -264,22 +254,6 @@ impl AbsorbingAnalysis {
         let mut rhs = vec![0.0; self.transient.len()];
         rhs[pos] = 1.0;
         Ok(self.system.solve_transposed(&rhs)?)
-    }
-
-    /// Expected number of visits to `to` before absorption, starting from
-    /// `from` (the single fundamental-matrix entry `N[from, to]`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AbsorbingAnalysis::expected_visits`], plus
-    /// [`DtmcError::StateNotTransient`] for an absorbing `to`.
-    pub fn expected_visits_to(&self, from: StateId, to: StateId) -> Result<f64, DtmcError> {
-        self.chain.check_state(to)?;
-        let to_pos = self.transient_position[to.index()];
-        if to_pos == usize::MAX {
-            return Err(DtmcError::StateNotTransient { state: to.index() });
-        }
-        Ok(self.expected_visits(from)?[to_pos])
     }
 
     /// Variance of the total reward accumulated until absorption from
@@ -477,7 +451,6 @@ mod tests {
         let visits = a.expected_visits(try_).unwrap();
         assert_eq!(visits.len(), 1);
         assert!((visits[0] - 1.0 / 0.75).abs() < 1e-12);
-        assert!((a.expected_visits_to(try_, try_).unwrap() - 1.0 / 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -505,14 +478,10 @@ mod tests {
 
     #[test]
     fn visit_queries_validate_their_states() {
-        let (c, try_, done) = geometric(0.5);
+        let (c, _, done) = geometric(0.5);
         let a = AbsorbingAnalysis::new(&c).unwrap();
         assert!(matches!(
             a.expected_visits(done),
-            Err(DtmcError::StateNotTransient { .. })
-        ));
-        assert!(matches!(
-            a.expected_visits_to(try_, done),
             Err(DtmcError::StateNotTransient { .. })
         ));
         assert!(a.expected_visits(StateId(99)).is_err());
@@ -535,11 +504,9 @@ mod tests {
 
     #[test]
     fn analysis_exposes_partition() {
-        let (c, try_, done) = geometric(0.4);
+        let (c, try_, _) = geometric(0.4);
         let a = AbsorbingAnalysis::new(&c).unwrap();
         assert_eq!(a.transient_states(), &[try_]);
-        assert_eq!(a.absorbing_states(), &[done]);
-        assert_eq!(a.chain().num_states(), 2);
     }
 
     #[test]

@@ -47,17 +47,12 @@ impl DtmcBuilder {
         }
     }
 
-    /// Adds a state and returns its id. Names need not be unique, but
-    /// unique names make [`Dtmc::state_by_name`] useful.
+    /// Adds a state and returns its id. Names need not be unique; they
+    /// label the state in errors and in the chain's `Display`.
     pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
         self.names.push(name.into());
         self.transitions.push(Vec::new());
         StateId(self.names.len() - 1)
-    }
-
-    /// Number of states added so far.
-    pub fn num_states(&self) -> usize {
-        self.names.len()
     }
 
     /// Adds a transition with the given probability and reward.
@@ -134,8 +129,7 @@ impl DtmcBuilder {
     ///
     /// - [`DtmcError::EmptyChain`] if no states were added.
     /// - [`DtmcError::RowNotStochastic`] if any state's outgoing
-    ///   probabilities do not sum to one within
-    ///   [`STOCHASTIC_TOLERANCE`](crate::STOCHASTIC_TOLERANCE).
+    ///   probabilities do not sum to one within `1e-9`.
     pub fn build(self) -> Result<Dtmc, DtmcError> {
         if self.names.is_empty() {
             return Err(DtmcError::EmptyChain);
@@ -295,8 +289,8 @@ mod tests {
     #[test]
     fn with_capacity_behaves_like_new() {
         let mut b = DtmcBuilder::with_capacity(8);
-        assert_eq!(b.num_states(), 0);
-        b.add_state("x");
-        assert_eq!(b.num_states(), 1);
+        let x = b.add_state("x");
+        b.make_absorbing(x).unwrap();
+        assert_eq!(b.build().unwrap().num_states(), 1);
     }
 }

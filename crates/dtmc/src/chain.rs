@@ -17,7 +17,7 @@ pub struct StateId(pub(crate) usize);
 
 impl StateId {
     /// The underlying index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -30,21 +30,20 @@ impl fmt::Display for StateId {
 
 /// One outgoing transition of a state: target, probability and reward.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transition {
+pub(crate) struct Transition {
     /// Target state.
-    pub to: StateId,
+    pub(crate) to: StateId,
     /// Transition probability (validated to lie in `(0, 1]`).
-    pub probability: f64,
+    pub(crate) probability: f64,
     /// Reward (cost) charged when this transition is taken.
-    pub reward: f64,
+    pub(crate) reward: f64,
 }
 
 /// A validated discrete-time Markov chain with transition rewards.
 ///
 /// Constructed through [`DtmcBuilder`](crate::DtmcBuilder); every row is
-/// guaranteed to be stochastic within
-/// [`STOCHASTIC_TOLERANCE`](crate::STOCHASTIC_TOLERANCE) and every
-/// probability/reward is finite.
+/// guaranteed to sum to one within `1e-9` and every probability/reward is
+/// finite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dtmc {
     pub(crate) names: Vec<String>,
@@ -59,7 +58,7 @@ impl Dtmc {
     }
 
     /// All state ids in index order.
-    pub fn states(&self) -> impl Iterator<Item = StateId> + '_ {
+    pub(crate) fn states(&self) -> impl Iterator<Item = StateId> + '_ {
         (0..self.names.len()).map(StateId)
     }
 
@@ -78,17 +77,12 @@ impl Dtmc {
             })
     }
 
-    /// Looks a state up by name (linear scan; chains here are small).
-    pub fn state_by_name(&self, name: &str) -> Option<StateId> {
-        self.names.iter().position(|n| n == name).map(StateId)
-    }
-
     /// The outgoing transitions of a state, sorted by target index.
     ///
     /// # Errors
     ///
     /// Returns [`DtmcError::UnknownState`] for an out-of-range id.
-    pub fn transitions_from(&self, state: StateId) -> Result<&[Transition], DtmcError> {
+    pub(crate) fn transitions_from(&self, state: StateId) -> Result<&[Transition], DtmcError> {
         self.transitions
             .get(state.0)
             .map(Vec::as_slice)
@@ -151,26 +145,6 @@ impl Dtmc {
         p
     }
 
-    /// The transition-reward matrix `C` (zero where `P` is zero).
-    pub fn reward_matrix(&self) -> Matrix {
-        let n = self.num_states();
-        let mut c = Matrix::zeros(n, n);
-        for (from, ts) in self.transitions.iter().enumerate() {
-            for t in ts {
-                c[(from, t.to.0)] = t.reward;
-            }
-        }
-        c
-    }
-
-    /// Per-state expected one-step reward `w_i = Σ_j p_ij · c_ij`.
-    pub fn expected_step_rewards(&self) -> Vec<f64> {
-        self.transitions
-            .iter()
-            .map(|ts| ts.iter().map(|t| t.probability * t.reward).sum())
-            .collect()
-    }
-
     pub(crate) fn check_state(&self, state: StateId) -> Result<(), DtmcError> {
         if state.0 < self.names.len() {
             Ok(())
@@ -205,30 +179,27 @@ mod tests {
 
     use super::*;
 
-    fn two_state() -> Dtmc {
+    /// `a → a` (p 0.5, reward 1), `a → z` (p 0.5, reward 2), `z` absorbing.
+    fn two_state() -> (Dtmc, StateId, StateId) {
         let mut b = DtmcBuilder::new();
         let a = b.add_state("a");
         let z = b.add_state("z");
         b.add_transition(a, a, 0.5, 1.0).unwrap();
         b.add_transition(a, z, 0.5, 2.0).unwrap();
         b.add_transition(z, z, 1.0, 0.0).unwrap();
-        b.build().unwrap()
+        (b.build().unwrap(), a, z)
     }
 
     #[test]
     fn names_and_lookup() {
-        let c = two_state();
-        let a = c.state_by_name("a").unwrap();
+        let (c, a, _) = two_state();
         assert_eq!(c.name(a).unwrap(), "a");
-        assert_eq!(c.state_by_name("missing"), None);
         assert!(c.name(StateId(9)).is_err());
     }
 
     #[test]
     fn probability_and_reward_lookup() {
-        let c = two_state();
-        let a = c.state_by_name("a").unwrap();
-        let z = c.state_by_name("z").unwrap();
+        let (c, a, z) = two_state();
         assert_eq!(c.probability(a, z).unwrap(), 0.5);
         assert_eq!(c.reward(a, z).unwrap(), 2.0);
         assert_eq!(c.probability(z, a).unwrap(), 0.0);
@@ -237,36 +208,23 @@ mod tests {
 
     #[test]
     fn absorbing_detection() {
-        let c = two_state();
-        let a = c.state_by_name("a").unwrap();
-        let z = c.state_by_name("z").unwrap();
+        let (c, a, z) = two_state();
         assert!(!c.is_absorbing(a).unwrap());
         assert!(c.is_absorbing(z).unwrap());
     }
 
     #[test]
     fn matrices_reflect_transitions() {
-        let c = two_state();
+        let (c, _, _) = two_state();
         let p = c.transition_matrix();
         assert_eq!(p[(0, 0)], 0.5);
         assert_eq!(p[(0, 1)], 0.5);
         assert_eq!(p[(1, 1)], 1.0);
-        let r = c.reward_matrix();
-        assert_eq!(r[(0, 1)], 2.0);
-        assert_eq!(r[(1, 1)], 0.0);
-    }
-
-    #[test]
-    fn expected_step_rewards_weight_by_probability() {
-        let c = two_state();
-        let w = c.expected_step_rewards();
-        assert!((w[0] - (0.5 * 1.0 + 0.5 * 2.0)).abs() < 1e-15);
-        assert_eq!(w[1], 0.0);
     }
 
     #[test]
     fn display_lists_transitions_with_names() {
-        let text = format!("{}", two_state());
+        let text = format!("{}", two_state().0);
         assert!(text.contains("a --"));
         assert!(text.contains("--> z"));
     }
@@ -278,7 +236,7 @@ mod tests {
 
     #[test]
     fn states_iterates_in_order() {
-        let c = two_state();
+        let (c, _, _) = two_state();
         let ids: Vec<usize> = c.states().map(StateId::index).collect();
         assert_eq!(ids, vec![0, 1]);
     }

@@ -1,49 +1,17 @@
-//! State-space classification: reachability, strongly connected components
-//! and the transient/recurrent partition.
+//! State-space structure the absorbing analysis checks: the absorbing
+//! states, and the states that can reach them.
 
 use crate::{Dtmc, DtmcError, StateId};
-
-/// The structural classification of a chain's state space.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Classification {
-    /// States whose only transition is the probability-one self-loop.
-    pub absorbing: Vec<StateId>,
-    /// States that lie in a closed (bottom) strongly connected component
-    /// of two or more states, or that are absorbing.
-    pub recurrent: Vec<StateId>,
-    /// States from which the chain eventually leaves forever.
-    pub transient: Vec<StateId>,
-}
-
-/// States reachable from `start` (including `start` itself) following
-/// positive-probability transitions.
-///
-/// # Errors
-///
-/// Returns [`DtmcError::UnknownState`] for an out-of-range start state.
-pub fn reachable_from(chain: &Dtmc, start: StateId) -> Result<Vec<StateId>, DtmcError> {
-    chain.check_state(start)?;
-    let n = chain.num_states();
-    let mut seen = vec![false; n];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(s) = stack.pop() {
-        for t in chain.transitions_from(s)? {
-            if !seen[t.to.index()] {
-                seen[t.to.index()] = true;
-                stack.push(t.to);
-            }
-        }
-    }
-    Ok((0..n).filter(|&i| seen[i]).map(StateId).collect())
-}
 
 /// States that can reach at least one state in `targets`.
 ///
 /// # Errors
 ///
 /// Returns [`DtmcError::UnknownState`] if any target is out of range.
-pub fn states_reaching(chain: &Dtmc, targets: &[StateId]) -> Result<Vec<StateId>, DtmcError> {
+pub(crate) fn states_reaching(
+    chain: &Dtmc,
+    targets: &[StateId],
+) -> Result<Vec<StateId>, DtmcError> {
     for &t in targets {
         chain.check_state(t)?;
     }
@@ -72,111 +40,11 @@ pub fn states_reaching(chain: &Dtmc, targets: &[StateId]) -> Result<Vec<StateId>
 }
 
 /// All absorbing states of the chain.
-pub fn absorbing_states(chain: &Dtmc) -> Vec<StateId> {
+pub(crate) fn absorbing_states(chain: &Dtmc) -> Vec<StateId> {
     chain
         .states()
         .filter(|&s| chain.is_absorbing(s).unwrap_or(false))
         .collect()
-}
-
-/// Strongly connected components in reverse topological order (Tarjan).
-///
-/// Each component is a sorted vector of state ids. Reverse topological
-/// order means a component appears *before* any component it can reach —
-/// the natural order for bottom-component detection.
-pub fn strongly_connected_components(chain: &Dtmc) -> Vec<Vec<StateId>> {
-    // Iterative Tarjan to avoid recursion-depth limits on long chains.
-    let n = chain.num_states();
-    let adjacency: Vec<Vec<usize>> = (0..n)
-        .map(|s| chain.transitions[s].iter().map(|t| t.to.index()).collect())
-        .collect();
-
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut components: Vec<Vec<StateId>> = Vec::new();
-
-    // Explicit DFS frame: (node, next child position).
-    let mut call_stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call_stack.push((root, 0));
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(&mut (v, ref mut child_pos)) = call_stack.last_mut() {
-            if *child_pos < adjacency[v].len() {
-                let w = adjacency[v][*child_pos];
-                *child_pos += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call_stack.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                call_stack.pop();
-                if let Some(&(parent, _)) = call_stack.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut component = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack never underflows");
-                        on_stack[w] = false;
-                        component.push(StateId(w));
-                        if w == v {
-                            break;
-                        }
-                    }
-                    component.sort();
-                    components.push(component);
-                }
-            }
-        }
-    }
-    components
-}
-
-/// Classifies every state as absorbing, recurrent or transient.
-///
-/// A component is *closed* when no transition leaves it; closed components
-/// are recurrent, everything else is transient. Absorbing states are the
-/// singleton closed components with a self-loop.
-pub fn classify(chain: &Dtmc) -> Classification {
-    let components = strongly_connected_components(chain);
-    let mut recurrent = Vec::new();
-    let mut transient = Vec::new();
-    for component in &components {
-        let closed = component.iter().all(|&s| {
-            chain.transitions[s.index()]
-                .iter()
-                .all(|t| component.binary_search(&t.to).is_ok())
-        });
-        if closed {
-            recurrent.extend(component.iter().copied());
-        } else {
-            transient.extend(component.iter().copied());
-        }
-    }
-    recurrent.sort();
-    transient.sort();
-    Classification {
-        absorbing: absorbing_states(chain),
-        recurrent,
-        transient,
-    }
 }
 
 #[cfg(test)]
@@ -201,19 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_from_start_covers_everything() {
-        let (c, [start, ..]) = sample();
-        assert_eq!(reachable_from(&c, start).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn reachability_from_closed_loop_stays_inside() {
-        let (c, [_, la, lb, _]) = sample();
-        let r = reachable_from(&c, la).unwrap();
-        assert_eq!(r, vec![la, lb]);
-    }
-
-    #[test]
     fn states_reaching_sink() {
         let (c, [start, _, _, sink]) = sample();
         let r = states_reaching(&c, &[sink]).unwrap();
@@ -227,67 +82,8 @@ mod tests {
     }
 
     #[test]
-    fn scc_groups_the_two_cycle() {
-        let (c, [start, la, lb, sink]) = sample();
-        let comps = strongly_connected_components(&c);
-        assert_eq!(comps.len(), 3);
-        assert!(comps.contains(&vec![la, lb]));
-        assert!(comps.contains(&vec![start]));
-        assert!(comps.contains(&vec![sink]));
-    }
-
-    #[test]
-    fn scc_order_is_reverse_topological() {
-        let (c, [start, ..]) = sample();
-        let comps = strongly_connected_components(&c);
-        // `start` can reach everything, so its (singleton) component must
-        // come last.
-        assert_eq!(*comps.last().unwrap(), vec![start]);
-    }
-
-    #[test]
-    fn classification_partitions_the_space() {
-        let (c, [start, la, lb, sink]) = sample();
-        let cls = classify(&c);
-        assert_eq!(cls.absorbing, vec![sink]);
-        assert_eq!(cls.transient, vec![start]);
-        assert_eq!(cls.recurrent, vec![la, lb, sink]);
-    }
-
-    #[test]
-    fn irreducible_chain_is_fully_recurrent() {
-        let mut b = DtmcBuilder::new();
-        let a = b.add_state("a");
-        let z = b.add_state("z");
-        b.add_transition(a, z, 1.0, 0.0).unwrap();
-        b.add_transition(z, a, 1.0, 0.0).unwrap();
-        let c = b.build().unwrap();
-        let cls = classify(&c);
-        assert!(cls.transient.is_empty());
-        assert!(cls.absorbing.is_empty());
-        assert_eq!(cls.recurrent.len(), 2);
-    }
-
-    #[test]
     fn unknown_states_are_rejected() {
         let (c, _) = sample();
-        assert!(reachable_from(&c, StateId(99)).is_err());
         assert!(states_reaching(&c, &[StateId(99)]).is_err());
-    }
-
-    #[test]
-    fn long_path_does_not_overflow_stack() {
-        // 20k-state path exercises the iterative Tarjan.
-        let mut b = DtmcBuilder::with_capacity(20_000);
-        let states: Vec<StateId> = (0..20_000).map(|i| b.add_state(format!("s{i}"))).collect();
-        for w in states.windows(2) {
-            b.add_transition(w[0], w[1], 1.0, 0.0).unwrap();
-        }
-        b.make_absorbing(*states.last().unwrap()).unwrap();
-        let c = b.build().unwrap();
-        let comps = strongly_connected_components(&c);
-        assert_eq!(comps.len(), 20_000);
-        let cls = classify(&c);
-        assert_eq!(cls.transient.len(), 19_999);
     }
 }

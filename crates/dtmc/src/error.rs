@@ -67,9 +67,6 @@ pub enum DtmcError {
         /// The offending state.
         state: usize,
     },
-    /// A stationary-distribution computation was attempted on a reducible
-    /// chain.
-    NotIrreducible,
     /// A self-loop on an absorbing state carries a nonzero reward, which
     /// would make total rewards infinite.
     AbsorbingRewardLoop {
@@ -108,7 +105,6 @@ impl fmt::Display for DtmcError {
             DtmcError::StateNotTransient { state } => {
                 write!(f, "state {state} is not transient")
             }
-            DtmcError::NotIrreducible => write!(f, "chain is not irreducible"),
             DtmcError::AbsorbingRewardLoop { state } => write!(
                 f,
                 "absorbing state {state} has a self-loop with nonzero reward"

@@ -7,17 +7,12 @@
 //!
 //! - [`DtmcBuilder`] / [`Dtmc`] — construction with named states and
 //!   validation that every row is stochastic;
-//! - [`classify`] — reachability, Tarjan SCC decomposition and
-//!   transient/recurrent classification;
-//! - [`AbsorbingAnalysis`] — absorption probabilities
-//!   `(I − P′)⁻¹ · e` (Section 5 of the paper), expected steps to
-//!   absorption, expected total reward `(I − P′)⁻¹ · w` (Eq. 2/3) and the
-//!   total-reward *variance* (an extension beyond the paper);
-//! - [`transient`] — k-step state distributions and finite-horizon
-//!   accumulated rewards;
-//! - [`stationary`] — stationary distributions of irreducible chains;
-//! - [`simulate`] — Monte-Carlo path sampling of the chain, including
-//!   accumulated path rewards.
+//! - [`AbsorbingAnalysis`] — a check that every state reaches absorption,
+//!   then absorption probabilities `(I − P′)⁻¹ · e` (Section 5 of the
+//!   paper), expected steps to absorption, expected visits (a row of the
+//!   fundamental matrix), expected total reward `(I − P′)⁻¹ · w`
+//!   (Eq. 2/3) and the total-reward *variance* (an extension beyond the
+//!   paper), all solved through one dense LU factorization of `I − P′`.
 //!
 //! # Examples
 //!
@@ -48,16 +43,13 @@
 mod absorbing;
 mod builder;
 mod chain;
-pub mod classify;
+mod classify;
 mod error;
-pub mod simulate;
-pub mod stationary;
-pub mod transient;
 
 pub use absorbing::AbsorbingAnalysis;
 pub use builder::DtmcBuilder;
-pub use chain::{Dtmc, StateId, Transition};
+pub use chain::{Dtmc, StateId};
 pub use error::DtmcError;
 
 /// Tolerance within which each row of a transition matrix must sum to one.
-pub const STOCHASTIC_TOLERANCE: f64 = 1e-9;
+const STOCHASTIC_TOLERANCE: f64 = 1e-9;

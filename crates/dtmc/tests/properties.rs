@@ -3,16 +3,14 @@
 //! Random absorbing chains (every transient state escapes to one sink
 //! with probability at least 0.05, so absorption is certain and the
 //! analysis well conditioned) are checked against the absorbing-chain
-//! identities: absorption probability one, finite expected steps,
-//! non-negative rewards and variances, normalized transient
-//! distributions, a long finite horizon converging to the absorbing
-//! reward, and a state classification that partitions the chain.
+//! identities: absorption probability one, finite expected steps, and
+//! non-negative rewards and variances.
 //!
 //! Each property runs through `zeroconf_rng::for_each_seed` on seeds
 //! `0..CASES`; a failure prints the seed that produced it, and passing
 //! `seed..seed + 1` in place of `0..CASES` replays that case alone.
 
-use zeroconf_dtmc::{classify, transient, AbsorbingAnalysis, Dtmc, DtmcBuilder, StateId};
+use zeroconf_dtmc::{AbsorbingAnalysis, Dtmc, DtmcBuilder, StateId};
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::{for_each_seed, Rng};
 
@@ -96,63 +94,6 @@ fn variance_is_nonnegative() {
         for &s in &transient {
             assert!(analysis.total_reward_variance(s).unwrap() >= 0.0);
         }
-    });
-}
-
-#[test]
-fn k_step_distributions_stay_normalized() {
-    for_each_seed(0..CASES, |rng| {
-        let (chain, transient, _) = absorbing_chain(rng, 4);
-        let steps = rng.gen_range(0..50usize);
-        for &s in &transient {
-            let d = transient::distribution_after(&chain, s, steps).unwrap();
-            let total: f64 = d.iter().sum();
-            assert!((total - 1.0).abs() < 1e-9, "total = {total}");
-            assert!(d.iter().all(|&p| (-1e-12..=1.0 + 1e-9).contains(&p)));
-        }
-    });
-}
-
-#[test]
-fn finite_horizon_reward_converges_to_absorbing_reward() {
-    for_each_seed(0..CASES, |rng| {
-        let (chain, transient, _) = absorbing_chain(rng, 3);
-        let analysis = AbsorbingAnalysis::new(&chain).unwrap();
-        for &s in &transient {
-            let total = analysis.expected_total_reward(s).unwrap();
-            let horizon = transient::expected_reward_within(&chain, s, 3000).unwrap();
-            assert!(
-                (total - horizon).abs() < 1e-6 * (1.0 + total.abs()),
-                "total {total}, horizon {horizon}"
-            );
-        }
-    });
-}
-
-#[test]
-fn classification_partitions_state_space() {
-    for_each_seed(0..CASES, |rng| {
-        let (chain, _, _) = absorbing_chain(rng, 5);
-        let cls = classify::classify(&chain);
-        let mut all: Vec<StateId> = cls.transient.clone();
-        all.extend(cls.recurrent.iter().copied());
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), chain.num_states());
-    });
-}
-
-#[test]
-fn sccs_cover_all_states_exactly_once() {
-    for_each_seed(0..CASES, |rng| {
-        let (chain, _, _) = absorbing_chain(rng, 6);
-        let comps = classify::strongly_connected_components(&chain);
-        let mut all: Vec<StateId> = comps.into_iter().flatten().collect();
-        let before = all.len();
-        all.sort();
-        all.dedup();
-        assert_eq!(before, all.len());
-        assert_eq!(all.len(), chain.num_states());
     });
 }
 

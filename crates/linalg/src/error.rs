@@ -21,26 +21,10 @@ pub enum LinalgError {
     },
     /// A matrix or vector with zero rows or columns was supplied.
     Empty,
-    /// Rows of a `from_rows`-style constructor had differing lengths.
-    RaggedRows {
-        /// Length of the first row.
-        expected: usize,
-        /// Index of the first row with a different length.
-        row: usize,
-        /// Length of that row.
-        found: usize,
-    },
     /// The matrix is singular (or numerically singular) at the given pivot.
     Singular {
         /// Pivot column at which elimination broke down.
         pivot: usize,
-    },
-    /// An iterative method failed to reach its tolerance.
-    NotConverged {
-        /// Iterations actually performed.
-        iterations: usize,
-        /// Residual norm when the iteration stopped.
-        residual: f64,
     },
     /// A non-finite (NaN or infinite) entry was encountered.
     NonFiniteEntry {
@@ -48,13 +32,6 @@ pub enum LinalgError {
         row: usize,
         /// Column of the offending entry.
         col: usize,
-    },
-    /// An index was out of bounds for the matrix shape.
-    IndexOutOfBounds {
-        /// The offending index as `(row, col)`.
-        index: (usize, usize),
-        /// The matrix shape as `(rows, cols)`.
-        shape: (usize, usize),
     },
 }
 
@@ -74,32 +51,12 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix of shape {}x{} is not square", shape.0, shape.1)
             }
             LinalgError::Empty => write!(f, "empty matrix or vector"),
-            LinalgError::RaggedRows {
-                expected,
-                row,
-                found,
-            } => write!(
-                f,
-                "ragged rows: row {row} has length {found}, expected {expected}"
-            ),
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular at pivot column {pivot}")
             }
-            LinalgError::NotConverged {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "iteration did not converge after {iterations} iterations (residual {residual:e})"
-            ),
             LinalgError::NonFiniteEntry { row, col } => {
                 write!(f, "non-finite entry at ({row}, {col})")
             }
-            LinalgError::IndexOutOfBounds { index, shape } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} matrix",
-                index.0, index.1, shape.0, shape.1
-            ),
         }
     }
 }
@@ -127,17 +84,6 @@ mod tests {
     fn display_singular_names_pivot() {
         let err = LinalgError::Singular { pivot: 3 };
         assert!(err.to_string().contains("pivot column 3"));
-    }
-
-    #[test]
-    fn display_not_converged_mentions_residual() {
-        let err = LinalgError::NotConverged {
-            iterations: 100,
-            residual: 0.5,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("100"));
-        assert!(msg.contains("5e-1") || msg.contains("0.5") || msg.contains("5E-1"));
     }
 
     #[test]

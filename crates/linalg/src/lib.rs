@@ -1,4 +1,4 @@
-//! Dense and sparse linear algebra for absorbing Markov-chain analysis.
+//! Dense linear algebra for absorbing Markov-chain analysis.
 //!
 //! The DSN 2003 zeroconf cost paper reduces both its measures of interest —
 //! the mean total cost (Eq. 3) and the collision probability (Eq. 4) — to
@@ -7,23 +7,25 @@
 //! Markov Chains*. This crate provides the numerical substrate for that
 //! reduction:
 //!
-//! - [`Matrix`]: dense row-major matrices with the usual algebra,
+//! - [`Matrix`]: dense row-major matrices, built and indexed entry by entry,
 //! - [`LuDecomposition`]: LU factorization with partial pivoting, used to
-//!   solve `(I − P′)x = b` systems exactly (up to floating point),
-//! - [`CsrMatrix`]: compressed sparse row storage for large, sparse chains,
-//! - [`iterative`]: Jacobi, Gauss–Seidel and power iteration as alternatives
-//!   to direct factorization (these are the classical Stewart methods),
-//! - [`vector`]: small helpers over `&[f64]` slices.
+//!   solve `(I − P′)x = b` and `(I − P′)ᵀx = b` systems exactly (up to
+//!   floating point).
 //!
 //! # Examples
 //!
 //! Solve a linear system with LU:
 //!
 //! ```
-//! use zeroconf_linalg::{Matrix, LuDecomposition};
+//! use zeroconf_linalg::{LuDecomposition, Matrix};
 //!
 //! # fn main() -> Result<(), zeroconf_linalg::LinalgError> {
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
+//! // A = [[4, 1], [1, 3]].
+//! let mut a = Matrix::identity(2);
+//! a[(0, 0)] = 4.0;
+//! a[(0, 1)] = 1.0;
+//! a[(1, 0)] = 1.0;
+//! a[(1, 1)] = 3.0;
 //! let lu = LuDecomposition::new(&a)?;
 //! let x = lu.solve(&[1.0, 2.0])?;
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
@@ -34,18 +36,9 @@
 #![forbid(unsafe_code)]
 
 mod error;
-pub mod iterative;
 mod lu;
 mod matrix;
-mod sparse;
-pub mod vector;
 
 pub use error::LinalgError;
-pub use iterative::{IterationConfig, IterationOutcome};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use sparse::{CsrMatrix, Triplet};
-
-/// Default absolute tolerance used by the approximate comparisons in this
-/// crate's tests and by convergence checks that do not specify their own.
-pub const DEFAULT_TOLERANCE: f64 = 1e-10;

@@ -8,8 +8,7 @@ const SINGULARITY_THRESHOLD: f64 = 1e-300;
 /// An LU factorization `P·A = L·U` with partial (row) pivoting.
 ///
 /// The factorization is computed once and can then solve any number of
-/// right-hand sides, compute the determinant, or build the explicit inverse.
-/// This is the direct solver behind the absorbing-chain analyses: the
+/// right-hand sides, of `A x = b` or of `Aᵀ x = b`. This is the direct solver behind the absorbing-chain analyses: the
 /// systems `(I − P′)a = w` (mean total cost, Eq. 2/3 of the paper) and
 /// `(I − P′)x = e` (absorption probabilities, Section 5) are both solved
 /// through it.
@@ -20,12 +19,17 @@ const SINGULARITY_THRESHOLD: f64 = 1e-300;
 /// use zeroconf_linalg::{LuDecomposition, Matrix};
 ///
 /// # fn main() -> Result<(), zeroconf_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
+/// // A = [[2, 1], [1, 3]].
+/// let mut a = Matrix::identity(2);
+/// a[(0, 0)] = 2.0;
+/// a[(0, 1)] = 1.0;
+/// a[(1, 0)] = 1.0;
+/// a[(1, 1)] = 3.0;
 /// let lu = LuDecomposition::new(&a)?;
 /// let x = lu.solve(&[3.0, 5.0])?;
 /// // Verify A x = b.
-/// let b = a.matvec(&x)?;
-/// assert!((b[0] - 3.0).abs() < 1e-12 && (b[1] - 5.0).abs() < 1e-12);
+/// assert!((2.0 * x[0] + x[1] - 3.0).abs() < 1e-12);
+/// assert!((x[0] + 3.0 * x[1] - 5.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -37,8 +41,6 @@ pub struct LuDecomposition {
     /// Row permutation applied to the input (`perm[i]` is the original row
     /// now at position `i`).
     perm: Vec<usize>,
-    /// Parity of the permutation, `+1.0` or `-1.0`; used by `determinant`.
-    sign: f64,
 }
 
 impl LuDecomposition {
@@ -69,7 +71,6 @@ impl LuDecomposition {
 
         let mut f = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: bring the largest |entry| in column k to the
@@ -93,7 +94,6 @@ impl LuDecomposition {
                     f[(pivot_row, c)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                sign = -sign;
             }
             let pivot = f[(k, k)];
             for r in (k + 1)..n {
@@ -108,15 +108,11 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition {
-            factors: f,
-            perm,
-            sign,
-        })
+        Ok(LuDecomposition { factors: f, perm })
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.factors.rows()
     }
 
@@ -152,32 +148,6 @@ impl LuDecomposition {
             x[r] = acc / self.factors[(r, r)];
         }
         Ok(x)
-    }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `B` has a different
-    /// row count than the factored matrix.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "lu_solve_matrix",
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve(&col)?;
-            for (r, v) in x.into_iter().enumerate() {
-                out[(r, c)] = v;
-            }
-        }
-        Ok(out)
     }
 
     /// Solves the transposed system `Aᵀ x = b` using the same factors:
@@ -227,38 +197,42 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the factored matrix.
-    pub fn determinant(&self) -> f64 {
-        let n = self.dim();
-        let mut det = self.sign;
-        for k in 0..n {
-            det *= self.factors[(k, k)];
-        }
-        det
-    }
-
-    /// Explicit inverse of the factored matrix.
-    ///
-    /// Prefer [`LuDecomposition::solve`] when only a few right-hand sides
-    /// are needed; the inverse is provided because the paper writes the
-    /// solutions as `−(P′ − I)⁻¹ w` and `(I − P′)⁻¹ e`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LinalgError`] from the internal solves (not expected
-    /// once factorization succeeded).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A matrix from its rows (all of one length).
+    fn matrix(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
+    fn transpose(a: &Matrix) -> Matrix {
+        let (rows, cols) = a.shape();
+        let mut t = Matrix::zeros(cols, rows);
+        for r in 0..rows {
+            for c in 0..cols {
+                t[(c, r)] = a[(r, c)];
+            }
+        }
+        t
+    }
+
+    fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|r| a.row(r).iter().zip(x).map(|(l, r)| l * r).sum())
+            .collect()
+    }
+
     fn residual_inf(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x).unwrap();
+        let ax = matvec(a, x);
         ax.iter()
             .zip(b)
             .fold(0.0f64, |acc, (l, r)| acc.max((l - r).abs()))
@@ -266,7 +240,7 @@ mod tests {
 
     #[test]
     fn solves_simple_system() {
-        let a = Matrix::from_rows(&[&[4.0, 1.0], &[2.0, 3.0]]).unwrap();
+        let a = matrix(&[&[4.0, 1.0], &[2.0, 3.0]]);
         let lu = LuDecomposition::new(&a).unwrap();
         let b = [9.0, 13.0];
         let x = lu.solve(&b).unwrap();
@@ -276,7 +250,7 @@ mod tests {
     #[test]
     fn solves_system_requiring_pivoting() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+        let a = matrix(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let lu = LuDecomposition::new(&a).unwrap();
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
@@ -284,7 +258,7 @@ mod tests {
 
     #[test]
     fn detects_singular_matrix() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(matches!(
             LuDecomposition::new(&a),
             Err(LinalgError::Singular { .. })
@@ -311,41 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[2.0, 4.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_tracks_permutations() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]).unwrap();
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(3), 1e-10).unwrap());
-    }
-
-    #[test]
-    fn solve_matrix_solves_multiple_rhs() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[2.0, 4.0], &[4.0, 8.0]]).unwrap();
-        let x = LuDecomposition::new(&a).unwrap().solve_matrix(&b).unwrap();
-        assert!(x
-            .approx_eq(
-                &Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 2.0]]).unwrap(),
-                1e-12
-            )
-            .unwrap());
-    }
-
-    #[test]
     fn solve_checks_rhs_length() {
         let lu = LuDecomposition::new(&Matrix::identity(2)).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
@@ -353,21 +292,20 @@ mod tests {
 
     #[test]
     fn one_by_one_system() {
-        let a = Matrix::from_rows(&[&[5.0]]).unwrap();
+        let a = matrix(&[&[5.0]]);
         let lu = LuDecomposition::new(&a).unwrap();
         assert_eq!(lu.solve(&[10.0]).unwrap(), vec![2.0]);
-        assert_eq!(lu.determinant(), 5.0);
     }
 
     #[test]
     fn transposed_solve_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, 0.5], &[1.0, 0.0, 4.0]]).unwrap();
+        let a = matrix(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, 0.5], &[1.0, 0.0, 4.0]]);
         let b = [1.0, -2.0, 3.0];
         let via_factors = LuDecomposition::new(&a)
             .unwrap()
             .solve_transposed(&b)
             .unwrap();
-        let via_transpose = LuDecomposition::new(&a.transpose())
+        let via_transpose = LuDecomposition::new(&transpose(&a))
             .unwrap()
             .solve(&b)
             .unwrap();
@@ -378,7 +316,7 @@ mod tests {
             );
         }
         // And the residual of the transposed system is tiny.
-        let atx = a.transpose().matvec(&via_factors).unwrap();
+        let atx = matvec(&transpose(&a), &via_factors);
         for (l, r) in atx.iter().zip(&b) {
             assert!((l - r).abs() < 1e-12);
         }
@@ -416,7 +354,7 @@ mod tests {
             a[(r, r)] = off_sum + 1.0;
         }
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) / n as f64).collect();
-        let b = a.matvec(&x_true).unwrap();
+        let b = matvec(&a, &x_true);
         let x = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
         let err = x
             .iter()

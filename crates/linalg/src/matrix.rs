@@ -1,29 +1,23 @@
 //! Dense row-major matrices.
 
-use std::fmt;
 use std::ops::{Index, IndexMut};
-
-use crate::LinalgError;
 
 /// A dense, row-major matrix of `f64` entries.
 ///
 /// This type deliberately keeps a small API surface: exactly what the
-/// absorbing-chain analyses in `zeroconf-dtmc` need (construction, element
-/// access, products, sums, transposition and a few norms). Shapes are
-/// validated at construction and on every binary operation.
+/// absorbing-chain analysis in `zeroconf-dtmc` and the LU factorization
+/// need (construction and element access).
 ///
 /// # Examples
 ///
 /// ```
 /// use zeroconf_linalg::Matrix;
 ///
-/// # fn main() -> Result<(), zeroconf_linalg::LinalgError> {
-/// let a = Matrix::identity(2);
-/// let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let c = a.matmul(&b)?;
-/// assert_eq!(c, b);
-/// # Ok(())
-/// # }
+/// let mut a = Matrix::identity(2);
+/// a[(0, 1)] = -0.5;
+/// assert_eq!(a.rows(), 2);
+/// assert_eq!(a[(0, 1)], -0.5);
+/// assert_eq!(a[(1, 1)], 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -58,91 +52,19 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::Empty`] if `rows` is empty or the first row is empty.
-    /// - [`LinalgError::RaggedRows`] if rows differ in length.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self, LinalgError> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(LinalgError::Empty);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != cols {
-                return Err(LinalgError::RaggedRows {
-                    expected: cols,
-                    row: i,
-                    found: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::Empty`] if either dimension is zero.
-    /// - [`LinalgError::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if rows == 0 || cols == 0 {
-            return Err(LinalgError::Empty);
-        }
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "from_vec",
-                left: (rows, cols),
-                right: (1, data.len()),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Shape as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// True when the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Bounds-checked element access.
-    pub fn get(&self, row: usize, col: usize) -> Result<f64, LinalgError> {
-        self.check_index(row, col)?;
-        Ok(self.data[row * self.cols + col])
-    }
-
-    /// Bounds-checked element assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] for indices outside the
-    /// matrix shape.
-    pub fn set(&mut self, row: usize, col: usize, value: f64) -> Result<(), LinalgError> {
-        self.check_index(row, col)?;
-        self.data[row * self.cols + col] = value;
-        Ok(())
     }
 
     /// A view of row `row` as a slice.
@@ -150,230 +72,9 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `row >= self.rows()`.
-    pub fn row(&self, row: usize) -> &[f64] {
+    pub(crate) fn row(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "row {row} out of bounds for {}", self.rows);
         &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Mutable view of row `row` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.rows()`.
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
-        assert!(row < self.rows, "row {row} out of bounds for {}", self.rows);
-        let cols = self.cols;
-        &mut self.data[row * cols..(row + 1) * cols]
-    }
-
-    /// Copy of column `col` as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn col(&self, col: usize) -> Vec<f64> {
-        assert!(col < self.cols, "col {col} out of bounds for {}", self.cols);
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + col])
-            .collect()
-    }
-
-    /// The underlying row-major data slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Consumes the matrix and returns the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when
-    /// `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "matmul",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[r * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let dst = &mut out.data[r * other.cols..(r + 1) * other.cols];
-                for (d, &b) in dst.iter_mut().zip(orow) {
-                    *d += a * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when
-    /// `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "matvec",
-                left: self.shape(),
-                right: (x.len(), 1),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum::<f64>())
-            .collect())
-    }
-
-    /// Componentwise sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for differing shapes.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Componentwise difference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for differing shapes.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Copy scaled by `alpha`.
-    pub fn scaled(&self, alpha: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| alpha * v).collect(),
-        }
-    }
-
-    /// Frobenius norm (`sqrt` of the sum of squared entries).
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    /// True when every entry is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// True when all corresponding entries differ by at most `tol`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for differing shapes.
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> Result<bool, LinalgError> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "approx_eq",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .all(|(a, b)| (a - b).abs() <= tol))
-    }
-
-    /// Extracts the sub-matrix spanned by the given row and column indices.
-    ///
-    /// This is how the analyses carve the transient block `P′` and the
-    /// absorption columns out of a full transition matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] if any index is outside the
-    /// matrix, and [`LinalgError::Empty`] if either index set is empty.
-    pub fn submatrix(&self, rows: &[usize], cols: &[usize]) -> Result<Matrix, LinalgError> {
-        if rows.is_empty() || cols.is_empty() {
-            return Err(LinalgError::Empty);
-        }
-        for &r in rows {
-            for &c in cols {
-                self.check_index(r, c)?;
-            }
-        }
-        let mut out = Matrix::zeros(rows.len(), cols.len());
-        for (i, &r) in rows.iter().enumerate() {
-            for (j, &c) in cols.iter().enumerate() {
-                out.data[i * cols.len() + j] = self.data[r * self.cols + c];
-            }
-        }
-        Ok(out)
-    }
-
-    fn zip_with(
-        &self,
-        other: &Matrix,
-        operation: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix, LinalgError> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                operation,
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
-
-    fn check_index(&self, row: usize, col: usize) -> Result<(), LinalgError> {
-        if row >= self.rows || col >= self.cols {
-            Err(LinalgError::IndexOutOfBounds {
-                index: (row, col),
-                shape: self.shape(),
-            })
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -403,35 +104,15 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..self.rows {
-            write!(f, "[")?;
-            for c in 0..self.cols {
-                if c > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{:>12.6e}", self.data[r * self.cols + c])?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Matrix {
-        Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap()
-    }
 
     #[test]
     fn zeros_has_requested_shape_and_zero_entries() {
         let m = Matrix::zeros(2, 3);
         assert_eq!(m.shape(), (2, 3));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
+        assert!(m.data.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -445,141 +126,17 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_rejects_ragged_input() {
-        let err = Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]).unwrap_err();
-        assert!(matches!(err, LinalgError::RaggedRows { row: 1, .. }));
-    }
-
-    #[test]
-    fn from_rows_rejects_empty_input() {
-        assert_eq!(Matrix::from_rows(&[]).unwrap_err(), LinalgError::Empty);
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn get_and_set_round_trip() {
-        let mut m = Matrix::zeros(2, 2);
-        m.set(1, 0, 7.5).unwrap();
-        assert_eq!(m.get(1, 0).unwrap(), 7.5);
-        assert!(m.get(2, 0).is_err());
-        assert!(m.set(0, 2, 1.0).is_err());
-    }
-
-    #[test]
     fn index_operator_reads_and_writes() {
-        let mut m = sample();
+        let mut m = Matrix::zeros(2, 2);
         m[(0, 1)] = 9.0;
         assert_eq!(m[(0, 1)], 9.0);
+        assert_eq!(m.row(0), &[0.0, 9.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn index_operator_panics_out_of_bounds() {
-        let m = sample();
+        let m = Matrix::zeros(2, 2);
         let _ = m[(5, 0)];
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = sample();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(0, 1)], m[(1, 0)]);
-    }
-
-    #[test]
-    fn matmul_with_identity_is_identity_map() {
-        let m = sample();
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = sample();
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]).unwrap());
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn matvec_known_product() {
-        let m = sample();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn add_sub_round_trip() {
-        let a = sample();
-        let b = Matrix::identity(2);
-        let s = a.add(&b).unwrap();
-        assert_eq!(s.sub(&b).unwrap(), a);
-    }
-
-    #[test]
-    fn scaled_multiplies_every_entry() {
-        let m = sample().scaled(2.0);
-        assert_eq!(m[(1, 1)], 8.0);
-    }
-
-    #[test]
-    fn norms_match_hand_computation() {
-        let m = sample();
-        assert!((m.norm_frobenius() - 30.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(m.norm_inf(), 7.0);
-    }
-
-    #[test]
-    fn submatrix_extracts_block() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]).unwrap();
-        let s = m.submatrix(&[0, 2], &[1, 2]).unwrap();
-        assert_eq!(s, Matrix::from_rows(&[&[2.0, 3.0], &[8.0, 9.0]]).unwrap());
-        assert!(m.submatrix(&[3], &[0]).is_err());
-        assert!(m.submatrix(&[], &[0]).is_err());
-    }
-
-    #[test]
-    fn approx_eq_respects_tolerance() {
-        let a = sample();
-        let mut b = sample();
-        b[(0, 0)] += 1e-12;
-        assert!(a.approx_eq(&b, 1e-10).unwrap());
-        assert!(!a.approx_eq(&b, 1e-13).unwrap());
-    }
-
-    #[test]
-    fn display_renders_all_rows() {
-        let text = format!("{}", sample());
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains('['));
-    }
-
-    #[test]
-    fn col_extracts_column() {
-        assert_eq!(sample().col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn all_finite_detects_nan() {
-        let mut m = sample();
-        assert!(m.all_finite());
-        m[(0, 0)] = f64::NAN;
-        assert!(!m.all_finite());
     }
 }

@@ -2,26 +2,21 @@
 //!
 //! Random strictly diagonally dominant matrices — always nonsingular,
 //! like the `(I − P′)` systems the Markov analyses solve — are checked
-//! for LU residuals and inverses, determinant multiplicativity, agreement
-//! of the iterative solvers with LU, dense algebra identities, and
-//! dense/CSR agreement.
+//! for small LU residuals.
 //!
 //! Each property runs through `zeroconf_rng::for_each_seed` on seeds
 //! `0..CASES`; a failure prints the seed that produced it, and passing
 //! `seed..seed + 1` in place of `0..CASES` replays that case alone.
 
-use zeroconf_linalg::{
-    iterative::{self, IterationConfig},
-    CsrMatrix, LuDecomposition, Matrix, Triplet,
-};
+use zeroconf_linalg::{LuDecomposition, Matrix};
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::{for_each_seed, Rng};
 
 const CASES: u64 = 128;
 
 /// An `n × n` strictly diagonally dominant matrix with entries in
-/// `[-1, 1)` off the diagonal. These are always nonsingular and keep both
-/// LU and the iterative solvers well behaved.
+/// `[-1, 1)` off the diagonal. These are always nonsingular and keep LU
+/// well behaved.
 fn dominant_matrix(rng: &mut StdRng, n: usize) -> Matrix {
     let vals = vector_in(rng, n * n, -1.0, 1.0);
     let mut m = Matrix::zeros(n, n);
@@ -47,6 +42,12 @@ fn vector(rng: &mut StdRng, n: usize) -> Vec<f64> {
     vector_in(rng, n, -10.0, 10.0)
 }
 
+fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+    (0..a.rows())
+        .map(|r| (0..x.len()).map(|c| a[(r, c)] * x[c]).sum())
+        .collect()
+}
+
 #[test]
 fn lu_solve_has_small_residual() {
     for_each_seed(0..CASES, |rng| {
@@ -54,156 +55,9 @@ fn lu_solve_has_small_residual() {
         let b = vector(rng, 6);
         let lu = LuDecomposition::new(&a).unwrap();
         let x = lu.solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
+        let ax = matvec(&a, &x);
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-8, "{l} vs {r}");
         }
-    });
-}
-
-#[test]
-fn lu_inverse_is_two_sided() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 5);
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let left = inv.matmul(&a).unwrap();
-        let right = a.matmul(&inv).unwrap();
-        let id = Matrix::identity(5);
-        assert!(left.approx_eq(&id, 1e-8).unwrap());
-        assert!(right.approx_eq(&id, 1e-8).unwrap());
-    });
-}
-
-#[test]
-fn determinant_of_product_is_product_of_determinants() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 4);
-        let b = dominant_matrix(rng, 4);
-        let da = LuDecomposition::new(&a).unwrap().determinant();
-        let db = LuDecomposition::new(&b).unwrap().determinant();
-        let dab = LuDecomposition::new(&a.matmul(&b).unwrap())
-            .unwrap()
-            .determinant();
-        // Relative comparison: determinants of dominant matrices are >= 1.
-        assert!(
-            ((dab - da * db) / (da * db)).abs() < 1e-8,
-            "{dab} vs {da} * {db}"
-        );
-    });
-}
-
-#[test]
-fn gauss_seidel_agrees_with_lu() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 5);
-        let b = vector(rng, 5);
-        let lu_x = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        let gs = iterative::gauss_seidel(&a, &b, IterationConfig::default()).unwrap();
-        for (l, r) in lu_x.iter().zip(&gs.solution) {
-            assert!((l - r).abs() < 1e-7, "{l} vs {r}");
-        }
-    });
-}
-
-#[test]
-fn jacobi_agrees_with_lu() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 4);
-        let b = vector(rng, 4);
-        let lu_x = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        let j = iterative::jacobi(&a, &b, IterationConfig::default()).unwrap();
-        for (l, r) in lu_x.iter().zip(&j.solution) {
-            assert!((l - r).abs() < 1e-7, "{l} vs {r}");
-        }
-    });
-}
-
-#[test]
-fn transpose_is_involutive() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 5);
-        assert_eq!(a.transpose().transpose(), a);
-    });
-}
-
-#[test]
-fn matmul_is_associative() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 3);
-        let b = dominant_matrix(rng, 3);
-        let c = dominant_matrix(rng, 3);
-        let left = a.matmul(&b).unwrap().matmul(&c).unwrap();
-        let right = a.matmul(&b.matmul(&c).unwrap()).unwrap();
-        // Dominant 3x3 entries are O(10); products are O(1e3).
-        assert!(left
-            .approx_eq(&right, 1e-7 * (1.0 + left.norm_inf()))
-            .unwrap());
-    });
-}
-
-#[test]
-fn csr_round_trip_preserves_matrix() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 6);
-        let sparse = CsrMatrix::from_dense(&a);
-        assert_eq!(sparse.to_dense(), a);
-    });
-}
-
-#[test]
-fn csr_matvec_matches_dense() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 6);
-        let x = vector(rng, 6);
-        let sparse = CsrMatrix::from_dense(&a);
-        let dense_y = a.matvec(&x).unwrap();
-        let sparse_y = sparse.matvec(&x).unwrap();
-        for (l, r) in dense_y.iter().zip(&sparse_y) {
-            assert!((l - r).abs() < 1e-9 * (1.0 + l.abs()), "{l} vs {r}");
-        }
-    });
-}
-
-#[test]
-fn csr_transposed_matvec_matches_dense() {
-    for_each_seed(0..CASES, |rng| {
-        let a = dominant_matrix(rng, 5);
-        let x = vector(rng, 5);
-        let sparse = CsrMatrix::from_dense(&a);
-        let want = a.transpose().matvec(&x).unwrap();
-        let got = sparse.matvec_transposed(&x).unwrap();
-        for (l, r) in want.iter().zip(&got) {
-            assert!((l - r).abs() < 1e-9 * (1.0 + l.abs()), "{l} vs {r}");
-        }
-    });
-}
-
-#[test]
-fn triplet_order_is_irrelevant() {
-    for_each_seed(0..CASES, |rng| {
-        let len = rng.gen_range(0..20usize);
-        let mut entries: Vec<(usize, usize, f64)> = (0..len)
-            .map(|_| {
-                (
-                    rng.gen_range(0..4usize),
-                    rng.gen_range(0..4usize),
-                    rng.gen_range(-5.0..5.0),
-                )
-            })
-            .collect();
-        let forward: Vec<Triplet> = entries
-            .iter()
-            .map(|&(r, c, v)| Triplet::new(r, c, v))
-            .collect();
-        entries.reverse();
-        let backward: Vec<Triplet> = entries
-            .iter()
-            .map(|&(r, c, v)| Triplet::new(r, c, v))
-            .collect();
-        let a = CsrMatrix::from_triplets(4, 4, &forward).unwrap();
-        let b = CsrMatrix::from_triplets(4, 4, &backward).unwrap();
-        // Equality up to floating point: summation order of duplicates may
-        // differ, so compare densified entries with a tolerance.
-        assert!(a.to_dense().approx_eq(&b.to_dense(), 1e-12).unwrap());
     });
 }

@@ -9,10 +9,9 @@
 //! the Section 4.5 calibration of `E` and `c`.
 //!
 //! - [`golden_section_min`] — robust unimodal minimization,
-//! - [`brent_min`] — Brent's parabolic-interpolation minimization,
 //! - [`grid_refine_min`] — coarse scan + local refinement for functions
 //!   with several local minima,
-//! - [`bisect_root`], [`brent_root`] — bracketed root finding,
+//! - [`brent_root`] — bracketed root finding,
 //! - [`invert_monotone`] — solve `g(x) = target` for monotone `g` with
 //!   automatic bracket expansion (used to calibrate `E`).
 //!
@@ -35,8 +34,8 @@ mod minimize;
 mod roots;
 
 pub use error::NumOptError;
-pub use minimize::{brent_min, golden_section_min, grid_refine_min, Minimum};
-pub use roots::{bisect_root, brent_root, invert_monotone, Root};
+pub use minimize::{golden_section_min, grid_refine_min, Minimum};
+pub use roots::{brent_root, invert_monotone, Root};
 
 /// Convergence control shared by all methods.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +60,7 @@ impl Default for Tolerance {
 
 impl Tolerance {
     /// Effective tolerance around a point `x`.
-    pub fn at(&self, x: f64) -> f64 {
+    pub(crate) fn at(&self, x: f64) -> f64 {
         self.x_abs + self.x_rel * x.abs()
     }
 }

@@ -18,8 +18,7 @@ const INV_GOLDEN: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
 /// Golden-section search for the minimum of a unimodal function on
 /// `[lo, hi]`.
 ///
-/// Robust (no interpolation, guaranteed linear convergence) and the
-/// reference method against which [`brent_min`] is validated. On a
+/// Robust (no interpolation, guaranteed linear convergence). On a
 /// non-unimodal function it converges to *some* local minimum.
 ///
 /// # Errors
@@ -87,124 +86,6 @@ pub fn golden_section_min(
         argument,
         value,
         evaluations,
-    })
-}
-
-/// Brent's minimization: golden-section fallback with parabolic
-/// interpolation acceleration. Typically several times fewer objective
-/// evaluations than [`golden_section_min`] on smooth functions.
-///
-/// # Errors
-///
-/// Same conditions as [`golden_section_min`].
-pub fn brent_min(
-    mut f: impl FnMut(f64) -> f64,
-    lo: f64,
-    hi: f64,
-    tolerance: Tolerance,
-) -> Result<Minimum, NumOptError> {
-    check_interval(lo, hi)?;
-    let mut evaluations = 0usize;
-    let mut eval = |x: f64, evaluations: &mut usize| -> Result<f64, NumOptError> {
-        *evaluations += 1;
-        let v = f(x);
-        if v.is_nan() {
-            Err(NumOptError::ObjectiveNaN { at: x })
-        } else {
-            Ok(v)
-        }
-    };
-
-    let golden_step = 1.0 - INV_GOLDEN; // ≈ 0.381966
-    let (mut a, mut b) = (lo, hi);
-    let mut x = a + golden_step * (b - a);
-    let mut w = x;
-    let mut v = x;
-    let mut fx = eval(x, &mut evaluations)?;
-    let mut fw = fx;
-    let mut fv = fx;
-    // Step sizes of the last and the one-before-last iterations.
-    let mut d: f64 = 0.0;
-    let mut e: f64 = 0.0;
-
-    for _ in 0..tolerance.max_iterations {
-        let mid = 0.5 * (a + b);
-        let tol = tolerance.at(x).max(1e-15);
-        if (x - mid).abs() + 0.5 * (b - a) <= 2.0 * tol {
-            return Ok(Minimum {
-                argument: x,
-                value: fx,
-                evaluations,
-            });
-        }
-        let mut use_golden = true;
-        if e.abs() > tol {
-            // Try a parabolic fit through x, v, w.
-            let r = (x - w) * (fx - fv);
-            let q_ = (x - v) * (fx - fw);
-            let mut p = (x - v) * q_ - (x - w) * r;
-            let mut q2 = 2.0 * (q_ - r);
-            if q2 > 0.0 {
-                p = -p;
-            }
-            q2 = q2.abs();
-            let e_prev = e;
-            e = d;
-            // Accept the parabolic step only if it falls inside the bracket
-            // and is smaller than half the step before last.
-            if p.abs() < (0.5 * q2 * e_prev).abs() && p > q2 * (a - x) && p < q2 * (b - x) {
-                d = p / q2;
-                let u = x + d;
-                if (u - a) < 2.0 * tol || (b - u) < 2.0 * tol {
-                    d = if mid > x { tol } else { -tol };
-                }
-                use_golden = false;
-            }
-        }
-        if use_golden {
-            e = if x < mid { b - x } else { a - x };
-            d = golden_step * e;
-        }
-        let u = if d.abs() >= tol {
-            x + d
-        } else if d > 0.0 {
-            x + tol
-        } else {
-            x - tol
-        };
-        let fu = eval(u, &mut evaluations)?;
-        if fu <= fx {
-            if u < x {
-                b = x;
-            } else {
-                a = x;
-            }
-            v = w;
-            fv = fw;
-            w = x;
-            fw = fx;
-            x = u;
-            fx = fu;
-        } else {
-            if u < x {
-                a = u;
-            } else {
-                b = u;
-            }
-            if fu <= fw || w == x {
-                v = w;
-                fv = fw;
-                w = u;
-                fw = fu;
-            } else if fu <= fv || v == x || v == w {
-                v = u;
-                fv = fu;
-            }
-        }
-    }
-    Err(NumOptError::MaxIterations {
-        limit: tolerance.max_iterations,
-        best: x,
     })
 }
 
@@ -292,31 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn brent_finds_parabola_vertex_with_fewer_evaluations() {
-        let tol = Tolerance::default();
-        let g = golden_section_min(|x| (x - 3.5f64).powi(2), 0.0, 10.0, tol).unwrap();
-        let b = brent_min(|x| (x - 3.5f64).powi(2), 0.0, 10.0, tol).unwrap();
-        assert!((b.argument - 3.5).abs() < 1e-6);
-        assert!(
-            b.evaluations < g.evaluations,
-            "brent {} vs golden {}",
-            b.evaluations,
-            g.evaluations
-        );
-    }
-
-    #[test]
-    fn brent_handles_asymmetric_valley() {
-        // Shape similar to the paper's C_n: steep polynomial drop, then a
-        // gentle linear rise.
-        let f = |r: f64| 1e6 * (-3.0 * r).exp() + 2.0 * r;
-        let m = brent_min(f, 0.0, 50.0, Tolerance::default()).unwrap();
-        // Analytic minimum: 3e6 e^{-3r} = 2 => r = ln(1.5e6)/3.
-        let expected = (1.5e6f64).ln() / 3.0;
-        assert!((m.argument - expected).abs() < 1e-6, "got {}", m.argument);
-    }
-
-    #[test]
     fn minimum_at_boundary_is_found() {
         let m = golden_section_min(|x| x, 1.0, 2.0, Tolerance::default()).unwrap();
         assert!((m.argument - 1.0).abs() < 1e-6);
@@ -326,7 +182,6 @@ mod tests {
     fn invalid_intervals_are_rejected() {
         let t = Tolerance::default();
         assert!(golden_section_min(|x| x, 2.0, 1.0, t).is_err());
-        assert!(brent_min(|x| x, 0.0, 0.0, t).is_err());
         assert!(grid_refine_min(|x| x, f64::NAN, 1.0, 10, t).is_err());
     }
 
@@ -335,10 +190,6 @@ mod tests {
         let t = Tolerance::default();
         let err = golden_section_min(|_| f64::NAN, 0.0, 1.0, t).unwrap_err();
         assert!(matches!(err, NumOptError::ObjectiveNaN { .. }));
-        assert!(matches!(
-            brent_min(|_| f64::NAN, 0.0, 1.0, t),
-            Err(NumOptError::ObjectiveNaN { .. })
-        ));
     }
 
     #[test]
@@ -377,13 +228,5 @@ mod tests {
         let m = golden_section_min(|_| 1.0, 0.0, 1.0, Tolerance::default()).unwrap();
         assert_eq!(m.value, 1.0);
         assert!((0.0..=1.0).contains(&m.argument));
-        let b = brent_min(|_| 1.0, 0.0, 1.0, Tolerance::default()).unwrap();
-        assert_eq!(b.value, 1.0);
-    }
-
-    #[test]
-    fn brent_on_abs_value_kink() {
-        let m = brent_min(|x: f64| (x - 2.0).abs(), 0.0, 5.0, Tolerance::default()).unwrap();
-        assert!((m.argument - 2.0).abs() < 1e-6);
     }
 }

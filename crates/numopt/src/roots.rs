@@ -13,8 +13,9 @@ pub struct Root {
     pub evaluations: usize,
 }
 
-/// Bisection on a bracketing interval `[lo, hi]` with
-/// `sign(f(lo)) ≠ sign(f(hi))`.
+/// Brent's root finding on a bracketing interval `[lo, hi]` with
+/// `sign(f(lo)) ≠ sign(f(hi))`: bisection safety with inverse-quadratic /
+/// secant acceleration. Superlinear on smooth functions.
 ///
 /// # Errors
 ///
@@ -25,76 +26,14 @@ pub struct Root {
 /// # Examples
 ///
 /// ```
-/// use zeroconf_numopt::{bisect_root, Tolerance};
+/// use zeroconf_numopt::{brent_root, Tolerance};
 ///
 /// # fn main() -> Result<(), zeroconf_numopt::NumOptError> {
-/// let root = bisect_root(|x| x * x - 2.0, 0.0, 2.0, Tolerance::default())?;
+/// let root = brent_root(|x| x * x - 2.0, 0.0, 2.0, Tolerance::default())?;
 /// assert!((root.argument - 2f64.sqrt()).abs() < 1e-8);
 /// # Ok(())
 /// # }
 /// ```
-pub fn bisect_root(
-    mut f: impl FnMut(f64) -> f64,
-    lo: f64,
-    hi: f64,
-    tolerance: Tolerance,
-) -> Result<Root, NumOptError> {
-    check_interval(lo, hi)?;
-    let mut a = lo;
-    let mut b = hi;
-    let mut fa = checked(&mut f, a)?;
-    let fb = checked(&mut f, b)?;
-    let mut evaluations = 2;
-    if fa == 0.0 {
-        return Ok(Root {
-            argument: a,
-            residual: 0.0,
-            evaluations,
-        });
-    }
-    if fb == 0.0 {
-        return Ok(Root {
-            argument: b,
-            residual: 0.0,
-            evaluations,
-        });
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumOptError::NoSignChange { f_lo: fa, f_hi: fb });
-    }
-    // `evaluations` counts f-calls, not iterations; the two bracket
-    // evaluations above keep the counts distinct.
-    #[allow(clippy::explicit_counter_loop)]
-    for _ in 0..tolerance.max_iterations {
-        let mid = 0.5 * (a + b);
-        let fm = checked(&mut f, mid)?;
-        evaluations += 1;
-        if fm == 0.0 || (b - a) <= tolerance.at(mid) {
-            return Ok(Root {
-                argument: mid,
-                residual: fm,
-                evaluations,
-            });
-        }
-        if fm.signum() == fa.signum() {
-            a = mid;
-            fa = fm;
-        } else {
-            b = mid;
-        }
-    }
-    Err(NumOptError::MaxIterations {
-        limit: tolerance.max_iterations,
-        best: 0.5 * (a + b),
-    })
-}
-
-/// Brent's root finding: bisection safety with inverse-quadratic /
-/// secant acceleration. Superlinear on smooth functions.
-///
-/// # Errors
-///
-/// Same conditions as [`bisect_root`].
 pub fn brent_root(
     mut f: impl FnMut(f64) -> f64,
     lo: f64,
@@ -134,7 +73,8 @@ pub fn brent_root(
     let mut mflag = true;
     let mut d = a;
 
-    // As in `bisect_root`: `evaluations` counts f-calls, not iterations.
+    // `evaluations` counts f-calls, not iterations; the two bracket
+    // evaluations above keep the counts distinct.
     #[allow(clippy::explicit_counter_loop)]
     for _ in 0..tolerance.max_iterations {
         if fb == 0.0 || (b - a).abs() <= tolerance.at(b) {
@@ -276,23 +216,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisection_on_sqrt_two() {
-        let r = bisect_root(|x| x * x - 2.0, 0.0, 2.0, Tolerance::default()).unwrap();
-        assert!((r.argument - std::f64::consts::SQRT_2).abs() < 1e-8);
-    }
-
-    #[test]
     fn brent_on_sqrt_two_uses_fewer_evaluations() {
         let t = Tolerance::default();
-        let b = bisect_root(|x| x * x - 2.0, 0.0, 2.0, t).unwrap();
         let q = brent_root(|x| x * x - 2.0, 0.0, 2.0, t).unwrap();
         assert!((q.argument - std::f64::consts::SQRT_2).abs() < 1e-9);
-        assert!(q.evaluations < b.evaluations);
+        // Bisection halves the bracket of width 2 until it is within
+        // t.at(√2) ≈ 1.01e-10: 36 midpoints after the 2 endpoint
+        // evaluations.
+        assert!(q.evaluations < 38, "{} evaluations", q.evaluations);
     }
 
     #[test]
     fn exact_root_at_endpoint_is_returned_immediately() {
-        let r = bisect_root(|x| x, 0.0, 1.0, Tolerance::default()).unwrap();
+        let r = brent_root(|x| x, 0.0, 1.0, Tolerance::default()).unwrap();
         assert_eq!(r.argument, 0.0);
         let r = brent_root(|x| x - 1.0, 0.0, 1.0, Tolerance::default()).unwrap();
         assert_eq!(r.argument, 1.0);
@@ -301,10 +237,6 @@ mod tests {
     #[test]
     fn same_sign_bracket_is_rejected() {
         let t = Tolerance::default();
-        assert!(matches!(
-            bisect_root(|x| x * x + 1.0, -1.0, 1.0, t),
-            Err(NumOptError::NoSignChange { .. })
-        ));
         assert!(matches!(
             brent_root(|x| x * x + 1.0, -1.0, 1.0, t),
             Err(NumOptError::NoSignChange { .. })
@@ -315,7 +247,7 @@ mod tests {
     fn nan_function_is_reported() {
         let t = Tolerance::default();
         assert!(matches!(
-            bisect_root(|_| f64::NAN, 0.0, 1.0, t),
+            brent_root(|_| f64::NAN, 0.0, 1.0, t),
             Err(NumOptError::ObjectiveNaN { .. })
         ));
     }

@@ -5,8 +5,7 @@
 //! `seed..seed + 1` in place of `0..CASES` replays that case alone.
 
 use zeroconf_numopt::{
-    bisect_root, brent_min, brent_root, golden_section_min, grid_refine_min, invert_monotone,
-    Tolerance,
+    brent_root, golden_section_min, grid_refine_min, invert_monotone, Tolerance,
 };
 use zeroconf_rng::{for_each_seed, Rng};
 
@@ -23,12 +22,10 @@ fn minimizers_locate_shifted_parabola_vertices() {
         let tol = Tolerance::default();
         let golden = golden_section_min(f, lo, hi, tol).unwrap();
         assert!((golden.argument - vertex).abs() < 1e-5);
-        let brent = brent_min(f, lo, hi, tol).unwrap();
-        assert!((brent.argument - vertex).abs() < 1e-5);
         let grid = grid_refine_min(f, lo, hi, 50, tol).unwrap();
         assert!((grid.argument - vertex).abs() < 1e-5);
         // Values at the located minima agree with the analytic optimum.
-        assert!((brent.value - offset).abs() < 1e-6 * scale.max(1.0));
+        assert!((golden.value - offset).abs() < 1e-6 * scale.max(1.0));
     });
 }
 
@@ -41,9 +38,7 @@ fn root_finders_agree_on_cubic_roots() {
         let f = |x: f64| stretch * (x - root).powi(3);
         let (lo, hi) = (root - 7.0, root + 11.0);
         let tol = Tolerance::default();
-        let bis = bisect_root(f, lo, hi, tol).unwrap();
         let bre = brent_root(f, lo, hi, tol).unwrap();
-        assert!((bis.argument - root).abs() < 1e-4);
         assert!((bre.argument - root).abs() < 1e-4);
     });
 }
@@ -86,21 +81,5 @@ fn grid_refinement_never_loses_to_the_plain_grid() {
             .map(|k| f(-12.0 + 24.0 * k as f64 / (grid_points - 1) as f64))
             .fold(f64::INFINITY, f64::min);
         assert!(refined.value <= best_grid_sample + 1e-12);
-    });
-}
-
-#[test]
-fn minimum_value_is_a_lower_envelope_of_samples() {
-    for_each_seed(0..CASES, |rng| {
-        let vertex = rng.gen_range(-5.0..5.0);
-        let tilt = rng.gen_range(-2.0..2.0);
-        // For f = |x − v| + tilt·x (convex), the reported minimum value
-        // must not exceed f at any probe point.
-        let f = move |x: f64| (x - vertex).abs() + tilt * x;
-        let m = brent_min(f, -10.0, 10.0, Tolerance::default()).unwrap();
-        for k in 0..50 {
-            let x = -10.0 + 20.0 * k as f64 / 49.0;
-            assert!(m.value <= f(x) + 1e-9);
-        }
     });
 }

@@ -1,18 +1,17 @@
 //! The link-local address pool.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use zeroconf_rng::Rng;
 
 use crate::SimError;
 
-/// Number of addresses IANA reserves for IPv4 link-local configuration.
-pub const LINK_LOCAL_POOL_SIZE: u32 = 65024;
-
 /// The pool of candidate addresses with occupancy tracking.
 ///
 /// Addresses are abstract indices `0 .. size`; mapping them onto the
-/// concrete 169.254.x.y range would add nothing to the model.
+/// concrete 169.254.x.y range would add nothing to the model. The
+/// occupied set is ordered, so every draw from it depends only on the
+/// generator's state, never on the process.
 ///
 /// # Examples
 ///
@@ -30,7 +29,7 @@ pub const LINK_LOCAL_POOL_SIZE: u32 = 65024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressPool {
     size: u32,
-    occupied: HashSet<u32>,
+    occupied: BTreeSet<u32>,
 }
 
 impl AddressPool {
@@ -48,13 +47,8 @@ impl AddressPool {
         }
         Ok(AddressPool {
             size,
-            occupied: HashSet::new(),
+            occupied: BTreeSet::new(),
         })
-    }
-
-    /// Creates the standard 65024-address link-local pool.
-    pub fn link_local() -> Self {
-        AddressPool::new(LINK_LOCAL_POOL_SIZE).expect("pool size is positive")
     }
 
     /// Creates a pool with `occupied` distinct random addresses in use —
@@ -179,11 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn link_local_pool_has_iana_size() {
-        assert_eq!(AddressPool::link_local().size(), 65024);
-    }
-
-    #[test]
     fn random_occupancy_is_exact_and_distinct() {
         let mut rng = StdRng::seed_from_u64(1);
         let pool = AddressPool::with_random_occupancy(1000, 250, &mut rng).unwrap();
@@ -232,7 +221,7 @@ mod tests {
     fn random_candidates_cover_the_pool() {
         let pool = AddressPool::new(4).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for _ in 0..200 {
             seen.insert(pool.random_candidate(&mut rng));
         }
@@ -248,6 +237,27 @@ mod tests {
             assert!(pool.is_occupied(occupied));
             let free = pool.random_free(&mut rng).unwrap();
             assert!(!pool.is_occupied(free));
+        }
+    }
+
+    #[test]
+    fn occupied_draws_depend_only_on_the_seed() {
+        // Two pools built independently from one seed, and two generators
+        // seeded alike, must draw the same occupied addresses in the same
+        // order: the draw indexes the occupied set, so its iteration order
+        // may not depend on anything but its contents.
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(777);
+            AddressPool::with_random_occupancy(65_024, 1_000, &mut rng).unwrap()
+        };
+        let (left, right) = (build(), build());
+        let mut left_rng = StdRng::seed_from_u64(11);
+        let mut right_rng = StdRng::seed_from_u64(11);
+        for _ in 0..100 {
+            assert_eq!(
+                left.random_occupied(&mut left_rng),
+                right.random_occupied(&mut right_rng)
+            );
         }
     }
 

@@ -34,7 +34,6 @@ pub struct Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     sequence: u64,
-    now: SimTime,
 }
 
 #[derive(Debug, Clone)]
@@ -71,36 +70,19 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             sequence: 0,
-            now: SimTime::ZERO,
         }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event
-    /// (zero initially).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `at`.
     ///
-    /// Scheduling in the past is allowed (the event fires "immediately",
-    /// still after already-due events) — broadcast deliveries with zero
-    /// delay rely on this.
+    /// Scheduling before the last popped event is allowed (the event pops
+    /// next, with its own timestamp, still after already-due events) —
+    /// broadcast deliveries with zero delay rely on this.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let entry = Entry {
             at,
@@ -111,26 +93,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(entry));
     }
 
-    /// Schedules `event` at `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    /// Events scheduled "in the past" do not move the clock backwards.
+    /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|Reverse(entry)| {
-            self.now = self.now.max(entry.at);
-            Scheduled {
-                at: entry.at,
-                event: entry.event,
-            }
+        self.heap.pop().map(|Reverse(entry)| Scheduled {
+            at: entry.at,
+            event: entry.event,
         })
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
     }
 }
 
@@ -163,16 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(t(5.0), ());
-        q.pop();
-        assert_eq!(q.now(), t(5.0));
-    }
-
-    #[test]
-    fn clock_does_not_move_backwards() {
+    fn past_events_pop_with_their_own_time() {
         let mut q = EventQueue::new();
         q.schedule(t(5.0), "future");
         q.pop();
@@ -180,34 +139,11 @@ mod tests {
         let e = q.pop().unwrap();
         assert_eq!(e.event, "past");
         assert_eq!(e.at, t(1.0));
-        assert_eq!(q.now(), t(5.0));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(t(2.0), "first");
-        q.pop();
-        q.schedule_in(t(1.5), "second");
-        assert_eq!(q.peek_time(), Some(t(3.5)));
-    }
-
-    #[test]
-    fn len_and_is_empty_track_content() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(t(1.0), ());
-        q.schedule(t(2.0), ());
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]
     fn empty_queue_pops_none() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
     }
 }

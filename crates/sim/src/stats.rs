@@ -87,34 +87,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Normal-approximation 95 % confidence interval for the mean.
-    pub fn confidence_interval_95(&self) -> (f64, f64) {
-        let half = 1.959_963_985 * self.standard_error();
-        (self.mean - half, self.mean + half)
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Wilson score interval for a binomial proportion — more trustworthy than
@@ -168,53 +140,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn confidence_interval_brackets_mean() {
-        let mut s = RunningStats::new();
-        for i in 0..100 {
-            s.push(i as f64);
-        }
-        let (lo, hi) = s.confidence_interval_95();
-        assert!(lo < s.mean() && s.mean() < hi);
-        assert!(hi - lo < 20.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential_pushes() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &xs[..20] {
-            left.push(x);
-        }
-        for &x in &xs[20..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = RunningStats::new();
-        s.push(1.0);
-        s.push(3.0);
-        let copy = s;
-        s.merge(&RunningStats::new());
-        assert_eq!(s, copy);
-        let mut empty = RunningStats::new();
-        empty.merge(&copy);
-        assert_eq!(empty, copy);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   wire protocol behind the `zeroconf engine` subcommand.
 //! - [`sim`] (`zeroconf-sim`) — a discrete-event simulator of the actual
 //!   probe/listen protocol, for model validation and multi-host scenarios.
-//! - [`linalg`] (`zeroconf-linalg`) — dense/sparse linear algebra.
-//! - [`numopt`] (`zeroconf-numopt`) — scalar minimization/root finding.
+//! - [`linalg`] (`zeroconf-linalg`) — dense matrices and the LU solve behind
+//!   the DTMC route.
+//! - [`numopt`] (`zeroconf-numopt`) — scalar minimization, root finding and
+//!   monotone inversion.
 //! - [`plot`] (`zeroconf-plot`) — CSV/ASCII/SVG figure output.
 //! - [`rng`] (`zeroconf-rng`) — vendored xoshiro256++ randomness, keeping
 //!   the simulator hermetic.
