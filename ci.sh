@@ -239,6 +239,7 @@ for path in sys.argv[1:]:
         "kernel/block/columns",
         "kernel/block/simd",
         "engine/frontier/warm",
+        "engine/frontier/cold",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",
     ):

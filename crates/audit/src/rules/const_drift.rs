@@ -35,6 +35,7 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_KERNEL_LEGACY", BENCH_SCHEMA),
     ("ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
+    ("ROW_FRONTIER_COLD", BENCH_SCHEMA),
     ("ROW_FRONTIER_RECOMPUTE", BENCH_SCHEMA),
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
     ("ROW_ENGINE_COLD", BENCH_SCHEMA),
@@ -76,6 +77,7 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
     ),
     ("kernel/block/simd", "ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     ("engine/frontier/warm", "ROW_FRONTIER_WARM", BENCH_SCHEMA),
+    ("engine/frontier/cold", "ROW_FRONTIER_COLD", BENCH_SCHEMA),
     (
         "engine/frontier/per-point-recompute",
         "ROW_FRONTIER_RECOMPUTE",
@@ -261,6 +263,7 @@ mod tests {
             ScannedFile::new(
                 BENCH_SCHEMA,
                 "pub const ROW_FRONTIER_WARM: &str = \"engine/frontier/warm\";\n\
+                 pub const ROW_FRONTIER_COLD: &str = \"engine/frontier/cold\";\n\
                  pub const ROW_FRONTIER_RECOMPUTE: &str = \"engine/frontier/per-point-recompute\";\n\
                  pub const ROW_CALIBRATE_WARM: &str = \"engine/calibrate/warm\";\n\
                  pub const ROW_KERNEL_BLOCK: &str = \"kernel/block/columns\";\n\

@@ -1,7 +1,9 @@
 //! Throughput of the batched landscape-evaluation engine.
 //!
 //! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario cache-cold
-//! and cache-warm, plus a kernel-vs-legacy column microbenchmark (the
+//! and cache-warm, the parametric verbs (a frontier over a warm statistic,
+//! a `param-cold`-shaped frontier whose every π-table misses, and a warm
+//! calibration), plus a kernel-vs-legacy column microbenchmark (the
 //! single-pass column program, run one column at a time through a width-1
 //! [`zeroconf_cost::kernel::ColumnBlockKernel`], against the per-`n`
 //! `*_from_pis` closed forms over the same precomputed π-tables) and a
@@ -25,11 +27,14 @@ use std::sync::Arc;
 use zeroconf_bench::harness::{black_box, format_nanos, measure, BenchRecord};
 use zeroconf_bench::schema;
 use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode};
-use zeroconf_cost::{cost, paper};
+use zeroconf_cost::{cost, paper, Scenario};
+use zeroconf_dist::DefectiveExponential;
 use zeroconf_engine::{
     AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
     Pipeline, PipelineConfig, SweepRequest,
 };
+use zeroconf_rng::rngs::StdRng;
+use zeroconf_rng::{Rng, SeedableRng};
 
 /// Grid size: 200 probe counts × 200 listening periods = 40 000 cells.
 const N_MAX: u32 = 200;
@@ -279,6 +284,71 @@ fn frontier_warm(samples: usize) -> BenchRecord {
     })
 }
 
+/// `param-cold`-shaped frontier: a 64 × 400 grid, `r` from 0.02 to 8.0,
+/// under a 16 × 16 `(E, c)` parameter grid.
+const COLD_N_MAX: u32 = 64;
+const COLD_R_POINTS: usize = 400;
+const COLD_AXIS_POINTS: usize = 16;
+/// Seed of the cold frontier's request stream.
+const COLD_SEED: u64 = 30_000;
+
+fn log_uniform(rng: &mut StdRng, lo_exp: f64, hi_exp: f64) -> f64 {
+    10f64.powf(rng.gen_range(lo_exp..hi_exp))
+}
+
+/// One cold frontier request, drawn as perfbench's `param-cold` workload
+/// draws its lines: a fresh defective-exponential reply time (a new
+/// fingerprint, so every π-table misses), then the scenario's economics,
+/// then the axes' starting points.
+fn cold_frontier_request(rng: &mut StdRng) -> FrontierRequest {
+    let (loss, rate, delay) = (
+        log_uniform(rng, -12.0, -3.0),
+        rng.gen_range(2.0..20.0),
+        rng.gen_range(0.0..0.5),
+    );
+    let scenario = Scenario::builder()
+        .occupancy(log_uniform(rng, -4.0, -1.0))
+        .probe_cost(rng.gen_range(0.5..4.0))
+        .error_cost(log_uniform(rng, 3.0, 18.0))
+        .reply_time(Arc::new(
+            DefectiveExponential::from_loss(loss, rate, delay).expect("reply time is valid"),
+        ))
+        .build()
+        .expect("drawn scenario is valid");
+    let e0 = log_uniform(rng, 2.0, 4.0);
+    let c0 = rng.gen_range(0.2..1.0);
+    let error_costs = (0..COLD_AXIS_POINTS)
+        .map(|k| e0 * 10f64.powf(0.75 * k as f64))
+        .collect();
+    let probe_costs = (0..COLD_AXIS_POINTS)
+        .map(|k| c0 * (1.0 + 0.5 * k as f64))
+        .collect();
+    FrontierRequest {
+        scenario,
+        grid: GridSpec::linspace(COLD_N_MAX, 0.02, 8.0, COLD_R_POINTS),
+        x: AxisSpec::new(ParamAxis::ErrorCost, error_costs),
+        y: AxisSpec::new(ParamAxis::ProbeCost, probe_costs),
+    }
+}
+
+/// Cold frontier: one long-lived engine with the daemon's default cache
+/// answers a fresh request per iteration, so each iteration builds 400
+/// π-tables, the statistic and 256 selection scans. Drawing the request
+/// (its 400-point grid and 32 axis values) is timed with it.
+fn frontier_cold(samples: usize) -> BenchRecord {
+    let engine = Engine::new(EngineConfig::default());
+    let mut rng = StdRng::seed_from_u64(COLD_SEED);
+    measure(schema::ROW_FRONTIER_COLD, samples, move || {
+        let request = cold_frontier_request(&mut rng);
+        let response = engine.frontier(&request).expect("frontier evaluates");
+        assert_eq!(
+            response.stats.cache_misses, COLD_R_POINTS as u64,
+            "cold frontier must build every π-table"
+        );
+        black_box(response.points.len())
+    })
+}
+
 /// The naive baseline the frontier verb replaces: per parameter point, a
 /// cold engine (as in the cold row) recomputes every π-table, sweeps the
 /// grid, and scans for the cheapest cell.
@@ -393,6 +463,7 @@ fn main() {
     // per-point recompute directly.
     let param_cells = PARAM_N_MAX as usize * PARAM_R_POINTS;
     let frontier_candidates = PARAM_AXIS_POINTS * PARAM_AXIS_POINTS;
+    let cold_cells = COLD_AXIS_POINTS * COLD_AXIS_POINTS * COLD_N_MAX as usize * COLD_R_POINTS;
     let recompute_candidates = frontier_candidates / (RECOMPUTE_STRIDE * RECOMPUTE_STRIDE);
     let recompute_note = format!(
         "{}x{} subsample of the {}x{} parameter grid; cells count \
@@ -402,20 +473,36 @@ fn main() {
         PARAM_AXIS_POINTS,
         PARAM_AXIS_POINTS
     );
+    let param_grid_dims = (PARAM_N_MAX, PARAM_R_POINTS);
     let param_runs = [
         (
             frontier_warm(samples),
             "warm",
+            param_grid_dims,
             frontier_candidates * param_cells,
             None,
         ),
         (
             frontier_recompute(samples),
             "cold",
+            param_grid_dims,
             recompute_candidates * param_cells,
             Some(recompute_note.as_str()),
         ),
-        (calibrate_warm(samples), "warm", param_cells, None),
+        (
+            calibrate_warm(samples),
+            "warm",
+            param_grid_dims,
+            param_cells,
+            None,
+        ),
+        (
+            frontier_cold(samples),
+            "cold",
+            (COLD_N_MAX, COLD_R_POINTS),
+            cold_cells,
+            None,
+        ),
     ];
     let requests = session_requests();
     let session_cells = SESSION_REQUESTS * SESSION_N_MAX as usize * SESSION_R_POINTS;
@@ -454,7 +541,7 @@ fn main() {
             record.samples
         );
     }
-    for (record, _, _, _) in &param_runs {
+    for (record, ..) in &param_runs {
         println!(
             "  {:<36} median {:>10}/run (min {}, {} samples)",
             record.id,
@@ -497,7 +584,9 @@ fn main() {
     );
     // Throughput ratio in parameter-cell evaluations per second: the warm
     // statistic scan against the per-point cold recompute.
-    let per_cell = |run: &(BenchRecord, &str, usize, Option<&str>)| run.2 as f64 / run.0.median_ns;
+    let per_cell = |run: &(BenchRecord, &str, (u32, usize), usize, Option<&str>)| {
+        run.3 as f64 / run.0.median_ns
+    };
     println!(
         "  warm frontier vs per-point recompute: {:.0}x parameter-cell throughput",
         per_cell(&param_runs[0]) / per_cell(&param_runs[1])
@@ -516,9 +605,13 @@ fn main() {
     lines.extend(kernel_runs.iter().map(|(record, cache, note)| {
         schema::row_json(record, cache, N_MAX, R_POINTS, GRID_CELLS, *note)
     }));
-    lines.extend(param_runs.iter().map(|(record, cache, cells, note)| {
-        schema::row_json(record, cache, PARAM_N_MAX, PARAM_R_POINTS, *cells, *note)
-    }));
+    lines.extend(
+        param_runs
+            .iter()
+            .map(|(record, cache, (n_max, r_points), cells, note)| {
+                schema::row_json(record, cache, *n_max, *r_points, *cells, *note)
+            }),
+    );
     lines.extend(session_runs.iter().map(|(record, cache, note)| {
         schema::row_json(
             record,

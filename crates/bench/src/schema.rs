@@ -31,6 +31,10 @@ pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
 /// Row label: a 64×64 `(E, c)` Pareto frontier against the warm
 /// sufficient-statistic cache (zero π recomputation).
 pub const ROW_FRONTIER_WARM: &str = "engine/frontier/warm";
+/// Row label: a `param-cold`-shaped frontier — a 64 × 400 grid under a
+/// 16 × 16 `(E, c)` parameter grid for a fresh reply time per iteration,
+/// so every π-table misses and the statistic is rebuilt.
+pub const ROW_FRONTIER_COLD: &str = "engine/frontier/cold";
 /// Row label: the same frontier evaluated the naive way — a full
 /// π-table + grid recomputation per parameter point.
 pub const ROW_FRONTIER_RECOMPUTE: &str = "engine/frontier/per-point-recompute";
@@ -169,6 +173,7 @@ mod tests {
             ROW_ENGINE_COLD,
             ROW_ENGINE_WARM,
             ROW_FRONTIER_WARM,
+            ROW_FRONTIER_COLD,
             ROW_FRONTIER_RECOMPUTE,
             ROW_CALIBRATE_WARM,
             ROW_SESSION_SERIAL,

@@ -419,14 +419,16 @@ impl ColumnBlockKernel {
         self.evaluate_with_statistic(n_max, rs, tables, costs, errors, None, None)
     }
 
-    /// [`ColumnBlockKernel::evaluate`], additionally emitting the r-major
+    /// [`ColumnBlockKernel::evaluate`], additionally emitting the n-major
     /// sufficient-statistic slabs `(Σ_{i<n} π_i, π_n)` — the storage the
     /// parametric layer ([`crate::param::ParamLandscape`]) wraps. The
     /// statistic is the pass's *own* running state, captured mid-loop, so
     /// reconstructing `C` and `Err` from it replays bit-identical floats.
     /// All four outputs are optional; provided slices must hold exactly
-    /// `rs.len()·n_max` values, and column `j` lands in
-    /// `out[j·n_max .. (j+1)·n_max]` in every slab.
+    /// `rs.len()·n_max` values. Costs and errors are r-major (column `j`
+    /// in `out[j·n_max .. (j+1)·n_max]`); the statistic is n-major (row
+    /// `n − 1` in `out[(n−1)·rs.len() .. n·rs.len()]`, column `j` at
+    /// offset `j`).
     ///
     /// The whole block is one [`zeroconf_simd::cost_block_pass`] call on
     /// every backend, the scalar one included.
@@ -450,11 +452,6 @@ impl ColumnBlockKernel {
         pi_prefix: Option<&mut [f64]>,
         pi_n: Option<&mut [f64]>,
     ) -> Result<(), CostError> {
-        assert_eq!(
-            rs.len(),
-            tables.len(),
-            "block evaluation needs one π-table per column"
-        );
         let cells = rs.len() * n_max as usize;
         for (slice, what) in [
             (costs.as_deref(), "cost"),
@@ -466,6 +463,68 @@ impl ColumnBlockKernel {
                 assert_eq!(slice.len(), cells, "{what} block must hold rs.len()*n_max");
             }
         }
+        self.block_pass(n_max, rs, tables, costs, errors, pi_prefix, pi_n, rs.len())
+    }
+
+    /// The statistic of [`ColumnBlockKernel::evaluate_with_statistic`]
+    /// for a block that is a run of columns of a wider grid, written in
+    /// place into the grid's n-major slabs: with `row_stride` the grid's
+    /// column count and the slabs passed from the block's first column
+    /// on, the block's column `j` and probe count `n` land at
+    /// `(n − 1)·row_stride + j`. Each slab must reach
+    /// `(n_max − 1)·row_stride + rs.len()` values. This is how a chunked
+    /// sweep builds a [`crate::param::ParamLandscape`] without a
+    /// transposition pass.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ColumnBlockKernel::evaluate`], with the same
+    /// guarantee that an error writes nothing.
+    ///
+    /// # Panics
+    ///
+    /// When `tables` does not hold one π-table per column, `row_stride`
+    /// is below `rs.len()`, or a slab is too short.
+    pub fn statistic_rows<T: AsRef<[f64]>>(
+        &self,
+        n_max: u32,
+        rs: &[f64],
+        tables: &[T],
+        row_stride: usize,
+        pi_prefix: &mut [f64],
+        pi_n: &mut [f64],
+    ) -> Result<(), CostError> {
+        self.block_pass(
+            n_max,
+            rs,
+            tables,
+            None,
+            None,
+            Some(pi_prefix),
+            Some(pi_n),
+            row_stride,
+        )
+    }
+
+    /// Validates a block and runs its one [`zeroconf_simd::cost_block_pass`],
+    /// statistic rows `row_stride` apart.
+    #[allow(clippy::too_many_arguments)]
+    fn block_pass<T: AsRef<[f64]>>(
+        &self,
+        n_max: u32,
+        rs: &[f64],
+        tables: &[T],
+        costs: Option<&mut [f64]>,
+        errors: Option<&mut [f64]>,
+        pi_prefix: Option<&mut [f64]>,
+        pi_n: Option<&mut [f64]>,
+        row_stride: usize,
+    ) -> Result<(), CostError> {
+        assert_eq!(
+            rs.len(),
+            tables.len(),
+            "block evaluation needs one π-table per column"
+        );
         check_n(n_max)?;
         let column = n_max as usize;
         let mut views: Vec<&[f64]> = Vec::with_capacity(rs.len());
@@ -500,6 +559,7 @@ impl ColumnBlockKernel {
             errors,
             pi_prefix,
             pi_n,
+            row_stride,
         );
         Ok(())
     }

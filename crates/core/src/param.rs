@@ -21,8 +21,10 @@
 //! this model).
 //!
 //! [`ParamLandscape`] stores the statistic for a full `(n, r)` grid as
-//! flat r-major SoA slabs, mirroring the engine's `Landscape` layout:
-//! cell `(n, r_values[j])` lives at `j·n_max + (n−1)`.
+//! flat n-major SoA slabs: row `n − 1` holds every column's value side by
+//! side, so cell `(n, r_values[j])` lives at `(n−1)·r_values.len() + j`.
+//! The selection scan reads the grid row by row, `LANES` columns per
+//! vector operation.
 //!
 //! # Bit-identity
 //!
@@ -56,8 +58,8 @@ pub struct CellStatistic {
     pub pi_n: f64,
 }
 
-/// Sufficient statistics for a whole `(n, r)` grid, in flat r-major SoA
-/// slabs: cell `(n, r_values[j])` is at index `j·n_max + (n−1)`.
+/// Sufficient statistics for a whole `(n, r)` grid, in flat n-major SoA
+/// slabs: cell `(n, r_values[j])` is at index `(n−1)·r_values.len() + j`.
 ///
 /// Built by
 /// `ColumnBlockKernel::param_landscape`
@@ -69,7 +71,7 @@ pub struct CellStatistic {
 pub struct ParamLandscape {
     n_max: u32,
     r_values: Vec<f64>,
-    /// `r_floor[j]`: the smallest `r` at or after column `j`, the column
+    /// `r_floor[j]`: the smallest `r` at or after column `j`, the row-tail
     /// stop of the selection scan (equal to `r_values` on a sorted grid).
     r_floor: Vec<f64>,
     pi_prefix: Vec<f64>,
@@ -77,8 +79,10 @@ pub struct ParamLandscape {
 }
 
 impl ParamLandscape {
-    /// Assembles a landscape from its raw slabs (the engine writes the
-    /// slabs chunk by chunk and hands them over whole).
+    /// Assembles a landscape from its raw n-major slabs, as
+    /// `ColumnBlockKernel::evaluate_with_statistic` writes them (the engine
+    /// writes them chunk by chunk through `ColumnBlockKernel::statistic_rows`
+    /// and hands them over whole).
     ///
     /// # Panics
     ///
@@ -133,22 +137,13 @@ impl ParamLandscape {
         self.pi_n.is_empty()
     }
 
-    /// The raw r-major `Σ_{i<n} π_i` slab.
-    #[must_use]
-    pub fn pi_prefix(&self) -> &[f64] {
-        &self.pi_prefix
-    }
-
-    /// The raw r-major `π_n` slab.
-    #[must_use]
-    pub fn pi_n(&self) -> &[f64] {
-        &self.pi_n
-    }
-
-    /// Flat index of cell `(n, r_values[r_index])`.
-    #[must_use]
-    pub fn flat_index(&self, r_index: usize, n: u32) -> usize {
-        r_index * self.n_max as usize + (n as usize - 1)
+    /// Slab index of cell `(n, r_values[r_index])`.
+    fn slot(&self, r_index: usize, n: u32) -> usize {
+        assert!(
+            r_index < self.r_values.len() && (1..=self.n_max).contains(&n),
+            "cell (r_index = {r_index}, n = {n}) is outside the grid"
+        );
+        (n as usize - 1) * self.r_values.len() + r_index
     }
 
     /// The sufficient statistic of one cell.
@@ -158,7 +153,7 @@ impl ParamLandscape {
     /// Panics when `r_index` or `n` is outside the grid.
     #[must_use]
     pub fn statistic(&self, r_index: usize, n: u32) -> CellStatistic {
-        let at = self.flat_index(r_index, n);
+        let at = self.slot(r_index, n);
         CellStatistic {
             pi_prefix: self.pi_prefix[at],
             pi_n: self.pi_n[at],
@@ -170,7 +165,7 @@ impl ParamLandscape {
     /// cell.
     #[must_use]
     pub fn cost_at(&self, factors: &ScenarioFactors, r_index: usize, n: u32) -> f64 {
-        let at = self.flat_index(r_index, n);
+        let at = self.slot(r_index, n);
         reconstruct_cost(
             factors,
             self.r_values[r_index],
@@ -184,18 +179,20 @@ impl ParamLandscape {
     /// statistic — bit-identical to the kernel's output.
     #[must_use]
     pub fn error_at(&self, factors: &ScenarioFactors, r_index: usize, n: u32) -> f64 {
-        let at = self.flat_index(r_index, n);
+        let at = self.slot(r_index, n);
         reconstruct_error(factors, self.pi_n[at])
     }
 
     /// The cheapest finite-cost cell under the given economics:
-    /// `(r_index, n, cost, error_probability)`. `None` when no cell has a
-    /// finite cost (empty grid or overflowed economics).
+    /// `(r_index, n, cost, error_probability)`, the first in r-major order
+    /// among equally cheap cells. `None` when no cell has a finite cost
+    /// (empty grid or overflowed economics).
     #[must_use]
     pub fn min_cost_cell(&self, factors: &ScenarioFactors) -> Option<(usize, u32, f64, f64)> {
         let mut best: Option<(usize, u32)> = None;
         let mut incumbent = f64::INFINITY;
         let n_max = self.n_max as usize;
+        let columns = self.r_values.len();
         for (j, &r) in self.r_values.iter().enumerate() {
             let r_plus_c = r + factors.probe_cost;
             let r_plus_c_q = r_plus_c * factors.q;
@@ -208,7 +205,7 @@ impl ParamLandscape {
                 if free_probing >= incumbent {
                     break;
                 }
-                let at = j * n_max + (n - 1);
+                let at = (n - 1) * columns + j;
                 let pi_n = self.pi_n[at];
                 let numerator =
                     free_probing + r_plus_c_q * self.pi_prefix[at] + factors.q_error_cost * pi_n;
@@ -232,8 +229,7 @@ impl ParamLandscape {
             }
         }
         best.map(|(j, n)| {
-            let at = j * n_max + (n as usize - 1);
-            let pi_n = self.pi_n[at];
+            let pi_n = self.pi_n[self.slot(j, n)];
             let denominator = 1.0 - factors.q * (1.0 - pi_n);
             let error = factors.q * pi_n / denominator;
             (j, n, incumbent, error)
@@ -254,19 +250,21 @@ impl ParamLandscape {
     /// [`ParamLandscape::min_cost_cell`] with an explicit SIMD backend and
     /// an optional warm-start `hint` cell `(r_index, n)`, typically the
     /// winner of a neighbouring parameter point. The whole grid is one
-    /// `zeroconf_simd::min_cost_grid_scan` dispatch, whose vector pass
-    /// only *filters* cells against the incumbent and replays candidates
-    /// with the scalar program, and which stops at the first column whose
-    /// smallest remaining `r` cannot win.
+    /// `zeroconf_simd::min_cost_grid_scan` dispatch: a row filter that
+    /// forms `LANES` columns' numerators per vector operation, divides a
+    /// lane chunk only when some lane is under its bound, and cuts each
+    /// row at the first column whose smallest remaining `r` cannot win.
+    /// The bound falls to `next_up` of each cost taken, and the scan
+    /// keeps the lexicographic minimum of (cost, r-major index).
     ///
     /// The hint only sets the scan's starting bound: `next_up` of the
     /// hint cell's cost under `factors`, or `+∞` when that cost is not
     /// finite. That bound lies strictly above the true minimum `m`, so
-    /// the strict-`<` scan still ends at the first cell attaining `m`,
-    /// as it does from `+∞`. The selected cell, cost and error are
-    /// therefore identical to [`ParamLandscape::min_cost_cell`] for any
-    /// hint and on every backend; a good hint just lets more cells and
-    /// columns be ruled out without a division.
+    /// the first cell in r-major order attaining `m` is still looked at
+    /// and taken, as it is from `+∞`. The selected cell, cost and error
+    /// are therefore identical to [`ParamLandscape::min_cost_cell`] for
+    /// any hint and on every backend; a good hint just lets more cells
+    /// and rows be ruled out without a division.
     ///
     /// # Panics
     ///
@@ -286,8 +284,7 @@ impl ParamLandscape {
                 f64::INFINITY
             }
         });
-        let n_max = self.n_max as usize;
-        let (won, incumbent) = zeroconf_simd::min_cost_grid_scan(
+        zeroconf_simd::min_cost_grid_scan(
             backend,
             BlockTerms {
                 q: factors.q,
@@ -297,14 +294,15 @@ impl ParamLandscape {
             factors.probe_cost,
             &self.r_values,
             &self.r_floor,
-            n_max,
+            self.n_max as usize,
             &self.pi_prefix,
             &self.pi_n,
             bound,
-        );
-        won.map(|at| {
-            let (j, n) = (at / n_max, (at % n_max + 1) as u32);
-            (j, n, incumbent, reconstruct_error(factors, self.pi_n[at]))
+        )
+        .map(|(j, n, cost)| {
+            let n = n as u32;
+            let error = reconstruct_error(factors, self.pi_n[self.slot(j, n)]);
+            (j, n, cost, error)
         })
     }
 

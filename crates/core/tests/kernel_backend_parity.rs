@@ -185,7 +185,8 @@ fn blocked_kernel_exact_mode_is_bit_identical_across_backends() {
     }
 }
 
-/// The four r-major output slabs of the blocked statistic pass.
+/// The four output slabs of the blocked statistic pass: costs and errors
+/// r-major, the statistic n-major.
 struct BlockOutputs {
     costs: Vec<f64>,
     errors: Vec<f64>,

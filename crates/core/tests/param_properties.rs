@@ -218,10 +218,19 @@ fn backends() -> Vec<Backend> {
 }
 
 /// A shuffled `r` list with forced ties: some values repeat, so whole
-/// columns (and, on a built landscape, their costs) are duplicated.
+/// columns (and, on a built landscape, their costs) are duplicated. Rows
+/// run up to 139 columns, so the row filter meets many full lane chunks
+/// and every remainder; now and then a row is exactly one AVX-512 chunk
+/// (8), one engine sweep chunk (64) or one column past it (65).
 fn selection_grid(rng: &mut StdRng) -> Vec<f64> {
-    let mut rs = listening_periods(rng, 1..24);
-    for _ in 0..rng.gen_range(0..4usize) {
+    let columns = if rng.gen_bool(0.125) {
+        [8, 64, 65][rng.gen_range(0..3usize)]
+    } else {
+        rng.gen_range(1..140usize)
+    };
+    let twins = rng.gen_range(0..4usize).min(columns - 1);
+    let mut rs = listening_periods(rng, columns - twins..columns - twins + 1);
+    for _ in 0..twins {
         let twin = rs[rng.gen_range(0..rs.len())];
         rs.push(twin);
     }
@@ -234,21 +243,21 @@ fn selection_grid(rng: &mut StdRng) -> Vec<f64> {
 /// and now and then a cell is NaN — so some cells cost NaN while their
 /// neighbours stay finite.
 fn synthetic_landscape(rng: &mut StdRng, n_max: u32, rs: Vec<f64>) -> ParamLandscape {
-    let n = n_max as usize;
-    let mut pi_prefix = Vec::with_capacity(rs.len() * n);
-    let mut pi_n = Vec::with_capacity(rs.len() * n);
-    for _ in &rs {
+    let (n, columns) = (n_max as usize, rs.len());
+    let mut pi_prefix = vec![0.0; columns * n];
+    let mut pi_n = vec![0.0; columns * n];
+    for j in 0..columns {
         let mut pi = 1.0f64;
         let mut prefix = 0.0f64;
-        for _ in 0..n {
+        for k in 0..n {
             prefix += pi;
             pi = if rng.gen_bool(0.1) {
                 0.0
             } else {
                 pi * rng.gen_range(0.0..1.0)
             };
-            pi_prefix.push(prefix);
-            pi_n.push(pi);
+            pi_prefix[k * columns + j] = prefix;
+            pi_n[k * columns + j] = pi;
         }
     }
     if rng.gen_bool(0.5) {

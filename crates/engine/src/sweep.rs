@@ -4,15 +4,18 @@
 //! columns, and each chunk is evaluated *as a block*: one
 //! [`SharedCache::get_or_compute_block`] round-trip fetches (or batch
 //! computes, via [`ColumnBlockKernel::pi_tables`]) every π-table of the
-//! chunk, then one [`ColumnBlockKernel::evaluate_with_statistic`] pass
-//! writes the chunk's contiguous `r`-major span of the flat result slabs.
+//! chunk, then one block pass writes the chunk's columns into the flat
+//! result slabs: a contiguous `r`-major span of a sweep's metrics
+//! ([`ColumnBlockKernel::evaluate`]), or the chunk's stretch of every
+//! n-major statistic row ([`ColumnBlockKernel::statistic_rows`]).
 //! Cancellation is checked before each chunk and between a chunk's π and
 //! kernel phases.
 
 use zeroconf_cost::kernel::{ColumnBlockKernel, Mode};
+use zeroconf_cost::CostError;
 use zeroconf_simd::Backend;
 
-use crate::cache::SharedCache;
+use crate::cache::{PiTable, SharedCache};
 use crate::request::{Metric, SweepRequest};
 use crate::{CancelToken, EngineError};
 
@@ -26,21 +29,25 @@ use crate::{CancelToken, EngineError};
 /// both, so a sweep stays cancellable every 64 columns.
 pub(crate) const SWEEP_CHUNK: usize = 64;
 
-/// The flat `r`-major buffers one sweep fills: element
-/// `r_index · n_max + (n − 1)` of each slab is cell `(n, r)`.
+/// The flat buffers one sweep fills.
 pub(crate) trait Slabs: Sized {
     /// Zeroed slabs of `cells` values for what `request` asks.
     fn zeroed(request: &SweepRequest, cells: usize) -> Self;
 
-    /// The spans `[from, from + len)` of the kernel's four outputs, in
-    /// [`ColumnBlockKernel::evaluate_with_statistic`] order (mean cost,
-    /// error probability, π-prefix, π_n); `None` for an output these
-    /// slabs do not hold.
-    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4];
+    /// Evaluates one chunk, grid columns `first .. first + rs.len()`
+    /// with π-tables `tables`, into the slabs.
+    fn fill(
+        &mut self,
+        block: &ColumnBlockKernel,
+        n_max: u32,
+        first: usize,
+        rs: &[f64],
+        tables: &[PiTable],
+    ) -> Result<(), CostError>;
 }
 
-/// A sweep's metric slabs; a slab is `None` when its metric was not
-/// requested.
+/// A sweep's `r`-major metric slabs (element `r_index · n_max + (n − 1)`
+/// is cell `(n, r)`); a slab is `None` when its metric was not requested.
 pub(crate) struct MetricSlabs {
     pub(crate) costs: Option<Vec<f64>>,
     pub(crate) errors: Option<Vec<f64>>,
@@ -56,39 +63,61 @@ impl Slabs for MetricSlabs {
         }
     }
 
-    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4] {
-        [
-            self.costs.as_deref_mut().map(|c| &mut c[from..from + len]),
-            self.errors.as_deref_mut().map(|e| &mut e[from..from + len]),
-            None,
-            None,
-        ]
+    fn fill(
+        &mut self,
+        block: &ColumnBlockKernel,
+        n_max: u32,
+        first: usize,
+        rs: &[f64],
+        tables: &[PiTable],
+    ) -> Result<(), CostError> {
+        let span = first * n_max as usize..(first + rs.len()) * n_max as usize;
+        block.evaluate(
+            n_max,
+            rs,
+            tables,
+            self.costs.as_deref_mut().map(|c| &mut c[span.clone()]),
+            self.errors.as_deref_mut().map(|e| &mut e[span]),
+        )
     }
 }
 
-/// A statistic build's slabs, `Σ_{i<n} π_i` and `π_n`: the storage
-/// behind [`zeroconf_cost::param::ParamLandscape`]. The build ignores the
+/// A statistic build's n-major slabs, `Σ_{i<n} π_i` and `π_n` (element
+/// `(n − 1) · columns + r_index` is cell `(n, r)`): the storage behind
+/// [`zeroconf_cost::param::ParamLandscape`]. The build ignores the
 /// request's metric selection.
 pub(crate) struct StatisticSlabs {
     pub(crate) pi_prefix: Vec<f64>,
     pub(crate) pi_n: Vec<f64>,
+    /// The grid's column count, the stride between rows.
+    columns: usize,
 }
 
 impl Slabs for StatisticSlabs {
-    fn zeroed(_request: &SweepRequest, cells: usize) -> StatisticSlabs {
+    fn zeroed(request: &SweepRequest, cells: usize) -> StatisticSlabs {
         StatisticSlabs {
             pi_prefix: vec![0.0; cells],
             pi_n: vec![0.0; cells],
+            columns: request.grid.r_values.len(),
         }
     }
 
-    fn spans(&mut self, from: usize, len: usize) -> [Option<&mut [f64]>; 4] {
-        [
-            None,
-            None,
-            Some(&mut self.pi_prefix[from..from + len]),
-            Some(&mut self.pi_n[from..from + len]),
-        ]
+    fn fill(
+        &mut self,
+        block: &ColumnBlockKernel,
+        n_max: u32,
+        first: usize,
+        rs: &[f64],
+        tables: &[PiTable],
+    ) -> Result<(), CostError> {
+        block.statistic_rows(
+            n_max,
+            rs,
+            tables,
+            self.columns,
+            &mut self.pi_prefix[first..],
+            &mut self.pi_n[first..],
+        )
     }
 }
 
@@ -122,7 +151,6 @@ pub(crate) fn run<S: Slabs>(
     let block = ColumnBlockKernel::with_backend(&request.scenario, backend, Mode::Exact);
     let fingerprint = request.scenario.reply_time().fingerprint();
     let n_max = request.grid.n_max;
-    let column = n_max as usize;
     let (mut hits, mut misses) = (0, 0);
     for (k, rs) in request.grid.r_values.chunks(SWEEP_CHUNK).enumerate() {
         if cancel.is_cancelled() {
@@ -137,9 +165,7 @@ pub(crate) fn run<S: Slabs>(
         if cancel.is_cancelled() {
             return Err(EngineError::Cancelled);
         }
-        let [costs, errors, pi_prefix, pi_n] =
-            slabs.spans(k * SWEEP_CHUNK * column, rs.len() * column);
-        block.evaluate_with_statistic(n_max, rs, &tables, costs, errors, pi_prefix, pi_n)?;
+        slabs.fill(&block, n_max, k * SWEEP_CHUNK, rs, &tables)?;
     }
     Ok(Swept {
         slabs,
@@ -153,6 +179,7 @@ pub(crate) fn run<S: Slabs>(
 mod tests {
     use std::sync::Arc;
 
+    use zeroconf_cost::param::ParamLandscape;
     use zeroconf_cost::Scenario;
     use zeroconf_dist::DefectiveExponential;
 
@@ -172,8 +199,10 @@ mod tests {
         SweepRequest::new(scenario, GridSpec::linspace(8, 0.1, 5.0, r_points))
     }
 
-    /// A grid of several chunks and a short last one fills its slabs with
-    /// the bits of one block pass over the whole grid.
+    /// A grid of two full chunks and a short last one fills its slabs
+    /// with the bits of one block pass over the whole grid: the metric
+    /// slabs of a cold sweep, and the statistic rows of a warm build,
+    /// each chunk's stretch of every row at its own columns.
     #[test]
     fn chunked_slabs_match_one_block_pass() {
         let request = request(2 * SWEEP_CHUNK + 7);
@@ -205,6 +234,20 @@ mod tests {
         let warm = run::<StatisticSlabs>(&request, &cache, Backend::detect(), &CancelToken::new())
             .unwrap();
         assert_eq!((warm.hits, warm.misses), (r_count, 0));
+        let n_max = request.grid.n_max;
+        let chunked =
+            ParamLandscape::from_parts(n_max, rs.clone(), warm.slabs.pi_prefix, warm.slabs.pi_n);
+        let whole = ParamLandscape::build(&request.scenario, n_max, rs).unwrap();
+        for j in 0..rs.len() {
+            for n in 1..=n_max {
+                let (got, want) = (chunked.statistic(j, n), whole.statistic(j, n));
+                assert_eq!(
+                    (got.pi_prefix.to_bits(), got.pi_n.to_bits()),
+                    (want.pi_prefix.to_bits(), want.pi_n.to_bits()),
+                    "statistic of cell (r_index = {j}, n = {n})"
+                );
+            }
+        }
     }
 
     /// A cancelled sweep builds nothing and charges the cache nothing.

@@ -32,7 +32,7 @@ use core::arch::x86_64::{
 use crate::{
     clamp_unit_scalar, cost_block_pass_scalar, div_clamp_unit_scalar, fill_scaled_scalar,
     survival_deterministic_scalar, survival_exponential_scalar, survival_uniform_scalar,
-    survival_weibull_scalar, weighted_accumulate_scalar, ColumnTerms, Record,
+    survival_weibull_scalar, weighted_accumulate_scalar, Grid, Record,
 };
 
 /// Widest lane count any backend uses; sizes the stack scratch buffers used
@@ -92,16 +92,21 @@ pub(crate) unsafe trait LaneVector: Copy {
     /// # Safety
     /// Requires the implementing ISA extension.
     unsafe fn select_ge(a: Self, b: Self, t: Self, f: Self) -> Self;
-    /// True when any lane satisfies `a < b` (NaN lanes compare false).
+    /// The lanes where `a < b`, as a bitmask: bit `l` is set when lane `l`
+    /// compares true (NaN lanes compare false).
     ///
     /// # Safety
     /// Requires the implementing ISA extension.
-    unsafe fn any_lt(a: Self, b: Self) -> bool;
+    unsafe fn lt_mask(a: Self, b: Self) -> u32;
     /// True when every lane satisfies `a < b` (NaN lanes compare false).
     ///
     /// # Safety
     /// Requires the implementing ISA extension.
-    unsafe fn all_lt(a: Self, b: Self) -> bool;
+    #[inline(always)]
+    unsafe fn all_lt(a: Self, b: Self) -> bool {
+        // SAFETY: the caller guarantees the extension `lt_mask` needs.
+        unsafe { Self::lt_mask(a, b) == (1 << Self::LANES) - 1 }
+    }
 }
 
 /// Four f64 lanes over AVX (arithmetic), behind the AVX2 detection gate.
@@ -212,19 +217,10 @@ unsafe impl LaneVector for F64x4 {
     /// # Safety
     /// See trait: requires AVX.
     #[inline(always)]
-    unsafe fn any_lt(a: Self, b: Self) -> bool {
+    unsafe fn lt_mask(a: Self, b: Self) -> u32 {
         // SAFETY: lanewise AVX compare + sign-bit extraction, caller
-        // guarantees the feature.
-        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a.0, b.0)) != 0 }
-    }
-
-    /// # Safety
-    /// See trait: requires AVX.
-    #[inline(always)]
-    unsafe fn all_lt(a: Self, b: Self) -> bool {
-        // SAFETY: lanewise AVX compare + sign-bit extraction, caller
-        // guarantees the feature.
-        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a.0, b.0)) == 0b1111 }
+        // guarantees the feature; movemask sets only the low four bits.
+        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a.0, b.0)) as u32 }
     }
 }
 
@@ -338,19 +334,10 @@ unsafe impl LaneVector for F64x8 {
     /// # Safety
     /// See trait: requires AVX-512F.
     #[inline(always)]
-    unsafe fn any_lt(a: Self, b: Self) -> bool {
+    unsafe fn lt_mask(a: Self, b: Self) -> u32 {
         // SAFETY: lanewise AVX-512F compare to mask register, caller
         // guarantees the feature.
-        unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a.0, b.0) != 0 }
-    }
-
-    /// # Safety
-    /// See trait: requires AVX-512F.
-    #[inline(always)]
-    unsafe fn all_lt(a: Self, b: Self) -> bool {
-        // SAFETY: lanewise AVX-512F compare to mask register, caller
-        // guarantees the feature.
-        unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a.0, b.0) == 0xFF }
+        unsafe { u32::from(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(a.0, b.0)) }
     }
 }
 
@@ -643,16 +630,19 @@ unsafe fn survival_weibull_body<V: LaneVector>(
 /// (small integers are exact in f64). Remainder columns (fewer than `LANES`
 /// left) are handed to `cost_block_pass_scalar` itself.
 ///
-/// Outputs are r-major (column `j` at `out[j*n_max ..]`), so row stores
-/// scatter lane by lane; gathers and scatters are scalar (no AVX2 gather —
-/// its lane traps on faulting addresses differ, and the π rows live in L1
-/// here anyway), only the arithmetic is wide.
+/// Costs and errors are r-major (column `j` at `out[j*n_max ..]`), so their
+/// row stores scatter lane by lane; the n-major statistic rows take one
+/// vector store per round. Gathers are scalar (no AVX2 gather — its lane
+/// traps on faulting addresses differ, and the π rows live in L1 here
+/// anyway), only the arithmetic is wide.
 ///
 /// # Safety
 /// Requires `V`'s ISA extension; every `tables[j]` must hold at least
 /// `n_max + 1` entries, `r_plus_c`/`r_plus_c_q` one entry per
-/// column, every provided output slice exactly `tables.len() * n_max`, and
-/// `V::LANES <= MAX_LANES`.
+/// column, every provided cost or error slice exactly
+/// `tables.len() * n_max`, `row_stride >= tables.len()`, every provided
+/// statistic slice at least `(n_max − 1)·row_stride + tables.len()` when
+/// the block has cells, and `V::LANES <= MAX_LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn cost_block_pass_body<V: LaneVector>(
@@ -667,6 +657,7 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
     mut errors: Option<&mut [f64]>,
     mut pi_prefix: Option<&mut [f64]>,
     mut pi_n_out: Option<&mut [f64]>,
+    row_stride: usize,
 ) {
     let n_cols = tables.len();
     debug_assert_eq!(r_plus_c.len(), n_cols);
@@ -678,8 +669,11 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
     // loads/stores touch the MAX_LANES >= V::LANES scratch rows;
     // per-column reads `tables[c0 + l][i]` stay within the caller-asserted
     // `n_max + 1` table length for `i <= n_max` and `c0 + l < n_cols` by the
-    // chunk loop condition; output writes land at `(c0 + l) * n_max + i - 1 <
-    // n_cols * n_max`, the caller-asserted output length.
+    // chunk loop condition; cost and error writes land at
+    // `(c0 + l) * n_max + i - 1 < n_cols * n_max`, the caller-asserted
+    // output length; a statistic row store covers
+    // `(i - 1) * row_stride + c0 .. + V::LANES`, whose end is at most
+    // `(n_max - 1) * row_stride + n_cols`, the caller-asserted slab length.
     unsafe {
         let q_v = V::splat(q);
         let one_minus_q_v = V::splat(one_minus_q);
@@ -721,6 +715,7 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
                 prefix = prefix.add(prev);
                 let denominator = one.sub(q_v.mul(one.sub(pi_n)));
                 let at = i - 1;
+                let row_at = at * row_stride + c0;
                 if let Some(costs) = costs.as_deref_mut() {
                     let free_address_probing = rpc.mul(n_v).mul(one_minus_q_v);
                     let numerator = free_address_probing
@@ -740,17 +735,14 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
                     }
                 }
                 if let Some(out) = pi_prefix.as_deref_mut() {
-                    prefix.store(&mut out_row);
-                    for (l, &value) in out_row[..V::LANES].iter().enumerate() {
-                        // SAFETY: index < n_cols * n_max (caller assert).
-                        *out.get_unchecked_mut((c0 + l) * n_max + at) = value;
-                    }
+                    // SAFETY: the row store ends within the slab (caller
+                    // assert, see above).
+                    prefix.store(out.get_unchecked_mut(row_at..));
                 }
                 if let Some(out) = pi_n_out.as_deref_mut() {
-                    for (l, &value) in row[..V::LANES].iter().enumerate() {
-                        // SAFETY: index < n_cols * n_max (caller assert).
-                        *out.get_unchecked_mut((c0 + l) * n_max + at) = value;
-                    }
+                    // SAFETY: the row store ends within the slab (caller
+                    // assert, see above).
+                    pi_n.store(out.get_unchecked_mut(row_at..));
                 }
                 prev = pi_n;
                 n_v = n_v.add(one);
@@ -771,13 +763,10 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
             if drain_from <= n_max {
                 let denominator = one_minus_q_v;
                 let occupied = rpcq.mul(prefix);
-                let frozen_prefix_row = {
-                    let mut frozen = [0.0f64; MAX_LANES];
-                    prefix.store(&mut frozen);
-                    frozen
-                };
+                let zero = V::splat(0.0);
                 for i in drain_from..=n_max {
                     let at = i - 1;
+                    let row_at = at * row_stride + c0;
                     if let Some(costs) = costs.as_deref_mut() {
                         let free_address_probing = rpc.mul(n_v).mul(one_minus_q_v);
                         free_address_probing
@@ -796,16 +785,14 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
                         }
                     }
                     if let Some(out) = pi_prefix.as_deref_mut() {
-                        for (l, &value) in frozen_prefix_row[..V::LANES].iter().enumerate() {
-                            // SAFETY: index < n_cols * n_max (caller assert).
-                            *out.get_unchecked_mut((c0 + l) * n_max + at) = value;
-                        }
+                        // SAFETY: the row store ends within the slab
+                        // (caller assert, see above).
+                        prefix.store(out.get_unchecked_mut(row_at..));
                     }
                     if let Some(out) = pi_n_out.as_deref_mut() {
-                        for l in 0..V::LANES {
-                            // SAFETY: index < n_cols * n_max (caller assert).
-                            *out.get_unchecked_mut((c0 + l) * n_max + at) = 0.0;
-                        }
+                        // SAFETY: the row store ends within the slab
+                        // (caller assert, see above).
+                        zero.store(out.get_unchecked_mut(row_at..));
                     }
                     n_v = n_v.add(one);
                 }
@@ -814,7 +801,8 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
         }
     }
     // Remainder columns: the scalar reference program itself, on the
-    // r-major tail of every slab.
+    // r-major tail of the cost and error slabs and from column `c0` of
+    // every statistic row.
     let offset = c0 * n_max;
     cost_block_pass_scalar(
         q,
@@ -826,91 +814,83 @@ unsafe fn cost_block_pass_body<V: LaneVector>(
         &tables[c0..],
         costs.map(|out| &mut out[offset..]),
         errors.map(|out| &mut out[offset..]),
-        pi_prefix.map(|out| &mut out[offset..]),
-        pi_n_out.map(|out| &mut out[offset..]),
+        pi_prefix.map(|out| &mut out[c0..]),
+        pi_n_out.map(|out| &mut out[c0..]),
+        row_stride,
     );
 }
 
-/// The whole-grid body of `min_cost_grid_scan`: the column loop runs in
-/// this feature-enabled frame, so one parameter point costs one dispatch.
+/// The whole-grid body of `min_cost_grid_scan`: the row loop runs in this
+/// feature-enabled frame, so one parameter point costs one dispatch.
 ///
-/// Each column first meets the column stop (`lib.rs` gives the exactness
-/// argument), then the lane pass. The lane pass only *filters*: a chunk
-/// is skipped when no lane's numerator beats the incumbent as of the
-/// chunk start (the incumbent never increases, so skipping is
-/// conservative); any chunk with a candidate lane is replayed by the
-/// scalar [`Record::scan`], preserving the scalar selection order
-/// bit-for-bit. The free-probing early exit is checked per chunk on lane
-/// 0 and inside every replay; when it fires the scan moves on to the next
-/// column.
+/// Each row runs up to the column where the previous row's tail was cut
+/// (`lib.rs` gives the exactness argument). A lane chunk first meets the
+/// row-tail stop at its first column, then forms `V::LANES` numerators
+/// with [`Record::scan_row`]'s operations and compares them with the
+/// bound into a bitmask. A chunk with no lane under the bound is passed
+/// over without a division. Otherwise one vector division gives every
+/// lane's cost, and the lanes whose numerator and cost are both under
+/// the bound are offered to [`Record::take`], the scalar program's own
+/// update; the record does not depend on the order of the offers.
+/// Columns that do not fill a chunk run `scan_row` itself.
 ///
 /// # Safety
-/// Requires `V`'s ISA extension; `r_floor.len() == r_values.len()`,
-/// `prefix` and `tail` hold `r_values.len() * n_max` elements, and
-/// `V::LANES <= MAX_LANES`.
+/// Requires `V`'s ISA extension; `grid.r_floor` as long as
+/// `grid.r_values`, `grid.prefix` and `grid.tail` holding
+/// `r_values.len() * n_max` elements, and `V::LANES <= MAX_LANES`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn min_cost_grid_scan_body<V: LaneVector>(
-    q: f64,
-    one_minus_q: f64,
-    q_error_cost: f64,
-    probe_cost: f64,
-    r_values: &[f64],
-    r_floor: &[f64],
-    n_max: usize,
-    prefix: &[f64],
-    tail: &[f64],
-    record: &mut Record,
-) {
-    debug_assert_eq!(r_floor.len(), r_values.len());
-    let mut lane_index = [0.0f64; MAX_LANES];
-    // SAFETY: V's extension is active per this function's contract; each
-    // column's loads stay within its `n_max`-long slices by the loop
-    // condition, and lane_index holds MAX_LANES >= V::LANES elements.
+unsafe fn min_cost_grid_scan_body<V: LaneVector>(grid: &Grid<'_>, record: &mut Record) {
+    debug_assert_eq!(grid.r_floor.len(), grid.r_values.len());
+    let mut limit = grid.r_values.len();
+    let mut costs = [0.0f64; MAX_LANES];
+    // SAFETY: V's extension is active per this function's contract; every
+    // lane load reads `j0 .. j0 + V::LANES` with `j0 + V::LANES <= limit
+    // <= r_values.len()`, within `r_values` and the row's slices, and
+    // `costs` holds MAX_LANES >= V::LANES elements.
     unsafe {
-        let one_minus_q_v = V::splat(one_minus_q);
-        let q_error_cost_v = V::splat(q_error_cost);
-        'columns: for (j, (&r, &floor)) in r_values.iter().zip(r_floor).enumerate() {
-            if (floor + probe_cost) * one_minus_q >= record.incumbent {
+        let one = V::splat(1.0);
+        let q = V::splat(grid.q);
+        let one_minus_q = V::splat(grid.one_minus_q);
+        let q_error_cost = V::splat(grid.q_error_cost);
+        let probe_cost = V::splat(grid.probe_cost);
+        for n in 1..=grid.n_max {
+            if limit == 0 {
                 break;
             }
-            let r_plus_c = r + probe_cost;
-            let terms = ColumnTerms {
-                q,
-                one_minus_q,
-                q_error_cost,
-                r_plus_c,
-                r_plus_c_q: r_plus_c * q,
+            let (prefix, tail) = grid.row(n);
+            let n_v = V::splat(n as f64);
+            let mut j0 = 0;
+            let mut cut = None;
+            while j0 + V::LANES <= limit {
+                if grid.floor_free(j0, n) >= record.bound {
+                    cut = Some(j0);
+                    break;
+                }
+                let r_plus_c = V::load(&grid.r_values[j0..]).add(probe_cost);
+                let pi_n = V::load(&tail[j0..]);
+                let numerator = r_plus_c
+                    .mul(n_v)
+                    .mul(one_minus_q)
+                    .add(r_plus_c.mul(q).mul(V::load(&prefix[j0..])))
+                    .add(q_error_cost.mul(pi_n));
+                let bound = V::splat(record.bound);
+                let mut lanes = V::lt_mask(numerator, bound);
+                if lanes != 0 {
+                    let cost = numerator.div(one.sub(q.mul(one.sub(pi_n))));
+                    lanes &= V::lt_mask(cost, bound);
+                    cost.store(&mut costs);
+                    while lanes != 0 {
+                        let l = lanes.trailing_zeros() as usize;
+                        record.take(costs[l], (j0 + l) * grid.n_max + (n - 1));
+                        lanes &= lanes - 1;
+                    }
+                }
+                j0 += V::LANES;
+            }
+            limit = match cut {
+                Some(j) => j,
+                None => record.scan_row(grid, n, j0..limit),
             };
-            let base = j * n_max;
-            let column_prefix = &prefix[base..base + n_max];
-            let column_tail = &tail[base..base + n_max];
-            let r_plus_c_v = V::splat(r_plus_c);
-            let r_plus_c_q_v = V::splat(terms.r_plus_c_q);
-            for (i, slot) in lane_index.iter_mut().enumerate() {
-                *slot = (i + 1) as f64;
-            }
-            let mut k = 0;
-            while k + V::LANES <= n_max {
-                let first_free_probing = r_plus_c * (k + 1) as f64 * one_minus_q;
-                if first_free_probing >= record.incumbent {
-                    continue 'columns;
-                }
-                let free_v = r_plus_c_v.mul(V::load(&lane_index)).mul(one_minus_q_v);
-                let numerator_v = free_v
-                    .add(r_plus_c_q_v.mul(V::load(&column_prefix[k..])))
-                    .add(q_error_cost_v.mul(V::load(&column_tail[k..])));
-                if V::any_lt(numerator_v, V::splat(record.incumbent))
-                    && !record.scan(&terms, column_prefix, column_tail, k..k + V::LANES, base)
-                {
-                    continue 'columns;
-                }
-                for slot in &mut lane_index[..V::LANES] {
-                    *slot += V::LANES as f64;
-                }
-                k += V::LANES;
-            }
-            record.scan(&terms, column_prefix, column_tail, k..n_max, base);
         }
     }
 }
@@ -965,7 +945,6 @@ instantiate!(survival_weibull_avx2, survival_weibull_avx512, survival_weibull_bo
 instantiate!(cost_block_pass_avx2, cost_block_pass_avx512, cost_block_pass_body =>
     (q: f64, one_minus_q: f64, q_error_cost: f64, r_plus_c: &'_ [f64], r_plus_c_q: &'_ [f64],
      n_max: usize, tables: &'_ [&'_ [f64]], costs: Option<&mut [f64]>, errors: Option<&mut [f64]>,
-     pi_prefix: Option<&mut [f64]>, pi_n_out: Option<&mut [f64]>));
+     pi_prefix: Option<&mut [f64]>, pi_n_out: Option<&mut [f64]>, row_stride: usize));
 instantiate!(min_cost_grid_scan_avx2, min_cost_grid_scan_avx512, min_cost_grid_scan_body =>
-    (q: f64, one_minus_q: f64, q_error_cost: f64, probe_cost: f64, r_values: &[f64],
-     r_floor: &[f64], n_max: usize, prefix: &[f64], tail: &[f64], record: &mut Record));
+    (grid: &Grid<'_>, record: &mut Record));

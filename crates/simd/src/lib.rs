@@ -103,23 +103,6 @@ impl KernelChoice {
     }
 }
 
-/// The per-column scenario constants consumed by the selection scan;
-/// mirrors `ScenarioFactors` plus the per-column `r + probe_cost` hoists
-/// from `crates/core`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnTerms {
-    /// Collision probability `q`.
-    pub q: f64,
-    /// `1 - q`.
-    pub one_minus_q: f64,
-    /// `q * error_cost`.
-    pub q_error_cost: f64,
-    /// `r + probe_cost` for this column.
-    pub r_plus_c: f64,
-    /// `(r + probe_cost) * q` for this column.
-    pub r_plus_c_q: f64,
-}
-
 macro_rules! dispatch {
     ($backend:expr, $avx2:ident($($a2:expr),*), $avx512:ident($($a5:expr),*), $scalar:block) => {
         match $backend.effective() {
@@ -440,7 +423,13 @@ pub struct BlockTerms {
 /// amortized across `LANES` independent columns. A block of one column is
 /// the single-column pass.
 ///
-/// Outputs are r-major: column `j` occupies `out[j*n_max .. (j+1)*n_max]`.
+/// `costs` and `errors` are r-major: column `j` occupies
+/// `out[j*n_max .. (j+1)*n_max]`. The statistic slabs `pi_prefix` and
+/// `pi_n_out` are n-major rows of `row_stride` columns: column `j`'s
+/// probe count `n` lands at `(n − 1)·row_stride + j`, so one probe round
+/// of a lane chunk is one contiguous store, and a block that is a run of
+/// columns of a wider grid writes its rows in place (pass the slabs from
+/// the block's first column on, with the grid's width as the stride).
 /// Returns the backend that ran.
 ///
 /// Once every column of a chunk reaches the π-tables' exact-zero tail,
@@ -454,8 +443,10 @@ pub struct BlockTerms {
 ///
 /// # Panics
 /// When `r_plus_c`, `r_plus_c_q`, and `tables` disagree on the column
-/// count, any table holds fewer than `n_max + 1` entries, or a provided
-/// output slice is not exactly `tables.len() * n_max` long.
+/// count, any table holds fewer than `n_max + 1` entries, a provided
+/// cost or error slice is not exactly `tables.len() * n_max` long,
+/// `row_stride` is below the column count, or a provided statistic slice
+/// is shorter than `(n_max − 1)·row_stride + tables.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn cost_block_pass(
     backend: Backend,
@@ -468,6 +459,7 @@ pub fn cost_block_pass(
     errors: Option<&mut [f64]>,
     pi_prefix: Option<&mut [f64]>,
     pi_n_out: Option<&mut [f64]>,
+    row_stride: usize,
 ) -> Backend {
     let n_cols = tables.len();
     assert_eq!(
@@ -487,19 +479,38 @@ pub fn cost_block_pass(
         );
     }
     let cells = n_cols * n_max;
-    for slice in [
-        costs.as_deref(),
-        errors.as_deref(),
-        pi_prefix.as_deref(),
-        pi_n_out.as_deref(),
-    ]
-    .into_iter()
-    .flatten()
-    {
+    for slice in [costs.as_deref(), errors.as_deref()].into_iter().flatten() {
         assert_eq!(
             slice.len(),
             cells,
             "cost_block_pass outputs must hold n_cols * n_max entries"
+        );
+    }
+    assert!(
+        row_stride >= n_cols,
+        "cost_block_pass statistic rows must hold every column"
+    );
+    // The slab length a statistic slice must reach; no row index the
+    // passes form can exceed it, so none overflows.
+    let rows = if cells == 0 {
+        Some(0)
+    } else {
+        (n_max - 1)
+            .checked_mul(row_stride)
+            .and_then(|span| span.checked_add(n_cols))
+    };
+    assert!(
+        rows.is_some(),
+        "cost_block_pass statistic rows overflow usize"
+    );
+    let rows = rows.unwrap_or(usize::MAX);
+    for slice in [pi_prefix.as_deref(), pi_n_out.as_deref()]
+        .into_iter()
+        .flatten()
+    {
+        assert!(
+            slice.len() >= rows,
+            "cost_block_pass statistic slabs must reach the last row's last column"
         );
     }
     let BlockTerms {
@@ -520,7 +531,8 @@ pub fn cost_block_pass(
             costs,
             errors,
             pi_prefix,
-            pi_n_out
+            pi_n_out,
+            row_stride
         ),
         cost_block_pass_avx512(
             q,
@@ -533,7 +545,8 @@ pub fn cost_block_pass(
             costs,
             errors,
             pi_prefix,
-            pi_n_out
+            pi_n_out,
+            row_stride
         ),
         {
             cost_block_pass_scalar(
@@ -548,6 +561,7 @@ pub fn cost_block_pass(
                 errors,
                 pi_prefix,
                 pi_n_out,
+                row_stride,
             );
         }
     )
@@ -555,9 +569,9 @@ pub fn cost_block_pass(
 
 /// The normative scalar program of [`cost_block_pass`], and the only
 /// scalar copy of the Eq. (3)/(4) column pass: one single pass per column,
-/// threading a `0.0`-seeded running π prefix down the column, r-major.
-/// Every vector body replays exactly this association per lane and runs
-/// this function itself on the columns that do not fill a lane chunk.
+/// threading a `0.0`-seeded running π prefix down the column. Every vector
+/// body replays exactly this association per lane and runs this function
+/// itself on the columns that do not fill a lane chunk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cost_block_pass_scalar(
     q: f64,
@@ -571,6 +585,7 @@ pub(crate) fn cost_block_pass_scalar(
     mut errors: Option<&mut [f64]>,
     mut pi_prefix: Option<&mut [f64]>,
     mut pi_n_out: Option<&mut [f64]>,
+    row_stride: usize,
 ) {
     for (j, table) in tables.iter().enumerate() {
         let base = j * n_max;
@@ -579,6 +594,7 @@ pub(crate) fn cost_block_pass_scalar(
             prefix_sum += table[i - 1];
             let pi_n = table[i];
             let at = base + (i - 1);
+            let row_at = (i - 1) * row_stride + j;
             let denominator = 1.0 - q * (1.0 - pi_n);
             if let Some(costs) = costs.as_deref_mut() {
                 let free_address_probing = r_plus_c[j] * i as f64 * one_minus_q;
@@ -591,92 +607,158 @@ pub(crate) fn cost_block_pass_scalar(
                 errors[at] = q * pi_n / denominator;
             }
             if let Some(prefix) = pi_prefix.as_deref_mut() {
-                prefix[at] = prefix_sum;
+                prefix[row_at] = prefix_sum;
             }
             if let Some(tail) = pi_n_out.as_deref_mut() {
-                tail[at] = pi_n;
+                tail[row_at] = pi_n;
             }
         }
     }
 }
 
-/// The strict-`<` record of a `min_cost_cell` scan: the cheapest finite
-/// cost met so far (or the caller's starting bound) and the flat index of
-/// the cell that set it.
+/// One parameter point's selection scan: its economics and the n-major
+/// statistic grid. Row `n` of `prefix`/`tail` holds every column's
+/// `Σ_{i<n} π_i` and `π_n`, column `j` listening for `r_values[j]`.
+pub(crate) struct Grid<'a> {
+    pub(crate) q: f64,
+    pub(crate) one_minus_q: f64,
+    pub(crate) q_error_cost: f64,
+    pub(crate) probe_cost: f64,
+    pub(crate) n_max: usize,
+    pub(crate) r_values: &'a [f64],
+    /// `r_floor[j]`: the smallest `r` at or after column `j`.
+    pub(crate) r_floor: &'a [f64],
+    pub(crate) prefix: &'a [f64],
+    pub(crate) tail: &'a [f64],
+}
+
+impl<'a> Grid<'a> {
+    /// Row `n`'s `Σ_{i<n} π_i` and `π_n`, one element per column.
+    #[inline(always)]
+    pub(crate) fn row(&self, n: usize) -> (&'a [f64], &'a [f64]) {
+        let columns = self.r_values.len();
+        let span = (n - 1) * columns..n * columns;
+        (&self.prefix[span.clone()], &self.tail[span])
+    }
+
+    /// The free-probing term `(r + c)·n·(1 − q)` at the smallest `r` at
+    /// or after column `j`: a float lower bound on the numerator of every
+    /// cell of row `n` from column `j` on, and of every later row too.
+    #[inline(always)]
+    pub(crate) fn floor_free(&self, j: usize, n: usize) -> f64 {
+        (self.r_floor[j] + self.probe_cost) * n as f64 * self.one_minus_q
+    }
+}
+
+/// The record of a `min_cost_cell` scan: the lexicographic minimum of
+/// (cost, r-major flat index) over the finite-cost cells taken so far,
+/// and the bound a cell's numerator must stay under to be looked at.
 pub(crate) struct Record {
-    pub(crate) incumbent: f64,
-    pub(crate) best: Option<usize>,
+    /// `next_up` of `cost`, or the caller's starting bound until a cell
+    /// is taken. A cell whose numerator reaches it costs strictly more
+    /// than `cost` (the denominator never exceeds 1), so it can neither
+    /// win nor tie.
+    pub(crate) bound: f64,
+    /// The cheapest finite cost taken so far; `+∞` before the first.
+    pub(crate) cost: f64,
+    /// The r-major flat index `j·n_max + (n − 1)` of the cell that set
+    /// `cost`; `usize::MAX` before the first.
+    pub(crate) at: usize,
 }
 
 impl Record {
-    /// The normative scalar selection program over elements `ks` of one
-    /// column (`prefix`/`tail` are the column's slices; element `k` is
-    /// probe count `n = k + 1`, flat index `base + k`). Every backend
-    /// replays exactly this program on the cells it cannot rule out.
-    ///
-    /// Returns `false` once the free-probing term reaches the incumbent:
-    /// it is a float lower bound on the numerator (the other addends are
-    /// non-negative) and weakly increasing in `n`, so no later element of
-    /// the column can win. A numerator at or above the incumbent loses
-    /// without the division, because the denominator `1 − q·(1 − π_n)`
-    /// never exceeds 1. NaN and `+∞` costs fail the `<` and never win.
+    /// Offers the cell at r-major flat index `at` with cost `cost`: it is
+    /// taken when its cost is finite and under the bound, and either
+    /// cheaper than the record or as cheap and earlier in r-major order.
+    /// So the record is always the lexicographic minimum of (cost, `at`)
+    /// over the finite-cost cells offered under the starting bound,
+    /// whatever order they are offered in — the strict-`<`,
+    /// first-in-storage pick of the r-major scalar scan. NaN and `+∞`
+    /// costs never win.
     #[inline(always)]
-    pub(crate) fn scan(
+    pub(crate) fn take(&mut self, cost: f64, at: usize) {
+        if cost.is_finite() && cost < self.bound && (cost < self.cost || at < self.at) {
+            self.cost = cost;
+            self.at = at;
+            self.bound = cost.next_up();
+        }
+    }
+
+    /// The normative scalar selection program over columns `js` of row
+    /// `n`; the vector bodies run it on the columns that do not fill a
+    /// lane chunk, and form each chunk's numerators and costs with its
+    /// operations in its order.
+    ///
+    /// Returns the column at which the row's tail was cut, or `js.end`:
+    /// once [`Grid::floor_free`] reaches the bound, no cell of this row at
+    /// or after that column can be taken, nor can one of a later row. A
+    /// numerator at or above the bound is passed over without the
+    /// division; the denominator `1 − q·(1 − π_n)` never exceeds 1, so
+    /// such a cell costs at least the bound.
+    #[inline(always)]
+    pub(crate) fn scan_row(
         &mut self,
-        terms: &ColumnTerms,
-        prefix: &[f64],
-        tail: &[f64],
-        ks: std::ops::Range<usize>,
-        base: usize,
-    ) -> bool {
-        for at in ks {
-            let free_probing = terms.r_plus_c * (at + 1) as f64 * terms.one_minus_q;
-            if free_probing >= self.incumbent {
-                return false;
+        grid: &Grid<'_>,
+        n: usize,
+        js: std::ops::Range<usize>,
+    ) -> usize {
+        let (prefix, tail) = grid.row(n);
+        for j in js.clone() {
+            if grid.floor_free(j, n) >= self.bound {
+                return j;
             }
-            let pi_n = tail[at];
-            let numerator =
-                free_probing + terms.r_plus_c_q * prefix[at] + terms.q_error_cost * pi_n;
-            if numerator < self.incumbent {
-                let denominator = 1.0 - terms.q * (1.0 - pi_n);
-                let cost = numerator / denominator;
-                if cost.is_finite() && cost < self.incumbent {
-                    self.incumbent = cost;
-                    self.best = Some(base + at);
-                }
+            let r_plus_c = grid.r_values[j] + grid.probe_cost;
+            let free_probing = r_plus_c * n as f64 * grid.one_minus_q;
+            let pi_n = tail[j];
+            let numerator = free_probing + r_plus_c * grid.q * prefix[j] + grid.q_error_cost * pi_n;
+            if numerator < self.bound {
+                let cost = numerator / (1.0 - grid.q * (1.0 - pi_n));
+                self.take(cost, j * grid.n_max + (n - 1));
             }
         }
-        true
+        js.end
+    }
+
+    /// The scalar program of [`min_cost_grid_scan`]: every row in turn,
+    /// each up to the column where the previous row's tail was cut.
+    fn scan_grid(&mut self, grid: &Grid<'_>) {
+        let mut limit = grid.r_values.len();
+        for n in 1..=grid.n_max {
+            if limit == 0 {
+                break;
+            }
+            limit = self.scan_row(grid, n, 0..limit);
+        }
     }
 }
 
-/// The `min_cost_cell` scan over a whole r-major statistic grid, in one
-/// dispatch: the column loop runs inside the scalar, AVX2 or AVX-512
-/// body. Column `j` listens for `r_values[j]` and holds elements
-/// `j·n_max .. (j+1)·n_max` of `prefix`/`tail` (element `k` of a column
-/// is probe count `n = k + 1`). Returns the flat index of the cheapest
-/// finite-cost cell strictly below `incumbent`, if any, plus the final
-/// incumbent; ties keep the first cell in storage order.
+/// The `min_cost_cell` scan over a whole n-major statistic grid, in one
+/// dispatch: row `n − 1` of `prefix`/`tail` holds every column's
+/// `Σ_{i<n} π_i` and `π_n`, column `j` listening for `r_values[j]`.
+/// Returns `(j, n, cost)` of the cheapest finite-cost cell whose cost is
+/// under `bound`, if any; ties go to the cell first in r-major order
+/// (`j·n_max + (n − 1)`), as the r-major strict-`<` scan picks them.
 ///
-/// Selection is `to_bits`-faithful to the scalar record scan on every
-/// backend: the vector pass only skips lane chunks whose numerators all
-/// fail the incumbent test, and replays the rest with the scalar program
-/// (see `lanes::min_cost_grid_scan_body`).
+/// **Row filter.** The rows run `n = 1, 2, …`; the vector tiers form the
+/// numerators of `LANES` columns per operation, divide a lane chunk only
+/// when some lane's numerator is under the bound, and offer only those
+/// lanes to the scalar program's record update. The bound starts at the
+/// caller's and drops to `next_up` of each cost taken, so a cell passed
+/// over costs strictly more than the record.
 ///
-/// **Column stop.** `r_floor[j]` must be the smallest `r` at or after
-/// column `j`. The scan ends before column `j` once
-/// `(r_floor[j] + c)·(1 − q)` reaches the incumbent. `fl(r + c)` is
-/// monotone in `r`, and so is its product with `1 − q ≥ 0` (every
-/// occupancy `q ≤ 1`), so every later column's `n = 1` free-probing term
-/// `(r + c)·1·(1 − q)` is at least as large: each of those columns would
-/// exit at its first element without touching the incumbent. The stop is
-/// therefore exact for sorted and unsorted `r` alike; for a sorted grid
-/// `r_floor` is `r_values` itself.
+/// **Row stops.** `r_floor[j]` must be the smallest `r` at or after
+/// column `j`. Row `n` ends at the first column `j` where
+/// `(r_floor[j] + c)·n·(1 − q)` reaches the bound, and no later row goes
+/// past that column. `fl(r + c)` is monotone in `r`, and so are its
+/// products with `n` and with `1 − q ≥ 0` (every occupancy `q ≤ 1`), so
+/// every cell at or after column `j`, in this row or a later one, has a
+/// free-probing term at least that large; the other addends of its
+/// numerator are non-negative, and the bound only falls. A stop at
+/// column 0 ends the scan.
 ///
-/// Starting from a finite `incumbent` above the true minimum (a
-/// warm-start bound) selects the same cell as starting from `+∞`: the
-/// first cell attaining the minimum still beats every incumbent the scan
-/// can hold when it gets there.
+/// A `bound` strictly above the true minimum (`next_up` of a real cell's
+/// cost: a warm start) selects the same cell as `+∞`: the bound stays
+/// above the minimum throughout, so the winning cell is always looked at.
 ///
 /// # Panics
 /// When `r_floor` and `r_values` differ in length, or `prefix`/`tail` do
@@ -691,8 +773,8 @@ pub fn min_cost_grid_scan(
     n_max: usize,
     prefix: &[f64],
     tail: &[f64],
-    incumbent: f64,
-) -> (Option<usize>, f64) {
+    bound: f64,
+) -> Option<(usize, usize, f64)> {
     assert_eq!(
         r_floor.len(),
         r_values.len(),
@@ -709,66 +791,29 @@ pub fn min_cost_grid_scan(
         cells,
         "min_cost_grid_scan π_n slab must hold every cell"
     );
-    let BlockTerms {
-        q,
-        one_minus_q,
-        q_error_cost,
-    } = terms;
+    let grid = Grid {
+        q: terms.q,
+        one_minus_q: terms.one_minus_q,
+        q_error_cost: terms.q_error_cost,
+        probe_cost,
+        n_max,
+        r_values,
+        r_floor,
+        prefix,
+        tail,
+    };
     let mut record = Record {
-        incumbent,
-        best: None,
+        bound,
+        cost: f64::INFINITY,
+        at: usize::MAX,
     };
     dispatch!(
         backend,
-        min_cost_grid_scan_avx2(
-            q,
-            one_minus_q,
-            q_error_cost,
-            probe_cost,
-            r_values,
-            r_floor,
-            n_max,
-            prefix,
-            tail,
-            &mut record
-        ),
-        min_cost_grid_scan_avx512(
-            q,
-            one_minus_q,
-            q_error_cost,
-            probe_cost,
-            r_values,
-            r_floor,
-            n_max,
-            prefix,
-            tail,
-            &mut record
-        ),
-        {
-            for (j, (&r, &floor)) in r_values.iter().zip(r_floor).enumerate() {
-                if (floor + probe_cost) * one_minus_q >= record.incumbent {
-                    break;
-                }
-                let r_plus_c = r + probe_cost;
-                let column = ColumnTerms {
-                    q,
-                    one_minus_q,
-                    q_error_cost,
-                    r_plus_c,
-                    r_plus_c_q: r_plus_c * q,
-                };
-                let span = j * n_max..(j + 1) * n_max;
-                record.scan(
-                    &column,
-                    &prefix[span.clone()],
-                    &tail[span],
-                    0..n_max,
-                    j * n_max,
-                );
-            }
-        }
+        min_cost_grid_scan_avx2(&grid, &mut record),
+        min_cost_grid_scan_avx512(&grid, &mut record),
+        { record.scan_grid(&grid) }
     );
-    (record.best, record.incumbent)
+    (record.at != usize::MAX).then(|| (record.at / n_max, record.at % n_max + 1, record.cost))
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //!   transition rewards, used to validate the closed forms.
 //! - [`dist`] (`zeroconf-dist`) — defective reply-time distributions and the
 //!   no-answer probabilities of Eq. 1.
-//! - [`engine`] (`zeroconf-engine`) — a batched, cached, multi-threaded
-//!   evaluation engine for whole `(n, r)` landscapes, with a JSON-lines
-//!   wire protocol behind the `zeroconf engine` subcommand.
+//! - [`engine`] (`zeroconf-engine`) — a batched, cached evaluation engine
+//!   for whole `(n, r)` landscapes, each sweep run in fixed 64-column
+//!   chunks on its request's thread, with a JSON-lines wire protocol
+//!   behind the `zeroconf engine` subcommand.
 //! - [`sim`] (`zeroconf-sim`) — a discrete-event simulator of the actual
 //!   probe/listen protocol, for model validation and multi-host scenarios.
 //! - [`linalg`] (`zeroconf-linalg`) — dense matrices and the LU solve behind
