@@ -69,11 +69,13 @@ echo "==> serve daemon suite in release"
 # here instead of hiding.
 cargo test --release -q -p zeroconf-serve --test serve_daemon
 
-echo "==> engine pipeline suite in release"
+echo "==> engine pipeline and wire error suites in release"
 # Same reason: the completion-order tests race a long sweep against
 # short ones, and only a release build shows whether the long one is
-# long enough.
+# long enough; the cancel tests race a cold sweep against its cancel,
+# which a release build can finish first.
 cargo test --release -q -p zeroconf-engine --test pipeline
+cargo test --release -q -p zeroconf-engine --test wire_errors
 
 echo "==> engine unit tests in release"
 # The float writer's byte comparison with `{:?}` runs over 10^8 seeded
@@ -235,13 +237,14 @@ for path in sys.argv[1:]:
         "engine/cold",
         "engine/warm",
         "kernel/single-pass/columns",
-        "kernel/legacy-per-n/columns",
         "kernel/block/columns",
         "kernel/block/simd",
         "engine/frontier/warm",
         "engine/frontier/cold",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",
+        "wire/encode/sweep",
+        "wire/decode/sweep",
     ):
         if needed not in ids:
             sys.exit(f"ci: {path} is missing the '{needed}' row")

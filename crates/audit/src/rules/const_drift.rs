@@ -32,7 +32,6 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("VERB_FRONTIER", "crates/engine/src/wire/decode.rs"),
     ("ROW_KERNEL_BLOCK", BENCH_SCHEMA),
     ("ROW_KERNEL_SINGLE_PASS", BENCH_SCHEMA),
-    ("ROW_KERNEL_LEGACY", BENCH_SCHEMA),
     ("ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("ROW_FRONTIER_COLD", BENCH_SCHEMA),
@@ -42,6 +41,8 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_ENGINE_WARM", BENCH_SCHEMA),
     ("ROW_SESSION_SERIAL", BENCH_SCHEMA),
     ("ROW_STEM_SESSION_PIPELINED", BENCH_SCHEMA),
+    ("ROW_WIRE_ENCODE_SWEEP", BENCH_SCHEMA),
+    ("ROW_WIRE_DECODE_SWEEP", BENCH_SCHEMA),
     ("FIELD_ID", BENCH_SCHEMA),
     ("FIELD_CACHE", BENCH_SCHEMA),
     ("FIELD_N_MAX", BENCH_SCHEMA),
@@ -70,11 +71,6 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
         "ROW_KERNEL_SINGLE_PASS",
         BENCH_SCHEMA,
     ),
-    (
-        "kernel/legacy-per-n/columns",
-        "ROW_KERNEL_LEGACY",
-        BENCH_SCHEMA,
-    ),
     ("kernel/block/simd", "ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     ("engine/frontier/warm", "ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("engine/frontier/cold", "ROW_FRONTIER_COLD", BENCH_SCHEMA),
@@ -85,6 +81,8 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
     ),
     ("engine/calibrate/warm", "ROW_CALIBRATE_WARM", BENCH_SCHEMA),
     ("engine/session/serial", "ROW_SESSION_SERIAL", BENCH_SCHEMA),
+    ("wire/encode/sweep", "ROW_WIRE_ENCODE_SWEEP", BENCH_SCHEMA),
+    ("wire/decode/sweep", "ROW_WIRE_DECODE_SWEEP", BENCH_SCHEMA),
     ("cells_per_sec", "FIELD_CELLS_PER_SEC", BENCH_SCHEMA),
     ("iters_per_sample", "FIELD_ITERS_PER_SAMPLE", BENCH_SCHEMA),
     ("median_ns", "FIELD_MEDIAN_NS", BENCH_SCHEMA),
@@ -268,12 +266,13 @@ mod tests {
                  pub const ROW_CALIBRATE_WARM: &str = \"engine/calibrate/warm\";\n\
                  pub const ROW_KERNEL_BLOCK: &str = \"kernel/block/columns\";\n\
                  pub const ROW_KERNEL_SINGLE_PASS: &str = \"kernel/single-pass/columns\";\n\
-                 pub const ROW_KERNEL_LEGACY: &str = \"kernel/legacy-per-n/columns\";\n\
                  pub const ROW_KERNEL_BLOCK_SIMD: &str = \"kernel/block/simd\";\n\
                  pub const ROW_ENGINE_COLD: &str = \"engine/cold\";\n\
                  pub const ROW_ENGINE_WARM: &str = \"engine/warm\";\n\
                  pub const ROW_SESSION_SERIAL: &str = \"engine/session/serial\";\n\
                  pub const ROW_STEM_SESSION_PIPELINED: &str = \"engine/session/pipelined\";\n\
+                 pub const ROW_WIRE_ENCODE_SWEEP: &str = \"wire/encode/sweep\";\n\
+                 pub const ROW_WIRE_DECODE_SWEEP: &str = \"wire/decode/sweep\";\n\
                  pub const FIELD_ID: &str = \"id\";\n\
                  pub const FIELD_CACHE: &str = \"cache\";\n\
                  pub const FIELD_N_MAX: &str = \"n_max\";\n\

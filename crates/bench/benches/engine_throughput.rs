@@ -3,16 +3,19 @@
 //! Times one 200 × 200 `(n, r)` sweep of the Figure-2 scenario cache-cold
 //! and cache-warm, the parametric verbs (a frontier over a warm statistic,
 //! a `param-cold`-shaped frontier whose every π-table misses, and a warm
-//! calibration), plus a kernel-vs-legacy column microbenchmark (the
-//! single-pass column program, run one column at a time through a width-1
-//! [`zeroconf_cost::kernel::ColumnBlockKernel`], against the per-`n`
-//! `*_from_pis` closed forms over the same precomputed π-tables) and a
+//! calibration), the blocked kernel and the single-pass column program
+//! (run one column at a time through a width-1
+//! [`zeroconf_cost::kernel::ColumnBlockKernel`]) over the same grid, a
 //! 16-request session dispatched serially vs through the pipelined
-//! front-end. Measurements go to `BENCH_engine.json` at the repository
-//! root for machine consumption, alongside the human-readable summary on
-//! stdout. Uses a custom `main` on top of [`zeroconf_bench::harness`]
-//! rather than the Criterion-shaped macros, because the cold/warm split
-//! needs explicit control over engine lifetimes.
+//! front-end, and the wire layer on `landscape-warm`-shaped answers: a
+//! 16 × 100 sweep written as its v1 response line and decoded back. The
+//! per-`n` closed forms the column program replaced are timed by the
+//! `column_kernel_vs_per_n` ablation bench. Measurements go to
+//! `BENCH_engine.json` at the repository root for machine consumption,
+//! alongside the human-readable summary on stdout. Uses a custom `main`
+//! on top of [`zeroconf_bench::harness`] rather than the Criterion-shaped
+//! macros, because the cold/warm split needs explicit control over engine
+//! lifetimes.
 //!
 //! Knobs:
 //!
@@ -29,6 +32,7 @@ use zeroconf_bench::schema;
 use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode};
 use zeroconf_cost::{cost, paper, Scenario};
 use zeroconf_dist::DefectiveExponential;
+use zeroconf_engine::wire::{parse_response_line, WireResponse};
 use zeroconf_engine::{
     AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
     Pipeline, PipelineConfig, SweepRequest,
@@ -142,31 +146,6 @@ fn kernel_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
             kernel
                 .evaluate(N_MAX, &[*r], &[pis], Some(&mut costs), Some(&mut errors))
                 .expect("kernel evaluates");
-        }
-        black_box((costs.last().copied(), errors.last().copied()))
-    })
-}
-
-/// Legacy per-`n` path over the same precomputed π-tables: each cell pays
-/// an O(n) prefix sum inside `mean_cost_from_pis`, so a column is O(n²).
-fn legacy_columns(samples: usize, request: &SweepRequest) -> BenchRecord {
-    let tables: Vec<Vec<f64>> = request
-        .grid
-        .r_values
-        .iter()
-        .map(|&r| cost::pi_table(&request.scenario, N_MAX, r).expect("pi table computes"))
-        .collect();
-    let mut costs = vec![0.0f64; N_MAX as usize];
-    let mut errors = vec![0.0f64; N_MAX as usize];
-    measure(schema::ROW_KERNEL_LEGACY, samples, move || {
-        for (r, pis) in request.grid.r_values.iter().zip(&tables) {
-            for n in 1..=N_MAX {
-                costs[n as usize - 1] = cost::mean_cost_from_pis(&request.scenario, n, *r, pis)
-                    .expect("cost evaluates");
-                errors[n as usize - 1] =
-                    cost::error_probability_from_pis(&request.scenario, n, pis)
-                        .expect("error evaluates");
-            }
         }
         black_box((costs.last().copied(), errors.last().copied()))
     })
@@ -405,6 +384,70 @@ fn calibrate_warm(samples: usize) -> BenchRecord {
     })
 }
 
+/// `landscape-warm`-shaped answers: 16 × 100 sweeps over `r` from 0.02
+/// to 4.0, on the warm reply time perfbench's workload shares (loss 1e-6,
+/// rate 10, delay 0.05).
+const WIRE_N_MAX: u32 = 16;
+const WIRE_R_POINTS: usize = 100;
+const WIRE_CELLS: usize = WIRE_N_MAX as usize * WIRE_R_POINTS;
+/// Answers in the seeded set; each iteration takes the next one.
+const WIRE_ANSWERS: usize = 8;
+/// Seed of the answers' economics.
+const WIRE_SEED: u64 = 32_000;
+
+/// The seeded answers, each drawn with perfbench's economics: `q`
+/// log-uniform on 1e-4 to 1e-1, the probe cost uniform on 0.5 to 4, and
+/// the collision cost log-uniform on 1e3 to 1e18. About half their floats
+/// take the exponent form and half are `ddd.ddd` costs.
+fn wire_answers() -> Vec<WireResponse> {
+    let engine = Engine::new(EngineConfig::default());
+    let reply_time =
+        Arc::new(DefectiveExponential::from_loss(1e-6, 10.0, 0.05).expect("reply time is valid"));
+    let mut rng = StdRng::seed_from_u64(WIRE_SEED);
+    (0..WIRE_ANSWERS)
+        .map(|k| {
+            let scenario = Scenario::builder()
+                .occupancy(log_uniform(&mut rng, -4.0, -1.0))
+                .probe_cost(rng.gen_range(0.5..4.0))
+                .error_cost(log_uniform(&mut rng, 3.0, 18.0))
+                .reply_time(reply_time.clone())
+                .build()
+                .expect("drawn scenario is valid");
+            let grid = GridSpec::linspace(WIRE_N_MAX, 0.02, 4.0, WIRE_R_POINTS);
+            let response = engine
+                .evaluate(&SweepRequest::new(scenario, grid))
+                .expect("sweep evaluates");
+            WireResponse::Sweep {
+                id: format!("t0.{k}"),
+                response,
+            }
+        })
+        .collect()
+}
+
+/// Each iteration writes the next answer of the set as its v1 line, the
+/// daemon's `wire.serialize` layer.
+fn wire_encode(samples: usize, answers: &[WireResponse]) -> BenchRecord {
+    let mut next = 0;
+    measure(schema::ROW_WIRE_ENCODE_SWEEP, samples, move || {
+        let line = answers[next % answers.len()].to_line();
+        next += 1;
+        black_box(line.len())
+    })
+}
+
+/// Each iteration decodes the next answer's line into its landscape, as
+/// `zeroconf-client` decodes an answer.
+fn wire_decode(samples: usize, lines: &[String]) -> BenchRecord {
+    let mut next = 0;
+    measure(schema::ROW_WIRE_DECODE_SWEEP, samples, move || {
+        let (_, landscape) =
+            parse_response_line(&lines[next % lines.len()]).expect("answer decodes");
+        next += 1;
+        black_box(landscape.map(|landscape| landscape.len()))
+    })
+}
+
 struct Options {
     samples: usize,
     out: PathBuf,
@@ -455,7 +498,6 @@ fn main() {
             Some(simd_note.as_str()),
         ),
         (kernel_columns(samples, &request), "warm", None),
-        (legacy_columns(samples, &request), "warm", None),
     ];
     // Parametric verbs: one candidate costs `grid cells` reconstruction
     // work, so rows are normalized to parameter-cell evaluations and
@@ -523,6 +565,12 @@ fn main() {
             pipelined_note,
         ),
     ];
+    let answers = wire_answers();
+    let answer_lines: Vec<String> = answers.iter().map(WireResponse::to_line).collect();
+    let wire_runs = [
+        wire_encode(samples, &answers),
+        wire_decode(samples, &answer_lines),
+    ];
     for (record, _) in &grid_runs {
         println!(
             "  {:<36} median {:>10}/run (min {}, {} samples)",
@@ -559,6 +607,15 @@ fn main() {
             record.samples
         );
     }
+    for record in &wire_runs {
+        println!(
+            "  {:<36} median {:>10}/run (min {}, {} samples)",
+            record.id,
+            format_nanos(record.median_ns),
+            format_nanos(record.min_ns),
+            record.samples
+        );
+    }
     let speedup = |single: &BenchRecord, multi: &BenchRecord| single.median_ns / multi.median_ns;
     println!(
         "  warm vs cold engine: {:.2}x",
@@ -572,10 +629,6 @@ fn main() {
         "  simd block kernel ({}) vs scalar block: {:.2}x",
         Backend::detect().name(),
         speedup(&kernel_runs[0].0, &kernel_runs[1].0)
-    );
-    println!(
-        "  single-pass kernel vs legacy per-n columns: {:.2}x",
-        speedup(&kernel_runs[3].0, &kernel_runs[2].0)
     );
     println!(
         "  pipelined session (depth {depth}) vs serial: {:.2}x over {} requests",
@@ -621,6 +674,9 @@ fn main() {
             session_cells,
             *note,
         )
+    }));
+    lines.extend(wire_runs.iter().map(|record| {
+        schema::row_json(record, "warm", WIRE_N_MAX, WIRE_R_POINTS, WIRE_CELLS, None)
     }));
     let json = format!("[\n  {}\n]\n", lines.join(",\n  "));
     match std::fs::write(&options.out, json) {

@@ -23,8 +23,6 @@ pub const ROW_KERNEL_BLOCK: &str = "kernel/block/columns";
 /// Row label: the single-pass column program over precomputed π-tables,
 /// one column at a time (a width-1 block).
 pub const ROW_KERNEL_SINGLE_PASS: &str = "kernel/single-pass/columns";
-/// Row label: the legacy per-`n` closed forms over the same π-tables.
-pub const ROW_KERNEL_LEGACY: &str = "kernel/legacy-per-n/columns";
 /// Row label: the blocked batch kernel on the widest detected SIMD tier
 /// (bit-identical to [`ROW_KERNEL_BLOCK`]'s results).
 pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
@@ -51,6 +49,12 @@ pub const ROW_ENGINE_WARM: &str = "engine/warm";
 pub const ROW_SESSION_SERIAL: &str = "engine/session/serial";
 /// Stem of the pipelined session rows (`engine/session/pipelined/depth=<k>`).
 pub const ROW_STEM_SESSION_PIPELINED: &str = "engine/session/pipelined";
+/// Row label: one `landscape-warm`-shaped sweep answer (16 × 100 cells,
+/// both metrics) written as its v1 response line.
+pub const ROW_WIRE_ENCODE_SWEEP: &str = "wire/encode/sweep";
+/// Row label: the same answers' lines decoded back into landscapes, as
+/// `zeroconf-client` decodes them.
+pub const ROW_WIRE_DECODE_SWEEP: &str = "wire/decode/sweep";
 
 /// Field name: the row label itself.
 pub const FIELD_ID: &str = "id";
@@ -180,6 +184,9 @@ mod tests {
             ROW_STEM_SESSION_PIPELINED,
         ] {
             assert!(row.starts_with("engine/"), "{row}");
+        }
+        for row in [ROW_WIRE_ENCODE_SWEEP, ROW_WIRE_DECODE_SWEEP] {
+            assert!(row.starts_with("wire/") && row.ends_with("/sweep"), "{row}");
         }
     }
 }

@@ -33,11 +33,14 @@
 //!   back [`Completion`]s in **finish order**, each tagged with its
 //!   [`RequestId`] and per-request latency counters (queue wait and
 //!   service time). A request's token is dropped, and the counters
-//!   updated, when its completion is received.
-//! - [`Pipeline::cancel`] flags one in-flight request; a queued ticket is
-//!   dropped before evaluation, a running one aborts at the next `r`
-//!   boundary (see [`CancelToken`]), and either way the request completes
-//!   with [`EngineError::Cancelled`] — no id is ever lost.
+//!   updated, when its completion is handed out.
+//! - [`Pipeline::cancel`] flags one request whose completion has not been
+//!   handed out; a queued ticket is dropped before evaluation, a running
+//!   one aborts at the next `r` boundary (see [`CancelToken`]), and one
+//!   that finished first is answered as cancelled when it is handed out.
+//!   Either way the request completes with [`EngineError::Cancelled`] —
+//!   no id is ever lost, and whether a cancel wins depends only on the
+//!   order of the consumer's own calls, not on thread timing.
 //! - [`Pipeline::drain`] blocks until every in-flight request has
 //!   completed. Dropping the last handle on a team closes its queue and
 //!   joins its threads after they finish it (graceful shutdown — queued
@@ -144,7 +147,7 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Counts one received completion.
+    /// Counts one completion as it is handed out.
     fn record(&mut self, completion: &Completion) {
         match completion.result {
             Ok(_) => self.completed += 1,
@@ -357,14 +360,15 @@ pub struct Pipeline {
     depth: usize,
     next_id: u64,
     /// Cancel tokens of submitted requests whose completion has not been
-    /// received yet: the requests running or queued in the team.
+    /// handed out yet: the requests running or queued in the team, and
+    /// those in `received`.
     tokens: HashMap<RequestId, CancelToken>,
     stats: PipelineStats,
     /// Cloned into every ticket; holding it keeps `completions` open.
     done: Sender<Completion>,
     completions: Receiver<Completion>,
     /// Completions `submit` received while it waited at the depth bound,
-    /// handed out before anything still in the channel.
+    /// not yet booked, handed out before anything still in the channel.
     received: VecDeque<Completion>,
     /// Cloned into every ticket. A `Cell` so that registering one takes
     /// `&self`; it is only ever touched by the consumer thread.
@@ -433,7 +437,7 @@ impl Pipeline {
     /// [`Pipeline::next_completion`].
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.tokens.len() + self.received.len()
+        self.tokens.len()
     }
 
     /// Validates and enqueues one sweep, returning its id immediately.
@@ -458,9 +462,9 @@ impl Pipeline {
     /// eagerly, before consuming an in-flight slot.
     pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
         request.validate()?;
-        while self.tokens.len() >= self.depth {
-            // Each token's ticket sends exactly one completion, so this
-            // receive returns once the team finishes one of them.
+        while self.tokens.len() - self.received.len() >= self.depth {
+            // Each running or queued ticket sends exactly one completion,
+            // so this receive returns once the team finishes one of them.
             let Some(completion) = self.receive() else {
                 break;
             };
@@ -485,11 +489,11 @@ impl Pipeline {
     }
 
     /// Flags one in-flight request for cancellation. Returns `false` when
-    /// the id is unknown or its completion was already received. The
-    /// request still produces a [`Completion`] (with
-    /// [`EngineError::Cancelled`]), so consumers never lose an id —
-    /// unless evaluation already finished, in which case the ordinary
-    /// completion stands.
+    /// the id is unknown or its completion was already handed out. The
+    /// request still produces a [`Completion`], with
+    /// [`EngineError::Cancelled`] also when its evaluation finished before
+    /// the cancel arrived, so consumers never lose an id and a cancel that
+    /// returns `true` always wins.
     pub fn cancel(&self, id: RequestId) -> bool {
         match self.tokens.get(&id) {
             Some(token) => {
@@ -503,17 +507,21 @@ impl Pipeline {
     /// Completions that are ready right now, in finish order, without
     /// blocking.
     pub fn poll_completions(&mut self) -> Vec<Completion> {
-        let mut out: Vec<Completion> = self.received.drain(..).collect();
-        while let Ok(completion) = self.completions.try_recv() {
-            self.book(&completion);
-            out.push(completion);
+        let mut out = Vec::new();
+        while let Some(completion) = self
+            .received
+            .pop_front()
+            .or_else(|| self.completions.try_recv().ok())
+        {
+            out.push(self.hand_out(completion));
         }
         out
     }
 
     /// Blocks for the next completion; `None` when nothing is in flight.
     pub fn next_completion(&mut self) -> Option<Completion> {
-        self.received.pop_front().or_else(|| self.receive())
+        let completion = self.received.pop_front().or_else(|| self.receive())?;
+        Some(self.hand_out(completion))
     }
 
     /// Blocks until every in-flight request has completed and returns the
@@ -532,22 +540,29 @@ impl Pipeline {
         self.stats
     }
 
-    /// Blocks for the next completion off the channel; `None` when no
-    /// request is running or queued.
+    /// Blocks for the next completion off the channel, not yet booked;
+    /// `None` when no request is running or queued.
     fn receive(&mut self) -> Option<Completion> {
-        if self.tokens.is_empty() {
+        if self.tokens.len() == self.received.len() {
             return None;
         }
         // This pipeline holds a sender, so the channel never closes.
-        let completion = self.completions.recv().ok()?;
-        self.book(&completion);
-        Some(completion)
+        self.completions.recv().ok()
     }
 
-    /// Books one received completion: its token goes, the counters count it.
-    fn book(&mut self, completion: &Completion) {
-        self.tokens.remove(&completion.id);
-        self.stats.record(completion);
+    /// Books one completion as it is handed out: its token goes, a request
+    /// cancelled before now answers [`EngineError::Cancelled`] whatever
+    /// its evaluation gave, and the counters count what it answers.
+    fn hand_out(&mut self, mut completion: Completion) -> Completion {
+        if self
+            .tokens
+            .remove(&completion.id)
+            .is_some_and(|token| token.is_cancelled())
+        {
+            completion.result = Err(EngineError::Cancelled);
+        }
+        self.stats.record(&completion);
+        completion
     }
 }
 
@@ -667,6 +682,36 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(fired.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_cancel_before_hand_out_wins_over_a_finished_evaluation() {
+        let mut p = pipeline(1);
+        let (notify, notified) = channel();
+        p.set_completion_notifier(Arc::new(move || {
+            let _ = notify.send(());
+        }));
+        // A's evaluation has finished and its completion waits in the
+        // channel when the cancel arrives.
+        let a = p.submit(request(2, 3)).unwrap();
+        notified.recv().unwrap();
+        assert!(p.cancel(a));
+        // At the depth bound, submitting B takes A off the channel; C's
+        // submit takes B, which is cancelled while it waits there.
+        let b = p.submit(request(2, 3)).unwrap();
+        notified.recv().unwrap();
+        let c = p.submit(request(2, 3)).unwrap();
+        assert_eq!(p.in_flight(), 3, "A and B are not handed out yet");
+        assert!(p.cancel(b));
+        let done = p.drain();
+        let ids: Vec<RequestId> = done.iter().map(|completion| completion.id).collect();
+        assert_eq!(ids, [a, b, c]);
+        assert!(matches!(done[0].result, Err(EngineError::Cancelled)));
+        assert!(matches!(done[1].result, Err(EngineError::Cancelled)));
+        assert!(done[2].result.is_ok());
+        let stats = p.stats();
+        assert_eq!((stats.completed, stats.cancelled, stats.failed), (1, 2, 0));
+        assert!(!p.cancel(a), "a handed-out completion is forgotten");
     }
 
     #[test]

@@ -3,7 +3,8 @@ use std::ops::Range;
 
 use super::decode::{VERB_CALIBRATE, VERB_FRONTIER, WIRE_VERSION};
 use super::float::{
-    is_number_byte, number_token, push_f64, push_u64, read_digits, read_f64, F64_TEXT_MAX,
+    is_number_byte, number_token, push_ascii, push_f64, read_digits, read_f64, write_count,
+    write_f64, F64_REACH, F64_TEXT_MAX,
 };
 use super::json::{eat, err, parse_object, push_json_str, skip_ws, Json, WireError};
 use crate::pipeline::PipelineStats;
@@ -34,43 +35,68 @@ const CELL_R: &str = ",\"r\":";
 const CELL_COST: &str = ",\"mean_cost\":";
 const CELL_ERROR: &str = ",\"error_probability\":";
 
+/// The stack buffer a run of cells is assembled in, from the run's last
+/// `}` backwards: as many whole cells as [`cell_text_max`] lets fit after
+/// [`F64_REACH`] bytes of slack for the fixed-size stores that reach
+/// before a value's start. A run is appended with one `push_str`, whose
+/// UTF-8 check costs far less per byte over kilobytes than over one cell.
+const RUN_BUFFER: usize = 4096;
+
 /// Writes the cells `cells` of a sweep's `cells` array: one object per
 /// cell, in the landscape's `r`-major order, each after a comma but the
-/// grid's first. Each column shares one `r`, so its text is formatted once
-/// per column (and once more where a range starts mid-column) and copied
-/// into the column's cells. Every number goes through the `float`
-/// module's digit writers, so no cell reaches `core::fmt`.
+/// grid's first. Cells are assembled in runs in a stack buffer, each run
+/// from its last cell's `}` backwards, and each run is appended with one
+/// `push_str`. A cell's metrics are laid out by [`write_f64`], the layout
+/// [`push_f64`] writes; its column's `r` text (laid out once per column
+/// and run) and its keys go in by fixed-size copies, and its `n` by
+/// [`write_count`], so no cell reaches `core::fmt`.
 fn push_cells(out: &mut String, landscape: &Landscape, cells: Range<usize>) {
     let n_max = landscape.n_max() as usize;
     let costs = landscape.costs();
     let errors = landscape.errors();
-    let mut r_text = String::with_capacity(F64_TEXT_MAX);
-    let mut column_start = cells.start;
-    while column_start < cells.end {
-        let column = column_start / n_max;
-        r_text.clear();
-        push_f64(&mut r_text, landscape.r_values()[column]);
-        let column_end = cells.end.min((column + 1) * n_max);
-        for index in column_start..column_end {
-            if index > 0 {
-                out.push(',');
+    let per_run = (RUN_BUFFER - F64_REACH) / cell_text_max(landscape);
+    let mut run = [0; RUN_BUFFER];
+    let mut r_text = [0; F64_REACH];
+    let (mut column, mut r_len) = (usize::MAX, 0);
+    let mut first = cells.start;
+    while first < cells.end {
+        let last = cells.end.min(first + per_run);
+        let mut at = RUN_BUFFER;
+        for index in (first..last).rev() {
+            if index / n_max != column {
+                column = index / n_max;
+                r_len = F64_REACH - write_f64(&mut r_text, F64_REACH, landscape.r_values()[column]);
             }
-            out.push_str(CELL_N);
-            push_u64(out, (index - column * n_max) as u64 + 1);
-            out.push_str(CELL_R);
-            out.push_str(&r_text);
-            if let Some(costs) = costs {
-                out.push_str(CELL_COST);
-                push_f64(out, costs[index]);
-            }
+            at -= 1;
+            run[at] = b'}';
             if let Some(errors) = errors {
-                out.push_str(CELL_ERROR);
-                push_f64(out, errors[index]);
+                at = write_f64(&mut run, at, errors[index]);
+                at = put_before(&mut run, at, CELL_ERROR);
             }
-            out.push('}');
+            if let Some(costs) = costs {
+                at = write_f64(&mut run, at, costs[index]);
+                at = put_before(&mut run, at, CELL_COST);
+            }
+            // The `r` text and the bytes before it, in one fixed-size copy.
+            run[at - F64_TEXT_MAX..at].copy_from_slice(&r_text[F64_REACH - F64_TEXT_MAX..]);
+            at = put_before(&mut run, at - r_len, CELL_R);
+            at = write_count(&mut run, at, (index - column * n_max + 1) as u32);
+            at = put_before(&mut run, at, CELL_N);
+            if index > 0 {
+                at = put_before(&mut run, at, ",");
+            }
         }
-        column_start = column_end;
+        push_ascii(out, &run[at..]);
+        first = last;
     }
+}
+
+/// Copies `key` so that it ends at `end` in `run`, and returns where it
+/// starts.
+fn put_before(run: &mut [u8; RUN_BUFFER], end: usize, key: &str) -> usize {
+    let start = end - key.len();
+    run[start..end].copy_from_slice(key.as_bytes());
+    start
 }
 
 /// A line's `cells` array decoded as far as its text has arrived: the
@@ -549,10 +575,10 @@ impl WireResponse {
     ///
     /// A sweep's line is sized up front to an upper bound of the line plus
     /// the newline a transport appends, so it never regrows and can become
-    /// a socket write chunk as it is. Floats are written by [`push_f64`]:
-    /// Ryū's shortest round-trip digits in the bytes of `{:?}`, and
-    /// infinities and NaN as `null`. A sweep's cells, the bulk of any
-    /// large line, are written with no `core::fmt` call.
+    /// a socket write chunk as it is. Floats are written in
+    /// [`push_f64`]'s one layout: Ryū's shortest round-trip digits in the
+    /// bytes of `{:?}`, and infinities and NaN as `null`. A sweep's cells,
+    /// the bulk of any large line, are written with no `core::fmt` call.
     #[must_use]
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(self.line_capacity());
@@ -1244,6 +1270,70 @@ pub(crate) mod tests {
                 landscape: Landscape::new(16, r_values, costs, errors).unwrap(),
                 stats: golden_stats(wall_nanos),
             },
+        }
+    }
+
+    /// One cell as `format!` and `{:?}` write it, `null` for a value that
+    /// is not finite: the cell writer's oracle, sharing none of its code.
+    fn cell_by_format(n: usize, r: f64, cost: Option<f64>, error: Option<f64>) -> String {
+        let value = |x: f64| {
+            if x.is_finite() {
+                format!("{x:?}")
+            } else {
+                "null".to_owned()
+            }
+        };
+        let mut cell = format!("{{\"n\":{n},\"r\":{}", value(r));
+        if let Some(cost) = cost {
+            cell += &format!(",\"mean_cost\":{}", value(cost));
+        }
+        if let Some(error) = error {
+            cell += &format!(",\"error_probability\":{}", value(error));
+        }
+        cell + "}"
+    }
+
+    #[test]
+    fn every_cell_matches_its_format_oracle() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut metric_sets = Vec::new();
+        for case in 0..12 {
+            let response = random_sweep(&mut rng, &format!("o{case}"));
+            let WireResponse::Sweep {
+                response: sweep, ..
+            } = &response
+            else {
+                panic!("random_sweep answers a sweep");
+            };
+            let landscape = &sweep.landscape;
+            let n_max = landscape.n_max() as usize;
+            let expected: Vec<String> = (0..landscape.len())
+                .map(|i| {
+                    cell_by_format(
+                        i % n_max + 1,
+                        landscape.r_values()[i / n_max],
+                        landscape.costs().map(|costs| costs[i]),
+                        landscape.errors().map(|errors| errors[i]),
+                    )
+                })
+                .collect();
+            // Cell by cell, each after a comma but the grid's first; the
+            // whole line then holds them written in runs.
+            for (i, cell) in expected.iter().enumerate() {
+                let mut text = String::new();
+                push_cells(&mut text, landscape, i..i + 1);
+                let comma = if i > 0 { "," } else { "" };
+                assert_eq!(text, format!("{comma}{cell}"), "cell {i} of case {case}");
+            }
+            let cells = format!("\"cells\":[{}]", expected.join(","));
+            assert!(response.to_line().contains(&cells), "case {case}");
+            metric_sets.push((landscape.costs().is_some(), landscape.errors().is_some()));
+        }
+        for metrics in [(true, true), (true, false), (false, true)] {
+            assert!(
+                metric_sets.contains(&metrics),
+                "{metrics:?} in {metric_sets:?}"
+            );
         }
     }
 
