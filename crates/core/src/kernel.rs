@@ -185,8 +185,9 @@ const PI_ROUND_CHUNK: usize = 8;
 /// A block of π-tables in one flat slab: column `j` occupies
 /// `data[j·stride .. (j+1)·stride]` where `stride = n_max + 1`. Built by
 /// [`ColumnBlockKernel::pi_table_block`]; bit-identical per column to
-/// [`ColumnBlockKernel::pi_tables`] but with a single allocation, which
-/// matters on hot paths that rebuild every table per sweep.
+/// [`ColumnBlockKernel::pi_tables`] but with a single allocation. The
+/// engine builds with `pi_tables`, since its cache owns each table; the
+/// slab serves the `kernel/block/*` bench rows and parity tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PiTableBlock {
     data: Vec<f64>,
@@ -284,9 +285,9 @@ impl ColumnBlockKernel {
     /// but the slab costs one allocation and one zero-fill where the
     /// per-column layout pays `rs.len()` small allocator round-trips (on
     /// the figure-2 bench grid that churn outweighs the `exp` work
-    /// itself). This is the layout the throughput-critical blocked paths
-    /// use; [`ColumnBlockKernel::pi_tables`] remains for callers that
-    /// need individually owned tables, like the engine's per-column cache.
+    /// itself). Only the `kernel/block/*` bench rows and parity tests use
+    /// it: the engine builds with [`ColumnBlockKernel::pi_tables`], whose
+    /// individually owned tables its per-column cache keeps.
     ///
     /// # Errors
     ///

@@ -1,36 +1,54 @@
 //! The reply-time distribution trait.
 
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use zeroconf_rng::RngCore;
 use zeroconf_simd::Backend;
 
-/// An FNV-1a accumulator for building
-/// [`ReplyTimeDistribution::fingerprint`] values.
+/// A SipHash accumulator for building
+/// [`ReplyTimeDistribution::fingerprint`] values, keyed once per process.
 ///
 /// The fingerprint identifies a distribution *by value*: two instances with
-/// the same type tag and the same parameters produce the same 64-bit hash,
-/// which is what lets caches key π-tables on `(fingerprint, r)` and share
-/// them across scenarios that differ only in `q`, `E` or `c`. Collisions
-/// are possible in principle (it is a 64-bit hash), astronomically unlikely
-/// in practice, and only ever turn a cache hit into a wrong answer if two
-/// *different* parameterizations collide — the usual trade accepted for
-/// content-addressed caching.
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
+/// the same type tag and the same parameters produce the same 64-bit hash
+/// within one process, which is what lets caches key π-tables on
+/// `(fingerprint, r)` and share them across scenarios that differ only in
+/// `q`, `E` or `c`. A cache that keys on it compares no parameter on a
+/// hit, so two *different* parameterizations with equal fingerprints
+/// would share tables and get wrong answers. Under an unkeyed hash a
+/// client could search offline for parameters that collide with another
+/// client's distribution; the key is drawn from the OS's randomness at
+/// the first fingerprint of the process and never leaves it, so a client
+/// cannot compute fingerprints and a collision is left to the 2⁻⁶⁴ odds
+/// of a 64-bit hash. Fingerprints are therefore not stable across
+/// processes: no wire field, output or file may carry one.
+#[derive(Clone)]
+pub struct Fingerprint(DefaultHasher);
+
+impl fmt::Debug for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The hasher's state would show the process's key.
+        f.write_str("Fingerprint(..)")
+    }
+}
 
 impl Fingerprint {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// Starts a fingerprint for the distribution family named `tag`.
     #[must_use]
     pub fn new(tag: &str) -> Self {
-        let mut h = Fingerprint(Self::OFFSET);
-        for byte in tag.as_bytes() {
-            h.mix(u64::from(*byte));
-        }
-        h
+        static KEY: OnceLock<RandomState> = OnceLock::new();
+        Self::keyed(KEY.get_or_init(RandomState::new), tag)
+    }
+
+    /// Starts a fingerprint under `key`. The tag is length-prefixed, so
+    /// no tag and parameter words can read as another tag's.
+    fn keyed(key: &RandomState, tag: &str) -> Self {
+        let mut h = key.build_hasher();
+        h.write_usize(tag.len());
+        h.write(tag.as_bytes());
+        Fingerprint(h)
     }
 
     /// Folds a parameter value in by its IEEE bit pattern (`-0.0` is
@@ -38,28 +56,21 @@ impl Fingerprint {
     #[must_use]
     pub fn with_f64(mut self, x: f64) -> Self {
         let canonical = if x == 0.0 { 0.0f64 } else { x };
-        self.mix(canonical.to_bits());
+        self.0.write_u64(canonical.to_bits());
         self
     }
 
     /// Folds an integer parameter (a count, a sub-fingerprint) in.
     #[must_use]
     pub fn with_u64(mut self, x: u64) -> Self {
-        self.mix(x);
+        self.0.write_u64(x);
         self
     }
 
     /// The accumulated 64-bit fingerprint.
     #[must_use]
     pub fn finish(self) -> u64 {
-        self.0
-    }
-
-    fn mix(&mut self, word: u64) {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            self.0 ^= (word >> shift) & 0xff;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+        self.0.finish()
     }
 }
 
@@ -177,10 +188,12 @@ pub trait ReplyTimeDistribution: fmt::Debug + Send + Sync {
         None
     }
 
-    /// A stable 64-bit value-identity hash: equal type and parameters give
-    /// equal fingerprints. Build it with [`Fingerprint`]. Used by caches
-    /// that key derived quantities (π-tables) on the distribution alone,
-    /// so it must cover every parameter that influences `cdf`/`survival`.
+    /// A 64-bit value-identity hash: within one process, equal type and
+    /// parameters give equal fingerprints. Build it with [`Fingerprint`],
+    /// whose per-process key keeps clients from choosing parameters that
+    /// collide with another distribution's. Used by caches that key
+    /// derived quantities (π-tables) on the distribution alone, so it
+    /// must cover every parameter that influences `cdf`/`survival`.
     fn fingerprint(&self) -> u64;
 
     /// Bytes of memory the distribution keeps, its heap data included.
@@ -316,6 +329,14 @@ mod tests {
         let h2 = Fingerprint::new("t").with_f64(-0.0).finish();
         assert_eq!(h1, h2);
         assert_ne!(h1, Fingerprint::new("t").with_f64(1.0).finish());
+    }
+
+    #[test]
+    fn fingerprint_depends_on_the_key() {
+        let (a, b) = (RandomState::new(), RandomState::new());
+        let words = |key: &RandomState| Fingerprint::keyed(key, "t").with_f64(1.0).finish();
+        assert_eq!(words(&a), words(&a));
+        assert_ne!(words(&a), words(&b));
     }
 
     #[test]

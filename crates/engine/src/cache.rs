@@ -9,8 +9,9 @@
 //! `capacity` tables, evicting the least recently used in amortized
 //! `O(1)`.
 
-use std::collections::hash_map::Entry as Slot;
+use std::collections::hash_map::{Entry as Slot, RandomState};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -21,6 +22,53 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// produced it.
 pub(crate) fn r_key(r: f64) -> u64 {
     if r == 0.0 { 0.0f64 } else { r }.to_bits()
+}
+
+/// A `(fingerprint, r_key)` cache key that carries its own hash: the
+/// pair's SipHash under the cache's [`RandomState`], computed once,
+/// outside the lock. The map hashes it through [`PassThrough`], so its
+/// lookup, insert, eviction and the recency order's compaction all reuse
+/// that one hash, and a client that chooses its keys still cannot choose
+/// their buckets.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    hash: u64,
+    fingerprint: u64,
+    r: u64,
+}
+
+impl Key {
+    fn new(state: &impl BuildHasher, fingerprint: u64, r: u64) -> Key {
+        Key {
+            hash: state.hash_one((fingerprint, r)),
+            fingerprint,
+            r,
+        }
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The map's hasher: hands a [`Key`]'s own hash through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a cache key hashes as its one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A shared, immutable π-table. Cloning is an `Arc` bump — never a slab
@@ -44,11 +92,11 @@ struct Entry {
 /// amortized `O(1)` — a cold sweep that evicts one table per miss does
 /// not pay a scan of the whole cache for each.
 pub(crate) struct PiCache {
-    entries: HashMap<(u64, u64), Entry>,
+    entries: HashMap<Key, Entry, BuildHasherDefault<PassThrough>>,
     /// `(key, stamp)` pairs in stamp order, live and stale. Compacted
     /// to the live pairs once it holds more than twice `capacity`, which
     /// bounds it under a long run of hits with no evictions.
-    order: VecDeque<((u64, u64), u64)>,
+    order: VecDeque<(Key, u64)>,
     capacity: usize,
     clock: u64,
     /// Tables evicted over the cache's lifetime.
@@ -58,7 +106,7 @@ pub(crate) struct PiCache {
 impl PiCache {
     pub(crate) fn new(capacity: usize) -> PiCache {
         PiCache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             clock: 0,
@@ -69,7 +117,7 @@ impl PiCache {
     /// A cached table covering at least `n_max + 1` entries, bumping its
     /// recency. A resident but too-short table counts as a miss (the
     /// caller recomputes at the larger `n_max` and re-inserts).
-    fn lookup(&mut self, key: (u64, u64), n_max: u32) -> Option<PiTable> {
+    fn get(&mut self, key: Key, n_max: u32) -> Option<PiTable> {
         self.clock += 1;
         let clock = self.clock;
         let entry = self.entries.get_mut(&key)?;
@@ -84,7 +132,7 @@ impl PiCache {
 
     /// Appends `key`'s new stamp to the recency order, compacting the
     /// order to its live pairs when stale ones have piled up.
-    fn record(&mut self, key: (u64, u64), stamp: u64) {
+    fn record(&mut self, key: Key, stamp: u64) {
         self.order.push_back((key, stamp));
         if self.order.len() > 2 * self.capacity {
             let entries = &self.entries;
@@ -93,20 +141,24 @@ impl PiCache {
         }
     }
 
-    fn insert(&mut self, key: (u64, u64), table: PiTable) {
+    fn put(&mut self, key: Key, table: PiTable) {
         self.clock += 1;
         let stamp = self.clock;
-        if let Some(existing) = self.entries.get_mut(&key) {
-            // Longest wins: computes race outside the lock, and a raced
-            // recompute for a smaller n_max must not clobber a longer
-            // resident table (π is prefix-stable, so the longer table
-            // serves every need the shorter one does).
-            if table.len() > existing.table.len() {
-                existing.table = table;
+        match self.entries.entry(key) {
+            Slot::Occupied(mut slot) => {
+                // Longest wins: computes race outside the lock, and a
+                // raced recompute for a smaller n_max must not clobber a
+                // longer resident table (π is prefix-stable, so the
+                // longer table serves every need the shorter one does).
+                let existing = slot.get_mut();
+                if table.len() > existing.table.len() {
+                    existing.table = table;
+                }
+                existing.stamp = stamp;
             }
-            existing.stamp = stamp;
-        } else {
-            self.entries.insert(key, Entry { table, stamp });
+            Slot::Vacant(slot) => {
+                slot.insert(Entry { table, stamp });
+            }
         }
         self.record(key, stamp);
         while self.entries.len() > self.capacity {
@@ -115,9 +167,11 @@ impl PiCache {
             let Some((oldest, stamp)) = self.order.pop_front() else {
                 break;
             };
-            if self.entries.get(&oldest).is_some_and(|e| e.stamp == stamp) {
-                self.entries.remove(&oldest);
-                self.evictions += 1;
+            if let Slot::Occupied(slot) = self.entries.entry(oldest) {
+                if slot.get().stamp == stamp {
+                    slot.remove();
+                    self.evictions += 1;
+                }
             }
         }
     }
@@ -135,6 +189,8 @@ impl PiCache {
 /// that runs a request on the engine.
 pub(crate) struct SharedCache {
     inner: Mutex<PiCache>,
+    /// Keys every [`Key`]'s hash.
+    hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -143,6 +199,7 @@ impl SharedCache {
     pub(crate) fn new(capacity: usize) -> SharedCache {
         SharedCache {
             inner: Mutex::new(PiCache::new(capacity)),
+            hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -160,12 +217,12 @@ impl SharedCache {
     /// π-tables with the blocked batch kernel — and one lock round-trip
     /// to insert what it computed.
     ///
-    /// Each distinct key of the block is looked up, and if missing
-    /// computed, once: `compute` receives the missing keys' canonical
-    /// `r`s (`-0.0` as `0.0`) in first-seen order and must return one
-    /// table per entry. Every later `r` of the block with the same key is
-    /// served from that key's table and counted as a hit. Returns the
-    /// tables in `rs` order plus the block's (hits, misses).
+    /// Each distinct key of the block is hashed, looked up, and if
+    /// missing computed, once: `compute` receives the missing keys'
+    /// canonical `r`s (`-0.0` as `0.0`) in first-seen order and must
+    /// return one table per entry. Every later `r` of the block with the
+    /// same key is served from that key's table and counted as a hit.
+    /// Returns the tables in `rs` order plus the block's (hits, misses).
     ///
     /// The compute runs *outside* the lock so a slow block never
     /// serializes other requests; if two threads race on the same key the
@@ -178,31 +235,16 @@ impl SharedCache {
         n_max: u32,
         compute: impl FnOnce(&[f64]) -> Result<Vec<Vec<f64>>, E>,
     ) -> Result<(Vec<PiTable>, u64, u64), E> {
-        // The block's distinct keys in first-seen order, and each `r`'s
-        // index among them.
-        let mut keys: Vec<u64> = Vec::with_capacity(rs.len());
-        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(rs.len());
-        let slots: Vec<usize> = rs
-            .iter()
-            .map(|&r| match index_of.entry(r_key(r)) {
-                Slot::Occupied(slot) => *slot.get(),
-                Slot::Vacant(slot) => {
-                    keys.push(*slot.key());
-                    *slot.insert(keys.len() - 1)
-                }
-            })
-            .collect();
+        let (keys, slots) = self.distinct_keys(fingerprint, rs);
         let mut tables: Vec<Option<PiTable>> = {
             let mut cache = self.lock();
-            keys.iter()
-                .map(|&key| cache.lookup((fingerprint, key), n_max))
-                .collect()
+            keys.iter().map(|&key| cache.get(key, n_max)).collect()
         };
         let missing: Vec<usize> = (0..keys.len()).filter(|&k| tables[k].is_none()).collect();
         let misses = missing.len() as u64;
         let hits = rs.len() as u64 - misses;
         if !missing.is_empty() {
-            let missing_rs: Vec<f64> = missing.iter().map(|&k| f64::from_bits(keys[k])).collect();
+            let missing_rs: Vec<f64> = missing.iter().map(|&k| f64::from_bits(keys[k].r)).collect();
             let computed = compute(&missing_rs)?;
             assert_eq!(
                 computed.len(),
@@ -212,7 +254,7 @@ impl SharedCache {
             let mut cache = self.lock();
             for (&k, table) in missing.iter().zip(computed) {
                 let table = PiTable::from(table);
-                cache.insert((fingerprint, keys[k]), table.clone());
+                cache.put(keys[k], table.clone());
                 tables[k] = Some(table);
             }
         }
@@ -225,6 +267,36 @@ impl SharedCache {
             .map(|k| tables[k].clone().expect("every r resolved to a table"))
             .collect();
         Ok((tables, hits, misses))
+    }
+
+    /// A block's distinct keys in first-seen order, each hashed once, and
+    /// each `r`'s index among them. Sorting the positions by key puts
+    /// twins next to each other, each run in position order, so the
+    /// first of a run is its key's first sighting: one path for sorted,
+    /// shuffled and repeated grids.
+    fn distinct_keys(&self, fingerprint: u64, rs: &[f64]) -> (Vec<Key>, Vec<usize>) {
+        let mut by_key: Vec<(u64, usize)> = rs.iter().map(|&r| r_key(r)).zip(0..).collect();
+        by_key.sort_unstable();
+        // First each position's first sighting of its key, then, in
+        // position order, its key's index: a first sighting adds a key,
+        // and a twin copies the index its earlier first sighting got.
+        let mut slots = vec![0; rs.len()];
+        for run in by_key.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, at) in run {
+                slots[at] = run[0].1;
+            }
+        }
+        let mut keys = Vec::with_capacity(rs.len());
+        for at in 0..slots.len() {
+            let first = slots[at];
+            slots[at] = if first == at {
+                keys.push(Key::new(&self.hasher, fingerprint, r_key(rs[at])));
+                keys.len() - 1
+            } else {
+                slots[first]
+            };
+        }
+        (keys, slots)
     }
 
     pub(crate) fn hits(&self) -> u64 {
@@ -271,6 +343,29 @@ mod tests {
                 })?;
             Ok((tables.pop().expect("one table per r"), misses == 0))
         }
+    }
+
+    impl PiCache {
+        /// [`PiCache::get`] for a `(fingerprint, r_key)` pair.
+        fn lookup(&mut self, (fingerprint, r): (u64, u64), n_max: u32) -> Option<PiTable> {
+            self.get(key(fingerprint, r), n_max)
+        }
+
+        /// [`PiCache::put`] for a `(fingerprint, r_key)` pair.
+        fn insert(&mut self, (fingerprint, r): (u64, u64), table: PiTable) {
+            self.put(key(fingerprint, r), table);
+        }
+    }
+
+    /// The pair's key under SipHash with fixed keys, so a bare `PiCache`
+    /// can be driven without a `SharedCache`'s hasher.
+    fn key(fingerprint: u64, r: u64) -> Key {
+        use std::collections::hash_map::DefaultHasher;
+        Key::new(
+            &BuildHasherDefault::<DefaultHasher>::default(),
+            fingerprint,
+            r,
+        )
     }
 
     #[test]
@@ -411,7 +506,7 @@ mod tests {
         let mut resident: Vec<_> = cache
             .entries
             .iter()
-            .map(|(k, e)| (*k, e.table.len()))
+            .map(|(k, e)| ((k.fingerprint, k.r), e.table.len()))
             .collect();
         resident.sort_unstable();
         resident
@@ -537,5 +632,144 @@ mod tests {
             let firsts: Vec<f64> = tables.iter().map(|t| t[0]).collect();
             assert_eq!(firsts, [1.0, 2.0, 1.0, 0.0, 0.0]);
         }
+    }
+
+    /// The block fetch as it deduplicated a block before the sort, with a
+    /// map from each key to its index in first-seen order. Kept as the
+    /// model the sort must match.
+    fn block_by_map(
+        cache: &SharedCache,
+        fingerprint: u64,
+        rs: &[f64],
+        n_max: u32,
+        compute: impl FnOnce(&[f64]) -> Result<Vec<Vec<f64>>, ()>,
+    ) -> (Vec<PiTable>, u64, u64) {
+        let mut keys: Vec<u64> = Vec::with_capacity(rs.len());
+        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(rs.len());
+        let slots: Vec<usize> = rs
+            .iter()
+            .map(|&r| match index_of.entry(r_key(r)) {
+                Slot::Occupied(slot) => *slot.get(),
+                Slot::Vacant(slot) => {
+                    keys.push(*slot.key());
+                    *slot.insert(keys.len() - 1)
+                }
+            })
+            .collect();
+        let mut tables: Vec<Option<PiTable>> = {
+            let mut cache = cache.lock();
+            keys.iter()
+                .map(|&key| cache.lookup((fingerprint, key), n_max))
+                .collect()
+        };
+        let missing: Vec<usize> = (0..keys.len()).filter(|&k| tables[k].is_none()).collect();
+        let misses = missing.len() as u64;
+        let hits = rs.len() as u64 - misses;
+        if !missing.is_empty() {
+            let missing_rs: Vec<f64> = missing.iter().map(|&k| f64::from_bits(keys[k])).collect();
+            let computed = compute(&missing_rs).unwrap();
+            let mut cache = cache.lock();
+            for (&k, table) in missing.iter().zip(computed) {
+                let table = PiTable::from(table);
+                cache.insert((fingerprint, keys[k]), table.clone());
+                tables[k] = Some(table);
+            }
+        }
+        cache.hits.fetch_add(hits, Ordering::Relaxed);
+        cache.misses.fetch_add(misses, Ordering::Relaxed);
+        let tables = slots
+            .into_iter()
+            .map(|k| tables[k].clone().unwrap())
+            .collect();
+        (tables, hits, misses)
+    }
+
+    /// Seeded blocks of 1–130 `r`s (sorted, shuffled, or drawn with
+    /// repeats, with `±0.0` among them) over a few fingerprints and
+    /// `n_max`s, on a cache small enough to evict, so each block finds
+    /// part of its keys resident. The sort and the map model must give
+    /// `compute` the same list, count the same hits and misses, share
+    /// tables between the same positions and return the same tables.
+    #[test]
+    fn block_fetch_matches_the_map_dedupe_model() {
+        use zeroconf_rng::rngs::StdRng;
+        use zeroconf_rng::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_B10C);
+        let pool: Vec<f64> = [-0.0, 0.0]
+            .into_iter()
+            .chain((1..200).map(|k| k as f64 / 16.0))
+            .collect();
+        let (cache, model) = (SharedCache::new(96), SharedCache::new(96));
+        for step in 0..600 {
+            let len = rng.gen_range(1..131usize);
+            let mut rs: Vec<f64> = match rng.gen_range(0..3u32) {
+                // With repeats, from a narrow stretch of the pool.
+                0 => {
+                    let from = rng.gen_range(0..pool.len() - 8);
+                    (0..len)
+                        .map(|_| pool[from + rng.gen_range(0..8usize)])
+                        .collect()
+                }
+                // Distinct, in pool order, then shuffled or left sorted.
+                _ => {
+                    let from = rng.gen_range(0..pool.len() - len.min(pool.len() - 1));
+                    pool[from..].iter().copied().take(len).collect()
+                }
+            };
+            if rng.gen_bool(0.5) {
+                for i in (1..rs.len()).rev() {
+                    rs.swap(i, rng.gen_range(0..i + 1));
+                }
+            } else {
+                rs.sort_by(f64::total_cmp);
+            }
+            let fingerprint = rng.gen_range(0..3u64);
+            let n_max = rng.gen_range(1..6u32);
+            let what = format!("step {step}: fingerprint {fingerprint}, n_max {n_max}, rs {rs:?}");
+
+            let build = |seen: &mut Vec<u64>, missing: &[f64]| {
+                seen.extend(missing.iter().map(|r| r.to_bits()));
+                Ok(missing
+                    .iter()
+                    .map(|&r| vec![r + fingerprint as f64; n_max as usize + 1])
+                    .collect())
+            };
+            let (mut got_seen, mut want_seen) = (Vec::new(), Vec::new());
+            let (got, got_hits, got_misses) = cache
+                .get_or_compute_block(fingerprint, &rs, n_max, |m| build(&mut got_seen, m))
+                .unwrap();
+            let (want, want_hits, want_misses) =
+                block_by_map(&model, fingerprint, &rs, n_max, |m| {
+                    build(&mut want_seen, m)
+                });
+
+            assert_eq!(got_seen, want_seen, "compute's list at {what}");
+            assert_eq!((got_hits, got_misses), (want_hits, want_misses), "{what}");
+            let bits = |tables: &[PiTable]| -> Vec<Vec<u64>> {
+                tables
+                    .iter()
+                    .map(|t| t.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "tables at {what}");
+            // Each position's first position holding the very same table.
+            let sharing = |tables: &[PiTable]| -> Vec<usize> {
+                (0..tables.len())
+                    .map(|i| {
+                        (0..=i)
+                            .find(|&j| Arc::ptr_eq(&tables[j], &tables[i]))
+                            .unwrap()
+                    })
+                    .collect()
+            };
+            assert_eq!(sharing(&got), sharing(&want), "shared tables at {what}");
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.len(), cache.evictions()),
+                (model.hits(), model.misses(), model.len(), model.evictions()),
+                "counters after {what}"
+            );
+        }
+        assert!(cache.evictions() > 0, "the draws never evicted");
     }
 }

@@ -17,7 +17,9 @@
 //!   [`Pipeline::new`] builds a private team sized by `depth`. The team
 //!   starts one executor, and another whenever a ticket finds all of them
 //!   busy, up to its size; the executor that went idle last takes the
-//!   next ticket, so a light load keeps running on one thread.
+//!   next ticket, so a light load keeps running on one thread. An
+//!   executor sending a completion is not busy: a request submitted in
+//!   reply waits for it rather than starting another.
 //! - A [`Pipeline`] owns no thread. Each ticket it submits carries its
 //!   completion sender and notifier; its ids, cancel tokens, counters and
 //!   depth bound are plain fields of the one consumer thread.
@@ -46,13 +48,15 @@
 //!   joins its threads after they finish it (graceful shutdown — queued
 //!   work is never abandoned mid-evaluation).
 //!
-//! Everything is `std`: one mutex around the team's queue, a channel to
-//! each idle executor, and one completion channel per pipeline. The
+//! Everything is `std`: one mutex around the team's queue, one count of
+//! finishing executors, a channel to each idle executor, and one
+//! completion channel per pipeline. The
 //! wire-protocol front-end in [`crate::wire`] is a thin codec over this
 //! type.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -200,6 +204,12 @@ fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
 pub struct ExecutorTeam {
     engine: Arc<Engine>,
     queue: Arc<Mutex<Queue>>,
+    /// Executors that have sent a completion and not yet come back to the
+    /// queue. Each takes a queued ticket or goes idle next, so a ticket
+    /// submitted in reply to a completion waits for the executor that
+    /// sent it instead of starting another. Kept outside the lock, so
+    /// sending a completion never waits on it.
+    finishing: Arc<AtomicUsize>,
     /// The most executors the team starts.
     size: usize,
 }
@@ -213,6 +223,7 @@ impl ExecutorTeam {
         let team = ExecutorTeam {
             engine,
             queue: Arc::default(),
+            finishing: Arc::default(),
             size: threads.max(1),
         };
         team.start(&mut lock(&team.queue))
@@ -223,9 +234,10 @@ impl ExecutorTeam {
     /// Starts one more executor.
     fn start(&self, queue: &mut Queue) -> std::io::Result<()> {
         let (shared, engine) = (Arc::clone(&self.queue), Arc::clone(&self.engine));
+        let finishing = Arc::clone(&self.finishing);
         let thread = std::thread::Builder::new()
             .name(format!("zeroconf-executor-{}", queue.threads.len()))
-            .spawn(move || executor_loop(&shared, &engine))?;
+            .spawn(move || executor_loop(&shared, &finishing, &engine))?;
         queue.threads.push(thread);
         Ok(())
     }
@@ -236,8 +248,10 @@ impl ExecutorTeam {
     }
 
     /// Hands `ticket` to the executor that went idle last, or else queues
-    /// it. Reusing the warmest thread keeps a light load on one stack and
-    /// one malloc arena instead of rotating through all of them.
+    /// it, and starts another executor only if the queue then holds more
+    /// tickets than the finishing executors will take. Reusing the warmest
+    /// thread keeps a light load on one stack and one malloc arena
+    /// instead of rotating through all of them.
     fn submit(&self, ticket: Ticket) {
         let mut queue = lock(&self.queue);
         match queue.idle.pop() {
@@ -246,9 +260,14 @@ impl ExecutorTeam {
                 .expect("pipeline executors outlive the pipeline"),
             None => {
                 queue.tickets.push_back(ticket);
+                // ORDERING: a consumer submits in reply to a completion it
+                // received, and the completion channel's send and receive
+                // order the sender's increment before this load; the
+                // matching decrement happens under this lock.
+                let finishing = self.finishing.load(Ordering::Relaxed);
                 // A start that fails leaves the ticket to the running
                 // executors.
-                if queue.threads.len() < self.size {
+                if queue.tickets.len() > finishing && queue.threads.len() < self.size {
                     let _ = self.start(&mut queue);
                 }
             }
@@ -275,10 +294,16 @@ impl Drop for ExecutorTeam {
 
 /// An executor's next ticket: the oldest queued one, or else the one
 /// handed to it after it waits idle. `None` once the team has dropped
-/// and nothing is left. The lock covers only taking a ticket or going
-/// idle, so executors overlap on the engine.
-fn next_ticket(queue: &Mutex<Queue>) -> Option<Ticket> {
+/// and nothing is left. An executor that `finished` a ticket stops
+/// counting as finishing here. The lock covers only taking a ticket or
+/// going idle, so executors overlap on the engine.
+fn next_ticket(queue: &Mutex<Queue>, finishing: &AtomicUsize, finished: bool) -> Option<Ticket> {
     let mut guard = lock(queue);
+    if finished {
+        // ORDERING: under the queue lock, which orders it with `submit`'s
+        // load; the count publishes no other data.
+        finishing.fetch_sub(1, Ordering::Relaxed);
+    }
     if let Some(ticket) = guard.tickets.pop_front() {
         return Some(ticket);
     }
@@ -291,8 +316,9 @@ fn next_ticket(queue: &Mutex<Queue>) -> Option<Ticket> {
     woken.recv().ok()
 }
 
-fn executor_loop(queue: &Mutex<Queue>, engine: &Engine) {
-    while let Some(ticket) = next_ticket(queue) {
+fn executor_loop(queue: &Mutex<Queue>, finishing: &AtomicUsize, engine: &Engine) {
+    let mut finished = false;
+    while let Some(ticket) = next_ticket(queue, finishing, finished) {
         let queue_nanos = u64::try_from(ticket.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Cancelled while queued: never touches the engine, and reports
         // zero service time.
@@ -321,6 +347,12 @@ fn executor_loop(queue: &Mutex<Queue>, engine: &Engine) {
             notify,
             ..
         } = ticket;
+        // Counted as finishing before the completion leaves, so a request
+        // submitted in reply finds this executor rather than none.
+        // ORDERING: the completion's send below publishes the increment
+        // to whoever receives it (see `submit`).
+        finishing.fetch_add(1, Ordering::Relaxed);
+        finished = true;
         // A pipeline dropped with work queued no longer listens; its
         // completions are discarded.
         let _ = done.send(Completion {
@@ -712,6 +744,36 @@ mod tests {
         let stats = p.stats();
         assert_eq!((stats.completed, stats.cancelled, stats.failed), (1, 2, 0));
         assert!(!p.cancel(a), "a handed-out completion is forgotten");
+    }
+
+    /// A client that sends one request at a time runs on one executor:
+    /// an executor counts as finishing before its completion leaves, so
+    /// the next request waits for it instead of starting another. The
+    /// notifier holds the executor that answered until the next request
+    /// is in, as a woken reactor's next request can overtake it. The
+    /// first executor is idle before the first request, which is how a
+    /// daemon meets its first client; a request that beats the first
+    /// executor's thread still starts a second.
+    #[test]
+    fn serial_requests_start_one_executor() {
+        let mut p = pipeline(8);
+        while lock(&p.team.queue).idle.is_empty() {
+            std::thread::yield_now();
+        }
+        let (next_sent, wait) = channel::<()>();
+        let wait = Mutex::new(wait);
+        p.set_completion_notifier(Arc::new(move || {
+            let _ = wait.lock().unwrap().recv();
+        }));
+        for round in 0..2_000 {
+            p.submit(request(2, 2)).unwrap();
+            if round > 0 {
+                next_sent.send(()).unwrap();
+            }
+            assert!(p.next_completion().unwrap().result.is_ok());
+        }
+        drop(next_sent);
+        assert_eq!(lock(&p.team.queue).threads.len(), 1);
     }
 
     #[test]

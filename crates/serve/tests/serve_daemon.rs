@@ -820,9 +820,10 @@ fn stats_wire_field_names_survive_the_reactor_rewrite() {
 
 /// The daemon's threads: one executor team sized by `--inflight`, none
 /// per connection and none per sweep. 64 connections that each completed
-/// a sweep leave the count at most at main, reactor and `--inflight`
-/// executors (6 here, bounded at `--inflight + 4` as in ci.sh's flood
-/// gate), and reaping them joins nothing.
+/// a sweep, one after another, leave main, the reactor and one executor
+/// (a serial load never finds every executor busy), or a second executor
+/// if the first sweep beat the first executor's thread to the queue; and
+/// reaping them joins nothing.
 #[test]
 fn connections_own_no_threads_in_the_spawned_daemon() {
     let daemon = Daemon::spawn("threads", &["--inflight", "4", "--max-conns", "128"]);
@@ -842,7 +843,7 @@ fn connections_own_no_threads_in_the_spawned_daemon() {
         assert!(client.wait(&id).expect("sweep answer").has_cells());
     }
     let busy = threads();
-    assert!(busy <= 8, "{busy} daemon threads with 64 sessions");
+    assert!(busy <= 4, "{busy} daemon threads with 64 sessions");
 
     drop(clients);
     let mut inspector = daemon.connect();
