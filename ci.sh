@@ -170,6 +170,42 @@ grep -q '"pipeline":{"depth":3' <<<"$SMOKE_OUT" || {
   exit 1
 }
 
+echo "==> engine session smoke test (a dependent chain deeper than --inflight 2)"
+# A sweep, then three rescores, a calibrate and a frontier of it. At
+# --inflight 2 the dependents wait behind their base and count toward
+# the bound, and each id is answered exactly once.
+CHAIN_LINES=(
+  '{"v":1,"id":"s","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":3,"r":[0.5,1.0,2.0]}}'
+  '{"v":1,"id":"r1","rescore":{"of":"s","error_cost":1e9}}'
+  '{"v":1,"id":"r2","rescore":{"of":"s","error_cost":1e8}}'
+  '{"v":1,"id":"r3","rescore":{"of":"s","probe_cost":3.0}}'
+  '{"v":1,"id":"k","calibrate":{"of":"s","n":2,"r":1.0}}'
+  '{"v":1,"id":"f","frontier":{"of":"s","x":{"axis":"error_cost","values":[1e3,1e6]},"y":{"axis":"probe_cost","values":[1.0,2.0]}}}'
+)
+CHAIN_IDS="s r1 r2 r3 k f"
+CHAIN_OUT="$(printf '%s\n' "${CHAIN_LINES[@]}" | ./target/release/zeroconf engine --inflight 2)"
+for id in $CHAIN_IDS; do
+  if [[ "$(grep -c "\"id\":\"$id\"" <<<"$CHAIN_OUT")" != 1 ]]; then
+    echo "ci: --inflight 2 chain: id '$id' was not answered exactly once" >&2
+    echo "$CHAIN_OUT" >&2
+    exit 1
+  fi
+done
+if [[ "$(wc -l <<<"$CHAIN_OUT")" != 6 ]]; then
+  echo "ci: --inflight 2 chain: expected 6 answers" >&2
+  echo "$CHAIN_OUT" >&2
+  exit 1
+fi
+
+echo "==> engine session smoke test (the default depth answers in input order)"
+ORDER_OUT="$(printf '%s\n' "${CHAIN_LINES[@]}" | ./target/release/zeroconf engine)"
+ORDER_IDS="$(grep -o '^{"v":1,"id":"[^"]*"' <<<"$ORDER_OUT" | cut -d'"' -f6 | paste -sd' ')"
+if [[ "$ORDER_IDS" != "$CHAIN_IDS" ]]; then
+  echo "ci: the default engine session answered '$ORDER_IDS', not '$CHAIN_IDS' in input order" >&2
+  echo "$ORDER_OUT" >&2
+  exit 1
+fi
+
 echo "==> engine parametric verbs smoke test (calibrate + frontier)"
 # A sweep with a calibrate and a frontier riding behind it, all three
 # streamed before the sweep completes. Both parametric answers must

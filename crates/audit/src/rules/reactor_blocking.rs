@@ -23,11 +23,9 @@
 //!   `--deny-warnings`).
 //!
 //! Calls that leave the serve crate (the engine's `poll_completions`,
-//! `submit_work`, …) are out of this rule's scope; the cross-crate
-//! contract — completions are *polled*, admission is budget-gated so a
-//! session never reaches the depth bound at which `submit` would wait
-//! on its completion channel — is documented in DESIGN.md ("Concurrency
-//! invariants") and held by the engine's own audit rules.
+//! `submit_work`, …) are out of this rule's scope. None of them waits
+//! for a completion: `submit_work` enqueues and returns, and completions
+//! are *polled* (DESIGN.md, "Concurrency invariants").
 //!
 //! Allowlist format, one justified site per line:
 //!

@@ -242,10 +242,10 @@ fn frontier_request() -> FrontierRequest {
     }
 }
 
-/// Warm frontier: the first call builds the sufficient-statistic
-/// landscape (and the π-tables under it); every timed pass answers the
-/// full 64 × 64 parameter grid from the cached statistic with zero π
-/// work, as asserted each iteration.
+/// Warm frontier: the first call builds the π-tables; every timed pass
+/// rebuilds the sufficient statistic from them with zero π
+/// recomputation, as asserted each iteration, and answers the full
+/// 64 × 64 parameter grid from it.
 fn frontier_warm(samples: usize) -> BenchRecord {
     let engine = Engine::new(config());
     let request = frontier_request();
@@ -359,9 +359,9 @@ fn frontier_recompute(samples: usize) -> BenchRecord {
     })
 }
 
-/// Closed-form `E*` calibration against the warm statistic: after the
-/// priming call the engine's landscape slot answers without touching a
-/// single π-table.
+/// Closed-form `E*` calibration over a warm π-table cache: after the
+/// priming call each pass rebuilds the statistic from cached tables and
+/// computes none.
 fn calibrate_warm(samples: usize) -> BenchRecord {
     let engine = Engine::new(config());
     let grid = param_grid();

@@ -26,8 +26,9 @@ pub const ROW_KERNEL_SINGLE_PASS: &str = "kernel/single-pass/columns";
 /// Row label: the blocked batch kernel on the widest detected SIMD tier
 /// (bit-identical to [`ROW_KERNEL_BLOCK`]'s results).
 pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
-/// Row label: a 64×64 `(E, c)` Pareto frontier against the warm
-/// sufficient-statistic cache (zero π recomputation).
+/// Row label: a 64×64 `(E, c)` Pareto frontier over a warm π-table
+/// cache: the statistic is rebuilt from cached tables (zero π
+/// recomputation).
 pub const ROW_FRONTIER_WARM: &str = "engine/frontier/warm";
 /// Row label: a `param-cold`-shaped frontier — a 64 × 400 grid under a
 /// 16 × 16 `(E, c)` parameter grid for a fresh reply time per iteration,
@@ -36,8 +37,8 @@ pub const ROW_FRONTIER_COLD: &str = "engine/frontier/cold";
 /// Row label: the same frontier evaluated the naive way — a full
 /// π-table + grid recomputation per parameter point.
 pub const ROW_FRONTIER_RECOMPUTE: &str = "engine/frontier/per-point-recompute";
-/// Row label: closed-form `E*` calibration against the warm
-/// sufficient-statistic cache.
+/// Row label: closed-form `E*` calibration over a warm π-table cache:
+/// the statistic is rebuilt from cached tables.
 pub const ROW_CALIBRATE_WARM: &str = "engine/calibrate/warm";
 /// Row label: the full engine over a 200 × 200 sweep, cache-cold (a fresh
 /// engine per iteration, every π-table computed).

@@ -219,9 +219,11 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
 /// request line (see [`zeroconf_engine::wire`] for the schema). Factored
 /// off the stdin path so tests can drive it with strings.
 ///
-/// With `--inflight 1` (the default) responses come back in input order,
-/// one per line. With `--inflight N > 1` up to `N` requests are pipelined
-/// and responses arrive in **completion order**, keyed by their `id`.
+/// Before each line, the session waits while `--inflight` requests are
+/// unanswered, held-back dependents included. With `--inflight 1` (the
+/// default) responses therefore come back in input order, one per line.
+/// With `--inflight N > 1` up to `N` requests are pipelined and responses
+/// arrive in **completion order**, keyed by their `id`.
 ///
 /// # Errors
 ///
@@ -244,21 +246,17 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         engine,
         zeroconf_engine::PipelineConfig::with_depth(options.inflight),
     );
-    if options.inflight > 1 {
-        for line in input.lines() {
-            push(session.submit_line(line), &mut out);
-            let ready = session.poll_responses();
+    for line in input.lines() {
+        while session.pending() >= options.inflight {
+            let ready = session.next_responses();
+            if ready.is_empty() {
+                break;
+            }
             push(ready.iter().map(WireResponse::to_line).collect(), &mut out);
         }
-        push(session.drain(), &mut out);
-    } else {
-        // Depth 1, drained per line: in-order blocking, one response per
-        // request line.
-        for line in input.lines() {
-            push(session.submit_line(line), &mut out);
-            push(session.drain(), &mut out);
-        }
+        push(session.submit_line(line), &mut out);
     }
+    push(session.drain(), &mut out);
     if options.emit_stats {
         out.push_str(&session.stats_line());
         out.push('\n');
@@ -684,6 +682,42 @@ mod tests {
         assert!(stats.contains("\"pipeline\":{\"depth\":3"), "{stats}");
         assert!(stats.contains("\"submitted\":3"), "{stats}");
         assert!(stats.contains("service_ns_total"), "{stats}");
+    }
+
+    #[test]
+    fn engine_answers_a_chain_deeper_than_inflight_once_per_id() {
+        // A sweep, three rescores and a frontier of it, then a second
+        // sweep. At `--inflight 2` the dependents wait behind their base
+        // and count toward the bound; every id is answered once.
+        let rescore = |id: &str, error_cost: f64| {
+            format!(
+                "{{\"id\":\"{id}\",\"rescore\":{{\"of\":\"s1\",\"error_cost\":{error_cost:?}}}}}"
+            )
+        };
+        let input = [
+            ENGINE_SWEEP.to_owned(),
+            rescore("r1", 1e30),
+            rescore("r2", 1e25),
+            rescore("r3", 1e20),
+            "{\"id\":\"f1\",\"frontier\":{\"of\":\"s1\",\
+             \"x\":{\"axis\":\"error_cost\",\"values\":[1e20,1e35]},\
+             \"y\":{\"axis\":\"probe_cost\",\"values\":[1.0,2.0]}}}"
+                .to_owned(),
+            ENGINE_SWEEP.replace("\"id\":\"s1\"", "\"id\":\"s2\""),
+        ]
+        .join("\n");
+        let out = engine_process(&input, &args("--inflight 2 --stats")).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 7, "{out}");
+        for id in ["s1", "r1", "r2", "r3", "f1", "s2"] {
+            let answers: Vec<&&str> = lines
+                .iter()
+                .filter(|l| l.contains(&format!("\"id\":\"{id}\"")))
+                .collect();
+            assert_eq!(answers.len(), 1, "one response for {id}: {out}");
+            assert!(!answers[0].contains("\"error\""), "{}", answers[0]);
+        }
+        assert!(lines[6].contains("\"submitted\":6"), "{}", lines[6]);
     }
 
     #[test]

@@ -309,12 +309,10 @@ impl SharedCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub(crate) fn evictions(&self) -> u64 {
-        self.lock().evictions()
+    /// Tables resident and tables evicted so far, read under one lock.
+    pub(crate) fn occupancy(&self) -> (usize, u64) {
+        let cache = self.lock();
+        (cache.len(), cache.evictions())
     }
 }
 
@@ -402,7 +400,7 @@ mod tests {
         let (t, hit) = cache.get_or_compute(1, 1.0, 3, || table(3)).unwrap();
         assert!(hit);
         assert_eq!(t.len(), 10);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.occupancy().0, 1);
     }
 
     #[test]
@@ -431,14 +429,13 @@ mod tests {
         // Touch key 1 so key 2 is the LRU.
         cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         cache.get_or_compute(3, 1.0, 2, || table(2)).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.occupancy(), (2, 1));
         let (_, hit1) = cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         assert!(hit1, "recently used entry survived");
         let (_, hit2) = cache.get_or_compute(2, 1.0, 2, || table(2)).unwrap();
         assert!(!hit2, "LRU entry was evicted");
         // Re-inserting key 2 evicted key 3; the hit on key 1 evicted nothing.
-        assert_eq!(cache.evictions(), 2);
+        assert_eq!(cache.occupancy().1, 2);
     }
 
     /// The eviction the cache used before its recency queue: a scan for
@@ -580,7 +577,7 @@ mod tests {
         let cache = SharedCache::new(4);
         let r: Result<(PiTable, bool), &str> = cache.get_or_compute(5, 1.0, 2, || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.occupancy().0, 0);
         assert_eq!(cache.misses(), 0);
     }
 
@@ -626,7 +623,10 @@ mod tests {
                 })
                 .unwrap();
             assert_eq!((hits, misses), (2, 3));
-            assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 3, 3));
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.occupancy().0),
+                (2, 3, 3)
+            );
             assert!(Arc::ptr_eq(&tables[0], &tables[2]), "twins share a table");
             assert!(Arc::ptr_eq(&tables[3], &tables[4]), "±0 share a table");
             let firsts: Vec<f64> = tables.iter().map(|t| t[0]).collect();
@@ -765,11 +765,11 @@ mod tests {
             };
             assert_eq!(sharing(&got), sharing(&want), "shared tables at {what}");
             assert_eq!(
-                (cache.hits(), cache.misses(), cache.len(), cache.evictions()),
-                (model.hits(), model.misses(), model.len(), model.evictions()),
+                (cache.hits(), cache.misses(), cache.occupancy()),
+                (model.hits(), model.misses(), model.occupancy()),
                 "counters after {what}"
             );
         }
-        assert!(cache.evictions() > 0, "the draws never evicted");
+        assert!(cache.occupancy().1 > 0, "the draws never evicted");
     }
 }

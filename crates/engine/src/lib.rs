@@ -78,13 +78,12 @@ pub mod testkit;
 pub mod wire;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use zeroconf_cost::kernel::ScenarioFactors;
 use zeroconf_cost::param::ParamLandscape;
 use zeroconf_cost::{tradeoff, CostError, Scenario};
-use zeroconf_dist::ReplyTimeDistribution;
 use zeroconf_simd::Backend;
 
 pub use pipeline::{
@@ -209,9 +208,8 @@ impl CancelToken {
     }
 }
 
-/// The evaluation engine: a shared π-table cache, the single-slot
-/// statistic cache and lifetime counters. Cheap to share behind an `Arc`;
-/// all methods take `&self`.
+/// The evaluation engine: a shared π-table cache and lifetime counters.
+/// Cheap to share behind an `Arc`; all methods take `&self`.
 pub struct Engine {
     cache: SharedCache,
     /// The column-kernel backend every sweep runs with: the widest tier
@@ -222,32 +220,10 @@ pub struct Engine {
     /// `backend` and can only go down (a distribution without a
     /// vectorized batch honestly reports scalar).
     dist_floor: AtomicU8,
-    /// Single-slot cache of the most recent sufficient-statistic
-    /// landscape, keyed by distribution fingerprint (the grid is compared
-    /// against the landscape itself). A warm parametric verb skips even
-    /// the statistic pass; a cold one still recomputes no π when the
-    /// π-table cache is warm.
-    landscape: Mutex<Option<LandscapeSlot>>,
     requests: AtomicU64,
     cells: AtomicU64,
-    wall_nanos: Mutex<u128>,
+    wall_nanos: AtomicU64,
 }
-
-/// The engine's cached sufficient-statistic landscape and its key.
-struct LandscapeSlot {
-    fingerprint: u64,
-    landscape: Arc<ParamLandscape>,
-}
-
-/// The counters of a request that evaluated nothing of its own: one
-/// thread, no cells, no cache traffic.
-const IDLE: BatchStats = BatchStats {
-    wall_nanos: 0,
-    cache_hits: 0,
-    cache_misses: 0,
-    cells: 0,
-    workers: 1,
-};
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -272,10 +248,9 @@ impl Engine {
             cache: SharedCache::new(config.cache_tables),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
-            landscape: Mutex::new(None),
             requests: AtomicU64::new(0),
             cells: AtomicU64::new(0),
-            wall_nanos: Mutex::new(0),
+            wall_nanos: AtomicU64::new(0),
         }
     }
 
@@ -334,7 +309,7 @@ impl Engine {
             cache_hits: swept.hits,
             cache_misses: swept.misses,
             cells: request.grid.cells() as u64,
-            ..IDLE
+            workers: 1,
         };
         Ok((swept.slabs, stats))
     }
@@ -363,40 +338,16 @@ impl Engine {
         Ok((rescored, response))
     }
 
-    /// The sufficient-statistic landscape for `(scenario, grid)`: served
-    /// from the engine's single-slot landscape cache when the fingerprint
-    /// and grid match (zero work), otherwise built by one sweep — one
-    /// π-table per `r` from the shared cache (zero *misses* when warm),
-    /// one statistic pass, no cost/error arithmetic.
-    ///
-    /// A slot holding some other landscape is emptied before the build
-    /// starts, so a cold verb never keeps the stale statistic alive
-    /// beside the one it is building.
+    /// The sufficient-statistic landscape for `(scenario, grid)`, built
+    /// by one sweep: one π-table per `r` from the shared cache (zero
+    /// *misses* when warm), one statistic pass, no cost/error arithmetic.
+    /// The caller owns it, so it is dropped with the request it answers.
     fn param_landscape_cancellable(
         &self,
         scenario: &Scenario,
         grid: &GridSpec,
         cancel: &CancelToken,
-    ) -> Result<(Arc<ParamLandscape>, BatchStats), EngineError> {
-        let fingerprint = scenario.reply_time().fingerprint();
-        {
-            let mut slot = self.landscape.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cached) = slot.as_ref() {
-                let same_grid = cached.fingerprint == fingerprint
-                    && cached.landscape.n_max() == grid.n_max
-                    && cached.landscape.r_values().len() == grid.r_values.len()
-                    && cached
-                        .landscape
-                        .r_values()
-                        .iter()
-                        .zip(&grid.r_values)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if same_grid {
-                    return Ok((Arc::clone(&cached.landscape), IDLE));
-                }
-            }
-            *slot = None;
-        }
+    ) -> Result<(ParamLandscape, BatchStats), EngineError> {
         // The statistic ignores the metric selection, so the synthetic
         // request carries none.
         let request = SweepRequest {
@@ -405,26 +356,23 @@ impl Engine {
             metrics: Vec::new(),
         };
         let (slabs, stats) = self.run_job::<StatisticSlabs>(&request, cancel)?;
-        let landscape = Arc::new(ParamLandscape::from_parts(
+        let landscape = ParamLandscape::from_parts(
             grid.n_max,
             grid.r_values.clone(),
             slabs.pi_prefix,
             slabs.pi_n,
-        ));
-        *self.landscape.lock().unwrap_or_else(|e| e.into_inner()) = Some(LandscapeSlot {
-            fingerprint,
-            landscape: Arc::clone(&landscape),
-        });
+        );
         Ok((landscape, stats))
     }
 
     /// Folds one answered request's work into the lifetime counters.
     fn observe_request(&self, stats: &BatchStats) {
+        let wall_nanos = u64::try_from(stats.wall_nanos).unwrap_or(u64::MAX);
         // ORDERING: lifetime statistics tallies; reported, never
         // synchronized on.
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(stats.cells, Ordering::Relaxed);
-        *self.wall_nanos.lock().unwrap_or_else(|e| e.into_inner()) += stats.wall_nanos;
+        self.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
     }
 
     /// Recovers the collision cost `E*` that makes the request's target
@@ -436,7 +384,8 @@ impl Engine {
     /// derivatives taken as central differences over the target's grid
     /// neighbors. After a sweep (or earlier parametric verb) over the
     /// same grid, a calibration recomputes **zero** π-tables
-    /// (`stats.cache_misses == 0`).
+    /// (`stats.cache_misses == 0`): it rebuilds the statistic from the
+    /// cached ones.
     ///
     /// # Errors
     ///
@@ -501,7 +450,7 @@ impl Engine {
 
     /// The Pareto frontier of `(cost, collision probability)` over a 2-D
     /// parameter grid (e.g. `(E, c)` or `(q, E)`): every parameter point
-    /// re-scores the cached sufficient statistic by pure arithmetic, its
+    /// re-scores the request's sufficient statistic by pure arithmetic, its
     /// cost-minimal `(n, r)` cell becomes a candidate, and the candidates
     /// are reduced with the tradeoff module's exact dominance logic.
     /// After warm-up over the same `(scenario, grid)`, the whole verb
@@ -579,9 +528,11 @@ impl Engine {
         })
     }
 
-    /// A snapshot of the engine-lifetime counters.
+    /// A snapshot of the engine-lifetime counters. It takes one lock,
+    /// the cache's, for the cache's length and evictions together.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
+        let (cache_len, cache_evictions) = self.cache.occupancy();
         EngineStats {
             // ORDERING: statistics snapshot; each counter is independently
             // relaxed-read, a momentarily torn view across counters is
@@ -590,11 +541,12 @@ impl Engine {
             cells: self.cells.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            cache_len: self.cache.len(),
-            cache_evictions: self.cache.evictions(),
+            cache_len,
+            cache_evictions,
             // ORDERING: same snapshot; one thread evaluates each request.
             cells_per_worker: vec![self.cells.load(Ordering::Relaxed)],
-            wall_nanos: *self.wall_nanos.lock().unwrap_or_else(|e| e.into_inner()),
+            // ORDERING: same snapshot.
+            wall_nanos: u128::from(self.wall_nanos.load(Ordering::Relaxed)),
             kernel_backend: self.backend.name(),
             // ORDERING: diagnostic low-water mark read, reporting only.
             dist_backend: Backend::from_u8(self.dist_floor.load(Ordering::Relaxed)).name(),
@@ -609,7 +561,7 @@ mod tests {
     use zeroconf_cost::{cost, Scenario};
     use zeroconf_dist::{
         DefectiveDeterministic, DefectiveExponential, DefectiveUniform, DefectiveWeibull,
-        Empirical, Mixture,
+        Empirical, Mixture, ReplyTimeDistribution,
     };
     use zeroconf_rng::rngs::StdRng;
     use zeroconf_rng::{for_each_seed, Rng};
@@ -1078,47 +1030,5 @@ mod tests {
             Err(EngineError::InvalidRequest { .. })
         ));
         assert_eq!(e.stats().cache_misses, 0, "nothing was computed");
-    }
-
-    #[test]
-    fn a_rebuild_releases_the_stale_statistic_first() {
-        let e = engine();
-        let frontier = |loss: f64| FrontierRequest {
-            scenario: Scenario::builder()
-                .occupancy(0.5)
-                .probe_cost(2.0)
-                .error_cost(1e6)
-                .reply_time(Arc::new(
-                    DefectiveExponential::from_loss(loss, 10.0, 1.0).unwrap(),
-                ))
-                .build()
-                .unwrap(),
-            grid: GridSpec::linspace(4, 0.5, 3.0, 8),
-            x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e3, 1e6]),
-            y: AxisSpec::new(ParamAxis::ProbeCost, vec![0.5, 2.0]),
-        };
-        let slot_fingerprint = || {
-            e.landscape
-                .lock()
-                .unwrap()
-                .as_ref()
-                .map(|slot| slot.fingerprint)
-        };
-        let a = frontier(1e-6);
-        e.frontier(&a).unwrap();
-        assert_eq!(
-            slot_fingerprint(),
-            Some(a.scenario.reply_time().fingerprint())
-        );
-        // B's build never runs, so an empty slot afterwards shows that A
-        // was dropped before the build started, not replaced after it.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        assert_eq!(
-            e.frontier_cancellable(&frontier(1e-3), &cancelled)
-                .unwrap_err(),
-            EngineError::Cancelled
-        );
-        assert_eq!(slot_fingerprint(), None);
     }
 }

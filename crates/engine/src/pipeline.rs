@@ -14,23 +14,23 @@
 //!   request runs on the executor that took it, and a short sweep submitted after a long one
 //!   finishes *first*. `zeroconf serve` builds one team per daemon, sized
 //!   by `--inflight`, and every connection's pipeline submits to it;
-//!   [`Pipeline::new`] builds a private team sized by `depth`. The team
+//!   [`Pipeline::new`] builds a private team sized by
+//!   [`PipelineConfig::depth`]. The team
 //!   starts one executor, and another whenever a ticket finds all of them
 //!   busy, up to its size; the executor that went idle last takes the
 //!   next ticket, so a light load keeps running on one thread. An
 //!   executor sending a completion is not busy: a request submitted in
 //!   reply waits for it rather than starting another.
 //! - A [`Pipeline`] owns no thread. Each ticket it submits carries its
-//!   completion sender and notifier; its ids, cancel tokens, counters and
-//!   depth bound are plain fields of the one consumer thread.
+//!   completion sender and notifier; its ids, cancel tokens and counters
+//!   are plain fields of the one consumer thread.
 //! - [`Pipeline::submit`] enqueues a validated [`SweepRequest`] and
 //!   returns a [`RequestId`] immediately ([`Pipeline::submit_work`] does
 //!   the same for any [`WorkRequest`] verb — sweep, calibrate or
-//!   frontier). The depth bound is enforced on the consumer thread: once
-//!   `depth` requests are running or queued, `submit` **blocks** on the
-//!   pipeline's own completion channel until one completes, and keeps
-//!   what it receives for the next poll (backpressure, not unbounded
-//!   buffering).
+//!   frontier). Submitting never waits: a pipeline bounds nothing, and
+//!   each front end bounds its own admission (`zeroconf serve` through
+//!   its permit budget, `zeroconf engine` through the session's pending
+//!   count).
 //! - [`Pipeline::poll_completions`] / [`Pipeline::next_completion`] hand
 //!   back [`Completion`]s in **finish order**, each tagged with its
 //!   [`RequestId`] and per-request latency counters (queue wait and
@@ -54,7 +54,6 @@
 //! wire-protocol front-end in [`crate::wire`] is a thin codec over this
 //! type.
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -64,12 +63,11 @@ use std::time::Instant;
 
 use crate::{CancelToken, Engine, EngineError, SweepRequest, WorkRequest, WorkResponse};
 
-/// Pipeline construction parameters.
+/// The size of a pipeline's private executor team ([`Pipeline::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Maximum requests in flight (submitted, completion not yet
-    /// received). Further `submit` calls block until one completes:
-    /// backpressure.
+    /// Executor threads of the private team: how many of the pipeline's
+    /// requests evaluate at once. Submitting more queues them.
     pub depth: usize,
 }
 
@@ -80,8 +78,8 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A config with `depth` in-flight slots — the usual shape
-    /// (`--inflight N` on the CLI).
+    /// A config with `depth` executors — the usual shape (`--inflight N`
+    /// on the CLI).
     #[must_use]
     pub fn with_depth(depth: usize) -> PipelineConfig {
         PipelineConfig {
@@ -389,28 +387,22 @@ fn executor_loop(queue: &Mutex<Queue>, finishing: &AtomicUsize, engine: &Engine)
 /// ```
 pub struct Pipeline {
     team: Arc<ExecutorTeam>,
-    depth: usize,
     next_id: u64,
     /// Cancel tokens of submitted requests whose completion has not been
-    /// handed out yet: the requests running or queued in the team, and
-    /// those in `received`.
+    /// handed out yet.
     tokens: HashMap<RequestId, CancelToken>,
     stats: PipelineStats,
     /// Cloned into every ticket; holding it keeps `completions` open.
     done: Sender<Completion>,
     completions: Receiver<Completion>,
-    /// Completions `submit` received while it waited at the depth bound,
-    /// not yet booked, handed out before anything still in the channel.
-    received: VecDeque<Completion>,
-    /// Cloned into every ticket. A `Cell` so that registering one takes
-    /// `&self`; it is only ever touched by the consumer thread.
-    notifier: Cell<Option<CompletionNotifier>>,
+    /// Cloned into every ticket.
+    notifier: Option<CompletionNotifier>,
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("depth", &self.depth)
+            .field("depth", &self.depth())
             .field("in_flight", &self.in_flight())
             .finish()
     }
@@ -422,25 +414,23 @@ impl Pipeline {
     #[must_use]
     pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Pipeline {
         let team = ExecutorTeam::new(engine, config.depth);
-        Pipeline::with_team(Arc::new(team), config)
+        Pipeline::with_team(Arc::new(team))
     }
 
     /// Builds a pipeline that submits to a shared `team`. It spawns
     /// nothing: the team's threads evaluate its requests alongside every
     /// other pipeline's.
     #[must_use]
-    pub fn with_team(team: Arc<ExecutorTeam>, config: PipelineConfig) -> Pipeline {
+    pub fn with_team(team: Arc<ExecutorTeam>) -> Pipeline {
         let (done, completions) = channel();
         Pipeline {
             team,
-            depth: config.depth.max(1),
             next_id: 0,
             tokens: HashMap::new(),
             stats: PipelineStats::default(),
             done,
             completions,
-            received: VecDeque::new(),
-            notifier: Cell::new(None),
+            notifier: None,
         }
     }
 
@@ -448,8 +438,8 @@ impl Pipeline {
     /// a completion of a request submitted from now on becomes pollable
     /// (replacing any previous notifier). See [`CompletionNotifier`] for
     /// the contract.
-    pub fn set_completion_notifier(&self, notifier: CompletionNotifier) {
-        self.notifier.set(Some(notifier));
+    pub fn set_completion_notifier(&mut self, notifier: CompletionNotifier) {
+        self.notifier = Some(notifier);
     }
 
     /// The engine shared by every request of this pipeline.
@@ -458,10 +448,11 @@ impl Pipeline {
         self.team.engine()
     }
 
-    /// The configured depth bound.
+    /// The most requests the pipeline's team evaluates at once: its
+    /// size. A pipeline has no depth of its own.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth
+        self.team.size
     }
 
     /// Requests currently in flight: submitted, completion not yet
@@ -473,49 +464,38 @@ impl Pipeline {
     }
 
     /// Validates and enqueues one sweep, returning its id immediately.
-    /// Blocks while `depth` requests are already running or queued.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before consuming an in-flight slot.
+    /// eagerly, before anything is queued.
     pub fn submit(&mut self, request: SweepRequest) -> Result<RequestId, EngineError> {
         self.submit_work(WorkRequest::Sweep(request))
     }
 
     /// Validates and enqueues any engine verb — sweep, calibrate or
-    /// frontier — returning its id immediately. Blocks while `depth`
-    /// requests are already running or queued. The completion carries
-    /// the matching [`WorkResponse`] variant.
+    /// frontier — returning its id immediately, without waiting for
+    /// anything. The completion carries the matching [`WorkResponse`]
+    /// variant.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before consuming an in-flight slot.
+    /// eagerly, before anything is queued.
     pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
         request.validate()?;
-        while self.tokens.len() - self.received.len() >= self.depth {
-            // Each running or queued ticket sends exactly one completion,
-            // so this receive returns once the team finishes one of them.
-            let Some(completion) = self.receive() else {
-                break;
-            };
-            self.received.push_back(completion);
-        }
         let id = RequestId(self.next_id);
         self.next_id += 1;
         let token = CancelToken::new();
         self.tokens.insert(id, token.clone());
         self.stats.submitted += 1;
-        let notify = self.notifier.take();
-        self.notifier.set(notify.clone());
         self.team.submit(Ticket {
             id,
             request,
             token,
             submitted: Instant::now(),
             done: self.done.clone(),
-            notify,
+            notify: self.notifier.clone(),
         });
         Ok(id)
     }
@@ -540,11 +520,7 @@ impl Pipeline {
     /// blocking.
     pub fn poll_completions(&mut self) -> Vec<Completion> {
         let mut out = Vec::new();
-        while let Some(completion) = self
-            .received
-            .pop_front()
-            .or_else(|| self.completions.try_recv().ok())
-        {
+        while let Ok(completion) = self.completions.try_recv() {
             out.push(self.hand_out(completion));
         }
         out
@@ -552,7 +528,11 @@ impl Pipeline {
 
     /// Blocks for the next completion; `None` when nothing is in flight.
     pub fn next_completion(&mut self) -> Option<Completion> {
-        let completion = self.received.pop_front().or_else(|| self.receive())?;
+        if self.tokens.is_empty() {
+            return None;
+        }
+        // This pipeline holds a sender, so the channel never closes.
+        let completion = self.completions.recv().ok()?;
         Some(self.hand_out(completion))
     }
 
@@ -570,16 +550,6 @@ impl Pipeline {
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
         self.stats
-    }
-
-    /// Blocks for the next completion off the channel, not yet booked;
-    /// `None` when no request is running or queued.
-    fn receive(&mut self) -> Option<Completion> {
-        if self.tokens.len() == self.received.len() {
-            return None;
-        }
-        // This pipeline holds a sender, so the channel never closes.
-        self.completions.recv().ok()
     }
 
     /// Books one completion as it is handed out: its token goes, a request
@@ -643,10 +613,9 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(p.in_flight(), 0);
         for completion in &done {
-            let response = completion.result.as_ref().unwrap();
-            let sweep = response
-                .as_sweep()
-                .expect("sweep submissions complete as sweeps");
+            let Ok(WorkResponse::Sweep(sweep)) = &completion.result else {
+                panic!("sweep submissions complete as sweeps");
+            };
             assert!(!sweep.landscape.is_empty());
         }
         let stats = p.stats();
@@ -728,12 +697,13 @@ mod tests {
         let a = p.submit(request(2, 3)).unwrap();
         notified.recv().unwrap();
         assert!(p.cancel(a));
-        // At the depth bound, submitting B takes A off the channel; C's
-        // submit takes B, which is cancelled while it waits there.
+        // B and C finish behind A on the one executor; B is cancelled
+        // while its completion waits in the channel, C is not.
         let b = p.submit(request(2, 3)).unwrap();
-        notified.recv().unwrap();
         let c = p.submit(request(2, 3)).unwrap();
-        assert_eq!(p.in_flight(), 3, "A and B are not handed out yet");
+        notified.recv().unwrap();
+        notified.recv().unwrap();
+        assert_eq!(p.in_flight(), 3, "nothing is handed out yet");
         assert!(p.cancel(b));
         let done = p.drain();
         let ids: Vec<RequestId> = done.iter().map(|completion| completion.id).collect();
@@ -774,6 +744,37 @@ mod tests {
         }
         drop(next_sent);
         assert_eq!(lock(&p.team.queue).threads.len(), 1);
+    }
+
+    /// Submitting never waits for a completion, however many requests
+    /// the team already holds: here both executors of a depth-2 pipeline
+    /// are held in the notifier while eight requests are submitted. A
+    /// submit that waited would wait for ever, so a watchdog fails the
+    /// test instead, and the executors are released either way.
+    #[test]
+    fn submitting_past_the_depth_never_waits() {
+        let mut p = pipeline(2);
+        let (release, held) = channel::<()>();
+        let held = Mutex::new(held);
+        p.set_completion_notifier(Arc::new(move || {
+            let _ = held.lock().unwrap().recv();
+        }));
+        let (submitted, watchdog) = channel();
+        let submitter = std::thread::spawn(move || {
+            let ids: Vec<RequestId> = (0..8).map(|_| p.submit(request(2, 3)).unwrap()).collect();
+            submitted.send(()).unwrap();
+            (p, ids)
+        });
+        let returned = watchdog.recv_timeout(std::time::Duration::from_secs(10));
+        drop(release);
+        let (mut p, ids) = submitter.join().unwrap();
+        assert!(
+            returned.is_ok(),
+            "a submit waited on executors held in the notifier"
+        );
+        let mut done: Vec<RequestId> = p.drain().iter().map(|c| c.id).collect();
+        done.sort();
+        assert_eq!(done, ids);
     }
 
     #[test]

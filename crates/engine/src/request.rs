@@ -632,15 +632,6 @@ impl WorkResponse {
         }
     }
 
-    /// The sweep response, when this is one.
-    #[must_use]
-    pub fn as_sweep(&self) -> Option<&SweepResponse> {
-        match self {
-            WorkResponse::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Consumes into the sweep response, when this is one.
     #[must_use]
     pub fn into_sweep(self) -> Option<SweepResponse> {
@@ -802,28 +793,12 @@ impl Landscape {
         (0..self.len()).map(|index| self.cell(index))
     }
 
-    /// Materializes the whole grid as a `Vec<Cell>` — the legacy
-    /// array-of-structs shape, for callers that want owned cells.
-    #[must_use]
-    pub fn cells(&self) -> Vec<Cell> {
-        self.iter().collect()
-    }
-
     fn flat_index(&self, r_index: usize, n: u32) -> usize {
         assert!(
             r_index < self.r_values.len() && (1..=self.n_max).contains(&n),
             "(r_index = {r_index}, n = {n}) outside the grid"
         );
         r_index * self.n_max as usize + (n as usize - 1)
-    }
-}
-
-impl<'a> IntoIterator for &'a Landscape {
-    type Item = Cell;
-    type IntoIter = Box<dyn Iterator<Item = Cell> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
     }
 }
 
@@ -847,23 +822,14 @@ pub struct BatchStats {
 /// The evaluated grid plus its work counters.
 ///
 /// Results live in the flat SoA [`Landscape`]; `r`-major [`Cell`] views
-/// are materialized on demand via [`SweepResponse::cells`] or
-/// [`Landscape::iter`].
+/// are materialized on demand via [`Landscape::iter`] or
+/// [`Landscape::cell`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResponse {
     /// The evaluated grid, as flat metric buffers.
     pub landscape: Landscape,
     /// Work counters for this request.
     pub stats: BatchStats,
-}
-
-impl SweepResponse {
-    /// The grid as owned [`Cell`]s in deterministic `r`-major order: for
-    /// each `r` in request order, `n = 1..=n_max`.
-    #[must_use]
-    pub fn cells(&self) -> Vec<Cell> {
-        self.landscape.cells()
-    }
 }
 
 /// Cumulative engine-lifetime observability counters.
@@ -980,21 +946,15 @@ mod tests {
         assert_eq!(landscape.r_values(), &[0.5, 1.0, 1.5]);
         assert_eq!(landscape.cost_at(1, 2), Some(40.0));
         assert_eq!(landscape.error_at(1, 2), None);
-        let cells = landscape.cells();
-        assert_eq!(cells.len(), 6);
-        assert_eq!(
-            (cells[3].n, cells[3].r, cells[3].mean_cost),
-            (2, 1.0, Some(40.0))
-        );
-        assert!(cells.iter().all(|c| c.error_probability.is_none()));
+        let cell = landscape.cell(3);
+        assert_eq!((cell.n, cell.r, cell.mean_cost), (2, 1.0, Some(40.0)));
+        assert!(landscape.iter().all(|c| c.error_probability.is_none()));
         // Cells stream in r-major order: n cycles fastest.
         let order: Vec<(u32, f64)> = landscape.iter().map(|c| (c.n, c.r)).collect();
         assert_eq!(
             order,
             vec![(1, 0.5), (2, 0.5), (1, 1.0), (2, 1.0), (1, 1.5), (2, 1.5)]
         );
-        // &Landscape iterates like .iter().
-        assert_eq!((&landscape).into_iter().count(), 6);
     }
 
     #[test]

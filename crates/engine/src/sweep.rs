@@ -259,6 +259,9 @@ mod tests {
         cancel.cancel();
         let outcome = run::<MetricSlabs>(&request, &cache, Backend::detect(), &cancel);
         assert_eq!(outcome.err(), Some(EngineError::Cancelled));
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.occupancy().0),
+            (0, 0, 0)
+        );
     }
 }

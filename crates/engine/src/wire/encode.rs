@@ -531,7 +531,7 @@ pub enum WireResponse {
         engine: EngineStats,
         /// The pipeline's cumulative counters.
         pipeline: PipelineStats,
-        /// The pipeline's configured depth bound.
+        /// The pipeline's depth: its executor team's size.
         depth: usize,
     },
 }

@@ -171,9 +171,11 @@ impl Bases {
 ///
 /// [`PipelinedSession::submit_line`] decodes one input line and enqueues
 /// it, and [`PipelinedSession::submit_request`] enqueues a request that
-/// is already decoded (both block only when the pipeline's depth bound
-/// is reached — backpressure); [`PipelinedSession::poll_responses`]
-/// answers whatever has completed so far; [`PipelinedSession::drain`] blocks until every
+/// is already decoded; neither waits, so the front end bounds its own
+/// admission with [`PipelinedSession::pending`].
+/// [`PipelinedSession::poll_responses`] answers whatever has completed
+/// so far, [`PipelinedSession::next_responses`] waits for the next
+/// completion first, and [`PipelinedSession::drain`] blocks until every
 /// in-flight request is answered. Responses therefore come back in
 /// **completion order**, keyed by the caller's `id` field, not in input
 /// order.
@@ -190,9 +192,9 @@ pub struct PipelinedSession {
     /// calibrations and frontiers.
     bases: Bases,
     /// The wire ids of requests inside the pipeline, keyed by pipeline
-    /// id. A `cancel` line finds its targets here by wire id: the
-    /// pipeline's depth bounds the scan. The requests themselves come
-    /// back with their completions.
+    /// id. A `cancel` line finds its targets here by wire id: the front
+    /// end's admission bound bounds the scan. The requests themselves
+    /// come back with their completions.
     in_flight: HashMap<RequestId, String>,
     /// Dependent work waiting for its base to complete: base wire id →
     /// list of (dependent wire id, pending work).
@@ -214,7 +216,7 @@ impl PipelinedSession {
     #[must_use]
     pub fn new(engine: Engine, config: PipelineConfig) -> PipelinedSession {
         let team = ExecutorTeam::new(Arc::new(engine), config.depth);
-        PipelinedSession::with_team(Arc::new(team), config)
+        PipelinedSession::with_team(Arc::new(team))
     }
 
     /// Starts a pipelined session on a *shared* executor team. The
@@ -224,9 +226,9 @@ impl PipelinedSession {
     /// every session on the team, so a sweep completed through one
     /// session warms the cache for all.
     #[must_use]
-    pub fn with_team(team: Arc<ExecutorTeam>, config: PipelineConfig) -> PipelinedSession {
+    pub fn with_team(team: Arc<ExecutorTeam>) -> PipelinedSession {
         PipelinedSession {
-            pipeline: Pipeline::with_team(team, config),
+            pipeline: Pipeline::with_team(team),
             bases: Bases::default(),
             in_flight: HashMap::new(),
             waiting: HashMap::new(),
@@ -240,15 +242,14 @@ impl PipelinedSession {
     /// (the `zeroconf serve` reactor) can sleep in `epoll_wait` and be
     /// woken instead of polling [`PipelinedSession::poll_responses`] on
     /// a timer.
-    pub fn set_completion_notifier(&self, notifier: crate::CompletionNotifier) {
+    pub fn set_completion_notifier(&mut self, notifier: crate::CompletionNotifier) {
         self.pipeline.set_completion_notifier(notifier);
     }
 
     /// Unanswered requests: submitted or held back, response not yet
     /// emitted. Each request counts once, also when it reuses the id of
-    /// another one still unanswered. Connection handlers use this to
-    /// bound per-connection admission and to decide when a drain is
-    /// complete.
+    /// another one still unanswered. Front ends use this to bound their
+    /// admission and to decide when a drain is complete.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.in_flight.len() + self.waiting.values().map(Vec::len).sum::<usize>()
@@ -296,7 +297,6 @@ impl PipelinedSession {
     /// *immediately* — dispatch errors and cancel acknowledgements;
     /// sweep, rescore, calibrate and frontier answers arrive later via
     /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`].
-    /// Blocks when the pipeline is at its depth bound.
     pub fn submit_request(&mut self, request: WireRequest) -> Vec<WireResponse> {
         match request {
             WireRequest::Sweep { id, request } => self.submit_work(id, WorkRequest::Sweep(request)),
@@ -345,6 +345,19 @@ impl PipelinedSession {
         let mut out = Vec::new();
         for completion in completions {
             out.extend(self.finish(completion));
+        }
+        out
+    }
+
+    /// Blocks for the next completion, then answers it and every other
+    /// completion that is ready by then, like
+    /// [`PipelinedSession::poll_responses`]. Empty when nothing is in
+    /// flight.
+    pub fn next_responses(&mut self) -> Vec<WireResponse> {
+        let mut out = Vec::new();
+        if let Some(completion) = self.pipeline.next_completion() {
+            out.extend(self.finish(completion));
+            out.extend(self.poll_responses());
         }
         out
     }
@@ -735,8 +748,8 @@ mod tests {
             calibrate.contains("\"calibrate\":{\"error_cost\":"),
             "{calibrate}"
         );
-        // The base sweep warmed the π cache; the statistic build misses
-        // zero tables, and the frontier reuses the statistic outright.
+        // The base sweep warmed the π cache: each statistic build misses
+        // zero tables.
         assert!(calibrate.contains("\"cache_misses\":0"), "{calibrate}");
         let frontier = lines.iter().find(|l| l.contains("\"id\":\"f1\"")).unwrap();
         assert!(
@@ -921,7 +934,7 @@ mod tests {
         // the cancel even in a release build with every other unit test
         // running beside this one.
         let team = Arc::new(ExecutorTeam::new(Arc::new(engine()), 1));
-        let mut session = PipelinedSession::with_team(team, PipelineConfig::with_depth(8));
+        let mut session = PipelinedSession::with_team(team);
         let heavy = |id: &str, r_points| crate::testkit::heavy_sweep_line(id, 32, r_points);
         let rescore = |error_cost: f64| {
             format!("{{\"id\":\"r\",\"rescore\":{{\"of\":\"dup\",\"error_cost\":{error_cost:?}}}}}")

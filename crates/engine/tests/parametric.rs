@@ -87,10 +87,9 @@ fn warm_frontier_64x64_recomputes_no_pi_tables() {
         );
     }
 
-    // A second identical frontier hits the engine's single-slot landscape
-    // cache: not even π-table *lookups* happen.
+    // A second identical frontier rebuilds the statistic from the same
+    // cached π-tables: one hit per `r`, no recomputation.
     let again = engine.frontier(&request).unwrap();
-    assert_eq!(again.stats.cache_hits, 0);
     assert_eq!(again.stats.cache_misses, 0);
     assert_eq!(again.points, response.points);
 }
@@ -236,10 +235,9 @@ fn calibrated_error_cost_makes_the_target_optimal() {
     );
     assert_eq!(target_cost.to_bits(), response.cost.to_bits());
 
-    // Warm path: a second calibration over the same grid does zero π
-    // work of any kind (landscape slot hit).
+    // Warm path: a second calibration over the same grid recomputes no
+    // π-table.
     let warm = engine.calibrate(&request).unwrap();
-    assert_eq!(warm.stats.cache_hits, 0);
     assert_eq!(warm.stats.cache_misses, 0);
     assert_eq!(warm.error_cost.to_bits(), response.error_cost.to_bits());
 }

@@ -10,7 +10,7 @@ use zeroconf_dist::DefectiveExponential;
 use zeroconf_engine::wire::{self, PipelinedSession};
 use zeroconf_engine::{
     Engine, EngineConfig, EngineError, ExecutorTeam, GridSpec, Pipeline, PipelineConfig,
-    SweepRequest,
+    SweepRequest, WorkResponse,
 };
 
 fn scenario() -> Scenario {
@@ -86,12 +86,9 @@ fn pipelined_payloads_are_bit_identical_to_direct_evaluation() {
 
     for ((completion, id), direct_response) in completions.iter().zip(&ids).zip(&direct) {
         assert_eq!(completion.id, *id, "submission order is id order");
-        let response = completion
-            .result
-            .as_ref()
-            .unwrap()
-            .as_sweep()
-            .expect("sweep submissions complete as sweeps");
+        let Ok(WorkResponse::Sweep(response)) = &completion.result else {
+            panic!("sweep submissions complete as sweeps");
+        };
         assert_eq!(response.landscape.len(), direct_response.landscape.len());
         for (cell, direct_cell) in response
             .landscape
@@ -244,10 +241,7 @@ fn cancelling_a_queued_request_never_evaluates_it() {
     // One executor, so the second submission is still queued while the
     // first evaluates — cancelling it is deterministic.
     let shared = engine();
-    let mut pipeline = Pipeline::with_team(
-        Arc::new(ExecutorTeam::new(Arc::clone(&shared), 1)),
-        PipelineConfig::with_depth(2),
-    );
+    let mut pipeline = Pipeline::with_team(Arc::new(ExecutorTeam::new(Arc::clone(&shared), 1)));
     let running = pipeline.submit(big_request()).unwrap();
     let queued = pipeline.submit(tiny_request(0)).unwrap();
     assert!(pipeline.cancel(queued));
@@ -313,10 +307,7 @@ fn cancelling_a_running_sweep_aborts_it() {
 
 #[test]
 fn wire_cancel_withdraws_an_in_flight_request() {
-    let mut session = PipelinedSession::with_team(
-        Arc::new(ExecutorTeam::new(engine(), 1)),
-        PipelineConfig::with_depth(3),
-    );
+    let mut session = PipelinedSession::with_team(Arc::new(ExecutorTeam::new(engine(), 1)));
     let huge = "{\"id\":\"huge\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
         \"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\
         \"grid\":{\"n_max\":64,\"r_min\":0.01,\"r_max\":25.0,\"r_points\":1200}}";

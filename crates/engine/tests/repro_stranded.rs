@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use zeroconf_engine::wire::PipelinedSession;
-use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam, PipelineConfig};
+use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam};
 
 #[test]
 fn chained_rescore_on_invalid_held_rescore_is_answered() {
@@ -12,10 +12,7 @@ fn chained_rescore_on_invalid_held_rescore_is_answered() {
         cache_tables: 4096,
         ..EngineConfig::default()
     });
-    let mut session = PipelinedSession::with_team(
-        Arc::new(ExecutorTeam::new(Arc::new(engine), 1)),
-        PipelineConfig::with_depth(3),
-    );
+    let mut session = PipelinedSession::with_team(Arc::new(ExecutorTeam::new(Arc::new(engine), 1)));
     // Big sweep keeps the single executor busy so the rescores are held.
     let huge = "{\"id\":\"s1\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
         \"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}},\

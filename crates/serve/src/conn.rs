@@ -21,11 +21,12 @@
 //! reader can never pin a permit (PR 6's poll-time-release rule,
 //! extended to the reactor). What a slow reader *does* stall is its own
 //! intake: once the connection's output buffer crosses
-//! [`OUT_HIGH_WATER`] (or too many requests are queued waiting for
-//! permits), the loop stops reading from that socket and stops admitting
-//! its queued requests — stepping out of the budget queue rather than
-//! camping at its head — so buffered output stays bounded by the high
-//! water mark plus the responses already admitted, and kernel TCP
+//! [`OUT_HIGH_WATER`] (or the lines queued behind a request waiting for a
+//! permit reach [`MAX_QUEUED_BYTES`]), the loop stops reading from that
+//! socket and stops admitting its queued requests — stepping out of the
+//! budget queue rather than camping at its head — so buffered output
+//! stays bounded by the high water mark plus the responses already
+//! admitted, and kernel TCP
 //! backpressure propagates to the client. A sweep's answer waits as its
 //! typed landscape, counted at the upper bound of its text, and is
 //! encoded one slice of at most [`SLICE_BYTES`] at a time as the socket
@@ -58,7 +59,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use zeroconf_engine::wire::{self, LineCursor, PipelinedSession, WireRequest, WireResponse};
-use zeroconf_engine::PipelineConfig;
 
 use crate::metrics::{stats_response_line, ConnMetrics, StatsSnapshot};
 use crate::reactor::{Interest, WakeHandle};
@@ -81,11 +81,19 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 pub const MAX_LINE_BYTES: usize =
     (wire::MAX_GRID_R_POINTS + wire::MAX_FRONTIER_POINTS + 1) * 32 + 64 * 1024;
 
-/// Queued-request bound (the held request plus parked lines) with the
-/// same role on the input side: a client that floods requests faster
-/// than the budget admits them is left in the kernel socket buffer, not
-/// in server memory.
-const MAX_PARKED: usize = 1024;
+/// Queued-line bound (bytes) with the same role on the input side: while
+/// a request waits for a permit, reads stop once the lines parked behind
+/// it and the partial line reach this charge, so a client that floods
+/// requests faster than the budget admits them is left in the kernel
+/// socket buffer, not in server memory. The read that crosses the bound
+/// parks what it completed, so the parked charge stays below
+/// `MAX_QUEUED_BYTES + READ_CHUNK * QUEUED_LINE_OVERHEAD` (1.25 MiB).
+const MAX_QUEUED_BYTES: usize = 1024 * 1024;
+
+/// What a parked line is charged beyond its text: its `String` and its
+/// slot in the queue, 24 bytes each, rounded up for the allocator. A
+/// flood of empty lines is bounded too.
+const QUEUED_LINE_OVERHEAD: usize = 64;
 
 /// Read chunk size, and (via [`MAX_READ_CHUNKS`]) the per-event read
 /// bound that keeps one chatty connection from starving the loop.
@@ -320,6 +328,9 @@ pub(crate) struct Connection {
     /// Complete lines queued behind the held request, still as text:
     /// admission order is arrival order, always.
     parked: VecDeque<String>,
+    /// The charge for `parked`: each line's length plus
+    /// [`QUEUED_LINE_OVERHEAD`].
+    parked_bytes: usize,
     out: OutBuf,
     metrics: ConnMetrics,
     /// Budget permits held; kept equal to the session's pending count.
@@ -340,10 +351,7 @@ impl Connection {
         shared: Arc<ServerShared>,
         wake: WakeHandle,
     ) -> Connection {
-        let session = PipelinedSession::with_team(
-            Arc::clone(&shared.team),
-            PipelineConfig::with_depth(shared.budget.capacity()),
-        );
+        let mut session = PipelinedSession::with_team(Arc::clone(&shared.team));
         session.set_completion_notifier(Arc::new(move || wake.notify()));
         Connection {
             socket: Some(socket),
@@ -354,6 +362,7 @@ impl Connection {
             inbuf_scanned: 0,
             held: None,
             parked: VecDeque::new(),
+            parked_bytes: 0,
             out: OutBuf::default(),
             metrics: ConnMetrics::default(),
             permits: 0,
@@ -372,9 +381,11 @@ impl Connection {
     }
 
     /// Whether intake is paused by backpressure: the client has enough
-    /// output to drain (or enough requests queued) already.
+    /// output to drain, or enough bytes queued behind a request that
+    /// waits for a permit, already.
     fn intake_gated(&self) -> bool {
-        self.out.len() >= OUT_HIGH_WATER || self.queued() >= MAX_PARKED
+        self.out.len() >= OUT_HIGH_WATER
+            || (self.queued() > 0 && self.parked_bytes + self.inbuf.len() >= MAX_QUEUED_BYTES)
     }
 
     /// Requests received but not yet admitted: the held one plus the
@@ -436,6 +447,7 @@ impl Connection {
                         // Once anything is queued, everything queues:
                         // responses must come back in request order.
                         if self.queued() > 0 {
+                            self.parked_bytes += line.len() + QUEUED_LINE_OVERHEAD;
                             self.parked.push_back(line);
                         } else {
                             self.try_process_line(&line);
@@ -539,6 +551,7 @@ impl Connection {
             let admitted = if let Some(request) = self.held.take() {
                 self.try_admit(request)
             } else if let Some(line) = self.parked.pop_front() {
+                self.parked_bytes -= line.len() + QUEUED_LINE_OVERHEAD;
                 self.try_process_line(&line)
             } else {
                 return;
@@ -701,6 +714,7 @@ impl Connection {
         self.inbuf_scanned = 0;
         self.held = None;
         self.parked.clear();
+        self.parked_bytes = 0;
         self.out.clear();
         self.shared.budget.leave(self.conn_id);
     }
@@ -1081,7 +1095,7 @@ mod tests {
         let malformed = r#"{"v":1,"id":"x","scenario":{}}"#;
         let mut engine_session = PipelinedSession::new(
             zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig::default()),
-            PipelineConfig::with_depth(1),
+            zeroconf_engine::PipelineConfig::with_depth(1),
         );
         let expected = engine_session.submit_line(malformed);
         assert_eq!(expected.len(), 1, "`zeroconf engine` answers at once");
@@ -1154,6 +1168,94 @@ mod tests {
         assert_eq!(shared.budget.available(), shared.budget.capacity());
     }
 
+    /// The most a connection's parked lines are charged: the bound, plus
+    /// the lines completed by the one read that crosses it.
+    const PARKED_BOUND: usize = MAX_QUEUED_BYTES + READ_CHUNK * QUEUED_LINE_OVERHEAD;
+
+    /// The parked lines' charge, recounted from the lines themselves.
+    fn parked_charge(conn: &Connection) -> usize {
+        conn.parked
+            .iter()
+            .map(|line| line.len() + QUEUED_LINE_OVERHEAD)
+            .sum()
+    }
+
+    /// The id of a decoded request.
+    fn request_id(request: &WireRequest) -> &str {
+        match request {
+            WireRequest::Sweep { id, .. }
+            | WireRequest::Rescore { id, .. }
+            | WireRequest::Calibrate { id, .. }
+            | WireRequest::Frontier { id, .. }
+            | WireRequest::Cancel { id, .. } => id,
+        }
+    }
+
+    /// Lines behind a request that waits for a permit are bounded in
+    /// bytes, not in count. The client writes 16 MiB of 16 KiB lines
+    /// (1,024 of them, all of which a bound of 1,024 queued lines would
+    /// keep) while its first line waits: reads stop within the bound, the
+    /// rest waits in the kernel, and once the permit frees every line is
+    /// answered once, in order.
+    #[test]
+    fn queued_lines_are_bounded_in_bytes() {
+        const LINES: usize = 1024;
+        let shared = test_shared(1);
+        let (mut conn, mut client) = test_conn_and_client(Arc::clone(&shared));
+        exhaust(&shared.budget);
+        // JSON whitespace pads each sweep to 16 KiB; its answer is small.
+        let line = |k: usize| {
+            let sweep = sweep_line(&format!("p{k}"));
+            format!(
+                "{{{:pad$}{}\n",
+                "",
+                &sweep[1..],
+                pad = 16 * 1024 - sweep.len()
+            )
+        };
+        let text: String = (0..LINES).map(line).collect();
+        let total = text.len() as u64;
+        let mut writer = client.get_ref().try_clone().unwrap();
+        let writing =
+            std::thread::spawn(move || std::io::Write::write_all(&mut writer, text.as_bytes()));
+
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while conn.interest().readable {
+            assert!(std::time::Instant::now() < deadline, "intake never stopped");
+            conn.on_readable();
+            let charge = parked_charge(&conn);
+            assert!(charge < PARKED_BOUND, "{charge} bytes parked");
+        }
+        let read = conn.metrics.bytes_in;
+        assert!(read < total / 8, "{read} of {total} bytes read");
+        for _ in 0..10 {
+            conn.pump();
+            conn.on_readable();
+        }
+        assert_eq!(conn.metrics.bytes_in, read, "reads stay stopped");
+        assert_eq!(conn.metrics.responses, 0);
+
+        let reading = std::thread::spawn(move || {
+            (0..LINES)
+                .map(|_| wire::line_id(&read_answer(&mut client)).to_owned())
+                .collect::<Vec<String>>()
+        });
+        shared.budget.release();
+        while conn.metrics.responses < LINES as u64 || conn.pending() > 0 || !conn.out.is_empty() {
+            assert!(std::time::Instant::now() < deadline, "lines never answered");
+            conn.pump();
+            conn.on_readable();
+            let charge = parked_charge(&conn);
+            assert!(charge < PARKED_BOUND, "{charge} bytes parked");
+        }
+        writing.join().unwrap().unwrap();
+        let ids = reading.join().unwrap();
+        let sent: Vec<String> = (0..LINES).map(|k| format!("p{k}")).collect();
+        assert_eq!(ids, sent, "every line answered once, in order");
+        assert_eq!(conn.metrics.bytes_in, total);
+        assert_eq!(shared.budget.available(), shared.budget.capacity());
+    }
+
     /// A random request line for the model below: its text, and the id
     /// its one answer carries (`None` for a blank line, which gets none).
     /// One line in six reuses an earlier line's id.
@@ -1215,9 +1317,11 @@ mod tests {
     /// still in flight), permits taken and freed by a foreign connection,
     /// pumps, hangup and drain, in any order. Permits always equal
     /// pending requests, which count every ticket in the team, and the
-    /// budget is conserved; every non-blank line gets exactly one answer,
-    /// none is written after a hangup, no ticket outlives the reap, and
-    /// every permit comes home.
+    /// budget is conserved; the queue is always the latest arrivals in
+    /// arrival order, so lines are admitted in the order they came, and
+    /// its charge is exact and within its bound; every non-blank line
+    /// gets exactly one answer, none is written after a hangup, no ticket
+    /// outlives the reap, and every permit comes home.
     #[test]
     fn a_seeded_model_of_a_connection_answers_every_line_once() {
         use zeroconf_rng::Rng;
@@ -1232,9 +1336,10 @@ mod tests {
             let mut foreign = 0_usize;
             let mut expected: Vec<String> = Vec::new();
             let mut ids: Vec<String> = Vec::new();
+            let mut sent: Vec<String> = Vec::new();
             let mut written = 0_u64;
             let (mut draining, mut out_at_hangup) = (false, None);
-            let check = |conn: &Connection, foreign: usize| {
+            let check = |conn: &Connection, foreign: usize, sent: &[String]| {
                 assert_eq!(conn.permits, conn.pending(), "permits == pending");
                 assert!(
                     conn.pending() as u64 >= tickets(conn),
@@ -1245,6 +1350,17 @@ mod tests {
                     capacity,
                     "the budget is conserved"
                 );
+                // Every line sent has been read. The queue (the held
+                // request, then the parked lines) is the tail of them.
+                let behind = &sent[sent.len() - conn.parked.len()..];
+                assert!(conn.parked.iter().eq(behind), "parked out of order");
+                if let Some(held) = &conn.held {
+                    let line = &sent[sent.len() - conn.parked.len() - 1];
+                    let line = wire::parse_json(line).unwrap();
+                    assert_eq!(request_id(held), wire::line_id(&line), "held out of order");
+                }
+                assert_eq!(conn.parked_bytes, parked_charge(conn));
+                assert!(conn.parked_bytes < PARKED_BOUND);
             };
             for k in 0..rng.gen_range(8..40_usize) {
                 match rng.gen_range(0..21_u32) {
@@ -1273,7 +1389,11 @@ mod tests {
                             read_available(&mut client, &mut received);
                             conn.on_readable();
                         }
-                        for id in lines.into_iter().filter_map(|(_, id)| id) {
+                        for (line, id) in lines {
+                            sent.push(line);
+                            let Some(id) = id else {
+                                continue;
+                            };
                             if !id.is_empty() {
                                 ids.push(id.clone());
                             }
@@ -1301,7 +1421,7 @@ mod tests {
                     }
                     _ => conn.pump(),
                 }
-                check(&conn, foreign);
+                check(&conn, foreign, &sent);
                 read_available(&mut client, &mut received);
             }
 
@@ -1311,7 +1431,7 @@ mod tests {
             while !conn.finished() {
                 assert!(std::time::Instant::now() < deadline, "never finished");
                 conn.pump();
-                check(&conn, 0);
+                check(&conn, 0, &sent);
                 read_available(&mut client, &mut received);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
