@@ -252,6 +252,34 @@ if (( ${#DEEP_LINES[@]} != 2 )) \
   exit 1
 fi
 
+echo "==> engine session smoke test (a line answered while stdin stays open)"
+# The session reads stdin a line at a time and writes each answer when
+# it is ready, not at EOF: one sweep written to a stdin that stays open
+# must be answered within 10 s, and closing stdin then ends the session
+# with exit 0.
+STREAM_DIR="$(mktemp -d)"
+mkfifo "$STREAM_DIR/in" "$STREAM_DIR/out"
+./target/release/zeroconf engine <"$STREAM_DIR/in" >"$STREAM_DIR/out" &
+STREAM_PID=$!
+exec 9>"$STREAM_DIR/in" 8<"$STREAM_DIR/out"
+printf '%s\n' "${DEEP_SWEEP/\"after\"/\"live\"}" >&9
+if ! STREAM_LINE="$(timeout 10 head -n 1 <&8)" || [[ "$STREAM_LINE" != *'"id":"live","cells"'* ]]; then
+  echo "ci: zeroconf engine did not answer a line within 10 s while its stdin stayed open" >&2
+  exec 9>&- 8<&-
+  kill "$STREAM_PID" 2>/dev/null || true
+  rm -rf "$STREAM_DIR"
+  exit 1
+fi
+exec 9>&-
+STREAM_STATUS=0
+wait "$STREAM_PID" || STREAM_STATUS=$?
+exec 8<&-
+rm -rf "$STREAM_DIR"
+if (( STREAM_STATUS != 0 )); then
+  echo "ci: zeroconf engine exited $STREAM_STATUS once its stdin closed" >&2
+  exit 1
+fi
+
 echo "==> engine throughput bench smoke (--samples 2)"
 # A 2-sample run keeps the gate fast. The smoke writes to its own path —
 # the committed BENCH_engine.json stays untouched.

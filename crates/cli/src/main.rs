@@ -9,7 +9,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match zeroconf_cli::run(&args) {
         Ok(output) => {
-            println!("{output}");
+            // `engine` streams its answers itself and returns nothing.
+            if !output.is_empty() {
+                println!("{output}");
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -84,6 +84,55 @@ fn engine_subcommand_serves_json_lines_end_to_end() {
     assert!(lines[2].contains("\"requests\":2"), "{}", lines[2]);
 }
 
+/// A line is answered while stdin stays open: the session reads a line
+/// at a time and writes each answer once it is ready, not at EOF. Closing
+/// stdin then ends the session with exit 0.
+#[test]
+fn engine_answers_a_line_while_stdin_stays_open() {
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let mut child = zeroconf()
+        .arg("engine")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (line, answered) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for answer in BufReader::new(stdout).lines() {
+            let _ = line.send(answer.expect("UTF-8 answers"));
+        }
+    });
+    stdin
+        .write_all(
+            concat!(
+                "{\"id\":\"live\",\"scenario\":{\"hosts\":1000,\"probe_cost\":2.0,",
+                "\"error_cost\":1e35,\"reply_time\":{\"kind\":\"exponential\",",
+                "\"loss\":1e-15,\"rate\":10.0,\"delay\":1.0}},",
+                "\"grid\":{\"n_max\":4,\"r_min\":0.5,\"r_max\":3.0,\"r_points\":6}}\n",
+            )
+            .as_bytes(),
+        )
+        .expect("write the sweep");
+    stdin.flush().expect("flush the sweep");
+    let first = answered.recv_timeout(Duration::from_secs(10));
+    if first.is_err() {
+        let _ = child.kill();
+    }
+    let first = first.expect("an answer within 10 s while stdin stays open");
+    assert!(first.contains("\"id\":\"live\""), "{first}");
+    assert!(first.contains("\"cells\""), "{first}");
+    drop(stdin);
+    let status = child.wait().expect("binary exits");
+    assert!(status.success(), "{status:?}");
+    reader.join().expect("stdout reader");
+    assert_eq!(answered.try_iter().count(), 0, "one line, one answer");
+}
+
 #[test]
 fn bad_flags_fail_with_message_on_stderr() {
     let output = zeroconf()

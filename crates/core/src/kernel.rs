@@ -142,8 +142,8 @@ pub enum Mode {
 /// it does, every later entry of that column is exactly `+0.0` too —
 /// `p_i ∈ [0, 1]` is clamped and never NaN, and IEEE `+0.0 · p` is
 /// `+0.0` — so the scalar recurrence can be *replayed without evaluating
-/// it*: the block builder drops the column from the active set and leaves
-/// the pre-zeroed tail in place. This skips the dominant `exp` work for
+/// it*: the block builder drops the column from the active set and fills
+/// the rest of its table with `+0.0`. This skips the dominant `exp` work for
 /// most of each column while remaining bit-identical to
 /// [`cost::pi_table`], which the golden and property suites assert with
 /// [`f64::to_bits`].
@@ -186,8 +186,9 @@ const PI_ROUND_CHUNK: usize = 8;
 /// `data[j·stride .. (j+1)·stride]` where `stride = n_max + 1`. Built by
 /// [`ColumnBlockKernel::pi_table_block`]; bit-identical per column to
 /// [`ColumnBlockKernel::pi_tables`] but with a single allocation. The
-/// engine builds with `pi_tables`, since its cache owns each table; the
-/// slab serves the `kernel/block/*` bench rows and parity tests.
+/// engine builds into the tables its cache keeps, with
+/// [`ColumnBlockKernel::pi_tables_into`]; the slab serves the
+/// `kernel/block/*` bench rows and parity tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PiTableBlock {
     data: Vec<f64>,
@@ -269,58 +270,92 @@ impl ColumnBlockKernel {
     /// [`CostError::InvalidListeningPeriod`] for any negative or
     /// non-finite `r` in the block.
     pub fn pi_tables(&self, n_max: u32, rs: &[f64]) -> Result<Vec<Vec<f64>>, CostError> {
-        for &r in rs {
-            check_r(r)?;
-        }
-        let n = n_max as usize;
-        let mut tables: Vec<Vec<f64>> = rs.iter().map(|_| vec![0.0f64; n + 1]).collect();
+        let mut tables: Vec<Vec<f64>> = rs.iter().map(|_| vec![0.0; n_max as usize + 1]).collect();
         let mut columns: Vec<&mut [f64]> = tables.iter_mut().map(Vec::as_mut_slice).collect();
-        self.build_pi_columns(n, rs, &mut columns)?;
+        self.pi_tables_into(n_max, rs, &mut columns)?;
         Ok(tables)
     }
 
     /// [`ColumnBlockKernel::pi_tables`] into a single flat slab instead of
     /// one heap table per column. Column `j`'s table is bit-identical to
     /// `pi_tables(n_max, rs)[j]` — both run the same construction loop —
-    /// but the slab costs one allocation and one zero-fill where the
-    /// per-column layout pays `rs.len()` small allocator round-trips (on
-    /// the figure-2 bench grid that churn outweighs the `exp` work
-    /// itself). Only the `kernel/block/*` bench rows and parity tests use
-    /// it: the engine builds with [`ColumnBlockKernel::pi_tables`], whose
-    /// individually owned tables its per-column cache keeps.
+    /// but the slab costs one allocation where the per-column layout pays
+    /// `rs.len()` small allocator round-trips. Only the `kernel/block/*`
+    /// bench rows and parity tests use it: the engine builds into the
+    /// tables its cache keeps, with [`ColumnBlockKernel::pi_tables_into`].
     ///
     /// # Errors
     ///
     /// [`CostError::InvalidListeningPeriod`] for any negative or
     /// non-finite `r` in the block.
     pub fn pi_table_block(&self, n_max: u32, rs: &[f64]) -> Result<PiTableBlock, CostError> {
+        let stride = n_max as usize + 1;
+        let mut data = vec![0.0f64; rs.len() * stride];
+        let mut columns: Vec<&mut [f64]> = data.chunks_exact_mut(stride).collect();
+        self.pi_tables_into(n_max, rs, &mut columns)?;
+        Ok(PiTableBlock { data, stride })
+    }
+
+    /// Builds column `j`'s π-table into `tables[j]`, which must hold
+    /// exactly `n_max + 1` entries. Every entry is written, the zero tail
+    /// included, so the buffers may hold anything beforehand (a table of
+    /// another `r`, or NaN); afterwards each is bit-identical to
+    /// `cost::pi_table(scenario, n_max, rs[j])`. This is the one
+    /// construction loop: [`ColumnBlockKernel::pi_tables`] and
+    /// [`ColumnBlockKernel::pi_table_block`] call it on their own
+    /// buffers, and the engine on the tables its cache will keep.
+    ///
+    /// # Errors
+    ///
+    /// [`CostError::InvalidListeningPeriod`] for any negative or
+    /// non-finite `r` in the block, before anything is written.
+    ///
+    /// # Panics
+    ///
+    /// When `tables` does not hold one buffer per `r`, or a buffer is not
+    /// `n_max + 1` long: caller-side sizing bugs.
+    pub fn pi_tables_into(
+        &self,
+        n_max: u32,
+        rs: &[f64],
+        tables: &mut [&mut [f64]],
+    ) -> Result<(), CostError> {
         for &r in rs {
             check_r(r)?;
         }
         let n = n_max as usize;
-        let stride = n + 1;
-        let mut data = vec![0.0f64; rs.len() * stride];
-        let mut columns: Vec<&mut [f64]> = data.chunks_exact_mut(stride).collect();
-        self.build_pi_columns(n, rs, &mut columns)?;
-        Ok(PiTableBlock { data, stride })
+        assert_eq!(rs.len(), tables.len(), "one π-table buffer per r");
+        for table in tables.iter() {
+            assert_eq!(
+                table.len(),
+                n + 1,
+                "a π-table buffer holds n_max + 1 entries"
+            );
+        }
+        self.build_pi_columns(n, rs, tables)
     }
 
-    /// The i-major π construction loop shared by both table layouts: each
-    /// `columns[j]` is a pre-zeroed slice of `n + 1` entries that receives
-    /// column `j`'s table in place. Keeping one loop for both storage
-    /// shapes is what makes the slab bit-exactness a structural fact
-    /// rather than a parallel-implementation promise.
+    /// The i-major π construction loop behind every table layout: each
+    /// `columns[j]` is a slice of `n + 1` entries that receives column
+    /// `j`'s table in place, every entry written.
     ///
     /// Probe rounds are consumed [`PI_ROUND_CHUNK`] at a time through
     /// [`noanswer::p_rounds_batch_with`]: one scaling fill, one batch
     /// survival, and one clamp per *chunk* of rounds instead of per round.
-    /// The zero-tail active set still compacts, just at chunk granularity
-    /// — a column that underflows mid-chunk wastes at most
-    /// `PI_ROUND_CHUNK − 1` discarded survival evaluations, a small price
-    /// against the per-call overhead this amortizes (the cutoff shrinks
-    /// batches until dispatch cost rivals the survival work itself).
-    /// Replay stays exact: each written entry is the same
-    /// `running *= p_i` fold over the same batch-computed factors.
+    /// The active columns' running products sit side by side in one
+    /// vector, so each round is one loop over a row of factors that the
+    /// compiler vectorizes, with no load from the tables: it replays
+    /// `running *= p_i` exactly, except that a running product of ±0
+    /// stays `+0.0` (the scalar recurrence's `+0.0·p` from there on, `p`
+    /// being clamped to `[0, 1]` and never NaN). The round's products
+    /// overwrite its factors and are then stored into their columns.
+    ///
+    /// The zero-tail active set compacts at chunk granularity: a column
+    /// whose product is zero at a chunk's end gets the rest of its table
+    /// filled with `+0.0` and leaves the active set. One that underflows
+    /// mid-chunk wastes at most `PI_ROUND_CHUNK − 1` discarded survival
+    /// evaluations, a small price against the per-call overhead this
+    /// amortizes.
     fn build_pi_columns(
         &self,
         n: usize,
@@ -331,57 +366,52 @@ impl ColumnBlockKernel {
         for column in columns.iter_mut() {
             column[0] = 1.0;
         }
-        // Columns whose running product is still nonzero, compacted in
-        // place so the round batches always see a dense block.
+        // Columns whose running product is still nonzero, their `r`s and
+        // their products, compacted in place so the round batches always
+        // see a dense block.
         let mut active: Vec<usize> = (0..rs.len()).collect();
         let mut rs_active: Vec<f64> = rs.to_vec();
+        let mut running: Vec<f64> = vec![1.0; rs.len()];
         let mut p_rows: Vec<f64> = vec![0.0f64; rs.len() * PI_ROUND_CHUNK];
         let mut i = 1;
-        while i <= n {
-            if active.is_empty() {
-                break;
-            }
+        while i <= n && !active.is_empty() {
             let rounds = PI_ROUND_CHUNK.min(n - i + 1);
             let width = active.len();
-            let used = noanswer::p_rounds_batch_with(
-                dist,
-                self.backend,
-                &rs_active[..width],
-                i,
-                rounds,
-                &mut p_rows[..rounds * width],
-            )?;
+            let rows = &mut p_rows[..rounds * width];
+            let used =
+                noanswer::p_rounds_batch_with(dist, self.backend, &rs_active, i, rounds, rows)?;
             // ORDERING: monotonic min of a diagnostic tier marker; the
             // fetch_min's atomicity alone keeps it a true low-water mark.
             self.dist_used.fetch_min(used as u8, Ordering::Relaxed);
-            for (k, p_row) in p_rows[..rounds * width].chunks_exact(width).enumerate() {
-                for (slot, &p) in p_row.iter().enumerate() {
-                    let column = &mut *columns[active[slot]];
-                    let previous = column[i + k - 1];
-                    if previous != 0.0 {
-                        // Replays `running *= p_i` for this column exactly.
-                        column[i + k] = previous * p;
-                    }
-                    // A column that reached +0.0 keeps its pre-zeroed
-                    // tail: the scalar recurrence would only ever produce
-                    // +0.0·p = +0.0 from here on (p is clamped to [0, 1],
-                    // never NaN); its later factors this chunk computed
-                    // are simply discarded.
+            for row in rows.chunks_exact_mut(width) {
+                for (x, p) in running.iter_mut().zip(row.iter_mut()) {
+                    *x = if *x == 0.0 { 0.0 } else { *x * *p };
+                    *p = *x;
                 }
             }
-            let last = i + rounds - 1;
+            for (slot, &column) in active.iter().enumerate() {
+                let column = &mut columns[column][i..i + rounds];
+                for (entry, row) in column.iter_mut().zip(rows.chunks_exact(width)) {
+                    *entry = row[slot];
+                }
+            }
+            let next = i + rounds;
             let mut kept = 0;
             for slot in 0..width {
                 let column = active[slot];
-                if columns[column][last] != 0.0 {
+                if running[slot] == 0.0 {
+                    columns[column][next..].fill(0.0);
+                } else {
                     active[kept] = column;
                     rs_active[kept] = rs_active[slot];
+                    running[kept] = running[slot];
                     kept += 1;
                 }
             }
             active.truncate(kept);
             rs_active.truncate(kept);
-            i += rounds;
+            running.truncate(kept);
+            i = next;
         }
         Ok(())
     }

@@ -18,7 +18,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use zeroconf_cost::kernel::{Backend, ScenarioFactors};
+use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode, ScenarioFactors};
 use zeroconf_cost::param::ParamLandscape;
 use zeroconf_cost::{cost, Scenario};
 use zeroconf_dist::{
@@ -31,7 +31,14 @@ use zeroconf_rng::{for_each_seed, Rng};
 const CASES: u64 = 128;
 
 fn reply_time(rng: &mut StdRng) -> Arc<dyn ReplyTimeDistribution> {
-    match rng.gen_range(0..6u32) {
+    let family = rng.gen_range(0..6u32);
+    reply_time_of(family, rng)
+}
+
+/// A reply time of one family: exponential, deterministic, uniform,
+/// Weibull, empirical, or a mixture.
+fn reply_time_of(family: u32, rng: &mut StdRng) -> Arc<dyn ReplyTimeDistribution> {
+    match family {
         0 => Arc::new(
             DefectiveExponential::from_loss(
                 rng.gen_range(0.0..0.5),
@@ -111,6 +118,13 @@ fn error_cost(rng: &mut StdRng) -> f64 {
 }
 
 fn scenario(rng: &mut StdRng) -> Scenario {
+    scenario_with(rng, reply_time)
+}
+
+fn scenario_with(
+    rng: &mut StdRng,
+    reply_time: impl FnOnce(&mut StdRng) -> Arc<dyn ReplyTimeDistribution>,
+) -> Scenario {
     Scenario::builder()
         .occupancy(occupancy(rng))
         .probe_cost(rng.gen_range(0.0..100.0))
@@ -201,6 +215,56 @@ fn reparameterization_matches_fresh_evaluation_bitwise() {
                     direct_err.to_bits(),
                     "Err(n = {n}, r = {r})"
                 );
+            }
+        }
+    });
+}
+
+/// π-tables built into buffers that already hold something, NaN or a
+/// stale table of another distribution and `r`, match `cost::pi_table`
+/// bit for bit on every backend: the builder writes every entry, the
+/// zero tail included. Each seed runs every family at `n_max` on both
+/// sides of a probe-round chunk (8) and of an engine sweep chunk (64),
+/// with `r = 0` in every block.
+#[test]
+fn pi_tables_built_over_stale_buffers_match_pi_table_bitwise() {
+    for_each_seed(0..CASES / 4, |rng| {
+        for family in 0..6 {
+            let family_scenario = scenario_with(rng, |rng| reply_time_of(family, rng));
+            for n_max in [1, 7, 8, 9, 64, 65, 200] {
+                let mut rs = listening_periods(rng, 0..12);
+                rs.push(0.0);
+                shuffle(rng, &mut rs);
+                let other = scenario(rng);
+                let stale: Vec<Vec<f64>> = rs
+                    .iter()
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            vec![f64::NAN; n_max as usize + 1]
+                        } else {
+                            cost::pi_table(&other, n_max, listening_period(rng)).unwrap()
+                        }
+                    })
+                    .collect();
+                for backend in backends() {
+                    let mut tables = stale.clone();
+                    let mut buffers: Vec<&mut [f64]> =
+                        tables.iter_mut().map(Vec::as_mut_slice).collect();
+                    ColumnBlockKernel::with_backend(&family_scenario, backend, Mode::Exact)
+                        .pi_tables_into(n_max, &rs, &mut buffers)
+                        .unwrap();
+                    for (&r, table) in rs.iter().zip(&tables) {
+                        let reference = cost::pi_table(&family_scenario, n_max, r).unwrap();
+                        for (i, (a, b)) in table.iter().zip(&reference).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{backend:?}, family {family}, n_max {n_max}: π_{i}(r = {r}) \
+                                 is {a}, not {b}"
+                            );
+                        }
+                    }
+                }
             }
         }
     });

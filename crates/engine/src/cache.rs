@@ -7,13 +7,17 @@
 //! grid under changed economics. The cache keys tables on
 //! `(distribution fingerprint, r bit pattern)` and keeps at most
 //! `capacity` tables, evicting the least recently used in amortized
-//! `O(1)`.
+//! `O(1)`. Missing tables are built in place, in the `Arc<[f64]>` the
+//! cache will keep, and preferably in a table it evicted earlier.
 
 use std::collections::hash_map::{Entry as Slot, RandomState};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::iter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::sweep::SWEEP_CHUNK;
 
 /// Cache key: value-identity of the distribution plus the exact `r`.
 ///
@@ -101,6 +105,9 @@ pub(crate) struct PiCache {
     clock: u64,
     /// Tables evicted over the cache's lifetime.
     evictions: u64,
+    /// Evicted tables that nothing else held, oldest first, kept for a
+    /// later miss to be built in; at most `min(SWEEP_CHUNK, capacity)`.
+    spares: VecDeque<PiTable>,
 }
 
 impl PiCache {
@@ -111,6 +118,7 @@ impl PiCache {
             capacity: capacity.max(1),
             clock: 0,
             evictions: 0,
+            spares: VecDeque::new(),
         }
     }
 
@@ -169,11 +177,38 @@ impl PiCache {
             };
             if let Slot::Occupied(slot) = self.entries.entry(oldest) {
                 if slot.get().stamp == stamp {
-                    slot.remove();
+                    let evicted = slot.remove().table;
                     self.evictions += 1;
+                    self.keep_spare(evicted);
                 }
             }
         }
+    }
+
+    /// Keeps an evicted table for a later miss to be built in, unless a
+    /// request still holds it: a shared table is never written, so it is
+    /// dropped. The oldest spare goes once the list is over its bound.
+    fn keep_spare(&mut self, mut table: PiTable) {
+        if Arc::get_mut(&mut table).is_some() {
+            self.spares.push_back(table);
+            if self.spares.len() > SWEEP_CHUNK.min(self.capacity) {
+                self.spares.pop_front();
+            }
+        }
+    }
+
+    /// Up to `count` spare tables of exactly `len` entries, the most
+    /// recently evicted first; each is held by nothing else.
+    fn take_spares(&mut self, len: usize, count: usize) -> Vec<PiTable> {
+        let mut taken = Vec::with_capacity(count);
+        let mut at = self.spares.len();
+        while at > 0 && taken.len() < count {
+            at -= 1;
+            if self.spares[at].len() == len {
+                taken.extend(self.spares.remove(at));
+            }
+        }
+        taken
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -219,10 +254,14 @@ impl SharedCache {
     ///
     /// Each distinct key of the block is hashed, looked up, and if
     /// missing computed, once: `compute` receives the missing keys'
-    /// canonical `r`s (`-0.0` as `0.0`) in first-seen order and must
-    /// return one table per entry. Every later `r` of the block with the
-    /// same key is served from that key's table and counted as a hit.
-    /// Returns the tables in `rs` order plus the block's (hits, misses).
+    /// canonical `r`s (`-0.0` as `0.0`) in first-seen order and one
+    /// buffer of `n_max + 1` entries per `r`, and must fill every entry
+    /// of each. The buffers are the tables the cache then keeps: spare
+    /// tables it evicted earlier (taken in the lookups' lock round-trip),
+    /// else fresh allocations, so their old contents are arbitrary. Every
+    /// later `r` of the block with the same key is served from that key's
+    /// table and counted as a hit. Returns the tables in `rs` order plus
+    /// the block's (hits, misses).
     ///
     /// The compute runs *outside* the lock so a slow block never
     /// serializes other requests; if two threads race on the same key the
@@ -233,27 +272,29 @@ impl SharedCache {
         fingerprint: u64,
         rs: &[f64],
         n_max: u32,
-        compute: impl FnOnce(&[f64]) -> Result<Vec<Vec<f64>>, E>,
+        compute: impl FnOnce(&[f64], &mut [&mut [f64]]) -> Result<(), E>,
     ) -> Result<(Vec<PiTable>, u64, u64), E> {
         let (keys, slots) = self.distinct_keys(fingerprint, rs);
-        let mut tables: Vec<Option<PiTable>> = {
+        let len = n_max as usize + 1;
+        let (mut tables, missing, mut built) = {
             let mut cache = self.lock();
-            keys.iter().map(|&key| cache.get(key, n_max)).collect()
+            let tables: Vec<Option<PiTable>> =
+                keys.iter().map(|&key| cache.get(key, n_max)).collect();
+            let missing: Vec<usize> = (0..keys.len()).filter(|&k| tables[k].is_none()).collect();
+            let spares = cache.take_spares(len, missing.len());
+            (tables, missing, spares)
         };
-        let missing: Vec<usize> = (0..keys.len()).filter(|&k| tables[k].is_none()).collect();
         let misses = missing.len() as u64;
         let hits = rs.len() as u64 - misses;
         if !missing.is_empty() {
             let missing_rs: Vec<f64> = missing.iter().map(|&k| f64::from_bits(keys[k].r)).collect();
-            let computed = compute(&missing_rs)?;
-            assert_eq!(
-                computed.len(),
-                missing.len(),
-                "block compute must return one table per missing r"
-            );
+            built.resize_with(missing.len(), || iter::repeat_n(0.0, len).collect());
+            // Spares are unique and fresh tables new, so no table is
+            // copied here.
+            let mut buffers: Vec<&mut [f64]> = built.iter_mut().map(Arc::make_mut).collect();
+            compute(&missing_rs, &mut buffers)?;
             let mut cache = self.lock();
-            for (&k, table) in missing.iter().zip(computed) {
-                let table = PiTable::from(table);
+            for (&k, table) in missing.iter().zip(built) {
                 cache.put(keys[k], table.clone());
                 tables[k] = Some(table);
             }
@@ -335,10 +376,15 @@ mod tests {
             n_max: u32,
             compute: impl FnOnce() -> Result<Vec<f64>, E>,
         ) -> Result<(PiTable, bool), E> {
-            let (mut tables, _, misses) =
-                self.get_or_compute_block(fingerprint, std::slice::from_ref(&r), n_max, |_| {
-                    Ok(vec![compute()?])
-                })?;
+            let (mut tables, _, misses) = self.get_or_compute_block(
+                fingerprint,
+                std::slice::from_ref(&r),
+                n_max,
+                |_, buffers| {
+                    buffers[0].copy_from_slice(&compute()?);
+                    Ok(())
+                },
+            )?;
             Ok((tables.pop().expect("one table per r"), misses == 0))
         }
     }
@@ -587,9 +633,12 @@ mod tests {
         cache.get_or_compute(9, 2.0, 4, || table(4)).unwrap();
         let rs = [1.0, 2.0, 3.0];
         let (tables, hits, misses) = cache
-            .get_or_compute_block(9, &rs, 4, |missing| {
+            .get_or_compute_block(9, &rs, 4, |missing, buffers| {
                 assert_eq!(missing, &[1.0, 3.0], "2.0 is already resident");
-                Ok::<_, ()>(missing.iter().map(|_| table(4).unwrap()).collect())
+                for buffer in buffers.iter_mut() {
+                    buffer.copy_from_slice(&table(4).unwrap());
+                }
+                Ok::<_, ()>(())
             })
             .unwrap();
         assert_eq!((hits, misses), (1, 2));
@@ -599,7 +648,7 @@ mod tests {
         }
         // Everything is resident now: a second block is all hits.
         let (_, hits, misses) = cache
-            .get_or_compute_block(9, &rs, 4, |_| -> Result<_, ()> {
+            .get_or_compute_block(9, &rs, 4, |_, _| -> Result<_, ()> {
                 panic!("warm block must not compute")
             })
             .unwrap();
@@ -615,11 +664,14 @@ mod tests {
         for _ in 0..20 {
             let cache = SharedCache::new(16);
             let (tables, hits, misses) = cache
-                .get_or_compute_block(9, &rs, 4, |missing| {
+                .get_or_compute_block(9, &rs, 4, |missing, buffers| {
                     let bits: Vec<u64> = missing.iter().map(|r| r.to_bits()).collect();
                     let want: Vec<u64> = [1.0f64, 2.0, 0.0].iter().map(|r| r.to_bits()).collect();
                     assert_eq!(bits, want, "each distinct key once, canonical");
-                    Ok::<_, ()>(missing.iter().map(|&r| vec![r; 5]).collect())
+                    for (buffer, &r) in buffers.iter_mut().zip(missing) {
+                        buffer.fill(r);
+                    }
+                    Ok::<_, ()>(())
                 })
                 .unwrap();
             assert_eq!((hits, misses), (2, 3));
@@ -631,6 +683,121 @@ mod tests {
             assert!(Arc::ptr_eq(&tables[3], &tables[4]), "±0 share a table");
             let firsts: Vec<f64> = tables.iter().map(|t| t[0]).collect();
             assert_eq!(firsts, [1.0, 2.0, 1.0, 0.0, 0.0]);
+        }
+    }
+
+    /// Fills each buffer with its `r`: a table whose bits name the `r` it
+    /// was built for.
+    fn fill_with_r(missing: &[f64], buffers: &mut [&mut [f64]]) -> Result<(), ()> {
+        for (buffer, &r) in buffers.iter_mut().zip(missing) {
+            buffer.fill(r);
+        }
+        Ok(())
+    }
+
+    fn addresses<'a>(tables: impl IntoIterator<Item = &'a PiTable>) -> Vec<*const f64> {
+        tables
+            .into_iter()
+            .map(|t| Arc::as_ptr(t).cast::<f64>())
+            .collect()
+    }
+
+    /// A block's misses are built in the tables earlier inserts evicted,
+    /// as long as nothing else holds them and their length fits: a table
+    /// a caller still holds keeps its bits, and a spare of another
+    /// length waits for a block that needs its length.
+    #[test]
+    fn misses_are_built_in_evicted_tables_nothing_else_holds() {
+        let cache = SharedCache::new(4);
+        let (first, _, _) = cache
+            .get_or_compute_block(1, &[1.0, 2.0, 3.0, 4.0], 3, fill_with_r)
+            .unwrap();
+        let first_addresses = addresses(&first);
+        let held = first[0].clone();
+        drop(first);
+        // Its lookups find no spare; its inserts evict the first block,
+        // of which the held table is shared and so dropped, not kept.
+        let (second, _, _) = cache
+            .get_or_compute_block(1, &[5.0, 6.0, 7.0, 8.0], 3, fill_with_r)
+            .unwrap();
+        assert!(addresses(&second)
+            .iter()
+            .all(|a| !first_addresses.contains(a)));
+        assert_eq!(cache.lock().spares.len(), 3);
+        drop(second);
+        let (third, hits, misses) = cache
+            .get_or_compute_block(1, &[9.0, 10.0, 11.0, 12.0], 3, fill_with_r)
+            .unwrap();
+        assert_eq!((hits, misses), (0, 4));
+        let reused: Vec<bool> = addresses(&third)
+            .iter()
+            .map(|a| first_addresses[1..].contains(a))
+            .collect();
+        assert_eq!(
+            reused,
+            [true, true, true, false],
+            "the three spares, then one fresh table"
+        );
+        assert!(!addresses(&third).contains(&first_addresses[0]));
+        assert_eq!(
+            held.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            [1f64.to_bits(); 4]
+        );
+        for (table, r) in third.iter().zip([9.0, 10.0, 11.0, 12.0]) {
+            assert_eq!(&table[..], &[r; 4], "every entry rebuilt");
+        }
+        drop(third);
+        // The second block's tables are spares now, of length 4; a block
+        // at n_max 5 needs tables of 6 and leaves them be.
+        let spares = addresses(&cache.lock().spares);
+        assert_eq!(spares.len(), 4);
+        let (longer, _, misses) = cache
+            .get_or_compute_block(1, &[13.0, 14.0], 5, fill_with_r)
+            .unwrap();
+        assert_eq!(misses, 2);
+        assert!(addresses(&longer).iter().all(|a| !spares.contains(a)));
+        // Its inserts evicted two short tables, which pushed the two
+        // oldest spares out of the bound of four.
+        let left = cache
+            .lock()
+            .spares
+            .iter()
+            .map(|t| t.len())
+            .collect::<Vec<_>>();
+        assert_eq!(left, [4; 4]);
+        assert_eq!(cache.occupancy(), (4, 10));
+    }
+
+    /// The spare list keeps at most one block's worth of tables, and no
+    /// more than the cache itself holds, on any traffic.
+    #[test]
+    fn spares_never_exceed_their_bound() {
+        for capacity in [1, 8, 64, 200] {
+            let cache = SharedCache::new(capacity);
+            let bound = SWEEP_CHUNK.min(capacity);
+            let mut next = 0.0;
+            let mut reused = 0;
+            for step in 0..40 {
+                let width = [1, 7, 64, 130][step % 4];
+                let n_max = [3, 3, 3, 5][step / 10 % 4];
+                let rs: Vec<f64> = (0..width).map(|k| next + k as f64).collect();
+                next += width as f64;
+                let spares = addresses(&cache.lock().spares);
+                let (tables, _, _) = cache
+                    .get_or_compute_block(2, &rs, n_max, fill_with_r)
+                    .unwrap();
+                reused += addresses(&tables)
+                    .iter()
+                    .filter(|a| spares.contains(a))
+                    .count();
+                drop(tables);
+                let held = cache.lock().spares.len();
+                assert!(
+                    held <= bound,
+                    "{held} spares at capacity {capacity}, step {step}"
+                );
+            }
+            assert!(reused > 0, "capacity {capacity} never reused a table");
         }
     }
 
@@ -728,7 +895,7 @@ mod tests {
             let n_max = rng.gen_range(1..6u32);
             let what = format!("step {step}: fingerprint {fingerprint}, n_max {n_max}, rs {rs:?}");
 
-            let build = |seen: &mut Vec<u64>, missing: &[f64]| {
+            let build = |seen: &mut Vec<u64>, missing: &[f64]| -> Result<Vec<Vec<f64>>, ()> {
                 seen.extend(missing.iter().map(|r| r.to_bits()));
                 Ok(missing
                     .iter()
@@ -737,7 +904,12 @@ mod tests {
             };
             let (mut got_seen, mut want_seen) = (Vec::new(), Vec::new());
             let (got, got_hits, got_misses) = cache
-                .get_or_compute_block(fingerprint, &rs, n_max, |m| build(&mut got_seen, m))
+                .get_or_compute_block(fingerprint, &rs, n_max, |m, buffers| {
+                    for (buffer, table) in buffers.iter_mut().zip(build(&mut got_seen, m)?) {
+                        buffer.copy_from_slice(&table);
+                    }
+                    Ok::<_, ()>(())
+                })
                 .unwrap();
             let (want, want_hits, want_misses) =
                 block_by_map(&model, fingerprint, &rs, n_max, |m| {

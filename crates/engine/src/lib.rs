@@ -530,6 +530,12 @@ impl Engine {
 
     /// A snapshot of the engine-lifetime counters. It takes one lock,
     /// the cache's, for the cache's length and evictions together.
+    ///
+    /// `cache_hits` and `cache_misses` count every π-table lookup,
+    /// including those of requests that end in an error or are
+    /// cancelled; `requests`, `cells` and `wall_nanos` count answered
+    /// requests only. So the cache counters reconcile with `cache_len`
+    /// and `cache_evictions`, not with the sum of answered `stats`.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let (cache_len, cache_evictions) = self.cache.occupancy();

@@ -833,15 +833,22 @@ pub struct SweepResponse {
 }
 
 /// Cumulative engine-lifetime observability counters.
+///
+/// `requests`, `cells` and `wall_nanos` count answered requests only.
+/// `cache_hits` and `cache_misses` count every π-table lookup, also those
+/// of a request that then ends in an error or is cancelled, so they
+/// reconcile with `cache_len` and `cache_evictions` (each miss inserts
+/// one table), not with the sum of the answers' `stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests served.
+    /// Requests answered.
     pub requests: u64,
-    /// Cells evaluated across all requests.
+    /// Cells evaluated across all answered requests.
     pub cells: u64,
-    /// π-table cache hits across all requests.
+    /// π-table lookups served from the cache, by every request.
     pub cache_hits: u64,
-    /// π-table cache misses across all requests.
+    /// π-tables built, by every request: those that ended in an error or
+    /// were cancelled after their lookups included.
     pub cache_misses: u64,
     /// π-tables currently resident in the cache.
     pub cache_len: usize,
@@ -852,7 +859,7 @@ pub struct EngineStats {
     /// engine has no thread pool (kept for the wire's `cells_per_worker`
     /// key).
     pub cells_per_worker: Vec<u64>,
-    /// Total wall-clock nanoseconds spent inside `evaluate`.
+    /// Total wall-clock nanoseconds of the answered requests.
     pub wall_nanos: u128,
     /// The SIMD tier the column kernel ran at (`"scalar"`, `"avx2"` or
     /// `"avx512"`), resolved once at engine construction.

@@ -2,9 +2,10 @@
 //!
 //! The `r` grid is walked in chunks of [`SWEEP_CHUNK`] consecutive
 //! columns, and each chunk is evaluated *as a block*: one
-//! [`SharedCache::get_or_compute_block`] round-trip fetches (or batch
-//! computes, via [`ColumnBlockKernel::pi_tables`]) every π-table of the
-//! chunk, then one block pass writes the chunk's columns into the flat
+//! [`SharedCache::get_or_compute_block`] round-trip fetches every π-table
+//! of the chunk, building the missing ones in place in the tables the
+//! cache will keep ([`ColumnBlockKernel::pi_tables_into`]), then one
+//! block pass writes the chunk's columns into the flat
 //! result slabs: a contiguous `r`-major span of a sweep's metrics
 //! ([`ColumnBlockKernel::evaluate`]), or the chunk's stretch of every
 //! n-major statistic row ([`ColumnBlockKernel::statistic_rows`]).
@@ -21,12 +22,13 @@ use crate::{CancelToken, EngineError};
 
 /// Columns per chunk. The cancel check and the cache round-trip come once
 /// per chunk; a chunk's π build batches its missing columns' survival
-/// evaluations into one kernel call per eight probe rounds. Timed in
-/// process on a 2-vCPU AVX-512 host (medians of six alternating rounds),
-/// chunks of 32 to 400 columns were within noise of each other: 517–567
-/// µs per cold 64 × 400 frontier (`param-cold`'s request) and 10.1–11.1
-/// µs per warm 16 × 100 sweep. 64 is the smallest size at the fast end of
-/// both, so a sweep stays cancellable every 64 columns.
+/// evaluations into one kernel call per eight probe rounds. It also
+/// bounds the cache's spare tables, one chunk's worth. When a chunk's
+/// tables were still built in fresh `Vec`s, chunks of 32 to 400 columns
+/// timed within noise of each other on a cold 64 × 400 frontier
+/// (`param-cold`'s request) and a warm 16 × 100 sweep; 64 is the
+/// smallest size at the fast end of both, so a sweep stays cancellable
+/// every 64 columns.
 pub(crate) const SWEEP_CHUNK: usize = 64;
 
 /// The flat buffers one sweep fills.
@@ -157,8 +159,10 @@ pub(crate) fn run<S: Slabs>(
             return Err(EngineError::Cancelled);
         }
         let (tables, chunk_hits, chunk_misses) =
-            cache.get_or_compute_block(fingerprint, rs, n_max, |missing| {
-                block.pi_tables(n_max, missing).map_err(EngineError::Cost)
+            cache.get_or_compute_block(fingerprint, rs, n_max, |missing, buffers| {
+                block
+                    .pi_tables_into(n_max, missing, buffers)
+                    .map_err(EngineError::Cost)
             })?;
         hits += chunk_hits;
         misses += chunk_misses;

@@ -319,3 +319,40 @@ fn invalid_parametric_requests_are_rejected_with_pointed_errors() {
     assert!(e.to_string().contains("axes must differ"), "{e}");
     assert_eq!(engine.stats().cache_misses, 0, "nothing was computed");
 }
+
+/// The lifetime `cache_hits`/`cache_misses` of `Engine::stats` count every
+/// π-table lookup, also those of a request that ends in an error, while
+/// `requests`, `cells` and the answers' `stats` count answered requests
+/// only. A calibration answered `calibration failed` (a step reply time
+/// whose error probability is exactly zero on both sides of the target,
+/// so the inverse is `−∞`) builds three π-tables and is answered with an
+/// error line that carries no `stats`; repeating it hits all three.
+#[test]
+fn a_failed_calibration_counts_its_lookups_but_answers_no_stats() {
+    use zeroconf_engine::wire::PipelinedSession;
+
+    let line = concat!(
+        r#"{"v":1,"id":"k","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"#,
+        r#""reply_time":{"kind":"deterministic","mass":1.0,"delay":0.5}},"#,
+        r#""grid":{"n_max":3,"r":[1.0,2.0,3.0]},"calibrate":{"n":2,"r":2.0}}"#
+    );
+    let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
+    for (round, hits) in [(1, 0), (2, 3)] {
+        assert!(session.submit_line(line).is_empty());
+        let answers = session.drain();
+        assert_eq!(answers.len(), 1, "{answers:?}");
+        assert!(
+            answers[0].contains("\"error\":\"evaluation failed: calibration failed"),
+            "{}",
+            answers[0]
+        );
+        assert!(!answers[0].contains("\"stats\""), "{}", answers[0]);
+        let stats = session.stats();
+        assert_eq!((stats.requests, stats.cells), (0, 0), "round {round}");
+        assert_eq!(
+            (stats.cache_hits, stats.cache_misses, stats.cache_len),
+            (hits, 3, 3),
+            "round {round}"
+        );
+    }
+}
