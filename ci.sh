@@ -280,6 +280,52 @@ if (( STREAM_STATUS != 0 )); then
   exit 1
 fi
 
+echo "==> engine smoke test (a line over MAX_LINE_BYTES ends the session)"
+# A sweep, a 5 MiB line and a sweep. The long line is refused as a
+# daemon connection refuses it, with one id-less error after the first
+# sweep's answer, and the session ends there with a non-zero exit: the
+# last sweep is never answered. The input is a file, so the exit status
+# read is zeroconf's own.
+LONG_DIR="$(mktemp -d)"
+{ printf '%s\n' "$DEEP_SWEEP"; head -c 5242880 /dev/zero | tr '\0' 'x'
+  printf '\n%s\n' "${DEEP_SWEEP/\"after\"/\"late\"}"; } >"$LONG_DIR/in"
+LONG_STATUS=0
+./target/release/zeroconf engine <"$LONG_DIR/in" >"$LONG_DIR/out" 2>"$LONG_DIR/err" || LONG_STATUS=$?
+mapfile -t LONG_LINES <"$LONG_DIR/out"
+if (( LONG_STATUS == 0 )) || (( ${#LONG_LINES[@]} != 2 )) \
+  || [[ "${LONG_LINES[0]}" != *'"id":"after","cells"'* ]] \
+  || [[ "${LONG_LINES[1]}" != *'"id":"","error":"input line is over the limit of '* ]]; then
+  echo "ci: a line over MAX_LINE_BYTES must get one error after the earlier answers and end the session non-zero (exit $LONG_STATUS)" >&2
+  printf '%.300s\n' "${LONG_LINES[@]}" >&2
+  cat "$LONG_DIR/err" >&2
+  rm -rf "$LONG_DIR"
+  exit 1
+fi
+rm -rf "$LONG_DIR"
+
+echo "==> engine smoke test (a closed stdout ends the session)"
+# `| head -n 1` closes the session's stdout after one answer of 400. The
+# session must notice, cancel what it has in flight and exit non-zero
+# within 30 s, not stall with its answers unread. pipefail would fold
+# zeroconf's status into the pipeline's, so PIPESTATUS is read instead.
+HEAD_DIR="$(mktemp -d)"
+HEAD_SWEEP='{"v":1,"id":"h","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":8,"r_min":0.5,"r_max":4.0,"r_points":16}}'
+for k in $(seq 400); do printf '%s\n' "${HEAD_SWEEP/\"h\"/\"h$k\"}"; done >"$HEAD_DIR/in"
+set +o pipefail
+timeout 30 ./target/release/zeroconf engine --inflight 2 <"$HEAD_DIR/in" 2>"$HEAD_DIR/err" \
+  | head -n 1 >"$HEAD_DIR/out"
+HEAD_STATUS=("${PIPESTATUS[@]}")
+set -o pipefail
+if (( HEAD_STATUS[0] == 0 || HEAD_STATUS[0] == 124 )) \
+  || ! grep -q '"id":"h1","cells"' "$HEAD_DIR/out" \
+  || ! grep -q 'writing stdout' "$HEAD_DIR/err"; then
+  echo "ci: zeroconf engine must exit non-zero within 30 s once its stdout closes (exit ${HEAD_STATUS[0]}, 124 is the timeout)" >&2
+  cat "$HEAD_DIR/err" >&2
+  rm -rf "$HEAD_DIR"
+  exit 1
+fi
+rm -rf "$HEAD_DIR"
+
 echo "==> engine throughput bench smoke (--samples 2)"
 # A 2-sample run keeps the gate fast. The smoke writes to its own path —
 # the committed BENCH_engine.json stays untouched.

@@ -32,7 +32,6 @@ use zeroconf_cost::optimize::{self, OptimizeConfig};
 use zeroconf_cost::tradeoff::{self, TradeoffConfig};
 use zeroconf_cost::Scenario;
 use zeroconf_dist::DefectiveExponential;
-use zeroconf_engine::wire::WireResponse;
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::SeedableRng;
 use zeroconf_sim::protocol::{self, ProtocolConfig};
@@ -154,7 +153,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "frontier" => cmd_frontier(&Flags::parse(rest)?),
         "calibrate" => cmd_calibrate(&Flags::parse(rest)?),
         "simulate" => cmd_simulate(&Flags::parse(rest)?),
-        "engine" => cmd_engine(rest),
+        // `engine` streams its answers itself and returns nothing.
+        "engine" => run_engine(rest, std::io::stdin(), std::io::stdout()).map(|_| String::new()),
         "serve" => cmd_serve(rest),
         "audit" => cmd_audit(rest),
         "help" | "--help" | "-h" => Ok(usage()),
@@ -215,189 +215,20 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
     })
 }
 
-/// Lines the `zeroconf engine` stdin reader may read ahead of the
-/// session, beyond the `--inflight` requests the session holds.
-const READ_AHEAD_LINES: usize = 64;
-
-/// What wakes an engine session's loop.
-enum Wake {
-    /// One request line, read and not yet submitted.
-    Line(String),
-    /// The input ended.
-    End,
-    /// Reading the input failed.
-    Failed(std::io::Error),
-    /// A completion became pollable.
-    Answered,
-}
-
-/// Runs a JSON-lines engine session over `input`, one response line per
-/// request line (see [`zeroconf_engine::wire`] for the schema). Factored
-/// off the stdin path so tests can drive it with strings; both run the
-/// same loop.
-///
-/// Before each line, the session waits while `--inflight` requests are
-/// unanswered, held-back dependents included. With `--inflight 1` (the
-/// default) responses therefore come back in input order, one per line.
-/// With `--inflight N > 1` up to `N` requests are pipelined and responses
-/// arrive in **completion order**, keyed by their `id`.
-///
-/// # Errors
-///
-/// Returns [`CliError`] only for malformed *flags*; malformed request
-/// lines become `{"error": …}` response lines and never end the session.
-pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> {
+/// Serves one `zeroconf engine` session ([`zeroconf_serve::serve_stdio`])
+/// from `input` to `output` once the flags check out: at the default
+/// `--inflight 1` answers come in input order, above it in completion
+/// order.
+fn run_engine<W: std::io::Write + Send + 'static>(
+    args: &[String],
+    input: impl std::io::Read + Send + 'static,
+    output: W,
+) -> Result<W, CliError> {
     let options = engine_options(args)?;
-    let (wake, woken) = std::sync::mpsc::channel();
-    for line in input.lines() {
-        let _ = wake.send(Wake::Line(line.to_owned()));
-    }
-    let _ = wake.send(Wake::End);
-    let mut out = Vec::new();
-    engine_session(&options, wake, &woken, || {}, &mut out)?;
-    Ok(String::from_utf8_lossy(&out).into_owned())
-}
-
-/// The session loop behind `zeroconf engine`: submits each line that
-/// `woken` delivers, calling `submitted` once it has, and writes every
-/// answer to `out` as soon as it is ready, whether or not another line
-/// has arrived. A completion wakes the loop through a [`Wake::Answered`]
-/// sent on `wake`. `out` is flushed whenever the loop is about to wait,
-/// so a burst of answers leaves in few writes and none waits on input.
-/// At [`Wake::End`] it drains what is still in flight and, with
-/// `--stats`, appends the counters line.
-fn engine_session(
-    options: &EngineOptions,
-    wake: std::sync::mpsc::Sender<Wake>,
-    woken: &std::sync::mpsc::Receiver<Wake>,
-    mut submitted: impl FnMut(),
-    out: &mut impl std::io::Write,
-) -> Result<(), CliError> {
-    let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
-        cache_tables: options.cache_tables,
-        ..zeroconf_engine::EngineConfig::default()
-    });
-    let mut session = zeroconf_engine::wire::PipelinedSession::new(
-        engine,
-        zeroconf_engine::PipelineConfig::with_depth(options.inflight),
-    );
-    session.set_completion_notifier(Arc::new(move || {
-        let _ = wake.send(Wake::Answered);
-    }));
-    let answers = |ready: Vec<WireResponse>| ready.iter().map(WireResponse::to_line).collect();
-    loop {
-        let next = match woken.try_recv() {
-            Ok(next) => next,
-            Err(_) => {
-                flush(out)?;
-                woken.recv().unwrap_or(Wake::End)
-            }
-        };
-        match next {
-            Wake::Line(line) => {
-                while session.pending() >= options.inflight {
-                    flush(out)?;
-                    let ready = session.next_responses();
-                    if ready.is_empty() {
-                        break;
-                    }
-                    write_lines(out, answers(ready))?;
-                }
-                let immediate = session.submit_line(&line);
-                submitted();
-                write_lines(out, immediate)?;
-            }
-            Wake::Answered => write_lines(out, answers(session.poll_responses()))?,
-            Wake::Failed(e) => return Err(err(format!("reading stdin: {e}"))),
-            Wake::End => break,
-        }
-    }
-    write_lines(out, session.drain())?;
-    if options.emit_stats {
-        write_lines(out, vec![session.stats_line()])?;
-    }
-    flush(out)
-}
-
-fn write_lines(out: &mut impl std::io::Write, lines: Vec<String>) -> Result<(), CliError> {
-    for line in lines {
-        out.write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .map_err(|e| err(format!("writing stdout: {e}")))?;
-    }
-    Ok(())
-}
-
-fn flush(out: &mut impl std::io::Write) -> Result<(), CliError> {
-    out.flush().map_err(|e| err(format!("writing stdout: {e}")))
-}
-
-/// `zeroconf engine` on stdin and stdout. A reader thread reads stdin a
-/// line at a time, at most [`READ_AHEAD_LINES`] lines ahead of the
-/// session, and each answer is written as soon as it is ready.
-fn cmd_engine(args: &[String]) -> Result<String, CliError> {
-    // Validate flags before consuming stdin so flag errors are immediate.
-    let options = engine_options(args)?;
-    let (wake, woken) = std::sync::mpsc::channel();
-    // Submitted lines return to the reader as credits, half the
-    // read-ahead at a time, so it is woken once per batch, not per line.
-    let (credit, credits) = std::sync::mpsc::channel();
-    let reader = wake.clone();
-    let reader = std::thread::Builder::new()
-        .name("zeroconf-stdin".to_owned())
-        .spawn(move || read_lines(&reader, &credits))
-        .map_err(|e| err(format!("starting the stdin reader: {e}")))?;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut owed = 0;
-    engine_session(
-        &options,
-        wake,
-        &woken,
-        || {
-            owed += 1;
-            if owed == READ_AHEAD_LINES / 2 {
-                let _ = credit.send(owed);
-                owed = 0;
-            }
-        },
-        &mut out,
-    )?;
-    // The session ended at the input's end, which the reader sent last.
-    reader
-        .join()
-        .map_err(|_| err("the stdin reader panicked"))?;
-    // Every answer is written; `main` prints nothing more.
-    Ok(String::new())
-}
-
-/// Reads stdin a line at a time, at most [`READ_AHEAD_LINES`] lines
-/// beyond those the session has submitted (it returns them in
-/// `credits`), until the input ends or fails or the session stops
-/// listening.
-fn read_lines(wake: &std::sync::mpsc::Sender<Wake>, credits: &std::sync::mpsc::Receiver<usize>) {
-    let stdin = std::io::stdin();
-    let mut stdin = stdin.lock();
-    let mut budget = READ_AHEAD_LINES;
-    loop {
-        if budget == 0 {
-            match credits.recv() {
-                Ok(returned) => budget = returned,
-                Err(_) => return,
-            }
-        }
-        budget -= 1;
-        let mut line = String::new();
-        let read = match std::io::BufRead::read_line(&mut stdin, &mut line) {
-            Ok(0) => Wake::End,
-            Ok(_) => Wake::Line(line),
-            Err(e) => Wake::Failed(e),
-        };
-        let last = !matches!(read, Wake::Line(_));
-        if wake.send(read).is_err() || last {
-            return;
-        }
-    }
+    let mut config = zeroconf_serve::ServeConfig::default();
+    config.engine.cache_tables = options.cache_tables;
+    config.inflight = options.inflight;
+    zeroconf_serve::serve_stdio(config, options.emit_stats, input, output).map_err(|e| err(e.0))
 }
 
 /// The `serve` subcommand: the socket daemon, run in process. Blocks
@@ -670,6 +501,13 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// `zeroconf engine` with `args` over `input`: everything it wrote.
+    fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> {
+        let input = std::io::Cursor::new(input.to_owned());
+        let out = run_engine(args, input, Vec::new())?;
+        Ok(String::from_utf8(out).unwrap())
     }
 
     const SCENARIO: &str = "--hosts 1000 --probe-cost 2 --error-cost 1e35 \

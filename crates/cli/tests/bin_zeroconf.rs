@@ -329,3 +329,185 @@ fn a_seeded_corpus_gets_the_same_bytes_on_every_run() {
     );
     assert_eq!(mask_timings(&run()), mask_timings(&first));
 }
+
+/// `zeroconf engine` with `args`, fed `input` from a thread (the session
+/// may end before it has read everything), and everything it wrote.
+fn engine_output(args: &[&str], input: Vec<u8>) -> std::process::Output {
+    let mut child = zeroconf()
+        .arg("engine")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let writer = std::thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+    });
+    let output = child.wait_with_output().expect("binary exits");
+    writer.join().expect("stdin writer");
+    output
+}
+
+/// A line that is not UTF-8 gets one id-less error answer, and the
+/// session goes on: the sweeps around it are answered, in input order,
+/// and the session exits 0.
+#[test]
+fn engine_answers_a_line_that_is_not_utf8_and_goes_on() {
+    let sweep = |id: &str| zeroconf_engine::testkit::sweep_line(id, 3, &[0.5, 1.0, 2.0]);
+    let mut input = format!("{}\n", sweep("a")).into_bytes();
+    let bad = sweep("b").replacen("\"b\"", "\"b\u{1}\"", 1);
+    input.extend(bad.bytes().map(|b| if b == 1 { 0xFF } else { b }));
+    input.extend(format!("\n{}\n", sweep("c")).bytes());
+    let output = engine_output(&[], input);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 answers");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines[0].contains("\"id\":\"a\",\"cells\""), "{}", lines[0]);
+    assert!(
+        lines[1].contains("\"id\":\"\",\"error\":\"input line is not valid UTF-8\""),
+        "{}",
+        lines[1]
+    );
+    assert!(lines[2].contains("\"id\":\"c\",\"cells\""), "{}", lines[2]);
+}
+
+/// At `--inflight 1` a line of any kind waits while a request is
+/// unanswered: a malformed line, a cancel and a stats line sent behind a
+/// heavy sweep are answered after it, in input order, so the cancel
+/// finds nothing in flight and the sweep keeps its cells.
+#[test]
+fn engine_takes_each_line_in_its_turn_at_inflight_one() {
+    let input = [
+        zeroconf_engine::testkit::heavy_sweep_line("heavy", 64, 4000),
+        "{\"id\":\"bad\",\"scenario\":{}}".to_owned(),
+        "{\"id\":\"c1\",\"cancel\":\"heavy\"}".to_owned(),
+        "{\"id\":\"st\",\"stats\":true}".to_owned(),
+    ]
+    .join("\n")
+        + "\n";
+    let output = engine_output(&["--inflight", "1"], input.into_bytes());
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 answers");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 4, "{stdout:.2000}");
+    for (line, id) in lines.iter().zip(["heavy", "bad", "c1", "st"]) {
+        assert!(line.contains(&format!("\"id\":\"{id}\"")), "{line:.300}");
+    }
+    assert!(lines[0].contains("\"cells\""), "{:.300}", lines[0]);
+    assert!(
+        lines[2].contains("no in-flight request with id `heavy`"),
+        "{}",
+        lines[2]
+    );
+    assert!(lines[3].contains("\"pending\":0"), "{}", lines[3]);
+}
+
+/// Waits up to 30 s for `child` to exit, killing it and failing past that.
+fn exit_within_30_s(child: &mut std::process::Child, why: &str) -> std::process::ExitStatus {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            return status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("zeroconf engine still runs 30 s after {why}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// A line over the input-line bound gets the daemon's one id-less error
+/// after every earlier line's answer, and ends the session: the sweep
+/// behind it is not answered, the exit status says the session was cut
+/// short, and the process does not wait for its stdin, held open here,
+/// to close.
+#[test]
+fn engine_refuses_an_over_long_line_and_exits_non_zero() {
+    use std::io::Read;
+
+    let sweep = |id: &str| zeroconf_engine::testkit::sweep_line(id, 3, &[0.5, 1.0, 2.0]);
+    let mut input = format!("{}\n", sweep("first")).into_bytes();
+    input.resize(input.len() + 5 * 1024 * 1024, b'x');
+    input.extend(format!("\n{}\n", sweep("late")).bytes());
+    let mut child = zeroconf()
+        .arg("engine")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let writer = std::thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+        let _ = held.recv();
+    });
+    let status = exit_within_30_s(&mut child, "refusing a line, with stdin open");
+    drop(release);
+    writer.join().expect("stdin writer");
+    assert!(!status.success(), "{status:?}");
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    let mut out = child.stdout.take().expect("piped stdout");
+    out.read_to_string(&mut stdout).expect("UTF-8 answers");
+    let mut err = child.stderr.take().expect("piped stderr");
+    err.read_to_string(&mut stderr).expect("stderr");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].contains("\"id\":\"first\",\"cells\""),
+        "{}",
+        lines[0]
+    );
+    let refusal = format!(
+        "{{\"v\":1,\"id\":\"\",\"error\":\"input line is over the limit of {} bytes\"}}",
+        zeroconf_serve::MAX_LINE_BYTES
+    );
+    assert_eq!(lines[1], refusal);
+    assert!(stderr.contains("over the limit"), "{stderr}");
+}
+
+/// A reader that closes the session's stdout after one answer ends it:
+/// the process exits non-zero within 30 s, saying why, instead of
+/// stalling with its answers unread.
+#[test]
+fn engine_exits_when_its_stdout_closes() {
+    use std::io::{BufRead, BufReader, Read};
+
+    let mut child = zeroconf()
+        .args(["engine", "--inflight", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let writer = std::thread::spawn(move || {
+        let rs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0];
+        for k in 0..400 {
+            let line = zeroconf_engine::testkit::sweep_line(&format!("s{k}"), 8, &rs);
+            if writeln!(stdin, "{line}").is_err() {
+                break;
+            }
+        }
+    });
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one answer");
+    assert!(first.contains("\"cells\""), "{first:.300}");
+    drop(stdout);
+    let status = exit_within_30_s(&mut child, "its stdout closed");
+    assert!(!status.success(), "{status:?}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr");
+    assert!(stderr.contains("writing stdout"), "{stderr}");
+    writer.join().expect("stdin writer");
+}

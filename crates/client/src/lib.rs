@@ -446,13 +446,6 @@ impl Stream {
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
         })
     }
-
-    fn shutdown_write(&self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-        }
-    }
 }
 
 impl io::Read for Stream {
@@ -659,17 +652,6 @@ impl Client {
         line.push_str(",\"stats\":true}");
         self.send_raw(&line)?;
         self.wait(id)
-    }
-
-    /// Half-closes the write side, signalling the daemon that no further
-    /// requests will arrive (responses can still be read).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] if the shutdown fails.
-    pub fn shutdown_write(&mut self) -> Result<()> {
-        self.writer.shutdown_write()?;
-        Ok(())
     }
 
     /// Waits for the response with `id`, parking any other responses read

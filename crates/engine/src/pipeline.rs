@@ -28,9 +28,9 @@
 //!   returns a [`RequestId`] immediately ([`Pipeline::submit_work`] does
 //!   the same for any [`WorkRequest`] verb — sweep, calibrate or
 //!   frontier). Submitting never waits: a pipeline bounds nothing, and
-//!   each front end bounds its own admission (`zeroconf serve` through
-//!   its permit budget, `zeroconf engine` through the session's pending
-//!   count).
+//!   the front end bounds admission (the serve crate's connection,
+//!   through its permit budget and, for `zeroconf engine`'s connection,
+//!   a line gate on the session's pending count).
 //! - [`Pipeline::poll_completions`] / [`Pipeline::next_completion`] hand
 //!   back [`Completion`]s in **finish order**, each tagged with its
 //!   [`RequestId`] and per-request latency counters (queue wait and

@@ -174,8 +174,7 @@ impl Bases {
 /// is already decoded; neither waits, so the front end bounds its own
 /// admission with [`PipelinedSession::pending`].
 /// [`PipelinedSession::poll_responses`] answers whatever has completed
-/// so far, [`PipelinedSession::next_responses`] waits for the next
-/// completion first, and [`PipelinedSession::drain`] blocks until every
+/// so far, and [`PipelinedSession::drain`] blocks until every
 /// in-flight request is answered. Responses therefore come back in
 /// **completion order**, keyed by the caller's `id` field, not in input
 /// order.
@@ -345,19 +344,6 @@ impl PipelinedSession {
         let mut out = Vec::new();
         for completion in completions {
             out.extend(self.finish(completion));
-        }
-        out
-    }
-
-    /// Blocks for the next completion, then answers it and every other
-    /// completion that is ready by then, like
-    /// [`PipelinedSession::poll_responses`]. Empty when nothing is in
-    /// flight.
-    pub fn next_responses(&mut self) -> Vec<WireResponse> {
-        let mut out = Vec::new();
-        if let Some(completion) = self.pipeline.next_completion() {
-            out.extend(self.finish(completion));
-            out.extend(self.poll_responses());
         }
         out
     }

@@ -42,12 +42,14 @@
 //! home. Server drain is the opposite: stop reading, then answer
 //! everything already received — queued requests trickle through the
 //! fair budget as permits free, exactly as they would have without
-//! the drain — flush, close.
+//! the drain — flush, close. `zeroconf engine`'s one connection keeps
+//! [`StdinRules`] of its own.
 //!
 //! **Intake** parses each request line once, with
 //! [`wire::parse_request_json`], so a line over the request value budget
 //! is refused before its tree outgrows the largest one the decoder
-//! accepts. The connection reads one key itself, `stats`, and answers
+//! accepts. A line that is not UTF-8 gets one id-less error answer. The
+//! connection reads one key itself, `stats`, and answers
 //! it; [`wire::decode_line`] decodes everything else. A request that needs a permit when none is free is
 //! held decoded at the head of the queue, and only the budget is retried.
 
@@ -56,7 +58,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use zeroconf_engine::wire::{self, LineCursor, PipelinedSession, WireRequest, WireResponse};
 
@@ -82,15 +84,16 @@ pub const MAX_LINE_BYTES: usize =
     (wire::MAX_GRID_R_POINTS + wire::MAX_FRONTIER_POINTS + 1) * 32 + 64 * 1024;
 
 /// Queued-line bound (bytes) with the same role on the input side: while
-/// a request waits for a permit, reads stop once the lines parked behind
-/// it and the partial line reach this charge, so a client that floods
-/// requests faster than the budget admits them is left in the kernel
+/// a request waits for a permit or a stdin connection's gate is shut,
+/// reads stop once the lines parked behind it and the partial line reach
+/// this charge, so a client that floods requests faster than the budget
+/// admits them is left in the kernel
 /// socket buffer, not in server memory. The read that crosses the bound
 /// parks what it completed, so the parked charge stays below
 /// `MAX_QUEUED_BYTES + READ_CHUNK * QUEUED_LINE_OVERHEAD` (1.25 MiB).
 const MAX_QUEUED_BYTES: usize = 1024 * 1024;
 
-/// What a parked line is charged beyond its text: its `String` and its
+/// What a parked line is charged beyond its text: its `Vec` and its
 /// slot in the queue, 24 bytes each, rounded up for the allocator. A
 /// flood of empty lines is bounded too.
 const QUEUED_LINE_OVERHEAD: usize = 64;
@@ -311,6 +314,17 @@ impl OutBuf {
     }
 }
 
+/// The two rules of `zeroconf engine`'s connection ([`crate::serve_stdio`]),
+/// which no client can ask for: a readable EOF ends the input and drains
+/// the connection, and a line is taken only while fewer than `capacity`
+/// requests are unanswered (lines park at this gate).
+pub(crate) struct StdinRules {
+    pub(crate) capacity: usize,
+    /// Set once: the session's counters line when its input ended and every
+    /// line was answered, or why the session ended before its input did.
+    pub(crate) end: Arc<OnceLock<Result<String, String>>>,
+}
+
 /// One client connection, owned and driven by its endpoint's event loop.
 pub(crate) struct Connection {
     /// `None` once the client is gone and the loop has dropped the fd.
@@ -318,6 +332,7 @@ pub(crate) struct Connection {
     conn_id: u64,
     shared: Arc<ServerShared>,
     session: PipelinedSession,
+    stdin: Option<StdinRules>,
     /// Bytes read but not yet framed into a line.
     inbuf: Vec<u8>,
     /// Leading bytes of `inbuf` already searched for a newline.
@@ -325,9 +340,9 @@ pub(crate) struct Connection {
     /// The head of the queue: a decoded request waiting for a budget
     /// permit. Only the budget is retried; the line is never parsed again.
     held: Option<WireRequest>,
-    /// Complete lines queued behind the held request, still as text:
-    /// admission order is arrival order, always.
-    parked: VecDeque<String>,
+    /// Complete lines queued behind the held request or a shut gate, still
+    /// as bytes: admission order is arrival order, always.
+    parked: VecDeque<Vec<u8>>,
     /// The charge for `parked`: each line's length plus
     /// [`QUEUED_LINE_OVERHEAD`].
     parked_bytes: usize,
@@ -344,12 +359,13 @@ pub(crate) struct Connection {
 
 impl Connection {
     /// A connection on `socket` whose session's completions wake the
-    /// loop through `wake`.
+    /// loop through `wake`; a stdin connection when `stdin` is set.
     pub(crate) fn new(
         socket: ClientSocket,
         conn_id: u64,
         shared: Arc<ServerShared>,
         wake: WakeHandle,
+        stdin: Option<StdinRules>,
     ) -> Connection {
         let mut session = PipelinedSession::with_team(Arc::clone(&shared.team));
         session.set_completion_notifier(Arc::new(move || wake.notify()));
@@ -358,6 +374,7 @@ impl Connection {
             conn_id,
             shared,
             session,
+            stdin,
             inbuf: Vec::new(),
             inbuf_scanned: 0,
             held: None,
@@ -381,11 +398,19 @@ impl Connection {
     }
 
     /// Whether intake is paused by backpressure: the client has enough
-    /// output to drain, or enough bytes queued behind a request that
-    /// waits for a permit, already.
+    /// output to drain, or enough bytes waiting behind a request that
+    /// waits for a permit or at a shut line gate, already.
     fn intake_gated(&self) -> bool {
         self.out.len() >= OUT_HIGH_WATER
-            || (self.queued() > 0 && self.parked_bytes + self.inbuf.len() >= MAX_QUEUED_BYTES)
+            || ((self.queued() > 0 || self.at_gate())
+                && self.parked_bytes + self.inbuf.len() >= MAX_QUEUED_BYTES)
+    }
+
+    /// Stdin rule 2: the gate is shut while `capacity` requests are unanswered.
+    fn at_gate(&self) -> bool {
+        self.stdin
+            .as_ref()
+            .is_some_and(|rules| self.pending() >= rules.capacity)
     }
 
     /// Requests received but not yet admitted: the held one plus the
@@ -436,6 +461,16 @@ impl Connection {
                 return;
             };
             match socket.read(&mut chunk) {
+                Ok(0) if self.stdin.is_some() => {
+                    // Stdin rule 1: the input ended; its trailing bytes
+                    // are a last, unterminated line.
+                    if !self.inbuf.is_empty() {
+                        self.inbuf.push(b'\n');
+                        self.frame_lines();
+                    }
+                    self.begin_drain();
+                    return;
+                }
                 Ok(0) => {
                     self.become_gone();
                     return;
@@ -443,16 +478,7 @@ impl Connection {
                 Ok(n) => {
                     self.metrics.bytes_in += n as u64;
                     self.inbuf.extend_from_slice(&chunk[..n]);
-                    for line in take_lines(&mut self.inbuf, &mut self.inbuf_scanned) {
-                        // Once anything is queued, everything queues:
-                        // responses must come back in request order.
-                        if self.queued() > 0 {
-                            self.parked_bytes += line.len() + QUEUED_LINE_OVERHEAD;
-                            self.parked.push_back(line);
-                        } else {
-                            self.try_process_line(&line);
-                        }
-                    }
+                    self.frame_lines();
                     if self.inbuf.len() > MAX_LINE_BYTES {
                         self.refuse_long_line();
                         return;
@@ -474,15 +500,33 @@ impl Connection {
         }
     }
 
+    /// Takes or parks each complete line of `inbuf`, in arrival order.
+    fn frame_lines(&mut self) {
+        for line in take_lines(&mut self.inbuf, &mut self.inbuf_scanned) {
+            // Once anything is queued, everything queues: responses must
+            // come back in request order.
+            if self.queued() > 0 || self.at_gate() {
+                self.parked_bytes += line.len() + QUEUED_LINE_OVERHEAD;
+                self.parked.push_back(line);
+            } else {
+                self.try_process_line(&line);
+            }
+        }
+    }
+
     /// The partial line outgrew [`MAX_LINE_BYTES`]: one id-less error
     /// line answers it, then the connection closes the way a drain does —
     /// no more reading, everything already framed is answered and
-    /// flushed, then the loop reaps it.
+    /// flushed, then the loop reaps it. A stdin session ends there.
     fn refuse_long_line(&mut self) {
+        let message = format!("input line is over the limit of {MAX_LINE_BYTES} bytes");
+        if let Some(rules) = &self.stdin {
+            let _ = rules.end.set(Err(message.clone()));
+        }
         self.count_request();
         self.push_answer(WireResponse::Error {
             id: String::new(),
-            message: format!("input line is over the limit of {MAX_LINE_BYTES} bytes"),
+            message,
         });
         self.begin_drain();
     }
@@ -550,6 +594,8 @@ impl Connection {
             }
             let admitted = if let Some(request) = self.held.take() {
                 self.try_admit(request)
+            } else if self.at_gate() {
+                return;
             } else if let Some(line) = self.parked.pop_front() {
                 self.parked_bytes -= line.len() + QUEUED_LINE_OVERHEAD;
                 self.try_process_line(&line)
@@ -574,7 +620,18 @@ impl Connection {
     /// decode. Returns `false` when the decoded request needs a budget
     /// permit that is not available right now; it is then held at the
     /// head of the queue, uncounted and unsubmitted.
-    fn try_process_line(&mut self, line: &str) -> bool {
+    fn try_process_line(&mut self, line: &(impl AsRef<[u8]> + ?Sized)) -> bool {
+        #[cfg(test)]
+        tests::TAKEN_AT_GATE.with(|taken| taken.set(taken.get() + usize::from(self.at_gate())));
+        let Ok(line) = std::str::from_utf8(line.as_ref()) else {
+            // Its id cannot be read back: an id-less error answers it.
+            self.count_request();
+            self.push_answer(WireResponse::Error {
+                id: String::new(),
+                message: "input line is not valid UTF-8".to_owned(),
+            });
+            return true;
+        };
         let line = line.trim();
         if line.is_empty() {
             return true;
@@ -719,8 +776,16 @@ impl Connection {
         self.shared.budget.leave(self.conn_id);
     }
 
-    /// Final accounting when the loop reaps this connection.
+    /// Final accounting when the loop reaps this connection. A stdin
+    /// session that drained did so at its input's end or a refusal.
     pub(crate) fn close(&mut self) {
+        if let Some(rules) = &self.stdin {
+            let _ = rules.end.set(if self.gone {
+                Err("the session ended before its input did".to_owned())
+            } else {
+                Ok(self.session.stats_line())
+            });
+        }
         self.sync_permits();
         // A reaped connection must not leak permits even if a session
         // invariant broke; the budget caps releases at capacity anyway.
@@ -757,13 +822,13 @@ impl Connection {
 /// hold no newline): the search resumes there, so a long partial line
 /// costs time linear in its length across all its reads instead of a
 /// rescan per read, and the framed lines leave `buf` in one move.
-fn take_lines(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<String> {
+fn take_lines(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<Vec<u8>> {
     let mut lines = Vec::new();
     let mut start = 0;
     let mut from = (*scanned).min(buf.len());
     while let Some(offset) = buf[from..].iter().position(|&b| b == b'\n') {
         let end = from + offset;
-        lines.push(String::from_utf8_lossy(&buf[start..end]).into_owned());
+        lines.push(buf[start..end].to_vec());
         start = end + 1;
         from = start;
     }
@@ -781,23 +846,26 @@ mod tests {
     thread_local! {
         /// Request lines the intake has parsed on this thread.
         pub(super) static PARSES: Cell<usize> = const { Cell::new(0) };
+        /// Lines taken on this thread while a stdin connection's gate was
+        /// shut: none ever is.
+        pub(super) static TAKEN_AT_GATE: Cell<usize> = const { Cell::new(0) };
     }
 
     #[test]
     fn take_lines_keeps_partial_tail() {
         let mut buf = b"one\ntwo\nthr".to_vec();
         let mut scanned = 0;
-        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["one", "two"]);
+        assert_eq!(take_lines(&mut buf, &mut scanned), [b"one", b"two"]);
         assert_eq!(buf, b"thr");
         buf.extend_from_slice(b"ee\n");
-        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["three"]);
+        assert_eq!(take_lines(&mut buf, &mut scanned), [b"three"]);
         assert!(buf.is_empty());
     }
 
     #[test]
     fn take_lines_handles_empty_and_blank_lines() {
         let mut buf = b"\n\nx\n".to_vec();
-        assert_eq!(take_lines(&mut buf, &mut 0), vec!["", "", "x"]);
+        assert_eq!(take_lines(&mut buf, &mut 0), [&b""[..], b"", b"x"]);
         assert!(buf.is_empty());
     }
 
@@ -808,7 +876,7 @@ mod tests {
         assert!(take_lines(&mut buf, &mut scanned).is_empty());
         assert_eq!(scanned, buf.len(), "the partial line is searched once");
         buf.extend_from_slice(b" line\nnext");
-        assert_eq!(take_lines(&mut buf, &mut scanned), vec!["partial line"]);
+        assert_eq!(take_lines(&mut buf, &mut scanned), [b"partial line"]);
         assert_eq!((buf.as_slice(), scanned), (&b"next"[..], 4));
     }
 
@@ -944,17 +1012,11 @@ mod tests {
     }
 
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {
-        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig::default());
-        Arc::new(crate::ServerShared {
-            team: Arc::new(zeroconf_engine::ExecutorTeam::new(
-                Arc::new(engine),
-                inflight,
-            )),
-            budget: crate::FairBudget::new(inflight),
-            shutdown: crate::Shutdown::new(false),
-            metrics: crate::ServerMetrics::default(),
+        Arc::new(crate::ServerShared::new(crate::ServeConfig {
+            inflight,
             max_connections: 4,
-        })
+            ..crate::ServeConfig::default()
+        }))
     }
 
     fn test_conn(shared: Arc<crate::ServerShared>) -> Connection {
@@ -966,6 +1028,14 @@ mod tests {
     fn test_conn_and_client(
         shared: Arc<crate::ServerShared>,
     ) -> (Connection, std::io::BufReader<std::net::TcpStream>) {
+        test_conn_and_client_with(shared, None)
+    }
+
+    /// [`test_conn_and_client`] with the stdin rules when `stdin` is set.
+    fn test_conn_and_client_with(
+        shared: Arc<crate::ServerShared>,
+        stdin: Option<StdinRules>,
+    ) -> (Connection, std::io::BufReader<std::net::TcpStream>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = std::net::TcpStream::connect(addr).unwrap();
@@ -975,7 +1045,7 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
         let wake = WakeHandle::new().unwrap();
-        let conn = Connection::new(ClientSocket::Tcp(server), 1, shared, wake);
+        let conn = Connection::new(ClientSocket::Tcp(server), 1, shared, wake, stdin);
         (conn, std::io::BufReader::new(client))
     }
 
@@ -1118,6 +1188,45 @@ mod tests {
             0,
             "no engine work was submitted"
         );
+    }
+
+    /// A sweep, a sweep whose id holds the byte 0xFF, a sweep: the middle
+    /// line gets one id-less error answer (its id cannot be read back, so
+    /// no answer guesses it) and the others their sweeps. On a stdin
+    /// connection at capacity 1 the error is the middle answer.
+    #[test]
+    fn a_line_that_is_not_utf8_gets_one_id_less_error() {
+        let mut lines = format!("{}\n", sweep_line("a")).into_bytes();
+        let bad = sweep_line("b").replacen("\"b\"", "\"b\u{1}\"", 1);
+        lines.extend(bad.bytes().map(|b| if b == 1 { 0xFF } else { b }));
+        lines.extend(format!("\n{}\n", sweep_line("c")).bytes());
+        for stdin in [false, true] {
+            let end = Arc::new(OnceLock::new());
+            let rules = stdin.then(|| StdinRules { capacity: 1, end });
+            let (mut conn, mut client) = test_conn_and_client_with(test_shared(2), rules);
+            std::io::Write::write_all(client.get_mut(), &lines).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while conn.metrics.bytes_in < lines.len() as u64 {
+                assert!(std::time::Instant::now() < deadline, "lines never arrived");
+                conn.on_readable();
+                conn.pump();
+            }
+            pump_until_answered(&mut conn, 3);
+            let answers: Vec<wire::Json> = (0..3).map(|_| read_answer(&mut client)).collect();
+            let error = answers.iter().find(|a| a.get("error").is_some()).unwrap();
+            assert_eq!(wire::line_id(error), "", "{error:?}");
+            assert_eq!(
+                error.get("error"),
+                Some(&wire::Json::Str("input line is not valid UTF-8".to_owned()))
+            );
+            let mut ids: Vec<&str> = answers.iter().map(wire::line_id).collect();
+            if stdin {
+                assert_eq!(ids, ["a", "", "c"], "in input order");
+            }
+            ids.sort_unstable();
+            assert_eq!(ids, ["", "a", "c"]);
+            assert_eq!(conn.metrics.requests, 3);
+        }
     }
 
     #[test]
@@ -1324,158 +1433,222 @@ mod tests {
     /// outlives the reap, and every permit comes home.
     #[test]
     fn a_seeded_model_of_a_connection_answers_every_line_once() {
+        zeroconf_rng::for_each_seed(0..48, |rng| connection_model(rng, false));
+    }
+
+    /// The same model on a stdin connection, where the input's end (after
+    /// an unterminated last line, sometimes) replaces hangup and drain:
+    /// no line is taken while `--inflight` requests are unanswered, every
+    /// non-blank line gets exactly one answer, at capacity 1 in arrival
+    /// order, and the session reports that it ended at its input's end.
+    #[test]
+    fn a_seeded_model_of_a_stdin_connection_answers_every_line_once() {
+        zeroconf_rng::for_each_seed(0..48, |rng| connection_model(rng, true));
+    }
+
+    /// Records the answer a line sent is owed: none for a blank line.
+    fn note(id: Option<String>, ids: &mut Vec<String>, expected: &mut Vec<String>) {
+        if let Some(id) = id {
+            if !id.is_empty() {
+                ids.push(id.clone());
+            }
+            expected.push(id);
+        }
+    }
+
+    fn connection_model(rng: &mut zeroconf_rng::rngs::StdRng, stdin: bool) {
         use zeroconf_rng::Rng;
         const FOREIGN: u64 = u64::MAX;
-        zeroconf_rng::for_each_seed(0..48, |rng| {
-            let capacity = rng.gen_range(1..4_usize);
-            let shared = test_shared(capacity);
-            let (mut conn, client) = test_conn_and_client(Arc::clone(&shared));
-            let mut client = client.into_inner();
-            client.set_nonblocking(true).unwrap();
-            let mut received = Vec::new();
-            let mut foreign = 0_usize;
-            let mut expected: Vec<String> = Vec::new();
-            let mut ids: Vec<String> = Vec::new();
-            let mut sent: Vec<String> = Vec::new();
-            let mut written = 0_u64;
-            let (mut draining, mut out_at_hangup) = (false, None);
-            let check = |conn: &Connection, foreign: usize, sent: &[String]| {
-                assert_eq!(conn.permits, conn.pending(), "permits == pending");
-                assert!(
-                    conn.pending() as u64 >= tickets(conn),
-                    "every ticket in the team is pending"
-                );
-                assert_eq!(
-                    shared.budget.available() + conn.permits + foreign,
-                    capacity,
-                    "the budget is conserved"
-                );
-                // Every line sent has been read. The queue (the held
-                // request, then the parked lines) is the tail of them.
-                let behind = &sent[sent.len() - conn.parked.len()..];
-                assert!(conn.parked.iter().eq(behind), "parked out of order");
-                if let Some(held) = &conn.held {
-                    let line = &sent[sent.len() - conn.parked.len() - 1];
-                    let line = wire::parse_json(line).unwrap();
-                    assert_eq!(request_id(held), wire::line_id(&line), "held out of order");
-                }
-                assert_eq!(conn.parked_bytes, parked_charge(conn));
-                assert!(conn.parked_bytes < PARKED_BOUND);
-            };
-            for k in 0..rng.gen_range(8..40_usize) {
-                match rng.gen_range(0..21_u32) {
-                    step @ (0..=8 | 20) if !draining && out_at_hangup.is_none() => {
-                        // Step 20 frames two sweeps under one id in one
-                        // write: the second arrives while the first is
-                        // still in flight whenever a permit is free.
-                        let lines = if step == 20 {
-                            let id = format!("l{k}");
-                            let line = zeroconf_engine::testkit::heavy_sweep_line(&id, 16, 400);
-                            vec![(line.clone(), Some(id.clone())), (line, Some(id))]
-                        } else {
-                            vec![model_line(rng, k, &ids)]
-                        };
-                        let framed: String =
-                            lines.iter().map(|(line, _)| format!("{line}\n")).collect();
-                        std::io::Write::write_all(&mut client, framed.as_bytes()).unwrap();
-                        written += framed.len() as u64;
-                        // As the loop would: output drains while the line
-                        // waits behind the high-water mark.
-                        let deadline =
-                            std::time::Instant::now() + std::time::Duration::from_secs(60);
-                        while conn.metrics.bytes_in < written {
-                            assert!(std::time::Instant::now() < deadline, "line never read");
-                            conn.on_writable();
-                            read_available(&mut client, &mut received);
-                            conn.on_readable();
-                        }
-                        for (line, id) in lines {
-                            sent.push(line);
-                            let Some(id) = id else {
-                                continue;
-                            };
-                            if !id.is_empty() {
-                                ids.push(id.clone());
-                            }
-                            expected.push(id);
-                        }
-                    }
-                    9 | 10 => {
-                        if shared.budget.try_acquire(FOREIGN) {
-                            foreign += 1;
-                        }
-                        shared.budget.leave(FOREIGN);
-                    }
-                    11 | 12 if foreign > 0 => {
-                        shared.budget.release();
-                        foreign -= 1;
-                    }
-                    13 if out_at_hangup.is_none() => {
-                        conn.on_hangup();
-                        drop(conn.take_socket());
-                        out_at_hangup = Some(conn.metrics.bytes_out);
-                    }
-                    14 if !draining => {
-                        conn.begin_drain();
-                        draining = true;
-                    }
-                    _ => conn.pump(),
-                }
-                check(&conn, foreign, &sent);
-                read_available(&mut client, &mut received);
-            }
-
-            shared.budget.release_many(foreign);
-            conn.begin_drain();
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            while !conn.finished() {
-                assert!(std::time::Instant::now() < deadline, "never finished");
-                conn.pump();
-                check(&conn, 0, &sent);
-                read_available(&mut client, &mut received);
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            assert_eq!(tickets(&conn), 0, "no ticket outlives the reap");
-            drop(conn.take_socket());
-            conn.close();
-            assert_eq!(shared.budget.available(), capacity, "every permit is home");
-
-            client.set_nonblocking(false).unwrap();
-            std::io::Read::read_to_end(&mut client, &mut received).unwrap();
-            if out_at_hangup.is_some() {
-                // A hangup drops the rest of a line whose first slices
-                // were written: only whole lines are answers.
-                let whole = received
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |n| n + 1);
-                received.truncate(whole);
-            }
-            let mut answers: Vec<String> = String::from_utf8(received)
-                .unwrap()
-                .lines()
-                .map(|line| wire::line_id(&wire::parse_json(line).unwrap()).to_owned())
-                .collect();
-            match out_at_hangup {
-                Some(bytes) => {
-                    assert_eq!(
-                        conn.metrics.bytes_out, bytes,
-                        "nothing written after hangup"
-                    );
-                    for id in &answers {
-                        let count = |of: &[String]| of.iter().filter(|a| *a == id).count();
-                        assert!(
-                            count(&answers) <= count(&expected),
-                            "`{id}` answered at most once per line"
-                        );
-                    }
-                }
-                None => {
-                    expected.sort();
-                    answers.sort();
-                    assert_eq!(answers, expected, "one answer per non-blank line");
-                }
-            }
+        let capacity = rng.gen_range(1..4_usize);
+        let shared = test_shared(capacity);
+        let end = Arc::new(OnceLock::new());
+        let rules = stdin.then(|| StdinRules {
+            capacity,
+            end: Arc::clone(&end),
         });
+        let (mut conn, client) = test_conn_and_client_with(Arc::clone(&shared), rules);
+        let mut client = client.into_inner();
+        client.set_nonblocking(true).unwrap();
+        let taken_at_gate = TAKEN_AT_GATE.with(Cell::get);
+        let mut received = Vec::new();
+        let mut foreign = 0_usize;
+        let mut expected: Vec<String> = Vec::new();
+        let mut ids: Vec<String> = Vec::new();
+        let mut sent: Vec<String> = Vec::new();
+        let mut written = 0_u64;
+        // On a stdin connection `draining` is the input's end.
+        let (mut draining, mut out_at_hangup) = (false, None);
+        let check = |conn: &Connection, foreign: usize, sent: &[String]| {
+            assert_eq!(conn.permits, conn.pending(), "permits == pending");
+            assert!(
+                conn.pending() as u64 >= tickets(conn),
+                "every ticket in the team is pending"
+            );
+            assert_eq!(
+                shared.budget.available() + conn.permits + foreign,
+                capacity,
+                "the budget is conserved"
+            );
+            // Every line sent has been read. The queue (the held
+            // request, then the parked lines) is the tail of them.
+            let behind = &sent[sent.len() - conn.parked.len()..];
+            assert!(
+                conn.parked.iter().eq(behind.iter().map(String::as_bytes)),
+                "parked out of order"
+            );
+            if let Some(held) = &conn.held {
+                let line = &sent[sent.len() - conn.parked.len() - 1];
+                let line = wire::parse_json(line).unwrap();
+                assert_eq!(request_id(held), wire::line_id(&line), "held out of order");
+            }
+            assert_eq!(conn.parked_bytes, parked_charge(conn));
+            assert!(conn.parked_bytes < PARKED_BOUND);
+            if stdin {
+                assert!(conn.pending() <= capacity, "a request past the gate");
+                assert_eq!(
+                    TAKEN_AT_GATE.with(Cell::get),
+                    taken_at_gate,
+                    "a line taken at the gate"
+                );
+            }
+        };
+        for k in 0..rng.gen_range(8..40_usize) {
+            match rng.gen_range(0..21_u32) {
+                step @ (0..=8 | 20) if !draining && out_at_hangup.is_none() => {
+                    // Step 20 frames two sweeps under one id in one
+                    // write: the second arrives while the first is
+                    // still in flight whenever a permit is free.
+                    let lines = if step == 20 {
+                        let id = format!("l{k}");
+                        let line = zeroconf_engine::testkit::heavy_sweep_line(&id, 16, 400);
+                        vec![(line.clone(), Some(id.clone())), (line, Some(id))]
+                    } else {
+                        vec![model_line(rng, k, &ids)]
+                    };
+                    let framed: String =
+                        lines.iter().map(|(line, _)| format!("{line}\n")).collect();
+                    std::io::Write::write_all(&mut client, framed.as_bytes()).unwrap();
+                    written += framed.len() as u64;
+                    // As the loop would: output drains while the line
+                    // waits behind the high-water mark.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                    while conn.metrics.bytes_in < written {
+                        assert!(std::time::Instant::now() < deadline, "line never read");
+                        conn.on_writable();
+                        read_available(&mut client, &mut received);
+                        conn.on_readable();
+                    }
+                    for (line, id) in lines {
+                        sent.push(line);
+                        note(id, &mut ids, &mut expected);
+                    }
+                }
+                9 | 10 => {
+                    if shared.budget.try_acquire(FOREIGN) {
+                        foreign += 1;
+                    }
+                    shared.budget.leave(FOREIGN);
+                }
+                11 | 12 if foreign > 0 => {
+                    shared.budget.release();
+                    foreign -= 1;
+                }
+                13 | 14 if stdin && !draining => {
+                    // Sometimes a last line without its newline.
+                    let last = (rng.gen_range(0..2_u32) == 0).then(|| model_line(rng, k, &ids));
+                    if let Some((line, _)) = &last {
+                        std::io::Write::write_all(&mut client, line.as_bytes()).unwrap();
+                    }
+                    client.shutdown(std::net::Shutdown::Write).unwrap();
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                    while !conn.draining {
+                        assert!(std::time::Instant::now() < deadline, "the end never read");
+                        conn.pump();
+                        read_available(&mut client, &mut received);
+                        conn.on_readable();
+                    }
+                    if let Some((line, id)) = last {
+                        sent.push(line);
+                        note(id, &mut ids, &mut expected);
+                    }
+                    draining = true;
+                }
+                13 if !stdin && out_at_hangup.is_none() => {
+                    conn.on_hangup();
+                    drop(conn.take_socket());
+                    out_at_hangup = Some(conn.metrics.bytes_out);
+                }
+                14 if !stdin && !draining => {
+                    conn.begin_drain();
+                    draining = true;
+                }
+                _ => conn.pump(),
+            }
+            check(&conn, foreign, &sent);
+            read_available(&mut client, &mut received);
+        }
+
+        shared.budget.release_many(foreign);
+        if !stdin {
+            conn.begin_drain();
+        } else if !draining {
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !conn.finished() {
+            assert!(std::time::Instant::now() < deadline, "never finished");
+            conn.pump();
+            conn.on_readable();
+            check(&conn, 0, &sent);
+            read_available(&mut client, &mut received);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(tickets(&conn), 0, "no ticket outlives the reap");
+        drop(conn.take_socket());
+        conn.close();
+        assert_eq!(shared.budget.available(), capacity, "every permit is home");
+        if stdin {
+            assert!(matches!(end.get(), Some(Ok(_))), "{:?}", end.get());
+        }
+
+        client.set_nonblocking(false).unwrap();
+        std::io::Read::read_to_end(&mut client, &mut received).unwrap();
+        if out_at_hangup.is_some() {
+            // A hangup drops the rest of a line whose first slices
+            // were written: only whole lines are answers.
+            let whole = received
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |n| n + 1);
+            received.truncate(whole);
+        }
+        let mut answers: Vec<String> = String::from_utf8(received)
+            .unwrap()
+            .lines()
+            .map(|line| wire::line_id(&wire::parse_json(line).unwrap()).to_owned())
+            .collect();
+        match out_at_hangup {
+            Some(bytes) => {
+                assert_eq!(
+                    conn.metrics.bytes_out, bytes,
+                    "nothing written after hangup"
+                );
+                for id in &answers {
+                    let count = |of: &[String]| of.iter().filter(|a| *a == id).count();
+                    assert!(
+                        count(&answers) <= count(&expected),
+                        "`{id}` answered at most once per line"
+                    );
+                }
+            }
+            None if stdin && capacity == 1 => {
+                assert_eq!(answers, expected, "one answer per line, in arrival order");
+            }
+            None => {
+                expected.sort();
+                answers.sort();
+                assert_eq!(answers, expected, "one answer per non-blank line");
+            }
+        }
     }
 }

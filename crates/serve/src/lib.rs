@@ -42,6 +42,8 @@
 //!   [`zeroconf_engine::signal`]) or a programmatic [`Shutdown`] trigger
 //!   drains the whole server — stop accepting, stop reading, answer
 //!   everything in flight, flush, exit cleanly.
+//! - **One front end**: `zeroconf engine` is this server with one
+//!   connection, on its stdin and stdout ([`serve_stdio`]).
 //!
 //! See DESIGN.md ("Serving architecture") for the connection lifecycle
 //! and the fairness/drain semantics in detail.
@@ -60,11 +62,13 @@ mod metrics;
 #[cfg(all(test, zeroconf_loom))]
 mod model_tests;
 mod reactor;
+mod stdio;
 
 pub use budget::FairBudget;
 pub use conn::MAX_LINE_BYTES;
 pub use listener::Endpoint;
 pub use metrics::{stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot};
+pub use stdio::serve_stdio;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -234,6 +238,21 @@ pub(crate) struct ServerShared {
     pub(crate) max_connections: usize,
 }
 
+impl ServerShared {
+    /// One engine, its team of up to `--inflight` executors and a budget of
+    /// `--inflight` permits; `config.endpoints` is not read.
+    pub(crate) fn new(config: ServeConfig) -> ServerShared {
+        let engine = Arc::new(Engine::new(config.engine));
+        ServerShared {
+            team: Arc::new(ExecutorTeam::new(engine, config.inflight)),
+            budget: FairBudget::new(config.inflight),
+            shutdown: Shutdown::new(config.follow_process_signals),
+            metrics: ServerMetrics::default(),
+            max_connections: config.max_connections.max(1),
+        }
+    }
+}
+
 /// A bound (but not yet running) server: sockets are listening, so
 /// clients can connect the moment [`Server::run`] starts accepting.
 pub struct Server {
@@ -257,14 +276,7 @@ impl Server {
         for endpoint in &config.endpoints {
             listeners.push(listener::BoundListener::bind(endpoint)?);
         }
-        let engine = Arc::new(Engine::new(config.engine));
-        let shared = Arc::new(ServerShared {
-            team: Arc::new(ExecutorTeam::new(engine, config.inflight)),
-            budget: FairBudget::new(config.inflight),
-            shutdown: Shutdown::new(config.follow_process_signals),
-            metrics: ServerMetrics::default(),
-            max_connections: config.max_connections.max(1),
-        });
+        let shared = Arc::new(ServerShared::new(config));
         Ok(Server { shared, listeners })
     }
 
@@ -303,7 +315,7 @@ impl Server {
         let mut loops = Vec::with_capacity(self.listeners.len());
         for bound in self.listeners {
             loops.push(listener::EndpointLoop::new(
-                bound,
+                Some(bound),
                 Arc::clone(&self.shared),
             )?);
         }

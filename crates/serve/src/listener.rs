@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::conn::{ClientSocket, Connection};
+use crate::conn::{ClientSocket, Connection, StdinRules};
 use crate::metrics::capacity_refusal_line;
 use crate::reactor::{Event, Interest, Poller, WakeHandle};
 use crate::{ServeError, ServerShared};
@@ -194,7 +194,9 @@ fn claim_socket_path(path: &Path) -> Result<(), ServeError> {
 /// The event loop for one listening socket: owns the poller, the wakeup
 /// handle, and every connection accepted on this endpoint.
 pub(crate) struct EndpointLoop {
-    listener: BoundListener,
+    /// `None` for `zeroconf engine`'s loop ([`crate::serve_stdio`]), which
+    /// accepts nothing and ends once its one connection is reaped.
+    listener: Option<BoundListener>,
     shared: Arc<ServerShared>,
     poller: Poller,
     wake: WakeHandle,
@@ -219,16 +221,18 @@ impl EndpointLoop {
     /// Runs on the caller's thread of `Server::run` so a reactor that
     /// cannot start is a bind-time error, not a background panic.
     pub(crate) fn new(
-        listener: BoundListener,
+        listener: Option<BoundListener>,
         shared: Arc<ServerShared>,
     ) -> Result<EndpointLoop, ServeError> {
         let mut poller =
             Poller::new().map_err(|e| ServeError(format!("creating readiness poller: {e}")))?;
         let wake =
             WakeHandle::new().map_err(|e| ServeError(format!("creating wakeup handle: {e}")))?;
-        poller
-            .register(listener.raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| ServeError(format!("registering listener: {e}")))?;
+        if let Some(listener) = &listener {
+            poller
+                .register(listener.raw_fd(), TOKEN_LISTENER, Interest::READ)
+                .map_err(|e| ServeError(format!("registering listener: {e}")))?;
+        }
         poller
             .register(wake.raw_fd(), TOKEN_WAKE, Interest::READ)
             .map_err(|e| ServeError(format!("registering wakeup handle: {e}")))?;
@@ -247,14 +251,14 @@ impl EndpointLoop {
         })
     }
 
-    /// Runs until the server drains and every connection has been
-    /// reaped, then removes any Unix socket file.
+    /// Runs until every connection has been reaped once the server drains
+    /// (at any time without a listener), then removes any Unix socket file.
     pub(crate) fn run(mut self) {
         loop {
             if !self.drain_started && self.shared.shutdown.is_triggered() {
                 self.begin_drain();
             }
-            if self.drain_started && self.conns.is_empty() {
+            if (self.drain_started || self.listener.is_none()) && self.conns.is_empty() {
                 break;
             }
             let mut events = std::mem::take(&mut self.events);
@@ -278,7 +282,9 @@ impl EndpointLoop {
                         eprintln!(
                             "zeroconf-serve: readiness wait failing persistently; \
                              closing endpoint {}",
-                            self.listener.description()
+                            self.listener
+                                .as_ref()
+                                .map_or_else(|| "stdin".to_owned(), BoundListener::description)
                         );
                         self.force_close_all();
                         self.events = events;
@@ -327,7 +333,9 @@ impl EndpointLoop {
                 self.force_close_all();
             }
         }
-        self.listener.cleanup();
+        if let Some(listener) = &self.listener {
+            listener.cleanup();
+        }
     }
 
     /// Accepts until the listener would block. Connections over the
@@ -339,12 +347,12 @@ impl EndpointLoop {
             return;
         }
         loop {
-            let mut socket = match self.listener.accept_socket() {
-                Ok(Some(socket)) => socket,
-                Ok(None) => break,
+            let mut socket = match self.listener.as_ref().map(BoundListener::accept_socket) {
+                Some(Ok(Some(socket))) => socket,
+                Some(Ok(None)) | None => break,
                 // The aborted (or signal-interrupted) accept says nothing
                 // about the sockets still queued behind it.
-                Err(e)
+                Some(Err(e))
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
@@ -357,7 +365,7 @@ impl EndpointLoop {
                 // next wait returns immediately — pause before ending
                 // the burst or the loop spins accept/fail at full CPU
                 // until descriptors free up.
-                Err(e) => {
+                Some(Err(e)) => {
                     eprintln!("zeroconf-serve: accept failed ({e}); backing off");
                     std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                     break;
@@ -373,28 +381,33 @@ impl EndpointLoop {
                 socket.write_line_best_effort(&capacity_refusal_line());
                 continue;
             }
-            let conn_id = self.shared.metrics.next_connection_id();
-            let admitted = socket.set_nonblocking().is_ok()
-                && self
-                    .poller
-                    .register(socket.raw_fd(), TOKEN_CONN_BASE + conn_id, Interest::READ)
-                    .is_ok();
-            if !admitted {
-                // ORDERING: statistics tally. The connection was counted
-                // opened; count it closed so the open-connection gauge
-                // stays true.
-                self.shared
-                    .metrics
-                    .connections_closed
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            self.registered.insert(conn_id, Interest::READ);
-            self.conns.insert(
-                conn_id,
-                Connection::new(socket, conn_id, Arc::clone(&self.shared), self.wake.clone()),
-            );
+            self.admit(socket, None);
         }
+    }
+
+    /// Serves `socket` as one more connection, or, when it cannot join the
+    /// poller, counts it closed and drops it.
+    pub(crate) fn admit(&mut self, socket: ClientSocket, stdin: Option<StdinRules>) {
+        let conn_id = self.shared.metrics.next_connection_id();
+        let admitted = socket.set_nonblocking().is_ok()
+            && self
+                .poller
+                .register(socket.raw_fd(), TOKEN_CONN_BASE + conn_id, Interest::READ)
+                .is_ok();
+        if !admitted {
+            // ORDERING: statistics tally. The connection was counted
+            // opened; count it closed so the open-connection gauge stays
+            // true.
+            self.shared
+                .metrics
+                .connections_closed
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.registered.insert(conn_id, Interest::READ);
+        let wake = self.wake.clone();
+        let conn = Connection::new(socket, conn_id, Arc::clone(&self.shared), wake, stdin);
+        self.conns.insert(conn_id, conn);
     }
 
     /// Drives every connection one step: drain transitions, completion
@@ -455,7 +468,9 @@ impl EndpointLoop {
     fn begin_drain(&mut self) {
         self.drain_started = true;
         self.drain_deadline = Some(Instant::now() + self.drain_timeout);
-        let _ = self.poller.deregister(self.listener.raw_fd());
+        if let Some(listener) = &self.listener {
+            let _ = self.poller.deregister(listener.raw_fd());
+        }
     }
 
     /// Force-closes every remaining connection (drain deadline expiry,
@@ -480,14 +495,11 @@ mod tests {
     use super::*;
 
     fn test_shared() -> Arc<ServerShared> {
-        let engine = zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig::default());
-        Arc::new(ServerShared {
-            team: Arc::new(zeroconf_engine::ExecutorTeam::new(Arc::new(engine), 2)),
-            budget: crate::FairBudget::new(2),
-            shutdown: crate::Shutdown::new(false),
-            metrics: crate::ServerMetrics::default(),
+        Arc::new(ServerShared::new(crate::ServeConfig {
+            inflight: 2,
             max_connections: 4,
-        })
+            ..crate::ServeConfig::default()
+        }))
     }
 
     /// Regression: `SIGTERM` drain must be bounded even when a client
@@ -500,7 +512,7 @@ mod tests {
         let bound = BoundListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
         let addr = bound.description();
         let addr = addr.strip_prefix("tcp:").unwrap().to_owned();
-        let mut event_loop = EndpointLoop::new(bound, Arc::clone(&shared)).unwrap();
+        let mut event_loop = EndpointLoop::new(Some(bound), Arc::clone(&shared)).unwrap();
         event_loop.drain_timeout = Duration::ZERO;
 
         // A connected client that will never read a byte.
