@@ -87,6 +87,27 @@ ENGINE_T0=$(date +%s%3N)
 cargo test --release -q -p zeroconf-engine --lib
 echo "ci: engine unit tests in release ran in $(( $(date +%s%3N) - ENGINE_T0 ))ms"
 
+echo "==> examples, built in release and run once each"
+# clippy --all-targets above only compiles them. Each must exit 0, and
+# batch_sweep's parametric finale, which runs on the cache its pipelined
+# sweeps warmed, must report `cache_misses: 0` for both verbs.
+cargo build --release -q --examples
+for EXAMPLE in examples/*.rs; do
+  EXAMPLE_NAME="$(basename "$EXAMPLE" .rs)"
+  if ! EXAMPLE_OUT="$(./target/release/examples/"$EXAMPLE_NAME")"; then
+    echo "ci: example $EXAMPLE_NAME exited non-zero" >&2
+    echo "$EXAMPLE_OUT" >&2
+    exit 1
+  fi
+  if [[ "$EXAMPLE_NAME" == batch_sweep ]] \
+    && [[ "$(grep -c 'cache_misses: 0)' <<<"$EXAMPLE_OUT")" != 2 ]]; then
+    echo "ci: batch_sweep's calibrate and frontier must both report cache_misses: 0" >&2
+    echo "$EXAMPLE_OUT" >&2
+    exit 1
+  fi
+  echo "ci: example $EXAMPLE_NAME ok"
+done
+
 echo "==> perfbench build and tests (its own workspace)"
 # The benchmark builds against the engine, serve and client crates by
 # path; building and testing it here turns an API change that breaks it

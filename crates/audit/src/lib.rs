@@ -2,7 +2,7 @@
 //!
 //! The kernels dispatch into `unsafe` SIMD code (`simd/lib.rs`,
 //! `simd/lanes.rs`), and the serve daemon calls the Linux ABI directly
-//! (`serve/reactor.rs`, `engine/signal.rs`), with correctness argued in
+//! (`serve/reactor.rs`, `serve/signal.rs`), with correctness argued in
 //! prose. This crate is the machine-checked version of that
 //! prose — the same move the model-checking literature makes for the
 //! protocol itself: encode the invariants once, re-check them on every

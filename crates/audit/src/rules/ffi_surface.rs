@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn extern_fn_definitions_are_also_gated() {
         let files = vec![ScannedFile::new(
-            "crates/engine/src/signal.rs",
+            "crates/serve/src/signal.rs",
             "pub(super) extern \"C\" fn on_termination(signum: i32) {}\n",
         )];
         let findings = check(&files, &[]);

@@ -22,10 +22,11 @@
 //!   ([`ALLOWLIST_PATH`]); unused entries warn (fatal under
 //!   `--deny-warnings`).
 //!
-//! Calls that leave the serve crate (the engine's `poll_completions`,
-//! `submit_work`, …) are out of this rule's scope. None of them waits
-//! for a completion: `submit_work` enqueues and returns, and completions
-//! are *polled* (DESIGN.md, "Concurrency invariants").
+//! Calls that leave the serve crate (the engine session's
+//! `poll_responses`, `submit_request`, …) are out of this rule's scope.
+//! None of them waits for a completion: `submit_request` enqueues and
+//! returns, and completions are *polled* (DESIGN.md, "Concurrency
+//! invariants").
 //!
 //! Allowlist format, one justified site per line:
 //!
@@ -287,10 +288,10 @@ mod tests {
     #[test]
     fn functions_outside_the_serve_crate_are_out_of_scope() {
         let files = vec![
-            listener("fn run(&mut self) { poll_completions(); }\n"),
+            listener("fn run(&mut self) { poll_responses(); }\n"),
             ScannedFile::new(
-                "crates/engine/src/pipeline.rs",
-                "fn poll_completions() { self.completions.recv(); }\n",
+                "crates/engine/src/wire/session.rs",
+                "fn poll_responses() { self.completions.recv(); }\n",
             ),
         ];
         assert!(check(&files, &[]).is_empty());

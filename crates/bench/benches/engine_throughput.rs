@@ -32,10 +32,10 @@ use zeroconf_bench::schema;
 use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, Mode};
 use zeroconf_cost::{cost, paper, Scenario};
 use zeroconf_dist::DefectiveExponential;
-use zeroconf_engine::wire::{parse_response_line, WireResponse};
+use zeroconf_engine::wire::{parse_response_line, PipelinedSession, WireRequest, WireResponse};
 use zeroconf_engine::{
     AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
-    Pipeline, PipelineConfig, SweepRequest,
+    PipelineConfig, SweepRequest,
 };
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::{Rng, SeedableRng};
@@ -188,18 +188,36 @@ fn serial_session(samples: usize, requests: &[SweepRequest]) -> BenchRecord {
     })
 }
 
-/// The same requests streamed through a `Pipeline` with `depth` in
-/// flight, drained at the end. On a multi-core host the overlap wins; on
-/// a single-CPU host this measures pure pipelining overhead, and is
-/// expected to come out *slower* than the serial dispatch.
+/// The same requests submitted to a `PipelinedSession` with `depth` in
+/// flight and collected as the reactor collects them: typed answers from
+/// `poll_responses`, polled each time a completion notifier fires, so no
+/// answer is encoded and the row times dispatch, not JSON. On a
+/// multi-core host the overlap wins; on a single-CPU host this measures
+/// pure pipelining overhead, and is expected to come out *slower* than
+/// the serial dispatch.
 fn pipelined_session(depth: usize, samples: usize, requests: &[SweepRequest]) -> BenchRecord {
     measure(&schema::row_session_pipelined(depth), samples, || {
-        let engine = Arc::new(Engine::new(config()));
-        let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(depth));
-        for request in requests {
-            pipeline.submit(request.clone()).expect("sweep submits");
+        let mut session =
+            PipelinedSession::new(Engine::new(config()), PipelineConfig::with_depth(depth));
+        let (notify, notified) = std::sync::mpsc::channel();
+        session.set_completion_notifier(Arc::new(move || {
+            let _ = notify.send(());
+        }));
+        for (k, request) in requests.iter().enumerate() {
+            let id = k.to_string();
+            let request = request.clone();
+            let refused = session.submit_request(WireRequest::Sweep { id, request });
+            assert!(refused.is_empty(), "sweep submits");
         }
-        pipeline.drain().len()
+        let mut answered = 0;
+        while session.pending() > 0 {
+            // Each completion is in the channel before its notifier runs.
+            notified
+                .recv()
+                .expect("an executor notifies each completion");
+            answered += session.poll_responses().len();
+        }
+        answered
     })
 }
 

@@ -52,14 +52,9 @@
 //! # }
 //! ```
 
-// The engine is one of the workspace's three unsafe-bearing crates,
-// beside `zeroconf-serve` and `zeroconf-simd` (see `zeroconf-audit`); its
-// unsafe code is the signal hook in `signal.rs`. Every unsafe operation
-// inside an `unsafe fn` must sit in its own block with its own SAFETY
-// comment.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-// The one platform guard of the workspace. The serve reactor and the
+// The one platform guard of the workspace. The serve reactor and its
 // signal hook call the Linux ABI directly; every crate that builds on
 // the engine inherits this target.
 #[cfg(not(all(
@@ -70,9 +65,8 @@
 compile_error!("zeroconf-engine builds for 64-bit little-endian Linux only");
 
 mod cache;
-pub mod pipeline;
+mod pipeline;
 mod request;
-pub mod signal;
 mod sweep;
 pub mod testkit;
 pub mod wire;
@@ -86,14 +80,11 @@ use zeroconf_cost::param::ParamLandscape;
 use zeroconf_cost::{tradeoff, CostError, Scenario};
 use zeroconf_simd::Backend;
 
-pub use pipeline::{
-    Completion, CompletionNotifier, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats,
-    RequestId,
-};
+pub use pipeline::{CompletionNotifier, ExecutorTeam, PipelineConfig, PipelineStats};
 pub use request::{
     AxisSpec, BatchStats, CalibrateRequest, CalibrateResponse, Cell, EngineStats, FrontierPoint,
     FrontierRequest, FrontierResponse, GridSpec, Landscape, Metric, ParamAxis, RescoreDelta,
-    SweepRequest, SweepResponse, WorkRequest, WorkResponse,
+    SweepRequest, SweepResponse,
 };
 pub use wire::WireError;
 
@@ -124,9 +115,8 @@ impl Default for EngineConfig {
 ///
 /// This is the single error surface of the crate: wire-protocol failures
 /// ([`WireError`]) and cost-model failures ([`CostError`]) both convert
-/// into it, so [`Engine`], [`wire::PipelinedSession`] and [`Pipeline`]
-/// all return one type and the wire encoder stringifies an error exactly
-/// once.
+/// into it, so [`Engine`] and [`wire::PipelinedSession`] return one
+/// type and the wire encoder stringifies an error exactly once.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -269,7 +259,7 @@ impl Engine {
     /// cancelled before or during the sweep, evaluation stops at its next
     /// check (between chunks of `r` columns, and between a chunk's π and
     /// kernel phases) and the call returns [`EngineError::Cancelled`]. The
-    /// [`Pipeline`] uses this to abort in-flight requests.
+    /// [`wire::PipelinedSession`] uses this to abort in-flight requests.
     ///
     /// # Errors
     ///

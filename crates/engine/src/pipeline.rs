@@ -1,6 +1,6 @@
 //! Pipelined evaluation: one [`ExecutorTeam`] of threads draining a
-//! shared ticket queue over one [`Engine`], and thread-free [`Pipeline`]
-//! sessions whose requests complete **out of order**, keyed by request id.
+//! shared ticket queue over one [`Engine`], so that requests complete
+//! **out of order**.
 //!
 //! The blocking [`Engine::evaluate`] call answers one sweep at a time;
 //! serving many concurrent clients (the paper's multi-host regime, and
@@ -13,60 +13,47 @@
 //!   engine's π-table cache is common to every in-flight request, each
 //!   request runs on the executor that took it, and a short sweep submitted after a long one
 //!   finishes *first*. `zeroconf serve` builds one team per daemon, sized
-//!   by `--inflight`, and every connection's pipeline submits to it;
-//!   [`Pipeline::new`] builds a private team sized by
+//!   by `--inflight`, and every connection's session submits to it;
+//!   [`PipelinedSession::new`] builds a private team sized by
 //!   [`PipelineConfig::depth`]. The team
 //!   starts one executor, and another whenever a ticket finds all of them
 //!   busy, up to its size; the executor that went idle last takes the
 //!   next ticket, so a light load keeps running on one thread. An
 //!   executor sending a completion is not busy: a request submitted in
 //!   reply waits for it rather than starting another.
-//! - A [`Pipeline`] owns no thread. Each ticket it submits carries its
-//!   completion sender and notifier; its ids, cancel tokens and counters
-//!   are plain fields of the one consumer thread.
-//! - [`Pipeline::submit`] enqueues a validated [`SweepRequest`] and
-//!   returns a [`RequestId`] immediately ([`Pipeline::submit_work`] does
-//!   the same for any [`WorkRequest`] verb — sweep, calibrate or
-//!   frontier). Submitting never waits: a pipeline bounds nothing, and
-//!   the front end bounds admission (the serve crate's connection,
-//!   through its permit budget and, for `zeroconf engine`'s connection,
-//!   a line gate on the session's pending count).
-//! - [`Pipeline::poll_completions`] / [`Pipeline::next_completion`] hand
-//!   back [`Completion`]s in **finish order**, each tagged with its
-//!   [`RequestId`] and per-request latency counters (queue wait and
-//!   service time). A request's token is dropped, and the counters
-//!   updated, when its completion is handed out.
-//! - [`Pipeline::cancel`] flags one request whose completion has not been
-//!   handed out; a queued ticket is dropped before evaluation, a running
-//!   one aborts at the next `r` boundary (see [`CancelToken`]), and one
-//!   that finished first is answered as cancelled when it is handed out.
-//!   Either way the request completes with [`EngineError::Cancelled`] —
-//!   no id is ever lost, and whether a cancel wins depends only on the
-//!   order of the consumer's own calls, not on thread timing.
-//! - [`Pipeline::drain`] blocks until every in-flight request has
-//!   completed. Dropping the last handle on a team closes its queue and
-//!   joins its threads after they finish it (graceful shutdown — queued
-//!   work is never abandoned mid-evaluation).
+//! - The team's one consumer is [`PipelinedSession`], which owns no
+//!   thread. Each ticket it submits carries its completion sender and
+//!   notifier: the executor that evaluates the ticket sends the
+//!   completion, with its queue wait and service time, and then runs the
+//!   notifier. The session's ids, cancel tokens and counters are plain
+//!   fields of its one consumer thread; its docs give the rules for
+//!   submitting, cancelling and handing out.
+//! - Dropping the last handle on a team closes its queue and joins its
+//!   threads after they finish it (graceful shutdown — queued work is
+//!   never abandoned mid-evaluation).
 //!
 //! Everything is `std`: one mutex around the team's queue, one count of
 //! finishing executors, a channel to each idle executor, and one
-//! completion channel per pipeline. The
-//! wire-protocol front-end in [`crate::wire`] is a thin codec over this
-//! type.
+//! completion channel per session.
+//!
+//! [`PipelinedSession`]: crate::wire::PipelinedSession
+//! [`PipelinedSession::new`]: crate::wire::PipelinedSession::new
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::{CancelToken, Engine, EngineError, SweepRequest, WorkRequest, WorkResponse};
+use crate::request::{WorkRequest, WorkResponse};
+use crate::{CancelToken, Engine, EngineError};
 
-/// The size of a pipeline's private executor team ([`Pipeline::new`]).
+/// The size of a session's private executor team
+/// ([`PipelinedSession::new`](crate::wire::PipelinedSession::new)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Executor threads of the private team: how many of the pipeline's
+    /// Executor threads of the private team: how many of the session's
     /// requests evaluate at once. Submitting more queues them.
     pub depth: usize,
 }
@@ -88,49 +75,43 @@ impl PipelineConfig {
     }
 }
 
-/// A callback executor threads invoke right after a [`Completion`] lands
-/// in the channel. Readiness-driven consumers (the `zeroconf serve`
+/// A callback executor threads invoke right after a completion lands in
+/// its session's channel. Readiness-driven consumers (the `zeroconf serve`
 /// reactor) register one to get woken — the reactor's writes to its
-/// eventfd — instead of polling the pipeline on a timer.
+/// eventfd — instead of polling the session on a timer.
 /// The callback runs on an executor thread, so it must be cheap and
 /// must never block on the consumer side.
 pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
 
-/// Identifier of one submitted request, unique within its [`Pipeline`].
+/// Identifier of one submitted request, unique within its session.
 /// Completions are keyed by it; submission order is `id` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RequestId(pub u64);
-
-impl std::fmt::Display for RequestId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "#{}", self.0)
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct RequestId(pub(crate) u64);
 
 /// One finished request: its id, the request itself, its outcome and its
 /// latency split.
 #[derive(Debug)]
-pub struct Completion {
-    /// The id `submit` returned.
-    pub id: RequestId,
+pub(crate) struct Completion {
+    /// The id the session gave the request.
+    pub(crate) id: RequestId,
     /// The request as it was submitted, handed back so the submitter
     /// need not keep a copy while it is in flight.
-    pub request: WorkRequest,
+    pub(crate) request: WorkRequest,
     /// The evaluated response — same [`WorkResponse`] variant as the
     /// submitted [`WorkRequest`] — or why there is none
     /// ([`EngineError::Cancelled`] for cancelled requests).
-    pub result: Result<WorkResponse, EngineError>,
+    pub(crate) result: Result<WorkResponse, EngineError>,
     /// Nanoseconds spent queued before an executor picked the request up.
-    pub queue_nanos: u64,
+    pub(crate) queue_nanos: u64,
     /// Nanoseconds spent evaluating (zero when cancelled while queued).
-    pub service_nanos: u64,
+    pub(crate) service_nanos: u64,
 }
 
-/// Pipeline-lifetime counters, including the per-request latency
+/// A session's lifetime counters, including the per-request latency
 /// aggregates reported by the CLI's `--stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Requests accepted by `submit`.
+    /// Requests submitted to the team.
     pub submitted: u64,
     /// Requests that completed successfully.
     pub completed: u64,
@@ -150,7 +131,7 @@ pub struct PipelineStats {
 
 impl PipelineStats {
     /// Counts one completion as it is handed out.
-    fn record(&mut self, completion: &Completion) {
+    pub(crate) fn record(&mut self, completion: &Completion) {
         match completion.result {
             Ok(_) => self.completed += 1,
             Err(EngineError::Cancelled) => self.cancelled += 1,
@@ -167,14 +148,14 @@ impl PipelineStats {
     }
 }
 
-/// One queued request, with the way back to the pipeline that sent it.
-struct Ticket {
-    id: RequestId,
-    request: WorkRequest,
-    token: CancelToken,
-    submitted: Instant,
-    done: Sender<Completion>,
-    notify: Option<CompletionNotifier>,
+/// One queued request, with the way back to the session that sent it.
+pub(crate) struct Ticket {
+    pub(crate) id: RequestId,
+    pub(crate) request: WorkRequest,
+    pub(crate) token: CancelToken,
+    pub(crate) submitted: Instant,
+    pub(crate) done: Sender<Completion>,
+    pub(crate) notify: Option<CompletionNotifier>,
 }
 
 /// The team's queue: tickets no executor has taken yet, a channel to
@@ -195,9 +176,9 @@ fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
 }
 
 /// A bounded team of executor threads draining one ticket queue over one
-/// shared [`Engine`]. Every [`Pipeline`] built on the team submits to
-/// that queue, so the threads serve whichever pipeline has work and a
-/// pipeline owns none of them. Dropping the team closes the queue and
+/// shared [`Engine`]. Every session built on the team submits to that
+/// queue, so the threads serve whichever session has work and a session
+/// owns none of them. Dropping the team closes the queue and
 /// joins the threads after they finish everything already queued.
 pub struct ExecutorTeam {
     engine: Arc<Engine>,
@@ -245,12 +226,18 @@ impl ExecutorTeam {
         &self.engine
     }
 
+    /// The most executors the team starts: how many requests it
+    /// evaluates at once.
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
     /// Hands `ticket` to the executor that went idle last, or else queues
     /// it, and starts another executor only if the queue then holds more
     /// tickets than the finishing executors will take. Reusing the warmest
     /// thread keeps a light load on one stack and one malloc arena
     /// instead of rotating through all of them.
-    fn submit(&self, ticket: Ticket) {
+    pub(crate) fn submit(&self, ticket: Ticket) {
         let mut queue = lock(&self.queue);
         match queue.idle.pop() {
             Some(executor) => executor
@@ -351,7 +338,7 @@ fn executor_loop(queue: &Mutex<Queue>, finishing: &AtomicUsize, engine: &Engine)
         // to whoever receives it (see `submit`).
         finishing.fetch_add(1, Ordering::Relaxed);
         finished = true;
-        // A pipeline dropped with work queued no longer listens; its
+        // A session dropped with work queued no longer listens; its
         // completions are discarded.
         let _ = done.send(Completion {
             id,
@@ -368,206 +355,6 @@ fn executor_loop(queue: &Mutex<Queue>, finishing: &AtomicUsize, engine: &Engine)
     }
 }
 
-/// The pipelined front-end over one shared [`ExecutorTeam`]. See the
-/// module docs for the lifecycle; the one-line version:
-///
-/// ```
-/// use zeroconf_engine::{Engine, EngineConfig, GridSpec, Pipeline, PipelineConfig, SweepRequest};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let scenario = zeroconf_cost::paper::figure2_scenario()?;
-/// let engine = std::sync::Arc::new(Engine::new(EngineConfig::default()));
-/// let mut pipeline = Pipeline::new(engine, PipelineConfig::with_depth(4));
-/// let a = pipeline.submit(SweepRequest::new(scenario.clone(), GridSpec::linspace(4, 0.5, 2.0, 8)))?;
-/// let b = pipeline.submit(SweepRequest::new(scenario, GridSpec::linspace(2, 0.5, 2.0, 4)))?;
-/// let done = pipeline.drain(); // completions in *finish* order
-/// assert_eq!(done.len(), 2);
-/// assert!(done.iter().any(|c| c.id == a) && done.iter().any(|c| c.id == b));
-/// # Ok(())
-/// # }
-/// ```
-pub struct Pipeline {
-    team: Arc<ExecutorTeam>,
-    next_id: u64,
-    /// Cancel tokens of submitted requests whose completion has not been
-    /// handed out yet.
-    tokens: HashMap<RequestId, CancelToken>,
-    stats: PipelineStats,
-    /// Cloned into every ticket; holding it keeps `completions` open.
-    done: Sender<Completion>,
-    completions: Receiver<Completion>,
-    /// Cloned into every ticket.
-    notifier: Option<CompletionNotifier>,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("depth", &self.depth())
-            .field("in_flight", &self.in_flight())
-            .finish()
-    }
-}
-
-impl Pipeline {
-    /// Builds a pipeline over `engine` with a private team of up to
-    /// `config.depth` executor threads.
-    #[must_use]
-    pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Pipeline {
-        let team = ExecutorTeam::new(engine, config.depth);
-        Pipeline::with_team(Arc::new(team))
-    }
-
-    /// Builds a pipeline that submits to a shared `team`. It spawns
-    /// nothing: the team's threads evaluate its requests alongside every
-    /// other pipeline's.
-    #[must_use]
-    pub fn with_team(team: Arc<ExecutorTeam>) -> Pipeline {
-        let (done, completions) = channel();
-        Pipeline {
-            team,
-            next_id: 0,
-            tokens: HashMap::new(),
-            stats: PipelineStats::default(),
-            done,
-            completions,
-            notifier: None,
-        }
-    }
-
-    /// Registers `notifier`, to be invoked by an executor thread each time
-    /// a completion of a request submitted from now on becomes pollable
-    /// (replacing any previous notifier). See [`CompletionNotifier`] for
-    /// the contract.
-    pub fn set_completion_notifier(&mut self, notifier: CompletionNotifier) {
-        self.notifier = Some(notifier);
-    }
-
-    /// The engine shared by every request of this pipeline.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        self.team.engine()
-    }
-
-    /// The most requests the pipeline's team evaluates at once: its
-    /// size. A pipeline has no depth of its own.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.team.size
-    }
-
-    /// Requests currently in flight: submitted, completion not yet
-    /// retrieved by [`Pipeline::poll_completions`] /
-    /// [`Pipeline::next_completion`].
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Validates and enqueues one sweep, returning its id immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before anything is queued.
-    pub fn submit(&mut self, request: SweepRequest) -> Result<RequestId, EngineError> {
-        self.submit_work(WorkRequest::Sweep(request))
-    }
-
-    /// Validates and enqueues any engine verb — sweep, calibrate or
-    /// frontier — returning its id immediately, without waiting for
-    /// anything. The completion carries the matching [`WorkResponse`]
-    /// variant.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] for malformed requests — rejected
-    /// eagerly, before anything is queued.
-    pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
-        request.validate()?;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let token = CancelToken::new();
-        self.tokens.insert(id, token.clone());
-        self.stats.submitted += 1;
-        self.team.submit(Ticket {
-            id,
-            request,
-            token,
-            submitted: Instant::now(),
-            done: self.done.clone(),
-            notify: self.notifier.clone(),
-        });
-        Ok(id)
-    }
-
-    /// Flags one in-flight request for cancellation. Returns `false` when
-    /// the id is unknown or its completion was already handed out. The
-    /// request still produces a [`Completion`], with
-    /// [`EngineError::Cancelled`] also when its evaluation finished before
-    /// the cancel arrived, so consumers never lose an id and a cancel that
-    /// returns `true` always wins.
-    pub fn cancel(&self, id: RequestId) -> bool {
-        match self.tokens.get(&id) {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Completions that are ready right now, in finish order, without
-    /// blocking.
-    pub fn poll_completions(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        while let Ok(completion) = self.completions.try_recv() {
-            out.push(self.hand_out(completion));
-        }
-        out
-    }
-
-    /// Blocks for the next completion; `None` when nothing is in flight.
-    pub fn next_completion(&mut self) -> Option<Completion> {
-        if self.tokens.is_empty() {
-            return None;
-        }
-        // This pipeline holds a sender, so the channel never closes.
-        let completion = self.completions.recv().ok()?;
-        Some(self.hand_out(completion))
-    }
-
-    /// Blocks until every in-flight request has completed and returns the
-    /// completions in finish order.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        while let Some(completion) = self.next_completion() {
-            out.push(completion);
-        }
-        out
-    }
-
-    /// A snapshot of the pipeline-lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-
-    /// Books one completion as it is handed out: its token goes, a request
-    /// cancelled before now answers [`EngineError::Cancelled`] whatever
-    /// its evaluation gave, and the counters count what it answers.
-    fn hand_out(&mut self, mut completion: Completion) -> Completion {
-        if self
-            .tokens
-            .remove(&completion.id)
-            .is_some_and(|token| token.is_cancelled())
-        {
-            completion.result = Err(EngineError::Cancelled);
-        }
-        self.stats.record(&completion);
-        completion
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -575,7 +362,8 @@ mod tests {
     use zeroconf_cost::Scenario;
     use zeroconf_dist::DefectiveExponential;
 
-    use crate::{Engine, EngineConfig, GridSpec, SweepRequest};
+    use crate::wire::{PipelinedSession, WireRequest};
+    use crate::{EngineConfig, GridSpec, SweepRequest};
 
     use super::*;
 
@@ -591,129 +379,19 @@ mod tests {
             .unwrap()
     }
 
-    fn pipeline(depth: usize) -> Pipeline {
+    fn team(size: usize) -> Arc<ExecutorTeam> {
         let engine = Arc::new(Engine::new(EngineConfig {
             cache_tables: 64,
             ..EngineConfig::default()
         }));
-        Pipeline::new(engine, PipelineConfig::with_depth(depth))
+        Arc::new(ExecutorTeam::new(engine, size))
     }
 
-    fn request(n_max: u32, points: usize) -> SweepRequest {
-        SweepRequest::new(scenario(), GridSpec::linspace(n_max, 0.5, 2.0, points))
-    }
-
-    #[test]
-    fn submit_and_drain_round_trip() {
-        let mut p = pipeline(2);
-        let a = p.submit(request(3, 4)).unwrap();
-        let b = p.submit(request(2, 3)).unwrap();
-        assert_ne!(a, b);
-        let done = p.drain();
-        assert_eq!(done.len(), 2);
-        assert_eq!(p.in_flight(), 0);
-        for completion in &done {
-            let Ok(WorkResponse::Sweep(sweep)) = &completion.result else {
-                panic!("sweep submissions complete as sweeps");
-            };
-            assert!(!sweep.landscape.is_empty());
+    fn sweep(id: &str, points: usize) -> WireRequest {
+        WireRequest::Sweep {
+            id: id.to_owned(),
+            request: SweepRequest::new(scenario(), GridSpec::linspace(2, 0.5, 2.0, points)),
         }
-        let stats = p.stats();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cancelled + stats.failed, 0);
-        assert!(stats.service_nanos_total >= stats.service_nanos_max);
-    }
-
-    #[test]
-    fn invalid_requests_are_rejected_before_queueing() {
-        let mut p = pipeline(1);
-        let mut bad = request(3, 4);
-        bad.grid.r_values.clear();
-        assert!(matches!(
-            p.submit(bad),
-            Err(EngineError::InvalidRequest { .. })
-        ));
-        assert_eq!(p.in_flight(), 0);
-        assert_eq!(p.stats().submitted, 0);
-    }
-
-    #[test]
-    fn cancel_of_unknown_id_is_false() {
-        let mut p = pipeline(1);
-        assert!(!p.cancel(RequestId(42)));
-        let id = p.submit(request(2, 2)).unwrap();
-        p.drain();
-        // Completed ids are forgotten.
-        assert!(!p.cancel(id));
-    }
-
-    #[test]
-    fn next_completion_is_none_when_idle() {
-        let mut p = pipeline(2);
-        assert!(p.next_completion().is_none());
-        p.submit(request(2, 2)).unwrap();
-        assert!(p.next_completion().is_some());
-        assert!(p.next_completion().is_none());
-    }
-
-    #[test]
-    fn completion_notifier_fires_once_per_completion() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut p = pipeline(2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let observer = Arc::clone(&fired);
-        p.set_completion_notifier(Arc::new(move || {
-            observer.fetch_add(1, Ordering::SeqCst);
-        }));
-        p.submit(request(3, 4)).unwrap();
-        p.submit(request(2, 3)).unwrap();
-        let done = p.drain();
-        assert_eq!(done.len(), 2);
-        // The notifier runs after each completion is sent, so drain can
-        // observe the second completion a moment before its notify lands
-        // — wait for it rather than racing the executor thread.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while fired.load(Ordering::SeqCst) < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "notifier fired {} of 2 times",
-                fired.load(Ordering::SeqCst)
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn a_cancel_before_hand_out_wins_over_a_finished_evaluation() {
-        let mut p = pipeline(1);
-        let (notify, notified) = channel();
-        p.set_completion_notifier(Arc::new(move || {
-            let _ = notify.send(());
-        }));
-        // A's evaluation has finished and its completion waits in the
-        // channel when the cancel arrives.
-        let a = p.submit(request(2, 3)).unwrap();
-        notified.recv().unwrap();
-        assert!(p.cancel(a));
-        // B and C finish behind A on the one executor; B is cancelled
-        // while its completion waits in the channel, C is not.
-        let b = p.submit(request(2, 3)).unwrap();
-        let c = p.submit(request(2, 3)).unwrap();
-        notified.recv().unwrap();
-        notified.recv().unwrap();
-        assert_eq!(p.in_flight(), 3, "nothing is handed out yet");
-        assert!(p.cancel(b));
-        let done = p.drain();
-        let ids: Vec<RequestId> = done.iter().map(|completion| completion.id).collect();
-        assert_eq!(ids, [a, b, c]);
-        assert!(matches!(done[0].result, Err(EngineError::Cancelled)));
-        assert!(matches!(done[1].result, Err(EngineError::Cancelled)));
-        assert!(done[2].result.is_ok());
-        let stats = p.stats();
-        assert_eq!((stats.completed, stats.cancelled, stats.failed), (1, 2, 0));
-        assert!(!p.cancel(a), "a handed-out completion is forgotten");
     }
 
     /// A client that sends one request at a time runs on one executor:
@@ -726,65 +404,75 @@ mod tests {
     /// executor's thread still starts a second.
     #[test]
     fn serial_requests_start_one_executor() {
-        let mut p = pipeline(8);
-        while lock(&p.team.queue).idle.is_empty() {
+        let team = team(8);
+        let mut session = PipelinedSession::with_team(Arc::clone(&team));
+        while lock(&team.queue).idle.is_empty() {
             std::thread::yield_now();
         }
         let (next_sent, wait) = channel::<()>();
         let wait = Mutex::new(wait);
-        p.set_completion_notifier(Arc::new(move || {
+        session.set_completion_notifier(Arc::new(move || {
             let _ = wait.lock().unwrap().recv();
         }));
         for round in 0..2_000 {
-            p.submit(request(2, 2)).unwrap();
+            assert!(session.submit_request(sweep("s", 2)).is_empty());
             if round > 0 {
                 next_sent.send(()).unwrap();
             }
-            assert!(p.next_completion().unwrap().result.is_ok());
+            let answers = session.drain();
+            assert!(answers[0].contains("\"cells\""), "{answers:?}");
         }
         drop(next_sent);
-        assert_eq!(lock(&p.team.queue).threads.len(), 1);
+        assert_eq!(lock(&team.queue).threads.len(), 1);
     }
 
     /// Submitting never waits for a completion, however many requests
-    /// the team already holds: here both executors of a depth-2 pipeline
+    /// the team already holds: here both executors of a depth-2 session
     /// are held in the notifier while eight requests are submitted. A
     /// submit that waited would wait for ever, so a watchdog fails the
     /// test instead, and the executors are released either way.
     #[test]
     fn submitting_past_the_depth_never_waits() {
-        let mut p = pipeline(2);
+        let mut session = PipelinedSession::with_team(team(2));
         let (release, held) = channel::<()>();
         let held = Mutex::new(held);
-        p.set_completion_notifier(Arc::new(move || {
+        session.set_completion_notifier(Arc::new(move || {
             let _ = held.lock().unwrap().recv();
         }));
         let (submitted, watchdog) = channel();
         let submitter = std::thread::spawn(move || {
-            let ids: Vec<RequestId> = (0..8).map(|_| p.submit(request(2, 3)).unwrap()).collect();
+            let immediate: usize = (0..8)
+                .map(|k| session.submit_request(sweep(&format!("s{k}"), 3)).len())
+                .sum();
             submitted.send(()).unwrap();
-            (p, ids)
+            (session, immediate)
         });
         let returned = watchdog.recv_timeout(std::time::Duration::from_secs(10));
         drop(release);
-        let (mut p, ids) = submitter.join().unwrap();
+        let (mut session, immediate) = submitter.join().unwrap();
         assert!(
             returned.is_ok(),
             "a submit waited on executors held in the notifier"
         );
-        let mut done: Vec<RequestId> = p.drain().iter().map(|c| c.id).collect();
-        done.sort();
-        assert_eq!(done, ids);
+        assert_eq!(immediate, 0);
+        let answers = session.drain();
+        assert_eq!(answers.len(), 8);
+        for k in 0..8 {
+            let id = format!("\"id\":\"s{k}\",");
+            assert_eq!(answers.iter().filter(|a| a.contains(&id)).count(), 1);
+        }
     }
 
     #[test]
     fn dropping_a_full_pipeline_finishes_queued_work() {
         // Queue more than the executor count, then drop without draining:
         // Drop must join cleanly (graceful drain), not hang or abandon.
-        let mut p = pipeline(4);
-        for _ in 0..4 {
-            p.submit(request(2, 3)).unwrap();
+        let mut session = PipelinedSession::with_team(team(4));
+        for k in 0..4 {
+            assert!(session
+                .submit_request(sweep(&format!("s{k}"), 3))
+                .is_empty());
         }
-        drop(p);
+        drop(session);
     }
 }

@@ -68,7 +68,7 @@ impl SweepRequest {
     /// selects the metrics.
     ///
     /// Construction checks nothing, here or in a literal: every consumer
-    /// ([`crate::Engine::evaluate`], [`crate::Pipeline::submit_work`])
+    /// ([`crate::Engine::evaluate`], [`crate::wire::PipelinedSession`])
     /// runs [`SweepRequest::validate`] on the request it is given.
     ///
     /// ```
@@ -581,12 +581,10 @@ pub struct FrontierResponse {
     pub stats: BatchStats,
 }
 
-/// One unit of engine work a pipeline can carry: the closed set of verbs
-/// the wire protocol speaks. [`Pipeline::submit`](crate::Pipeline::submit)
-/// wraps a sweep; [`Pipeline::submit_work`](crate::Pipeline::submit_work)
-/// accepts any verb.
+/// One unit of engine work a session submits to its executor team: the
+/// closed set of verbs the wire protocol speaks.
 #[derive(Debug, Clone)]
-pub enum WorkRequest {
+pub(crate) enum WorkRequest {
     /// A grid sweep ([`crate::Engine::evaluate`]).
     Sweep(SweepRequest),
     /// A closed-form `E` calibration ([`crate::Engine::calibrate`]).
@@ -601,7 +599,7 @@ impl WorkRequest {
     /// # Errors
     ///
     /// [`EngineError::InvalidRequest`] from the inner `validate`.
-    pub fn validate(&self) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self) -> Result<(), EngineError> {
         match self {
             WorkRequest::Sweep(r) => r.validate(),
             WorkRequest::Calibrate(r) => r.validate(),
@@ -611,35 +609,14 @@ impl WorkRequest {
 }
 
 /// The answer to one [`WorkRequest`], same variant as the request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkResponse {
+#[derive(Debug)]
+pub(crate) enum WorkResponse {
     /// A sweep's evaluated landscape.
     Sweep(SweepResponse),
     /// A calibration's recovered `E*`.
     Calibrate(CalibrateResponse),
     /// A frontier's Pareto points.
     Frontier(FrontierResponse),
-}
-
-impl WorkResponse {
-    /// The work counters, whatever the verb.
-    #[must_use]
-    pub fn stats(&self) -> &BatchStats {
-        match self {
-            WorkResponse::Sweep(r) => &r.stats,
-            WorkResponse::Calibrate(r) => &r.stats,
-            WorkResponse::Frontier(r) => &r.stats,
-        }
-    }
-
-    /// Consumes into the sweep response, when this is one.
-    #[must_use]
-    pub fn into_sweep(self) -> Option<SweepResponse> {
-        match self {
-            WorkResponse::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// One evaluated grid cell. Metric fields are `None` when the metric was

@@ -60,8 +60,8 @@
 //! deeper than [`MAX_JSON_DEPTH`], or a request line of more than
 //! [`MAX_REQUEST_VALUES`] values, is refused while it is parsed.
 //!
-//! [`PipelinedSession`] speaks the protocol: a thin codec over
-//! [`Pipeline`](crate::Pipeline), keeping several requests in flight and
+//! [`PipelinedSession`] speaks the protocol: it submits requests to an
+//! [`ExecutorTeam`](crate::ExecutorTeam) itself, keeping several in flight and
 //! emitting responses in **completion order** (out of order with respect
 //! to the input when a short sweep overtakes a long one). Rescores of a
 //! still-in-flight base are held back and dispatched the moment the base

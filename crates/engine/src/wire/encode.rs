@@ -8,10 +8,9 @@ use super::float::{
 };
 use super::json::{eat, err, parse_object, push_json_str, skip_ws, Json, WireError};
 use crate::pipeline::PipelineStats;
-use crate::request::BatchStats;
+use crate::request::{BatchStats, WorkResponse};
 use crate::{
     CalibrateResponse, EngineError, EngineStats, FrontierResponse, Landscape, SweepResponse,
-    WorkResponse,
 };
 
 // ---------------------------------------------------------------------------
@@ -547,10 +546,10 @@ impl WireResponse {
         }
     }
 
-    /// Wraps one pipeline outcome — success of any verb, or failure —
+    /// Wraps one evaluation's outcome — success of any verb, or failure —
     /// into the matching response.
     #[must_use]
-    pub fn from_result(id: &str, result: Result<WorkResponse, EngineError>) -> WireResponse {
+    pub(crate) fn from_result(id: &str, result: Result<WorkResponse, EngineError>) -> WireResponse {
         match result {
             Ok(WorkResponse::Sweep(response)) => WireResponse::Sweep {
                 id: id.to_owned(),

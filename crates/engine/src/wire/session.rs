@@ -1,23 +1,25 @@
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::BuildHasher;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::time::Instant;
 
 use super::decode::{decode_line, WireRequest, WorkTarget};
 use super::encode::{error_line, invalid, WireResponse};
 use super::json::parse_request_json;
 use super::MAX_RETAINED_BASE_BYTES;
 use crate::pipeline::{
-    Completion, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats, RequestId,
+    Completion, CompletionNotifier, ExecutorTeam, PipelineConfig, PipelineStats, RequestId, Ticket,
 };
-use crate::request::RETAINED_BASE_OVERHEAD;
+use crate::request::{WorkRequest, RETAINED_BASE_OVERHEAD};
 use crate::{
-    AxisSpec, CalibrateRequest, Engine, EngineError, FrontierRequest, RescoreDelta, SweepRequest,
-    WorkRequest,
+    AxisSpec, CalibrateRequest, CancelToken, Engine, EngineError, FrontierRequest, RescoreDelta,
+    SweepRequest,
 };
 
 // ---------------------------------------------------------------------------
-// Sessions: JSON-lines codecs over the pipeline
+// Sessions: JSON-lines codecs over the executor team
 // ---------------------------------------------------------------------------
 
 /// Work held back because its base sweep is still in flight: everything
@@ -166,18 +168,37 @@ impl Bases {
     }
 }
 
-/// A pipelined JSON-lines session: a thin codec over
-/// [`Pipeline`](crate::Pipeline).
+/// One request on the team: the wire id that names it in its answer and
+/// in `cancel` lines, and its cancel token.
+struct InFlight {
+    wire_id: String,
+    token: CancelToken,
+}
+
+/// A pipelined JSON-lines session: it submits requests to an
+/// [`ExecutorTeam`] itself and answers them as they complete.
 ///
 /// [`PipelinedSession::submit_line`] decodes one input line and enqueues
 /// it, and [`PipelinedSession::submit_request`] enqueues a request that
-/// is already decoded; neither waits, so the front end bounds its own
-/// admission with [`PipelinedSession::pending`].
+/// is already decoded. A request is validated before anything is queued:
+/// an invalid one is answered at once and never counted as submitted.
+/// Submitting never waits, so the front end bounds its own admission
+/// with [`PipelinedSession::pending`].
 /// [`PipelinedSession::poll_responses`] answers whatever has completed
-/// so far, and [`PipelinedSession::drain`] blocks until every
-/// in-flight request is answered. Responses therefore come back in
-/// **completion order**, keyed by the caller's `id` field, not in input
-/// order.
+/// so far, and [`PipelinedSession::drain`] blocks on the completion
+/// channel until every in-flight request is answered. Responses
+/// therefore come back in **completion order**, keyed by the caller's
+/// `id` field, not in input order.
+///
+/// A completion is *handed out* when `poll_responses` or `drain` takes it
+/// from the channel, and [`PipelinedSession::pipeline_stats`] counts it
+/// then, as what it answers. A `cancel` line, or
+/// [`PipelinedSession::cancel_all`], flags a request whose completion has
+/// not been handed out: a queued ticket is dropped before evaluation, a
+/// running one aborts at its next check (see [`CancelToken`]), and one
+/// that finished first is answered as cancelled when it is handed out.
+/// So a cancel that reaches the session before the hand-out always wins,
+/// whatever the thread timing, and no id is ever lost.
 ///
 /// Rescore, calibrate and frontier lines whose base sweep is still in
 /// flight are *held back* and submitted automatically the moment the base
@@ -186,15 +207,23 @@ impl Bases {
 /// non-empty input line produces exactly one output line, pipelined or
 /// not.
 pub struct PipelinedSession {
-    pipeline: Pipeline,
+    team: Arc<ExecutorTeam>,
+    /// The id of the next request submitted to the team.
+    next_id: u64,
+    /// Requests on the team whose completion has not been handed out,
+    /// by request id. A `cancel` line finds its targets here by wire id:
+    /// the front end's admission bound bounds the scan. The requests
+    /// themselves come back with their completions.
+    in_flight: HashMap<RequestId, InFlight>,
+    /// Cloned into every ticket; holding it keeps `completions` open.
+    done: Sender<Completion>,
+    completions: Receiver<Completion>,
+    /// Cloned into every ticket.
+    notifier: Option<CompletionNotifier>,
+    stats: PipelineStats,
     /// Completed sweeps by wire id, referencable by later rescores,
     /// calibrations and frontiers.
     bases: Bases,
-    /// The wire ids of requests inside the pipeline, keyed by pipeline
-    /// id. A `cancel` line finds its targets here by wire id: the front
-    /// end's admission bound bounds the scan. The requests themselves
-    /// come back with their completions.
-    in_flight: HashMap<RequestId, String>,
     /// Dependent work waiting for its base to complete: base wire id →
     /// list of (dependent wire id, pending work).
     waiting: HashMap<String, Vec<(String, PendingWork)>>,
@@ -218,31 +247,37 @@ impl PipelinedSession {
         PipelinedSession::with_team(Arc::new(team))
     }
 
-    /// Starts a pipelined session on a *shared* executor team. The
-    /// session keeps only its bookkeeping (ids, bases, held-back
-    /// dependents, cancel tokens); the team's threads and its engine —
-    /// π-table cache, lifetime counters — are common to
+    /// Starts a pipelined session on a *shared* executor team. It spawns
+    /// nothing: the session keeps only its bookkeeping (ids, cancel
+    /// tokens, counters, bases, held-back dependents); the team's threads
+    /// and its engine — π-table cache, lifetime counters — are common to
     /// every session on the team, so a sweep completed through one
     /// session warms the cache for all.
     #[must_use]
     pub fn with_team(team: Arc<ExecutorTeam>) -> PipelinedSession {
+        let (done, completions) = channel();
         PipelinedSession {
-            pipeline: Pipeline::with_team(team),
-            bases: Bases::default(),
+            team,
+            next_id: 0,
             in_flight: HashMap::new(),
+            done,
+            completions,
+            notifier: None,
+            stats: PipelineStats::default(),
+            bases: Bases::default(),
             waiting: HashMap::new(),
             pending_ids: HashSet::new(),
         }
     }
 
-    /// Registers a [`CompletionNotifier`](crate::CompletionNotifier) on
-    /// the session's pipeline: an executor thread invokes it each time a
-    /// completion becomes pollable, so a readiness-driven front-end
-    /// (the `zeroconf serve` reactor) can sleep in `epoll_wait` and be
-    /// woken instead of polling [`PipelinedSession::poll_responses`] on
-    /// a timer.
-    pub fn set_completion_notifier(&mut self, notifier: crate::CompletionNotifier) {
-        self.pipeline.set_completion_notifier(notifier);
+    /// Registers a [`CompletionNotifier`], replacing any previous one: an
+    /// executor thread invokes it each time a completion of a request
+    /// submitted from now on becomes pollable, so a readiness-driven
+    /// front-end (the `zeroconf serve` reactor) can sleep in `epoll_wait`
+    /// and be woken instead of polling
+    /// [`PipelinedSession::poll_responses`] on a timer.
+    pub fn set_completion_notifier(&mut self, notifier: CompletionNotifier) {
+        self.notifier = Some(notifier);
     }
 
     /// Unanswered requests: submitted or held back, response not yet
@@ -254,17 +289,17 @@ impl PipelinedSession {
         self.in_flight.len() + self.waiting.values().map(Vec::len).sum::<usize>()
     }
 
-    /// Withdraws every unanswered request in the session: in-flight
-    /// pipeline requests are flagged for cancellation (their
+    /// Withdraws every unanswered request in the session: requests on
+    /// the team are flagged for cancellation (their
     /// [`EngineError::Cancelled`] responses arrive through
     /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`]
     /// as usual), and held-back rescores — which never reached the
-    /// pipeline — are answered right here with the returned error lines.
+    /// team — are answered right here with the returned error lines.
     /// This is the connection-drop path of `zeroconf serve`: a client
     /// that vanishes takes only its own requests down.
     pub fn cancel_all(&mut self) -> Vec<String> {
-        for pipeline_id in self.in_flight.keys() {
-            self.pipeline.cancel(*pipeline_id);
+        for request in self.in_flight.values() {
+            request.token.cancel();
         }
         let waiting = std::mem::take(&mut self.waiting);
         let mut out = Vec::new();
@@ -298,7 +333,9 @@ impl PipelinedSession {
     /// [`PipelinedSession::poll_responses`] / [`PipelinedSession::drain`].
     pub fn submit_request(&mut self, request: WireRequest) -> Vec<WireResponse> {
         match request {
-            WireRequest::Sweep { id, request } => self.submit_work(id, WorkRequest::Sweep(request)),
+            WireRequest::Sweep { id, request } => {
+                self.submit_work(id, Ok(WorkRequest::Sweep(request)))
+            }
             WireRequest::Rescore { id, of, delta } => {
                 self.submit_dependent(id, &of, PendingWork::Rescore(delta))
             }
@@ -308,12 +345,12 @@ impl PipelinedSession {
                 }
                 WorkTarget::Inline { scenario, grid } => self.submit_work(
                     id,
-                    WorkRequest::Calibrate(CalibrateRequest {
+                    Ok(WorkRequest::Calibrate(CalibrateRequest {
                         scenario,
                         grid,
                         target_n: n,
                         target_r: r,
-                    }),
+                    })),
                 ),
             },
             WireRequest::Frontier { id, target, x, y } => match target {
@@ -322,12 +359,12 @@ impl PipelinedSession {
                 }
                 WorkTarget::Inline { scenario, grid } => self.submit_work(
                     id,
-                    WorkRequest::Frontier(FrontierRequest {
+                    Ok(WorkRequest::Frontier(FrontierRequest {
                         scenario,
                         grid,
                         x,
                         y,
-                    }),
+                    })),
                 ),
             },
             WireRequest::Cancel { id, of } => self.submit_cancel(&id, &of),
@@ -340,9 +377,11 @@ impl PipelinedSession {
     /// until its text is due. May also dispatch rescores that were waiting
     /// on a newly completed base.
     pub fn poll_responses(&mut self) -> Vec<WireResponse> {
-        let completions = self.pipeline.poll_completions();
+        // Every completion ready now is taken before any is answered, so
+        // work an answer releases is answered by a later poll.
+        let ready: Vec<Completion> = self.completions.try_iter().collect();
         let mut out = Vec::new();
-        for completion in completions {
+        for completion in ready {
             out.extend(self.finish(completion));
         }
         out
@@ -352,7 +391,11 @@ impl PipelinedSession {
     /// returning the response lines in completion order.
     pub fn drain(&mut self) -> Vec<String> {
         let mut out = Vec::new();
-        while let Some(completion) = self.pipeline.next_completion() {
+        while !self.in_flight.is_empty() {
+            // The session holds a sender, so the channel never closes.
+            let Ok(completion) = self.completions.recv() else {
+                break;
+            };
             out.extend(self.finish(completion));
         }
         debug_assert!(self.waiting.is_empty(), "no rescore left behind");
@@ -370,46 +413,64 @@ impl PipelinedSession {
     /// The engine's cumulative counters (for `--stats` reporting).
     #[must_use]
     pub fn stats(&self) -> crate::EngineStats {
-        self.pipeline.engine().stats()
+        self.team.engine().stats()
     }
 
-    /// The pipeline's cumulative counters, including per-request latency
+    /// The session's cumulative counters, including per-request latency
     /// aggregates.
     #[must_use]
     pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline.stats()
+        self.stats
     }
 
-    /// Renders the engine and pipeline stats as one JSON line.
+    /// Renders the engine and session stats as one JSON line; its
+    /// `depth` is the team's size.
     #[must_use]
     pub fn stats_line(&self) -> String {
         WireResponse::Stats {
             engine: self.stats(),
-            pipeline: self.pipeline_stats(),
-            depth: self.pipeline.depth(),
+            pipeline: self.stats,
+            depth: self.team.size(),
         }
         .to_line()
     }
 
-    /// Submits one decoded work request of any verb; an immediate error
-    /// line when the pipeline rejects it.
-    fn submit_work(&mut self, wire_id: String, request: WorkRequest) -> Vec<WireResponse> {
-        match self.pipeline.submit_work(request) {
-            Ok(pipeline_id) => {
-                self.pending_ids.insert(wire_id.clone());
-                self.in_flight.insert(pipeline_id, wire_id);
-                Vec::new()
-            }
+    /// Validates one request of any verb and submits it to the team. A
+    /// request that failed to build or fails to validate is answered at
+    /// once, before anything is queued, and so is everything chained on
+    /// it, or held-back dependents would be stranded forever.
+    fn submit_work(
+        &mut self,
+        wire_id: String,
+        built: Result<WorkRequest, EngineError>,
+    ) -> Vec<WireResponse> {
+        let request = match built.and_then(|request| request.validate().map(|()| request)) {
+            Ok(request) => request,
             Err(e) => {
                 let mut out = vec![WireResponse::error(&wire_id, &e)];
                 out.extend(self.fail_dependents(&wire_id));
-                out
+                return out;
             }
-        }
+        };
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        let token = CancelToken::new();
+        self.stats.submitted += 1;
+        self.team.submit(Ticket {
+            id,
+            request,
+            token: token.clone(),
+            submitted: Instant::now(),
+            done: self.done.clone(),
+            notify: self.notifier.clone(),
+        });
+        self.pending_ids.insert(wire_id.clone());
+        self.in_flight.insert(id, InFlight { wire_id, token });
+        Vec::new()
     }
 
     /// Routes one base-referencing request (rescore, calibrate or
-    /// frontier): straight into the pipeline when the base sweep has
+    /// frontier): straight to the team when the base sweep has
     /// completed, held back when the base is pending, an error otherwise.
     fn submit_dependent(
         &mut self,
@@ -419,7 +480,7 @@ impl PipelinedSession {
     ) -> Vec<WireResponse> {
         if let Some(base) = self.bases.get(of) {
             let built = work.into_request(base);
-            return self.dispatch(wire_id, built);
+            return self.submit_work(wire_id, built);
         }
         if self.pending_ids.contains(of) {
             self.pending_ids.insert(wire_id.clone());
@@ -440,42 +501,28 @@ impl PipelinedSession {
         vec![WireResponse::error(&wire_id, &invalid(missing))]
     }
 
-    /// Submits dependent work built against its base. Work that fails at
-    /// dispatch time must still fail everything chained on it, or
-    /// held-back dependents are stranded forever.
-    fn dispatch(
-        &mut self,
-        wire_id: String,
-        built: Result<WorkRequest, EngineError>,
-    ) -> Vec<WireResponse> {
-        match built {
-            Ok(request) => self.submit_work(wire_id, request),
-            Err(e) => {
-                let mut out = vec![WireResponse::error(&wire_id, &e)];
-                out.extend(self.fail_dependents(&wire_id));
-                out
-            }
-        }
-    }
-
-    /// Handles one cancel line: flags every request in the pipeline
-    /// under that id, or else withdraws every held-back one outright.
+    /// Handles one cancel line: flags every request on the team under
+    /// that id, or else withdraws every held-back one outright.
     fn submit_cancel(&mut self, wire_id: &str, of: &str) -> Vec<WireResponse> {
-        let mut in_pipeline = false;
-        for (pipeline_id, _) in self.in_flight.iter().filter(|(_, id)| *id == of) {
+        let mut on_team = false;
+        for request in self
+            .in_flight
+            .values()
+            .filter(|request| request.wire_id == of)
+        {
             // The cancelled completion arrives (and is encoded) through
             // the normal completion path.
-            self.pipeline.cancel(*pipeline_id);
-            in_pipeline = true;
+            request.token.cancel();
+            on_team = true;
         }
-        if in_pipeline {
+        if on_team {
             return vec![WireResponse::Cancelled {
                 id: wire_id.to_owned(),
                 of: of.to_owned(),
             }];
         }
-        // Held-back work never reached the pipeline; answer for it here
-        // and fail anything chained on it.
+        // Held-back work never reached the team; answer for it here and
+        // fail anything chained on it.
         let mut withdrawn = 0;
         for deps in self.waiting.values_mut() {
             let held = deps.len();
@@ -499,13 +546,20 @@ impl PipelinedSession {
         )]
     }
 
-    /// Encodes one completion and dispatches any dependent work that was
-    /// waiting on it.
-    fn finish(&mut self, completion: Completion) -> Vec<WireResponse> {
-        let Some(wire_id) = self.in_flight.remove(&completion.id) else {
-            debug_assert!(false, "completion for unknown pipeline id");
+    /// Hands out one completion and answers it: its request leaves the
+    /// session, a request cancelled before now answers
+    /// [`EngineError::Cancelled`] whatever its evaluation gave, the
+    /// counters count what it answers, and dependent work waiting on it
+    /// is dispatched.
+    fn finish(&mut self, mut completion: Completion) -> Vec<WireResponse> {
+        let Some(InFlight { wire_id, token }) = self.in_flight.remove(&completion.id) else {
+            debug_assert!(false, "completion for unknown request id");
             return Vec::new();
         };
+        if token.is_cancelled() {
+            completion.result = Err(EngineError::Cancelled);
+        }
+        self.stats.record(&completion);
         let request = completion.request;
         self.pending_ids.remove(&wire_id);
         let succeeded = completion.result.is_ok();
@@ -519,7 +573,7 @@ impl PipelinedSession {
             out.extend(match &request {
                 // Held-back work is built on the sweep in hand, so it is
                 // answered even when that sweep is too large to retain.
-                WorkRequest::Sweep(base) => self.dispatch(dependent_id, work.into_request(base)),
+                WorkRequest::Sweep(base) => self.submit_work(dependent_id, work.into_request(base)),
                 _ => self.submit_dependent(dependent_id, &wire_id, work),
             });
         }
@@ -934,14 +988,14 @@ mod tests {
         ] {
             assert!(session.submit_line(&line).is_empty());
         }
-        assert_eq!(session.pending(), 5, "three in the pipeline, two held back");
+        assert_eq!(session.pending(), 5, "three on the team, two held back");
 
         // Both held rescores under `r` are withdrawn, one answer each.
         let cancelled = session.submit_line("{\"id\":\"c\",\"cancel\":\"r\"}");
         assert_eq!(cancelled.len(), 3, "{cancelled:?}");
         assert_eq!(session.pending(), 3);
 
-        // A cancel line flags both requests in the pipeline under `dup`,
+        // A cancel line flags both requests on the team under `dup`,
         // and hanging up flags both under `hup`.
         let ack = session.submit_line("{\"id\":\"c\",\"cancel\":\"dup\"}");
         assert_eq!(ack.len(), 1, "{ack:?}");
@@ -965,5 +1019,118 @@ mod tests {
                 "{answers:?}"
             );
         }
+    }
+
+    /// A typed sweep of `line`'s request under `id`.
+    fn sweep_request(id: &str) -> WireRequest {
+        let WireRequest::Sweep { request, .. } = parse_request_line(&sweep_line(id)).unwrap()
+        else {
+            panic!("expected sweep");
+        };
+        WireRequest::Sweep {
+            id: id.to_owned(),
+            request,
+        }
+    }
+
+    #[test]
+    fn invalid_requests_are_rejected_before_queueing() {
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
+        let WireRequest::Sweep { id, mut request } = sweep_request("bad") else {
+            unreachable!()
+        };
+        request.grid.r_values.clear();
+        let answers = session.submit_request(WireRequest::Sweep { id, request });
+        assert_eq!(answers.len(), 1);
+        assert!(answers[0].to_line().contains("\"error\""), "{answers:?}");
+        assert_eq!(session.pending(), 0);
+        assert_eq!(session.pipeline_stats().submitted, 0);
+    }
+
+    #[test]
+    fn drain_on_an_idle_session_returns_at_once() {
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(2));
+        assert!(session.drain().is_empty());
+        assert!(session.submit_request(sweep_request("s1")).is_empty());
+        assert_eq!(session.drain().len(), 1);
+        assert!(session.drain().is_empty());
+    }
+
+    #[test]
+    fn completion_notifier_fires_once_per_completion() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(2));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let observer = Arc::clone(&fired);
+        session.set_completion_notifier(Arc::new(move || {
+            observer.fetch_add(1, Ordering::SeqCst);
+        }));
+        assert!(session.submit_request(sweep_request("s1")).is_empty());
+        assert!(session.submit_request(sweep_request("s2")).is_empty());
+        assert_eq!(session.drain().len(), 2);
+        // The notifier runs after each completion is sent, so drain can
+        // observe the second completion a moment before its notify lands
+        // — wait for it rather than racing the executor thread.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while fired.load(Ordering::SeqCst) < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "notifier fired {} of 2 times",
+                fired.load(Ordering::SeqCst)
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(fired.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_cancel_before_hand_out_wins_over_a_finished_evaluation() {
+        let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(1));
+        let (notify, notified) = std::sync::mpsc::channel();
+        session.set_completion_notifier(Arc::new(move || {
+            let _ = notify.send(());
+        }));
+        let cancel = |session: &mut PipelinedSession, of: &str| {
+            let ack = session.submit_line(&format!("{{\"id\":\"c\",\"cancel\":\"{of}\"}}"));
+            assert_eq!(ack.len(), 1, "{ack:?}");
+            ack[0].contains(&format!("\"cancelled\":\"{of}\""))
+        };
+        // A's evaluation has finished and its completion waits in the
+        // channel when the cancel arrives.
+        assert!(session.submit_request(sweep_request("a")).is_empty());
+        notified.recv().unwrap();
+        assert!(cancel(&mut session, "a"));
+        // B and C finish behind A on the one executor; B is cancelled
+        // while its completion waits in the channel, C is not.
+        assert!(session.submit_request(sweep_request("b")).is_empty());
+        assert!(session.submit_request(sweep_request("c")).is_empty());
+        notified.recv().unwrap();
+        notified.recv().unwrap();
+        assert_eq!(session.pending(), 3, "nothing is handed out yet");
+        assert!(cancel(&mut session, "b"));
+        let lines = session.drain();
+        let ids: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                parse_json(line)
+                    .unwrap()
+                    .get("id")
+                    .and_then(Json::str)
+                    .unwrap()
+                    .to_owned()
+            })
+            .collect();
+        assert_eq!(ids, ["a", "b", "c"]);
+        assert!(lines[0].contains("request cancelled"), "{}", lines[0]);
+        assert!(lines[1].contains("request cancelled"), "{}", lines[1]);
+        assert!(lines[2].contains("\"cells\""), "{}", lines[2]);
+        let stats = session.pipeline_stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!((stats.completed, stats.cancelled, stats.failed), (1, 2, 0));
+        assert!(stats.service_nanos_total >= stats.service_nanos_max);
+        assert!(
+            !cancel(&mut session, "a"),
+            "a handed-out completion is forgotten"
+        );
     }
 }

@@ -9,9 +9,10 @@ use zeroconf_cost::kernel::ScenarioFactors;
 use zeroconf_cost::param::ParamLandscape;
 use zeroconf_cost::{tradeoff, Scenario};
 use zeroconf_dist::DefectiveExponential;
+use zeroconf_engine::wire::{parse_json, Json, PipelinedSession, WireRequest, WorkTarget};
 use zeroconf_engine::{
     AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierPoint, FrontierRequest, GridSpec,
-    ParamAxis, Pipeline, PipelineConfig, SweepRequest, WorkRequest, WorkResponse,
+    ParamAxis, PipelineConfig, SweepRequest,
 };
 use zeroconf_rng::rngs::StdRng;
 use zeroconf_rng::{Rng, SeedableRng};
@@ -245,43 +246,49 @@ fn calibrated_error_cost_makes_the_target_optimal() {
 #[test]
 fn parametric_verbs_flow_through_the_pipeline() {
     let grid = grid();
-    let mut pipeline = Pipeline::new(Arc::new(engine()), PipelineConfig::with_depth(3));
-    let sweep_id = pipeline
-        .submit(SweepRequest::new(scenario(), grid.clone()))
-        .unwrap();
-    let calibrate_id = pipeline
-        .submit_work(WorkRequest::Calibrate(CalibrateRequest {
-            scenario: scenario(),
-            grid: grid.clone(),
-            target_n: 4,
-            target_r: grid.r_values[20],
-        }))
-        .unwrap();
-    let frontier_id = pipeline
-        .submit_work(WorkRequest::Frontier(FrontierRequest {
-            scenario: scenario(),
-            grid,
+    let inline = || WorkTarget::Inline {
+        scenario: scenario(),
+        grid: grid.clone(),
+    };
+    let mut session = PipelinedSession::new(engine(), PipelineConfig::with_depth(3));
+    for request in [
+        WireRequest::Sweep {
+            id: "s".to_owned(),
+            request: SweepRequest::new(scenario(), grid.clone()),
+        },
+        WireRequest::Calibrate {
+            id: "k".to_owned(),
+            target: inline(),
+            n: 4,
+            r: grid.r_values[20],
+        },
+        WireRequest::Frontier {
+            id: "f".to_owned(),
+            target: inline(),
             x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e3, 1e6, 1e9]),
             y: AxisSpec::new(ParamAxis::Occupancy, vec![0.25, 0.5]),
-        }))
-        .unwrap();
-    let completions = pipeline.drain();
-    assert_eq!(completions.len(), 3);
-    for completion in completions {
-        let response = completion.result.unwrap();
-        if completion.id == sweep_id {
-            assert!(matches!(response, WorkResponse::Sweep(_)));
-        } else if completion.id == calibrate_id {
-            let WorkResponse::Calibrate(calibrate) = response else {
-                panic!("calibrate submissions complete as calibrations");
+        },
+    ] {
+        assert!(session.submit_request(request).is_empty());
+    }
+    let lines = session.drain();
+    assert_eq!(lines.len(), 3);
+    for line in &lines {
+        let answer = parse_json(line).unwrap();
+        let member = |outer: &str, inner: &str| {
+            let value = answer.get(outer).and_then(|outer| outer.get(inner));
+            let Some(Json::Num(value)) = value else {
+                panic!("no {outer}.{inner} in {line}");
             };
-            assert!(calibrate.error_cost > 0.0);
-        } else {
-            assert_eq!(completion.id, frontier_id);
-            let WorkResponse::Frontier(frontier) = response else {
-                panic!("frontier submissions complete as frontiers");
-            };
-            assert_eq!(frontier.candidates, 6);
+            *value
+        };
+        match answer.get("id") {
+            Some(Json::Str(id)) if id == "s" => {
+                assert!(matches!(answer.get("cells"), Some(Json::Arr(_))), "{line}");
+            }
+            Some(Json::Str(id)) if id == "k" => assert!(member("calibrate", "error_cost") > 0.0),
+            Some(Json::Str(id)) if id == "f" => assert_eq!(member("frontier", "candidates"), 6.0),
+            _ => panic!("unexpected answer {line}"),
         }
     }
 }
@@ -329,8 +336,6 @@ fn invalid_parametric_requests_are_rejected_with_pointed_errors() {
 /// error line that carries no `stats`; repeating it hits all three.
 #[test]
 fn a_failed_calibration_counts_its_lookups_but_answers_no_stats() {
-    use zeroconf_engine::wire::PipelinedSession;
-
     let line = concat!(
         r#"{"v":1,"id":"k","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"#,
         r#""reply_time":{"kind":"deterministic","mass":1.0,"delay":0.5}},"#,

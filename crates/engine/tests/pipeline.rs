@@ -1,16 +1,14 @@
-//! Pipeline semantics: golden bit-identity with the direct engine path,
+//! Pipelined sessions: golden bit-identity with the direct engine path,
 //! out-of-order completion, per-request cancellation, and lossless drain
 //! on shutdown.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use zeroconf_cost::Scenario;
 use zeroconf_dist::DefectiveExponential;
-use zeroconf_engine::wire::{self, PipelinedSession};
+use zeroconf_engine::wire::{self, PipelinedSession, WireRequest, WireResponse};
 use zeroconf_engine::{
-    Engine, EngineConfig, EngineError, ExecutorTeam, GridSpec, Pipeline, PipelineConfig,
-    SweepRequest, WorkResponse,
+    Engine, EngineConfig, ExecutorTeam, GridSpec, Landscape, PipelineConfig, SweepRequest,
 };
 
 fn scenario() -> Scenario {
@@ -38,17 +36,49 @@ fn big_request() -> SweepRequest {
     SweepRequest::new(scenario(), GridSpec::linspace(64, 0.01, 25.0, 16_000))
 }
 
-/// A sweep that evaluates in microseconds.
-fn tiny_request(salt: usize) -> SweepRequest {
-    // Distinct r per salt so tiny sweeps never alias each other's tables.
-    let r = 30.0 + salt as f64;
-    SweepRequest::new(
-        scenario(),
-        GridSpec {
-            n_max: 1,
-            r_values: vec![r],
-        },
+/// A sweep line that evaluates in microseconds: distinct `r` per salt,
+/// so tiny sweeps never alias each other's tables.
+fn tiny_line(id: &str, salt: usize) -> String {
+    format!(
+        "{{\"id\":\"{id}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+         \"reply_time\":{{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}}},\
+         \"grid\":{{\"n_max\":1,\"r\":[{r:?}]}}}}",
+        r = 30.0 + salt as f64
     )
+}
+
+/// The one answer among `lines` for wire id `id`.
+fn answer<'a>(lines: &'a [String], id: &str) -> &'a str {
+    let key = format!("\"id\":\"{id}\",");
+    let mut found = lines.iter().filter(|line| line.contains(&key));
+    let line = found
+        .next()
+        .unwrap_or_else(|| panic!("no answer for {id}: {lines:?}"));
+    assert!(found.next().is_none(), "two answers for {id}");
+    line
+}
+
+/// Asserts two landscapes hold the same cells, bit for bit.
+fn assert_same_bits(got: &Landscape, want: &Landscape) {
+    assert_eq!(got.len(), want.len());
+    for (cell, direct_cell) in got.iter().zip(want.iter()) {
+        assert_eq!(cell.n, direct_cell.n);
+        assert_eq!(cell.r.to_bits(), direct_cell.r.to_bits());
+        assert_eq!(
+            cell.mean_cost.unwrap().to_bits(),
+            direct_cell.mean_cost.unwrap().to_bits(),
+            "C(n = {}, r = {}) differs from the direct path",
+            cell.n,
+            cell.r
+        );
+        assert_eq!(
+            cell.error_probability.unwrap().to_bits(),
+            direct_cell.error_probability.unwrap().to_bits(),
+            "E(n = {}, r = {}) differs from the direct path",
+            cell.n,
+            cell.r
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -57,7 +87,12 @@ fn tiny_request(salt: usize) -> SweepRequest {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn pipelined_payloads_are_bit_identical_to_direct_evaluation() {
+fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
+    // Six grids through a session with four requests in flight: each
+    // answer decodes to the landscape a direct evaluation on another
+    // engine gives, bit for bit, and its cells are the bytes that
+    // evaluation encodes to (the stats object differs, so compare the
+    // cells payload).
     let requests: Vec<SweepRequest> = (0..6)
         .map(|k| {
             SweepRequest::new(
@@ -66,89 +101,36 @@ fn pipelined_payloads_are_bit_identical_to_direct_evaluation() {
             )
         })
         .collect();
+    let mut session = PipelinedSession::with_team(Arc::new(ExecutorTeam::new(engine(), 4)));
+    for (k, request) in requests.iter().enumerate() {
+        let id = format!("g{k}");
+        let request = request.clone();
+        assert!(session
+            .submit_request(WireRequest::Sweep { id, request })
+            .is_empty());
+    }
+    let lines = session.drain();
+    assert_eq!(lines.len(), requests.len());
 
-    // Direct path: one engine, strictly sequential.
     let direct_engine = engine();
-    let direct: Vec<_> = requests
-        .iter()
-        .map(|request| direct_engine.evaluate(request).unwrap())
-        .collect();
-
-    // Pipelined path: a different engine, four requests in flight.
-    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(4));
-    let ids: Vec<_> = requests
-        .iter()
-        .map(|request| pipeline.submit(request.clone()).unwrap())
-        .collect();
-    let mut completions = pipeline.drain();
-    assert_eq!(completions.len(), requests.len());
-    completions.sort_by_key(|completion| completion.id);
-
-    for ((completion, id), direct_response) in completions.iter().zip(&ids).zip(&direct) {
-        assert_eq!(completion.id, *id, "submission order is id order");
-        let Ok(WorkResponse::Sweep(response)) = &completion.result else {
-            panic!("sweep submissions complete as sweeps");
-        };
-        assert_eq!(response.landscape.len(), direct_response.landscape.len());
-        for (cell, direct_cell) in response
-            .landscape
-            .iter()
-            .zip(direct_response.landscape.iter())
-        {
-            assert_eq!(cell.n, direct_cell.n);
-            assert_eq!(cell.r.to_bits(), direct_cell.r.to_bits());
-            assert_eq!(
-                cell.mean_cost.unwrap().to_bits(),
-                direct_cell.mean_cost.unwrap().to_bits(),
-                "C(n = {}, r = {}) differs from the direct path",
-                cell.n,
-                cell.r
-            );
-            assert_eq!(
-                cell.error_probability.unwrap().to_bits(),
-                direct_cell.error_probability.unwrap().to_bits(),
-                "E(n = {}, r = {}) differs from the direct path",
-                cell.n,
-                cell.r
-            );
-        }
-    }
-}
-
-#[test]
-fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
-    // Same check one layer up: the encoded response line of a pipelined
-    // session equals the line encoded from a direct evaluation, cell for
-    // cell (the stats object differs, so compare the cells payload).
-    let request = SweepRequest::new(scenario(), GridSpec::linspace(4, 0.25, 8.0, 30));
-    let direct = engine().evaluate(&request).unwrap();
-    let direct_line = wire::WireResponse::Sweep {
-        id: "g1".to_owned(),
-        response: direct,
-    }
-    .to_line();
-
-    let mut session = PipelinedSession::new(
-        Engine::new(EngineConfig {
-            cache_tables: 64,
-            ..EngineConfig::default()
-        }),
-        PipelineConfig::with_depth(3),
-    );
-    let line = "{\"v\":1,\"id\":\"g1\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\
-                \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\
-                \"rate\":10.0,\"delay\":1.0}},\
-                \"grid\":{\"n_max\":4,\"r_min\":0.25,\"r_max\":8.0,\"r_points\":30}}";
-    let mut out = session.submit_line(line);
-    out.extend(session.drain());
-    assert_eq!(out.len(), 1);
-
     let cells = |l: &str| {
         let start = l.find("\"cells\":").unwrap();
         let end = l.find(",\"stats\":").unwrap();
         l[start..end].to_owned()
     };
-    assert_eq!(cells(&out[0]), cells(&direct_line));
+    for (k, request) in requests.iter().enumerate() {
+        let id = format!("g{k}");
+        let line = answer(&lines, &id);
+        let direct = direct_engine.evaluate(request).unwrap();
+        let (_, landscape) = wire::parse_response_line(line).unwrap();
+        assert_same_bits(&landscape.unwrap(), &direct.landscape);
+        let direct_line = WireResponse::Sweep {
+            id,
+            response: direct,
+        }
+        .to_line();
+        assert_eq!(cells(line), cells(&direct_line));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,49 +138,15 @@ fn pipelined_wire_lines_are_bit_identical_to_direct_encoding() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn short_sweeps_overtake_a_long_one() {
-    // One huge sweep, then four trivial ones, with enough executors that
-    // the tiny sweeps run beside the big one. All four tiny sweeps must
-    // finish first: completion order differs from submission order. The
-    // engine has one worker, so the big sweep runs on its executor alone
-    // and can never hold every CPU of a two-CPU host while the tiny
-    // sweeps wait; and it runs for tens of milliseconds, many scheduler
-    // time slices, whatever the host's speed.
-    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(5));
-    let big = pipeline.submit(big_request()).unwrap();
-    let tiny: Vec<_> = (0..4)
-        .map(|salt| pipeline.submit(tiny_request(salt)).unwrap())
-        .collect();
-
-    let completions = pipeline.drain();
-    assert_eq!(completions.len(), 5);
-    let order: Vec<_> = completions.iter().map(|completion| completion.id).collect();
-    assert_eq!(
-        order.last(),
-        Some(&big),
-        "the 1,024,000-cell sweep must finish after four 1-cell sweeps \
-         submitted behind it; got completion order {order:?}"
-    );
-    assert_ne!(
-        order,
-        {
-            let mut submission = vec![big];
-            submission.extend(&tiny);
-            submission
-        },
-        "completions arrived in submission order — not pipelined"
-    );
-    for completion in &completions {
-        assert!(completion.result.is_ok());
-    }
-}
-
-#[test]
 fn pipelined_session_emits_responses_in_completion_order() {
-    // As in `short_sweeps_overtake_a_long_one`: a one-worker engine and a
-    // long request that runs for tens of milliseconds in release. The
-    // long request is a frontier over a 64 × 16,000 grid, so its answer
-    // is one short line rather than a million cells of JSON.
+    // One long request, then four trivial ones, with enough executors
+    // that the tiny ones run beside the long one: all four must finish
+    // first, so completion order differs from submission order. A sweep
+    // runs on its executor alone, so the long request can never hold
+    // every CPU of a two-CPU host while the tiny ones wait, and it runs
+    // for tens of milliseconds even in a release build, many scheduler
+    // time slices. It is a frontier over a 64 × 16,000 grid, so its
+    // answer is one short line rather than a million cells of JSON.
     let mut session = PipelinedSession::new(
         Engine::new(EngineConfig {
             cache_tables: 4096,
@@ -213,13 +161,7 @@ fn pipelined_session_emits_responses_in_completion_order() {
         \"y\":{\"axis\":\"probe_cost\",\"values\":[2.0]}}}";
     let mut out = session.submit_line(huge);
     for k in 0..4 {
-        let tiny = format!(
-            "{{\"id\":\"t{k}\",\"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
-             \"reply_time\":{{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":10.0,\"delay\":1.0}}}},\
-             \"grid\":{{\"n_max\":1,\"r\":[{r}]}}}}",
-            r = 30.0 + k as f64
-        );
-        out.extend(session.submit_line(&tiny));
+        out.extend(session.submit_line(&tiny_line(&format!("t{k}"), k)));
     }
     out.extend(session.drain());
     assert_eq!(out.len(), 5, "{out:?}");
@@ -230,6 +172,9 @@ fn pipelined_session_emits_responses_in_completion_order() {
     let order: Vec<String> = out.iter().map(|line| id_of(line)).collect();
     assert_eq!(order[4], "huge", "short sweeps overtake: {order:?}");
     assert!(out[4].contains("\"frontier\""));
+    for k in 0..4 {
+        assert!(answer(&out, &format!("t{k}")).contains("\"cells\""));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,63 +182,37 @@ fn pipelined_session_emits_responses_in_completion_order() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn cancelling_a_queued_request_never_evaluates_it() {
-    // One executor, so the second submission is still queued while the
-    // first evaluates — cancelling it is deterministic.
-    let shared = engine();
-    let mut pipeline = Pipeline::with_team(Arc::new(ExecutorTeam::new(Arc::clone(&shared), 1)));
-    let running = pipeline.submit(big_request()).unwrap();
-    let queued = pipeline.submit(tiny_request(0)).unwrap();
-    assert!(pipeline.cancel(queued));
-
-    let completions = pipeline.drain();
-    assert_eq!(completions.len(), 2);
-    for completion in completions {
-        if completion.id == queued {
-            assert!(matches!(completion.result, Err(EngineError::Cancelled)));
-            assert_eq!(
-                completion.service_nanos, 0,
-                "a queued cancel never reaches the engine"
-            );
-        } else {
-            assert_eq!(completion.id, running);
-            assert!(completion.result.is_ok());
-        }
-    }
-    let stats = pipeline.stats();
-    assert_eq!(stats.cancelled, 1);
-    assert_eq!(stats.completed, 1);
-}
-
-#[test]
 fn cancelling_a_running_sweep_aborts_it() {
-    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(2));
-    let id = pipeline.submit(big_request()).unwrap();
+    let mut session = PipelinedSession::with_team(Arc::new(ExecutorTeam::new(engine(), 2)));
+    let big = WireRequest::Sweep {
+        id: "big".to_owned(),
+        request: big_request(),
+    };
+    assert!(session.submit_request(big).is_empty());
     // The sweep computes 16,000 fresh π-tables; this cancel lands long
-    // before that finishes.
-    assert!(pipeline.cancel(id));
-    let completions = pipeline.drain();
-    assert_eq!(completions.len(), 1);
+    // before that finishes, and it wins even if it did not.
+    let ack = session.submit_line("{\"id\":\"c\",\"cancel\":\"big\"}");
+    assert_eq!(ack.len(), 1, "{ack:?}");
+    assert!(ack[0].contains("\"cancelled\":\"big\""), "{}", ack[0]);
+    let lines = session.drain();
+    assert_eq!(lines.len(), 1);
     assert!(
-        matches!(completions[0].result, Err(EngineError::Cancelled)),
-        "expected a cancelled completion, got {:?}",
-        completions[0].result
+        lines[0].contains("\"id\":\"big\",\"error\":\"request cancelled"),
+        "expected a cancelled answer, got {}",
+        &lines[0][..lines[0].len().min(200)]
     );
-    assert_eq!(pipeline.stats().cancelled, 1);
+    assert_eq!(session.pipeline_stats().cancelled, 1);
 
     // The aborted job leaves nothing behind: the next sweep, cold and
-    // several chunks wide, answers bit for bit what a fresh engine does,
-    // and its completion hands back the request that was submitted.
+    // several chunks wide, answers bit for bit what a fresh engine does.
     let next = SweepRequest::new(scenario(), GridSpec::linspace(64, 0.1, 30.0, 400));
-    pipeline.submit(next.clone()).unwrap();
-    let completion = pipeline.next_completion().unwrap();
-    match &completion.request {
-        zeroconf_engine::WorkRequest::Sweep(request) => {
-            assert_eq!(request.grid, next.grid);
-        }
-        other => panic!("a sweep completes with its sweep, got {other:?}"),
-    }
-    let got = completion.result.unwrap().into_sweep().unwrap().landscape;
+    let request = WireRequest::Sweep {
+        id: "next".to_owned(),
+        request: next.clone(),
+    };
+    assert!(session.submit_request(request).is_empty());
+    let lines = session.drain();
+    let (_, got) = wire::parse_response_line(answer(&lines, "next")).unwrap();
     let want = engine().evaluate(&next).unwrap().landscape;
     let bits = |slab: Option<&[f64]>| {
         slab.unwrap()
@@ -301,6 +220,7 @@ fn cancelling_a_running_sweep_aborts_it() {
             .map(|x| x.to_bits())
             .collect::<Vec<_>>()
     };
+    let got = got.unwrap();
     assert_eq!(bits(got.costs()), bits(want.costs()));
     assert_eq!(bits(got.errors()), bits(want.errors()));
 }
@@ -323,52 +243,29 @@ fn wire_cancel_withdraws_an_in_flight_request() {
 
     out.extend(session.drain());
     assert_eq!(out.len(), 3, "{out:?}");
-    let q1 = out
-        .iter()
-        .find(|line| line.contains("\"id\":\"q1\""))
-        .unwrap();
-    assert!(q1.contains("request cancelled"), "{q1}");
-    let huge_line = out
-        .iter()
-        .find(|line| line.contains("\"id\":\"huge\""))
-        .unwrap();
-    assert!(huge_line.contains("\"cells\""), "{huge_line}");
-    // Unknown targets are structured errors, not session deaths.
-    let unknown = session.submit_line("{\"id\":\"c2\",\"cancel\":\"ghost\"}");
-    assert!(
-        unknown[0].contains("no in-flight request"),
-        "{}",
-        unknown[0]
-    );
+    assert!(answer(&out, "q1").contains("request cancelled"));
+    assert!(answer(&out, "huge").contains("\"cells\""));
+    // The queued cancel never reached the engine: the 1,200 lookups are
+    // the long sweep's alone, and `q1`'s `r = 31` was never looked up.
+    let stats = session.pipeline_stats();
+    assert_eq!((stats.completed, stats.cancelled), (1, 1));
+    let engine = session.stats();
+    assert_eq!((engine.cache_hits, engine.cache_misses), (0, 1200));
+    // Unknown and answered targets are structured errors, not session
+    // deaths.
+    for of in ["ghost", "q1"] {
+        let unknown = session.submit_line(&format!("{{\"id\":\"c2\",\"cancel\":\"{of}\"}}"));
+        assert!(
+            unknown[0].contains("no in-flight request"),
+            "{}",
+            unknown[0]
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Drain on shutdown: no lost or duplicated response ids
 // ---------------------------------------------------------------------------
-
-#[test]
-fn drain_answers_every_id_exactly_once() {
-    let mut pipeline = Pipeline::new(engine(), PipelineConfig::with_depth(4));
-    let mut submitted = HashSet::new();
-    let mut completions = Vec::new();
-    for round in 0..24 {
-        submitted.insert(pipeline.submit(tiny_request(round)).unwrap());
-        // Interleave polling so the queue keeps moving like a real client.
-        completions.extend(pipeline.poll_completions());
-    }
-    completions.extend(pipeline.drain());
-    assert_eq!(pipeline.in_flight(), 0);
-
-    let mut seen = HashSet::new();
-    for completion in &completions {
-        assert!(
-            seen.insert(completion.id),
-            "duplicate completion for {}",
-            completion.id
-        );
-    }
-    assert_eq!(seen, submitted, "every submitted id answered exactly once");
-}
 
 #[test]
 fn pipelined_session_drain_answers_every_wire_id() {
@@ -415,6 +312,20 @@ fn pipelined_session_drain_answers_every_wire_id() {
     let stats = session.stats();
     assert_eq!(stats.cache_misses, 4, "one table per distinct r");
     assert_eq!(stats.cache_hits, 2, "both rescores were miss-free");
+
+    // Polling between submissions, as a reactor does, loses and repeats
+    // no answer either.
+    let mut out = Vec::new();
+    for k in 0..24 {
+        out.extend(session.submit_line(&tiny_line(&format!("t{k}"), k)));
+        out.extend(session.poll_responses().iter().map(WireResponse::to_line));
+    }
+    out.extend(session.drain());
+    assert_eq!(session.pending(), 0);
+    assert_eq!(out.len(), 24, "{out:?}");
+    for k in 0..24 {
+        assert!(answer(&out, &format!("t{k}")).contains("\"cells\""));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@
 //!   server-wide and shared-engine counters.
 //! - **Lifecycle**: a client disconnect withdraws that connection's
 //!   unanswered requests (and only those); `SIGTERM`/`SIGINT` (via
-//!   [`zeroconf_engine::signal`]) or a programmatic [`Shutdown`] trigger
+//!   [`signal`]) or a programmatic [`Shutdown`] trigger
 //!   drains the whole server — stop accepting, stop reading, answer
 //!   everything in flight, flush, exit cleanly.
 //! - **One front end**: `zeroconf engine` is this server with one
@@ -48,9 +48,11 @@
 //! See DESIGN.md ("Serving architecture") for the connection lifecycle
 //! and the fairness/drain semantics in detail.
 
-// The `reactor` module is this crate's only unsafe surface (vendored
-// epoll/eventfd FFI); everything else stays panic-free safe Rust,
-// enforced by `zeroconf audit`.
+// The `reactor` module (vendored epoll/eventfd FFI) and the `signal`
+// module (the `signal(2)` hook) are this crate's only unsafe surface;
+// everything else stays panic-free safe Rust, enforced by `zeroconf
+// audit`. Every unsafe operation inside an `unsafe fn` must sit in its
+// own block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod budget;
@@ -62,6 +64,7 @@ mod metrics;
 #[cfg(all(test, zeroconf_loom))]
 mod model_tests;
 mod reactor;
+pub mod signal;
 mod stdio;
 
 pub use budget::FairBudget;
@@ -89,7 +92,7 @@ impl std::error::Error for ServeError {}
 
 /// The server's stop signal: a local flag (for tests and embedders)
 /// optionally combined with the process-wide termination flag raised by
-/// `SIGTERM`/`SIGINT` handlers ([`zeroconf_engine::signal`]).
+/// `SIGTERM`/`SIGINT` handlers ([`signal`]).
 #[derive(Clone)]
 pub struct Shutdown {
     local: Arc<AtomicBool>,
@@ -118,7 +121,7 @@ impl Shutdown {
         // ORDERING: polling the standalone drain flag; a late observation
         // delays the drain by one loop tick at worst.
         self.local.load(Ordering::Relaxed)
-            || (self.follow_process_signal && zeroconf_engine::signal::termination_requested())
+            || (self.follow_process_signal && signal::termination_requested())
     }
 }
 
@@ -366,7 +369,7 @@ impl Server {
 pub fn run_cli(args: &[String], out: &mut dyn std::io::Write) -> Result<String, ServeError> {
     let config = ServeConfig::from_args(args)?;
     if config.follow_process_signals {
-        let _ = zeroconf_engine::signal::install_termination_handler();
+        let _ = signal::install_termination_handler();
     }
     let server = Server::bind(config)?;
     for endpoint in server.endpoints() {

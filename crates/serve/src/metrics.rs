@@ -2,17 +2,19 @@
 //!
 //! Two scopes, two ownership models:
 //!
-//! - [`ServerMetrics`] is shared by the accept loops and every handler
-//!   thread, so it is all relaxed atomics. It also mints connection ids
-//!   (the `conn` half of the server-side request identity
-//!   `conn_id:wire_id` — see DESIGN.md on id namespacing).
-//! - [`ConnMetrics`] belongs to exactly one handler thread and is plain
-//!   integers; queue/service latency for the connection comes from its
-//!   session's [`PipelineStats`](zeroconf_engine::PipelineStats) rather
-//!   than being re-measured here.
+//! - [`ServerMetrics`] is shared by the endpoint loops, one reactor
+//!   thread per listening endpoint, so it is all relaxed atomics. It
+//!   also mints connection ids (the `conn` half of the server-side
+//!   request identity `conn_id:wire_id` — see DESIGN.md on id
+//!   namespacing).
+//! - [`ConnMetrics`] belongs to exactly one connection, a state machine
+//!   that its endpoint loop drives, and is plain integers; queue/service
+//!   latency for the connection comes from its session's
+//!   [`PipelineStats`](zeroconf_engine::PipelineStats) rather than being
+//!   re-measured here.
 //!
 //! A client asks for a snapshot with the serve-level `stats` verb —
-//! `{"v":1,"id":"…","stats":true}` — answered entirely by the handler
+//! `{"v":1,"id":"…","stats":true}` — answered entirely by its connection
 //! (the line never reaches the engine session). The response carries
 //! three blocks: this connection, the whole server, and the shared
 //! engine; the engine block is what lets a client observe that another
@@ -27,10 +29,10 @@ use zeroconf_engine::{EngineStats, PipelineStats};
 /// Counters shared by the whole server process.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Connections accepted and handed to a handler thread. Also the
-    /// connection-id mint: a connection's id is its accept ordinal.
+    /// Connections accepted and registered with an endpoint loop. Also
+    /// the connection-id mint: a connection's id is its accept ordinal.
     pub connections_opened: AtomicU64,
-    /// Connections whose handler has finished (any path).
+    /// Connections closed, by any path.
     pub connections_closed: AtomicU64,
     /// Connections refused because the server was at capacity.
     pub connections_rejected: AtomicU64,
@@ -63,7 +65,7 @@ impl ServerMetrics {
     }
 }
 
-/// Counters for one connection, owned by its handler thread.
+/// Counters for one connection, owned by the connection.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ConnMetrics {
     /// Non-empty request lines received.
@@ -79,7 +81,7 @@ pub struct ConnMetrics {
     pub bytes_out: u64,
 }
 
-/// Everything a `stats` response snapshots, gathered by the handler.
+/// Everything a `stats` response snapshots, gathered by the connection.
 pub struct StatsSnapshot<'a> {
     /// The connection's id (the `conn` half of `conn_id:wire_id`).
     pub conn_id: u64,

@@ -2,7 +2,7 @@
 //!
 //! The serve daemon runs one event-loop thread per endpoint; this module
 //! is the only place that loop touches the kernel's readiness API. Like
-//! [`zeroconf_engine::signal`] — the workspace's other FFI site — it is
+//! [`crate::signal`] — the workspace's other FFI site — it is
 //! deliberately tiny and self-contained: a handful of Linux constants, a
 //! four-symbol `extern "C"` block, and safe wrappers that own their file
 //! descriptors (closed on drop). Two things are exported:

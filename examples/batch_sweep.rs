@@ -8,18 +8,19 @@
 //! batched evaluation engine, reads the cost-optimal configuration off the
 //! grid, then rescores the same landscape under a cheaper collision
 //! penalty — without recomputing a single π-table, as the printed cache
-//! counters show. Then streams a burst of narrower sweeps through the
-//! pipelined session layer, where completions arrive out of submission
-//! order, and finishes with the parametric verbs — a closed-form `E`
+//! counters show. Then streams a burst of narrower sweeps through a
+//! pipelined session, where completions arrive out of submission order,
+//! and finishes with the parametric verbs — a closed-form `E`
 //! calibration and a 64×64 `(E, c)` Pareto frontier — both running
 //! against the warm sufficient-statistic cache with zero π recomputation.
 
 use std::sync::Arc;
 
 use zeroconf_repro::cost::paper;
+use zeroconf_repro::engine::wire::{parse_response_line, Json, PipelinedSession, WireRequest};
 use zeroconf_repro::engine::{
-    AxisSpec, CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis,
-    Pipeline, PipelineConfig, RescoreDelta, SweepRequest,
+    AxisSpec, CalibrateRequest, Engine, EngineConfig, ExecutorTeam, FrontierRequest, GridSpec,
+    ParamAxis, RescoreDelta, SweepRequest,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -83,36 +84,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pipelined dispatch: one per-n slice of the landscape per request,
-    // up to four in flight. Completions come back keyed by request id in
-    // whatever order they finish — note the per-request queue/service
-    // split in the printed latencies.
-    let mut pipeline = Pipeline::new(
-        Arc::new(Engine::new(EngineConfig::default())),
-        PipelineConfig::with_depth(4),
-    );
+    // up to four in flight on a team over a shared engine. Answers come
+    // back keyed by request id in whatever order they finish, and the
+    // session's counters split their latency into queue and service time.
+    let shared = Arc::new(Engine::new(EngineConfig::default()));
+    let mut session =
+        PipelinedSession::with_team(Arc::new(ExecutorTeam::new(Arc::clone(&shared), 4)));
     let scenario = paper::figure2_scenario()?;
     for n in 1..=8 {
-        let slice = SweepRequest::new(scenario.clone(), GridSpec::linspace(n, 0.1, 30.0, 240));
-        pipeline.submit(slice)?;
+        let request = SweepRequest::new(scenario.clone(), GridSpec::linspace(n, 0.1, 30.0, 240));
+        let id = format!("n{n}");
+        if let Some(refused) = session
+            .submit_request(WireRequest::Sweep { id, request })
+            .first()
+        {
+            return Err(refused.to_line().into());
+        }
     }
-    for done in pipeline.drain() {
-        let response = done
-            .result?
-            .into_sweep()
-            .expect("sweeps complete as sweeps");
-        println!(
-            "pipelined {}: {} cells (queued {:.2} ms, evaluated {:.2} ms)",
-            done.id,
-            response.landscape.len(),
-            done.queue_nanos as f64 / 1e6,
-            done.service_nanos as f64 / 1e6
-        );
+    for line in session.drain() {
+        let (head, landscape) = parse_response_line(&line)?;
+        let Some(Json::Str(id)) = head.get("id") else {
+            return Err(format!("an answer without its id: {line}").into());
+        };
+        let cells = landscape.ok_or_else(|| format!("{id} has no cells: {line}"))?;
+        println!("pipelined {id}: {} cells", cells.len());
     }
-    let pstats = pipeline.stats();
+    let pstats = session.pipeline_stats();
     println!(
-        "pipeline: {} submitted, {} completed, worst service {:.2} ms",
+        "pipeline: {} submitted, {} completed, queued {:.2} ms in all (worst {:.2} ms), \
+         evaluated {:.2} ms in all (worst {:.2} ms)",
         pstats.submitted,
         pstats.completed,
+        pstats.queue_nanos_total as f64 / 1e6,
+        pstats.queue_nanos_max as f64 / 1e6,
+        pstats.service_nanos_total as f64 / 1e6,
         pstats.service_nanos_max as f64 / 1e6
     );
 
@@ -128,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         target_n: 4,
         target_r,
     };
-    let calibrated = pipeline.engine().calibrate(&calibrate)?;
+    let calibrated = shared.calibrate(&calibrate)?;
     println!(
         "calibrate: E* = {:.3e} makes (n = 4, r = {:.3}) optimal \
          (cache_misses: {})",
@@ -145,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         x: AxisSpec::new(ParamAxis::ErrorCost, error_costs),
         y: AxisSpec::new(ParamAxis::ProbeCost, probe_costs),
     };
-    let front = pipeline.engine().frontier(&frontier)?;
+    let front = shared.frontier(&frontier)?;
     println!(
         "frontier: {} Pareto points from {} (E, c) candidates \
          (cache_misses: {})",

@@ -5,10 +5,12 @@
 use std::sync::Arc;
 
 use zeroconf_repro::cost::Scenario;
-use zeroconf_repro::dist::{DefectiveExponential, DefectiveUniform, ReplyTimeDistribution};
+use zeroconf_repro::dist::{
+    DefectiveDeterministic, DefectiveExponential, DefectiveUniform, ReplyTimeDistribution,
+};
 use zeroconf_repro::sim::protocol::{run_many, ProtocolConfig};
 use zeroconf_rng::rngs::StdRng;
-use zeroconf_rng::SeedableRng;
+use zeroconf_rng::{for_each_seed, Rng, SeedableRng};
 
 struct Case {
     name: &'static str,
@@ -222,4 +224,114 @@ fn probes_sent_match_chain_expectation() {
         summary.probes_sent.mean(),
         expected_probes
     );
+}
+
+/// The regime the seeded draws below are held to: a collision
+/// probability (Eq. 4) of at least this. Below it the runs of one draw
+/// see too few collisions for the normal approximation behind a z-score,
+/// and the mean cost hardly depends on `E`, so a draw there tests little.
+/// A draw outside the regime is rejected and drawn again.
+const LOSSY_REGIME_MIN_ERROR: f64 = 1e-3;
+/// Simulated runs per seeded draw.
+const SEEDED_TRIALS: u64 = 60_000;
+
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Exponential,
+    Uniform,
+    Deterministic,
+}
+
+/// One scenario of `family` in the lossy regime, drawn from `rng` alone:
+/// the reply time's parameters and `q`, `c`, `E`, `n` and `r` all vary.
+fn draw_lossy_case(rng: &mut StdRng, family: Family) -> Case {
+    for _ in 0..1_000 {
+        let mass = rng.gen_range(0.4..0.95);
+        let dist: Arc<dyn ReplyTimeDistribution> = match family {
+            Family::Exponential => Arc::new(
+                DefectiveExponential::new(mass, rng.gen_range(1.0..8.0), rng.gen_range(0.0..0.3))
+                    .unwrap(),
+            ),
+            Family::Uniform => {
+                let lo = rng.gen_range(0.0..0.5);
+                Arc::new(DefectiveUniform::new(mass, lo, lo + rng.gen_range(0.1..2.0)).unwrap())
+            }
+            Family::Deterministic => {
+                Arc::new(DefectiveDeterministic::new(mass, rng.gen_range(0.05..1.0)).unwrap())
+            }
+        };
+        let case = Case {
+            name: "seeded draw",
+            q: rng.gen_range(0.05..0.6),
+            c: rng.gen_range(0.1..3.0),
+            e: rng.gen_range(1.0..200.0),
+            n: rng.gen_range(1..5),
+            r: rng.gen_range(0.1..1.5),
+            dist,
+        };
+        if scenario(&case).error_probability(case.n, case.r).unwrap() >= LOSSY_REGIME_MIN_ERROR {
+            return case;
+        }
+    }
+    panic!("no {family:?} draw in 1,000 reached the lossy regime");
+}
+
+fn scenario(case: &Case) -> Scenario {
+    Scenario::builder()
+        .occupancy(case.q)
+        .probe_cost(case.c)
+        .error_cost(case.e)
+        .reply_time(case.dist.clone())
+        .build()
+        .unwrap()
+}
+
+/// Eight seeded scenarios (three exponential, three uniform and two
+/// deterministic reply times) against the protocol simulator: for each,
+/// the simulated mean cost and collision rate sit within five standard
+/// errors of Eq. (3) and Eq. (4).
+#[test]
+fn seeded_draws_match_the_simulator_in_the_lossy_regime() {
+    for (family, seeds) in [
+        (Family::Exponential, 0..3),
+        (Family::Uniform, 3..6),
+        (Family::Deterministic, 6..8),
+    ] {
+        for_each_seed(seeds, |rng| {
+            let case = draw_lossy_case(rng, family);
+            let scenario = scenario(&case);
+            let (cost, error) = (
+                scenario.mean_cost(case.n, case.r).unwrap(),
+                scenario.error_probability(case.n, case.r).unwrap(),
+            );
+            assert!(error >= LOSSY_REGIME_MIN_ERROR);
+            let config = ProtocolConfig::builder()
+                .probes(case.n)
+                .listen_period(case.r)
+                .probe_cost(case.c)
+                .error_cost(case.e)
+                .occupancy(case.q)
+                .reply_time(case.dist.clone())
+                .build()
+                .unwrap();
+            let summary = run_many(&config, SEEDED_TRIALS, rng).unwrap();
+            let described = format!(
+                "{family:?} q = {}, c = {}, E = {}, n = {}, r = {}: Eq. (3) {cost}, Eq. (4) {error}",
+                case.q, case.c, case.e, case.n, case.r
+            );
+            let z_cost = (summary.cost.mean() - cost) / summary.cost.standard_error();
+            assert!(
+                z_cost.abs() < 5.0,
+                "{described}: simulated mean cost {} (z = {z_cost:.2})",
+                summary.cost.mean()
+            );
+            let error_se = (error * (1.0 - error) / SEEDED_TRIALS as f64).sqrt();
+            let z_error = (summary.collision_rate() - error) / error_se;
+            assert!(
+                z_error.abs() < 5.0,
+                "{described}: simulated collision rate {} (z = {z_error:.2})",
+                summary.collision_rate()
+            );
+        });
+    }
 }
