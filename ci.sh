@@ -35,6 +35,11 @@ fi
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+# Every intra-doc link must resolve, and public docs may not link to
+# private items: a broken link fails here rather than rendering as text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -253,6 +258,26 @@ for id in k f; do
     exit 1
   fi
 done
+
+echo "==> engine smoke test (a warm set survives a cold inline frontier)"
+# Eight sweeps on distinct reply times fill 800 of the default cache's
+# 1,024 tables. An inline 64 x 400 frontier on a fresh reply time does
+# not fit beside them and has nothing resident, so it builds its
+# statistic without tables and evicts nothing: the same eight sweeps
+# again must each read all 100 tables from the cache.
+WARM_LINES=()
+for K in 1 2 3 4 5 6 7 8; do
+  WARM_LINES+=("{\"v\":1,\"id\":\"w$K\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":1$K.0,\"delay\":1.0}},\"grid\":{\"n_max\":8,\"r_min\":0.1,\"r_max\":5.0,\"r_points\":100}}")
+done
+COLD_FRONTIER='{"v":1,"id":"cold","scenario":{"q":0.01,"probe_cost":2.0,"error_cost":1e12,"reply_time":{"kind":"exponential","loss":1e-9,"rate":7.5,"delay":0.2}},"grid":{"n_max":64,"r_min":0.02,"r_max":8.0,"r_points":400},"frontier":{"x":{"axis":"error_cost","values":[1e3,1e6,1e9,1e12]},"y":{"axis":"probe_cost","values":[0.5,1.0,2.0,4.0]}}}'
+WARM_OUT="$(printf '%s\n' "${WARM_LINES[@]}" "$COLD_FRONTIER" "${WARM_LINES[@]/\"id\":\"w/\"id\":\"again}" \
+  | ./target/release/zeroconf engine --inflight 1)"
+if [[ "$(grep -c '"id":"again[1-8]".*"cache_misses":0[,}]' <<<"$WARM_OUT")" != 8 ]] \
+  || ! grep -q '"id":"cold","frontier"' <<<"$WARM_OUT"; then
+  echo "ci: the second pass of eight sweeps after a cold inline frontier must read every table from the cache" >&2
+  printf '%.300s\n' "$WARM_OUT" >&2
+  exit 1
+fi
 
 echo "==> engine smoke test (a line nested past MAX_JSON_DEPTH)"
 # One 1 MiB line of `[` and then a valid sweep. The deep line must get

@@ -1,7 +1,7 @@
 //! Rule 3 — cross-boundary constants have exactly one source of truth.
 //!
 //! Two formats cross process (and machine) boundaries: the JSON-lines
-//! protocol version (`"v":1`, [`zeroconf_engine::wire::WIRE_VERSION`])
+//! protocol version (`"v":1`, `zeroconf_engine::wire::WIRE_VERSION`)
 //! with its verb names, and the `BENCH_engine.json` row schema (row
 //! labels and field names in `bench/schema.rs`, keyed on by trend
 //! tooling). A literal copy of either that drifts from the constant

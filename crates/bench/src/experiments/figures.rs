@@ -72,7 +72,7 @@ pub fn fig1() -> Result<ExperimentOutput, HarnessError> {
 
 /// Figure 2: the cost curves `C_1(r) … C_8(r)`.
 ///
-/// All 8 × [`SAMPLES`] grid cells come from a single batched engine sweep;
+/// All 8 × `SAMPLES` grid cells come from a single batched engine sweep;
 /// per-curve clipping and the paper's "invisible" off-scale curves are
 /// applied to the returned cells.
 pub fn fig2() -> Result<ExperimentOutput, HarnessError> {

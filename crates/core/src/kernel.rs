@@ -30,11 +30,19 @@
 //!   `q·E·π_n` is `(q·E)·π_n`, so factoring `(r+c)·q` and `q·E` out of
 //!   the loop changes no intermediate value.
 //!
+//! A statistic build can skip the π-tables altogether:
+//! [`ColumnBlockKernel::fused_statistic_rows`] writes the n-major rows
+//! `(Σ_{i<n} π_i, π_n)` from the π construction's running products, with
+//! the same float operations in the same order as the table build
+//! followed by the block pass, so the bits are the same.
+//!
 //! The golden tests and two seeded property suites assert this with
 //! [`f64::to_bits`] comparisons, on every backend the host has, in every
 //! `cargo test`: `crates/core/tests/kernel_properties.rs` (`n_max` up to
 //! 256, subnormal-adjacent `r`, oversized cached tables, blocks of width
-//! 1 to 17) and `param_properties.rs` (all six reply-time families).
+//! 1 to 17) and `param_properties.rs` (all six reply-time families);
+//! `param_properties.rs` and `kernel_backend_parity.rs` hold the fused
+//! rows to `statistic_rows` over `pi_tables`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -145,7 +153,7 @@ pub enum Mode {
 /// it*: the block builder drops the column from the active set and fills
 /// the rest of its table with `+0.0`. This skips the dominant `exp` work for
 /// most of each column while remaining bit-identical to
-/// [`cost::pi_table`], which the golden and property suites assert with
+/// [`crate::cost::pi_table`], which the golden and property suites assert with
 /// [`f64::to_bits`].
 #[derive(Debug)]
 pub struct ColumnBlockKernel {
@@ -223,6 +231,84 @@ impl PiTableBlock {
     #[must_use]
     pub fn views(&self) -> Vec<&[f64]> {
         self.data.chunks_exact(self.stride).collect()
+    }
+}
+
+/// Where [`ColumnBlockKernel::build_pi_columns`] writes what it builds.
+enum PiOut<'a, 'b> {
+    /// Column `j`'s π-table into `tables[j]`, `n + 1` entries.
+    Tables(&'a mut [&'b mut [f64]]),
+    /// The n-major statistic rows `(Σ_{i<n} π_i, π_n)`, column `j` and
+    /// probe count `n` at `(n − 1)·row_stride + j` of each slab.
+    Rows {
+        row_stride: usize,
+        pi_prefix: &'a mut [f64],
+        pi_n: &'a mut [f64],
+    },
+}
+
+impl PiOut<'_, '_> {
+    /// Copies out one chunk of rounds from `i` on: row `k` of `rows`
+    /// holds round `i + k`'s products of the active columns, slot `s`
+    /// for column `active[s]`. Tables get their entries; statistic rows
+    /// get each round's products as row `i + k − 1` of `π_n`, and the
+    /// running `Σ` (`sums`, one per slot) before the products join it as
+    /// the prefix row. `whole` says no column has left the active set
+    /// (slot `s` is column `s`), so a row is one contiguous copy.
+    fn store(&mut self, i: usize, rows: &[f64], active: &[usize], sums: &mut [f64], whole: bool) {
+        let width = active.len();
+        match self {
+            PiOut::Tables(tables) => {
+                for (slot, &column) in active.iter().enumerate() {
+                    let column = &mut tables[column][i..i + rows.len() / width];
+                    for (entry, row) in column.iter_mut().zip(rows.chunks_exact(width)) {
+                        *entry = row[slot];
+                    }
+                }
+            }
+            PiOut::Rows {
+                row_stride,
+                pi_prefix,
+                pi_n,
+            } => {
+                for (k, row) in rows.chunks_exact(width).enumerate() {
+                    let at = (i + k - 1) * *row_stride;
+                    if whole {
+                        pi_prefix[at..at + width].copy_from_slice(sums);
+                        pi_n[at..at + width].copy_from_slice(row);
+                    } else {
+                        for (slot, &column) in active.iter().enumerate() {
+                            pi_prefix[at + column] = sums[slot];
+                            pi_n[at + column] = row[slot];
+                        }
+                    }
+                    for (sum, &pi) in sums.iter_mut().zip(row) {
+                        *sum += pi;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fills what is left of `column` once its running product reached
+    /// zero by round `next − 1`: π entries `next..=n` are `+0.0`, and
+    /// rows `next − 1 .. n` get the column's final running `Σ`,
+    /// `sums[slot]`, and `+0.0`.
+    fn zero_tail(&mut self, column: usize, slot: usize, sums: &[f64], next: usize, n: usize) {
+        match self {
+            PiOut::Tables(tables) => tables[column][next..].fill(0.0),
+            PiOut::Rows {
+                row_stride,
+                pi_prefix,
+                pi_n,
+            } => {
+                for row in next - 1..n {
+                    let at = row * *row_stride + column;
+                    pi_prefix[at] = sums[slot];
+                    pi_n[at] = 0.0;
+                }
+            }
+        }
     }
 }
 
@@ -332,12 +418,68 @@ impl ColumnBlockKernel {
                 "a π-table buffer holds n_max + 1 entries"
             );
         }
-        self.build_pi_columns(n, rs, tables)
+        self.build_pi_columns(n, rs, PiOut::Tables(tables))
     }
 
-    /// The i-major π construction loop behind every table layout: each
-    /// `columns[j]` is a slice of `n + 1` entries that receives column
-    /// `j`'s table in place, every entry written.
+    /// The statistic rows of [`ColumnBlockKernel::statistic_rows`], built
+    /// straight from the π construction's running products: no π-table
+    /// is built or read. Round `i`'s row of products is row `i − 1` of
+    /// `π_n`, and a running `Σ` beside it, `0.0 + π_0` to start, gives
+    /// the prefix row before `π_i` joins it. A column whose product has
+    /// reached zero gets its final `Σ` and `+0.0` in its remaining rows
+    /// (the `Σ` is at least 1, so adding `+0.0` leaves it as it is). So
+    /// each cell holds the bits of `statistic_rows` over
+    /// [`ColumnBlockKernel::pi_tables`], on every backend.
+    ///
+    /// The layout is `statistic_rows`': the block's column `j` and probe
+    /// count `n` land at `(n − 1)·row_stride + j`, and each slab must
+    /// reach `(n_max − 1)·row_stride + rs.len()` values. Every entry of
+    /// the block's stretch of both slabs is written, so they may hold
+    /// anything beforehand.
+    ///
+    /// # Errors
+    ///
+    /// - [`CostError::InvalidProbeCount`] when `n_max == 0`.
+    /// - [`CostError::InvalidListeningPeriod`] for any negative or
+    ///   non-finite `r` in the block, before anything is written.
+    ///
+    /// # Panics
+    ///
+    /// When `row_stride` is below `rs.len()` or a slab is too short.
+    pub fn fused_statistic_rows(
+        &self,
+        n_max: u32,
+        rs: &[f64],
+        row_stride: usize,
+        pi_prefix: &mut [f64],
+        pi_n: &mut [f64],
+    ) -> Result<(), CostError> {
+        check_n(n_max)?;
+        for &r in rs {
+            check_r(r)?;
+        }
+        assert!(row_stride >= rs.len(), "a row holds the whole block");
+        if !rs.is_empty() {
+            let reach = (n_max as usize - 1) * row_stride + rs.len();
+            assert!(
+                pi_prefix.len() >= reach && pi_n.len() >= reach,
+                "a statistic slab reaches the block's last row"
+            );
+        }
+        self.build_pi_columns(
+            n_max as usize,
+            rs,
+            PiOut::Rows {
+                row_stride,
+                pi_prefix,
+                pi_n,
+            },
+        )
+    }
+
+    /// The i-major π construction loop behind every table layout and the
+    /// fused statistic rows: rounds `1..=n` of every column of `rs`,
+    /// written to `out` (see [`PiOut`]), every entry written.
     ///
     /// Probe rounds are consumed [`PI_ROUND_CHUNK`] at a time through
     /// [`noanswer::p_rounds_batch_with`]: one scaling fill, one batch
@@ -348,11 +490,14 @@ impl ColumnBlockKernel {
     /// `running *= p_i` exactly, except that a running product of ±0
     /// stays `+0.0` (the scalar recurrence's `+0.0·p` from there on, `p`
     /// being clamped to `[0, 1]` and never NaN). The round's products
-    /// overwrite its factors and are then stored into their columns.
+    /// overwrite its factors and are then copied out: into their
+    /// columns' tables, or as a statistic row (one contiguous copy while
+    /// no column has left the active set, a scatter after that), with
+    /// the running `Σ` row beside it.
     ///
     /// The zero-tail active set compacts at chunk granularity: a column
     /// whose product is zero at a chunk's end gets the rest of its table
-    /// filled with `+0.0` and leaves the active set. One that underflows
+    /// (or rows) filled and leaves the active set. One that underflows
     /// mid-chunk wastes at most `PI_ROUND_CHUNK − 1` discarded survival
     /// evaluations, a small price against the per-call overhead this
     /// amortizes.
@@ -360,15 +505,23 @@ impl ColumnBlockKernel {
         &self,
         n: usize,
         rs: &[f64],
-        columns: &mut [&mut [f64]],
+        mut out: PiOut<'_, '_>,
     ) -> Result<(), CostError> {
         let dist = self.scenario.reply_time();
-        for column in columns.iter_mut() {
-            column[0] = 1.0;
-        }
-        // Columns whose running product is still nonzero, their `r`s and
-        // their products, compacted in place so the round batches always
-        // see a dense block.
+        // π_0 = 1: each table's first entry, and the first term of each
+        // column's running Σ, which starts as the block pass starts it.
+        let mut sums: Vec<f64> = match &mut out {
+            PiOut::Tables(tables) => {
+                for table in tables.iter_mut() {
+                    table[0] = 1.0;
+                }
+                Vec::new()
+            }
+            PiOut::Rows { .. } => vec![0.0 + 1.0; rs.len()],
+        };
+        // Columns whose running product is still nonzero, their `r`s,
+        // their products and (for rows) their sums, compacted in place so
+        // the round batches always see a dense block.
         let mut active: Vec<usize> = (0..rs.len()).collect();
         let mut rs_active: Vec<f64> = rs.to_vec();
         let mut running: Vec<f64> = vec![1.0; rs.len()];
@@ -389,28 +542,27 @@ impl ColumnBlockKernel {
                     *p = *x;
                 }
             }
-            for (slot, &column) in active.iter().enumerate() {
-                let column = &mut columns[column][i..i + rounds];
-                for (entry, row) in column.iter_mut().zip(rows.chunks_exact(width)) {
-                    *entry = row[slot];
-                }
-            }
+            out.store(i, rows, &active, &mut sums, width == rs.len());
             let next = i + rounds;
             let mut kept = 0;
             for slot in 0..width {
                 let column = active[slot];
                 if running[slot] == 0.0 {
-                    columns[column][next..].fill(0.0);
+                    out.zero_tail(column, slot, &sums, next, n);
                 } else {
                     active[kept] = column;
                     rs_active[kept] = rs_active[slot];
                     running[kept] = running[slot];
+                    if let Some(&sum) = sums.get(slot) {
+                        sums[kept] = sum;
+                    }
                     kept += 1;
                 }
             }
             active.truncate(kept);
             rs_active.truncate(kept);
             running.truncate(kept);
+            sums.truncate(kept);
             i = next;
         }
         Ok(())
@@ -596,33 +748,22 @@ impl ColumnBlockKernel {
     }
 
     /// Builds the full sufficient-statistic landscape for an `(n, r)`
-    /// grid: π-tables via [`ColumnBlockKernel::pi_tables`] (blocked,
-    /// zero-tail cutoff), then one statistic pass — after which every
+    /// grid in one [`ColumnBlockKernel::fused_statistic_rows`] pass
+    /// (blocked, zero-tail cutoff, no π-table) — after which every
     /// re-evaluation under changed `(q, E, c)` is pure arithmetic.
     ///
     /// # Errors
     ///
-    /// - [`CostError::InvalidProbeCount`] when `n_max == 0`.
-    /// - Same conditions as [`ColumnBlockKernel::pi_tables`].
+    /// Same conditions as [`ColumnBlockKernel::fused_statistic_rows`].
     pub(crate) fn param_landscape(
         &self,
         n_max: u32,
         rs: &[f64],
     ) -> Result<crate::param::ParamLandscape, CostError> {
-        check_n(n_max)?;
-        let tables = self.pi_tables(n_max, rs)?;
         let cells = rs.len() * n_max as usize;
         let mut pi_prefix = vec![0.0f64; cells];
         let mut pi_n = vec![0.0f64; cells];
-        self.evaluate_with_statistic(
-            n_max,
-            rs,
-            &tables,
-            None,
-            None,
-            Some(&mut pi_prefix),
-            Some(&mut pi_n),
-        )?;
+        self.fused_statistic_rows(n_max, rs, rs.len(), &mut pi_prefix, &mut pi_n)?;
         Ok(crate::param::ParamLandscape::from_parts(
             n_max,
             rs.to_vec(),

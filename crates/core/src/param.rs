@@ -82,7 +82,8 @@ impl ParamLandscape {
     /// Assembles a landscape from its raw n-major slabs, as
     /// `ColumnBlockKernel::evaluate_with_statistic` writes them (the engine
     /// writes them chunk by chunk through `ColumnBlockKernel::statistic_rows`
-    /// and hands them over whole).
+    /// or `ColumnBlockKernel::fused_statistic_rows` and hands them over
+    /// whole).
     ///
     /// # Panics
     ///

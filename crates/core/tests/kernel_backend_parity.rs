@@ -185,6 +185,55 @@ fn blocked_kernel_exact_mode_is_bit_identical_across_backends() {
     }
 }
 
+/// The fused statistic build (rows straight from the π build's running
+/// products) is bit-identical on every backend to the scalar
+/// `statistic_rows` over scalar π-tables, at every extent of
+/// [`parity_cases`] and on a 64-column block, written at a `row_stride`
+/// three columns wider than the block into NaN-filled slabs; the columns
+/// past the block stay NaN.
+#[test]
+fn fused_statistic_rows_are_bit_identical_across_backends() {
+    let cases = parity_cases()
+        .into_iter()
+        .chain([(64, r_grid(64)), (200, r_grid(64))]);
+    for (n_max, rs) in cases {
+        let width = rs.len();
+        let row_stride = width + 3;
+        let len = n_max as usize * row_stride;
+        for (name, scenario) in scenarios() {
+            let scalar = ColumnBlockKernel::new(&scenario);
+            let tables = scalar.pi_tables(n_max, &rs).unwrap();
+            let mut want = BlockOutputs::filled(len, f64::NAN);
+            scalar
+                .statistic_rows(
+                    n_max,
+                    &rs,
+                    &tables,
+                    row_stride,
+                    &mut want.pi_prefix,
+                    &mut want.pi_n,
+                )
+                .unwrap();
+            for backend in backends() {
+                let mut got = BlockOutputs::filled(len, f64::NAN);
+                ColumnBlockKernel::with_backend(&scenario, backend, Mode::Exact)
+                    .fused_statistic_rows(n_max, &rs, row_stride, &mut got.pi_prefix, &mut got.pi_n)
+                    .unwrap();
+                let context = format!("{name} {backend:?} n_max={n_max} width={width} fused");
+                assert_bits_eq(
+                    &format!("{context} π-prefix"),
+                    &want.pi_prefix,
+                    &got.pi_prefix,
+                );
+                assert_bits_eq(&format!("{context} π_n"), &want.pi_n, &got.pi_n);
+                for (at, x) in got.pi_prefix.iter().enumerate() {
+                    assert_eq!(at % row_stride >= width, x.is_nan(), "{context}: {at}");
+                }
+            }
+        }
+    }
+}
+
 /// The four output slabs of the blocked statistic pass: costs and errors
 /// r-major, the statistic n-major.
 struct BlockOutputs {

@@ -270,6 +270,75 @@ fn pi_tables_built_over_stale_buffers_match_pi_table_bitwise() {
     });
 }
 
+/// The fused statistic build gives the bits of `statistic_rows` over
+/// `pi_tables`, cell for cell, on every backend and for all six
+/// families: `n_max` from 1 to 256 (every seed draws one, beside the
+/// edges of a probe-round chunk and of an engine sweep chunk), blocks of
+/// 1–17 and 64 columns written at a `row_stride` wider than the block
+/// into NaN-filled slabs, on grids with repeated `r`, `±0`, and `r` near
+/// 0 and next to the subnormals. The slabs' columns past the block stay
+/// NaN, and a `-0.0` column matches the tables built at `0.0`.
+#[test]
+fn fused_statistic_rows_match_statistic_rows_over_pi_tables_bitwise() {
+    for_each_seed(0..CASES / 4, |rng| {
+        for family in 0..6 {
+            let family_scenario = scenario_with(rng, |rng| reply_time_of(family, rng));
+            let scalar = ColumnBlockKernel::new(&family_scenario);
+            let drawn = rng.gen_range(1..257u32);
+            for n_max in [1, 8, 9, 64, 65, 256, drawn] {
+                let width = if rng.gen_bool(0.25) {
+                    64
+                } else {
+                    rng.gen_range(1..18usize)
+                };
+                let mut rs = listening_periods(rng, width - 1..width);
+                rs.push([0.0, -0.0, f64::MIN_POSITIVE][rng.gen_range(0..3usize)]);
+                if width > 2 {
+                    rs[0] = rs[rng.gen_range(1..width)];
+                }
+                shuffle(rng, &mut rs);
+                let row_stride = width + rng.gen_range(1..5usize);
+                let len = n_max as usize * row_stride;
+                // The engine's cache builds a `-0.0` column's table at
+                // `0.0`, so the oracle does too.
+                let canonical: Vec<f64> =
+                    rs.iter().map(|&r| if r == 0.0 { 0.0 } else { r }).collect();
+                let tables = scalar.pi_tables(n_max, &canonical).unwrap();
+                let (mut want_prefix, mut want_n) = (vec![f64::NAN; len], vec![f64::NAN; len]);
+                scalar
+                    .statistic_rows(
+                        n_max,
+                        &rs,
+                        &tables,
+                        row_stride,
+                        &mut want_prefix,
+                        &mut want_n,
+                    )
+                    .unwrap();
+                for backend in backends() {
+                    let (mut prefix, mut pi_n) = (vec![f64::NAN; len], vec![f64::NAN; len]);
+                    ColumnBlockKernel::with_backend(&family_scenario, backend, Mode::Exact)
+                        .fused_statistic_rows(n_max, &rs, row_stride, &mut prefix, &mut pi_n)
+                        .unwrap();
+                    for at in 0..len {
+                        let (j, n) = (at % row_stride, at / row_stride + 1);
+                        let what = format!(
+                            "{backend:?}, family {family}, n_max {n_max}, width {width}: \
+                             cell (r_index = {j}, n = {n})"
+                        );
+                        assert_eq!(
+                            (prefix[at].to_bits(), pi_n[at].to_bits()),
+                            (want_prefix[at].to_bits(), want_n[at].to_bits()),
+                            "{what}"
+                        );
+                        assert_eq!(j >= width, prefix[at].is_nan(), "{what}");
+                    }
+                }
+            }
+        }
+    });
+}
+
 fn backends() -> Vec<Backend> {
     let mut tiers = vec![Backend::Scalar];
     if Backend::detect() >= Backend::Avx2 {

@@ -9,6 +9,14 @@
 //! `capacity` tables, evicting the least recently used in amortized
 //! `O(1)`. Missing tables are built in place, in the `Arc<[f64]>` the
 //! cache will keep, and preferably in a table it evicted earlier.
+//!
+//! A full cache admits a statistic build's tables only when they may be
+//! read again ([`SharedCache::admits`]): a `calibrate` or `frontier` on
+//! a reply time with no table resident, on a cache without room for its
+//! grid, builds its statistic without tables the first time its
+//! fingerprint is seen, and goes through the cache if it comes back
+//! soon. This is admission on reuse, the idea of 2Q (Johnson & Shasha,
+//! VLDB 1994) and TinyLFU (Einziger, Friedman & Manes, ACM TOS 2017).
 
 use std::collections::hash_map::{Entry as Slot, RandomState};
 use std::collections::{HashMap, VecDeque};
@@ -18,6 +26,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::sweep::SWEEP_CHUNK;
+
+/// Fingerprints a full cache turned away last, the list
+/// [`SharedCache::admits`] keeps. A statistic build whose fingerprint is
+/// on it goes through the cache: its reply time came back within the
+/// last this many builds the cache turned away. 512 bytes.
+const TURNED_AWAY: usize = 64;
 
 /// Cache key: value-identity of the distribution plus the exact `r`.
 ///
@@ -108,6 +122,13 @@ pub(crate) struct PiCache {
     /// Evicted tables that nothing else held, oldest first, kept for a
     /// later miss to be built in; at most `min(SWEEP_CHUNK, capacity)`.
     spares: VecDeque<PiTable>,
+    /// Resident tables per fingerprint, kept on insert and eviction; a
+    /// fingerprint with none has no entry. Fingerprints are keyed per
+    /// process, so the map hashes them through [`PassThrough`].
+    resident: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    /// Fingerprints whose statistic builds were turned away, oldest
+    /// first; at most [`TURNED_AWAY`].
+    turned_away: VecDeque<u64>,
 }
 
 impl PiCache {
@@ -119,6 +140,8 @@ impl PiCache {
             clock: 0,
             evictions: 0,
             spares: VecDeque::new(),
+            resident: HashMap::default(),
+            turned_away: VecDeque::new(),
         }
     }
 
@@ -166,6 +189,7 @@ impl PiCache {
             }
             Slot::Vacant(slot) => {
                 slot.insert(Entry { table, stamp });
+                *self.resident.entry(key.fingerprint).or_default() += 1;
             }
         }
         self.record(key, stamp);
@@ -179,6 +203,12 @@ impl PiCache {
                 if slot.get().stamp == stamp {
                     let evicted = slot.remove().table;
                     self.evictions += 1;
+                    if let Slot::Occupied(mut count) = self.resident.entry(oldest.fingerprint) {
+                        *count.get_mut() -= 1;
+                        if *count.get() == 0 {
+                            count.remove();
+                        }
+                    }
                     self.keep_spare(evicted);
                 }
             }
@@ -209,6 +239,25 @@ impl PiCache {
             }
         }
         taken
+    }
+
+    /// The admission rule of [`SharedCache::admits`], which records a
+    /// fingerprint it turns away.
+    fn admits(&mut self, fingerprint: u64, columns: usize) -> bool {
+        if self.resident.contains_key(&fingerprint)
+            || self.capacity.saturating_sub(self.entries.len()) >= columns
+        {
+            return true;
+        }
+        if let Some(at) = self.turned_away.iter().position(|&f| f == fingerprint) {
+            self.turned_away.remove(at);
+            return true;
+        }
+        self.turned_away.push_back(fingerprint);
+        if self.turned_away.len() > TURNED_AWAY {
+            self.turned_away.pop_front();
+        }
+        false
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -310,6 +359,29 @@ impl SharedCache {
         Ok((tables, hits, misses))
     }
 
+    /// Whether a statistic build (`calibrate` or `frontier`) of
+    /// `fingerprint` over a grid of `columns` columns goes through the
+    /// cache, in one lock round trip. It does when the cache can gain:
+    /// the fingerprint has a table resident, the cache has room for
+    /// every column without an eviction, or the fingerprint was turned
+    /// away within the last [`TURNED_AWAY`] refusals (it came back, so
+    /// its tables may be read again; it leaves the list). Otherwise the
+    /// fingerprint joins that list and the build makes its statistic
+    /// without tables: it inserts nothing and evicts nothing, and books
+    /// its [`cold_misses`] with [`SharedCache::book`]. Sweeps never ask:
+    /// their rescores and `of` verbs read their tables.
+    pub(crate) fn admits(&self, fingerprint: u64, columns: usize) -> bool {
+        self.lock().admits(fingerprint, columns)
+    }
+
+    /// Adds a build's hits and misses to the lifetime counters: those of
+    /// a statistic build the cache turned away, chunk by chunk.
+    pub(crate) fn book(&self, hits: u64, misses: u64) {
+        // ORDERING: as in `get_or_compute_block`, monotonic statistics.
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
     /// A block's distinct keys in first-seen order, each hashed once, and
     /// each `r`'s index among them. Sorting the positions by key puts
     /// twins next to each other, each run in position order, so the
@@ -355,6 +427,20 @@ impl SharedCache {
         let cache = self.lock();
         (cache.len(), cache.evictions())
     }
+}
+
+/// The misses the cache path charges each [`SWEEP_CHUNK`]-column chunk
+/// of `rs` when nothing of the reply time is resident: one per key the
+/// chunk sees first in the grid (`-0.0` as `0.0`). Every other column of
+/// the chunk is a hit, a repeat of a key built earlier in the grid.
+pub(crate) fn cold_misses(rs: &[f64]) -> Vec<u64> {
+    let mut by_key: Vec<(u64, usize)> = rs.iter().map(|&r| r_key(r)).zip(0..).collect();
+    by_key.sort_unstable();
+    let mut misses = vec![0; rs.len().div_ceil(SWEEP_CHUNK)];
+    for run in by_key.chunk_by(|a, b| a.0 == b.0) {
+        misses[run[0].1 / SWEEP_CHUNK] += 1;
+    }
+    misses
 }
 
 #[cfg(test)]
@@ -587,6 +673,18 @@ mod tests {
                 }
                 assert_eq!(resident(&cache), model.resident(), "residents at {what}");
                 assert_eq!(cache.evictions(), model.evictions, "evictions at {what}");
+                let mut per_fingerprint: Vec<(u64, usize)> =
+                    cache.resident.iter().map(|(&f, &n)| (f, n)).collect();
+                per_fingerprint.sort_unstable();
+                let counted: Vec<(u64, usize)> = model
+                    .resident()
+                    .chunk_by(|a, b| a.0 .0 == b.0 .0)
+                    .map(|run| (run[0].0 .0, run.len()))
+                    .collect();
+                assert_eq!(
+                    per_fingerprint, counted,
+                    "resident tables per fingerprint at {what}"
+                );
                 assert!(cache.order.len() <= 2 * capacity, "order at {what}");
             }
         }
@@ -799,6 +897,62 @@ mod tests {
             }
             assert!(reused > 0, "capacity {capacity} never reused a table");
         }
+    }
+
+    /// A full cache turns a statistic build away only when it has no
+    /// table of the fingerprint and no room for the grid, and admits the
+    /// fingerprint when it comes back within [`TURNED_AWAY`] refusals.
+    #[test]
+    fn a_full_cache_admits_a_statistic_build_on_reuse() {
+        let cache = SharedCache::new(4);
+        assert!(cache.admits(7, 4), "room for the whole grid");
+        cache
+            .get_or_compute_block(1, &[1.0, 2.0, 3.0], 2, fill_with_r)
+            .unwrap();
+        assert!(cache.admits(7, 1), "room for one column");
+        assert!(!cache.admits(7, 2), "no room, nothing resident");
+        assert!(cache.admits(1, 64), "resident");
+        assert!(cache.admits(7, 2), "turned away once, so back on reuse");
+        assert!(!cache.admits(7, 2), "and off the list again");
+        // The fourth table fills the cache; the turned-away list forgets
+        // its oldest fingerprint past its bound.
+        cache
+            .get_or_compute_block(1, &[4.0], 2, fill_with_r)
+            .unwrap();
+        for fingerprint in 100..100 + TURNED_AWAY as u64 {
+            assert!(!cache.admits(fingerprint, 1));
+        }
+        assert_eq!(cache.lock().turned_away.len(), TURNED_AWAY);
+        assert!(!cache.admits(7, 1), "7 fell off the list");
+        assert!(cache.admits(100 + TURNED_AWAY as u64 - 1, 1));
+        // Evicting a fingerprint's last table ends its residency.
+        cache
+            .get_or_compute_block(2, &[1.0, 2.0, 3.0, 4.0], 2, fill_with_r)
+            .unwrap();
+        assert_eq!(cache.lock().resident.get(&1), None);
+        assert!(!cache.admits(1, 1));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 8),
+            "admission books nothing"
+        );
+    }
+
+    /// Each key's first column in the grid is its one miss, counted in
+    /// its chunk; `-0.0` is `0.0`, and repeats in later chunks are hits.
+    #[test]
+    fn cold_misses_count_each_key_in_the_chunk_that_first_sees_it() {
+        assert_eq!(cold_misses(&[]), Vec::<u64>::new());
+        assert_eq!(cold_misses(&[1.0, 2.0, 1.0, -0.0, 0.0]), [3]);
+        let mut rs: Vec<f64> = (0..2 * SWEEP_CHUNK + 7).map(|k| k as f64).collect();
+        rs[1] = -0.0;
+        rs[SWEEP_CHUNK] = 5.0;
+        rs[SWEEP_CHUNK + 1] = 0.0;
+        rs[2 * SWEEP_CHUNK] = 2.0 * SWEEP_CHUNK as f64 + 1.0;
+        assert_eq!(
+            cold_misses(&rs),
+            [SWEEP_CHUNK as u64 - 1, SWEEP_CHUNK as u64 - 2, 7 - 1]
+        );
     }
 
     /// The block fetch as it deduplicated a block before the sort, with a

@@ -89,7 +89,7 @@ pub use request::{
 pub use wire::WireError;
 
 use cache::SharedCache;
-use sweep::{MetricSlabs, Slabs, StatisticSlabs};
+use sweep::{MetricSlabs, Swept};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,7 +270,7 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<SweepResponse, EngineError> {
         request.validate()?;
-        let (slabs, stats) = self.run_job::<MetricSlabs>(request, cancel)?;
+        let (slabs, stats) = self.run_job(request, cancel, sweep::run::<MetricSlabs>)?;
         let landscape = Landscape::new(
             request.grid.n_max,
             request.grid.r_values.clone(),
@@ -281,15 +281,22 @@ impl Engine {
         Ok(SweepResponse { landscape, stats })
     }
 
-    /// Runs one sweep over `request`'s grid into slabs of type `S` on
-    /// this thread, and folds its distribution tier into the engine's.
-    fn run_job<S: Slabs>(
+    /// Runs one sweep over `request`'s grid on this thread, [`sweep::run`]
+    /// or [`sweep::statistic`], and folds its distribution tier into the
+    /// engine's.
+    fn run_job<S>(
         &self,
         request: &SweepRequest,
         cancel: &CancelToken,
+        sweep: impl FnOnce(
+            &SweepRequest,
+            &SharedCache,
+            Backend,
+            &CancelToken,
+        ) -> Result<Swept<S>, EngineError>,
     ) -> Result<(S, BatchStats), EngineError> {
         let start = Instant::now();
-        let swept = sweep::run::<S>(request, &self.cache, self.backend, cancel)?;
+        let swept = sweep(request, &self.cache, self.backend, cancel)?;
         // ORDERING: monotonic min of a diagnostic SIMD-tier marker; the
         // fetch_min's atomicity alone keeps it a true low-water mark.
         self.dist_floor
@@ -329,9 +336,11 @@ impl Engine {
     }
 
     /// The sufficient-statistic landscape for `(scenario, grid)`, built
-    /// by one sweep: one π-table per `r` from the shared cache (zero
-    /// *misses* when warm), one statistic pass, no cost/error arithmetic.
-    /// The caller owns it, so it is dropped with the request it answers.
+    /// by one sweep ([`sweep::statistic`]): one π-table per `r` from the
+    /// shared cache (zero *misses* when warm) and one statistic pass, or,
+    /// when the full cache turns the reply time away, the rows straight
+    /// from the π build with no table. No cost/error arithmetic. The
+    /// caller owns it, so it is dropped with the request it answers.
     fn param_landscape_cancellable(
         &self,
         scenario: &Scenario,
@@ -345,7 +354,7 @@ impl Engine {
             grid: grid.clone(),
             metrics: Vec::new(),
         };
-        let (slabs, stats) = self.run_job::<StatisticSlabs>(&request, cancel)?;
+        let (slabs, stats) = self.run_job(&request, cancel, sweep::statistic)?;
         let landscape = ParamLandscape::from_parts(
             grid.n_max,
             grid.r_values.clone(),
@@ -521,11 +530,10 @@ impl Engine {
     /// A snapshot of the engine-lifetime counters. It takes one lock,
     /// the cache's, for the cache's length and evictions together.
     ///
-    /// `cache_hits` and `cache_misses` count every π-table lookup,
-    /// including those of requests that end in an error or are
+    /// `cache_hits` and `cache_misses` count what every request was
+    /// charged, including requests that end in an error or are
     /// cancelled; `requests`, `cells` and `wall_nanos` count answered
-    /// requests only. So the cache counters reconcile with `cache_len`
-    /// and `cache_evictions`, not with the sum of answered `stats`.
+    /// requests only (see [`EngineStats`]).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let (cache_len, cache_evictions) = self.cache.occupancy();
@@ -988,6 +996,125 @@ mod tests {
             let dist_tier = if empirical { "scalar" } else { detected.name() };
             assert_eq!(widest.dist_backend, dist_tier);
         });
+    }
+
+    /// A 8 × 100 sweep on the `k`-th of a family of reply times.
+    fn sweep_on(k: u32) -> SweepRequest {
+        let scenario = Scenario::builder()
+            .occupancy(0.5)
+            .probe_cost(2.0)
+            .error_cost(1e6)
+            .reply_time(Arc::new(
+                DefectiveExponential::from_loss(1e-6, 10.0 + f64::from(k), 1.0).unwrap(),
+            ))
+            .build()
+            .unwrap();
+        SweepRequest::new(scenario, GridSpec::linspace(8, 0.1, 5.0, 100))
+    }
+
+    /// An inline `param-cold`-shaped frontier: 64 × 400 on a reply time
+    /// none of [`sweep_on`]'s shares, under a 4 × 4 `(E, c)` grid.
+    fn cold_frontier() -> FrontierRequest {
+        let scenario = Scenario::builder()
+            .occupancy(0.01)
+            .probe_cost(2.0)
+            .error_cost(1e12)
+            .reply_time(Arc::new(
+                DefectiveExponential::from_loss(1e-9, 7.5, 0.2).unwrap(),
+            ))
+            .build()
+            .unwrap();
+        FrontierRequest {
+            scenario,
+            grid: GridSpec::linspace(64, 0.02, 8.0, 400),
+            x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e3, 1e6, 1e9, 1e12]),
+            y: AxisSpec::new(ParamAxis::ProbeCost, vec![0.5, 1.0, 2.0, 4.0]),
+        }
+    }
+
+    fn frontier_bits(answer: &FrontierResponse) -> Vec<[u64; 6]> {
+        answer
+            .points
+            .iter()
+            .map(|p| {
+                [
+                    p.x.to_bits(),
+                    p.y.to_bits(),
+                    u64::from(p.n),
+                    p.r.to_bits(),
+                    p.cost.to_bits(),
+                    p.error_probability.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Eight sweeps' 800 tables stay resident in the default cache while
+    /// a cold inline frontier that does not fit beside them is answered:
+    /// it is built without tables, so the same sweeps again read 800
+    /// hits, where an LRU that admitted its 400 tables read none.
+    #[test]
+    fn a_warm_set_survives_a_cold_inline_frontier() {
+        let e = Engine::new(EngineConfig::default());
+        let sweeps: Vec<SweepRequest> = (0..8).map(sweep_on).collect();
+        for sweep in &sweeps {
+            assert_eq!(e.evaluate(sweep).unwrap().stats.cache_misses, 100);
+        }
+        let frontier = e.frontier(&cold_frontier()).unwrap();
+        assert_eq!(
+            (frontier.stats.cache_hits, frontier.stats.cache_misses),
+            (0, 400)
+        );
+        let hits: u64 = sweeps
+            .iter()
+            .map(|sweep| {
+                let stats = e.evaluate(sweep).unwrap().stats;
+                assert_eq!(stats.cache_misses, 0);
+                stats.cache_hits
+            })
+            .sum();
+        assert_eq!(hits, 800);
+        let stats = e.stats();
+        assert_eq!(
+            (stats.cache_hits, stats.cache_misses),
+            (800, 1200),
+            "the frontier's misses are booked"
+        );
+        assert_eq!((stats.cache_len, stats.cache_evictions), (800, 0));
+    }
+
+    /// The same cold inline frontier, sent three times on a full cache:
+    /// the first is built without tables, the second comes back within
+    /// the turned-away list and goes through the cache (400 misses,
+    /// inserted), and the third finds its tables resident (0 misses).
+    /// Every answer has the bits of the cache path on a roomy cache.
+    #[test]
+    fn a_repeated_cold_frontier_is_admitted_on_reuse() {
+        let request = cold_frontier();
+        let roomy = Engine::new(EngineConfig::default());
+        let want = roomy.frontier(&request).unwrap();
+        assert_eq!(want.stats.cache_misses, 400);
+        assert_eq!(roomy.stats().cache_len, 400, "a cache with room admits");
+
+        let e = Engine::new(EngineConfig::default());
+        for k in 0..11 {
+            e.evaluate(&sweep_on(k)).unwrap();
+        }
+        assert_eq!((e.stats().cache_len, e.stats().cache_evictions), (1024, 76));
+        let counts: Vec<(u64, u64, u64)> = (0..3)
+            .map(|_| {
+                let answer = e.frontier(&request).unwrap();
+                assert_eq!(frontier_bits(&answer), frontier_bits(&want));
+                assert_eq!(answer.candidates, want.candidates);
+                let evictions = e.stats().cache_evictions;
+                (
+                    answer.stats.cache_hits,
+                    answer.stats.cache_misses,
+                    evictions,
+                )
+            })
+            .collect();
+        assert_eq!(counts, [(0, 400, 76), (0, 400, 476), (400, 0, 476)]);
     }
 
     #[test]

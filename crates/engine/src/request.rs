@@ -784,9 +784,11 @@ impl Landscape {
 pub struct BatchStats {
     /// Wall-clock time of the sweep in nanoseconds.
     pub wall_nanos: u128,
-    /// π-table cache hits during the sweep.
+    /// π-table cache hits during the sweep (for a statistic built
+    /// without tables, its repeated `r`s).
     pub cache_hits: u64,
-    /// π-table cache misses (tables computed) during the sweep.
+    /// π-table cache misses during the sweep: tables computed, or, for a
+    /// statistic built without tables, its distinct `r`s.
     pub cache_misses: u64,
     /// Cells evaluated.
     pub cells: u64,
@@ -812,20 +814,28 @@ pub struct SweepResponse {
 /// Cumulative engine-lifetime observability counters.
 ///
 /// `requests`, `cells` and `wall_nanos` count answered requests only.
-/// `cache_hits` and `cache_misses` count every π-table lookup, also those
-/// of a request that then ends in an error or is cancelled, so they
-/// reconcile with `cache_len` and `cache_evictions` (each miss inserts
-/// one table), not with the sum of the answers' `stats`.
+/// `cache_hits` and `cache_misses` count what every request was charged
+/// for its π-tables, also a request that then ends in an error or is
+/// cancelled, so they do not reconcile with the sum of the answers'
+/// `stats`. Nor do they reconcile with `cache_len` and
+/// `cache_evictions`: a sweep's miss inserts one table, but a
+/// `calibrate` or `frontier` the full cache turned away builds its
+/// statistic without tables and inserts nothing, though it is charged
+/// a miss per distinct `r` and a hit per repeat, as if nothing of its
+/// reply time had been resident.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests answered.
     pub requests: u64,
     /// Cells evaluated across all answered requests.
     pub cells: u64,
-    /// π-table lookups served from the cache, by every request.
+    /// π-table hits charged to every request: lookups served from the
+    /// cache, and the repeated `r`s of statistic builds made without
+    /// tables.
     pub cache_hits: u64,
-    /// π-tables built, by every request: those that ended in an error or
-    /// were cancelled after their lookups included.
+    /// π-table misses charged to every request, those that ended in an
+    /// error or were cancelled after a chunk included: tables built, and
+    /// the distinct `r`s of statistic builds made without tables.
     pub cache_misses: u64,
     /// π-tables currently resident in the cache.
     pub cache_len: usize,

@@ -11,12 +11,18 @@
 //! n-major statistic row ([`ColumnBlockKernel::statistic_rows`]).
 //! Cancellation is checked before each chunk and between a chunk's π and
 //! kernel phases.
+//!
+//! A statistic build ([`statistic`], for `calibrate` and `frontier`)
+//! first asks the cache whether it may gain ([`SharedCache::admits`]).
+//! When it may not, each chunk's rows come straight from the π build's
+//! running products ([`ColumnBlockKernel::fused_statistic_rows`]) with
+//! no table, and the chunk's [`cold_misses`] are booked as it is built.
 
 use zeroconf_cost::kernel::{ColumnBlockKernel, Mode};
 use zeroconf_cost::CostError;
 use zeroconf_simd::Backend;
 
-use crate::cache::{PiTable, SharedCache};
+use crate::cache::{cold_misses, PiTable, SharedCache};
 use crate::request::{Metric, SweepRequest};
 use crate::{CancelToken, EngineError};
 
@@ -133,9 +139,9 @@ pub(crate) struct Swept<S> {
 }
 
 /// Evaluates `request`'s whole grid into slabs of type `S`, chunk by
-/// chunk, on this thread. Every chunk runs the same block program whatever
-/// the chunk size, so the slabs hold the bits the per-`n` closed forms
-/// give.
+/// chunk, on this thread, with every chunk's tables from the cache.
+/// Every chunk runs the same block program whatever the chunk size, so
+/// the slabs hold the bits the per-`n` closed forms give.
 pub(crate) fn run<S: Slabs>(
     request: &SweepRequest,
     cache: &SharedCache,
@@ -152,6 +158,77 @@ pub(crate) fn run<S: Slabs>(
     // through the cache) must be backend-invariant.
     let block = ColumnBlockKernel::with_backend(&request.scenario, backend, Mode::Exact);
     let fingerprint = request.scenario.reply_time().fingerprint();
+    let (hits, misses) = through_cache(request, cache, &block, fingerprint, cancel, &mut slabs)?;
+    Ok(Swept {
+        slabs,
+        hits,
+        misses,
+        dist_backend: block.dist_backend_used(),
+    })
+}
+
+/// Builds `request`'s statistic (for a `calibrate` or `frontier`) on
+/// this thread: through the cache, as [`run`] builds it, when the cache
+/// admits the reply time ([`SharedCache::admits`]), or else straight from
+/// the π build's running products
+/// ([`ColumnBlockKernel::fused_statistic_rows`]), chunk by chunk, with no
+/// table built, looked up or inserted. Both give the same bits, and a
+/// fused build is charged what the cache path charges a reply time with
+/// nothing resident, booked chunk by chunk as each is built.
+pub(crate) fn statistic(
+    request: &SweepRequest,
+    cache: &SharedCache,
+    backend: Backend,
+    cancel: &CancelToken,
+) -> Result<Swept<StatisticSlabs>, EngineError> {
+    let mut slabs = StatisticSlabs::zeroed(request, request.grid.cells());
+    let block = ColumnBlockKernel::with_backend(&request.scenario, backend, Mode::Exact);
+    let rs = &request.grid.r_values;
+    let fingerprint = request.scenario.reply_time().fingerprint();
+    let (hits, misses) = if cache.admits(fingerprint, rs.len()) {
+        through_cache(request, cache, &block, fingerprint, cancel, &mut slabs)?
+    } else {
+        let (mut hits, mut misses) = (0, 0);
+        let n_max = request.grid.n_max;
+        for ((k, chunk), chunk_misses) in rs.chunks(SWEEP_CHUNK).enumerate().zip(cold_misses(rs)) {
+            if cancel.is_cancelled() {
+                return Err(EngineError::Cancelled);
+            }
+            let first = k * SWEEP_CHUNK;
+            block.fused_statistic_rows(
+                n_max,
+                chunk,
+                slabs.columns,
+                &mut slabs.pi_prefix[first..],
+                &mut slabs.pi_n[first..],
+            )?;
+            let chunk_hits = chunk.len() as u64 - chunk_misses;
+            cache.book(chunk_hits, chunk_misses);
+            hits += chunk_hits;
+            misses += chunk_misses;
+        }
+        (hits, misses)
+    };
+    Ok(Swept {
+        slabs,
+        hits,
+        misses,
+        dist_backend: block.dist_backend_used(),
+    })
+}
+
+/// The chunk loop through the cache: each chunk's tables in one block
+/// fetch under the reply time's `fingerprint`, its misses built in
+/// place, then one block pass into `slabs`. Returns the hits and misses
+/// charged.
+fn through_cache<S: Slabs>(
+    request: &SweepRequest,
+    cache: &SharedCache,
+    block: &ColumnBlockKernel,
+    fingerprint: u64,
+    cancel: &CancelToken,
+    slabs: &mut S,
+) -> Result<(u64, u64), EngineError> {
     let n_max = request.grid.n_max;
     let (mut hits, mut misses) = (0, 0);
     for (k, rs) in request.grid.r_values.chunks(SWEEP_CHUNK).enumerate() {
@@ -169,14 +246,9 @@ pub(crate) fn run<S: Slabs>(
         if cancel.is_cancelled() {
             return Err(EngineError::Cancelled);
         }
-        slabs.fill(&block, n_max, k * SWEEP_CHUNK, rs, &tables)?;
+        slabs.fill(block, n_max, k * SWEEP_CHUNK, rs, &tables)?;
     }
-    Ok(Swept {
-        slabs,
-        hits,
-        misses,
-        dist_backend: block.dist_backend_used(),
-    })
+    Ok((hits, misses))
 }
 
 #[cfg(test)]
@@ -254,18 +326,79 @@ mod tests {
         }
     }
 
-    /// A cancelled sweep builds nothing and charges the cache nothing.
+    /// A statistic build the cache turns away (no room, nothing of its
+    /// reply time resident) fills every cell with the bits of the cache
+    /// path, on a grid of two full chunks and a short last one with
+    /// repeats across chunks and `±0`, and is charged the same hits and
+    /// misses, per answer and in the lifetime counters. It inserts and
+    /// evicts nothing.
+    #[test]
+    fn fused_statistic_matches_the_cache_path() {
+        let mut request = request(2 * SWEEP_CHUNK + 7);
+        let rs = &mut request.grid.r_values;
+        rs[3] = 0.0;
+        rs[SWEEP_CHUNK + 1] = -0.0;
+        rs[SWEEP_CHUNK + 2] = rs[5];
+        rs[2 * SWEEP_CHUNK + 4] = rs[SWEEP_CHUNK + 9];
+        rs[2 * SWEEP_CHUNK + 5] = rs[2 * SWEEP_CHUNK + 6];
+        let columns = rs.len() as u64;
+        let cancel = CancelToken::new();
+        let roomy = SharedCache::new(1024);
+        let cached = statistic(&request, &roomy, Backend::detect(), &cancel).unwrap();
+        // A full cache of another reply time's tables.
+        let full = SharedCache::new(8);
+        let filler: Vec<f64> = (1..=8).map(f64::from).collect();
+        full.get_or_compute_block(1, &filler, 2, |_, buffers| {
+            buffers.iter_mut().for_each(|b| b.fill(1.0));
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        let fused = statistic(&request, &full, Backend::detect(), &cancel).unwrap();
+
+        assert_eq!((cached.hits, cached.misses), (4, columns - 4));
+        assert_eq!((fused.hits, fused.misses), (cached.hits, cached.misses));
+        assert_eq!(
+            (full.hits(), full.misses()),
+            (roomy.hits(), roomy.misses() + 8)
+        );
+        assert_eq!(roomy.occupancy(), (columns as usize - 4, 0));
+        assert_eq!(full.occupancy(), (8, 0), "the fused build inserted nothing");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let n_max = request.grid.n_max as usize;
+        for (j, n) in (0..columns as usize).flat_map(|j| (0..n_max).map(move |n| (j, n))) {
+            let at = n * columns as usize + j;
+            assert_eq!(
+                bits(&[fused.slabs.pi_prefix[at], fused.slabs.pi_n[at]]),
+                bits(&[cached.slabs.pi_prefix[at], cached.slabs.pi_n[at]]),
+                "statistic of cell (r_index = {j}, n = {})",
+                n + 1
+            );
+        }
+    }
+
+    /// A cancelled sweep builds nothing and charges the cache nothing,
+    /// and neither does a cancelled statistic build on either path.
     #[test]
     fn a_cancelled_sweep_stops_before_its_first_chunk() {
         let request = request(3 * SWEEP_CHUNK);
-        let cache = SharedCache::new(1024);
         let cancel = CancelToken::new();
         cancel.cancel();
+        let untouched = |cache: &SharedCache| {
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.occupancy().0),
+                (0, 0, 0)
+            );
+        };
+        let cache = SharedCache::new(1024);
         let outcome = run::<MetricSlabs>(&request, &cache, Backend::detect(), &cancel);
         assert_eq!(outcome.err(), Some(EngineError::Cancelled));
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.occupancy().0),
-            (0, 0, 0)
-        );
+        untouched(&cache);
+        // Room for the grid, then none: the cache path, then the fused one.
+        for capacity in [1024, 1] {
+            let cache = SharedCache::new(capacity);
+            let outcome = statistic(&request, &cache, Backend::detect(), &cancel);
+            assert_eq!(outcome.err(), Some(EngineError::Cancelled));
+            untouched(&cache);
+        }
     }
 }

@@ -51,7 +51,8 @@
 //! `exponential` (loss *or* mass, rate, delay), `uniform` (mass, lo, hi),
 //! `weibull` (mass, shape, scale, delay) and `mixture` (components of
 //! `{"weight":…,"dist":{…}}`). The library API accepts any
-//! [`ReplyTimeDistribution`]; the wire is limited to these constructors.
+//! [`ReplyTimeDistribution`](zeroconf_dist::ReplyTimeDistribution); the
+//! wire is limited to these constructors.
 //! The wire also bounds what one line may cost: a grid over
 //! [`MAX_GRID_N_MAX`], [`MAX_GRID_R_POINTS`] or [`MAX_GRID_CELLS`], a
 //! frontier over [`MAX_FRONTIER_POINTS`], or a reply time over

@@ -448,7 +448,7 @@ pub fn line_id(value: &Json) -> &str {
 }
 
 /// Decodes one parsed request line (version check, then schema decode).
-/// The decode every front end shares: [`PipelinedSession::submit_line`]
+/// The decode every front end shares: [`PipelinedSession::submit_line`](crate::wire::PipelinedSession::submit_line)
 /// runs it, and so does `zeroconf serve` after answering its own `stats`
 /// lines.
 ///

@@ -303,10 +303,10 @@ fn eat_value(bytes: &[u8], pos: &mut usize, value: &str) -> bool {
         && (value == "null" || !bytes.get(*pos).copied().is_some_and(is_number_byte))
 }
 
-/// Parses one response line in the single pass [`parse_json`] makes, but
+/// Parses one response line in the single pass [`parse_json`](crate::wire::parse_json) makes, but
 /// decodes a top-level `cells` member straight into a [`Landscape`]
 /// instead of a `Json` array, with no `Json` value per cell. Every other
-/// member lands in the returned object as [`parse_json`] would build it,
+/// member lands in the returned object as [`parse_json`](crate::wire::parse_json) would build it,
 /// so the object never holds `cells`. It is [`ResponseDecoder`] run on the
 /// whole line at once.
 ///
@@ -321,7 +321,7 @@ fn eat_value(bytes: &[u8], pos: &mut usize, value: &str) -> bool {
 ///
 /// # Errors
 ///
-/// A [`WireError`] for every line [`parse_json`] refuses, for a line that
+/// A [`WireError`] for every line [`parse_json`](crate::wire::parse_json) refuses, for a line that
 /// is not an object, for a second `cells` member, and for `cells` that are
 /// not a landscape as [`WireResponse::to_line`] writes one.
 pub fn parse_response_line(line: &str) -> Result<(Json, Option<Landscape>), WireError> {
@@ -715,7 +715,7 @@ impl WireResponse {
     /// `None` for every other line. A sweep's bound is the one
     /// [`WireResponse::to_line`] sizes its line from: an upper bound per
     /// cell, six bytes per byte of the id (escaping grows it at most
-    /// sixfold, `\u001f`) and [`SHORT_LINE`] for the rest.
+    /// sixfold, `\u001f`) and `SHORT_LINE` for the rest.
     #[must_use]
     pub fn unwritten_bound(&self, cursor: &LineCursor) -> Option<usize> {
         let WireResponse::Sweep { id, response } = self else {

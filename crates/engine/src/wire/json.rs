@@ -77,28 +77,28 @@ impl Json {
 /// # Errors
 ///
 /// Returns a [`WireError`] describing the first syntax problem, or the
-/// first array or object nested deeper than [`MAX_JSON_DEPTH`].
+/// first array or object nested deeper than [`MAX_JSON_DEPTH`](crate::wire::MAX_JSON_DEPTH).
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
     parse_document(input, &mut None)
 }
 
 /// Parses one request line as [`parse_json`] does, but stops at the first
-/// value past [`MAX_REQUEST_VALUES`]: a line that no decoder cap would
+/// value past [`MAX_REQUEST_VALUES`](crate::wire::MAX_REQUEST_VALUES): a line that no decoder cap would
 /// let through is refused before its tree outgrows that of the largest
 /// line they do let through. Every request front end parses with it:
-/// [`parse_request_line`], [`PipelinedSession::submit_line`] and
+/// [`parse_request_line`](crate::wire::parse_request_line), [`PipelinedSession::submit_line`](crate::wire::PipelinedSession::submit_line) and
 /// `zeroconf serve`.
 ///
 /// # Errors
 ///
 /// The [`parse_json`] conditions, and a line of more than
-/// [`MAX_REQUEST_VALUES`] values.
+/// [`MAX_REQUEST_VALUES`](crate::wire::MAX_REQUEST_VALUES) values.
 pub fn parse_request_json(line: &str) -> Result<Json, WireError> {
     parse_document(line, &mut Some(0))
 }
 
 /// Parses one document. `values` is `Some(values built so far)` when the
-/// parse counts them against [`MAX_REQUEST_VALUES`], `None` when it does
+/// parse counts them against [`MAX_REQUEST_VALUES`](crate::wire::MAX_REQUEST_VALUES), `None` when it does
 /// not.
 fn parse_document(input: &str, values: &mut Option<usize>) -> Result<Json, WireError> {
     let mut pos = 0;

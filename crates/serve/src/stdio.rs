@@ -12,7 +12,7 @@ use crate::{ServeConfig, ServeError, ServerShared};
 /// Serves one JSON-lines session: request lines from `input`, each answer
 /// written to `output` as soon as it is ready, then, with `stats`, the
 /// session's counters line. One end of a `UnixStream::pair()` is a
-/// daemon connection under [`StdinRules`], run by an [`EndpointLoop`]
+/// daemon connection under `StdinRules`, run by an `EndpointLoop`
 /// without a listener on this thread; two copy threads bridge the other
 /// end to `input` and `output` (stdin may be a regular file, which epoll
 /// refuses). `config` sizes the engine, the executor team and the budget
